@@ -112,7 +112,8 @@ fn decode_request(payload: &Bytes) -> (u32, u64, Bytes) {
 /// same refcounted allocations. Flattened, the frame is byte-identical to
 /// the historical contiguous `[u64 call_id][body]` encoding.
 fn encode_reply_parts(call_id: u64, body: Payload) -> Payload {
-    let mut p = Payload::from(call_id.to_le_bytes().to_vec());
+    let mut p = Payload::with_capacity(1 + body.parts().len());
+    p.push(Bytes::copy_from_slice(&call_id.to_le_bytes()));
     p.extend(body);
     p
 }

@@ -11,12 +11,16 @@
 //! layer's tree; `file_close` triggers **index** (Algorithm 1 — producers
 //! exchange region bounding boxes according to the common decomposition)
 //! and then **serve** (Algorithm 2 — answer consumer queries until every
-//! consumer rank reports done).
+//! consumer rank reports done). At that point the file is **retired**: its
+//! tree, index entry, codec masks and generation are dropped, unless
+//! [`LowFiveProps::set_keep`] opts it out (see `docs/ARCHITECTURE.md`,
+//! "File lifecycle").
 //!
 //! Lifecycle on the consumer side: `file_open` fetches the serialized
 //! metadata tree from a producer rank; `dataset_read` runs **query**
 //! (Algorithm 3 — redirect via the common decomposition, then fetch data
-//! from the owning producers); `file_close` notifies the producers.
+//! from the owning producers); `file_close` notifies the producers and
+//! drops everything this rank imported or cached for the file.
 //!
 //! Fan-in and fan-out are expressed as [`Link`]s: a task may produce some
 //! file patterns and consume others, with any number of peer tasks.
@@ -48,7 +52,7 @@ use minih5::{
 };
 use simmpi::{Comm, Payload, RatioEwma};
 
-use crate::metadata::MetadataVol;
+use crate::metadata::{slot_for, MetadataVol};
 use crate::props::{glob_match, LowFiveProps};
 use crate::protocol::*;
 
@@ -78,10 +82,6 @@ pub struct Link {
 /// belong to the local metadata layer.
 const REMOTE_BIT: ObjId = 1 << 63;
 
-struct RemoteFileInfo {
-    producers: Vec<usize>,
-}
-
 #[derive(Clone)]
 struct RemoteEntry {
     node: NodeId,
@@ -92,7 +92,8 @@ struct RemoteEntry {
 #[derive(Default)]
 struct RemoteState {
     hier: Hierarchy,
-    files: HashMap<String, RemoteFileInfo>,
+    /// Open consumed files → index of the Consume link they arrived on.
+    files: HashMap<String, usize>,
     entries: HashMap<ObjId, RemoteEntry>,
     next: ObjId,
 }
@@ -141,25 +142,57 @@ pub struct TransportProfile {
     pub bytes_fetched: u64,
 }
 
+/// One open serve session of the asynchronous loop.
+struct Session {
+    /// Consumer DONEs the session waits for.
+    expected: usize,
+    /// Distinct consumer ranks heard from. Ranks, not message counts: a
+    /// consumer whose ack was lost retransmits DONE, and a duplicate must
+    /// not close the session early.
+    done: HashSet<usize>,
+    /// Root of the snapshot being served, so that retiring it cannot hit
+    /// a later incarnation of the same name.
+    root: NodeId,
+}
+
 /// Book-keeping for the asynchronous serve loop (one background thread
 /// multiplexing all open serve sessions).
 #[derive(Default)]
 struct AsyncSessions {
-    /// filename → (expected consumer DONEs, distinct consumer ranks heard
-    /// from). Ranks, not message counts: a consumer whose ack was lost
-    /// retransmits DONE, and a duplicate must not close the session early.
-    open: HashMap<String, (usize, std::collections::HashSet<usize>)>,
-    /// Files fully served (safe to keep answering reads for).
-    completed: std::collections::HashSet<String>,
+    open: HashMap<String, Session>,
+    /// Files fully served and kept ([`LowFiveProps::set_keep`]): safe to
+    /// keep answering reads for.
+    completed: HashSet<String>,
     /// drain() was requested: exit once `open` empties.
     draining: bool,
 }
 
-#[derive(Default, Clone)]
-struct ServeIndex {
-    /// `(file, dataset) → [(bounding box, producer local rank)]` — the
-    /// paper's `boxes[file, dset]` of Algorithm 1 line 11.
-    boxes: HashMap<(String, String), Vec<(BBox, usize)>>,
+/// The index of one served file: `dataset → [(bounding box, producer
+/// local rank)]` — the paper's `boxes[file, dset]` of Algorithm 1 line
+/// 11. Immutable once published.
+#[derive(Default)]
+struct FileIndex {
+    boxes: HashMap<String, Vec<(BBox, usize)>>,
+}
+
+/// Per-file state a rank currently holds, as counted by
+/// [`DistMetadataVol::retained`]. With `keep` off every field stays
+/// O(files open or being served), however many files came before.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Retained {
+    /// In-memory trees: files this rank produced and has not retired,
+    /// plus files it has open as a consumer.
+    pub files: usize,
+    /// Files with an entry in the producer's serve index.
+    pub index_files: usize,
+    /// Node slots of both tree arenas (their high-water mark of
+    /// simultaneously live nodes).
+    pub arena_nodes: usize,
+    /// Files with a generation entry: produced files (their write
+    /// generation) plus consumed files (what their producers reported).
+    pub gens: usize,
+    /// Files with negotiated codec masks toward their consumers.
+    pub codec_masks: usize,
 }
 
 /// Number of [`HotStripe`] cells the hot serve counters are split over.
@@ -238,16 +271,19 @@ impl HotProfile {
 struct FetchCache {
     /// filename → serialized metadata tree fetched at `consumer_open`.
     meta: HashMap<String, FileMeta>,
-    /// `(file, dataset path, query bbox)` → producer-local indices that
+    /// `file → dataset path → query bbox →` producer-local indices that
     /// answered the redirect query with intersecting data.
-    owners: HashMap<(String, String, BBox), Vec<usize>>,
-    /// `(file, producer world rank)` → the generation that producer last
+    owners: HashMap<String, HashMap<String, HashMap<BBox, Vec<usize>>>>,
+    /// `file → producer world rank →` the generation that producer last
     /// reported for the file. Every reply (metadata, redirect, data)
     /// carries the serving file's live generation; when a producer
     /// reports one that differs from what it reported before, the file
     /// was rewritten in place and every cached lookup for it is dropped
-    /// (see [`DistMetadataVol::note_gen`]).
-    gens: HashMap<(String, usize), u64>,
+    /// (see [`DistMetadataVol::note_gen`]). Dropped at `file_close`,
+    /// except for stream slots: a subscriber asks
+    /// [`crate::stream::StepSubscription::is_torn`] after the close, and
+    /// slot names recycle, so their rows are bounded by the ring.
+    gens: HashMap<String, HashMap<usize, u64>>,
 }
 
 /// The distributed metadata connector.
@@ -258,11 +294,11 @@ pub struct DistMetadataVol {
     local: Comm,
     links: Vec<Link>,
     remote: Mutex<RemoteState>,
-    /// The queryable index, published as an immutable snapshot: `index()`
-    /// builds a fresh [`ServeIndex`] and swaps the `Arc` in one store, so
-    /// serve workers clone the handle and read entirely lock-free while
-    /// the next generation is being built.
-    serve_index: Mutex<Arc<ServeIndex>>,
+    /// The queryable index, published per file: `index()` builds the
+    /// closed file's [`FileIndex`] off to the side and inserts it in one
+    /// store, touching no other file's entry; serve workers clone the
+    /// file's handle and read it with no lock held.
+    serve_index: Mutex<HashMap<String, Arc<FileIndex>>>,
     profile: Mutex<TransportProfile>,
     /// Per-thread stripes for the serve path's hot counters (see
     /// [`HotProfile`]); merged into [`Self::profile`] snapshots.
@@ -274,18 +310,19 @@ pub struct DistMetadataVol {
     sessions: Mutex<AsyncSessions>,
     serve_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     self_weak: std::sync::Weak<DistMetadataVol>,
-    /// Metadata requests for files this task will produce but has not
-    /// closed yet (a consumer may run ahead and open snapshot *t+1* while
-    /// we still serve *t*). Answered when the file's serve session opens.
-    pending_meta: Mutex<Vec<(Caller, String)>>,
+    /// Metadata requests `(caller, file, caller's codec caps)` for files
+    /// this task will produce but has not closed yet (a consumer may run
+    /// ahead and open snapshot *t+1* while we still serve *t*). Answered
+    /// when the file's serve session opens.
+    pending_meta: Mutex<Vec<(Caller, String, u64)>>,
     /// Consumer-side cache of metadata and redirect results (pipelined
     /// fetch path only; see [`FetchCache`]).
     fetch_cache: Mutex<FetchCache>,
-    /// Producer-side negotiated codec masks, `(file, consumer world
-    /// rank)` → consumer caps ∩ our caps. Populated from the metadata
+    /// Producer-side negotiated codec masks, `file → consumer world
+    /// rank →` consumer caps ∩ our caps. Populated from the metadata
     /// handshake and `M_CODEC_OFFER` notifications; a pair with no entry
     /// falls through to raw.
-    codec_masks: Mutex<HashMap<(String, usize), u64>>,
+    codec_masks: Mutex<HashMap<String, HashMap<usize, u64>>>,
     /// Producer-side EWMA of *realized* compression ratios per consumer
     /// world rank (this producer task is the other half of the pair).
     /// Observed on every reply we attempted to compress; consulted by
@@ -443,19 +480,19 @@ impl DistMetadataVol {
 
     /// Record a consumer rank's advertised codec caps for `file`,
     /// intersected with our own policy's caps — the negotiated mask every
-    /// data reply toward that rank is encoded under. Called from the
-    /// metadata-handshake and step-subscribe arms (before any parking)
-    /// and from `M_CODEC_OFFER` notifications.
+    /// data reply toward that rank is encoded under. Called when a
+    /// metadata handshake is answered, from the step-subscribe arm, and
+    /// from `M_CODEC_OFFER` notifications.
     pub(crate) fn record_consumer_caps(&self, file: &str, rank: usize, caps: u64) {
         let mask = caps & self.props.wire_codec_for(file).caps();
-        self.codec_masks.lock().insert((file.to_string(), rank), mask);
+        slot_for(&mut self.codec_masks.lock(), file).insert(rank, mask);
     }
 
     /// The negotiated codec mask toward `rank` for `file`. No recorded
     /// negotiation (e.g. the consumer's offer was dropped by fault
     /// injection) falls through to raw — always correct, never faster.
     pub(crate) fn negotiated_mask(&self, file: &str, rank: usize) -> u64 {
-        self.codec_masks.lock().get(&(file.to_string(), rank)).copied().unwrap_or(CAP_RAW)
+        self.codec_masks.lock().get(file).and_then(|m| m.get(&rank)).copied().unwrap_or(CAP_RAW)
     }
 
     /// Pick the codec for one reply body of `len` bytes toward the
@@ -560,8 +597,12 @@ impl DistMetadataVol {
         Ok(out)
     }
 
+    fn consume_link_index(&self, name: &str) -> Option<usize> {
+        self.links.iter().position(|l| l.dir == LinkDir::Consume && glob_match(&l.pattern, name))
+    }
+
     pub(crate) fn consume_link_for(&self, name: &str) -> Option<&Link> {
-        self.links.iter().find(|l| l.dir == LinkDir::Consume && glob_match(&l.pattern, name))
+        self.consume_link_index(name).map(|i| &self.links[i])
     }
 
     /// All consumer world ranks subscribed to `name` (fan-out: multiple
@@ -588,37 +629,35 @@ impl DistMetadataVol {
         let sp = obsv::span(obsv::Phase::Index);
         let n = self.local.size();
         let gen = self.meta.generation(filename);
-        let dsets = self.meta.datasets_of_file(filename)?;
         let mut bundles: Vec<Vec<(String, String, u64, BBox)>> = vec![Vec::new(); n];
-        for dset in &dsets {
-            let (_dtype, space) = self.meta.dataset_meta_by_path(filename, dset)?;
-            let dims = effective_dims(&space);
+        self.meta.for_each_dataset(filename, |dset, space, regions| {
+            let dims = effective_dims(space);
             let decomp = RegularDecomposer::new(&dims, n);
-            for region in self.meta.dataset_regions(filename, dset)? {
-                let bb = effective_bbox(&region.selection, &space);
+            for region in regions {
+                let bb = effective_bbox(&region.selection, space);
                 if bb.is_empty() {
                     continue;
                 }
                 // Algorithm 1 lines 6-9: send the bounding box to every
                 // producer whose common-decomposition block it intersects.
                 for gid in decomp.blocks_intersecting(&bb) {
-                    bundles[gid].push((filename.to_string(), dset.clone(), gen, bb.clone()));
+                    bundles[gid].push((filename.to_string(), dset.to_string(), gen, bb.clone()));
                 }
             }
-        }
+        })?;
         // One (possibly empty) bundle to every peer gives each producer a
         // deterministic receive count — the termination condition the
         // paper's nonblocking sends need anyway. The exchange is a
         // personalized all-to-all.
         let parts: Vec<bytes::Bytes> = bundles.iter().map(|b| enc_index_bundle(b)).collect();
         let received = self.local.alltoall_bytes(parts);
-        // Build the next index generation off to the side, then publish
-        // it as a single `Arc` swap. Serve workers clone the handle once
-        // per request and read it without any lock held; a worker racing
-        // this publish keeps answering from the previous snapshot, which
-        // is exactly the pre-swap serve behavior.
-        let mut next: ServeIndex = (**self.serve_index.lock()).clone();
-        next.boxes.retain(|(f, _), _| f != filename);
+        // Build this file's index off to the side, then publish it as a
+        // single insert that replaces any earlier snapshot of the name
+        // and touches no other file's entry. Serve workers clone the
+        // file's handle once per request and read it without any lock
+        // held; a worker racing this publish keeps answering from the
+        // previous snapshot, which is exactly the pre-publish behavior.
+        let mut next = FileIndex::default();
         let mut nboxes = 0u64;
         for (src, payload) in received.iter().enumerate() {
             // The bundle's generation tag records which snapshot the
@@ -626,11 +665,16 @@ impl DistMetadataVol {
             // generation, so a consumer that cached owners from this
             // index notices any later in-place rewrite.
             for (f, d, _gen, bb) in dec_index_bundle(payload)? {
-                next.boxes.entry((f, d)).or_default().push((bb, src));
+                if f != filename {
+                    return Err(H5Error::Format(format!(
+                        "index bundle for {f:?} arrived while indexing {filename:?}"
+                    )));
+                }
+                next.boxes.entry(d).or_default().push((bb, src));
                 nboxes += 1;
             }
         }
-        *self.serve_index.lock() = Arc::new(next);
+        self.serve_index.lock().insert(filename.to_string(), Arc::new(next));
         // The all-to-all alone is not a barrier: a rank can complete it
         // (everyone has *sent*) while a peer has yet to fold the received
         // bundles into its serve index. Anything that makes the file
@@ -647,35 +691,94 @@ impl DistMetadataVol {
     }
 
     // -----------------------------------------------------------------
+    // Producer: retire (the end of a served file's life)
+    // -----------------------------------------------------------------
+
+    /// Every expected consumer is done with the snapshot of `file` rooted
+    /// at `root`: drop its tree (and with it the region bytes), its
+    /// generation, its index entry and its codec masks — unless
+    /// [`LowFiveProps::set_keep`] keeps the file, in which case nothing
+    /// is touched and `false` comes back. A name that was re-created in
+    /// the meantime (overlap mode) has a different root and is left
+    /// alone: the new snapshot's own session retires it.
+    fn retire(&self, file: &str, root: NodeId) -> bool {
+        if self.props.keep_for(file) {
+            obsv::counter_add(obsv::Ctr::FilesKept, 1);
+            return false;
+        }
+        if let Some(bytes) = self.meta.retire_file(file, root) {
+            self.serve_index.lock().remove(file);
+            self.codec_masks.lock().remove(file);
+            obsv::counter_add(obsv::Ctr::FilesRetired, 1);
+            obsv::counter_add(obsv::Ctr::BytesRetired, bytes);
+        }
+        true
+    }
+
+    /// Count the per-file state this rank holds right now (see
+    /// [`Retained`]).
+    pub fn retained(&self) -> Retained {
+        let (files, arena_nodes, gens) = self.meta.footprint();
+        let rs = self.remote.lock();
+        Retained {
+            files: files + rs.hier.file_count(),
+            index_files: self.serve_index.lock().len(),
+            arena_nodes: arena_nodes + rs.hier.slots(),
+            gens: gens + self.fetch_cache.lock().gens.len(),
+            codec_masks: self.codec_masks.lock().len(),
+        }
+    }
+
+    /// Answer the metadata requests parked for `filename` (consumers that
+    /// ran ahead to this snapshot before it was closed).
+    fn flush_pending_meta(&self, filename: &str) {
+        let now: Vec<(Caller, String, u64)> = {
+            let mut pending = self.pending_meta.lock();
+            let (now, later) = pending.drain(..).partition(|(_, f, _)| f == filename);
+            *pending = later;
+            now
+        };
+        for (caller, file, caps) in now {
+            diyblk::rpc::send_reply(
+                &self.world,
+                caller,
+                enc_result(self.metadata_reply(&file, caller.rank, caps)),
+            );
+        }
+    }
+
+    /// Answer the `M_METADATA` handshake of consumer `rank` for `file`:
+    /// record the negotiation (its `caps` ∩ ours) and build the reply
+    /// body. Recording at answer time — not when a request is parked —
+    /// ties the mask to the snapshot it was negotiated for, so retiring
+    /// the previous snapshot of a re-used name cannot take it along.
+    fn metadata_reply(&self, file: &str, rank: usize, caps: u64) -> H5Result<Bytes> {
+        let meta = self.meta.file_meta(file)?;
+        self.record_consumer_caps(file, rank, caps);
+        Ok(enc_metadata_reply(self.meta.generation(file), self.negotiated_mask(file, rank), &meta))
+    }
+
+    /// Does one of our Produce links cover `file`?
+    fn produces(&self, file: &str) -> bool {
+        self.links.iter().any(|l| l.dir == LinkDir::Produce && glob_match(&l.pattern, file))
+    }
+
+    // -----------------------------------------------------------------
     // Producer: serve (Algorithm 2)
     // -----------------------------------------------------------------
 
     fn serve(&self, filename: &str, expected_dones: usize) {
         let sp = obsv::span(obsv::Phase::Serve);
         obsv::counter_add(obsv::Ctr::ServeSessions, 1);
-        // Answer metadata requests that arrived for this file before we
-        // closed it (consumers running ahead to the next snapshot).
-        {
-            let mut pending = self.pending_meta.lock();
-            let (now, later): (Vec<_>, Vec<_>) =
-                pending.drain(..).partition(|(_, f)| f == filename);
-            *pending = later;
-            for (caller, file) in now {
-                let mask = self.negotiated_mask(&file, caller.rank);
-                let reply = self
-                    .meta
-                    .file_meta(&file)
-                    .map(|m| enc_metadata_reply(self.meta.generation(&file), mask, &m));
-                diyblk::rpc::send_reply(&self.world, caller, enc_result(reply));
-            }
-        }
+        self.flush_pending_meta(filename);
         let server = RpcServer::new(&self.world);
         // DONE must be idempotent: a consumer whose *ack* was lost resends
         // the same DONE under its retry policy, and each retransmit is a
         // fresh RPC. Counting messages would double-count that consumer and
         // stop the serve loop early, stranding the rest — so we count
         // distinct caller ranks instead.
-        let mut dones = std::collections::HashSet::new();
+        let mut dones = HashSet::new();
+        let keep = self.props.keep_for(filename);
         // Control plane (metadata, negotiation, DONE counting, step
         // errors) stays on the dispatcher; the data plane (intersect,
         // data, batch) is offloaded to the worker pool when one is
@@ -689,29 +792,24 @@ impl DistMetadataVol {
                     Ok(fc) => fc,
                     Err(e) => return ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(e)))),
                 };
-                // Record the negotiation before any parking, so a flush
-                // from a later serve session already knows the mask.
-                self.record_consumer_caps(&file, caller.rank, caps);
-                match self.meta.file_meta(&file) {
-                    Ok(meta) => {
-                        ServeStep::Inline(ServeOutcome::Reply(enc_result(Ok(enc_metadata_reply(
-                            self.meta.generation(&file),
-                            self.negotiated_mask(&file, caller.rank),
-                            &meta,
-                        )))))
-                    }
-                    Err(H5Error::NotFound(_))
-                        if self.links.iter().any(|l| {
-                            l.dir == LinkDir::Produce && glob_match(&l.pattern, &file)
-                        }) =>
-                    {
+                // A rank that already said DONE has closed this snapshot:
+                // unless the file is kept for re-reads, it is asking for
+                // the *next* snapshot of the name, which does not exist
+                // yet.
+                let reply = if !keep && file == filename && dones.contains(&caller.rank) {
+                    Err(H5Error::NotFound(file.clone()))
+                } else {
+                    self.metadata_reply(&file, caller.rank, caps)
+                };
+                ServeStep::Inline(match reply {
+                    Err(H5Error::NotFound(_)) if self.produces(&file) => {
                         // A future snapshot of ours: hold the request until
                         // its serve session opens.
-                        self.pending_meta.lock().push((caller, file));
-                        ServeStep::Inline(ServeOutcome::Continue)
+                        self.pending_meta.lock().push((caller, file, caps));
+                        ServeOutcome::Continue
                     }
-                    Err(e) => ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(e)))),
-                }
+                    reply => ServeOutcome::Reply(enc_result(reply)),
+                })
             }
             M_CODEC_OFFER => {
                 if let Ok((file, caps)) = dec_codec_offer(&args) {
@@ -833,13 +931,13 @@ impl DistMetadataVol {
         self.hot.stripe().intersect_requests.fetch_add(1, Ordering::Relaxed);
         let reply = dec_intersect_req(args).map(|(file, dset, qbb)| {
             let gen = self.meta.generation(&file);
-            let idx = Arc::clone(&self.serve_index.lock());
+            let idx = self.serve_index.lock().get(&file).cloned();
             // Dedup through a set (a fine decomposition can hold many
             // boxes per rank) while keeping the historical first-hit
             // order of the reply.
             let mut ranks: Vec<u64> = Vec::new();
             let mut seen: HashSet<usize> = HashSet::new();
-            if let Some(list) = idx.boxes.get(&(file, dset)) {
+            if let Some(list) = idx.as_ref().and_then(|i| i.boxes.get(&dset)) {
                 for (bb, rank) in list {
                     if bb.intersects(&qbb) && seen.insert(*rank) {
                         ranks.push(*rank as u64);
@@ -915,8 +1013,11 @@ impl DistMetadataVol {
         // the caller (one index per close, in program order on every
         // rank).
         self.index(filename)?;
+        let root =
+            self.meta.file_root(filename).ok_or_else(|| H5Error::NotFound(filename.to_string()))?;
         if !self.async_serve {
             self.serve(filename, consumers.len());
+            self.retire(filename, root);
             return Ok(());
         }
         // Overlap mode: register the session, release any consumers that
@@ -929,25 +1030,12 @@ impl DistMetadataVol {
         // async loop's absent-file DONE branch and are simply acked.
         let is_step = self.stream.lock().is_step_file(filename);
         if !is_step {
-            self.sessions
-                .lock()
-                .open
-                .insert(filename.to_string(), (consumers.len(), std::collections::HashSet::new()));
+            self.sessions.lock().open.insert(
+                filename.to_string(),
+                Session { expected: consumers.len(), done: HashSet::new(), root },
+            );
         }
-        {
-            let mut pending = self.pending_meta.lock();
-            let (now, later): (Vec<_>, Vec<_>) =
-                pending.drain(..).partition(|(_, f)| f == filename);
-            *pending = later;
-            for (caller, file) in now {
-                let mask = self.negotiated_mask(&file, caller.rank);
-                let reply = self
-                    .meta
-                    .file_meta(&file)
-                    .map(|m| enc_metadata_reply(self.meta.generation(&file), mask, &m));
-                diyblk::rpc::send_reply(&self.world, caller, enc_result(reply));
-            }
-        }
+        self.flush_pending_meta(filename);
         self.ensure_serve_thread();
         Ok(())
     }
@@ -1031,25 +1119,22 @@ impl DistMetadataVol {
                     Ok(fc) => fc,
                     Err(e) => return ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(e)))),
                 };
-                self.record_consumer_caps(&file, caller.rank, caps);
+                // Answerable now: a session that `caller` has not closed
+                // yet (once it has, and the file is not kept, it is asking
+                // for the name's next snapshot), a kept file, or a
+                // published step slot.
                 let known = {
                     let s = self.sessions.lock();
-                    s.open.contains_key(&file) || s.completed.contains(&file)
+                    s.completed.contains(&file)
+                        || s.open.get(&file).is_some_and(|sess| {
+                            !sess.done.contains(&caller.rank) || self.props.keep_for(&file)
+                        })
                 } || self.stream.lock().serveable.contains(&file);
                 ServeStep::Inline(if known {
-                    let mask = self.negotiated_mask(&file, caller.rank);
-                    let reply = self
-                        .meta
-                        .file_meta(&file)
-                        .map(|m| enc_metadata_reply(self.meta.generation(&file), mask, &m));
-                    ServeOutcome::Reply(enc_result(reply))
-                } else if self
-                    .links
-                    .iter()
-                    .any(|l| l.dir == LinkDir::Produce && glob_match(&l.pattern, &file))
-                {
+                    ServeOutcome::Reply(enc_result(self.metadata_reply(&file, caller.rank, caps)))
+                } else if self.produces(&file) {
                     // Not closed yet (or never produced): hold the request.
-                    self.pending_meta.lock().push((caller, file));
+                    self.pending_meta.lock().push((caller, file, caps));
                     ServeOutcome::Continue
                 } else {
                     ServeOutcome::Reply(enc_result(Err(H5Error::NotFound(file))))
@@ -1070,16 +1155,22 @@ impl DistMetadataVol {
             }
             M_DONE => {
                 let file = dec_done_req(&args).unwrap_or_default();
-                let mut s = self.sessions.lock();
-                if let Some((expected, done)) = s.open.get_mut(&file) {
-                    done.insert(caller.rank);
-                    if done.len() == *expected {
-                        s.open.remove(&file);
-                        s.completed.insert(file);
-                        self.profile.lock().serve_sessions += 1;
-                        obsv::counter_add(obsv::Ctr::ServeSessions, 1);
+                let finished = {
+                    let mut s = self.sessions.lock();
+                    let last = s.open.get_mut(&file).is_some_and(|sess| {
+                        sess.done.insert(caller.rank);
+                        sess.done.len() == sess.expected
+                    });
+                    last.then(|| s.open.remove(&file)).flatten()
+                };
+                if let Some(sess) = finished {
+                    self.profile.lock().serve_sessions += 1;
+                    obsv::counter_add(obsv::Ctr::ServeSessions, 1);
+                    if !self.retire(&file, sess.root) {
+                        self.sessions.lock().completed.insert(file);
                     }
                 }
+                let s = self.sessions.lock();
                 let ack = enc_result(Ok(Bytes::new()));
                 ServeStep::Inline(if s.draining && s.open.is_empty() {
                     ServeOutcome::Stop(Some(ack))
@@ -1119,8 +1210,8 @@ impl DistMetadataVol {
         // (a consumer running ahead to a snapshot we will never close)
         // would otherwise hang its sender through our drain. Failing it
         // now surfaces the lifecycle bug on the consumer instead.
-        let orphaned: Vec<(Caller, String)> = self.pending_meta.lock().drain(..).collect();
-        for (caller, file) in orphaned {
+        let orphaned: Vec<(Caller, String, u64)> = self.pending_meta.lock().drain(..).collect();
+        for (caller, file, _) in orphaned {
             diyblk::rpc::send_reply(&self.world, caller, enc_result(Err(H5Error::NotFound(file))));
         }
         self.profile.lock().serve_seconds += sp.finish();
@@ -1166,10 +1257,10 @@ impl DistMetadataVol {
     /// producer has since rewritten.
     pub(crate) fn note_gen(&self, file: &str, server: usize, gen: u64) -> bool {
         let mut cache = self.fetch_cache.lock();
-        match cache.gens.insert((file.to_string(), server), gen) {
+        match slot_for(&mut cache.gens, file).insert(server, gen) {
             Some(old) if old != gen => {
                 cache.meta.remove(file);
-                cache.owners.retain(|(f, _, _), _| f != file);
+                cache.owners.remove(file);
                 true
             }
             _ => false,
@@ -1182,11 +1273,12 @@ impl DistMetadataVol {
     /// detect a slot recycled mid-read
     /// ([`crate::stream::StepSubscription::is_torn`]).
     pub fn noted_gen(&self, file: &str, server: usize) -> Option<u64> {
-        self.fetch_cache.lock().gens.get(&(file.to_string(), server)).copied()
+        self.fetch_cache.lock().gens.get(file).and_then(|m| m.get(&server)).copied()
     }
 
-    fn consumer_open(&self, name: &str, link: &Link) -> H5Result<ObjId> {
+    fn consumer_open(&self, name: &str, link_idx: usize) -> H5Result<ObjId> {
         let sp = obsv::span(obsv::Phase::Open);
+        let link = &self.links[link_idx];
         // Pipelined fetch caches the metadata tree per file, so a reopen
         // between closes costs no round-trip. (`file_close` invalidates,
         // and opens are issued in the same program order on every
@@ -1196,7 +1288,7 @@ impl DistMetadataVol {
         if caching {
             if let Some(meta) = self.fetch_cache.lock().meta.get(name).cloned() {
                 obsv::counter_add(obsv::Ctr::FetchCacheHits, 1);
-                return self.install_remote_meta(name, link, &meta, sp);
+                return self.install_remote_meta(name, link_idx, &meta, sp);
             }
             obsv::counter_add(obsv::Ctr::FetchCacheMisses, 1);
         }
@@ -1253,10 +1345,11 @@ impl DistMetadataVol {
         // Record the generation *before* caching: a bump clears stale
         // entries first, so the fresh tree is what ends up cached.
         self.note_gen(name, home, gen);
+        let id = self.install_remote_meta(name, link_idx, &meta, sp)?;
         if caching {
-            self.fetch_cache.lock().meta.insert(name.to_string(), meta.clone());
+            self.fetch_cache.lock().meta.insert(name.to_string(), meta);
         }
-        self.install_remote_meta(name, link, &meta, sp)
+        Ok(id)
     }
 
     /// Import a fetched (or cached) metadata tree into the remote
@@ -1264,7 +1357,7 @@ impl DistMetadataVol {
     fn install_remote_meta(
         &self,
         name: &str,
-        link: &Link,
+        link_idx: usize,
         meta: &FileMeta,
         sp: obsv::SpanGuard,
     ) -> H5Result<ObjId> {
@@ -1274,7 +1367,7 @@ impl DistMetadataVol {
         }
         let root = rs.hier.create_file(name)?;
         import_meta(&mut rs.hier, root, meta)?;
-        rs.files.insert(name.to_string(), RemoteFileInfo { producers: link.remote_ranks.clone() });
+        rs.files.insert(name.to_string(), link_idx);
         let id = rs.mint();
         rs.entries
             .insert(id, RemoteEntry { node: root, filename: Arc::from(name), path: String::new() });
@@ -1285,14 +1378,14 @@ impl DistMetadataVol {
 
     /// Resolve a remote dataset handle to its location and the producer
     /// ranks serving it.
-    fn remote_target(&self, dset: ObjId) -> H5Result<(NodeId, Arc<str>, String, Vec<usize>)> {
+    fn remote_target(&self, dset: ObjId) -> H5Result<(NodeId, Arc<str>, String, &[usize])> {
         let rs = self.remote.lock();
         let e = rs.entry(dset)?.clone();
-        let info = rs
+        let link_idx = *rs
             .files
             .get(e.filename.as_ref())
             .ok_or_else(|| H5Error::NotFound(e.filename.to_string()))?;
-        Ok((e.node, e.filename.clone(), e.path.clone(), info.producers.clone()))
+        Ok((e.node, e.filename, e.path, &self.links[link_idx].remote_ranks))
     }
 
     /// Map a transport-level RPC failure on a consumer→producer call to
@@ -1451,14 +1544,14 @@ impl DistMetadataVol {
         let mut owners: Vec<Option<Vec<usize>>> = vec![None; sels.len()];
         {
             let cache = self.fetch_cache.lock();
+            let cached = cache.owners.get(filename.as_ref()).and_then(|d| d.get(&path));
             for (i, bb) in bbs.iter().enumerate() {
                 if outs[i].is_empty() {
                     // Empty selection: nothing to fetch, no query needed.
                     owners[i] = Some(Vec::new());
                     continue;
                 }
-                let key = (filename.to_string(), path.clone(), bb.clone());
-                if let Some(o) = cache.owners.get(&key) {
+                if let Some(o) = cached.and_then(|c| c.get(bb)) {
                     obsv::counter_add(obsv::Ctr::FetchCacheHits, 1);
                     owners[i] = Some(o.clone());
                 } else {
@@ -1501,12 +1594,16 @@ impl DistMetadataVol {
                 return Err(e);
             }
             let mut cache = self.fetch_cache.lock();
+            let of_dset = cache
+                .owners
+                .entry(filename.to_string())
+                .or_default()
+                .entry(path.clone())
+                .or_default();
             for (i, bb) in bbs.iter().enumerate() {
                 if owners[i].is_none() {
                     let list: Vec<usize> = sets[i].iter().copied().collect();
-                    cache
-                        .owners
-                        .insert((filename.to_string(), path.clone(), bb.clone()), list.clone());
+                    of_dset.insert(bb.clone(), list.clone());
                     owners[i] = Some(list);
                 }
             }
@@ -1525,7 +1622,7 @@ impl DistMetadataVol {
         }
         let mut calls: Vec<Call> = Vec::new();
         let mut call_sels: Vec<Vec<usize>> = Vec::new();
-        for (&p, sel_ids) in &per_prod {
+        for (p, sel_ids) in per_prod {
             let entries: Vec<(String, Selection)> =
                 sel_ids.iter().map(|&i| (path.clone(), sels[i].clone())).collect();
             obsv::hist_record(obsv::Hist::FetchBatchEntries, entries.len() as u64);
@@ -1534,7 +1631,7 @@ impl DistMetadataVol {
                 M_DATA_BATCH,
                 enc_data_req_batch(&filename, &entries),
             ));
-            call_sels.push(sel_ids.clone());
+            call_sels.push(sel_ids);
         }
         obsv::counter_add(obsv::Ctr::FetchBatches, calls.len() as u64);
         let mut fetched = 0u64;
@@ -1592,20 +1689,31 @@ impl DistMetadataVol {
         let (filename, producers) = {
             let mut rs = self.remote.lock();
             let e = rs.entry(file)?.clone();
-            let producers =
-                rs.files.get(e.filename.as_ref()).map(|i| i.producers.clone()).unwrap_or_default();
             rs.entries.remove(&file);
+            // The imported tree goes with the handle (object handles still
+            // open into it turn stale).
+            let producers: &[usize] = match rs.files.remove(e.filename.as_ref()) {
+                Some(link_idx) => &self.links[link_idx].remote_ranks,
+                None => &[],
+            };
+            if let Ok(bytes) = rs.hier.remove_file(&e.filename) {
+                obsv::counter_add(obsv::Ctr::BytesRetired, bytes);
+            }
             (e.filename, producers)
         };
         // Closing ends this consumer's view of the snapshot: drop every
         // cached lookup for the file so a later open (possibly of a
         // rewritten file with the same name) refetches.
+        let is_step = self.stream.lock().is_step_file(&filename);
         {
             let mut cache = self.fetch_cache.lock();
             cache.meta.remove(filename.as_ref());
-            cache.owners.retain(|(f, _, _), _| f.as_str() != filename.as_ref());
+            cache.owners.remove(filename.as_ref());
+            if !is_step {
+                cache.gens.remove(filename.as_ref());
+            }
         }
-        for p in producers {
+        for &p in producers {
             // DONE is a *call*, not a notification: the producer's serve
             // loop counts it toward session completion, so a dropped
             // message would leave the producer waiting forever. Awaiting
@@ -1695,10 +1803,9 @@ impl Vol for DistMetadataVol {
     }
 
     fn file_open(&self, name: &str) -> H5Result<ObjId> {
-        if let Some(link) = self.consume_link_for(name) {
+        if let Some(link_idx) = self.consume_link_index(name) {
             if self.props.memory_for(name) {
-                let link = link.clone();
-                return self.consumer_open(name, &link);
+                return self.consumer_open(name, link_idx);
             }
             // File mode on a consume link: the file comes from a peer task
             // that may still be writing it. Poll until it opens as a
@@ -1734,7 +1841,22 @@ impl Vol for DistMetadataVol {
                 }
             }
         }
-        self.meta.file_open(name)
+        // Our own output (or a plain storage file). A produced in-memory
+        // file that is neither resident nor on disk has been served and
+        // retired.
+        self.meta.file_open(name).map_err(|e| match e {
+            H5Error::Io(io)
+                if io.kind() == std::io::ErrorKind::NotFound
+                    && self.produces(name)
+                    && self.props.memory_for(name) =>
+            {
+                H5Error::NotFound(format!(
+                    "{name} (a served file is retired once its consumers are done; \
+                     see LowFiveProps::set_keep)"
+                ))
+            }
+            e => e,
+        })
     }
 
     fn file_close(&self, file: ObjId) -> H5Result<()> {
@@ -1877,7 +1999,7 @@ impl Vol for DistMetadataVol {
         if obj & REMOTE_BIT != 0 {
             let rs = self.remote.lock();
             let node = rs.entry(obj)?.node;
-            return Ok(rs.hier.children_of(node));
+            return rs.hier.children_of(node);
         }
         self.meta.list(obj)
     }
@@ -1886,7 +2008,7 @@ impl Vol for DistMetadataVol {
         if obj & REMOTE_BIT != 0 {
             let rs = self.remote.lock();
             let node = rs.entry(obj)?.node;
-            return Ok(rs.hier.node(node).obj_kind());
+            return Ok(rs.hier.node(node)?.obj_kind());
         }
         self.meta.obj_kind(obj)
     }

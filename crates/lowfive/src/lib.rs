@@ -81,7 +81,7 @@ pub mod protocol;
 pub mod stream;
 
 pub use base::BaseVol;
-pub use dist::{DistMetadataVol, DistVolBuilder, Link, LinkDir, TransportProfile};
+pub use dist::{DistMetadataVol, DistVolBuilder, Link, LinkDir, Retained, TransportProfile};
 pub use metadata::MetadataVol;
 pub use props::{glob_match, BackPressure, LowFiveProps, ServeWorkers};
 pub use protocol::WireCodec;

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use minih5::format::{export_meta, FileMeta};
-use minih5::tree::DataRegion;
+use minih5::tree::{DataRegion, NodeKind};
 use minih5::{
     Dataspace, Datatype, H5Error, H5Result, Hierarchy, NodeId, ObjId, ObjKind, Ownership,
     Selection, Vol,
@@ -48,16 +48,31 @@ struct MetaState {
     hier: Hierarchy,
     entries: HashMap<ObjId, Entry>,
     next: ObjId,
-    /// Per-file write generation: bumped on every mutation of the
+    /// Per-file write generation: renewed on every mutation of the
     /// in-memory tree (create/truncate, region write, extend, attribute
     /// write). Served to consumers in every reply so their caches can
     /// detect an in-place rewrite between reads.
     gens: HashMap<String, u64>,
+    /// The generation handed out last. One counter serves every file of
+    /// the VOL, so a name that is retired and created again can never
+    /// repeat a tag a consumer has already seen for it.
+    last_gen: u64,
+}
+
+/// The value stored under `key`, inserted as `V::default()` first if it
+/// is missing. Unlike `entry(key.to_string())`, a key that is already
+/// present costs no allocation — these maps are touched per message.
+pub(crate) fn slot_for<'a, V: Default>(map: &'a mut HashMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("present or just inserted")
 }
 
 impl MetaState {
     fn bump_gen(&mut self, file: &str) {
-        *self.gens.entry(file.to_string()).or_insert(0) += 1;
+        self.last_gen += 1;
+        *slot_for(&mut self.gens, file) = self.last_gen;
     }
 }
 
@@ -110,11 +125,40 @@ impl MetadataVol {
         Ok(self.state.lock().entry(id)?.created)
     }
 
-    /// Current write generation of an in-memory file (0 if never
-    /// mutated). Every reply the distributed layer sends for the file
-    /// carries this tag, so consumer caches can detect in-place rewrites.
+    /// Current write generation of an in-memory file (0 if the file is
+    /// not resident). Every reply the distributed layer sends for the
+    /// file carries this tag, so consumer caches can detect in-place
+    /// rewrites.
     pub fn generation(&self, name: &str) -> u64 {
         self.state.lock().gens.get(name).copied().unwrap_or(0)
+    }
+
+    /// Root node of an in-memory file. The id is unique to this
+    /// incarnation of the name: truncating or retiring the file makes it
+    /// stale, which is how [`MetadataVol::retire_file`] tells the
+    /// snapshot it was asked to drop from a later one of the same name.
+    pub fn file_root(&self, name: &str) -> Option<NodeId> {
+        self.state.lock().hier.file(name)
+    }
+
+    /// Drop the in-memory tree of `name` and its generation entry, if
+    /// `root` is still the file's root. Returns the payload bytes the
+    /// tree held, or `None` when the name has since been re-created (or
+    /// was already gone) and nothing was touched.
+    pub fn retire_file(&self, name: &str, root: NodeId) -> Option<u64> {
+        let mut st = self.state.lock();
+        if st.hier.file(name) != Some(root) {
+            return None;
+        }
+        st.gens.remove(name);
+        st.hier.remove_file(name).ok()
+    }
+
+    /// `(resident files, arena slots, generation entries)` — what this
+    /// layer holds per file (diagnostic).
+    pub fn footprint(&self) -> (usize, usize, usize) {
+        let st = self.state.lock();
+        (st.hier.file_count(), st.hier.slots(), st.gens.len())
     }
 
     /// Serialize the metadata tree of an in-memory file (for shipping to
@@ -122,12 +166,30 @@ impl MetadataVol {
     pub fn file_meta(&self, name: &str) -> H5Result<FileMeta> {
         let st = self.state.lock();
         let root = st.hier.file(name).ok_or_else(|| H5Error::NotFound(name.to_string()))?;
-        Ok(export_meta(&st.hier, root, None))
+        export_meta(&st.hier, root, None)
+    }
+
+    /// Visit every dataset of an in-memory file in creation order — its
+    /// path, space and recorded regions — in one walk of the tree.
+    pub fn for_each_dataset(
+        &self,
+        name: &str,
+        mut f: impl FnMut(&str, &Dataspace, &[DataRegion]),
+    ) -> H5Result<()> {
+        let st = self.state.lock();
+        let root = st.hier.file(name).ok_or_else(|| H5Error::NotFound(name.to_string()))?;
+        st.hier.visit(root, |path, _, node| {
+            if let NodeKind::Dataset { space, regions, .. } = &node.kind {
+                f(path, space, regions);
+            }
+        })
     }
 
     /// Paths of all datasets in an in-memory file, in creation order.
     pub fn datasets_of_file(&self, name: &str) -> H5Result<Vec<String>> {
-        Ok(self.file_meta(name)?.datasets.into_iter().map(|d| d.path).collect())
+        let mut paths = Vec::new();
+        self.for_each_dataset(name, |path, _, _| paths.push(path.to_string()))?;
+        Ok(paths)
     }
 
     /// Type and space of a dataset by `(file, path)`.
@@ -240,7 +302,8 @@ impl Vol for MetadataVol {
             self.base.file_close(fid)?;
         }
         // The in-memory tree deliberately survives close: that is what the
-        // distributed layer serves to consumers afterwards.
+        // distributed layer serves to consumers afterwards (and retires
+        // once they are done with it).
         Ok(())
     }
 
@@ -445,7 +508,7 @@ impl Vol for MetadataVol {
         }
         if let Some(node) = e.mem {
             let mut st = self.state.lock();
-            st.hier.set_attr(node, name, dtype.clone(), data);
+            st.hier.set_attr(node, name, dtype.clone(), data)?;
             st.bump_gen(&e.filename);
         }
         Ok(())
@@ -465,7 +528,7 @@ impl Vol for MetadataVol {
     fn list(&self, obj: ObjId) -> H5Result<Vec<(String, ObjKind)>> {
         let e = self.state.lock().entry(obj)?.clone();
         if let Some(node) = e.mem {
-            return Ok(self.state.lock().hier.children_of(node));
+            return self.state.lock().hier.children_of(node);
         }
         match e.file {
             Some(f) => self.base.list(f),
@@ -476,7 +539,7 @@ impl Vol for MetadataVol {
     fn obj_kind(&self, obj: ObjId) -> H5Result<ObjKind> {
         let e = self.state.lock().entry(obj)?.clone();
         if let Some(node) = e.mem {
-            return Ok(self.state.lock().hier.node(node).obj_kind());
+            return Ok(self.state.lock().hier.node(node)?.obj_kind());
         }
         match e.file {
             Some(f) => self.base.obj_kind(f),
@@ -614,6 +677,35 @@ mod tests {
         f.close().unwrap();
         let names = vol.datasets_of_file("t.h5").unwrap();
         assert_eq!(names, vec!["new".to_string()]);
+    }
+
+    #[test]
+    fn retire_drops_only_the_incarnation_it_was_given() {
+        let (h5, vol) = memory_h5(LowFiveProps::new());
+        let write = |v: u8| {
+            let f = h5.create_file("r.h5").unwrap();
+            let d = f.create_dataset("d", Datatype::UInt8, Dataspace::simple(&[2])).unwrap();
+            d.write_all(&[v, v]).unwrap();
+            drop(d);
+            f.close().unwrap();
+        };
+        write(1);
+        let first = vol.file_root("r.h5").unwrap();
+        let gen1 = vol.generation("r.h5");
+        // Re-created in the meantime: the old root must not retire the new tree.
+        write(2);
+        let gen2 = vol.generation("r.h5");
+        assert!(gen2 > gen1);
+        assert_eq!(vol.retire_file("r.h5", first), None);
+        assert_eq!(vol.dataset_regions("r.h5", "d").unwrap()[0].data[..], [2, 2]);
+        // The current root does: tree, bytes and generation all go.
+        let second = vol.file_root("r.h5").unwrap();
+        assert_eq!(vol.retire_file("r.h5", second), Some(2));
+        assert!(vol.file_root("r.h5").is_none());
+        assert_eq!(vol.footprint(), (0, 2, 0), "no file, no generation, two reusable slots");
+        // A third incarnation of the name never repeats a generation.
+        write(3);
+        assert!(vol.generation("r.h5") > gen2);
     }
 
     #[test]

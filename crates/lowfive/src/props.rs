@@ -69,6 +69,7 @@ enum Action {
     WireCodecPolicy(WireCodec),
     ServeWorkersPolicy(ServeWorkers),
     GatherCost(f64),
+    Keep(bool),
 }
 
 #[derive(Debug, Clone)]
@@ -257,6 +258,52 @@ impl LowFiveProps {
             action: Action::GatherCost(ns_per_byte),
         });
         self
+    }
+
+    /// Keep files matching `file_pat` resident after their consumers are
+    /// done with them (default **off**, as in upstream LowFive).
+    ///
+    /// A served file has an end of life: when the last expected consumer
+    /// rank has closed it, the producer *retires* it — the in-memory
+    /// tree and its region bytes, its index entry, its negotiated codec
+    /// masks and its generation tag are all dropped, so a long-running
+    /// producer holds O(files being served) state, not O(files ever
+    /// served). With `keep` on the file stays instead: the producer can
+    /// re-open its own output, and a consumer that re-opens the name
+    /// re-reads the same snapshot, exactly as before retirement existed.
+    ///
+    /// Two interactions:
+    ///
+    /// * **Name re-use.** With `keep` off a consumer's close ends its
+    ///   view of the snapshot, so when it opens the same name again it
+    ///   waits for the producer's *next* close of that name — one file
+    ///   name can carry a whole time series on either serve path. With
+    ///   `keep` on, that open is answered from the retained snapshot;
+    ///   give each step its own name (or use [`crate::stream`]) when
+    ///   keeping.
+    /// * **Stream slots** ignore this setting: a slot lives until its
+    ///   series' window recycles it
+    ///   ([`LowFiveProps::set_stream_queue_depth`]).
+    pub fn set_keep(&mut self, file_pat: &str, on: bool) -> &mut Self {
+        self.rules.push(Rule {
+            file_pat: file_pat.to_string(),
+            dset_pat: "*".to_string(),
+            action: Action::Keep(on),
+        });
+        self
+    }
+
+    /// Should `file` stay resident after its last consumer is done?
+    pub fn keep_for(&self, file: &str) -> bool {
+        let mut on = false;
+        for r in &self.rules {
+            if let Action::Keep(v) = r.action {
+                if glob_match(&r.file_pat, file) {
+                    on = v;
+                }
+            }
+        }
+        on
     }
 
     /// Effective serve worker-pool size for `file` (resolved to >= 1).
@@ -558,6 +605,19 @@ mod tests {
         assert_eq!(p.gather_cost_for("other.h5"), 0.0);
         p.set_gather_cost("deep/*", 0.0);
         assert_eq!(p.gather_cost_for("deep/step1.h5"), 0.0);
+    }
+
+    #[test]
+    fn keep_defaults_off_and_is_pattern_scoped() {
+        let p = LowFiveProps::new();
+        assert!(!p.keep_for("f.h5"));
+        let mut p = LowFiveProps::new();
+        p.set_keep("ckpt/*", true);
+        assert!(p.keep_for("ckpt/step1.h5"));
+        assert!(!p.keep_for("viz/step1.h5"));
+        // Last matching rule wins.
+        p.set_keep("*", false);
+        assert!(!p.keep_for("ckpt/step1.h5"));
     }
 
     #[test]

@@ -173,6 +173,18 @@ pub fn preferred_codec(mask: u64) -> u8 {
     }
 }
 
+/// `body` behind a one-byte part holding `tag`, its parts untouched. The
+/// tag part is a slice of one shared 256-byte table, so framing a reply
+/// allocates only the new part list.
+fn prefixed(tag: u8, body: Payload) -> Payload {
+    static TAGS: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
+    let tags = TAGS.get_or_init(|| (0..=u8::MAX).collect());
+    let mut p = Payload::with_capacity(1 + body.parts().len());
+    p.push(tags.slice(usize::from(tag)..=usize::from(tag)));
+    p.extend(body);
+    p
+}
+
 /// Wrap a reply body in the one-byte codec prefix, compressing with
 /// `codec` when that actually shrinks the frame. The raw fallback keeps
 /// the body's borrowed parts untouched (the prefix is its own tiny
@@ -196,11 +208,7 @@ pub fn encode_coded(body: Payload, codec: u8) -> Payload {
     };
     match compressed {
         Some(out) => Payload::from(out),
-        None => {
-            let mut p = Payload::from(vec![CODEC_RAW]);
-            p.extend(body);
-            p
-        }
+        None => prefixed(CODEC_RAW, body),
     }
 }
 
@@ -600,11 +608,7 @@ pub fn dec_result(b: &Bytes) -> H5Result<Bytes> {
 /// is identical to `enc_result`'s.
 pub fn enc_result_payload(r: H5Result<Payload>) -> Payload {
     match r {
-        Ok(body) => {
-            let mut p = Payload::from(vec![1u8]);
-            p.extend(body);
-            p
-        }
+        Ok(body) => prefixed(1, body),
         Err(e) => enc_result(Err(e)).into(),
     }
 }
@@ -812,7 +816,7 @@ pub struct ReplyFrame {
 impl ReplyFrame {
     /// An empty frame.
     pub fn new() -> Self {
-        ReplyFrame::default()
+        ReplyFrame { hdr: Writer::new(), parts: Payload::new() }
     }
 
     /// Append a header field to the current contiguous run.

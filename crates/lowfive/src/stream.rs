@@ -210,17 +210,19 @@ pub(crate) struct StreamState {
     /// async serve loop answers `M_METADATA` for these without a session
     /// (step files never enter the DONE-counted session map).
     pub(crate) serveable: HashSet<String>,
+    /// Consumer side: series this rank has subscribed to.
+    subscribed: HashSet<String>,
 }
 
 impl StreamState {
-    /// Is `name` a slot file of a registered series? (`<series>@s<digits>`
-    /// with `<series>` registered.)
+    /// Is `name` a slot file of a series this rank publishes or
+    /// subscribes to? (`<series>@s<digits>` with `<series>` registered.)
     pub(crate) fn is_step_file(&self, name: &str) -> bool {
         match name.rsplit_once("@s") {
             Some((series, digits)) => {
                 !digits.is_empty()
                     && digits.bytes().all(|b| b.is_ascii_digit())
-                    && self.series.contains_key(series)
+                    && (self.series.contains_key(series) || self.subscribed.contains(series))
             }
             None => false,
         }
@@ -441,6 +443,7 @@ impl StepSubscription {
                 Err(e) => return Err(e),
             }
         };
+        vol.stream_state().lock().subscribed.insert(series.to_string());
         Ok(StepSubscription {
             vol,
             series: series.to_string(),
@@ -730,6 +733,9 @@ mod tests {
         assert!(!st.is_step_file("other.h5@s0"), "unregistered series");
         assert!(!st.is_step_file("sim.h5@sx"), "suffix must be digits");
         assert!(!st.is_step_file("sim.h5@s"), "suffix must be non-empty");
+        // A subscriber recognizes the slots of its series the same way.
+        st.subscribed.insert("viz.h5".to_string());
+        assert!(st.is_step_file("viz.h5@s3"));
     }
 
     #[test]

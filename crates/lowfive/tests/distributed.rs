@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use lowfive::{DistVolBuilder, LowFiveProps};
-use minih5::{Dataspace, Datatype, Selection, Vol, H5};
+use minih5::{Dataspace, Datatype, H5Error, H5Result, Selection, Vol, H5};
 use simmpi::{TaskComm, TaskSpec, TaskWorld};
 
 fn world_ranks(tc: &TaskComm, task_id: usize) -> Vec<usize> {
@@ -787,17 +787,19 @@ fn drain_is_idempotent() {
     });
 }
 
-/// A producer re-opening and closing its own output (read-only) must not
-/// trigger a second serve session (which would deadlock: consumers have
-/// already said done).
-#[test]
-fn producer_reopen_close_does_not_reserve() {
+/// Shared body: one producer serves `ro-reopen.h5` to one consumer, then
+/// tries to re-open its own output. Returns what the re-open (and, when
+/// it succeeds, the local read-back and second close) produced.
+fn producer_reopens_served_file(keep: bool) -> Vec<Option<H5Result<Vec<u8>>>> {
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
     TaskWorld::run(&specs, |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
+        let mut props = LowFiveProps::new();
+        props.set_keep("*", keep);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
             DistVolBuilder::new(tc.world.clone(), tc.local.clone())
+                .props(props)
                 .produce("*", consumers.clone())
                 .build()
         } else {
@@ -810,18 +812,41 @@ fn producer_reopen_close_does_not_reserve() {
             let f = h5.create_file("ro-reopen.h5").unwrap();
             let d = f.create_dataset("x", Datatype::UInt8, Dataspace::simple(&[4])).unwrap();
             d.write_all(&[1u8, 2, 3, 4]).unwrap();
+            drop(d);
             f.close().unwrap(); // serves the consumer
-                                // Re-open our own in-memory output and read it back locally.
-            let f = h5.open_file("ro-reopen.h5").unwrap();
-            let d = f.open_dataset("x").unwrap();
-            assert_eq!(d.read_all::<u8>().unwrap(), vec![1, 2, 3, 4]);
-            // This close must NOT serve again (no consumer will report
-            // done a second time) — a hang here is the regression.
-            f.close().unwrap();
+            Some(h5.open_file("ro-reopen.h5").and_then(|f| {
+                let got = f.open_dataset("x")?.read_all::<u8>()?;
+                // This close must NOT serve again (no consumer will report
+                // done a second time) — a hang here is the regression.
+                f.close()?;
+                Ok(got)
+            }))
         } else {
             let f = h5.open_file("ro-reopen.h5").unwrap();
             assert_eq!(f.open_dataset("x").unwrap().read_all::<u8>().unwrap(), vec![1, 2, 3, 4]);
             f.close().unwrap();
+            None
         }
-    });
+    })
+}
+
+/// A producer re-opening and closing its own kept output (read-only)
+/// reads it back locally and must not trigger a second serve session
+/// (which would deadlock: consumers have already said done).
+#[test]
+fn producer_reopen_close_does_not_reserve() {
+    let out = producer_reopens_served_file(true);
+    assert_eq!(out[0].as_ref().unwrap().as_ref().unwrap(), &[1, 2, 3, 4]);
+}
+
+/// The mirror: without `keep` the served file is retired, so the
+/// producer's re-open finds nothing.
+#[test]
+fn producer_reopen_without_keep_is_not_found() {
+    let out = producer_reopens_served_file(false);
+    assert!(
+        matches!(out[0], Some(Err(H5Error::NotFound(_)))),
+        "re-open of a retired file: {:?}",
+        out[0]
+    );
 }

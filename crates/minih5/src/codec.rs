@@ -18,8 +18,10 @@ pub struct Writer {
 }
 
 impl Writer {
+    /// An empty writer with room for a typical control frame, so that
+    /// encoding one does not walk the buffer up through 8, 16, 32, … bytes.
     pub fn new() -> Self {
-        Self::default()
+        Writer { buf: BytesMut::with_capacity(128) }
     }
 
     pub fn put_u8(&mut self, v: u8) {

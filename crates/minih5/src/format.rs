@@ -162,7 +162,7 @@ pub fn export_meta(
     hier: &crate::tree::Hierarchy,
     root: crate::tree::NodeId,
     offsets: Option<&std::collections::HashMap<crate::tree::NodeId, u64>>,
-) -> FileMeta {
+) -> H5Result<FileMeta> {
     export_meta_with_chunks(hier, root, offsets, None)
 }
 
@@ -172,33 +172,26 @@ pub fn export_meta_with_chunks(
     root: crate::tree::NodeId,
     offsets: Option<&std::collections::HashMap<crate::tree::NodeId, u64>>,
     chunks: Option<&std::collections::HashMap<crate::tree::NodeId, ChunkIndex>>,
-) -> FileMeta {
-    use crate::tree::ObjKind;
+) -> H5Result<FileMeta> {
+    use crate::tree::NodeKind;
     let mut meta = FileMeta::default();
-    // Pre-order DFS: parents precede children, preserving creation order.
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        let node = hier.node(id);
-        let path = hier.path_of(id).trim_start_matches('/').to_string();
-        match node.obj_kind() {
-            ObjKind::File => {}
-            ObjKind::Group => meta.groups.push(path.clone()),
-            ObjKind::Dataset => {
-                let (dtype, space) = hier.dataset_meta(id).expect("dataset node");
+    // Pre-order: parents precede children, preserving creation order.
+    hier.visit(root, |path, id, node| {
+        match &node.kind {
+            NodeKind::File { .. } => {}
+            NodeKind::Group => meta.groups.push(path.to_string()),
+            NodeKind::Dataset { dtype, space, chunk, .. } => {
                 let offset = offsets.and_then(|m| m.get(&id).copied()).unwrap_or(0);
                 // Prefer the storage connector's chunk map; otherwise ship
                 // the chunk shape recorded in the tree (offsets are
                 // meaningless off-storage).
                 let ci = chunks.and_then(|m| m.get(&id).cloned()).or_else(|| {
-                    hier.dataset_chunk(id)
-                        .ok()
-                        .flatten()
-                        .map(|chunk| ChunkIndex { chunk, offsets: Vec::new() })
+                    chunk.clone().map(|chunk| ChunkIndex { chunk, offsets: Vec::new() })
                 });
                 meta.datasets.push(DatasetEntry {
-                    path: path.clone(),
-                    dtype,
-                    space,
+                    path: path.to_string(),
+                    dtype: dtype.clone(),
+                    space: space.clone(),
                     offset,
                     chunks: ci,
                 });
@@ -206,17 +199,14 @@ pub fn export_meta_with_chunks(
         }
         for (name, (dtype, data)) in node.attributes.iter() {
             meta.attrs.push(AttrEntry {
-                owner: path.clone(),
+                owner: path.to_string(),
                 name: name.clone(),
                 dtype: dtype.clone(),
                 data: data.clone(),
             });
         }
-        for &c in node.children.iter().rev() {
-            stack.push(c);
-        }
-    }
-    meta
+    })?;
+    Ok(meta)
 }
 
 /// Rebuild a tree under `root` from a metadata blob. Returns each
@@ -249,7 +239,7 @@ pub fn import_meta(
     }
     for a in &meta.attrs {
         let owner = hier.resolve(root, &a.owner)?;
-        hier.set_attr(owner, &a.name, a.dtype.clone(), a.data.clone());
+        hier.set_attr(owner, &a.name, a.dtype.clone(), a.data.clone())?;
     }
     Ok(dataset_nodes)
 }

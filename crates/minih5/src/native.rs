@@ -105,7 +105,7 @@ impl NativeVol {
     }
 
     /// Collect the file's metadata blob from the in-memory hierarchy.
-    fn build_meta(of: &OpenFile) -> FileMeta {
+    fn build_meta(of: &OpenFile) -> H5Result<FileMeta> {
         let chunk_map: HashMap<NodeId, ChunkIndex> = of
             .chunked
             .iter()
@@ -302,7 +302,7 @@ impl Vol for NativeVol {
             let st = self.state.lock();
             let r = st.obj(file)?;
             let of = st.file_of(r)?;
-            let meta = of.writable.then(|| Self::build_meta(of));
+            let meta = of.writable.then(|| Self::build_meta(of)).transpose()?;
             (of.writable, Arc::clone(&of.handle), meta, of.cursor)
         };
         if writable {
@@ -524,8 +524,7 @@ impl Vol for NativeVol {
         if !of.writable {
             return Err(H5Error::Vol("file is read-only".into()));
         }
-        of.hier.set_attr(r.node, name, dtype.clone(), data);
-        Ok(())
+        of.hier.set_attr(r.node, name, dtype.clone(), data)
     }
 
     fn attr_read(&self, obj: ObjId, name: &str) -> H5Result<(Datatype, Bytes)> {
@@ -537,13 +536,13 @@ impl Vol for NativeVol {
     fn list(&self, obj: ObjId) -> H5Result<Vec<(String, ObjKind)>> {
         let st = self.state.lock();
         let r = st.obj(obj)?;
-        Ok(st.file_of(r)?.hier.children_of(r.node))
+        st.file_of(r)?.hier.children_of(r.node)
     }
 
     fn obj_kind(&self, obj: ObjId) -> H5Result<ObjKind> {
         let st = self.state.lock();
         let r = st.obj(obj)?;
-        Ok(st.file_of(r)?.hier.node(r.node).obj_kind())
+        Ok(st.file_of(r)?.hier.node(r.node)?.obj_kind())
     }
 
     fn object_close(&self, obj: ObjId) -> H5Result<()> {

@@ -17,9 +17,16 @@ use crate::error::{H5Error, H5Result};
 use crate::selection::{overlap_runs, Selection};
 use crate::space::Dataspace;
 
-/// Index of a node within a [`Hierarchy`] arena.
+/// Handle to a node within a [`Hierarchy`] arena: a slot index plus the
+/// slot's generation when the node was allocated. Removing a file bumps
+/// the generation of every slot it frees, so a handle kept across
+/// [`Hierarchy::remove_file`] turns *stale* — every access through it is
+/// an [`H5Error::InvalidHandle`], never the node that reused the slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub usize);
+pub struct NodeId {
+    slot: u32,
+    gen: u32,
+}
 
 /// What kind of object a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,12 +106,35 @@ impl Node {
             NodeKind::Dataset { .. } => ObjKind::Dataset,
         }
     }
+
+    /// Bytes this node holds (or, for shallow regions, pins): region data
+    /// plus attribute values.
+    fn payload_bytes(&self) -> u64 {
+        let attrs: usize = self.attributes.values().map(|(_, b)| b.len()).sum();
+        let regions: usize = match &self.kind {
+            NodeKind::Dataset { regions, .. } => regions.iter().map(|r| r.data.len()).sum(),
+            _ => 0,
+        };
+        (attrs + regions) as u64
+    }
+}
+
+/// One arena slot: `node` is `None` while the slot sits on the free list.
+#[derive(Debug, Clone)]
+struct Slot {
+    gen: u32,
+    node: Option<Node>,
 }
 
 /// Arena of metadata nodes holding any number of open files.
+///
+/// Slots freed by [`Hierarchy::remove_file`] are reused by later
+/// allocations, so the arena's size follows the *live* trees, not the
+/// number of files that ever passed through it.
 #[derive(Debug, Default, Clone)]
 pub struct Hierarchy {
-    nodes: Vec<Node>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
     files: BTreeMap<String, NodeId>,
 }
 
@@ -114,17 +144,41 @@ impl Hierarchy {
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(node);
-        id
+        match self.free.pop() {
+            Some(slot) => {
+                let s = &mut self.slots[slot as usize];
+                s.node = Some(node);
+                NodeId { slot, gen: s.gen }
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("arena outgrew u32 slots");
+                self.slots.push(Slot { gen: 0, node: Some(node) });
+                NodeId { slot, gen: 0 }
+            }
+        }
     }
 
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.0]
+    fn stale(id: NodeId) -> H5Error {
+        H5Error::InvalidHandle((u64::from(id.gen) << 32) | u64::from(id.slot))
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0]
+    /// The node behind `id`, or [`H5Error::InvalidHandle`] if its file
+    /// has been removed since the handle was minted.
+    pub fn node(&self, id: NodeId) -> H5Result<&Node> {
+        self.slots
+            .get(id.slot as usize)
+            .filter(|s| s.gen == id.gen)
+            .and_then(|s| s.node.as_ref())
+            .ok_or_else(|| Self::stale(id))
+    }
+
+    /// Mutable counterpart of [`Hierarchy::node`].
+    pub fn node_mut(&mut self, id: NodeId) -> H5Result<&mut Node> {
+        self.slots
+            .get_mut(id.slot as usize)
+            .filter(|s| s.gen == id.gen)
+            .and_then(|s| s.node.as_mut())
+            .ok_or_else(|| Self::stale(id))
     }
 
     /// Register a new file node.
@@ -153,17 +207,38 @@ impl Hierarchy {
         self.files.keys().cloned().collect()
     }
 
-    /// Drop a file's entry (its nodes stay in the arena; ids remain valid
-    /// for handles already open, mirroring HDF5's delayed file teardown).
-    pub fn remove_file(&mut self, filename: &str) -> H5Result<()> {
-        self.files
-            .remove(filename)
-            .map(|_| ())
-            .ok_or_else(|| H5Error::NotFound(filename.to_string()))
+    /// Number of files in the arena.
+    pub fn file_count(&self) -> usize {
+        self.files.len()
     }
 
-    fn child_by_name(&self, parent: NodeId, name: &str) -> Option<NodeId> {
-        self.node(parent).children.iter().copied().find(|&c| self.node(c).name == name)
+    /// Remove a file and free its whole tree at once: every node slot
+    /// goes back on the free list and the region and attribute `Bytes`
+    /// are dropped. Returns how many payload bytes the tree held. Handles
+    /// still open into the tree turn stale (see [`NodeId`]).
+    pub fn remove_file(&mut self, filename: &str) -> H5Result<u64> {
+        let root =
+            self.files.remove(filename).ok_or_else(|| H5Error::NotFound(filename.to_string()))?;
+        let mut bytes = 0;
+        let mut stack = vec![root];
+        while let Some(id) = stack.pop() {
+            let slot = &mut self.slots[id.slot as usize];
+            let node = slot.node.take().expect("a linked node is live");
+            slot.gen = slot.gen.wrapping_add(1);
+            self.free.push(id.slot);
+            bytes += node.payload_bytes();
+            stack.extend(node.children);
+        }
+        Ok(bytes)
+    }
+
+    fn child_by_name(&self, parent: NodeId, name: &str) -> H5Result<Option<NodeId>> {
+        for &c in &self.node(parent)?.children {
+            if self.node(c)?.name == name {
+                return Ok(Some(c));
+            }
+        }
+        Ok(None)
     }
 
     /// Create a group under `parent`.
@@ -210,12 +285,9 @@ impl Hierarchy {
 
     /// Chunk shape of a dataset (None = contiguous).
     pub fn dataset_chunk(&self, id: NodeId) -> H5Result<Option<Vec<u64>>> {
-        match &self.node(id).kind {
+        match &self.node(id)?.kind {
             NodeKind::Dataset { chunk, .. } => Ok(chunk.clone()),
-            _ => Err(H5Error::WrongKind {
-                expected: "dataset",
-                found: self.node(id).obj_kind().name(),
-            }),
+            _ => Err(self.not_a_dataset(id)),
         }
     }
 
@@ -224,12 +296,9 @@ impl Hierarchy {
     /// their meaning because row-major offsets are stable under
     /// leading-dimension growth.
     pub fn extend_dataset(&mut self, id: NodeId, new_dims: &[u64]) -> H5Result<()> {
-        match &mut self.node_mut(id).kind {
+        match &mut self.node_mut(id)?.kind {
             NodeKind::Dataset { space, .. } => space.extend_to(new_dims),
-            _ => Err(H5Error::WrongKind {
-                expected: "dataset",
-                found: self.node(id).obj_kind().name(),
-            }),
+            _ => Err(self.not_a_dataset(id)),
         }
     }
 
@@ -237,10 +306,10 @@ impl Hierarchy {
         if name.is_empty() || name.contains('/') {
             return Err(H5Error::ShapeMismatch(format!("invalid object name {name:?}")));
         }
-        if matches!(self.node(parent).kind, NodeKind::Dataset { .. }) {
+        if matches!(self.node(parent)?.kind, NodeKind::Dataset { .. }) {
             return Err(H5Error::WrongKind { expected: "file or group", found: "dataset" });
         }
-        if self.child_by_name(parent, name).is_some() {
+        if self.child_by_name(parent, name)?.is_some() {
             return Err(H5Error::AlreadyExists(name.to_string()));
         }
         let node = Node {
@@ -251,7 +320,7 @@ impl Hierarchy {
             kind,
         };
         let id = self.alloc(node);
-        self.node_mut(parent).children.push(id);
+        self.node_mut(parent)?.children.push(id);
         Ok(id)
     }
 
@@ -259,51 +328,68 @@ impl Hierarchy {
     pub fn resolve(&self, base: NodeId, path: &str) -> H5Result<NodeId> {
         let mut cur = base;
         for part in path.split('/').filter(|p| !p.is_empty()) {
-            cur =
-                self.child_by_name(cur, part).ok_or_else(|| H5Error::NotFound(path.to_string()))?;
+            cur = self
+                .child_by_name(cur, part)?
+                .ok_or_else(|| H5Error::NotFound(path.to_string()))?;
         }
         Ok(cur)
     }
 
     /// Full path of a node from its file root (diagnostic).
-    pub fn path_of(&self, id: NodeId) -> String {
+    pub fn path_of(&self, id: NodeId) -> H5Result<String> {
         let mut parts = Vec::new();
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let n = self.node(c);
+            let n = self.node(c)?;
             if n.parent.is_some() {
-                parts.push(n.name.clone());
+                parts.push(n.name.as_str());
             }
             cur = n.parent;
         }
         parts.reverse();
-        format!("/{}", parts.join("/"))
+        Ok(format!("/{}", parts.join("/")))
+    }
+
+    /// Visit the tree under `root` in pre-order (parents before children,
+    /// children in creation order), handing `f` each node with its
+    /// `/`-separated path relative to `root` (empty for `root` itself).
+    pub fn visit(&self, root: NodeId, mut f: impl FnMut(&str, NodeId, &Node)) -> H5Result<()> {
+        let mut stack = vec![(root, String::new())];
+        while let Some((id, path)) = stack.pop() {
+            let node = self.node(id)?;
+            f(&path, id, node);
+            for &c in node.children.iter().rev() {
+                let name = &self.node(c)?.name;
+                stack.push((
+                    c,
+                    if path.is_empty() { name.clone() } else { format!("{path}/{name}") },
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Children of a node as `(name, kind)` pairs.
-    pub fn children_of(&self, id: NodeId) -> Vec<(String, ObjKind)> {
-        self.node(id)
+    pub fn children_of(&self, id: NodeId) -> H5Result<Vec<(String, ObjKind)>> {
+        self.node(id)?
             .children
             .iter()
-            .map(|&c| {
-                let n = self.node(c);
-                (n.name.clone(), n.obj_kind())
-            })
+            .map(|&c| self.node(c).map(|n| (n.name.clone(), n.obj_kind())))
             .collect()
+    }
+
+    fn not_a_dataset(&self, id: NodeId) -> H5Error {
+        match self.node(id) {
+            Ok(n) => H5Error::WrongKind { expected: "dataset", found: n.obj_kind().name() },
+            Err(e) => e,
+        }
     }
 
     /// Dataset metadata accessor.
     pub fn dataset_meta(&self, id: NodeId) -> H5Result<(Datatype, Dataspace)> {
-        match &self.node(id).kind {
+        match &self.node(id)?.kind {
             NodeKind::Dataset { dtype, space, .. } => Ok((dtype.clone(), space.clone())),
-            other => Err(H5Error::WrongKind {
-                expected: "dataset",
-                found: match other {
-                    NodeKind::File { .. } => "file",
-                    NodeKind::Group => "group",
-                    NodeKind::Dataset { .. } => unreachable!(),
-                },
-            }),
+            _ => Err(self.not_a_dataset(id)),
         }
     }
 
@@ -333,7 +419,7 @@ impl Hierarchy {
         // extensible dataset must keep meaning "everything as of this
         // write" after the dataset grows.
         let selection = pin_selection(selection, &space);
-        match &mut self.node_mut(id).kind {
+        match &mut self.node_mut(id)?.kind {
             NodeKind::Dataset { regions, .. } => {
                 regions.push(DataRegion { selection, data, ownership });
                 Ok(())
@@ -351,7 +437,7 @@ impl Hierarchy {
         let es = dtype.size();
         let want = sel.runs(&space);
         let mut out = vec![0u8; (sel.npoints(&space) as usize) * es];
-        if let NodeKind::Dataset { regions, .. } = &self.node(id).kind {
+        if let NodeKind::Dataset { regions, .. } = &self.node(id)?.kind {
             for reg in regions {
                 let have = reg.selection.runs(&space);
                 for ov in overlap_runs(&have, &want) {
@@ -367,36 +453,46 @@ impl Hierarchy {
 
     /// Regions written to a dataset.
     pub fn regions(&self, id: NodeId) -> H5Result<&[DataRegion]> {
-        match &self.node(id).kind {
+        match &self.node(id)?.kind {
             NodeKind::Dataset { regions, .. } => Ok(regions),
-            _ => Err(H5Error::WrongKind {
-                expected: "dataset",
-                found: self.node(id).obj_kind().name(),
-            }),
+            _ => Err(self.not_a_dataset(id)),
         }
     }
 
     /// Set an attribute on any object.
-    pub fn set_attr(&mut self, id: NodeId, name: &str, dtype: Datatype, data: Bytes) {
-        self.node_mut(id).attributes.insert(name.to_string(), (dtype, data));
+    pub fn set_attr(
+        &mut self,
+        id: NodeId,
+        name: &str,
+        dtype: Datatype,
+        data: Bytes,
+    ) -> H5Result<()> {
+        self.node_mut(id)?.attributes.insert(name.to_string(), (dtype, data));
+        Ok(())
     }
 
     /// Read an attribute.
     pub fn attr(&self, id: NodeId, name: &str) -> H5Result<(Datatype, Bytes)> {
-        self.node(id)
+        self.node(id)?
             .attributes
             .get(name)
             .cloned()
             .ok_or_else(|| H5Error::NotFound(format!("attribute {name}")))
     }
 
-    /// Total nodes in the arena (diagnostic).
+    /// Live nodes in the arena (diagnostic).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.slots.len() - self.free.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
+    }
+
+    /// Slots the arena has ever grown to, live or free: its high-water
+    /// mark of simultaneously live nodes (diagnostic).
+    pub fn slots(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -440,11 +536,11 @@ mod tests {
     fn figure1_hierarchy_shape() {
         let mut h = Hierarchy::new();
         let (f, grid) = grid_file(&mut h);
-        assert_eq!(h.node(f).obj_kind(), ObjKind::File);
-        let kids = h.children_of(f);
+        assert_eq!(h.node(f).unwrap().obj_kind(), ObjKind::File);
+        let kids = h.children_of(f).unwrap();
         assert_eq!(kids.len(), 2);
         assert!(kids.iter().all(|(_, k)| *k == ObjKind::Group));
-        assert_eq!(h.path_of(grid), "/group1/grid");
+        assert_eq!(h.path_of(grid).unwrap(), "/group1/grid");
         let resolved = h.resolve(f, "group1/grid").unwrap();
         assert_eq!(resolved, grid);
         let (dt, sp) = h.dataset_meta(grid).unwrap();
@@ -563,7 +659,7 @@ mod tests {
     fn attributes_roundtrip() {
         let mut h = Hierarchy::new();
         let f = h.create_file("a.h5").unwrap();
-        h.set_attr(f, "version", Datatype::UInt32, Bytes::from_static(&[1, 0, 0, 0]));
+        h.set_attr(f, "version", Datatype::UInt32, Bytes::from_static(&[1, 0, 0, 0])).unwrap();
         let (dt, b) = h.attr(f, "version").unwrap();
         assert_eq!(dt, Datatype::UInt32);
         assert_eq!(&b[..], &[1, 0, 0, 0]);
@@ -578,5 +674,49 @@ mod tests {
         assert!(h.file("a.h5").is_none());
         assert!(h.create_file("a.h5").is_ok());
         assert!(h.remove_file("zzz").is_err());
+    }
+
+    #[test]
+    fn remove_file_frees_nodes_and_region_bytes() {
+        let mut h = Hierarchy::new();
+        // A long-lived neighbour whose nodes must survive the cycling.
+        let keep = h.create_file("keep.h5").unwrap();
+        let kept = h.create_dataset(keep, "d", Datatype::UInt8, Dataspace::simple(&[2])).unwrap();
+        h.write_region(kept, Selection::all(), Bytes::from_static(&[7, 8]), Ownership::Deep)
+            .unwrap();
+        let lent = Bytes::from(vec![1u8, 2, 3, 4]);
+        for cycle in 0..1000 {
+            let f = h.create_file("cycle.h5").unwrap();
+            let g = h.create_group(f, "g").unwrap();
+            let d = h.create_dataset(g, "d", Datatype::UInt8, Dataspace::simple(&[4])).unwrap();
+            h.write_region(d, Selection::all(), lent.clone(), Ownership::Shallow).unwrap();
+            h.set_attr(d, "step", Datatype::UInt8, Bytes::from_static(&[9])).unwrap();
+            assert!(!lent.is_unique(), "the region shares the lent buffer");
+            assert_eq!(h.remove_file("cycle.h5").unwrap(), 5, "4 region bytes + 1 attribute");
+            assert!(lent.is_unique(), "cycle {cycle}: remove_file must drop the region");
+            assert_eq!((h.len(), h.slots()), (2, 5), "cycle {cycle}: freed slots are reused");
+        }
+        assert_eq!(&h.read_region(kept, &Selection::all()).unwrap()[..], &[7, 8]);
+    }
+
+    #[test]
+    fn stale_handle_is_an_error_not_another_files_node() {
+        let mut h = Hierarchy::new();
+        let f = h.create_file("old.h5").unwrap();
+        let d = h.create_dataset(f, "d", Datatype::UInt8, Dataspace::simple(&[1])).unwrap();
+        h.remove_file("old.h5").unwrap();
+        // The replacement reuses both freed slots.
+        let f2 = h.create_file("new.h5").unwrap();
+        let d2 = h.create_dataset(f2, "other", Datatype::UInt8, Dataspace::simple(&[1])).unwrap();
+        assert_eq!(h.slots(), 2);
+        assert_ne!(d, d2);
+        assert!(matches!(h.node(d), Err(H5Error::InvalidHandle(_))));
+        assert!(matches!(h.dataset_meta(d), Err(H5Error::InvalidHandle(_))));
+        assert!(matches!(h.read_region(d, &Selection::all()), Err(H5Error::InvalidHandle(_))));
+        let w = h.write_region(d, Selection::all(), Bytes::from_static(&[1]), Ownership::Deep);
+        assert!(matches!(w, Err(H5Error::InvalidHandle(_))));
+        assert!(matches!(h.create_group(f, "g"), Err(H5Error::InvalidHandle(_))));
+        assert!(matches!(h.children_of(f), Err(H5Error::InvalidHandle(_))));
+        assert!(h.regions(d2).unwrap().is_empty(), "the new file never saw the stale write");
     }
 }

@@ -249,10 +249,20 @@ pub enum Ctr {
     /// Nanoseconds serve-pool workers spent executing offloaded jobs
     /// (sum over all workers; excludes time the job waited in the queue).
     ServeWorkerBusyNs,
+    /// Served files a producer dropped once their last expected consumer
+    /// was done with them (tree, index entry, codec masks, generation).
+    FilesRetired,
+    /// Served files that stayed resident at that point because
+    /// `LowFiveProps::set_keep` matched them.
+    FilesKept,
+    /// Region and attribute bytes released by retirement on producers
+    /// and by dropping imported trees at consumer `file_close`. Shallow
+    /// regions count the bytes they stopped pinning.
+    BytesRetired,
 }
 
 /// Number of [`Ctr`] variants (the fixed width of every counter array).
-pub const NUM_CTRS: usize = 38;
+pub const NUM_CTRS: usize = 41;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -295,6 +305,9 @@ impl Ctr {
         Ctr::BytesPreCodec,
         Ctr::ServeWorkerJobs,
         Ctr::ServeWorkerBusyNs,
+        Ctr::FilesRetired,
+        Ctr::FilesKept,
+        Ctr::BytesRetired,
     ];
 
     /// Stable metrics-JSON key for this counter.
@@ -338,6 +351,9 @@ impl Ctr {
             Ctr::BytesPreCodec => "bytes_pre_codec",
             Ctr::ServeWorkerJobs => "serve_worker_jobs",
             Ctr::ServeWorkerBusyNs => "serve_worker_busy_ns",
+            Ctr::FilesRetired => "files_retired",
+            Ctr::FilesKept => "files_kept",
+            Ctr::BytesRetired => "bytes_retired",
         }
     }
 }

@@ -32,6 +32,11 @@ impl Payload {
         Payload::default()
     }
 
+    /// The empty payload with room for `parts` parts.
+    pub fn with_capacity(parts: usize) -> Self {
+        Payload { parts: Vec::with_capacity(parts) }
+    }
+
     /// Build from explicit parts. Empty parts are dropped (they carry no
     /// bytes and would only slow part-walking receivers down).
     pub fn from_parts(parts: Vec<Bytes>) -> Self {
@@ -150,7 +155,9 @@ impl Payload {
 
 impl From<Bytes> for Payload {
     fn from(b: Bytes) -> Self {
-        Payload::from_parts(vec![b])
+        let mut p = Payload::new();
+        p.push(b);
+        p
     }
 }
 

@@ -23,9 +23,11 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation is shared, but none is needed).
+    /// An empty buffer. Every empty buffer shares one allocation, made on
+    /// first use, so creating one never allocates.
     pub fn new() -> Self {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+        static EMPTY: std::sync::OnceLock<Arc<[u8]>> = std::sync::OnceLock::new();
+        Bytes { data: Arc::clone(EMPTY.get_or_init(|| Arc::from(&[][..]))), start: 0, end: 0 }
     }
 
     /// Copy `src` into a fresh refcounted buffer.
@@ -65,6 +67,12 @@ impl Bytes {
 
     pub fn as_ref(&self) -> &[u8] {
         &self.data[self.start..self.end]
+    }
+
+    /// True when no other `Bytes` (clone or slice) shares this buffer's
+    /// allocation.
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
     }
 }
 
@@ -139,7 +147,9 @@ impl std::hash::Hash for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let len = v.len();
-        Bytes { data: Arc::from(v.into_boxed_slice()), start: 0, end: len }
+        // Straight from the `Vec`: going through `into_boxed_slice` would
+        // first reallocate to shed spare capacity and then copy again.
+        Bytes { data: Arc::from(v), start: 0, end: len }
     }
 }
 
