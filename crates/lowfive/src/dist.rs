@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use diyblk::rpc::{Call, Caller, RpcClient, RpcError, RpcServer, ServeOutcome, ServeStep};
 use diyblk::{RegularDecomposer, RetryPolicy};
@@ -55,6 +55,7 @@ use simmpi::{Comm, Payload, RatioEwma};
 use crate::metadata::{slot_for, MetadataVol};
 use crate::props::{glob_match, LowFiveProps};
 use crate::protocol::*;
+use crate::readbuf::ReadBuf;
 
 /// Direction of a workflow link, from this task's perspective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,6 +334,9 @@ pub struct DistMetadataVol {
     /// windows (see [`crate::stream`]). Slot files of a series bypass
     /// the DONE-counted session map entirely.
     stream: Mutex<crate::stream::StreamState>,
+    /// Signalled (under `stream`) whenever a consumer's cursor advances:
+    /// what a `publish` blocked on a full window waits for.
+    stream_acked: Condvar,
 }
 
 /// Builder for [`DistMetadataVol`].
@@ -429,6 +433,7 @@ impl DistVolBuilder {
             codec_masks: Mutex::default(),
             codec_ratio: Mutex::default(),
             stream: Mutex::default(),
+            stream_acked: Condvar::new(),
         })
     }
 }
@@ -472,6 +477,11 @@ impl DistMetadataVol {
     /// The step-streaming state shared with [`crate::stream`].
     pub(crate) fn stream_state(&self) -> &Mutex<crate::stream::StreamState> {
         &self.stream
+    }
+
+    /// Paired with [`Self::stream_state`]: notified when a cursor moves.
+    pub(crate) fn stream_acked(&self) -> &Condvar {
+        &self.stream_acked
     }
 
     // -----------------------------------------------------------------
@@ -862,7 +872,8 @@ impl DistMetadataVol {
     /// Zero-copy: shallow regions are *lent* into the frame as refcounted
     /// sub-slices of the region allocation — no dataset byte is copied on
     /// the producer. Deep regions (`set_zero_copy(…, false)`) keep the
-    /// historical gather-copy, counted under `obsv::Ctr::BytesCopied`.
+    /// historical gather-copy, counted under `obsv::Ctr::BytesCopied`, into
+    /// one buffer per answer.
     fn answer_data_query_into(
         &self,
         frame: &mut ReplyFrame,
@@ -897,16 +908,33 @@ impl DistMetadataVol {
             frame.put_u64(len);
         }
         frame.put_blob_len(blob_len);
-        let mut deep_bytes = 0u64;
+        // Deep slices are gathered into one buffer per answer — sized
+        // once, copied once — and lent as windows of it, one per run of
+        // consecutive deep slices (a single part when every region is
+        // deep). Shallow slices are lent as they are.
+        let deep = || slices.iter().filter(|(_, own)| *own == Ownership::Deep).map(|(b, _)| b);
+        let deep_len: usize = deep().map(Bytes::len).sum();
+        let mut gathered = Vec::with_capacity(deep_len);
+        for b in deep() {
+            gathered.extend_from_slice(b);
+        }
+        let gathered = Bytes::from(gathered);
+        let deep_bytes = deep_len as u64;
+        obsv::counter_add(obsv::Ctr::BytesCopied, deep_bytes);
+        let mut run = 0..0;
         for (b, own) in slices {
-            match own {
-                Ownership::Shallow => frame.lend(b),
-                Ownership::Deep => {
-                    deep_bytes += b.len() as u64;
-                    obsv::counter_add(obsv::Ctr::BytesCopied, b.len() as u64);
-                    frame.lend(Bytes::copy_from_slice(&b));
-                }
+            if own == Ownership::Deep {
+                run.end += b.len();
+                continue;
             }
+            if !run.is_empty() {
+                frame.lend(gathered.slice(run.clone()));
+                run.start = run.end;
+            }
+            frame.lend(b);
+        }
+        if !run.is_empty() {
+            frame.lend(gathered.slice(run));
         }
         // Modeled per-byte gather cost (`set_gather_cost`): a real sleep
         // on the producer side of the deep-copy path, standing in for
@@ -1435,10 +1463,9 @@ impl DistMetadataVol {
         let (dtype, space) = self.remote.lock().hier.dataset_meta(node)?;
         sel.validate(&space)?;
         let es = dtype.size();
-        let total = (sel.npoints(&space) as usize) * es;
-        let mut out = vec![0u8; total];
-        if total == 0 {
-            return Ok(Bytes::from(out));
+        let mut out = ReadBuf::new((sel.npoints(&space) as usize) * es);
+        if out.is_empty() {
+            return Ok(Bytes::new());
         }
         let n = producers.len();
         // The whole remote read is one query span; the redirect and fetch
@@ -1487,14 +1514,15 @@ impl DistMetadataVol {
             obsv::hist_record(obsv::Hist::BytesFetched, reply.len() as u64);
             let dr = dec_data_reply(&self.decode_reply_body(&filename, &dec_result(&reply)?)?)?;
             self.note_gen(&filename, producers[p], dr.gen);
-            scatter_segments(&mut out, &dr, es)?;
+            let blob_len = dr.blob.len();
+            out.scatter(&mut PayloadReader::new(dr.blob.into()), &dr.segs, blob_len, es)?;
         }
         {
             let mut p = self.profile.lock();
             p.fetch_seconds += sp_fetch.finish();
             p.bytes_fetched += fetched;
         }
-        Ok(Bytes::from(out))
+        Ok(Bytes::from(out.finish()))
     }
 
     /// The pipelined read path: every selection's redirect queries fan
@@ -1511,25 +1539,27 @@ impl DistMetadataVol {
     /// already dropped them, and one clean second pass re-resolves
     /// everything against the live state.
     fn remote_read_pipelined(&self, dset: ObjId, sels: &[Selection]) -> H5Result<Vec<Bytes>> {
-        let (bufs, stale) = self.remote_read_pipelined_once(dset, sels)?;
-        if !stale {
-            return Ok(bufs);
+        let (mut outs, stale) = self.remote_read_pipelined_once(dset, sels)?;
+        if stale {
+            outs = self.remote_read_pipelined_once(dset, sels)?.0;
         }
-        Ok(self.remote_read_pipelined_once(dset, sels)?.0)
+        // Finished only once a pass is kept: a discarded pass neither
+        // fills nor counts its gaps.
+        Ok(outs.into_iter().map(|out| Bytes::from(out.finish())).collect())
     }
 
     fn remote_read_pipelined_once(
         &self,
         dset: ObjId,
         sels: &[Selection],
-    ) -> H5Result<(Vec<Bytes>, bool)> {
+    ) -> H5Result<(Vec<ReadBuf>, bool)> {
         let (node, filename, path, producers) = self.remote_target(dset)?;
         let (dtype, space) = self.remote.lock().hier.dataset_meta(node)?;
         let es = dtype.size();
-        let mut outs: Vec<Vec<u8>> = Vec::with_capacity(sels.len());
+        let mut outs: Vec<ReadBuf> = Vec::with_capacity(sels.len());
         for sel in sels {
             sel.validate(&space)?;
-            outs.push(vec![0u8; (sel.npoints(&space) as usize) * es]);
+            outs.push(ReadBuf::new((sel.npoints(&space) as usize) * es));
         }
         let n = producers.len();
         let policy = self.props.rpc_policy_for(&filename);
@@ -1660,7 +1690,7 @@ impl DistMetadataVol {
                     for &i in &call_sels[k] {
                         let (gen, segs, blob_len) = get_data_reply_header(&mut pr)?;
                         stale |= self.note_gen(&filename, calls[k].server, gen);
-                        scatter_payload(&mut pr, &mut outs[i], &segs, blob_len, es)?;
+                        outs[i].scatter(&mut pr, &segs, blob_len, es)?;
                     }
                     if pr.remaining() != 0 {
                         return Err(H5Error::Format(format!(
@@ -1682,7 +1712,7 @@ impl DistMetadataVol {
             p.fetch_seconds += sp_fetch.finish();
             p.bytes_fetched += fetched;
         }
-        Ok((outs.into_iter().map(Bytes::from).collect(), stale))
+        Ok((outs, stale))
     }
 
     fn consumer_close(&self, file: ObjId) -> H5Result<()> {
@@ -1723,48 +1753,6 @@ impl DistMetadataVol {
         }
         Ok(())
     }
-}
-
-/// Apply one frame-decoded data reply body: copy each segment's bytes
-/// off the front of the reply payload straight into its slot of the
-/// packed destination, leaving the cursor at the next batch entry.
-/// Bounds are checked so a corrupt reply surfaces as a format error
-/// instead of a panic.
-fn scatter_payload(
-    pr: &mut PayloadReader,
-    out: &mut [u8],
-    segs: &[(u64, u64)],
-    blob_len: usize,
-    es: usize,
-) -> H5Result<()> {
-    let mut cum = 0usize;
-    for &(off, len) in segs {
-        let nb = (len as usize) * es;
-        let dst = (off as usize) * es;
-        if dst + nb > out.len() || cum + nb > blob_len {
-            return Err(H5Error::Format("data reply segment out of bounds".into()));
-        }
-        pr.copy_into(&mut out[dst..dst + nb])?;
-        cum += nb;
-    }
-    pr.skip(blob_len - cum)
-}
-
-/// Apply one data reply to a packed destination buffer: copy each
-/// segment's payload to its element offset. Bounds are checked so a
-/// corrupt reply surfaces as a format error instead of a panic.
-fn scatter_segments(out: &mut [u8], dr: &DataReply, es: usize) -> H5Result<()> {
-    let mut cum = 0usize;
-    for &(off, len) in &dr.segs {
-        let nb = (len as usize) * es;
-        let dst = (off as usize) * es;
-        if dst + nb > out.len() || cum + nb > dr.blob.len() {
-            return Err(H5Error::Format("data reply segment out of bounds".into()));
-        }
-        out[dst..dst + nb].copy_from_slice(&dr.blob[cum..cum + nb]);
-        cum += nb;
-    }
-    Ok(())
 }
 
 /// Dimensions used for decomposition: scalar spaces act as 1-element 1-d.

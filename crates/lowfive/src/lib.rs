@@ -78,6 +78,7 @@ pub mod dist;
 pub mod metadata;
 pub mod props;
 pub mod protocol;
+mod readbuf;
 pub mod stream;
 
 pub use base::BaseVol;

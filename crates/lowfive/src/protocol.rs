@@ -899,6 +899,29 @@ impl PayloadReader {
         self.read_exact(dst)
     }
 
+    /// Hand the next `n` bytes to `sink` in place — one call per part they
+    /// span, nothing copied here — and advance past them.
+    pub(crate) fn read_chunks(
+        &mut self,
+        n: usize,
+        mut sink: impl FnMut(&[u8]) -> H5Result<()>,
+    ) -> H5Result<()> {
+        let mut left = n;
+        for part in self.p.parts() {
+            if left == 0 {
+                break;
+            }
+            let take = part.len().min(left);
+            sink(&part[..take])?;
+            left -= take;
+        }
+        if left != 0 {
+            return Err(self.truncated(n));
+        }
+        self.p.advance(n);
+        Ok(())
+    }
+
     /// Skip `n` bytes (part-slicing, no copy).
     pub fn skip(&mut self, n: usize) -> H5Result<()> {
         if n > self.p.len() {

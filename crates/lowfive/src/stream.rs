@@ -109,6 +109,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use minih5::{H5Error, H5Result};
+use parking_lot::Condvar;
 
 use crate::dist::DistMetadataVol;
 use crate::props::BackPressure;
@@ -191,6 +192,18 @@ impl SeriesState {
 
     fn window_start(&self) -> u64 {
         self.window.front().map(|r| r.seq).unwrap_or(self.next_seq)
+    }
+
+    /// Max-merge consumer `rank`'s cumulative cursor (acks are idempotent)
+    /// and, when it moved, wake a `publish` blocked on a full window.
+    /// Called with the stream state locked, so the wake-up cannot slip
+    /// between the publisher's check and its wait.
+    fn advance_cursor(&mut self, acked: &Condvar, rank: usize, cursor: u64) {
+        let c = self.cursors.entry(rank).or_insert(0);
+        if cursor > *c {
+            *c = cursor;
+            acked.notify_all();
+        }
     }
 
     /// Drop fully-consumed steps off the front of the window.
@@ -323,34 +336,38 @@ impl StepPublisher {
         let gen = self.vol.metadata().generation(&file);
         let pub_ns = obsv::clock::now_ns();
         let count_here = self.vol.local_comm().rank() == 0;
+        let mut st = self.vol.stream_state().lock();
         loop {
-            let mut st = self.vol.stream_state().lock();
             let s = st.series.get_mut(&self.series).expect("registered in new()");
             s.retire();
-            if s.window.len() >= s.capacity {
-                match s.mode {
-                    BackPressure::Block => {
-                        drop(st);
-                        std::thread::sleep(Duration::from_micros(200));
-                        continue;
+            if s.window.len() < s.capacity {
+                break;
+            }
+            match s.mode {
+                // Woken by the serve thread the moment a consumer's cursor
+                // moves (`advance_cursor`). Not a sleep-and-poll: that
+                // makes the time spent here a whole number of sleeps,
+                // which jumps between counts as the consumers' step
+                // period drifts.
+                BackPressure::Block => self.vol.stream_acked().wait(&mut st),
+                BackPressure::DropOldest => {
+                    s.window.pop_front();
+                    if count_here {
+                        obsv::counter_add(obsv::Ctr::StepsDropped, 1);
                     }
-                    BackPressure::DropOldest => {
-                        s.window.pop_front();
-                        if count_here {
-                            obsv::counter_add(obsv::Ctr::StepsDropped, 1);
-                        }
-                    }
+                    break;
                 }
             }
-            let seq = s.next_seq;
-            s.next_seq += 1;
-            s.window.push_back(StepRecord { seq, gen, pub_ns, file: file.clone() });
-            st.serveable.insert(file);
-            if count_here {
-                obsv::counter_add(obsv::Ctr::StepsPublished, 1);
-            }
-            return Ok(seq);
         }
+        let s = st.series.get_mut(&self.series).expect("registered in new()");
+        let seq = s.next_seq;
+        s.next_seq += 1;
+        s.window.push_back(StepRecord { seq, gen, pub_ns, file: file.clone() });
+        st.serveable.insert(file);
+        if count_here {
+            obsv::counter_add(obsv::Ctr::StepsPublished, 1);
+        }
+        Ok(seq)
     }
 
     /// Mark the series ended and wait (up to `grace`; `None` waits
@@ -608,8 +625,7 @@ pub(crate) fn serve_step_next(vol: &DistMetadataVol, rank: usize, args: &Bytes) 
         }
         let mut st = vol.stream_state().lock();
         let s = st.series.get_mut(&series).ok_or_else(|| H5Error::NotFound(series.clone()))?;
-        let c = s.cursors.entry(rank).or_insert(0);
-        *c = (*c).max(cursor);
+        s.advance_cursor(vol.stream_acked(), rank, cursor);
         let chosen = match select_step(&s.window, cursor, policy, skip) {
             Some(r) => StepNextReply::Step {
                 seq: r.seq,
@@ -635,8 +651,7 @@ pub(crate) fn serve_step_ack(vol: &DistMetadataVol, rank: usize, args: &Bytes) -
     let reply = dec_step_ack_req(args).map(|(series, cursor)| {
         let mut st = vol.stream_state().lock();
         if let Some(s) = st.series.get_mut(&series) {
-            let c = s.cursors.entry(rank).or_insert(0);
-            *c = (*c).max(cursor);
+            s.advance_cursor(vol.stream_acked(), rank, cursor);
         }
         Bytes::new()
     });
@@ -752,6 +767,14 @@ mod tests {
         let left: Vec<u64> = s.window.iter().map(|r| r.seq).collect();
         assert_eq!(left, vec![4, 5, 6], "rank 9 still needs step 4");
         assert_eq!(s.window_start(), 4);
+        // Acks are cumulative and idempotent: a late duplicate of an older
+        // cursor moves nothing back, a newer one retires what it covers.
+        let acked = Condvar::new();
+        s.advance_cursor(&acked, 9, 2);
+        assert_eq!(s.min_cursor(), 4);
+        s.advance_cursor(&acked, 9, 6);
+        s.retire();
+        assert_eq!(s.window_start(), 5, "rank 8 still needs step 5");
         // No consumers at all: nothing ever blocks retirement.
         s.cursors.clear();
         s.retire();

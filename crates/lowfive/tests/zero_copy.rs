@@ -8,7 +8,13 @@
 //! - read → in-place rewrite → read returns the *new* bytes, on both the
 //!   pipelined (batched) and serial fetch paths;
 //! - a query box that intersects nothing served returns fill values
-//!   (canonical empty-bbox handling end to end);
+//!   (canonical empty-bbox handling end to end), and every filled byte is
+//!   *counted* (`BytesZeroFilled`) — exactly the gap, and 0 on a covered
+//!   read;
+//! - random owner layouts with holes and overlaps × random hyperslab
+//!   reads agree byte for byte with a `vec![0; n]` + scatter oracle on
+//!   both fetch paths (the read buffer is no longer zero-initialised, so
+//!   the fill has to be put there on purpose);
 //! - a fully shallow producer serves a consumer with zero dataset-payload
 //!   memcpys (`BytesCopied == 0`), while the deep (copy) mode counts them;
 //! - a dropped zero-copy reply is retransmitted by the bounded RPC retry
@@ -22,6 +28,7 @@ use bytes::Bytes;
 use lowfive::{DistVolBuilder, LowFiveProps};
 use minih5::{Dataspace, Datatype, Ownership, Selection, Vol, H5};
 use obsv::{Ctr, Registry};
+use proptest::prelude::*;
 use simmpi::{FaultKind, FaultPlan, TaskComm, TaskSpec, TaskWorld};
 
 fn world_ranks(tc: &TaskComm, task_id: usize) -> Vec<usize> {
@@ -111,10 +118,14 @@ fn in_place_rewrite_is_observed_serial() {
 /// A consumer query box that intersects no written region: the redirect
 /// finds no owners, no data RPC is issued, and the read returns fill
 /// zeros — exercising the canonical empty-bbox path on the serve side.
+/// The fill is explicit and counted: `bytes_zero_filled` grows by exactly
+/// the bytes no producer covered.
 #[test]
 fn disjoint_query_returns_fill() {
+    let reg = Registry::new();
+    let zero_filled = || reg.report().counter(Ctr::BytesZeroFilled);
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
-    TaskWorld::run(&specs, |tc| {
+    TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
@@ -140,18 +151,24 @@ fn disjoint_query_returns_fill() {
             // Disjoint from every written region: all fill.
             let hole: Vec<u64> = d.read_selection(&Selection::block(&[16], &[8])).unwrap();
             assert_eq!(hole, vec![0u64; 8]);
+            assert_eq!(zero_filled(), 8 * 8, "all-fill read counts every byte");
             // Straddling: written prefix, fill suffix.
             let edge: Vec<u64> = d.read_selection(&Selection::block(&[4], &[8])).unwrap();
             assert_eq!(edge, vec![5, 6, 7, 8, 0, 0, 0, 0]);
+            assert_eq!(zero_filled(), 8 * 8 + 4 * 8, "straddling read counts only the gap");
+            // Covered: nothing to fill.
+            let covered: Vec<u64> = d.read_selection(&Selection::block(&[2], &[6])).unwrap();
+            assert_eq!(covered, vec![3, 4, 5, 6, 7, 8]);
+            assert_eq!(zero_filled(), 8 * 8 + 4 * 8, "a covered read fills nothing");
             f.close().unwrap();
         }
     });
 }
 
 /// Run one producer→consumer exchange under an observed registry and
-/// return the total `BytesCopied` across all ranks. `shallow` toggles
-/// the zero-copy rule for every dataset.
-fn bytes_copied_for(shallow: bool) -> u64 {
+/// return the total `(BytesCopied, BytesZeroFilled)` across all ranks.
+/// `shallow` toggles the zero-copy rule for every dataset.
+fn copied_and_filled_for(shallow: bool) -> (u64, u64) {
     const M: u64 = 1 << 12;
     let reg = Registry::new();
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
@@ -188,7 +205,8 @@ fn bytes_copied_for(shallow: bool) -> u64 {
             f.close().unwrap();
         }
     });
-    reg.report().counter(Ctr::BytesCopied)
+    let report = reg.report();
+    (report.counter(Ctr::BytesCopied), report.counter(Ctr::BytesZeroFilled))
 }
 
 /// The tentpole A/B: a fully shallow serve moves the dataset payload
@@ -196,9 +214,14 @@ fn bytes_copied_for(shallow: bool) -> u64 {
 /// memcpys, while forcing deep regions pays one copy per served byte.
 #[test]
 fn shallow_serve_copies_no_payload_bytes() {
-    assert_eq!(bytes_copied_for(true), 0, "shallow serve must be copy-free");
-    let deep = bytes_copied_for(false);
+    assert_eq!(
+        copied_and_filled_for(true),
+        (0, 0),
+        "shallow serve: no copy, covered read: no fill"
+    );
+    let (deep, filled) = copied_and_filled_for(false);
     assert!(deep >= (1 << 12) * 8, "deep serve must count its staging copies, got {deep}");
+    assert_eq!(filled, 0, "a covered deep read fills nothing either");
 }
 
 /// Chaos: every (src, dest, tag) flow loses its first message — including
@@ -257,4 +280,146 @@ fn dropped_reply_retry_keeps_lent_buffer_intact() {
         out.trace.iter().any(|e| matches!(e.kind, FaultKind::Dropped)),
         "plan must actually have dropped a message"
     );
+}
+
+// ---------------------------------------------------------------------
+// Fill oracle: holes, overlaps, hyperslabs, both fetch paths
+// ---------------------------------------------------------------------
+
+/// One written block of the 2-d dataset: who writes it, where, and how.
+#[derive(Debug, Clone)]
+struct Region {
+    owner: usize,
+    start: [u64; 2],
+    size: [u64; 2],
+    deep: bool,
+}
+
+#[derive(Debug, Clone)]
+struct Layout {
+    producers: usize,
+    dims: [u64; 2],
+    /// Blocks in write order; they may overlap each other (on one rank or
+    /// across ranks) and need not cover the dataset.
+    regions: Vec<Region>,
+    /// The consumer's hyperslab, per dimension `(start, stride, count, block)`.
+    slab: [(u64, u64, u64, u64); 2],
+}
+
+/// The value every writer stores at `(y, x)`: a function of the position
+/// only, so overlapping writers agree, and never 0, so fill is told apart.
+fn cell(dims: [u64; 2], y: u64, x: u64) -> u32 {
+    (y * dims[1] + x) as u32 + 1
+}
+
+fn layout() -> impl Strategy<Value = Layout> {
+    (1usize..=3, 2u64..=10, 2u64..=10).prop_flat_map(|(producers, d0, d1)| {
+        let dims = [d0, d1];
+        let region = (0..producers, any::<bool>(), proptest::collection::vec(0u64..64, 4))
+            .prop_map(move |(owner, deep, r)| {
+                let start = [r[0] % d0, r[1] % d1];
+                let size = [1 + r[2] % (d0 - start[0]), 1 + r[3] % (d1 - start[1])];
+                Region { owner, start, size, deep }
+            });
+        let slab = proptest::collection::vec(0u64..64, 8).prop_map(move |r| {
+            let along = |d: u64, r: &[u64]| {
+                let start = r[0] % d;
+                let stride = 1 + r[1] % 3;
+                let block = (1 + r[2] % stride).min(d - start);
+                let max_count = 1 + (d - start - block) / stride;
+                (start, stride, 1 + r[3] % max_count, block)
+            };
+            [along(d0, &r[..4]), along(d1, &r[4..])]
+        });
+        (proptest::collection::vec(region, 0..=6), slab).prop_map(move |(regions, slab)| Layout {
+            producers,
+            dims,
+            regions,
+            slab,
+        })
+    })
+}
+
+/// Coordinates a `(start, stride, count, block)` slab selects along one
+/// dimension, ascending.
+fn slab_coords((start, stride, count, block): (u64, u64, u64, u64)) -> Vec<u64> {
+    (0..count).flat_map(|i| (0..block).map(move |j| start + i * stride + j)).collect()
+}
+
+/// The old read path, kept as the oracle: a zero-initialised packed
+/// buffer, every region scattered over it in write order.
+fn oracle(l: &Layout) -> Vec<u8> {
+    let (ys, xs) = (slab_coords(l.slab[0]), slab_coords(l.slab[1]));
+    let mut out = vec![0u32; ys.len() * xs.len()];
+    for r in &l.regions {
+        let inside = |c: u64, dim: usize| (r.start[dim]..r.start[dim] + r.size[dim]).contains(&c);
+        for (k, (&y, &x)) in ys.iter().flat_map(|y| xs.iter().map(move |x| (y, x))).enumerate() {
+            if inside(y, 0) && inside(x, 1) {
+                out[k] = cell(l.dims, y, x);
+            }
+        }
+    }
+    out.iter().flat_map(|v| v.to_le_bytes()).collect()
+}
+
+/// What the consumer reads through the transport, and how many bytes it
+/// reports as zero-filled.
+fn read_through_transport(l: &Layout, pipelined: bool) -> (Vec<u8>, u64) {
+    let reg = Registry::new();
+    let specs = [TaskSpec::new("producer", l.producers), TaskSpec::new("consumer", 1)];
+    let out = TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+        let producers = world_ranks(&tc, 0);
+        let consumers = world_ranks(&tc, 1);
+        let mut props = LowFiveProps::new();
+        props.set_fetch_pipeline("*", pipelined);
+        let builder = DistVolBuilder::new(tc.world.clone(), tc.local.clone()).props(props);
+        let vol: Arc<dyn Vol> = if tc.task_id == 0 {
+            builder.produce("*", consumers).build()
+        } else {
+            builder.consume("*", producers).build()
+        };
+        let h5 = H5::with_vol(vol);
+        if tc.task_id == 0 {
+            let f = h5.create_file("holes.h5").unwrap();
+            let d = f.create_dataset("x", Datatype::UInt32, Dataspace::simple(&l.dims)).unwrap();
+            for r in l.regions.iter().filter(|r| r.owner == tc.local.rank()) {
+                let raw: Vec<u8> = (r.start[0]..r.start[0] + r.size[0])
+                    .flat_map(|y| (r.start[1]..r.start[1] + r.size[1]).map(move |x| (y, x)))
+                    .flat_map(|(y, x)| cell(l.dims, y, x).to_le_bytes())
+                    .collect();
+                let own = if r.deep { Ownership::Deep } else { Ownership::Shallow };
+                d.write_bytes(&Selection::block(&r.start, &r.size), Bytes::from(raw), own).unwrap();
+            }
+            f.close().unwrap();
+            Vec::new()
+        } else {
+            let [(s0, st0, c0, b0), (s1, st1, c1, b1)] = l.slab;
+            let sel = Selection::strided(&[s0, s1], &[st0, st1], &[c0, c1], &[b0, b1]);
+            let f = h5.open_file("holes.h5").unwrap();
+            let got = f.open_dataset("x").unwrap().read_bytes(&sel).unwrap();
+            f.close().unwrap();
+            got.to_vec()
+        }
+    });
+    let got = out.results.into_iter().last().expect("the consumer is the last rank");
+    (got, reg.report().counter(Ctr::BytesZeroFilled))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    /// Written cells arrive, unwritten cells are zero, and the zero-fill
+    /// counter is exactly the unwritten bytes — whatever the owner layout
+    /// (holes, overlaps, deep and shallow regions mixed in one dataset),
+    /// whatever the hyperslab, on both fetch paths.
+    #[test]
+    fn holes_and_overlaps_match_the_zeroed_scatter_oracle(l in layout()) {
+        let want = oracle(&l);
+        let gaps = want.chunks(4).filter(|c| c.iter().all(|&b| b == 0)).count() as u64 * 4;
+        for pipelined in [true, false] {
+            let (got, filled) = read_through_transport(&l, pipelined);
+            prop_assert_eq!(&got, &want, "pipelined={}", pipelined);
+            prop_assert_eq!(filled, gaps, "pipelined={}: every filled byte is counted", pipelined);
+        }
+    }
 }

@@ -259,10 +259,15 @@ pub enum Ctr {
     /// and by dropping imported trees at consumer `file_close`. Shallow
     /// regions count the bytes they stopped pinning.
     BytesRetired,
+    /// Bytes of consumer read results that no producer's reply covered
+    /// and that were therefore filled with zeros (the fill value of an
+    /// unwritten region). Zero on any read whose selection the producers'
+    /// regions cover; nonzero means someone read data nobody wrote.
+    BytesZeroFilled,
 }
 
 /// Number of [`Ctr`] variants (the fixed width of every counter array).
-pub const NUM_CTRS: usize = 41;
+pub const NUM_CTRS: usize = 42;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -308,6 +313,7 @@ impl Ctr {
         Ctr::FilesRetired,
         Ctr::FilesKept,
         Ctr::BytesRetired,
+        Ctr::BytesZeroFilled,
     ];
 
     /// Stable metrics-JSON key for this counter.
@@ -354,6 +360,7 @@ impl Ctr {
             Ctr::FilesRetired => "files_retired",
             Ctr::FilesKept => "files_kept",
             Ctr::BytesRetired => "bytes_retired",
+            Ctr::BytesZeroFilled => "bytes_zero_filled",
         }
     }
 }

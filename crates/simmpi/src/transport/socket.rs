@@ -20,17 +20,24 @@
 //!   honoring the mailbox receive window ([`Mailbox::wait_below`]) so a
 //!   slow receiver backs pressure up the wire.
 //!
-//! Multi-part payloads are written part by part — no gather copy on the
-//! send side (`BytesCopied` stays untouched) — and arrive as `len`
-//! contiguous bytes: the wire form *is* the flattened form, so zero-copy
-//! lends degrade to exactly one serialize.
+//! Multi-part payloads are written as they are held — header and parts go
+//! to the kernel as one `writev` vector ([`write_all_vectored`]; at most
+//! [`IOV_MAX`] slices per call, looping on partial writes), so there is no
+//! gather copy on the send side (`BytesCopied` stays untouched) and a
+//! frame costs one syscall where the socket buffer has room, not one per
+//! part. They arrive as `len` contiguous bytes: the wire form *is* the
+//! flattened form, so zero-copy lends degrade to exactly one serialize.
+//! The reader receives each body straight into a buffer it has only
+//! *reserved* ([`Conn::read_body`]) — the kernel's copy is the first and
+//! only write of those bytes — and hands the allocation itself to the
+//! mailbox.
 //!
 //! The fault injector's reorder crosses the wire as the frame header's
 //! [`FRONT_FLAG`]; frames stay FIFO on the wire (sequence numbers remain
 //! consecutive) and the *reader* applies the front-of-mailbox insertion.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -67,12 +74,37 @@ impl Read for Conn {
     }
 }
 
+impl Conn {
+    /// Append up to `len` bytes of the stream to `body`, stopping early
+    /// only at EOF; returns how many arrived.
+    ///
+    /// Dispatches to the concrete stream *before* `take().read_to_end()`:
+    /// the std streams receive into `body`'s spare capacity as it is,
+    /// whereas a reader that only implements `read` (this enum) gets std's
+    /// fallback, which zero-fills the spare capacity first.
+    fn read_body(&mut self, len: u64, body: &mut Vec<u8>) -> std::io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Conn::Unix(s) => s.take(len).read_to_end(body),
+            Conn::Tcp(s) => s.take(len).read_to_end(body),
+        }
+    }
+}
+
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
             #[cfg(unix)]
             Conn::Unix(s) => s.write(buf),
             Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            Conn::Unix(s) => s.write_vectored(bufs),
+            Conn::Tcp(s) => s.write_vectored(bufs),
         }
     }
 
@@ -372,14 +404,46 @@ fn writer_loop(shared: &Shared, dest: usize, mut conn: Conn) {
     }
 }
 
-/// Header, then every payload part in order — the wire is where a
-/// multi-part payload flattens, with no intermediate gather buffer.
-fn write_frame(conn: &mut Conn, frame: &QueuedFrame) -> std::io::Result<()> {
-    conn.write_all(&frame.header.encode())?;
-    for part in frame.payload.parts() {
-        conn.write_all(part.as_ref())?;
+/// Most slices handed to one `writev`: Linux's `IOV_MAX`. A longer vector
+/// is `EINVAL` there, so [`write_all_vectored`] sends it in windows.
+const IOV_MAX: usize = 1024;
+
+/// Header, then every payload part in order, as one vector — the wire is
+/// where a multi-part payload flattens, with no intermediate gather
+/// buffer and (socket buffer permitting) one syscall per frame.
+fn write_frame(conn: &mut impl Write, frame: &QueuedFrame) -> std::io::Result<()> {
+    let header = frame.header.encode();
+    let parts = frame.payload.parts();
+    if parts.len() <= 1 {
+        // Control frames, the common case: no vector to allocate.
+        let body = parts.first().map_or(&[][..], |part| part);
+        write_all_vectored(conn, &mut [IoSlice::new(&header), IoSlice::new(body)])?;
+    } else {
+        let mut bufs = Vec::with_capacity(1 + parts.len());
+        bufs.push(IoSlice::new(&header));
+        bufs.extend(parts.iter().map(|part| IoSlice::new(part)));
+        write_all_vectored(conn, &mut bufs)?;
     }
     conn.flush()
+}
+
+/// `write_all` for a vector of slices: every byte of `bufs`, in order.
+/// A partial write may end anywhere — between slices or inside one — and
+/// [`IoSlice::advance_slices`] resumes from exactly there; it also drops
+/// empty slices as it reaches them, so the front slice always has bytes
+/// and an `Ok(0)` really means the peer takes no more.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        let window = bufs.len().min(IOV_MAX);
+        match w.write_vectored(&bufs[..window]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Demux frames arriving for `dest` into its mailbox: verify per-source
@@ -395,9 +459,13 @@ fn reader_loop(shared: &Shared, dest: usize, mut conn: Conn) {
         }
         let header = FrameHeader::decode(&hdr_buf);
         let src = header.src as usize;
-        let mut body = vec![0u8; header.len as usize];
-        if conn.read_exact(&mut body).is_err() {
-            break;
+        // Reserved, not zeroed: the kernel's copy is the only write.
+        let mut body = Vec::with_capacity(header.len as usize);
+        match conn.read_body(header.len, &mut body) {
+            Ok(n) if n as u64 == header.len => {}
+            // Error, or EOF mid-body (which `read_to_end` reports as a
+            // short `Ok`): the writer is gone; a partial frame is dropped.
+            _ => break,
         }
         assert_eq!(
             header.seq_counter(),
@@ -478,6 +546,164 @@ mod tests {
         assert_eq!(wire.payload.num_parts(), 1, "wire form is contiguous");
         assert_eq!(wire.payload.to_bytes().as_ref(), &[1, 2, 3, 4, 5]);
         t.shutdown();
+    }
+
+    /// A writer that accepts at most `max` bytes per call, like a nearly
+    /// full socket buffer, and records what each `writev` was handed.
+    struct Trickle {
+        out: Vec<u8>,
+        max: usize,
+        widest_vector: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.widest_vector = self.widest_vector.max(bufs.len());
+            let mut room = self.max;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.out.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.max - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_write_resumes_mid_slice_and_respects_iov_max() {
+        // 3 000 slices of 0..=6 bytes (every seventh empty, including the
+        // first and the last), accepted 5 bytes at a time: partial writes
+        // land inside slices, on slice edges and on runs of empty slices.
+        let parts: Vec<Vec<u8>> = (0..3000usize).map(|i| vec![i as u8; i % 7]).collect();
+        let want: Vec<u8> = parts.concat();
+        let mut bufs: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
+        let mut w = Trickle { out: Vec::new(), max: 5, widest_vector: 0, calls: 0 };
+        write_all_vectored(&mut w, &mut bufs).expect("trickle accepts everything");
+        assert_eq!(w.out, want);
+        assert_eq!(w.widest_vector, IOV_MAX, "the vector is windowed, not truncated or exceeded");
+
+        // With room for everything, a whole frame is one call per window.
+        let mut bufs: Vec<IoSlice<'_>> = parts.iter().map(|p| IoSlice::new(p)).collect();
+        let mut w = Trickle { out: Vec::new(), max: usize::MAX, widest_vector: 0, calls: 0 };
+        write_all_vectored(&mut w, &mut bufs).expect("write");
+        assert_eq!(w.out, want);
+        assert_eq!(w.calls, 3, "3 000 slices go out in IOV_MAX windows");
+
+        // Nothing but empty slices is nothing to write, not `WriteZero`.
+        let mut w = Trickle { out: Vec::new(), max: 0, widest_vector: 0, calls: 0 };
+        write_all_vectored(&mut w, &mut [IoSlice::new(&[]), IoSlice::new(&[])]).expect("no-op");
+        assert_eq!(w.calls, 0);
+        // A writer that stops taking bytes is an error, not a spin.
+        let err = write_all_vectored(&mut w, &mut [IoSlice::new(b"x")]).expect_err("stalled");
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    fn parts_env(tag: u32, parts: Vec<Bytes>) -> WireEnvelope {
+        WireEnvelope {
+            world_src: 0,
+            wire_tag: make_wire_tag(0, tag),
+            payload: Payload::from_parts(parts),
+            sent_ns: 0,
+        }
+    }
+
+    /// Frames that stress the vectored writer and the reserve-only reader
+    /// arrive byte-identical and in sequence: more parts than `IOV_MAX`
+    /// (empty ones interleaved), parts each larger than a socket buffer
+    /// (so partial writes land mid-slice), and a 0-byte body.
+    fn awkward_frames_over(mode: SocketMode) {
+        let t = SocketTransport::new(2, SocketConfig { mode, ..SocketConfig::default() });
+        let many: Vec<Bytes> = (0..3000usize)
+            .map(|i| if i % 3 == 0 { Bytes::new() } else { Bytes::from(vec![i as u8; 1 + i % 5]) })
+            .collect();
+        let big: Vec<Bytes> = (0..3u8).map(|i| Bytes::from(vec![0xA0 | i; 1 << 20])).collect();
+        let want_many: Vec<u8> = many.iter().flat_map(|b| b.iter().copied()).collect();
+        let want_big: Vec<u8> = big.iter().flat_map(|b| b.iter().copied()).collect();
+        t.deliver(1, parts_env(7, many), false);
+        t.deliver(1, parts_env(7, Vec::new()), false);
+        t.deliver(1, parts_env(7, big), false);
+        t.deliver(1, env(0, 7, b"tail"), false);
+        assert_eq!(pop(&t, 1, 0, 7), want_many);
+        assert_eq!(pop(&t, 1, 0, 7), b"", "a 0-byte body is still a frame");
+        assert_eq!(pop(&t, 1, 0, 7), want_big);
+        assert_eq!(pop(&t, 1, 0, 7), b"tail");
+        t.shutdown();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_awkward_frames_arrive_intact() {
+        awkward_frames_over(SocketMode::Unix);
+    }
+
+    #[test]
+    fn tcp_awkward_frames_arrive_intact() {
+        awkward_frames_over(SocketMode::Tcp);
+    }
+
+    /// A connection that closes mid-body ends the reader; the partial
+    /// frame is dropped, never pushed as a short envelope.
+    /// (`take().read_to_end()` reports that EOF as a short `Ok`, where
+    /// `read_exact` returned `Err`.)
+    fn truncated_body_over(mode: SocketMode) {
+        let shared = Shared {
+            mailboxes: (0..2).map(|_| Mailbox::default()).collect(),
+            links: (0..2).map(|_| Link::new(1, 2)).collect(),
+            recv_window: usize::MAX,
+            closed: AtomicBool::new(false),
+        };
+        let uds_dir = match mode {
+            #[cfg(unix)]
+            SocketMode::Unix => Some(fresh_uds_dir()),
+            _ => None,
+        };
+        let (mut write_half, read_half) = connect_pair(mode, uds_dir.as_deref(), 1);
+        let header = |len: u64, seq: u32| FrameHeader {
+            len,
+            wire_tag: make_wire_tag(0, 3),
+            src: 0,
+            seq,
+            sent_ns: 0,
+        };
+        std::thread::scope(|s| {
+            let reader = s.spawn(|| reader_loop(&shared, 1, read_half));
+            let whole =
+                QueuedFrame { header: header(5, 0), payload: Bytes::from_static(b"whole").into() };
+            write_frame(&mut write_half, &whole).expect("write whole frame");
+            write_half.write_all(&header(100, 1).encode()).expect("write header");
+            write_half.write_all(&[9u8; 10]).expect("write a tenth of the body");
+            drop(write_half);
+            reader.join().expect("reader exits on EOF");
+        });
+        assert_eq!(shared.mailboxes[1].len(), 1, "only the complete frame was delivered");
+        let m = Matcher { ctx: 0, src: SrcSel::Rank(0), tag: TagSel::Tag(3) };
+        let got = shared.mailboxes[1].try_pop_matching(&m).expect("the whole frame");
+        assert_eq!(got.payload.to_bytes().as_ref(), b"whole");
+        assert_eq!(shared.links[1].delivered[0].load(Ordering::Acquire), 1);
+        if let Some(dir) = uds_dir {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn unix_eof_mid_body_drops_the_partial_frame() {
+        truncated_body_over(SocketMode::Unix);
+    }
+
+    #[test]
+    fn tcp_eof_mid_body_drops_the_partial_frame() {
+        truncated_body_over(SocketMode::Tcp);
     }
 
     /// Wait until every frame from rank 0 to rank 1 has been pushed into

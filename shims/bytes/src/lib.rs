@@ -6,6 +6,11 @@
 //! [`BufMut`] write trait. Cloning a `Bytes` is an `Arc` refcount bump and
 //! `slice` shares the same allocation, which is what makes shallow-copy
 //! (zero-copy) message payloads meaningful inside one address space.
+//!
+//! Like upstream, a `Bytes` *owns what it is given*: `From<Vec<u8>>`,
+//! `From<Box<[u8]>>` and [`BytesMut::freeze`] adopt the allocation they
+//! are handed (no byte moves), and [`Bytes::from_static`] borrows. Only
+//! [`Bytes::copy_from_slice`] copies.
 
 // These crates mirror upstream APIs verbatim, so API-shape lints
 // (method names, arg conventions) do not apply to them.
@@ -14,31 +19,40 @@
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
+/// What a [`Bytes`] window points into.
+#[derive(Clone)]
+enum Storage {
+    /// A borrowed `'static` slice: nothing to count, nothing to free.
+    Static(&'static [u8]),
+    /// An adopted heap allocation, shared by refcount. The `Vec` is never
+    /// touched again, so its spare capacity (if any) simply rides along
+    /// until the last handle drops.
+    Shared(Arc<Vec<u8>>),
+}
+
 /// A refcounted, immutable byte buffer. Clones and slices share storage.
 #[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// An empty buffer. Every empty buffer shares one allocation, made on
-    /// first use, so creating one never allocates.
-    pub fn new() -> Self {
-        static EMPTY: std::sync::OnceLock<Arc<[u8]>> = std::sync::OnceLock::new();
-        Bytes { data: Arc::clone(EMPTY.get_or_init(|| Arc::from(&[][..]))), start: 0, end: 0 }
+    /// An empty buffer. Empty buffers own nothing, so creating one never
+    /// allocates.
+    pub const fn new() -> Self {
+        Bytes::from_static(&[])
     }
 
     /// Copy `src` into a fresh refcounted buffer.
     pub fn copy_from_slice(src: &[u8]) -> Self {
-        Bytes { data: Arc::from(src), start: 0, end: src.len() }
+        Bytes::from(src.to_vec())
     }
 
-    /// Wrap a static slice (copied; the real crate borrows, but the
-    /// distinction is unobservable through this API).
-    pub fn from_static(src: &'static [u8]) -> Self {
-        Self::copy_from_slice(src)
+    /// Wrap a static slice: borrowed, never copied or allocated.
+    pub const fn from_static(src: &'static [u8]) -> Self {
+        Bytes { data: Storage::Static(src), start: 0, end: src.len() }
     }
 
     pub fn len(&self) -> usize {
@@ -62,17 +76,24 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of range for {}", self.len());
-        Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
+        Bytes { data: self.data.clone(), start: self.start + lo, end: self.start + hi }
     }
 
     pub fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Storage::Static(s) => &s[self.start..self.end],
+            Storage::Shared(v) => &v[self.start..self.end],
+        }
     }
 
     /// True when no other `Bytes` (clone or slice) shares this buffer's
-    /// allocation.
+    /// allocation. A static buffer owns no allocation and is never unique
+    /// (as upstream).
     pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.data) == 1
+        match &self.data {
+            Storage::Static(_) => false,
+            Storage::Shared(v) => Arc::strong_count(v) == 1,
+        }
     }
 }
 
@@ -145,11 +166,16 @@ impl std::hash::Hash for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Adopt `v`'s allocation: no byte is copied, `as_ptr()` is preserved.
+    /// (`Arc::<[u8]>::from(v)` would allocate a second buffer and memcpy
+    /// into it; `into_boxed_slice` would reallocate to shed capacity.)
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            // Nothing to own: every empty buffer is the static one.
+            return Bytes::new();
+        }
         let len = v.len();
-        // Straight from the `Vec`: going through `into_boxed_slice` would
-        // first reallocate to shed spare capacity and then copy again.
-        Bytes { data: Arc::from(v), start: 0, end: len }
+        Bytes { data: Storage::Shared(Arc::new(v)), start: 0, end: len }
     }
 }
 
@@ -161,20 +187,20 @@ impl From<String> for Bytes {
 
 impl From<&'static [u8]> for Bytes {
     fn from(s: &'static [u8]) -> Self {
-        Bytes::copy_from_slice(s)
+        Bytes::from_static(s)
     }
 }
 
 impl From<&'static str> for Bytes {
     fn from(s: &'static str) -> Self {
-        Bytes::copy_from_slice(s.as_bytes())
+        Bytes::from_static(s.as_bytes())
     }
 }
 
 impl From<Box<[u8]>> for Bytes {
+    /// Adopt the box's allocation (`Box<[u8]>` → `Vec<u8>` is free).
     fn from(b: Box<[u8]>) -> Self {
-        let len = b.len();
-        Bytes { data: Arc::from(b), start: 0, end: len }
+        Bytes::from(b.into_vec())
     }
 }
 
@@ -296,9 +322,84 @@ mod tests {
         let b = Bytes::from(vec![1u8, 2, 3, 4, 5]);
         let s = b.slice(1..4);
         assert_eq!(&s[..], &[2, 3, 4]);
-        assert_eq!(Arc::strong_count(&b.data), 2);
+        assert_eq!(s.as_ptr(), b[1..].as_ptr(), "a slice is a window, not a copy");
         let s2 = s.slice(1..);
         assert_eq!(&s2[..], &[3, 4]);
+        assert_eq!(s2.as_ptr(), b[2..].as_ptr());
+    }
+
+    #[test]
+    fn from_vec_box_and_freeze_adopt_the_allocation() {
+        // Spare capacity must not force a shrink-and-copy either.
+        let mut v = Vec::with_capacity(64);
+        v.extend_from_slice(&[7u8; 10]);
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), p, "From<Vec<u8>> must not copy");
+        assert_eq!(b.len(), 10);
+
+        let boxed: Box<[u8]> = vec![1u8, 2, 3].into_boxed_slice();
+        let p = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ptr(), p, "From<Box<[u8]>> must not copy");
+
+        let mut m = BytesMut::with_capacity(32);
+        m.put_slice(b"abc");
+        let p = m.as_ptr();
+        let frozen = m.freeze();
+        assert_eq!(frozen.as_ptr(), p, "freeze must not copy");
+        assert_eq!(frozen.clone().as_ptr(), p, "clone shares");
+        assert_eq!(Bytes::from(String::from("xyz")), &b"xyz"[..]);
+    }
+
+    #[test]
+    fn is_unique_tracks_clones_and_slices() {
+        let b = Bytes::from(vec![0u8; 8]);
+        assert!(b.is_unique());
+        let c = b.clone();
+        assert!(!b.is_unique() && !c.is_unique());
+        drop(c);
+        assert!(b.is_unique());
+        let s = b.slice(2..4);
+        assert!(!b.is_unique(), "a slice pins the allocation like a clone");
+        drop(b);
+        assert!(s.is_unique(), "the last window owns the buffer alone");
+    }
+
+    #[test]
+    fn copy_from_slice_does_not_alias_its_source() {
+        let src = vec![5u8; 16];
+        let b = Bytes::copy_from_slice(&src);
+        assert_ne!(b.as_ptr(), src.as_ptr());
+        assert_eq!(b, src);
+        assert!(b.is_unique());
+    }
+
+    #[test]
+    fn from_static_borrows() {
+        static S: [u8; 4] = [1, 2, 3, 4];
+        let b = Bytes::from_static(&S);
+        assert_eq!(b.as_ptr(), S.as_ptr(), "from_static must borrow");
+        assert_eq!(b.slice(1..3).as_ptr(), S[1..].as_ptr());
+        assert_eq!(Bytes::from(&S[..]).as_ptr(), S.as_ptr());
+        assert!(!b.is_unique(), "a static buffer owns no allocation");
+    }
+
+    #[test]
+    fn empty_buffers_share_one_static_and_never_allocate() {
+        let a = Bytes::new();
+        let from_vec = Bytes::from(Vec::with_capacity(128));
+        let frozen = BytesMut::new().freeze();
+        let copied = Bytes::copy_from_slice(&[]);
+        for e in [&from_vec, &frozen, &copied, &Bytes::default()] {
+            assert!(e.is_empty());
+            assert_eq!(e.as_ptr(), a.as_ptr(), "every empty buffer is the same static one");
+            assert!(!e.is_unique());
+        }
+        // An empty window of a live buffer is still empty (and still pins it).
+        let b = Bytes::from(vec![1u8, 2]);
+        let window = b.slice(1..1);
+        assert!(window.is_empty());
+        assert!(!b.is_unique());
     }
 
     #[test]
