@@ -22,26 +22,13 @@ fn bench(c: &mut Criterion) {
     g.bench_function("lowfive_memory_mode", |b| b.iter(|| run_lowfive_memory(&w)));
     g.finish();
 
-    // Fig. 5 pipelining variant: the consumer fetch path with batching and
-    // overlap on vs. off, under the same interconnect cost model, so the
-    // serial round-trips pay their latency while the pipelined fan-out
-    // overlaps it.
+    // Fig. 5 multi-read variant: each consumer slab as one batched
+    // `read_bytes_multi`, under the interconnect cost model.
     let cost = CostModel::interconnect();
     let mut g = c.benchmark_group("fig5_fetch_pipeline");
     g.sample_size(10);
-    g.bench_function("fetch_serial", |b| b.iter(|| run_lowfive_fetch(&w, false, Some(cost))));
-    g.bench_function("fetch_pipelined", |b| b.iter(|| run_lowfive_fetch(&w, true, Some(cost))));
+    g.bench_function("fetch_pipelined", |b| b.iter(|| run_lowfive_fetch(&w, Some(cost))));
     g.finish();
-    let serial = run_lowfive_fetch(&w, false, Some(cost));
-    let pipelined = run_lowfive_fetch(&w, true, Some(cost));
-    eprintln!(
-        "fetch pipeline: serial {:.4}s / {} msgs -> pipelined {:.4}s / {} msgs ({:.2}x)",
-        serial.seconds,
-        serial.messages,
-        pipelined.seconds,
-        pipelined.messages,
-        serial.seconds / pipelined.seconds
-    );
 
     // Untimed traced pass: where did the benchmarked seconds go?
     let reg = obsv::Registry::new();

@@ -9,7 +9,7 @@
 //!
 //! Experiments: `table1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
 //! `fig11`, `table2`, `collectives`, `staging`, `streaming`,
-//! `compression`, `serve-concurrency`, or `all`.
+//! `compression`, or `all`.
 //! Results print as aligned tables and are also appended as CSV under
 //! `bench-results/`.
 //!
@@ -109,7 +109,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 collectives \
-                     staging streaming compression serve-concurrency | all] \
+                     staging streaming compression | all] \
                      [--scale small|medium|large] [--trials N] \
                      [--transport inproc|socket|tcp]"
                 );
@@ -132,7 +132,6 @@ fn parse_args() -> Args {
             "staging",
             "streaming",
             "compression",
-            "serve-concurrency",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -733,84 +732,6 @@ fn compression_fig(s: &Scale, trials: usize) {
     }
 }
 
-/// Concurrent serve engine A/B (`serve-concurrency` experiment): one
-/// producer rank answers 12 consumers' batched deep-dataset reads under
-/// a modeled per-byte gather cost, with the serve worker pool swept over
-/// 1 / 2 / 4 workers. The workers=1 row is today's strictly serial
-/// engine; every pooled row must strictly beat it on makespan (asserted
-/// here and re-checked by the CI job on the CSV), because the pool
-/// overlaps the producer-side gather stalls that the serial loop stacks.
-///
-/// Artifacts: `serve_concurrency_w1` / `serve_concurrency_w4` metrics +
-/// traces from observed passes (the w4 metrics must carry the
-/// `serve_worker_jobs` counter and `serve_queue_depth` histogram — the
-/// queue actually formed), and `serve_concurrency_shallow` from a
-/// zero-copy pass with the pool on, whose `bytes_copied` must be exactly
-/// zero: concurrency must not reintroduce the copy the lend path
-/// exists to avoid.
-fn serve_concurrency_fig(scale: &str, trials: usize) {
-    use bench::runners::run_serve_concurrency;
-
-    let consumers = 12usize;
-    println!("\n== Serve concurrency: worker pool vs serial engine (modeled gather) ==");
-    println!(
-        "{:>9} {:>10} {:>10} {:>9} {:>12}",
-        "workers", "consumers", "seconds", "speedup", "bytes"
-    );
-    let out = results_dir().join("serve_concurrency.csv");
-    let header = "scale,workers,consumers,seconds,speedup,bytes";
-    let mut serial_s = 0.0f64;
-    for &workers in &[1usize, 2, 4] {
-        let t = avg(trials, || run_serve_concurrency(consumers, workers, false, None).seconds);
-        let m = run_serve_concurrency(consumers, workers, false, None);
-        if workers == 1 {
-            serial_s = t;
-        }
-        let speedup = serial_s / t;
-        println!("{workers:>9} {consumers:>10} {t:>10.4} {speedup:>8.2}x {:>12}", m.bytes);
-        csv(&out, header, &format!("{scale},{workers},{consumers},{t},{speedup},{}", m.bytes));
-        if workers > 1 {
-            assert!(
-                t < serial_s,
-                "workers={workers} ({t:.4}s) must strictly beat workers=1 ({serial_s:.4}s)"
-            );
-        }
-    }
-
-    // Observed passes back the CI assertions on the exported JSON.
-    let reg = obsv::Registry::new();
-    let w1 = run_serve_concurrency(consumers, 1, false, Some(&reg));
-    write_obsv_artifacts(&reg.report(), "serve_concurrency_w1");
-    let reg = obsv::Registry::new();
-    let w4 = run_serve_concurrency(consumers, 4, false, Some(&reg));
-    let report = reg.report();
-    assert!(
-        w4.seconds < w1.seconds,
-        "observed pass: workers=4 ({:.4}s) must beat workers=1 ({:.4}s)",
-        w4.seconds,
-        w1.seconds
-    );
-    assert!(
-        report.counter(obsv::Ctr::ServeWorkerJobs) > 0,
-        "the pool must have executed offloaded jobs"
-    );
-    write_obsv_artifacts(&report, "serve_concurrency_w4");
-
-    let reg = obsv::Registry::new();
-    run_serve_concurrency(consumers, 4, true, Some(&reg));
-    let report = reg.report();
-    assert_eq!(
-        report.counter(obsv::Ctr::BytesCopied),
-        0,
-        "shallow lend path must stay copyless under the worker pool"
-    );
-    write_obsv_artifacts(&report, "serve_concurrency_shallow");
-    println!(
-        "  (workers=4 observed {:.4}s vs workers=1 {:.4}s; shallow pass copied 0 bytes)",
-        w4.seconds, w1.seconds
-    );
-}
-
 fn main() {
     let args = parse_args();
     println!(
@@ -833,7 +754,6 @@ fn main() {
             "staging" => staging_fig(&args.scale, &args.scale_name),
             "streaming" => streaming_fig(&args.scale_name),
             "compression" => compression_fig(&args.scale, args.trials),
-            "serve-concurrency" => serve_concurrency_fig(&args.scale_name, args.trials),
             other => eprintln!("unknown experiment {other:?} (see --help)"),
         }
     }

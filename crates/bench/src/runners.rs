@@ -175,31 +175,20 @@ fn run_lowfive(
     Measurement { seconds: out.results[0], messages: out.stats.messages, bytes: out.stats.bytes }
 }
 
-/// Fig. 5 pipelining variant: the same memory-mode grid exchange, with
-/// each consumer's slab read as one x-chunk per producer — either through
-/// the pipelined fetch path (one batched `M_DATA_BATCH` frame per
-/// producer, all round-trips overlapped) or with the pipeline knob off
-/// (one blocking intersect + fetch round-trip per producer per chunk).
-/// `cost` adds per-message interconnect latency, which the serial path
-/// pays once per sequential round-trip and the pipelined path overlaps.
-pub fn run_lowfive_fetch(w: &Workload, pipelined: bool, cost: Option<CostModel>) -> Measurement {
+/// Fig. 5 multi-read variant: the same memory-mode grid exchange, with
+/// each consumer's slab read as two x-chunks per producer in one
+/// `read_bytes_multi` (one `M_DATA_BATCH` frame per producer, all
+/// round-trips overlapped). `cost` adds per-message interconnect latency.
+pub fn run_lowfive_fetch(w: &Workload, cost: Option<CostModel>) -> Measurement {
     let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
     let w = *w;
     let out = TaskWorld::run_with(&specs, cost, move |tc| {
-        let mut props = LowFiveProps::new();
-        props.set_fetch_pipeline("*", pipelined);
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .produce("*", consumers)
-                .build()
+            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).produce("*", consumers).build()
         } else {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .consume("*", producers)
-                .build()
+            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).consume("*", producers).build()
         };
         let h5 = H5::with_vol(vol);
         let gdims = w.grid_dims();
@@ -235,13 +224,7 @@ pub fn run_lowfive_fetch(w: &Workload, pipelined: bool, cost: Option<CostModel>)
             } else {
                 let f = h5.open_file("fetch-mode.h5").expect("open");
                 let dg = f.open_dataset("grid").expect("grid");
-                if pipelined {
-                    let _bufs = dg.read_bytes_multi(&chunks).expect("pipelined read");
-                } else {
-                    for sel in &chunks {
-                        let _buf = dg.read_bytes(sel).expect("serial read");
-                    }
-                }
+                let _bufs = dg.read_bytes_multi(&chunks).expect("multi read");
                 f.close().expect("consumer close");
             }
         })
@@ -792,92 +775,6 @@ pub fn run_streaming(
     }
 }
 
-/// Serve-concurrency scenario (`serve-concurrency` experiment): one
-/// producer rank serves `consumers` consumer ranks, each fetching its
-/// slab of the dataset as one batched frame. With `shallow` false every
-/// region is deep, so each reply pays the modeled per-byte gather cost
-/// (`set_gather_cost`) — a real sleep on the producer's data path. At
-/// `workers` == 1 the serve loop answers those gathers strictly one
-/// after another, so the makespan stacks every consumer's stall;
-/// `workers` == N overlaps them in the dispatcher/worker-pool engine and
-/// the makespan collapses toward `ceil(consumers / N)` stalls. With
-/// `shallow` true the same exchange lends refcounted slices: no copy,
-/// no stall, and `bytes_copied` must stay exactly zero even with the
-/// pool on (the CI serve-concurrency job asserts both properties on the
-/// exported metrics).
-pub fn run_serve_concurrency(
-    consumers: usize,
-    workers: usize,
-    shallow: bool,
-    observe: Option<&obsv::Registry>,
-) -> Measurement {
-    use lowfive::ServeWorkers;
-    assert!(consumers > 0 && workers > 0);
-    // 4096 u64 elements (32 KiB) per consumer slab; at 100 ns modeled
-    // gather per byte each deep reply stalls ~3.3 ms — long enough to
-    // dominate scheduling noise, short enough for a CI sweep.
-    const SLAB: u64 = 4096;
-    const GATHER_NS_PER_BYTE: f64 = 100.0;
-    let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", consumers)];
-    let out = TaskWorld::run_observed(&specs, None, observe, move |tc| {
-        let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
-        let mut props = LowFiveProps::new();
-        props
-            .set_zerocopy("*", "*", shallow)
-            .set_fetch_pipeline("*", true)
-            .set_serve_workers("*", ServeWorkers::Fixed(workers));
-        if !shallow {
-            props.set_gather_cost("*", GATHER_NS_PER_BYTE);
-        }
-        let producers = world_ranks(&tc, 0);
-        let consumer_ranks = world_ranks(&tc, 1);
-        let total = SLAB * consumers as u64;
-        let vol: Arc<dyn Vol> = if tc.task_id == 0 {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .produce("*", consumer_ranks)
-                .build()
-        } else {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .consume("*", producers)
-                .build()
-        };
-        let h5 = H5::with_vol(vol);
-        timed(&tc, || {
-            if tc.task_id == 0 {
-                let f = h5.create_file("serve-conc.h5").expect("create");
-                let d = f
-                    .create_dataset("x", Datatype::UInt64, Dataspace::simple(&[total]))
-                    .expect("dataset");
-                let data: Vec<u8> = (0..total).flat_map(|v| v.to_le_bytes()).collect();
-                d.write_bytes(&Selection::block(&[0], &[total]), data.into(), Ownership::Shallow)
-                    .expect("write");
-                f.close().expect("close (index + serve)");
-            } else {
-                let base = tc.local.rank() as u64 * SLAB;
-                let f = h5.open_file("serve-conc.h5").expect("open");
-                let d = f.open_dataset("x").expect("dataset");
-                // Four chunks per slab, coalesced into one batched frame
-                // by the pipelined fetch path — the deep-dataset batch
-                // shape the concurrent engine is sized for.
-                let chunk = SLAB / 4;
-                let sels: Vec<Selection> =
-                    (0..4).map(|i| Selection::block(&[base + i * chunk], &[chunk])).collect();
-                let bufs = d.read_bytes_multi(&sels).expect("batched read");
-                for (i, buf) in bufs.iter().enumerate() {
-                    let start = base + i as u64 * chunk;
-                    let expect: Vec<u8> =
-                        (start..start + chunk).flat_map(|v| v.to_le_bytes()).collect();
-                    assert_eq!(&buf[..], &expect[..], "chunk {i} bytes");
-                }
-                f.close().expect("consumer close");
-            }
-        })
-    });
-    Measurement { seconds: out.results[0], messages: out.stats.messages, bytes: out.stats.bytes }
-}
-
 /// Bredala (Fig. 9): contiguous policy for the particles, bounding-box
 /// policy for the grid, timed separately.
 pub fn run_bredala(w: &Workload) -> BredalaMeasurement {
@@ -973,33 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_fetch_beats_serial_under_latency() {
-        // Under a latency-dominated interconnect the serial path pays one
-        // message delay per sequential round-trip (6 intersects + 1 fetch
-        // per chunk, 12 chunks per consumer), while the pipelined path
-        // overlaps the fan-out — the gap is an order of magnitude, so the
-        // comparison is robust to scheduling noise.
-        let w = small();
-        let cost = CostModel { latency: std::time::Duration::from_millis(1), per_byte_ns: 0.0 };
-        let serial = run_lowfive_fetch(&w, false, Some(cost));
-        let pipelined = run_lowfive_fetch(&w, true, Some(cost));
-        assert!(
-            pipelined.seconds < serial.seconds,
-            "pipelined {:.4}s should beat serial {:.4}s",
-            pipelined.seconds,
-            serial.seconds
-        );
-        // Batching also shrinks the message count: one request+reply per
-        // producer instead of one per (chunk x producer).
-        assert!(
-            pipelined.messages < serial.messages,
-            "pipelined {} msgs should be fewer than serial {}",
-            pipelined.messages,
-            serial.messages
-        );
-    }
-
-    #[test]
     fn memory_mode_moves_roughly_the_payload() {
         let w = small();
         let m = run_lowfive_memory(&w);
@@ -1063,36 +933,6 @@ mod tests {
         assert_eq!(base.published, 12);
         assert_eq!(base.dropped, 12 - 4, "depth-4 queue keeps only the tail");
         assert!(!base.drained, "nobody consumed; the drain must time out");
-    }
-
-    #[test]
-    fn concurrent_serve_overlaps_modeled_gather() {
-        // Eight deep replies at ~3.3 ms of modeled gather each: the
-        // serial engine stacks all eight, a 4-worker pool overlaps them
-        // into ~2 rounds — the gap is several-fold, robust to noise.
-        let serial = run_serve_concurrency(8, 1, false, None);
-        let pooled = run_serve_concurrency(8, 4, false, None);
-        assert!(
-            pooled.seconds < serial.seconds,
-            "workers=4 ({:.4}s) must beat workers=1 ({:.4}s)",
-            pooled.seconds,
-            serial.seconds
-        );
-    }
-
-    #[test]
-    fn concurrent_serve_keeps_shallow_lend_copyless() {
-        let reg = obsv::Registry::new();
-        let m = run_serve_concurrency(6, 4, true, Some(&reg));
-        assert!(m.seconds >= 0.0);
-        let report = reg.report();
-        assert_eq!(
-            report.counter(obsv::Ctr::BytesCopied),
-            0,
-            "the worker pool must not reintroduce producer-side copies"
-        );
-        // The pool actually ran: offloaded jobs were counted.
-        assert!(report.counter(obsv::Ctr::ServeWorkerJobs) > 0);
     }
 
     #[test]

@@ -30,6 +30,4 @@ pub mod rpc;
 pub use assigner::{Assigner, ContiguousAssigner, RoundRobinAssigner};
 pub use decompose::RegularDecomposer;
 pub use factor::factor_count;
-pub use rpc::{
-    Caller, RetryPolicy, RpcClient, RpcError, RpcServer, ServeJob, ServeOutcome, ServeStep,
-};
+pub use rpc::{Caller, RetryPolicy, RpcClient, RpcError, RpcServer, ServeOutcome};

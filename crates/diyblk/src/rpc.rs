@@ -59,8 +59,7 @@
 //! fetch path (see `lowfive::dist`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -200,28 +199,6 @@ pub enum ServeOutcome {
     Stop(Option<Bytes>),
 }
 
-/// A data-plane job offloaded to the worker pool by
-/// [`RpcServer::serve_concurrent`]: executed on a worker thread, its
-/// return value is sent to the caller as the reply body. The `'j`
-/// lifetime lets jobs borrow server-local state (indexes, regions) —
-/// workers are scoped threads joined before `serve_concurrent` returns.
-pub type ServeJob<'j> = Box<dyn FnOnce() -> Payload + Send + 'j>;
-
-/// What a [`RpcServer::serve_concurrent`] handler decides per request:
-/// handle it on the dispatcher thread (control plane) or hand it to the
-/// worker pool (data plane).
-pub enum ServeStep<'j> {
-    /// Execute on the dispatcher, exactly like [`RpcServer::serve`]:
-    /// stateful decisions (done-counting, parking, shutdown ordering)
-    /// stay single-threaded.
-    Inline(ServeOutcome),
-    /// Execute on a pool worker; the job's return value is the reply.
-    /// Only safe for requests whose reply the caller matches by call id
-    /// (all `diyblk` clients do) — worker replies may overtake
-    /// dispatcher replies and each other.
-    Offload(ServeJob<'j>),
-}
-
 /// Server side: a loop dispatching incoming requests to a handler.
 pub struct RpcServer<'a> {
     comm: &'a Comm,
@@ -268,118 +245,6 @@ impl<'a> RpcServer<'a> {
                 }
             }
         }
-    }
-
-    /// Handle requests with a dispatcher/worker-pool split: the receive
-    /// loop (and every [`ServeStep::Inline`] outcome) stays on this
-    /// thread, while [`ServeStep::Offload`] jobs are executed — and their
-    /// replies sent — by a bounded pool of `workers` scoped threads.
-    ///
-    /// `workers <= 1` degenerates to exactly [`RpcServer::serve`]: jobs
-    /// run inline on the dispatcher in arrival order, so the serial path
-    /// is bit-identical to the historical loop (same sends, same order).
-    ///
-    /// With `workers >= 2`, replies to offloaded requests are emitted in
-    /// *completion* order, not arrival order — callers match replies by
-    /// call id, so this is invisible to every `diyblk` client. Stateful
-    /// control-plane decisions must stay [`ServeStep::Inline`]; the
-    /// handler itself is only ever invoked from the dispatcher thread, so
-    /// it may keep `&mut` state, while offloaded jobs see shared state
-    /// only (`Send` closures borrowing `'j` data).
-    ///
-    /// On [`ServeOutcome::Stop`] the dispatcher closes the job queue,
-    /// drains it (workers finish and reply to every queued job), joins
-    /// the pool, and only then sends the final stop reply — so a stop ack
-    /// is always the last frame the stopping caller receives.
-    pub fn serve_concurrent<'j, F>(&self, workers: usize, mut handler: F)
-    where
-        F: FnMut(Caller, u32, Bytes) -> ServeStep<'j>,
-    {
-        if workers <= 1 {
-            // Serial mode: the dispatcher executes offloaded jobs inline,
-            // preserving the exact recv/reply interleaving of `serve`.
-            self.serve(|caller, method, args| match handler(caller, method, args) {
-                ServeStep::Inline(outcome) => outcome,
-                ServeStep::Offload(job) => ServeOutcome::ReplyParts(job()),
-            });
-            return;
-        }
-        let comm = self.comm;
-        // Queue depth is sampled at enqueue (jobs waiting + the one being
-        // added); decremented when a worker picks a job up.
-        let depth = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::sync_channel::<(Caller, ServeJob<'j>)>(2 * workers);
-            // std's mpsc receiver is single-consumer; a mutex turns it
-            // into a shared work queue (contention is one lock per job,
-            // far off the gather/encode critical path).
-            let rx = Arc::new(Mutex::new(rx));
-            let parent = obsv::current();
-            let depth_ref = &depth;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let rx = Arc::clone(&rx);
-                    let parent = parent.clone();
-                    s.spawn(move || {
-                        // Workers record into a fork of the dispatcher's
-                        // lane, like every helper thread in the workspace.
-                        let _obs = parent.and_then(|r| r.fork()).map(obsv::install);
-                        loop {
-                            // Hold the lock only across the blocking
-                            // dequeue, never across job execution.
-                            let recv = rx.lock().expect("serve worker lock").recv();
-                            let Ok((caller, job)) = recv else { return };
-                            depth_ref.fetch_sub(1, Ordering::Relaxed);
-                            let t0 = obsv::clock::now_ns();
-                            let reply = job();
-                            obsv::counter_add(obsv::Ctr::ServeWorkerJobs, 1);
-                            obsv::counter_add(
-                                obsv::Ctr::ServeWorkerBusyNs,
-                                obsv::clock::now_ns().saturating_sub(t0),
-                            );
-                            send_reply_parts(comm, caller, reply);
-                        }
-                    })
-                })
-                .collect();
-            loop {
-                let env = comm.recv(ANY_SOURCE, TAG_REQUEST.into());
-                let (method, call_id, args) = decode_request(&env.payload);
-                let caller = Caller { rank: env.src, call_id };
-                let sp = obsv::span_tagged(obsv::Phase::RpcServe, call_id);
-                let step = handler(caller, method, args);
-                drop(sp);
-                match step {
-                    ServeStep::Inline(ServeOutcome::Reply(reply)) => {
-                        self.reply_to(caller, reply.into())
-                    }
-                    ServeStep::Inline(ServeOutcome::ReplyParts(reply)) => {
-                        self.reply_to(caller, reply)
-                    }
-                    ServeStep::Inline(ServeOutcome::Continue) => {}
-                    ServeStep::Inline(ServeOutcome::Stop(reply)) => {
-                        // Close the queue, let the pool drain every
-                        // already-accepted job, then ack the stop last.
-                        drop(tx);
-                        for h in handles {
-                            h.join().expect("serve worker panicked");
-                        }
-                        if let Some(r) = reply {
-                            self.reply_to(caller, r.into());
-                        }
-                        return;
-                    }
-                    ServeStep::Offload(job) => {
-                        let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                        obsv::hist_record(obsv::Hist::ServeQueueDepth, d as u64);
-                        // Bounded queue: a flooded server back-pressures
-                        // the dispatcher (stops receiving) instead of
-                        // buffering without limit.
-                        tx.send((caller, job)).expect("workers outlive the dispatcher");
-                    }
-                }
-            }
-        });
     }
 
     /// Handle at most one pending request without blocking; returns whether
@@ -1239,138 +1104,5 @@ mod tests {
         });
         assert_eq!(out.deaths.len(), 1);
         assert!(out.deaths[0].injected);
-    }
-
-    #[test]
-    fn serve_concurrent_echoes_for_many_clients() {
-        // Correctness under fan-in: 7 clients hammer one pooled server;
-        // every reply must be routed to the right call.
-        World::run(8, |c| {
-            if c.rank() == 0 {
-                let mut remaining = 7;
-                RpcServer::new(&c).serve_concurrent(3, |caller, method, args| match method {
-                    M_ECHO => ServeStep::Offload(Box::new(move || {
-                        let mut v = vec![caller.rank as u8];
-                        v.extend_from_slice(&args);
-                        Payload::from(v)
-                    })),
-                    M_DONE => {
-                        remaining -= 1;
-                        if remaining == 0 {
-                            ServeStep::Inline(ServeOutcome::Stop(None))
-                        } else {
-                            ServeStep::Inline(ServeOutcome::Continue)
-                        }
-                    }
-                    _ => unreachable!(),
-                });
-            } else {
-                let rpc = RpcClient::new(&c);
-                for i in 0..5u8 {
-                    let r = rpc.call(0, M_ECHO, &[i]);
-                    assert_eq!(&r[..], &[c.rank() as u8, i]);
-                }
-                rpc.notify(0, M_DONE, &[]);
-            }
-        });
-    }
-
-    #[test]
-    fn serve_concurrent_replies_in_completion_order() {
-        // Two requests from the same client, FIFO into the server: the
-        // first sleeps 120 ms in a worker, the second replies instantly
-        // from another worker. The fan-out must complete the second call
-        // first — replies are matched by call id, never by arrival order.
-        World::run(2, |c| {
-            if c.rank() == 0 {
-                let mut seen = 0;
-                RpcServer::new(&c).serve_concurrent(2, |_caller, method, args| match method {
-                    M_ECHO => {
-                        let slow = seen == 0;
-                        seen += 1;
-                        ServeStep::Offload(Box::new(move || {
-                            if slow {
-                                std::thread::sleep(Duration::from_millis(120));
-                            }
-                            args.into()
-                        }))
-                    }
-                    M_DONE => ServeStep::Inline(ServeOutcome::Stop(None)),
-                    _ => unreachable!(),
-                });
-            } else {
-                let rpc = RpcClient::new(&c);
-                let calls = vec![
-                    Call::new(0, M_ECHO, Bytes::from_static(b"slow")),
-                    Call::new(0, M_ECHO, Bytes::from_static(b"fast")),
-                ];
-                let mut order = Vec::new();
-                rpc.call_many(&calls, None, |i, r| {
-                    r.expect("live server replies");
-                    order.push(i);
-                });
-                assert_eq!(order, vec![1, 0], "worker replies overtake the slow job");
-                rpc.notify(0, M_DONE, &[]);
-            }
-        });
-    }
-
-    #[test]
-    fn serve_concurrent_stop_drains_queued_jobs() {
-        // Five slow notification jobs pile up in the pool ahead of the
-        // stop request (same-client FIFO guarantees the server *received*
-        // them first). Stop must drain every queued job before acking.
-        World::run(2, |c| {
-            if c.rank() == 0 {
-                let executed = AtomicUsize::new(0);
-                RpcServer::new(&c).serve_concurrent(2, |_caller, method, _args| match method {
-                    M_ECHO => ServeStep::Offload(Box::new(|| {
-                        std::thread::sleep(Duration::from_millis(15));
-                        executed.fetch_add(1, Ordering::SeqCst);
-                        Payload::new()
-                    })),
-                    M_DONE => {
-                        ServeStep::Inline(ServeOutcome::Stop(Some(Bytes::from_static(b"ack"))))
-                    }
-                    _ => unreachable!(),
-                });
-                assert_eq!(executed.load(Ordering::SeqCst), 5, "stop must drain the queue");
-            } else {
-                let rpc = RpcClient::new(&c);
-                for _ in 0..5 {
-                    rpc.notify(0, M_ECHO, &[]);
-                }
-                let ack = rpc.call(0, M_DONE, &[]);
-                assert_eq!(&ack[..], b"ack");
-            }
-        });
-    }
-
-    #[test]
-    fn serve_concurrent_serial_mode_runs_jobs_inline() {
-        // workers <= 1 must behave exactly like `serve`: offloaded jobs
-        // execute on the dispatcher in arrival order.
-        World::run(3, |c| {
-            if c.rank() == 0 {
-                let mut remaining = 2;
-                RpcServer::new(&c).serve_concurrent(1, |_caller, method, args| match method {
-                    M_ECHO => ServeStep::Offload(Box::new(move || args.into())),
-                    M_DONE => {
-                        remaining -= 1;
-                        if remaining == 0 {
-                            ServeStep::Inline(ServeOutcome::Stop(None))
-                        } else {
-                            ServeStep::Inline(ServeOutcome::Continue)
-                        }
-                    }
-                    _ => unreachable!(),
-                });
-            } else {
-                let rpc = RpcClient::new(&c);
-                let r = rpc.call(0, M_ECHO, b"serial");
-                assert_eq!(&r[..], b"serial");
-                rpc.notify(0, M_DONE, &[]);
-            }
-        });
     }
 }

@@ -35,14 +35,14 @@
 //! write *generation*, which consumers use to invalidate their fetch
 //! caches when a producer rewrites a file in place.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
-use diyblk::rpc::{Call, Caller, RpcClient, RpcError, RpcServer, ServeOutcome, ServeStep};
+use diyblk::rpc::{Call, Caller, RpcClient, RpcError, RpcServer, ServeOutcome};
 use diyblk::{RegularDecomposer, RetryPolicy};
 use minih5::format::{import_meta, FileMeta};
 use minih5::selection::overlap_runs;
@@ -128,8 +128,8 @@ pub struct TransportProfile {
     pub metadata_requests: u64,
     /// `M_INTERSECT` (redirect) requests answered.
     pub intersect_requests: u64,
-    /// Data query entries answered — each `M_DATA` counts one, each
-    /// `M_DATA_BATCH` counts one per entry it carries.
+    /// Data query entries answered: one per `(dataset, selection)` entry
+    /// of every `M_DATA_BATCH`.
     pub data_requests: u64,
     /// Payload bytes shipped in data replies.
     pub bytes_served: u64,
@@ -143,7 +143,7 @@ pub struct TransportProfile {
     pub bytes_fetched: u64,
 }
 
-/// One open serve session of the asynchronous loop.
+/// One open serve session: a closed file its consumers are still reading.
 struct Session {
     /// Consumer DONEs the session waits for.
     expected: usize,
@@ -156,16 +156,26 @@ struct Session {
     root: NodeId,
 }
 
-/// Book-keeping for the asynchronous serve loop (one background thread
-/// multiplexing all open serve sessions).
+/// Book-keeping of the serve loop, the same table in both modes: sync
+/// mode holds one open session at a time (the close that registered it
+/// serves it to the end), overlap mode as many as the producer has run
+/// ahead by.
 #[derive(Default)]
-struct AsyncSessions {
+struct Sessions {
     open: HashMap<String, Session>,
     /// Files fully served and kept ([`LowFiveProps::set_keep`]): safe to
     /// keep answering reads for.
     completed: HashSet<String>,
-    /// drain() was requested: exit once `open` empties.
+    /// drain() was requested: the overlap thread exits once `open` empties.
     draining: bool,
+}
+
+impl Sessions {
+    /// May the serve loop return? Sync mode serves until no session is
+    /// open; the overlap thread additionally waits for [`DistMetadataVol::drain`].
+    fn finished(&self, overlap: bool) -> bool {
+        self.open.is_empty() && (self.draining || !overlap)
+    }
 }
 
 /// The index of one served file: `dataset → [(bounding box, producer
@@ -196,78 +206,23 @@ pub struct Retained {
     pub codec_masks: usize,
 }
 
-/// Number of [`HotStripe`] cells the hot serve counters are split over.
-/// Eight covers the dispatcher plus any realistic worker-pool size
-/// without two threads hashing to the same cache line very often.
-const HOT_STRIPES: usize = 8;
-
-/// One cache-line-aligned stripe of the hot serve-path counters: the
-/// request/byte tallies every `M_METADATA`/`M_INTERSECT`/`M_DATA`/
-/// `M_DATA_BATCH` handler bumps. Alignment keeps stripes on distinct
-/// cache lines so concurrent workers never false-share.
+/// The serve path's hot counters: the request/byte tallies every
+/// `M_METADATA`/`M_INTERSECT`/`M_DATA_BATCH` handler bumps. Relaxed
+/// atomics, so a handler never takes the `TransportProfile` mutex (the
+/// cold per-phase seconds stay there) and [`DistMetadataVol::profile`]
+/// can be polled from another thread while the loop runs.
 #[derive(Default)]
-#[repr(align(64))]
-struct HotStripe {
+struct HotCounters {
     metadata_requests: AtomicU64,
     intersect_requests: AtomicU64,
     data_requests: AtomicU64,
     bytes_served: AtomicU64,
 }
 
-/// The serve path's hot counters, sharded per thread so concurrent serve
-/// workers bump relaxed atomics in their own stripe instead of
-/// serializing on the `TransportProfile` mutex. Merged into the profile
-/// snapshot at [`DistMetadataVol::profile`] time (cold fields — the
-/// per-phase seconds — stay in the mutex; they are touched a handful of
-/// times per session).
-#[derive(Default)]
-struct HotProfile {
-    stripes: [HotStripe; HOT_STRIPES],
-}
-
-/// The stripe this thread writes to: a cached hash of the thread id.
-fn hot_stripe_index() -> usize {
-    use std::hash::{Hash, Hasher};
-    thread_local! {
-        static IDX: usize = {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            std::thread::current().id().hash(&mut h);
-            h.finish() as usize % HOT_STRIPES
-        };
-    }
-    IDX.with(|i| *i)
-}
-
-impl HotProfile {
-    fn stripe(&self) -> &HotStripe {
-        &self.stripes[hot_stripe_index()]
-    }
-
-    /// Fold every stripe into a profile snapshot.
-    fn merge_into(&self, p: &mut TransportProfile) {
-        for s in &self.stripes {
-            p.metadata_requests += s.metadata_requests.load(Ordering::Relaxed);
-            p.intersect_requests += s.intersect_requests.load(Ordering::Relaxed);
-            p.data_requests += s.data_requests.load(Ordering::Relaxed);
-            p.bytes_served += s.bytes_served.load(Ordering::Relaxed);
-        }
-    }
-
-    fn reset(&self) {
-        for s in &self.stripes {
-            s.metadata_requests.store(0, Ordering::Relaxed);
-            s.intersect_requests.store(0, Ordering::Relaxed);
-            s.data_requests.store(0, Ordering::Relaxed);
-            s.bytes_served.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Consumer-side cache of remote lookups, so repeated reads of the same
-/// region skip the metadata and redirect round-trips entirely. Populated
-/// only when the pipelined fetch path is active; every entry for a file
-/// is dropped at `file_close`, so reopening a (possibly rewritten)
-/// snapshot always refetches.
+/// region skip the metadata and redirect round-trips entirely. Every
+/// entry for a file is dropped at `file_close`, so reopening a (possibly
+/// rewritten) snapshot always refetches.
 #[derive(Default)]
 struct FetchCache {
     /// filename → serialized metadata tree fetched at `consumer_open`.
@@ -297,18 +252,20 @@ pub struct DistMetadataVol {
     remote: Mutex<RemoteState>,
     /// The queryable index, published per file: `index()` builds the
     /// closed file's [`FileIndex`] off to the side and inserts it in one
-    /// store, touching no other file's entry; serve workers clone the
-    /// file's handle and read it with no lock held.
+    /// store, touching no other file's entry; the serve loop clones the
+    /// file's handle and reads it with no lock held.
     serve_index: Mutex<HashMap<String, Arc<FileIndex>>>,
     profile: Mutex<TransportProfile>,
-    /// Per-thread stripes for the serve path's hot counters (see
-    /// [`HotProfile`]); merged into [`Self::profile`] snapshots.
-    hot: HotProfile,
+    /// The serve path's request/byte tallies (see [`HotCounters`]);
+    /// folded into [`Self::profile`] snapshots.
+    hot: HotCounters,
     /// Overlap mode (paper §V-C: "consume data as soon as it is
     /// available, and overlap reading and writing"): file_close returns
     /// immediately and a single background thread serves all sessions.
+    /// Off, the closing rank thread runs the same loop to the end of the
+    /// session it just opened.
     async_serve: bool,
-    sessions: Mutex<AsyncSessions>,
+    sessions: Mutex<Sessions>,
     serve_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     self_weak: std::sync::Weak<DistMetadataVol>,
     /// Metadata requests `(caller, file, caller's codec caps)` for files
@@ -316,8 +273,8 @@ pub struct DistMetadataVol {
     /// ahead and open snapshot *t+1* while we still serve *t*). Answered
     /// when the file's serve session opens.
     pending_meta: Mutex<Vec<(Caller, String, u64)>>,
-    /// Consumer-side cache of metadata and redirect results (pipelined
-    /// fetch path only; see [`FetchCache`]).
+    /// Consumer-side cache of metadata and redirect results (see
+    /// [`FetchCache`]).
     fetch_cache: Mutex<FetchCache>,
     /// Producer-side negotiated codec masks, `file → consumer world
     /// rank →` consumer caps ∩ our caps. Populated from the metadata
@@ -423,7 +380,7 @@ impl DistVolBuilder {
             remote: Mutex::default(),
             serve_index: Mutex::default(),
             profile: Mutex::default(),
-            hot: HotProfile::default(),
+            hot: HotCounters::default(),
             async_serve: self.async_serve,
             sessions: Mutex::default(),
             serve_thread: Mutex::default(),
@@ -444,19 +401,29 @@ impl DistMetadataVol {
         &self.meta
     }
 
-    /// Snapshot the accumulated transport profile. Hot request/byte
-    /// counters live in per-thread stripes on the serve path; they are
-    /// folded into the snapshot here.
+    /// Snapshot the accumulated transport profile, the serve path's
+    /// request/byte tallies folded in.
     pub fn profile(&self) -> TransportProfile {
-        let mut p = self.profile.lock().clone();
-        self.hot.merge_into(&mut p);
-        p
+        TransportProfile {
+            metadata_requests: self.hot.metadata_requests.load(Ordering::Relaxed),
+            intersect_requests: self.hot.intersect_requests.load(Ordering::Relaxed),
+            data_requests: self.hot.data_requests.load(Ordering::Relaxed),
+            bytes_served: self.hot.bytes_served.load(Ordering::Relaxed),
+            ..self.profile.lock().clone()
+        }
     }
 
     /// Zero the transport profile (e.g. between timesteps).
     pub fn reset_profile(&self) {
         *self.profile.lock() = TransportProfile::default();
-        self.hot.reset();
+        for c in [
+            &self.hot.metadata_requests,
+            &self.hot.intersect_requests,
+            &self.hot.data_requests,
+            &self.hot.bytes_served,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 
     /// The transport properties this VOL was built with.
@@ -593,8 +560,8 @@ impl DistMetadataVol {
         Ok(out)
     }
 
-    /// Parts-preserving [`Self::decode_reply_body`] for the pipelined
-    /// scatter path: a raw body sheds its prefix in place.
+    /// Parts-preserving [`Self::decode_reply_body`] for the scatter path
+    /// of data replies: a raw body sheds its prefix in place.
     fn decode_reply_payload(&self, file: &str, p: Payload) -> H5Result<Payload> {
         let allowed = self.props.wire_codec_for(file).caps();
         let mut d = [0u8; 1];
@@ -663,10 +630,10 @@ impl DistMetadataVol {
         let received = self.local.alltoall_bytes(parts);
         // Build this file's index off to the side, then publish it as a
         // single insert that replaces any earlier snapshot of the name
-        // and touches no other file's entry. Serve workers clone the
-        // file's handle once per request and read it without any lock
-        // held; a worker racing this publish keeps answering from the
-        // previous snapshot, which is exactly the pre-publish behavior.
+        // and touches no other file's entry. The serve loop clones the
+        // file's handle once per request and reads it without any lock
+        // held; an overlap-mode request racing this publish is answered
+        // from the previous snapshot, exactly the pre-publish behavior.
         let mut next = FileIndex::default();
         let mut nboxes = 0u64;
         for (src, payload) in received.iter().enumerate() {
@@ -710,7 +677,8 @@ impl DistMetadataVol {
     /// [`LowFiveProps::set_keep`] keeps the file, in which case nothing
     /// is touched and `false` comes back. A name that was re-created in
     /// the meantime (overlap mode) has a different root and is left
-    /// alone: the new snapshot's own session retires it.
+    /// alone: the new snapshot's own session retires it. Called from the
+    /// serve loop's `M_DONE` arm, in both modes.
     fn retire(&self, file: &str, root: NodeId) -> bool {
         if self.props.keep_for(file) {
             obsv::counter_add(obsv::Ctr::FilesKept, 1);
@@ -777,92 +745,116 @@ impl DistMetadataVol {
     // Producer: serve (Algorithm 2)
     // -----------------------------------------------------------------
 
-    fn serve(&self, filename: &str, expected_dones: usize) {
+    /// The serve loop, one function for both modes: it answers queries
+    /// for every open session, kept file and published step slot, and
+    /// returns once no session is open — in overlap mode only after
+    /// [`Self::drain`] has asked for that too. Sync mode runs it on the
+    /// rank thread that just closed a file, overlap mode on one
+    /// background thread.
+    fn serve_loop(&self) {
         let sp = obsv::span(obsv::Phase::Serve);
-        obsv::counter_add(obsv::Ctr::ServeSessions, 1);
-        self.flush_pending_meta(filename);
-        let server = RpcServer::new(&self.world);
-        // DONE must be idempotent: a consumer whose *ack* was lost resends
-        // the same DONE under its retry policy, and each retransmit is a
-        // fresh RPC. Counting messages would double-count that consumer and
-        // stop the serve loop early, stranding the rest — so we count
-        // distinct caller ranks instead.
-        let mut dones = HashSet::new();
-        let keep = self.props.keep_for(filename);
-        // Control plane (metadata, negotiation, DONE counting, step
-        // errors) stays on the dispatcher; the data plane (intersect,
-        // data, batch) is offloaded to the worker pool when one is
-        // configured. Replies are matched by call id, so completion
-        // order never matters to the consumer.
-        let workers = self.props.serve_workers_for(filename);
-        server.serve_concurrent(workers, |caller, method, args| match method {
+        RpcServer::new(&self.world).serve(|caller, method, args| match method {
             M_METADATA => {
-                self.hot.stripe().metadata_requests.fetch_add(1, Ordering::Relaxed);
+                self.hot.metadata_requests.fetch_add(1, Ordering::Relaxed);
                 let (file, caps) = match dec_metadata_req(&args) {
                     Ok(fc) => fc,
-                    Err(e) => return ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(e)))),
+                    Err(e) => return ServeOutcome::Reply(enc_result(Err(e))),
                 };
-                // A rank that already said DONE has closed this snapshot:
-                // unless the file is kept for re-reads, it is asking for
-                // the *next* snapshot of the name, which does not exist
-                // yet.
-                let reply = if !keep && file == filename && dones.contains(&caller.rank) {
-                    Err(H5Error::NotFound(file.clone()))
+                // Answerable now: a session that `caller` has not closed
+                // yet (once it has, and the file is not kept, it is asking
+                // for the name's next snapshot), a kept file, or a
+                // published step slot. A tree that merely exists — created
+                // or written but not closed and indexed — is none of these.
+                let known = {
+                    let s = self.sessions.lock();
+                    s.completed.contains(&file)
+                        || s.open.get(&file).is_some_and(|sess| {
+                            !sess.done.contains(&caller.rank) || self.props.keep_for(&file)
+                        })
+                } || self.stream.lock().serveable.contains(&file);
+                if known {
+                    ServeOutcome::Reply(enc_result(self.metadata_reply(&file, caller.rank, caps)))
+                } else if self.produces(&file) {
+                    // A snapshot of ours that is not closed yet: hold the
+                    // request until its serve session opens.
+                    self.pending_meta.lock().push((caller, file, caps));
+                    ServeOutcome::Continue
                 } else {
-                    self.metadata_reply(&file, caller.rank, caps)
-                };
-                ServeStep::Inline(match reply {
-                    Err(H5Error::NotFound(_)) if self.produces(&file) => {
-                        // A future snapshot of ours: hold the request until
-                        // its serve session opens.
-                        self.pending_meta.lock().push((caller, file, caps));
-                        ServeOutcome::Continue
-                    }
-                    reply => ServeOutcome::Reply(enc_result(reply)),
-                })
+                    ServeOutcome::Reply(enc_result(Err(H5Error::NotFound(file))))
+                }
             }
             M_CODEC_OFFER => {
                 if let Ok((file, caps)) = dec_codec_offer(&args) {
                     self.record_consumer_caps(&file, caller.rank, caps);
                 }
-                ServeStep::Inline(ServeOutcome::Continue)
+                ServeOutcome::Continue
             }
-            M_INTERSECT => {
-                ServeStep::Offload(Box::new(move || Payload::from(self.serve_intersect(&args))))
-            }
-            M_DATA => ServeStep::Offload(Box::new(move || self.serve_data(&args, caller.rank))),
-            M_DATA_BATCH => {
-                ServeStep::Offload(Box::new(move || self.serve_data_batch(&args, caller.rank)))
-            }
+            M_INTERSECT => ServeOutcome::Reply(self.serve_intersect(&args)),
+            M_DATA_BATCH => ServeOutcome::ReplyParts(self.serve_data_batch(&args, caller.rank)),
             M_DONE => {
                 let file = dec_done_req(&args).unwrap_or_default();
-                if file == filename {
-                    dones.insert(caller.rank);
+                // DONE must be idempotent: a consumer whose *ack* was lost
+                // resends the same DONE under its retry policy, and each
+                // retransmit is a fresh RPC — so a session counts distinct
+                // caller ranks, not messages. A DONE for a file with no
+                // open session (a step slot, a kept file being re-read, a
+                // retransmit after the session closed) is only acked.
+                let finished = {
+                    let mut s = self.sessions.lock();
+                    let last = s.open.get_mut(&file).is_some_and(|sess| {
+                        sess.done.insert(caller.rank);
+                        sess.done.len() == sess.expected
+                    });
+                    last.then(|| s.open.remove(&file)).flatten()
+                };
+                if let Some(sess) = finished {
+                    self.profile.lock().serve_sessions += 1;
+                    obsv::counter_add(obsv::Ctr::ServeSessions, 1);
+                    if !self.retire(&file, sess.root) {
+                        self.sessions.lock().completed.insert(file);
+                    }
                 }
                 // Ack every DONE: the consumer awaits (and under a retry
-                // policy resends) it, so a dropped notification can no
-                // longer starve the serve loop.
+                // policy resends) it, so a dropped notification cannot
+                // starve the loop.
                 let ack = enc_result(Ok(Bytes::new()));
-                ServeStep::Inline(if dones.len() == expected_dones {
+                if self.sessions.lock().finished(self.async_serve) {
                     ServeOutcome::Stop(Some(ack))
                 } else {
                     ServeOutcome::Reply(ack)
-                })
+                }
             }
-            M_STEP_SUB | M_STEP_NEXT | M_STEP_ACK => {
-                // A producer blocked in this synchronous loop could never
-                // publish another step, so streaming refuses to start.
-                ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(H5Error::Vol(
+            M_SHUTDOWN => {
+                let mut s = self.sessions.lock();
+                s.draining = true;
+                if s.finished(self.async_serve) {
+                    ServeOutcome::Stop(None)
+                } else {
+                    ServeOutcome::Continue
+                }
+            }
+            // A producer blocked in this loop on its rank thread could
+            // never publish another step, so streaming refuses to start.
+            // The typed error matters: a subscriber retries `NotFound`.
+            M_STEP_SUB | M_STEP_NEXT | M_STEP_ACK if !self.async_serve => {
+                ServeOutcome::Reply(enc_result(Err(H5Error::Vol(
                     "step streaming requires overlap mode (DistVolBuilder::async_serve)".into(),
-                )))))
+                ))))
             }
-            m => ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(H5Error::Vol(format!(
+            M_STEP_SUB => {
+                ServeOutcome::Reply(crate::stream::serve_step_sub(self, caller.rank, &args))
+            }
+            M_STEP_NEXT => {
+                ServeOutcome::Reply(crate::stream::serve_step_next(self, caller.rank, &args))
+            }
+            M_STEP_ACK => {
+                ServeOutcome::Reply(crate::stream::serve_step_ack(self, caller.rank, &args))
+            }
+            m => ServeOutcome::Reply(enc_result(Err(H5Error::Vol(format!(
                 "unknown RPC method {m}"
-            )))))),
+            ))))),
         });
-        let mut p = self.profile.lock();
-        p.serve_seconds += sp.finish();
-        p.serve_sessions += 1;
+        self.profile.lock().serve_seconds += sp.finish();
     }
 
     /// Algorithm 2 lines 9-14: stream the intersection of the local data
@@ -919,8 +911,7 @@ impl DistMetadataVol {
             gathered.extend_from_slice(b);
         }
         let gathered = Bytes::from(gathered);
-        let deep_bytes = deep_len as u64;
-        obsv::counter_add(obsv::Ctr::BytesCopied, deep_bytes);
+        obsv::counter_add(obsv::Ctr::BytesCopied, deep_len as u64);
         let mut run = 0..0;
         for (b, own) in slices {
             if own == Ownership::Deep {
@@ -936,27 +927,14 @@ impl DistMetadataVol {
         if !run.is_empty() {
             frame.lend(gathered.slice(run));
         }
-        // Modeled per-byte gather cost (`set_gather_cost`): a real sleep
-        // on the producer side of the deep-copy path, standing in for
-        // the strided gathers and NUMA traffic a production-size rank
-        // would pay. The shallow lend path pays nothing by construction
-        // — which is what the serve-concurrency figure exploits: worker
-        // pools overlap these stalls across consumers.
-        let ns_per_byte = self.props.gather_cost_for(file);
-        if ns_per_byte > 0.0 && deep_bytes > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(
-                (ns_per_byte * deep_bytes as f64) as u64,
-            ));
-        }
         Ok(())
     }
 
-    /// Answer an `M_INTERSECT` redirect query (shared by both serve
-    /// loops): which producer-local ranks indexed data of `(file, dset)`
-    /// intersecting the query box.
+    /// Answer an `M_INTERSECT` redirect query: which producer-local ranks
+    /// indexed data of `(file, dset)` intersecting the query box.
     fn serve_intersect(&self, args: &Bytes) -> Bytes {
         let t0 = obsv::clock::now_ns();
-        self.hot.stripe().intersect_requests.fetch_add(1, Ordering::Relaxed);
+        self.hot.intersect_requests.fetch_add(1, Ordering::Relaxed);
         let reply = dec_intersect_req(args).map(|(file, dset, qbb)| {
             let gen = self.meta.generation(&file);
             let idx = self.serve_index.lock().get(&file).cloned();
@@ -979,36 +957,11 @@ impl DistMetadataVol {
         out
     }
 
-    /// Answer a single `M_DATA` query (shared by both serve loops) as a
-    /// multi-part frame lending shallow region bytes.
-    fn serve_data(&self, args: &Bytes, caller: usize) -> Payload {
-        let t0 = obsv::clock::now_ns();
-        let reply = dec_data_req(args).and_then(|(file, dset, sel)| {
-            let gen = self.meta.generation(&file);
-            let mut frame = ReplyFrame::new();
-            self.answer_data_query_into(&mut frame, gen, &file, &dset, &sel)?;
-            Ok((file, frame.finish()))
-        });
-        let hot = self.hot.stripe();
-        hot.data_requests.fetch_add(1, Ordering::Relaxed);
-        if let Ok((_, b)) = &reply {
-            // Profiled at the pre-codec length: `bytes_served` counts what
-            // the consumer receives after decode, not what crossed the wire.
-            hot.bytes_served.fetch_add(b.len() as u64, Ordering::Relaxed);
-            obsv::hist_record(obsv::Hist::BytesServed, b.len() as u64);
-        }
-        let out = enc_result_payload(
-            reply.map(|(file, body)| self.encode_reply_body(&file, caller, body)),
-        );
-        obsv::hist_record(obsv::Hist::ServeDataNs, obsv::clock::now_ns().saturating_sub(t0));
-        out
-    }
-
-    /// Answer a batched `M_DATA_BATCH` query (shared by both serve
-    /// loops): one [`DataReply`] body per `(dataset, selection)` entry,
-    /// in entry order, all in a single multi-part frame. Each entry is
-    /// answered exactly as a lone `M_DATA` would be, so batching never
-    /// changes the bytes a consumer sees.
+    /// Answer an `M_DATA_BATCH` query: one [`DataReply`] body per
+    /// `(dataset, selection)` entry, in entry order, all in a single
+    /// multi-part frame lending shallow region bytes. Entries are answered
+    /// independently, so how a consumer groups selections into frames
+    /// never changes the bytes it sees.
     fn serve_data_batch(&self, args: &Bytes, caller: usize) -> Payload {
         let t0 = obsv::clock::now_ns();
         let reply = dec_data_req_batch(args).and_then(|(file, entries)| {
@@ -1018,11 +971,13 @@ impl DistMetadataVol {
             for (dset, sel) in &entries {
                 self.answer_data_query_into(&mut frame, gen, &file, dset, sel)?;
             }
-            self.hot.stripe().data_requests.fetch_add(entries.len() as u64, Ordering::Relaxed);
+            self.hot.data_requests.fetch_add(entries.len() as u64, Ordering::Relaxed);
             Ok((file, frame.finish()))
         });
         if let Ok((_, b)) = &reply {
-            self.hot.stripe().bytes_served.fetch_add(b.len() as u64, Ordering::Relaxed);
+            // Profiled at the pre-codec length: `bytes_served` counts what
+            // the consumer receives after decode, not what crossed the wire.
+            self.hot.bytes_served.fetch_add(b.len() as u64, Ordering::Relaxed);
             obsv::hist_record(obsv::Hist::BytesServed, b.len() as u64);
         }
         let out = enc_result_payload(
@@ -1043,20 +998,19 @@ impl DistMetadataVol {
         self.index(filename)?;
         let root =
             self.meta.file_root(filename).ok_or_else(|| H5Error::NotFound(filename.to_string()))?;
-        if !self.async_serve {
-            self.serve(filename, consumers.len());
-            self.retire(filename, root);
-            return Ok(());
-        }
-        // Overlap mode: register the session, release any consumers that
-        // asked early, make sure the serve thread runs, and return.
+        // Register the session and release any consumers that asked
+        // early. Then overlap mode makes sure the serve thread runs and
+        // returns; sync mode runs the loop here until the session is done.
         //
         // Step slot files never enter the session map: their lifetime is
         // governed by the series' announce window (publish → retire), not
         // by counted consumer DONEs — a `LatestStep` subscriber may never
         // open a given slot at all. Consumer closes of slot files hit the
-        // async loop's absent-file DONE branch and are simply acked.
-        let is_step = self.stream.lock().is_step_file(filename);
+        // loop's absent-file DONE branch and are simply acked. Only an
+        // overlap-mode VOL can publish a series; a sync-mode task that
+        // re-produces slot-named files of a series it subscribes to
+        // serves them as ordinary sessions.
+        let is_step = self.async_serve && self.stream.lock().is_step_file(filename);
         if !is_step {
             self.sessions.lock().open.insert(
                 filename.to_string(),
@@ -1064,7 +1018,11 @@ impl DistMetadataVol {
             );
         }
         self.flush_pending_meta(filename);
-        self.ensure_serve_thread();
+        if self.async_serve {
+            self.ensure_serve_thread();
+        } else {
+            self.serve_loop();
+        }
         Ok(())
     }
 
@@ -1085,7 +1043,8 @@ impl DistMetadataVol {
                     .name(format!("lowfive-serve-{}", self.world.rank()))
                     .spawn(move || {
                         let _obs = parent.and_then(|r| r.fork()).map(obsv::install);
-                        me.serve_async_loop()
+                        me.serve_loop();
+                        me.fail_parked_meta();
                     })
                     .expect("spawn serve thread"),
             );
@@ -1119,130 +1078,18 @@ impl DistMetadataVol {
         handle.join().expect("serve thread panicked");
     }
 
-    /// The multiplexed serve loop of overlap mode: one thread answers
-    /// queries for every open (or completed) session and exits once a
-    /// drain is requested and no session remains open.
-    fn serve_async_loop(&self) {
-        let sp = obsv::span(obsv::Phase::Serve);
-        let server = RpcServer::new(&self.world);
-        // One loop multiplexes every produced file, so the pool is sized
-        // to the widest `set_serve_workers` rule across our Produce link
-        // patterns. Control plane — metadata parking, session/DONE
-        // bookkeeping, drains, and the whole step-streaming window state
-        // — stays on the dispatcher thread, which is what keeps the
-        // shutdown-ordering invariant (drain only fires with no session
-        // open) and the per-subscriber step cursors race-free. Only the
-        // read-mostly data plane fans out.
-        let workers = self
-            .links
-            .iter()
-            .filter(|l| l.dir == LinkDir::Produce)
-            .map(|l| self.props.serve_workers_for(&l.pattern))
-            .max()
-            .unwrap_or(1);
-        server.serve_concurrent(workers, |caller, method, args| match method {
-            M_METADATA => {
-                self.hot.stripe().metadata_requests.fetch_add(1, Ordering::Relaxed);
-                let (file, caps) = match dec_metadata_req(&args) {
-                    Ok(fc) => fc,
-                    Err(e) => return ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(e)))),
-                };
-                // Answerable now: a session that `caller` has not closed
-                // yet (once it has, and the file is not kept, it is asking
-                // for the name's next snapshot), a kept file, or a
-                // published step slot.
-                let known = {
-                    let s = self.sessions.lock();
-                    s.completed.contains(&file)
-                        || s.open.get(&file).is_some_and(|sess| {
-                            !sess.done.contains(&caller.rank) || self.props.keep_for(&file)
-                        })
-                } || self.stream.lock().serveable.contains(&file);
-                ServeStep::Inline(if known {
-                    ServeOutcome::Reply(enc_result(self.metadata_reply(&file, caller.rank, caps)))
-                } else if self.produces(&file) {
-                    // Not closed yet (or never produced): hold the request.
-                    self.pending_meta.lock().push((caller, file, caps));
-                    ServeOutcome::Continue
-                } else {
-                    ServeOutcome::Reply(enc_result(Err(H5Error::NotFound(file))))
-                })
-            }
-            M_CODEC_OFFER => {
-                if let Ok((file, caps)) = dec_codec_offer(&args) {
-                    self.record_consumer_caps(&file, caller.rank, caps);
-                }
-                ServeStep::Inline(ServeOutcome::Continue)
-            }
-            M_INTERSECT => {
-                ServeStep::Offload(Box::new(move || Payload::from(self.serve_intersect(&args))))
-            }
-            M_DATA => ServeStep::Offload(Box::new(move || self.serve_data(&args, caller.rank))),
-            M_DATA_BATCH => {
-                ServeStep::Offload(Box::new(move || self.serve_data_batch(&args, caller.rank)))
-            }
-            M_DONE => {
-                let file = dec_done_req(&args).unwrap_or_default();
-                let finished = {
-                    let mut s = self.sessions.lock();
-                    let last = s.open.get_mut(&file).is_some_and(|sess| {
-                        sess.done.insert(caller.rank);
-                        sess.done.len() == sess.expected
-                    });
-                    last.then(|| s.open.remove(&file)).flatten()
-                };
-                if let Some(sess) = finished {
-                    self.profile.lock().serve_sessions += 1;
-                    obsv::counter_add(obsv::Ctr::ServeSessions, 1);
-                    if !self.retire(&file, sess.root) {
-                        self.sessions.lock().completed.insert(file);
-                    }
-                }
-                let s = self.sessions.lock();
-                let ack = enc_result(Ok(Bytes::new()));
-                ServeStep::Inline(if s.draining && s.open.is_empty() {
-                    ServeOutcome::Stop(Some(ack))
-                } else {
-                    ServeOutcome::Reply(ack)
-                })
-            }
-            M_SHUTDOWN => {
-                let mut s = self.sessions.lock();
-                s.draining = true;
-                ServeStep::Inline(if s.open.is_empty() {
-                    ServeOutcome::Stop(None)
-                } else {
-                    ServeOutcome::Continue
-                })
-            }
-            M_STEP_SUB => ServeStep::Inline(ServeOutcome::Reply(crate::stream::serve_step_sub(
-                self,
-                caller.rank,
-                &args,
-            ))),
-            M_STEP_NEXT => ServeStep::Inline(ServeOutcome::Reply(crate::stream::serve_step_next(
-                self,
-                caller.rank,
-                &args,
-            ))),
-            M_STEP_ACK => ServeStep::Inline(ServeOutcome::Reply(crate::stream::serve_step_ack(
-                self,
-                caller.rank,
-                &args,
-            ))),
-            m => ServeStep::Inline(ServeOutcome::Reply(enc_result(Err(H5Error::Vol(format!(
-                "unknown RPC method {m}"
-            )))))),
-        });
-        // The loop has stopped: any metadata request still parked here
-        // (a consumer running ahead to a snapshot we will never close)
-        // would otherwise hang its sender through our drain. Failing it
-        // now surfaces the lifecycle bug on the consumer instead.
+    /// The overlap thread has exited through [`Self::drain`]: any
+    /// metadata request still parked (a consumer running ahead to a
+    /// snapshot we will never close) would otherwise hang its sender.
+    /// Failing it surfaces the lifecycle bug on the consumer instead.
+    /// Never called at the end of a sync session — there a consumer
+    /// running ahead to the name's next snapshot parks legitimately
+    /// across closes.
+    fn fail_parked_meta(&self) {
         let orphaned: Vec<(Caller, String, u64)> = self.pending_meta.lock().drain(..).collect();
         for (caller, file, _) in orphaned {
             diyblk::rpc::send_reply(&self.world, caller, enc_result(Err(H5Error::NotFound(file))));
         }
-        self.profile.lock().serve_seconds += sp.finish();
     }
 
     // -----------------------------------------------------------------
@@ -1266,16 +1113,26 @@ impl DistMetadataVol {
         let rpc = RpcClient::new(&self.world);
         match self.props.rpc_policy_for(file) {
             None => Ok(rpc.call(server, method, args)),
-            Some(policy) => rpc.call_retry(server, method, args, policy).map_err(|e| {
-                H5Error::PeerUnavailable(match e {
-                    RpcError::PeerDead => format!("producer world rank {server} died"),
-                    RpcError::TimedOut => format!(
-                        "producer world rank {server} did not answer within {:?} x{}",
-                        policy.timeout, policy.attempts
-                    ),
-                })
-            }),
+            Some(policy) => rpc
+                .call_retry(server, method, args, policy)
+                .map_err(|e| Self::peer_error(server, Some(policy), e)),
         }
+    }
+
+    /// The error a consumer sees when a call to producer world rank
+    /// `server` fails at the transport level — the one mapping for single
+    /// calls and `call_many` fan-outs alike.
+    fn peer_error(server: usize, policy: Option<RetryPolicy>, e: RpcError) -> H5Error {
+        H5Error::PeerUnavailable(match (e, policy) {
+            (RpcError::PeerDead, _) => format!("producer world rank {server} died"),
+            (RpcError::TimedOut, Some(p)) => format!(
+                "producer world rank {server} did not answer within {:?} x{}",
+                p.timeout, p.attempts
+            ),
+            (RpcError::TimedOut, None) => {
+                format!("producer world rank {server} did not answer")
+            }
+        })
     }
 
     /// Record the generation a producer reported for `file`. Returns
@@ -1307,19 +1164,16 @@ impl DistMetadataVol {
     fn consumer_open(&self, name: &str, link_idx: usize) -> H5Result<ObjId> {
         let sp = obsv::span(obsv::Phase::Open);
         let link = &self.links[link_idx];
-        // Pipelined fetch caches the metadata tree per file, so a reopen
-        // between closes costs no round-trip. (`file_close` invalidates,
-        // and opens are issued in the same program order on every
-        // consumer rank, so the broadcast variant stays collective: all
-        // ranks hit or all ranks miss together.)
-        let caching = self.props.fetch_pipeline_for(name);
-        if caching {
-            if let Some(meta) = self.fetch_cache.lock().meta.get(name).cloned() {
-                obsv::counter_add(obsv::Ctr::FetchCacheHits, 1);
-                return self.install_remote_meta(name, link_idx, &meta, sp);
-            }
-            obsv::counter_add(obsv::Ctr::FetchCacheMisses, 1);
+        // The metadata tree is cached per file, so a reopen between
+        // closes costs no round-trip. (`file_close` invalidates, and opens
+        // are issued in the same program order on every consumer rank, so
+        // the broadcast variant stays collective: all ranks hit or all
+        // ranks miss together.)
+        if let Some(meta) = self.fetch_cache.lock().meta.get(name).cloned() {
+            obsv::counter_add(obsv::Ctr::FetchCacheHits, 1);
+            return self.install_remote_meta(name, link_idx, &meta, sp);
         }
+        obsv::counter_add(obsv::Ctr::FetchCacheMisses, 1);
         // Advertise our codec caps in the handshake; the home producer
         // answers with the negotiated mask. The other producers learn the
         // caps from the fire-and-forget offers below.
@@ -1356,7 +1210,7 @@ impl DistMetadataVol {
         // Every producer rank may serve our data queries, not just the
         // home rank that answered the handshake — fan our caps out to the
         // rest as fire-and-forget offers. Per-flow FIFO ordering means an
-        // offer lands before any M_DATA we send that producer afterwards;
+        // offer lands before any data query we send that producer afterwards;
         // a dropped offer just leaves that pair on raw.
         if caps != CAP_RAW {
             // In broadcast mode only local rank 0 performed the handshake;
@@ -1374,9 +1228,7 @@ impl DistMetadataVol {
         // entries first, so the fresh tree is what ends up cached.
         self.note_gen(name, home, gen);
         let id = self.install_remote_meta(name, link_idx, &meta, sp)?;
-        if caching {
-            self.fetch_cache.lock().meta.insert(name.to_string(), meta);
-        }
+        self.fetch_cache.lock().meta.insert(name.to_string(), meta);
         Ok(id)
     }
 
@@ -1416,143 +1268,39 @@ impl DistMetadataVol {
         Ok((e.node, e.filename, e.path, &self.links[link_idx].remote_ranks))
     }
 
-    /// Map a transport-level RPC failure on a consumer→producer call to
-    /// the error consumers see, mirroring [`DistMetadataVol::call_producer`].
-    fn peer_error(server: usize, policy: Option<RetryPolicy>, e: RpcError) -> H5Error {
-        H5Error::PeerUnavailable(match (e, policy) {
-            (RpcError::PeerDead, _) => format!("producer world rank {server} died"),
-            (RpcError::TimedOut, Some(p)) => format!(
-                "producer world rank {server} did not answer within {:?} x{}",
-                p.timeout, p.attempts
-            ),
-            (RpcError::TimedOut, None) => {
-                format!("producer world rank {server} did not answer")
-            }
-        })
-    }
-
     fn remote_read(&self, dset: ObjId, sel: &Selection) -> H5Result<Bytes> {
-        let filename = self.remote.lock().entry(dset)?.filename.clone();
-        if self.props.fetch_pipeline_for(&filename) {
-            let mut bufs = self.remote_read_pipelined(dset, std::slice::from_ref(sel))?;
-            return Ok(bufs.pop().expect("one buffer per selection"));
-        }
-        self.remote_read_serial(dset, sel)
+        let mut bufs = self.remote_read_multi(dset, std::slice::from_ref(sel))?;
+        Ok(bufs.pop().expect("one buffer per selection"))
     }
 
-    /// Read several selections of one remote dataset. With the pipeline
-    /// enabled all selections share one round of redirect queries and one
-    /// batched data fetch per producer; otherwise each is a serial read.
-    fn remote_read_multi(&self, dset: ObjId, sels: &[Selection]) -> H5Result<Vec<Bytes>> {
-        if sels.is_empty() {
-            return Ok(Vec::new());
-        }
-        let filename = self.remote.lock().entry(dset)?.filename.clone();
-        if self.props.fetch_pipeline_for(&filename) {
-            return self.remote_read_pipelined(dset, sels);
-        }
-        sels.iter().map(|s| self.remote_read_serial(dset, s)).collect()
-    }
-
-    /// The legacy one-blocking-RPC-at-a-time read path (Algorithm 3
-    /// exactly as written). Kept behind
-    /// [`LowFiveProps::set_fetch_pipeline`]`(…, false)` for A/B
-    /// comparison; the pipelined path must stay byte-identical to it.
-    fn remote_read_serial(&self, dset: ObjId, sel: &Selection) -> H5Result<Bytes> {
-        let (node, filename, path, producers) = self.remote_target(dset)?;
-        let (dtype, space) = self.remote.lock().hier.dataset_meta(node)?;
-        sel.validate(&space)?;
-        let es = dtype.size();
-        let mut out = ReadBuf::new((sel.npoints(&space) as usize) * es);
-        if out.is_empty() {
-            return Ok(Bytes::new());
-        }
-        let n = producers.len();
-        // The whole remote read is one query span; the redirect and fetch
-        // steps nest inside it, so the trace shows Algorithm 3's two round
-        // trips within each dataset read.
-        let _sp_query = obsv::span(obsv::Phase::Query);
-
-        // Step 1 (redirect): ask the producers responsible for the blocks
-        // of the common decomposition intersected by our bounding box
-        // which producers actually hold intersecting data.
-        let sp_redirect = obsv::span(obsv::Phase::Redirect);
-        let owners: Vec<usize> = {
-            let dims = effective_dims(&space);
-            let decomp = RegularDecomposer::new(&dims, n);
-            let bb = effective_bbox(sel, &space);
-            let mut owners = BTreeSet::new();
-            for gid in decomp.blocks_intersecting(&bb) {
-                let reply = self.call_producer(
-                    &filename,
-                    producers[gid],
-                    M_INTERSECT,
-                    &enc_intersect_req(&filename, &path, &bb),
-                )?;
-                let (gen, ranks) = dec_intersect_reply(&dec_result(&reply)?)?;
-                self.note_gen(&filename, producers[gid], gen);
-                for r in ranks {
-                    owners.insert(r as usize);
-                }
-            }
-            owners.into_iter().collect()
-        };
-        self.profile.lock().redirect_seconds += sp_redirect.finish();
-
-        // Step 2: fetch the data from each owner and scatter the segments
-        // straight into our packed read buffer.
-        let sp_fetch = obsv::span(obsv::Phase::Fetch);
-        let mut fetched = 0u64;
-        for p in owners {
-            let reply = self.call_producer(
-                &filename,
-                producers[p],
-                M_DATA,
-                &enc_data_req(&filename, &path, sel),
-            )?;
-            fetched += reply.len() as u64;
-            obsv::hist_record(obsv::Hist::BytesFetched, reply.len() as u64);
-            let dr = dec_data_reply(&self.decode_reply_body(&filename, &dec_result(&reply)?)?)?;
-            self.note_gen(&filename, producers[p], dr.gen);
-            let blob_len = dr.blob.len();
-            out.scatter(&mut PayloadReader::new(dr.blob.into()), &dr.segs, blob_len, es)?;
-        }
-        {
-            let mut p = self.profile.lock();
-            p.fetch_seconds += sp_fetch.finish();
-            p.bytes_fetched += fetched;
-        }
-        Ok(Bytes::from(out.finish()))
-    }
-
-    /// The pipelined read path: every selection's redirect queries fan
-    /// out concurrently (answers assembled as they land), then each
-    /// producer receives **one** `M_DATA_BATCH` frame carrying all
-    /// selections it owns and the replies scatter into the packed
-    /// buffers in completion order. Redirect results are cached per
-    /// `(file, dataset, bbox)`, so a repeat read goes straight to the
-    /// data fetch.
+    /// Read several selections of one remote dataset (Algorithm 3,
+    /// pipelined): every selection's redirect queries fan out
+    /// concurrently (answers assembled as they land), then each producer
+    /// receives **one** `M_DATA_BATCH` frame carrying all selections it
+    /// owns and the replies scatter into the packed buffers in completion
+    /// order. A single read is a batch of one. Redirect results are
+    /// cached per `(file, dataset, bbox)`, so a repeat read goes straight
+    /// to the data fetch.
     ///
     /// If any reply carries a generation differing from what its
     /// producer reported before, the cached lookups this read may have
     /// used were built against a stale snapshot; [`Self::note_gen`] has
     /// already dropped them, and one clean second pass re-resolves
     /// everything against the live state.
-    fn remote_read_pipelined(&self, dset: ObjId, sels: &[Selection]) -> H5Result<Vec<Bytes>> {
-        let (mut outs, stale) = self.remote_read_pipelined_once(dset, sels)?;
+    fn remote_read_multi(&self, dset: ObjId, sels: &[Selection]) -> H5Result<Vec<Bytes>> {
+        if sels.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (mut outs, stale) = self.remote_read_once(dset, sels)?;
         if stale {
-            outs = self.remote_read_pipelined_once(dset, sels)?.0;
+            outs = self.remote_read_once(dset, sels)?.0;
         }
         // Finished only once a pass is kept: a discarded pass neither
         // fills nor counts its gaps.
         Ok(outs.into_iter().map(|out| Bytes::from(out.finish())).collect())
     }
 
-    fn remote_read_pipelined_once(
-        &self,
-        dset: ObjId,
-        sels: &[Selection],
-    ) -> H5Result<(Vec<ReadBuf>, bool)> {
+    fn remote_read_once(&self, dset: ObjId, sels: &[Selection]) -> H5Result<(Vec<ReadBuf>, bool)> {
         let (node, filename, path, producers) = self.remote_target(dset)?;
         let (dtype, space) = self.remote.lock().hier.dataset_meta(node)?;
         let es = dtype.size();
@@ -1643,8 +1391,7 @@ impl DistMetadataVol {
         // Step 2 (fetch): group the selections by owning producer, one
         // batched frame each, all in flight at once.
         let sp_fetch = obsv::span(obsv::Phase::Fetch);
-        let mut per_prod: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
+        let mut per_prod: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, o) in owners.iter().enumerate() {
             for &p in o.as_ref().expect("owners resolved above") {
                 per_prod.entry(p).or_default().push(i);
@@ -1780,13 +1527,11 @@ impl Vol for DistMetadataVol {
 
     fn file_create(&self, name: &str) -> H5Result<ObjId> {
         // A recreated file is no longer safe to serve from old state.
-        if self.async_serve {
-            self.sessions.lock().completed.remove(name);
-            // A recycled step slot stops being serveable until the next
-            // publish re-announces it (metadata requests meanwhile park
-            // in pending_meta and are flushed by the slot's next close).
-            self.stream.lock().serveable.remove(name);
-        }
+        self.sessions.lock().completed.remove(name);
+        // A recycled step slot stops being serveable until the next
+        // publish re-announces it (metadata requests meanwhile park
+        // in pending_meta and are flushed by the slot's next close).
+        self.stream.lock().serveable.remove(name);
         self.meta.file_create(name)
     }
 

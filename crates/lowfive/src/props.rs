@@ -27,34 +27,6 @@ pub enum BackPressure {
     DropOldest,
 }
 
-/// Size of the producer-side serve worker pool (see
-/// [`LowFiveProps::set_serve_workers`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeWorkers {
-    /// Exactly this many worker threads; `Fixed(1)` (or `Fixed(0)`) is
-    /// the serial dispatcher-only loop — today's behavior.
-    Fixed(usize),
-    /// One worker per available core
-    /// (`std::thread::available_parallelism`), minimum 1.
-    Auto,
-    /// Serial serve loop (the default): equivalent to `Fixed(1)`.
-    #[default]
-    Serial,
-}
-
-impl ServeWorkers {
-    /// Resolve to a concrete worker count (>= 1).
-    pub fn resolve(self) -> usize {
-        match self {
-            ServeWorkers::Fixed(n) => n.max(1),
-            ServeWorkers::Auto => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-            }
-            ServeWorkers::Serial => 1,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Action {
     Memory(bool),
@@ -63,12 +35,9 @@ enum Action {
     MetadataBroadcast(bool),
     RpcTimeout(Option<Duration>),
     RpcRetries(u32),
-    FetchPipeline(bool),
     StreamQueueDepth(usize),
     StreamBackpressure(BackPressure),
     WireCodecPolicy(WireCodec),
-    ServeWorkersPolicy(ServeWorkers),
-    GatherCost(f64),
     Keep(bool),
 }
 
@@ -170,24 +139,6 @@ impl LowFiveProps {
         self
     }
 
-    /// Enable/disable the pipelined consumer fetch path for files
-    /// matching `file_pat` (default **on**).
-    ///
-    /// Pipelined reads fan redirect and data queries out to every
-    /// intersecting producer concurrently (one batched `M_DATA_BATCH`
-    /// frame per producer) and cache intersect results per
-    /// `(file, dataset, bbox)`; turning the knob off restores the
-    /// serial one-blocking-RPC-per-producer path, which is retained for
-    /// A/B comparison and debugging.
-    pub fn set_fetch_pipeline(&mut self, file_pat: &str, on: bool) -> &mut Self {
-        self.rules.push(Rule {
-            file_pat: file_pat.to_string(),
-            dset_pat: "*".to_string(),
-            action: Action::FetchPipeline(on),
-        });
-        self
-    }
-
     /// Bound the number of unretired steps a stream series matching
     /// `file_pat` retains (default **4**, minimum 1). Match against the
     /// *series* name, not the per-step slot filenames derived from it.
@@ -223,39 +174,6 @@ impl LowFiveProps {
             file_pat: file_pat.to_string(),
             dset_pat: "*".to_string(),
             action: Action::WireCodecPolicy(codec),
-        });
-        self
-    }
-
-    /// Size the serve engine's worker pool for files matching `file_pat`
-    /// (default [`ServeWorkers::Serial`]: the single-threaded dispatcher
-    /// loop, exactly the pre-pool behavior). With two or more workers,
-    /// data-plane requests (`M_INTERSECT`/`M_DATA`/`M_DATA_BATCH`) are
-    /// executed and replied from a bounded worker pool while control-plane
-    /// requests stay on the dispatcher; replies are matched by call id, so
-    /// consumers observe no semantic difference — only less queueing
-    /// behind other consumers' gather/encode time.
-    pub fn set_serve_workers(&mut self, file_pat: &str, workers: ServeWorkers) -> &mut Self {
-        self.rules.push(Rule {
-            file_pat: file_pat.to_string(),
-            dset_pat: "*".to_string(),
-            action: Action::ServeWorkersPolicy(workers),
-        });
-        self
-    }
-
-    /// Model the producer-side cost of gathering a deep-copy region as
-    /// `ns_per_byte` nanoseconds per gathered byte (default `0.0`: no
-    /// modeled cost). Like the interconnect [`simmpi::CostModel`], this
-    /// injects real sleeps so fan-in contention on the serve path shows up
-    /// in wall-clock measurements; the shallow zero-copy lend path never
-    /// pays it. Bench scenarios use it to emulate expensive gathers
-    /// (strided/compressed source layouts) on fast development hardware.
-    pub fn set_gather_cost(&mut self, file_pat: &str, ns_per_byte: f64) -> &mut Self {
-        self.rules.push(Rule {
-            file_pat: file_pat.to_string(),
-            dset_pat: "*".to_string(),
-            action: Action::GatherCost(ns_per_byte),
         });
         self
     }
@@ -306,32 +224,6 @@ impl LowFiveProps {
         on
     }
 
-    /// Effective serve worker-pool size for `file` (resolved to >= 1).
-    pub fn serve_workers_for(&self, file: &str) -> usize {
-        let mut policy = ServeWorkers::Serial;
-        for r in &self.rules {
-            if let Action::ServeWorkersPolicy(v) = r.action {
-                if glob_match(&r.file_pat, file) {
-                    policy = v;
-                }
-            }
-        }
-        policy.resolve()
-    }
-
-    /// Effective modeled gather cost for `file`, ns per deep-copied byte.
-    pub fn gather_cost_for(&self, file: &str) -> f64 {
-        let mut ns_per_byte = 0.0;
-        for r in &self.rules {
-            if let Action::GatherCost(v) = r.action {
-                if glob_match(&r.file_pat, file) {
-                    ns_per_byte = v;
-                }
-            }
-        }
-        ns_per_byte
-    }
-
     /// Effective wire-codec policy for `file`.
     pub fn wire_codec_for(&self, file: &str) -> WireCodec {
         let mut codec = WireCodec::Auto;
@@ -369,19 +261,6 @@ impl LowFiveProps {
             }
         }
         mode
-    }
-
-    /// Should remote reads of `file` use the pipelined fetch path?
-    pub fn fetch_pipeline_for(&self, file: &str) -> bool {
-        let mut on = true;
-        for r in &self.rules {
-            if let Action::FetchPipeline(v) = r.action {
-                if glob_match(&r.file_pat, file) {
-                    on = v;
-                }
-            }
-        }
-        on
     }
 
     /// Effective retry policy for consumer RPCs on `file`: `None` means
@@ -531,19 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_pipeline_defaults_on_and_is_pattern_scoped() {
-        let p = LowFiveProps::new();
-        assert!(p.fetch_pipeline_for("f.h5"));
-        let mut p = LowFiveProps::new();
-        p.set_fetch_pipeline("legacy/*", false);
-        assert!(!p.fetch_pipeline_for("legacy/step1.h5"));
-        assert!(p.fetch_pipeline_for("outputs/step1.h5"));
-        // Last matching rule wins.
-        p.set_fetch_pipeline("*", true);
-        assert!(p.fetch_pipeline_for("legacy/step1.h5"));
-    }
-
-    #[test]
     fn stream_knobs_default_and_pattern_scope() {
         let p = LowFiveProps::new();
         assert_eq!(p.stream_queue_depth_for("sim.h5"), 4);
@@ -574,37 +440,6 @@ mod tests {
         // Last matching rule wins.
         p.set_wire_codec("*", WireCodec::Rle);
         assert_eq!(p.wire_codec_for("grid/step1.h5"), WireCodec::Rle);
-    }
-
-    #[test]
-    fn serve_workers_default_serial_and_pattern_scoped() {
-        let p = LowFiveProps::new();
-        assert_eq!(p.serve_workers_for("f.h5"), 1);
-
-        let mut p = LowFiveProps::new();
-        p.set_serve_workers("grid/*", ServeWorkers::Fixed(4));
-        assert_eq!(p.serve_workers_for("grid/step1.h5"), 4);
-        assert_eq!(p.serve_workers_for("other.h5"), 1);
-        // Fixed(0) clamps to the serial loop; Auto resolves to >= 1.
-        p.set_serve_workers("grid/*", ServeWorkers::Fixed(0));
-        assert_eq!(p.serve_workers_for("grid/step1.h5"), 1);
-        p.set_serve_workers("grid/*", ServeWorkers::Auto);
-        assert!(p.serve_workers_for("grid/step1.h5") >= 1);
-        // Last matching rule wins.
-        p.set_serve_workers("*", ServeWorkers::Fixed(2));
-        assert_eq!(p.serve_workers_for("grid/step1.h5"), 2);
-    }
-
-    #[test]
-    fn gather_cost_defaults_to_zero_and_is_pattern_scoped() {
-        let p = LowFiveProps::new();
-        assert_eq!(p.gather_cost_for("f.h5"), 0.0);
-        let mut p = LowFiveProps::new();
-        p.set_gather_cost("deep/*", 12.5);
-        assert_eq!(p.gather_cost_for("deep/step1.h5"), 12.5);
-        assert_eq!(p.gather_cost_for("other.h5"), 0.0);
-        p.set_gather_cost("deep/*", 0.0);
-        assert_eq!(p.gather_cost_for("deep/step1.h5"), 0.0);
     }
 
     #[test]

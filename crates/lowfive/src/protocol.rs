@@ -1,21 +1,19 @@
 //! Wire protocol of the index–serve–query redistribution.
 //!
-//! Five RPC methods run between consumer ranks (clients) and producer
+//! Four RPC methods run between consumer ranks (clients) and producer
 //! ranks (servers) over the world communicator:
 //!
 //! * `M_METADATA` — fetch the serialized metadata tree of a file
 //!   (consumer `file_open`),
 //! * `M_INTERSECT` — the *redirect* query of Algorithm 3 step 1: which
 //!   producer ranks hold data intersecting this bounding box,
-//! * `M_DATA` — the data query of Algorithm 3 step 2: returns the
-//!   intersection of the producer's local regions with the consumer's
-//!   selection as contiguous segments, each tagged with its element offset
-//!   in the **consumer's** packed buffer, so the consumer applies a reply
-//!   with straight `memcpy`s,
-//! * `M_DATA_BATCH` — the pipelined form of `M_DATA`: one frame per
-//!   producer carrying **all** `(dataset, selection)` pairs the consumer
-//!   wants from that producer for one file, answered with one
-//!   [`DataReply`] per entry in a single reply,
+//! * `M_DATA_BATCH` — the data query of Algorithm 3 step 2: one frame
+//!   per producer carrying **all** `(dataset, selection)` pairs the
+//!   consumer wants from that producer for one file (a lone read is a
+//!   batch of one). Each entry is answered with the intersection of the
+//!   producer's local regions with the selection as contiguous segments,
+//!   each tagged with its element offset in the **consumer's** packed
+//!   buffer, so the consumer applies a reply with straight `memcpy`s,
 //! * `M_DONE` — consumer `file_close` notification; producers exit their
 //!   serve loop when every consumer has reported done.
 //!
@@ -41,7 +39,7 @@
 //!
 //! ## Codec prefix
 //!
-//! The ok body of every data-bearing reply (`M_DATA`, `M_DATA_BATCH`,
+//! The ok body of every data-bearing reply (`M_DATA_BATCH`,
 //! `M_STEP_NEXT`) is wrapped in a one-byte codec prefix: `[codec u8]`
 //! followed by the body, verbatim for [`CODEC_RAW`] or compressed for
 //! [`CODEC_RLE`] / [`CODEC_DELTA_RLE`]. Which codecs a sender may use
@@ -88,14 +86,14 @@ use simmpi::Payload;
 pub const M_METADATA: u32 = 1;
 /// Redirect query: which producer ranks hold data intersecting a bbox.
 pub const M_INTERSECT: u32 = 2;
-/// Data query: one selection, one [`DataReply`].
-pub const M_DATA: u32 = 3;
+// Method id 3 was the single-entry data query; it is retired, not
+// renumbered, and draws the unknown-method error.
 /// Consumer `file_close` notification (no reply expected).
 pub const M_DONE: u32 = 4;
-/// Producer-internal: ask the async serve loop to drain and exit.
+/// Producer-internal: ask the overlap-mode serve thread to drain and exit.
 pub const M_SHUTDOWN: u32 = 5;
-/// Batched data query: all of a consumer's selections for one producer
-/// in a single frame, answered in a single reply.
+/// Data query: all of a consumer's selections for one producer in a
+/// single frame, answered in a single reply.
 pub const M_DATA_BATCH: u32 = 6;
 /// Subscribe to a step series: returns the retained window bounds.
 pub const M_STEP_SUB: u32 = 7;
@@ -429,39 +427,13 @@ pub fn dec_intersect_req(b: &[u8]) -> H5Result<(String, String, BBox)> {
     Ok(out)
 }
 
-/// Encode a single data query (`M_DATA`): one selection of one dataset.
-///
-/// ```
-/// use lowfive::protocol::{enc_data_req, dec_data_req};
-/// use minih5::Selection;
-/// let sel = Selection::block(&[0, 0], &[2, 2]);
-/// let (f, d, s) = dec_data_req(&enc_data_req("f.h5", "grid", &sel)).unwrap();
-/// assert_eq!((f.as_str(), d.as_str()), ("f.h5", "grid"));
-/// assert_eq!(s, sel);
-/// ```
-pub fn enc_data_req(file: &str, dset: &str, sel: &Selection) -> Bytes {
-    let mut w = Writer::new();
-    w.put_str(file);
-    w.put_str(dset);
-    w.put(sel);
-    w.finish()
-}
-
-/// Decode a single data query into `(file, dataset path, selection)`.
-pub fn dec_data_req(b: &[u8]) -> H5Result<(String, String, Selection)> {
-    let mut r = Reader::new(b);
-    let out = (r.get_str()?, r.get_str()?, r.get()?);
-    expect_eof(&r)?;
-    Ok(out)
-}
-
-/// Encode a batched data query (`M_DATA_BATCH`): every `(dataset,
-/// selection)` pair the consumer wants from one producer for `file`.
+/// Encode a data query (`M_DATA_BATCH`): every `(dataset, selection)`
+/// pair the consumer wants from one producer for `file`.
 ///
 /// Each entry is answered independently — the reply carries one
 /// [`DataReply`] per entry, in entry order, with segment offsets relative
-/// to *that entry's* packed buffer (identical semantics to a lone
-/// `M_DATA` round-trip, which is what makes batching transparent).
+/// to *that entry's* packed buffer, so how selections are grouped into
+/// frames never changes the bytes a consumer assembles.
 ///
 /// ```
 /// use lowfive::protocol::{enc_data_req_batch, dec_data_req_batch};
@@ -486,7 +458,7 @@ pub fn enc_data_req_batch(file: &str, entries: &[(String, Selection)]) -> Bytes 
     w.finish()
 }
 
-/// Decode a batched data query. Rejects frames whose declared entry
+/// Decode a data query. Rejects frames whose declared entry
 /// count could not possibly fit in the remaining bytes, so a corrupt
 /// length prefix fails cleanly instead of ballooning an allocation.
 pub fn dec_data_req_batch(b: &[u8]) -> H5Result<(String, Vec<(String, Selection)>)> {
@@ -679,9 +651,9 @@ pub fn dec_intersect_reply(b: &[u8]) -> H5Result<(u64, Vec<u64>)> {
     Ok(out)
 }
 
-/// A data reply: `segs` are `(element offset in the consumer's packed
-/// buffer, element length)`, and `blob` is the concatenated payload in
-/// segment order.
+/// One entry of a data reply: `segs` are `(element offset in the
+/// consumer's packed buffer, element length)`, and `blob` is the
+/// concatenated payload in segment order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataReply {
     /// Generation of the served file at reply time.
@@ -691,32 +663,6 @@ pub struct DataReply {
     pub segs: Vec<(u64, u64)>,
     /// Concatenated segment payloads, in `segs` order.
     pub blob: Bytes,
-}
-
-/// Encode a single data reply (`M_DATA`).
-///
-/// ```
-/// use lowfive::protocol::{enc_data_reply, dec_data_reply};
-/// let segs = vec![(0u64, 3u64), (10, 2)];
-/// let blob = [1u8, 2, 3, 4, 5];
-/// let reply = dec_data_reply(&enc_data_reply(1, &segs, &blob)).unwrap();
-/// assert_eq!(reply.gen, 1);
-/// assert_eq!(reply.segs, segs);
-/// assert_eq!(&reply.blob[..], &blob[..]);
-/// ```
-pub fn enc_data_reply(gen: u64, segs: &[(u64, u64)], blob: &[u8]) -> Bytes {
-    let mut w = Writer::new();
-    put_data_reply(&mut w, gen, segs, blob);
-    w.finish()
-}
-
-/// Decode a single data reply. A corrupt segment count that cannot fit
-/// in the frame is rejected up front.
-pub fn dec_data_reply(b: &[u8]) -> H5Result<DataReply> {
-    let mut r = Reader::new(b);
-    let reply = get_data_reply(&mut r)?;
-    expect_eof(&r)?;
-    Ok(reply)
 }
 
 fn put_data_reply(w: &mut Writer, gen: u64, segs: &[(u64, u64)], blob: &[u8]) {
@@ -740,8 +686,8 @@ fn get_data_reply(r: &mut Reader) -> H5Result<DataReply> {
     Ok(DataReply { gen, segs, blob })
 }
 
-/// Encode a batched data reply (`M_DATA_BATCH`): one `(segs, blob)`
-/// body per request entry, concatenated in entry order. Every entry
+/// Encode a data reply (`M_DATA_BATCH`): one `(segs, blob)` body per
+/// request entry, concatenated in entry order. Every entry
 /// carries the serving file's generation.
 ///
 /// ```
@@ -767,7 +713,7 @@ pub fn enc_data_reply_batch(gen: u64, parts: &[(Vec<(u64, u64)>, Bytes)]) -> Byt
     w.finish()
 }
 
-/// Decode a batched data reply into one [`DataReply`] per entry.
+/// Decode a data reply into one [`DataReply`] per entry.
 /// Both the entry count and each entry's segment count are validated
 /// against the bytes actually present.
 pub fn dec_data_reply_batch(b: &[u8]) -> H5Result<Vec<DataReply>> {
@@ -794,9 +740,10 @@ pub fn dec_data_reply_batch(b: &[u8]) -> H5Result<Vec<DataReply>> {
 ///
 /// ```
 /// use bytes::Bytes;
-/// use lowfive::protocol::{dec_data_reply, enc_data_reply, ReplyFrame};
+/// use lowfive::protocol::{dec_data_reply_batch, enc_data_reply_batch, ReplyFrame};
 /// let region = Bytes::from(vec![1u8, 2, 3, 4, 5]);
 /// let mut f = ReplyFrame::new();
+/// f.put_u64(1); // one entry
 /// f.put_u64(1); // gen
 /// f.put_u64(1); // one segment
 /// f.put_u64(0); // off
@@ -804,8 +751,9 @@ pub fn dec_data_reply_batch(b: &[u8]) -> H5Result<Vec<DataReply>> {
 /// f.put_u64(3); // blob length prefix
 /// f.lend(region.slice(1..4)); // borrowed, not copied
 /// let flat = f.finish().into_bytes();
-/// assert_eq!(&flat[..], &enc_data_reply(1, &[(0, 3)], &[2, 3, 4])[..]);
-/// assert_eq!(&dec_data_reply(&flat).unwrap().blob[..], &[2, 3, 4]);
+/// let entry = (vec![(0, 3)], Bytes::from_static(&[2, 3, 4]));
+/// assert_eq!(&flat[..], &enc_data_reply_batch(1, &[entry])[..]);
+/// assert_eq!(&dec_data_reply_batch(&flat).unwrap()[0].blob[..], &[2, 3, 4]);
 /// ```
 #[derive(Default)]
 pub struct ReplyFrame {
@@ -1235,9 +1183,6 @@ mod tests {
         let (f, d, b2) = dec_intersect_req(&enc_intersect_req("f", "g/d", &bb)).unwrap();
         assert_eq!((f.as_str(), d.as_str()), ("f", "g/d"));
         assert_eq!(b2, bb);
-        let sel = Selection::block(&[0, 0], &[2, 2]);
-        let (_, _, s2) = dec_data_req(&enc_data_req("f", "d", &sel)).unwrap();
-        assert_eq!(s2, sel);
     }
 
     #[test]
@@ -1262,17 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn data_reply_roundtrip() {
-        let segs = vec![(0u64, 3u64), (10, 2)];
-        let blob = vec![1u8, 2, 3, 4, 5];
-        let enc = enc_data_reply(4, &segs, &blob);
-        let dec = dec_data_reply(&enc).unwrap();
-        assert_eq!(dec.gen, 4);
-        assert_eq!(dec.segs, segs);
-        assert_eq!(&dec.blob[..], &blob[..]);
-    }
-
-    #[test]
     fn index_bundle_roundtrip() {
         let entries = vec![
             ("f.h5".to_string(), "g/grid".to_string(), 1, BBox::new(vec![0], vec![5])),
@@ -1280,13 +1214,6 @@ mod tests {
         ];
         let back = dec_index_bundle(&enc_index_bundle(&entries)).unwrap();
         assert_eq!(back, entries);
-    }
-
-    #[test]
-    fn empty_data_reply() {
-        let dec = dec_data_reply(&enc_data_reply(0, &[], &[])).unwrap();
-        assert!(dec.segs.is_empty());
-        assert!(dec.blob.is_empty());
     }
 
     #[test]
@@ -1475,9 +1402,10 @@ mod tests {
         padded.extend_from_slice(&[1, 2, 3]);
         assert!(dec_step_next_reply(&padded).is_err());
 
-        let mut padded = enc_data_reply(1, &[(0, 1)], &[9]).to_vec();
+        let mut padded =
+            enc_data_reply_batch(1, &[(vec![(0, 1)], Bytes::from_static(&[9]))]).to_vec();
         padded.push(0);
-        assert!(dec_data_reply(&padded).is_err());
+        assert!(dec_data_reply_batch(&padded).is_err());
     }
 
     #[test]

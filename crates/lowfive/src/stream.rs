@@ -24,12 +24,16 @@
 //!   late joiner starts from the oldest step the window still retains
 //!   (`M_STEP_SUB` returns the window bounds).
 //!
-//! The control plane is three RPC methods served by the overlap-mode
-//! serve thread (`M_STEP_SUB`, `M_STEP_NEXT`, `M_STEP_ACK` — byte
-//! formats in [`crate::protocol`] and `docs/PROTOCOL.md`; lifecycle
-//! diagrams in `docs/STREAMING.md`). Streaming therefore **requires**
-//! overlap mode ([`crate::DistVolBuilder::async_serve`]): a producer
-//! blocked in a synchronous serve loop could never publish the next step.
+//! The control plane is three RPC methods of the serve loop
+//! (`M_STEP_SUB`, `M_STEP_NEXT`, `M_STEP_ACK` — byte formats in
+//! [`crate::protocol`] and `docs/PROTOCOL.md`; lifecycle diagrams in
+//! `docs/STREAMING.md`). Streaming **requires** overlap mode
+//! ([`crate::DistVolBuilder::async_serve`]): a producer that runs the
+//! loop on its own rank thread, inside `file_close`, could never publish
+//! the next step. There is one serve loop for both modes; a guard on
+//! these three arms answers a sync-mode producer's subscriber with a
+//! typed [`H5Error::Vol`], and [`StepPublisher::new`] refuses a sync-mode
+//! VOL up front.
 //!
 //! ## Ordering contract
 //!
@@ -220,7 +224,7 @@ impl SeriesState {
 pub(crate) struct StreamState {
     pub(crate) series: HashMap<String, SeriesState>,
     /// Slot files published at least once and not since recreated: the
-    /// async serve loop answers `M_METADATA` for these without a session
+    /// serve loop answers `M_METADATA` for these without a session
     /// (step files never enter the DONE-counted session map).
     pub(crate) serveable: HashSet<String>,
     /// Consumer side: series this rank has subscribed to.
@@ -587,7 +591,8 @@ impl StepSubscription {
 }
 
 // ---------------------------------------------------------------------
-// Serve-side handlers (run on the overlap-mode serve thread)
+// Serve-side handlers (run on the overlap-mode serve thread; the serve
+// loop's guard keeps a sync-mode producer from reaching them)
 // ---------------------------------------------------------------------
 
 /// Answer `M_STEP_SUB`: the series' retained window bounds, or

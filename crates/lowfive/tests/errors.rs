@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use lowfive::{DistVolBuilder, LowFiveProps, MetadataVol};
+use lowfive::{
+    DistVolBuilder, LowFiveProps, MetadataVol, StepPolicy, StepPublisher, StepSubscription,
+};
 use minih5::{Dataspace, Datatype, H5Error, Ownership, Selection, Vol, H5};
 use simmpi::{TaskComm, TaskSpec, TaskWorld};
 
@@ -152,6 +154,44 @@ fn open_of_unproduced_file_fails_fast() {
             f.close().unwrap();
         }
     });
+}
+
+/// Step streaming needs overlap mode, and both ends are told so with a
+/// typed error instead of a wait: `StepPublisher::new` refuses a sync-mode
+/// VOL up front, and a subscriber that reaches a sync-mode producer's
+/// serve loop gets `H5Error::Vol` from the first reply. (`NotFound` would
+/// mean "series not registered yet" to the subscriber, which polls on it
+/// — so a missing guard shows here as a hang, caught by the watchdog.)
+#[test]
+fn streaming_against_a_sync_mode_producer_fails_promptly() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let specs = [TaskSpec::new("p", 1), TaskSpec::new("c", 1)];
+        TaskWorld::run(&specs, |tc| {
+            let b = DistVolBuilder::new(tc.world.clone(), tc.local.clone());
+            if tc.task_id == 0 {
+                let vol = b.produce("sim.h5@s*", world_ranks(&tc, 1)).build();
+                let refused = StepPublisher::new(vol.clone(), "sim.h5").map(|_| ()).unwrap_err();
+                assert!(matches!(&refused, H5Error::Vol(m) if m.contains("overlap mode")));
+                // A sync-mode close runs the serve loop on this thread: the
+                // subscribe below is answered from inside it.
+                let f = H5::with_vol(vol as Arc<dyn Vol>).create_file("sim.h5@s0").unwrap();
+                f.close().unwrap();
+            } else {
+                let vol = b.consume("sim.h5@s*", world_ranks(&tc, 0)).build();
+                let err = StepSubscription::new(vol.clone(), "sim.h5", StepPolicy::EveryStep)
+                    .map(|_| ())
+                    .unwrap_err();
+                assert!(matches!(&err, H5Error::Vol(m) if m.contains("overlap mode")), "{err}");
+                // Release the producer: the file itself is served as usual.
+                let f = H5::with_vol(vol as Arc<dyn Vol>).open_file("sim.h5@s0").unwrap();
+                f.close().unwrap();
+            }
+        });
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("subscribe against a sync-mode producer hung (or a rank panicked)");
 }
 
 /// Oversized and undersized write buffers are rejected with

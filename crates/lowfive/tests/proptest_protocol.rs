@@ -37,7 +37,6 @@ fn frames() -> Vec<Frame> {
         ("metadata_req", enc_metadata_req("a.h5", CAP_ALL), |b| dec_metadata_req(b).is_ok()),
         ("codec_offer", enc_codec_offer("a.h5", CAP_RLE | CAP_RAW), |b| dec_codec_offer(b).is_ok()),
         ("intersect_req", enc_intersect_req("f.h5", "g/d", &bb), |b| dec_intersect_req(b).is_ok()),
-        ("data_req", enc_data_req("f.h5", "d", &sel), |b| dec_data_req(b).is_ok()),
         (
             "data_req_batch",
             enc_data_req_batch("f.h5", &[("d".into(), sel.clone()), ("e".into(), sel.clone())]),
@@ -48,9 +47,6 @@ fn frames() -> Vec<Frame> {
             dec_metadata_reply(b).is_ok()
         }),
         ("intersect_reply", enc_intersect_reply(3, &[1, 2, 5]), |b| dec_intersect_reply(b).is_ok()),
-        ("data_reply", enc_data_reply(4, &[(0, 3), (10, 2)], &[1, 2, 3, 4, 5]), |b| {
-            dec_data_reply(b).is_ok()
-        }),
         (
             "data_reply_batch",
             enc_data_reply_batch(4, &[(vec![(0, 2)], Bytes::from_static(&[9, 9]))]),

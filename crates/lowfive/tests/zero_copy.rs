@@ -5,16 +5,15 @@
 //! the file's generation so a consumer holding cached metadata/owner
 //! lookups can detect an in-place rewrite and refetch. These tests pin:
 //!
-//! - read → in-place rewrite → read returns the *new* bytes, on both the
-//!   pipelined (batched) and serial fetch paths;
+//! - read → in-place rewrite → read returns the *new* bytes;
 //! - a query box that intersects nothing served returns fill values
 //!   (canonical empty-bbox handling end to end), and every filled byte is
 //!   *counted* (`BytesZeroFilled`) — exactly the gap, and 0 on a covered
 //!   read;
 //! - random owner layouts with holes and overlaps × random hyperslab
-//!   reads agree byte for byte with a `vec![0; n]` + scatter oracle on
-//!   both fetch paths (the read buffer is no longer zero-initialised, so
-//!   the fill has to be put there on purpose);
+//!   reads agree byte for byte with an in-test `vec![0; n]` + scatter
+//!   oracle (the read buffer is not zero-initialised, so the fill has to
+//!   be put there on purpose);
 //! - a fully shallow producer serves a consumer with zero dataset-payload
 //!   memcpys (`BytesCopied == 0`), while the deep (copy) mode counts them;
 //! - a dropped zero-copy reply is retransmitted by the bounded RPC retry
@@ -38,30 +37,27 @@ fn world_ranks(tc: &TaskComm, task_id: usize) -> Vec<usize> {
 const N: u64 = 64;
 const HALF: u64 = N / 2;
 
-/// Shared body for the staleness regression: two producers write their
-/// halves, the consumer reads the whole dataset while *keeping the file
-/// open*, the producers rewrite their halves in place (same geometry,
-/// new values, generation bump), and the consumer's second read through
-/// the still-open handle must observe the new values.
+/// The staleness regression: two producers write their halves, the
+/// consumer reads the whole dataset while *keeping the file open*, the
+/// producers rewrite their halves in place (same geometry, new values,
+/// generation bump), and the consumer's second read through the
+/// still-open handle must observe the new values.
 ///
 /// World barriers order the phases; async serve keeps the producers'
 /// serve loop answering across the rewrite.
-fn rewrite_in_place(pipelined: bool) {
+#[test]
+fn in_place_rewrite_is_observed() {
     let specs = [TaskSpec::new("producer", 2), TaskSpec::new("consumer", 1)];
     TaskWorld::run(&specs, |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
-        let mut props = LowFiveProps::new();
-        props.set_fetch_pipeline("*", pipelined);
         let vol = if tc.task_id == 0 {
             DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
                 .produce("*", consumers.clone())
                 .async_serve(true)
                 .build()
         } else {
             DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
                 .consume("*", producers.clone())
                 .build()
         };
@@ -103,16 +99,6 @@ fn rewrite_in_place(pipelined: bool) {
             f.close().unwrap();
         }
     });
-}
-
-#[test]
-fn in_place_rewrite_is_observed_pipelined() {
-    rewrite_in_place(true);
-}
-
-#[test]
-fn in_place_rewrite_is_observed_serial() {
-    rewrite_in_place(false);
 }
 
 /// A consumer query box that intersects no written region: the redirect
@@ -283,7 +269,7 @@ fn dropped_reply_retry_keeps_lent_buffer_intact() {
 }
 
 // ---------------------------------------------------------------------
-// Fill oracle: holes, overlaps, hyperslabs, both fetch paths
+// Fill oracle: holes, overlaps, hyperslabs
 // ---------------------------------------------------------------------
 
 /// One written block of the 2-d dataset: who writes it, where, and how.
@@ -346,8 +332,8 @@ fn slab_coords((start, stride, count, block): (u64, u64, u64, u64)) -> Vec<u64> 
     (0..count).flat_map(|i| (0..block).map(move |j| start + i * stride + j)).collect()
 }
 
-/// The old read path, kept as the oracle: a zero-initialised packed
-/// buffer, every region scattered over it in write order.
+/// The oracle: a zero-initialised packed buffer, every region scattered
+/// over it in write order.
 fn oracle(l: &Layout) -> Vec<u8> {
     let (ys, xs) = (slab_coords(l.slab[0]), slab_coords(l.slab[1]));
     let mut out = vec![0u32; ys.len() * xs.len()];
@@ -364,15 +350,13 @@ fn oracle(l: &Layout) -> Vec<u8> {
 
 /// What the consumer reads through the transport, and how many bytes it
 /// reports as zero-filled.
-fn read_through_transport(l: &Layout, pipelined: bool) -> (Vec<u8>, u64) {
+fn read_through_transport(l: &Layout) -> (Vec<u8>, u64) {
     let reg = Registry::new();
     let specs = [TaskSpec::new("producer", l.producers), TaskSpec::new("consumer", 1)];
     let out = TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
-        let mut props = LowFiveProps::new();
-        props.set_fetch_pipeline("*", pipelined);
-        let builder = DistVolBuilder::new(tc.world.clone(), tc.local.clone()).props(props);
+        let builder = DistVolBuilder::new(tc.world.clone(), tc.local.clone());
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
             builder.produce("*", consumers).build()
         } else {
@@ -411,15 +395,13 @@ proptest! {
     /// Written cells arrive, unwritten cells are zero, and the zero-fill
     /// counter is exactly the unwritten bytes — whatever the owner layout
     /// (holes, overlaps, deep and shallow regions mixed in one dataset),
-    /// whatever the hyperslab, on both fetch paths.
+    /// whatever the hyperslab.
     #[test]
     fn holes_and_overlaps_match_the_zeroed_scatter_oracle(l in layout()) {
         let want = oracle(&l);
         let gaps = want.chunks(4).filter(|c| c.iter().all(|&b| b == 0)).count() as u64 * 4;
-        for pipelined in [true, false] {
-            let (got, filled) = read_through_transport(&l, pipelined);
-            prop_assert_eq!(&got, &want, "pipelined={}", pipelined);
-            prop_assert_eq!(filled, gaps, "pipelined={}: every filled byte is counted", pipelined);
-        }
+        let (got, filled) = read_through_transport(&l);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(filled, gaps, "every filled byte is counted");
     }
 }

@@ -242,13 +242,6 @@ pub enum Ctr {
     /// Data-reply body bytes *before* codec encoding — the raw size the
     /// wire would have carried without the codec layer.
     BytesPreCodec,
-    /// Data-plane requests (`M_INTERSECT`/`M_DATA`/`M_DATA_BATCH`)
-    /// executed and replied by serve-pool worker threads rather than the
-    /// dispatcher. Zero on the serial (`workers = 1`) path.
-    ServeWorkerJobs,
-    /// Nanoseconds serve-pool workers spent executing offloaded jobs
-    /// (sum over all workers; excludes time the job waited in the queue).
-    ServeWorkerBusyNs,
     /// Served files a producer dropped once their last expected consumer
     /// was done with them (tree, index entry, codec masks, generation).
     FilesRetired,
@@ -267,7 +260,7 @@ pub enum Ctr {
 }
 
 /// Number of [`Ctr`] variants (the fixed width of every counter array).
-pub const NUM_CTRS: usize = 42;
+pub const NUM_CTRS: usize = 40;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -308,8 +301,6 @@ impl Ctr {
         Ctr::StepsLagged,
         Ctr::BytesOnWire,
         Ctr::BytesPreCodec,
-        Ctr::ServeWorkerJobs,
-        Ctr::ServeWorkerBusyNs,
         Ctr::FilesRetired,
         Ctr::FilesKept,
         Ctr::BytesRetired,
@@ -355,8 +346,6 @@ impl Ctr {
             Ctr::StepsLagged => "steps_lagged",
             Ctr::BytesOnWire => "bytes_on_wire",
             Ctr::BytesPreCodec => "bytes_pre_codec",
-            Ctr::ServeWorkerJobs => "serve_worker_jobs",
-            Ctr::ServeWorkerBusyNs => "serve_worker_busy_ns",
             Ctr::FilesRetired => "files_retired",
             Ctr::FilesKept => "files_kept",
             Ctr::BytesRetired => "bytes_retired",
@@ -399,23 +388,15 @@ pub enum Hist {
     /// Wall time spent inside wire-codec encode and decode passes,
     /// nanoseconds (one sample per pass, both directions).
     CodecLatencyNs,
-    /// Depth of the concurrent serve engine's job queue, sampled at each
-    /// enqueue (including the job being enqueued). Always 1 when the
-    /// dispatcher executes inline (`workers = 1` never enqueues).
-    ServeQueueDepth,
-    /// Wall time executing one `M_INTERSECT` request, nanoseconds
-    /// (handler body only, queue wait excluded).
+    /// Wall time executing one `M_INTERSECT` request, nanoseconds.
     ServeIntersectNs,
-    /// Wall time executing one `M_DATA` request, nanoseconds
-    /// (gather + codec encode, queue wait excluded).
-    ServeDataNs,
     /// Wall time executing one `M_DATA_BATCH` request, nanoseconds
-    /// (all entries of the batch, queue wait excluded).
+    /// (gather + codec encode of all entries of the batch).
     ServeBatchNs,
 }
 
 /// Number of [`Hist`] variants (the fixed width of every histogram array).
-pub const NUM_HISTS: usize = 16;
+pub const NUM_HISTS: usize = 14;
 
 impl Hist {
     /// Every histogram, in declaration order.
@@ -432,9 +413,7 @@ impl Hist {
         Hist::CollLatencyNs,
         Hist::StepLatencyNs,
         Hist::CodecLatencyNs,
-        Hist::ServeQueueDepth,
         Hist::ServeIntersectNs,
-        Hist::ServeDataNs,
         Hist::ServeBatchNs,
     ];
 
@@ -453,9 +432,7 @@ impl Hist {
             Hist::CollLatencyNs => "coll_latency_ns",
             Hist::StepLatencyNs => "step_latency_ns",
             Hist::CodecLatencyNs => "codec_latency_ns",
-            Hist::ServeQueueDepth => "serve_queue_depth",
             Hist::ServeIntersectNs => "serve_intersect_ns",
-            Hist::ServeDataNs => "serve_data_ns",
             Hist::ServeBatchNs => "serve_batch_ns",
         }
     }

@@ -9,7 +9,10 @@
 //! retain-and-answer behaviour, in which case every file is still there
 //! and still readable, byte for byte. And because a close ends a
 //! consumer's view of a snapshot, one file *name* can carry a whole time
-//! series on the synchronous serve path.
+//! series on the synchronous serve path. Both modes run the same serve
+//! loop, so a rule pinned here for one (a file that is created but not
+//! closed is not served; a re-created kept file is served anew) holds for
+//! the other.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, Mutex};
@@ -197,17 +200,14 @@ fn keep_retains_every_file_and_rereads_are_exact() {
 #[test]
 fn one_file_name_carries_100_sync_steps() {
     const ROUNDS: u64 = 100;
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
+    let out = under_watchdog(30, "same-name exchange", || {
         let specs = [TaskSpec::new("producer", 2), TaskSpec::new("consumer", 2)];
-        let vols: Mutex<HashMap<usize, Arc<DistMetadataVol>>> = Mutex::default();
-        let out = TaskWorld::run(&specs, |tc| {
+        let vols = SharedVols::default();
+        TaskWorld::run(&specs, |tc| {
             let vol = build_vol(&tc, LowFiveProps::new(), false);
-            vols.lock().unwrap().insert(tc.world.rank(), vol.clone());
-            tc.world.barrier();
             // Consumer 1's home: it handles exactly one metadata request
             // per step, all from consumer 1.
-            let home_of_c1 = vols.lock().unwrap()[&tc.world_rank_of(0, 1)].clone();
+            let home_of_c1 = vols.publish_and_get(&tc, &vol, tc.world_rank_of(0, 1));
             let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
             for step in 0..ROUNDS {
                 if tc.task_id == 0 {
@@ -218,24 +218,180 @@ fn one_file_name_carries_100_sync_steps() {
                 let got = f.open_dataset("x").expect("dataset").read_all::<u64>();
                 assert_eq!(got.expect("read"), expected(step, 2 * ELEMS), "stamp of {step}");
                 if tc.local.rank() == 0 && step % 2 == 1 && step + 1 < ROUNDS {
-                    while home_of_c1.profile().metadata_requests < step + 2 {
-                        std::thread::yield_now();
-                    }
                     // The request is in: parked, if all is well. Were it
-                    // answered from snapshot t instead, this is the time
-                    // consumer 1 needs to read the stale stamps.
-                    std::thread::sleep(Duration::from_millis(2));
+                    // answered from snapshot t instead, the pause is the
+                    // time consumer 1 needs to read the stale stamps.
+                    wait_for_metadata_requests(&home_of_c1, step + 2);
                 }
                 f.close().expect("close");
             }
             (tc.task_id, vol.retained())
-        });
-        let _ = tx.send(out);
+        })
     });
-    let out = rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("same-name exchange wedged (or a rank panicked) within the 30 s watchdog");
     for (task, r) in out {
         assert_bounded(task, r);
     }
+}
+
+/// Run `body` on a thread of its own and fail if it has not returned
+/// within `secs`: a wedged exchange must fail the test, not hang it.
+fn under_watchdog<T: Send + 'static>(
+    secs: u64,
+    what: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what} wedged (or a rank panicked) within {secs} s"))
+}
+
+/// Ranks are threads of one process: every rank publishes its VOL here so
+/// that a consumer can wait on a *producer's* request counter — forcing
+/// an interleaving instead of hoping a sleep produces it.
+#[derive(Default)]
+struct SharedVols(Mutex<HashMap<usize, Arc<DistMetadataVol>>>);
+
+impl SharedVols {
+    /// Publish this rank's VOL, wait for every rank's, return `want`'s.
+    fn publish_and_get(
+        &self,
+        tc: &TaskComm,
+        vol: &Arc<DistMetadataVol>,
+        want: usize,
+    ) -> Arc<DistMetadataVol> {
+        self.0.lock().unwrap().insert(tc.world.rank(), vol.clone());
+        tc.world.barrier();
+        self.0.lock().unwrap()[&want].clone()
+    }
+}
+
+/// Block until `producer`'s serve loop has *received* `n` metadata
+/// requests (answered or parked), then give a request that was wrongly
+/// answered the time its sender needs to act on the answer.
+fn wait_for_metadata_requests(producer: &DistMetadataVol, n: u64) {
+    while producer.profile().metadata_requests < n {
+        std::thread::yield_now();
+    }
+    std::thread::sleep(Duration::from_millis(2));
+}
+
+/// 1 → 2, two files open at once on the producer: it creates and writes
+/// `a.h5` and `b.h5`, then closes `a`, then `b`; each consumer opens,
+/// reads and closes `a`, then `b`. Consumer 1 holds `a` open until the
+/// producer has received consumer 0's request for `b` — the third
+/// metadata request — i.e. while the session for `a` is still open and
+/// `b` exists only as an unclosed, unindexed tree. That request must park
+/// until `b`'s own session opens: answered early, consumer 0 reads
+/// zero-fill, and its DONE for `b` lands in no session. Returns, per
+/// rank, `b`'s values as read (consumers) and the serve sessions
+/// completed (producer), and the zero-filled bytes of the whole run.
+fn two_files_open(overlap: bool) -> (Vec<(usize, Vec<u64>, u64)>, u64) {
+    let reg = obsv::Registry::new();
+    let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 2)];
+    let vols = SharedVols::default();
+    let out = TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+        let vol = build_vol(&tc, LowFiveProps::new(), overlap);
+        let producer = vols.publish_and_get(&tc, &vol, tc.world_rank_of(0, 0));
+        let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
+        if tc.task_id == 0 {
+            let files: Vec<_> = [("a.h5", 1u64), ("b.h5", 2)]
+                .into_iter()
+                .map(|(name, step)| {
+                    let f = h5.create_file(name).expect("create");
+                    let d = f
+                        .create_dataset("x", Datatype::UInt64, Dataspace::simple(&[ELEMS]))
+                        .expect("dataset");
+                    d.write_selection(&Selection::all(), &expected(step, ELEMS)).expect("write");
+                    f
+                })
+                .collect();
+            for f in files {
+                f.close().expect("close: index, then serve or register");
+            }
+            vol.drain();
+            (tc.task_id, Vec::new(), vol.profile().serve_sessions)
+        } else {
+            let f = h5.open_file("a.h5").expect("open a");
+            let a = f.open_dataset("x").expect("dataset").read_all::<u64>().expect("read a");
+            assert_eq!(a, expected(1, ELEMS), "a.h5");
+            if tc.local.rank() == 1 {
+                wait_for_metadata_requests(&producer, 3);
+            }
+            f.close().expect("close a");
+            (tc.task_id, read_step(&h5, "b.h5").expect("b.h5"), 0)
+        }
+    });
+    (out.results, reg.report().counter(obsv::Ctr::BytesZeroFilled))
+}
+
+#[test]
+fn a_created_but_unclosed_file_is_not_served_in_either_mode() {
+    for overlap in [false, true] {
+        let (out, zero_filled) =
+            under_watchdog(10, "two-files-open exchange", move || two_files_open(overlap));
+        for (task, b, sessions) in out {
+            if task == 0 {
+                assert_eq!(sessions, 2, "overlap={overlap}: one session per closed file");
+            } else {
+                assert_eq!(b, expected(2, ELEMS), "overlap={overlap}: b.h5 as written");
+            }
+        }
+        assert_eq!(zero_filled, 0, "overlap={overlap}: no read ran against an unindexed file");
+    }
+}
+
+/// Sync mode keeps the `completed` set too, and `file_create` clears a
+/// name from it: a kept file is served, re-created under the same name
+/// and served again. While the re-created file is still open and empty,
+/// the producer serves another file to consumer 1, who holds that
+/// session open until consumer 0's second open of the kept name — the
+/// producer's third metadata request — has been received in it. That
+/// open must park for the new generation, not be answered from the
+/// half-made tree on the strength of the first generation having been
+/// kept.
+#[test]
+fn a_recreated_kept_file_is_served_anew_in_sync_mode() {
+    let out = under_watchdog(10, "keep / re-create exchange", || {
+        let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 2)];
+        let vols = SharedVols::default();
+        TaskWorld::run(&specs, |tc| {
+            let mut props = LowFiveProps::new();
+            props.set_keep("kept.h5", true);
+            let b = DistVolBuilder::new(tc.world.clone(), tc.local.clone()).props(props);
+            let vol = if tc.task_id == 0 {
+                b.produce("kept.h5", vec![tc.world_rank_of(1, 0)])
+                    .produce("other.h5", vec![tc.world_rank_of(1, 1)])
+                    .build()
+            } else {
+                b.consume("*", world_ranks(&tc, 0)).build()
+            };
+            let producer = vols.publish_and_get(&tc, &vol, tc.world_rank_of(0, 0));
+            let h5 = H5::with_vol(vol as Arc<dyn Vol>);
+            if tc.task_id == 0 {
+                write_step(&h5, &tc, "kept.h5", 1).expect("first generation");
+                let f = h5.create_file("kept.h5").expect("re-create");
+                let d = f
+                    .create_dataset("x", Datatype::UInt64, Dataspace::simple(&[ELEMS]))
+                    .expect("dataset");
+                write_step(&h5, &tc, "other.h5", 3).expect("served while kept.h5 is open");
+                d.write_selection(&Selection::all(), &expected(2, ELEMS)).expect("write");
+                drop(d);
+                f.close().expect("second generation");
+                Vec::new()
+            } else if tc.local.rank() == 0 {
+                ["first", "second"].map(|g| read_step(&h5, "kept.h5").expect(g)).to_vec()
+            } else {
+                let f = h5.open_file("other.h5").expect("open other");
+                let got = f.open_dataset("x").expect("dataset").read_all::<u64>().expect("read");
+                wait_for_metadata_requests(&producer, 3);
+                f.close().expect("close other");
+                vec![got]
+            }
+        })
+    });
+    assert_eq!(out[1], vec![expected(1, ELEMS), expected(2, ELEMS)], "consumer 0");
+    assert_eq!(out[2], vec![expected(3, ELEMS)], "consumer 1");
 }

@@ -161,29 +161,20 @@ proptest! {
 }
 
 /// Like [`run_scenario`], but every consumer reads *all* scenario queries
-/// in one shot. With `batched` the read is a single `read_bytes_multi`
-/// over the pipelined path (one `M_DATA_BATCH` frame per producer);
-/// without it the fetch pipeline is disabled and the queries run as N
-/// serial reads. Returns each consumer's concatenated bytes.
-fn run_scenario_multi(s: &Scenario, plan: Option<FaultPlan>, batched: bool) -> Vec<Vec<u8>> {
+/// in one `read_bytes_multi` (one `M_DATA_BATCH` frame per producer
+/// carrying several selections), under a benign fault plan. Returns each
+/// consumer's concatenated bytes.
+fn run_scenario_multi(s: &Scenario, plan: FaultPlan) -> Vec<Vec<u8>> {
     let specs = [TaskSpec::new("p", s.producers), TaskSpec::new("c", s.consumers)];
     let producers = s.producers;
     let s = s.clone();
     let body = move |tc: simmpi::TaskComm| {
         let producers: Vec<usize> = (0..s.producers).collect();
         let consumers: Vec<usize> = (s.producers..s.producers + s.consumers).collect();
-        let mut props = LowFiveProps::new();
-        props.set_fetch_pipeline("*", batched);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .produce("*", consumers)
-                .build()
+            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).produce("*", consumers).build()
         } else {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .consume("*", producers)
-                .build()
+            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).consume("*", producers).build()
         };
         let h5 = H5::with_vol(vol);
         let space = Dataspace::simple(&s.dims);
@@ -210,38 +201,38 @@ fn run_scenario_multi(s: &Scenario, plan: Option<FaultPlan>, batched: bool) -> V
             let d = f.open_dataset("x").unwrap();
             let sels: Vec<Selection> =
                 s.queries.iter().map(|(start, size)| Selection::block(start, size)).collect();
-            let bufs = if batched {
-                d.read_bytes_multi(&sels).unwrap()
-            } else {
-                sels.iter().map(|sel| d.read_bytes(sel).unwrap()).collect()
-            };
+            let bufs = d.read_bytes_multi(&sels).unwrap();
             f.close().unwrap();
             bufs.iter().flat_map(|b| b.iter().copied()).collect::<Vec<u8>>()
         }
     };
-    let results: Vec<Option<Vec<u8>>> = match plan {
-        None => TaskWorld::run(&specs, body).into_iter().map(Some).collect(),
-        Some(plan) => {
-            let out = TaskWorld::run_chaos(&specs, None, plan, body);
-            assert!(out.deaths.is_empty(), "benign plan killed ranks: {:?}", out.deaths);
-            out.results
-        }
-    };
-    results.into_iter().skip(producers).map(|r| r.expect("every rank finishes")).collect()
+    let out = TaskWorld::run_chaos(&specs, None, plan, body);
+    assert!(out.deaths.is_empty(), "benign plan killed ranks: {:?}", out.deaths);
+    out.results.into_iter().skip(producers).map(|r| r.expect("every rank finishes")).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, .. ProptestConfig::default() })]
 
-    /// One batched multi-selection read must return byte-identical data
-    /// to N serial reads, across the (geometry × fault seed) product —
-    /// batching and overlap are pure transport optimizations.
+    /// One batched multi-selection read must return, for every
+    /// selection, the position-encoded values of exactly the cells it
+    /// names — computed here from the selection's runs — across the
+    /// (geometry × fault seed) product: batching and overlap are pure
+    /// transport optimizations.
     #[test]
-    fn batched_read_matches_serial_reads(s in scenario(), seed in any::<u64>()) {
-        let plan = || FaultPlan::new(seed).delay(0.3, Duration::from_micros(300)).reorder(0.4);
-        let serial = run_scenario_multi(&s, Some(plan()), false);
-        let batched = run_scenario_multi(&s, Some(plan()), true);
-        prop_assert_eq!(serial, batched, "fault seed {:#x}: batched != serial", seed);
+    fn batched_read_matches_ground_truth(s in scenario(), seed in any::<u64>()) {
+        let plan = FaultPlan::new(seed).delay(0.3, Duration::from_micros(300)).reorder(0.4);
+        let space = Dataspace::simple(&s.dims);
+        let want: Vec<u8> = s
+            .queries
+            .iter()
+            .flat_map(|(start, size)| Selection::block(start, size).runs(&space))
+            .flat_map(|r| r.offset..r.offset + r.len)
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        for (c, got) in run_scenario_multi(&s, plan).iter().enumerate() {
+            prop_assert_eq!(got, &want, "fault seed {:#x}: consumer {}", seed, c);
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Chaos tests for the step-streaming layer (`lowfive::stream`).
 //!
-//! Two liveness properties the bounded step window must keep under
+//! Three liveness properties the bounded step window must keep under
 //! seeded fault injection:
 //!
 //! 1. **A dead consumer must not wedge the producer.** Under
@@ -9,7 +9,13 @@
 //!    publish everything, time out its bounded drain, and exit — with the
 //!    streaming counters exact (no ack ever arrives, so eviction accounts
 //!    for every step beyond the queue depth).
-//! 2. **A dropped step announce is survivable.** The subscribe /
+//! 2. **A consumer killed mid-stream is contained.** With a second,
+//!    surviving `EveryStep` consumer beside it, the kill — landing after
+//!    the victim's subscribe and first slot reads, its requests possibly
+//!    still queued at the producer — must neither corrupt nor reorder
+//!    what the survivor receives, and the producer still exits through
+//!    its `finish` grace.
+//! 3. **A dropped step announce is survivable.** The subscribe /
 //!    next-step / ack control plane is idempotent polling, so with a
 //!    retry policy armed (`set_rpc_timeout` / `set_rpc_retries`) a
 //!    consumer whose request or reply vanished resends it and the
@@ -32,6 +38,21 @@ fn stream_props(mode: BackPressure) -> LowFiveProps {
     props
 }
 
+/// Write, close and publish `steps` slot files of `elems` cells each
+/// (every cell holds the step number), pausing `pause` after each.
+fn publish_steps(h5: &H5, publisher: &StepPublisher, steps: u64, elems: u64, pause: Duration) {
+    for n in 0..steps {
+        let f = h5.create_file(&publisher.step_file()).expect("create slot");
+        let d =
+            f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&[elems])).expect("dataset");
+        d.write_selection(&Selection::block(&[0], &[elems]), &vec![n; elems as usize])
+            .expect("write");
+        f.close().expect("close slot");
+        publisher.publish().expect("publish");
+        std::thread::sleep(pause);
+    }
+}
+
 #[test]
 fn killed_consumer_does_not_wedge_the_producer() {
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
@@ -49,15 +70,8 @@ fn killed_consumer_does_not_wedge_the_producer() {
                 .build();
             let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
             let publisher = StepPublisher::new(vol.clone(), "sim.h5").expect("publisher");
-            for n in 0..6u64 {
-                let f = h5.create_file(&publisher.step_file()).expect("create slot");
-                let d = f
-                    .create_dataset("x", Datatype::UInt64, Dataspace::simple(&[4]))
-                    .expect("dataset");
-                d.write_selection(&Selection::block(&[0], &[4]), &[n; 4]).expect("write");
-                f.close().expect("close slot");
-                publisher.publish().expect("DropOldest publish never blocks");
-            }
+            // DropOldest: `publish` never blocks on the dead consumer.
+            publish_steps(&h5, &publisher, 6, 4, Duration::ZERO);
             // The dead consumer never acks: the bounded drain must time
             // out cleanly rather than hang.
             let drained = publisher.finish(Some(Duration::from_millis(50)));
@@ -94,6 +108,67 @@ fn killed_consumer_does_not_wedge_the_producer() {
 }
 
 #[test]
+fn consumer_killed_mid_stream_leaves_the_survivor_in_order() {
+    let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 2)];
+    // Send 8 of consumer world rank 2 lands mid-stream: after its
+    // subscribe and first slot reads.
+    let plan = FaultPlan::new(0xC0_FFEE).kill_rank(2, 8);
+    let t0 = std::time::Instant::now();
+    let out = TaskWorld::run_chaos(&specs, None, plan, move |tc| -> (Vec<u64>, bool) {
+        let mut props = stream_props(BackPressure::DropOldest);
+        props.set_zerocopy("*", "*", false);
+        if tc.task_id == 0 {
+            let vol = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
+                .props(props)
+                .produce("sim.h5@s*", vec![1, 2])
+                .async_serve(true)
+                .build();
+            let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
+            let publisher = StepPublisher::new(vol.clone(), "sim.h5").expect("publisher");
+            // A moment per step, so the survivor sees most of the series
+            // even at depth 2.
+            publish_steps(&h5, &publisher, 6, 512, Duration::from_millis(5));
+            // The victim never acks its outstanding steps: the bounded
+            // drain must time out cleanly.
+            let drained = publisher.finish(Some(Duration::from_millis(100)));
+            vol.drain();
+            (Vec::new(), drained)
+        } else {
+            let vol = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
+                .props(props)
+                .consume("sim.h5@s*", vec![0])
+                .build();
+            let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
+            let mut sub =
+                StepSubscription::new(vol, "sim.h5", StepPolicy::EveryStep).expect("subscribe");
+            let mut seen = Vec::new();
+            while let Some(step) = sub.next_step().expect("next step") {
+                let f = h5.open_file(&step.file).expect("open step");
+                let got = f.open_dataset("x").expect("dataset").read_all::<u64>().expect("read");
+                f.close().expect("close step");
+                if !sub.is_torn(&step) {
+                    assert_eq!(got, vec![step.seq; 512], "step {} payload", step.seq);
+                    seen.push(step.seq);
+                }
+            }
+            (seen, true)
+        }
+    });
+    assert!(t0.elapsed() < Duration::from_secs(30), "took {:?} — wedged?", t0.elapsed());
+    assert_eq!(out.deaths.len(), 1, "exactly one injected death: {:?}", out.deaths);
+    assert_eq!(out.deaths[0].rank, 2, "the kill must land on the victim");
+    assert!(out.deaths[0].injected);
+    assert_eq!(out.trace.len(), 1);
+    assert_eq!(out.trace[0].kind, FaultKind::Killed);
+    assert!(out.results[2].is_none(), "the victim never returns");
+    let (_, drained) = out.results[0].clone().expect("producer finished");
+    assert!(!drained, "the producer must exit through its drain timeout");
+    let (seen, _) = out.results[1].clone().expect("survivor finished");
+    assert!(!seen.is_empty(), "the surviving consumer must keep receiving steps");
+    assert!(seen.windows(2).all(|w| w[0] < w[1]), "in order, no duplicates: {seen:?}");
+}
+
+#[test]
 fn dropped_step_announce_recovers_via_retry() {
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
     // Probability 1: the first message on every flow vanishes — the SUB
@@ -109,15 +184,7 @@ fn dropped_step_announce_recovers_via_retry() {
                 .build();
             let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
             let publisher = StepPublisher::new(vol.clone(), "sim.h5").expect("publisher");
-            for n in 0..4u64 {
-                let f = h5.create_file(&publisher.step_file()).expect("create slot");
-                let d = f
-                    .create_dataset("x", Datatype::UInt64, Dataspace::simple(&[4]))
-                    .expect("dataset");
-                d.write_selection(&Selection::block(&[0], &[4]), &[n; 4]).expect("write");
-                f.close().expect("close slot");
-                publisher.publish().expect("publish");
-            }
+            publish_steps(&h5, &publisher, 4, 4, Duration::ZERO);
             assert!(
                 publisher.finish(Some(Duration::from_secs(30))),
                 "Block mode must drain fully once the retries get through"

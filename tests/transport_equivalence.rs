@@ -10,7 +10,7 @@ use baselines::bredala::{self, Field};
 use baselines::dataspaces::{run_server, DsClient, DsConfig};
 use baselines::puempi;
 use bench::workload::Workload;
-use lowfive::{DistVolBuilder, LowFiveProps};
+use lowfive::DistVolBuilder;
 use minih5::{BBox, Dataspace, Datatype, Ownership, Selection, Vol, H5};
 use simmpi::{TaskComm, TaskSpec, TaskWorld};
 
@@ -92,90 +92,64 @@ fn lowfive_memory_delivers_expected_bytes() {
     });
 }
 
-/// The pipelined fetch path (`set_fetch_pipeline`, default on) must be
-/// byte-identical to the serial one-RPC-at-a-time path it replaces, for
-/// single reads, repeated reads (cache hits), and multi-selection batched
-/// reads whose batches span several producers.
+/// Every shape of remote read must deliver the position-encoded ground
+/// truth, computed here from the selection alone: a full single read
+/// (fans out to every producer), the same read repeated (redirect cache
+/// hit), and a multi-selection read whose batch frames span several
+/// producers.
 #[test]
-fn pipelined_fetch_is_byte_identical_to_serial() {
+fn single_repeated_and_batched_reads_match_ground_truth() {
     let w = workload();
-    let mut per_mode: Vec<Vec<Vec<u8>>> = Vec::new();
-    for pipeline in [false, true] {
-        let collected = Arc::new(std::sync::Mutex::new(vec![Vec::new(); w.consumers]));
-        let sink = collected.clone();
-        let specs = [TaskSpec::new("p", w.producers), TaskSpec::new("c", w.consumers)];
-        TaskWorld::run(&specs, move |tc| {
-            let producers = world_ranks(&tc, 0);
-            let consumers = world_ranks(&tc, 1);
-            let mut props = LowFiveProps::new();
-            props.set_fetch_pipeline("*", pipeline);
-            let vol: Arc<dyn Vol> = if tc.task_id == 0 {
-                DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                    .props(props)
-                    .produce("*", consumers)
-                    .build()
-            } else {
-                DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                    .props(props)
-                    .consume("*", producers)
-                    .build()
-            };
-            let h5 = H5::with_vol(vol);
-            if tc.task_id == 0 {
-                let p = tc.local.rank();
-                let f = h5.create_file("ab.h5").unwrap();
-                let dg = f
-                    .create_dataset("grid", Datatype::UInt64, Dataspace::simple(&w.grid_dims()))
-                    .unwrap();
-                dg.write_bytes(
-                    &w.producer_grid_sel(p),
-                    grid_bytes(&w, &w.producer_grid_box(p)).into(),
-                    Ownership::Shallow,
-                )
+    let specs = [TaskSpec::new("p", w.producers), TaskSpec::new("c", w.consumers)];
+    TaskWorld::run(&specs, move |tc| {
+        let producers = world_ranks(&tc, 0);
+        let consumers = world_ranks(&tc, 1);
+        let vol: Arc<dyn Vol> = if tc.task_id == 0 {
+            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).produce("*", consumers).build()
+        } else {
+            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).consume("*", producers).build()
+        };
+        let h5 = H5::with_vol(vol);
+        if tc.task_id == 0 {
+            let p = tc.local.rank();
+            let f = h5.create_file("ab.h5").unwrap();
+            let dg = f
+                .create_dataset("grid", Datatype::UInt64, Dataspace::simple(&w.grid_dims()))
                 .unwrap();
-                f.close().unwrap();
-            } else {
-                let c = tc.local.rank();
-                let f = h5.open_file("ab.h5").unwrap();
-                let d = f.open_dataset("grid").unwrap();
-                let mut bytes = Vec::new();
-                // A full single read (fans out to every producer)...
-                let full = w.consumer_grid_sel(c);
-                bytes.extend_from_slice(&d.read_bytes(&full).unwrap());
-                // ...a repeat of the same read (a cache hit when
-                // pipelined)...
-                bytes.extend_from_slice(&d.read_bytes(&full).unwrap());
-                // ...and a multi-read of x-chunks of the consumer slab,
-                // each chunk touching a different producer subset, so one
-                // batch frame per producer carries several selections.
-                let bb = w.consumer_grid_box(c);
-                let sels: Vec<Selection> = (0..3)
-                    .map(|i| {
-                        let x0 = bb.hi[0] * i / 3;
-                        let x1 = bb.hi[0] * (i + 1) / 3;
-                        let mut chunk = bb.clone();
-                        chunk.lo[0] = x0;
-                        chunk.hi[0] = x1;
-                        chunk.to_selection()
-                    })
-                    .collect();
-                for buf in d.read_bytes_multi(&sels).unwrap() {
-                    bytes.extend_from_slice(&buf);
-                }
-                f.close().unwrap();
-                sink.lock().unwrap()[c] = bytes;
+            dg.write_bytes(
+                &w.producer_grid_sel(p),
+                grid_bytes(&w, &w.producer_grid_box(p)).into(),
+                Ownership::Shallow,
+            )
+            .unwrap();
+            f.close().unwrap();
+        } else {
+            let c = tc.local.rank();
+            let f = h5.open_file("ab.h5").unwrap();
+            let d = f.open_dataset("grid").unwrap();
+            let full = w.consumer_grid_sel(c);
+            let want = expected_grid(&w, c);
+            assert_eq!(&d.read_bytes(&full).unwrap()[..], &want[..], "consumer {c}: single read");
+            assert_eq!(&d.read_bytes(&full).unwrap()[..], &want[..], "consumer {c}: cache hit");
+            // x-chunks of the consumer slab, each touching a different
+            // producer subset, so one batch frame per producer carries
+            // several selections.
+            let bb = w.consumer_grid_box(c);
+            let chunks: Vec<BBox> = (0..3)
+                .map(|i| {
+                    let mut chunk = bb.clone();
+                    chunk.lo[0] = bb.hi[0] * i / 3;
+                    chunk.hi[0] = bb.hi[0] * (i + 1) / 3;
+                    chunk
+                })
+                .collect();
+            let sels: Vec<Selection> = chunks.iter().map(BBox::to_selection).collect();
+            for (i, buf) in d.read_bytes_multi(&sels).unwrap().iter().enumerate() {
+                assert_eq!(&buf[..], &grid_bytes(&w, &chunks[i])[..], "consumer {c}: chunk {i}");
             }
-        });
-        let bytes = collected.lock().unwrap().clone();
-        per_mode.push(bytes);
-    }
-    assert_eq!(per_mode[0], per_mode[1], "pipelined reads must be byte-identical to serial");
-    // And both must match the position-encoded ground truth for the full
-    // selection (the first read of each consumer's transcript).
-    for (c, got) in per_mode[1].iter().enumerate() {
-        let want = expected_grid(&w, c);
-        assert_eq!(&got[..want.len()], &want[..], "consumer {c} ground truth");
-    }
+            f.close().unwrap();
+        }
+    });
 }
 
 /// A temp dir that is unique per invocation (two concurrent `cargo test`
