@@ -18,9 +18,13 @@
 //!
 //! Lifecycle on the consumer side: `file_open` fetches the serialized
 //! metadata tree from a producer rank; `dataset_read` runs **query**
-//! (Algorithm 3 — redirect via the common decomposition, then fetch data
-//! from the owning producers); `file_close` notifies the producers and
-//! drops everything this rank imported or cached for the file.
+//! (Algorithm 3). Its redirect rides on the data query: the producers
+//! owning the selection's common-decomposition blocks send what they hold
+//! *and* report, from their index, who holds the rest, which a second
+//! round fetches only when the data's decomposition is misaligned with
+//! the common one. Owners are cached, so a repeat read is one round.
+//! `file_close` notifies every producer at once and drops everything
+//! this rank imported or cached for the file.
 //!
 //! Fan-in and fan-out are expressed as [`Link`]s: a task may produce some
 //! file patterns and consume others, with any number of peer tasks.
@@ -126,7 +130,8 @@ pub struct TransportProfile {
     pub serve_sessions: u64,
     /// `M_METADATA` requests answered.
     pub metadata_requests: u64,
-    /// `M_INTERSECT` (redirect) requests answered.
+    /// Owner lookups answered (the redirect of Algorithm 3): one per
+    /// `M_DATA_BATCH` entry, since every entry's reply carries its owners.
     pub intersect_requests: u64,
     /// Data query entries answered: one per `(dataset, selection)` entry
     /// of every `M_DATA_BATCH`.
@@ -135,9 +140,10 @@ pub struct TransportProfile {
     pub bytes_served: u64,
     /// Consumer: seconds blocked in remote file opens.
     pub open_seconds: f64,
-    /// Consumer: seconds in redirect queries (Algorithm 3 step 1).
+    /// Consumer: seconds routing queries — owner-cache lookups and the
+    /// common-decomposition targets of uncached selections.
     pub redirect_seconds: f64,
-    /// Consumer: seconds fetching and scattering data (step 2).
+    /// Consumer: seconds in the data rounds, scatter included.
     pub fetch_seconds: f64,
     /// Payload bytes received in data replies.
     pub bytes_fetched: u64,
@@ -186,6 +192,21 @@ struct FileIndex {
     boxes: HashMap<String, Vec<(BBox, usize)>>,
 }
 
+impl FileIndex {
+    /// The ranks whose boxes of `dset` intersect `qbb` (with no `qbb`,
+    /// every rank listed for `dset`), each once, in first-hit order.
+    fn owners(&self, dset: &str, qbb: Option<&BBox>) -> Vec<usize> {
+        let mut seen = HashSet::new();
+        self.boxes
+            .get(dset)
+            .into_iter()
+            .flatten()
+            .filter(|(bb, rank)| qbb.is_none_or(|q| bb.intersects(q)) && seen.insert(*rank))
+            .map(|&(_, rank)| rank)
+            .collect()
+    }
+}
+
 /// Per-file state a rank currently holds, as counted by
 /// [`DistMetadataVol::retained`]. With `keep` off every field stays
 /// O(files open or being served), however many files came before.
@@ -207,7 +228,7 @@ pub struct Retained {
 }
 
 /// The serve path's hot counters: the request/byte tallies every
-/// `M_METADATA`/`M_INTERSECT`/`M_DATA_BATCH` handler bumps. Relaxed
+/// `M_METADATA`/`M_DATA_BATCH` handler bumps. Relaxed
 /// atomics, so a handler never takes the `TransportProfile` mutex (the
 /// cold per-phase seconds stay there) and [`DistMetadataVol::profile`]
 /// can be polled from another thread while the loop runs.
@@ -220,18 +241,18 @@ struct HotCounters {
 }
 
 /// Consumer-side cache of remote lookups, so repeated reads of the same
-/// region skip the metadata and redirect round-trips entirely. Every
+/// region skip the metadata round trip and the redirect. Every
 /// entry for a file is dropped at `file_close`, so reopening a (possibly
 /// rewritten) snapshot always refetches.
 #[derive(Default)]
 struct FetchCache {
     /// filename → serialized metadata tree fetched at `consumer_open`.
     meta: HashMap<String, FileMeta>,
-    /// `file → dataset path → query bbox →` producer-local indices that
-    /// answered the redirect query with intersecting data.
+    /// `file → dataset path → query bbox →` producer-local indices the
+    /// block owners reported as holding data inside the box.
     owners: HashMap<String, HashMap<String, HashMap<BBox, Vec<usize>>>>,
     /// `file → producer world rank →` the generation that producer last
-    /// reported for the file. Every reply (metadata, redirect, data)
+    /// reported for the file. Every reply (metadata, data)
     /// carries the serving file's live generation; when a producer
     /// reports one that differs from what it reported before, the file
     /// was rewritten in place and every cached lookup for it is dropped
@@ -273,7 +294,7 @@ pub struct DistMetadataVol {
     /// ahead and open snapshot *t+1* while we still serve *t*). Answered
     /// when the file's serve session opens.
     pending_meta: Mutex<Vec<(Caller, String, u64)>>,
-    /// Consumer-side cache of metadata and redirect results (see
+    /// Consumer-side cache of metadata and owner lists (see
     /// [`FetchCache`]).
     fetch_cache: Mutex<FetchCache>,
     /// Producer-side negotiated codec masks, `file → consumer world
@@ -652,15 +673,18 @@ impl DistMetadataVol {
             }
         }
         self.serve_index.lock().insert(filename.to_string(), Arc::new(next));
-        // The all-to-all alone is not a barrier: a rank can complete it
-        // (everyone has *sent*) while a peer has yet to fold the received
-        // bundles into its serve index. Anything that makes the file
-        // visible after this returns — an overlap-mode step announce, the
-        // metadata reply that unblocks a consumer's open — must imply
-        // that *every* producer rank can already answer `M_INTERSECT`
-        // for it, or a consumer races the laggard and reads an empty
-        // owner set (silently zero-filled data).
-        self.local.barrier();
+        // Once the file is visible, *every* producer rank must answer data
+        // queries for it from its published index, or a consumer reads an
+        // empty owner set (silently zero-filled). In overlap mode a serve
+        // thread answers beside this call, so the ranks need a barrier.
+        // In sync mode they do not: the serve loop runs on this thread
+        // only after `index()` returns, so a query queued here is read
+        // after this rank's publish; and the consumer first sees the file
+        // in the home rank's metadata reply, sent after its all-to-all,
+        // which completes nowhere before every rank is inside `index()`.
+        if self.async_serve {
+            self.local.barrier();
+        }
         let mut p = self.profile.lock();
         p.index_seconds += sp.finish();
         p.index_boxes += nboxes;
@@ -789,7 +813,6 @@ impl DistMetadataVol {
                 }
                 ServeOutcome::Continue
             }
-            M_INTERSECT => ServeOutcome::Reply(self.serve_intersect(&args)),
             M_DATA_BATCH => ServeOutcome::ReplyParts(self.serve_data_batch(&args, caller.rank)),
             M_DONE => {
                 let file = dec_done_req(&args).unwrap_or_default();
@@ -859,7 +882,9 @@ impl DistMetadataVol {
 
     /// Algorithm 2 lines 9-14: stream the intersection of the local data
     /// regions with the consumer's selection, as contiguous segments
-    /// addressed in the consumer's packed buffer.
+    /// addressed in the consumer's packed buffer. `held` is the dataset's
+    /// type and space; a rank that does not hold the dataset answers an
+    /// empty body.
     ///
     /// Zero-copy: shallow regions are *lent* into the frame as refcounted
     /// sub-slices of the region allocation — no dataset byte is copied on
@@ -873,24 +898,25 @@ impl DistMetadataVol {
         file: &str,
         dset: &str,
         sel: &Selection,
+        held: Option<&(Datatype, Dataspace)>,
     ) -> H5Result<()> {
-        let (dtype, space) = self.meta.dataset_meta_by_path(file, dset)?;
-        sel.validate(&space)?;
-        let es = dtype.size();
-        let sel_runs = sel.runs(&space);
         // The segment table precedes the blob on the wire, so the runs
         // are resolved first and the slices lent after the header.
         let mut segs: Vec<(u64, u64)> = Vec::new();
         let mut slices: Vec<(Bytes, Ownership)> = Vec::new();
         let mut blob_len = 0u64;
-        for region in self.meta.dataset_regions(file, dset)? {
-            let reg_runs = region.selection.runs(&space);
-            for ov in overlap_runs(&reg_runs, &sel_runs) {
-                segs.push((ov.b_off, ov.len));
-                let s = (ov.a_off as usize) * es;
-                let nb = (ov.len as usize) * es;
-                slices.push((region.data.slice(s..s + nb), region.ownership));
-                blob_len += nb as u64;
+        if let Some((dtype, space)) = held {
+            let es = dtype.size();
+            let sel_runs = sel.runs(space);
+            for region in self.meta.dataset_regions(file, dset)? {
+                let reg_runs = region.selection.runs(space);
+                for ov in overlap_runs(&reg_runs, &sel_runs) {
+                    segs.push((ov.b_off, ov.len));
+                    let s = (ov.a_off as usize) * es;
+                    let nb = (ov.len as usize) * es;
+                    slices.push((region.data.slice(s..s + nb), region.ownership));
+                    blob_len += nb as u64;
+                }
             }
         }
         frame.put_u64(gen);
@@ -930,48 +956,43 @@ impl DistMetadataVol {
         Ok(())
     }
 
-    /// Answer an `M_INTERSECT` redirect query: which producer-local ranks
-    /// indexed data of `(file, dset)` intersecting the query box.
-    fn serve_intersect(&self, args: &Bytes) -> Bytes {
-        let t0 = obsv::clock::now_ns();
-        self.hot.intersect_requests.fetch_add(1, Ordering::Relaxed);
-        let reply = dec_intersect_req(args).map(|(file, dset, qbb)| {
-            let gen = self.meta.generation(&file);
-            let idx = self.serve_index.lock().get(&file).cloned();
-            // Dedup through a set (a fine decomposition can hold many
-            // boxes per rank) while keeping the historical first-hit
-            // order of the reply.
-            let mut ranks: Vec<u64> = Vec::new();
-            let mut seen: HashSet<usize> = HashSet::new();
-            if let Some(list) = idx.as_ref().and_then(|i| i.boxes.get(&dset)) {
-                for (bb, rank) in list {
-                    if bb.intersects(&qbb) && seen.insert(*rank) {
-                        ranks.push(*rank as u64);
-                    }
-                }
-            }
-            enc_intersect_reply(gen, &ranks)
-        });
-        let out = enc_result(reply);
-        obsv::hist_record(obsv::Hist::ServeIntersectNs, obsv::clock::now_ns().saturating_sub(t0));
-        out
-    }
-
-    /// Answer an `M_DATA_BATCH` query: one [`DataReply`] body per
-    /// `(dataset, selection)` entry, in entry order, all in a single
-    /// multi-part frame lending shallow region bytes. Entries are answered
-    /// independently, so how a consumer groups selections into frames
-    /// never changes the bytes it sees.
+    /// Answer an `M_DATA_BATCH` query: per `(dataset, selection)` entry,
+    /// in entry order, the owner list this rank's index gives for the
+    /// selection's bounding box (Algorithm 3's redirect), then one
+    /// [`DataReply`] body per entry, all in a single multi-part frame
+    /// lending shallow region bytes. Entries are answered independently,
+    /// so how a consumer groups selections into frames never changes the
+    /// bytes it sees.
     fn serve_data_batch(&self, args: &Bytes, caller: usize) -> Payload {
         let t0 = obsv::clock::now_ns();
         let reply = dec_data_req_batch(args).and_then(|(file, entries)| {
             let gen = self.meta.generation(&file);
+            let idx = self.serve_index.lock().get(&file).cloned();
             let mut frame = ReplyFrame::new();
             frame.put_u64(entries.len() as u64);
+            let mut held = Vec::with_capacity(entries.len());
             for (dset, sel) in &entries {
-                self.answer_data_query_into(&mut frame, gen, &file, dset, sel)?;
+                let meta = match self.meta.dataset_meta_by_path(&file, dset) {
+                    Ok(meta) => sel.validate(&meta.1).map(|()| Some(meta))?,
+                    // A block owner that never created the dataset (a
+                    // non-collective create) still answers the redirect
+                    // from its index, with every rank listed for the
+                    // dataset: the extra ones answer empty bodies.
+                    Err(H5Error::NotFound(_)) if idx.is_some() => None,
+                    Err(e) => return Err(e),
+                };
+                let qbb = meta.as_ref().map(|(_, space)| effective_bbox(sel, space));
+                let owners = idx.as_ref().map_or_else(Vec::new, |i| i.owners(dset, qbb.as_ref()));
+                frame.put_u64(owners.len() as u64);
+                owners.into_iter().for_each(|o| frame.put_u64(o as u64));
+                held.push(meta);
             }
-            self.hot.data_requests.fetch_add(entries.len() as u64, Ordering::Relaxed);
+            for ((dset, sel), meta) in entries.iter().zip(&held) {
+                self.answer_data_query_into(&mut frame, gen, &file, dset, sel, meta.as_ref())?;
+            }
+            let n = entries.len() as u64;
+            self.hot.intersect_requests.fetch_add(n, Ordering::Relaxed);
+            self.hot.data_requests.fetch_add(n, Ordering::Relaxed);
             Ok((file, frame.finish()))
         });
         if let Ok((_, b)) = &reply {
@@ -1101,8 +1122,8 @@ impl DistMetadataVol {
     /// the call blocks forever, exactly like MPI. With one, a producer
     /// that died or stopped answering surfaces as
     /// [`H5Error::PeerUnavailable`] after the bounded attempts — all
-    /// consumer RPCs (metadata, intersect, data) are idempotent, so
-    /// resending is safe. Returns the still-encoded reply frame.
+    /// consumer RPCs (metadata, data, done, step control) are idempotent,
+    /// so resending is safe. Returns the still-encoded reply frame.
     pub(crate) fn call_producer(
         &self,
         file: &str,
@@ -1117,6 +1138,23 @@ impl DistMetadataVol {
                 .call_retry(server, method, args, policy)
                 .map_err(|e| Self::peer_error(server, Some(policy), e)),
         }
+    }
+
+    /// [`Self::call_producer`] for several calls at once: all go out
+    /// together under `file`'s retry policy and every reply is awaited.
+    /// The first failure to come back — transport or remote — is returned.
+    pub(crate) fn call_producers(&self, file: &str, calls: &[Call]) -> H5Result<()> {
+        let policy = self.props.rpc_policy_for(file);
+        let mut first_err = None;
+        RpcClient::new(&self.world).call_many(calls, policy, |k, r| {
+            let replied = r
+                .map_err(|e| Self::peer_error(calls[k].server, policy, e))
+                .and_then(|reply| dec_result(&reply.into_bytes()).map(drop));
+            if let Err(e) = replied {
+                first_err.get_or_insert(e);
+            }
+        });
+        first_err.map_or(Ok(()), Err)
     }
 
     /// The error a consumer sees when a call to producer world rank
@@ -1274,13 +1312,14 @@ impl DistMetadataVol {
     }
 
     /// Read several selections of one remote dataset (Algorithm 3,
-    /// pipelined): every selection's redirect queries fan out
-    /// concurrently (answers assembled as they land), then each producer
-    /// receives **one** `M_DATA_BATCH` frame carrying all selections it
-    /// owns and the replies scatter into the packed buffers in completion
-    /// order. A single read is a batch of one. Redirect results are
-    /// cached per `(file, dataset, bbox)`, so a repeat read goes straight
-    /// to the data fetch.
+    /// pipelined). Each round sends every producer it asks **one**
+    /// `M_DATA_BATCH` frame carrying all its selections, all frames in
+    /// flight at once, and the replies scatter into the packed buffers in
+    /// completion order. Round 1 asks a selection's cached owners, or else
+    /// the owners of the common-decomposition blocks its bounding box
+    /// touches; those answer with their data and the selection's owners.
+    /// Round 2 asks only the owners round 1 did not. A single read is a
+    /// batch of one. Owners are cached per `(file, dataset, bbox)`.
     ///
     /// If any reply carries a generation differing from what its
     /// producer reported before, the cached lookups this read may have
@@ -1309,150 +1348,128 @@ impl DistMetadataVol {
             sel.validate(&space)?;
             outs.push(ReadBuf::new((sel.npoints(&space) as usize) * es));
         }
-        let n = producers.len();
         let policy = self.props.rpc_policy_for(&filename);
         let rpc = RpcClient::new(&self.world);
         let _sp_query = obsv::span(obsv::Phase::Query);
 
-        // Step 1 (redirect), skipped per selection on a cache hit.
+        // Routing: a selection whose owners are cached goes to them, any
+        // other to the producers whose common-decomposition blocks its
+        // bounding box touches (the redirect targets of Algorithm 3).
         let sp_redirect = obsv::span(obsv::Phase::Redirect);
-        let dims = effective_dims(&space);
-        let decomp = RegularDecomposer::new(&dims, n);
+        let decomp = RegularDecomposer::new(&effective_dims(&space), producers.len());
         let bbs: Vec<BBox> = sels.iter().map(|s| effective_bbox(s, &space)).collect();
-        let mut owners: Vec<Option<Vec<usize>>> = vec![None; sels.len()];
+        let mut ask: Vec<Vec<usize>> = Vec::with_capacity(sels.len());
+        let mut resolve = vec![false; sels.len()];
         {
             let cache = self.fetch_cache.lock();
             let cached = cache.owners.get(filename.as_ref()).and_then(|d| d.get(&path));
             for (i, bb) in bbs.iter().enumerate() {
                 if outs[i].is_empty() {
                     // Empty selection: nothing to fetch, no query needed.
-                    owners[i] = Some(Vec::new());
-                    continue;
-                }
-                if let Some(o) = cached.and_then(|c| c.get(bb)) {
+                    ask.push(Vec::new());
+                } else if let Some(o) = cached.and_then(|c| c.get(bb)) {
                     obsv::counter_add(obsv::Ctr::FetchCacheHits, 1);
-                    owners[i] = Some(o.clone());
+                    ask.push(o.clone());
                 } else {
                     obsv::counter_add(obsv::Ctr::FetchCacheMisses, 1);
-                }
-            }
-        }
-        let mut calls: Vec<Call> = Vec::new();
-        let mut call_sel: Vec<usize> = Vec::new();
-        for (i, bb) in bbs.iter().enumerate() {
-            if owners[i].is_some() {
-                continue;
-            }
-            for gid in decomp.blocks_intersecting(bb) {
-                calls.push(Call::new(
-                    producers[gid],
-                    M_INTERSECT,
-                    enc_intersect_req(&filename, &path, bb),
-                ));
-                call_sel.push(i);
-            }
-        }
-        let mut stale = false;
-        if !calls.is_empty() {
-            let mut sets: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); sels.len()];
-            let mut first_err: Option<H5Error> = None;
-            rpc.call_many(&calls, policy, |k, r| {
-                let decoded = r
-                    .map_err(|e| Self::peer_error(calls[k].server, policy, e))
-                    .and_then(|reply| dec_intersect_reply(&dec_result(&reply.into_bytes())?));
-                match decoded {
-                    Ok((gen, ranks)) => {
-                        stale |= self.note_gen(&filename, calls[k].server, gen);
-                        sets[call_sel[k]].extend(ranks.iter().map(|&x| x as usize));
-                    }
-                    Err(e) => first_err = first_err.take().or(Some(e)),
-                }
-            });
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-            let mut cache = self.fetch_cache.lock();
-            let of_dset = cache
-                .owners
-                .entry(filename.to_string())
-                .or_default()
-                .entry(path.clone())
-                .or_default();
-            for (i, bb) in bbs.iter().enumerate() {
-                if owners[i].is_none() {
-                    let list: Vec<usize> = sets[i].iter().copied().collect();
-                    of_dset.insert(bb.clone(), list.clone());
-                    owners[i] = Some(list);
+                    ask.push(decomp.blocks_intersecting(bb));
+                    resolve[i] = true;
                 }
             }
         }
         self.profile.lock().redirect_seconds += sp_redirect.finish();
 
-        // Step 2 (fetch): group the selections by owning producer, one
-        // batched frame each, all in flight at once.
+        // One round: a batched frame per producer, all in flight at once.
+        // Each reply scatters its bodies into the packed buffers and adds
+        // its owner lists to `found`. Returns the reply bytes and whether
+        // a producer reported a new generation.
+        let round = |ask: &[Vec<usize>],
+                     outs: &mut [ReadBuf],
+                     found: &mut [BTreeSet<usize>]|
+         -> H5Result<(u64, bool)> {
+            let mut per_prod: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (i, ps) in ask.iter().enumerate() {
+                for &p in ps {
+                    per_prod.entry(p).or_default().push(i);
+                }
+            }
+            let mut calls: Vec<Call> = Vec::new();
+            let mut call_sels: Vec<Vec<usize>> = Vec::new();
+            for (p, sel_ids) in per_prod {
+                let entries: Vec<(String, Selection)> =
+                    sel_ids.iter().map(|&i| (path.clone(), sels[i].clone())).collect();
+                obsv::hist_record(obsv::Hist::FetchBatchEntries, entries.len() as u64);
+                calls.push(Call::new(
+                    producers[p],
+                    M_DATA_BATCH,
+                    enc_data_req_batch(&filename, &entries),
+                ));
+                call_sels.push(sel_ids);
+            }
+            obsv::counter_add(obsv::Ctr::FetchBatches, calls.len() as u64);
+            let (mut fetched, mut stale, mut first_err) = (0u64, false, None);
+            rpc.call_many(&calls, policy, |k, r| {
+                // The reply is walked in place with a [`PayloadReader`]:
+                // the header runs are peeked across part boundaries and
+                // each segment's bytes are copied straight from the
+                // (possibly borrowed-on-the-producer) reply parts into
+                // their slot of the packed destination — the one copy of
+                // the zero-copy path.
+                let scattered =
+                    r.map_err(|e| Self::peer_error(calls[k].server, policy, e)).and_then(|reply| {
+                        fetched += reply.len() as u64;
+                        obsv::hist_record(obsv::Hist::BytesFetched, reply.len() as u64);
+                        let mut pr = PayloadReader::new(
+                            self.decode_reply_payload(&filename, dec_result_payload(reply)?)?,
+                        );
+                        let owners = get_batch_owners(&mut pr, producers.len())?;
+                        if owners.len() != call_sels[k].len() {
+                            return Err(H5Error::Format(format!(
+                                "batch reply carries {} entries for {}",
+                                owners.len(),
+                                call_sels[k].len()
+                            )));
+                        }
+                        for (&i, owners) in call_sels[k].iter().zip(owners) {
+                            found[i].extend(owners);
+                            let (gen, segs, blob_len) = get_data_reply_header(&mut pr)?;
+                            stale |= self.note_gen(&filename, calls[k].server, gen);
+                            outs[i].scatter(&mut pr, &segs, blob_len, es)?;
+                        }
+                        pr.expect_end()
+                    });
+                if let Err(e) = scattered {
+                    first_err.get_or_insert(e);
+                }
+            });
+            first_err.map_or(Ok((fetched, stale)), Err)
+        };
+
         let sp_fetch = obsv::span(obsv::Phase::Fetch);
-        let mut per_prod: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, o) in owners.iter().enumerate() {
-            for &p in o.as_ref().expect("owners resolved above") {
-                per_prod.entry(p).or_default().push(i);
+        let mut found = vec![BTreeSet::new(); sels.len()];
+        let (mut fetched, mut stale) = round(&ask, &mut outs, &mut found)?;
+        // A stale pass is discarded unfinished. Otherwise the block
+        // owners' reports are the selections' owners: cache them, and ask
+        // the ones round 1 did not ask for that selection (only where the
+        // common decomposition is misaligned with the data's).
+        if !stale && resolve.contains(&true) {
+            let mut again = vec![Vec::new(); sels.len()];
+            {
+                let mut cache = self.fetch_cache.lock();
+                let of_dset = cache
+                    .owners
+                    .entry(filename.to_string())
+                    .or_default()
+                    .entry(path.clone())
+                    .or_default();
+                for i in (0..sels.len()).filter(|&i| resolve[i]) {
+                    again[i] = found[i].iter().copied().filter(|p| !ask[i].contains(p)).collect();
+                    of_dset.insert(bbs[i].clone(), found[i].iter().copied().collect());
+                }
             }
-        }
-        let mut calls: Vec<Call> = Vec::new();
-        let mut call_sels: Vec<Vec<usize>> = Vec::new();
-        for (p, sel_ids) in per_prod {
-            let entries: Vec<(String, Selection)> =
-                sel_ids.iter().map(|&i| (path.clone(), sels[i].clone())).collect();
-            obsv::hist_record(obsv::Hist::FetchBatchEntries, entries.len() as u64);
-            calls.push(Call::new(
-                producers[p],
-                M_DATA_BATCH,
-                enc_data_req_batch(&filename, &entries),
-            ));
-            call_sels.push(sel_ids);
-        }
-        obsv::counter_add(obsv::Ctr::FetchBatches, calls.len() as u64);
-        let mut fetched = 0u64;
-        let mut first_err: Option<H5Error> = None;
-        rpc.call_many(&calls, policy, |k, r| {
-            // The reply is walked in place with a [`PayloadReader`]: the
-            // header runs are peeked across part boundaries and each
-            // segment's bytes are copied straight from the (possibly
-            // borrowed-on-the-producer) reply parts into their slot of the
-            // packed destination — the one copy of the zero-copy path.
-            let scattered =
-                r.map_err(|e| Self::peer_error(calls[k].server, policy, e)).and_then(|reply| {
-                    fetched += reply.len() as u64;
-                    obsv::hist_record(obsv::Hist::BytesFetched, reply.len() as u64);
-                    let mut pr = PayloadReader::new(
-                        self.decode_reply_payload(&filename, dec_result_payload(reply)?)?,
-                    );
-                    let count = pr.get_u64()? as usize;
-                    if count != call_sels[k].len() {
-                        return Err(H5Error::Format(format!(
-                            "batch reply carries {} bodies for {} entries",
-                            count,
-                            call_sels[k].len()
-                        )));
-                    }
-                    for &i in &call_sels[k] {
-                        let (gen, segs, blob_len) = get_data_reply_header(&mut pr)?;
-                        stale |= self.note_gen(&filename, calls[k].server, gen);
-                        outs[i].scatter(&mut pr, &segs, blob_len, es)?;
-                    }
-                    if pr.remaining() != 0 {
-                        return Err(H5Error::Format(format!(
-                            "{} trailing bytes after batch reply",
-                            pr.remaining()
-                        )));
-                    }
-                    Ok(())
-                });
-            if let Err(e) = scattered {
-                first_err = first_err.take().or(Some(e));
-            }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
+            let (more, moved) = round(&again, &mut outs, &mut found)?;
+            fetched += more;
+            stale = moved;
         }
         {
             let mut p = self.profile.lock();
@@ -1490,14 +1507,15 @@ impl DistMetadataVol {
                 cache.gens.remove(filename.as_ref());
             }
         }
-        for &p in producers {
-            // DONE is a *call*, not a notification: the producer's serve
-            // loop counts it toward session completion, so a dropped
-            // message would leave the producer waiting forever. Awaiting
-            // the ack (resent under the file's retry policy) closes that
-            // hole; a producer that already died is best-effort.
-            let _ = self.call_producer(&filename, p, M_DONE, &enc_done_req(&filename));
-        }
+        // DONE is a *call*, not a notification: the producer's serve loop
+        // counts it toward session completion, so a dropped message would
+        // leave the producer waiting forever. Every producer gets one at
+        // once and every ack is awaited (resent under the file's retry
+        // policy); a producer that already died is best-effort.
+        let done = enc_done_req(&filename);
+        let calls: Vec<Call> =
+            producers.iter().map(|&p| Call::new(p, M_DONE, done.clone())).collect();
+        let _ = self.call_producers(&filename, &calls);
         Ok(())
     }
 }

@@ -1,19 +1,20 @@
 //! Wire protocol of the index–serve–query redistribution.
 //!
-//! Four RPC methods run between consumer ranks (clients) and producer
+//! Three RPC methods run between consumer ranks (clients) and producer
 //! ranks (servers) over the world communicator:
 //!
 //! * `M_METADATA` — fetch the serialized metadata tree of a file
 //!   (consumer `file_open`),
-//! * `M_INTERSECT` — the *redirect* query of Algorithm 3 step 1: which
-//!   producer ranks hold data intersecting this bounding box,
-//! * `M_DATA_BATCH` — the data query of Algorithm 3 step 2: one frame
-//!   per producer carrying **all** `(dataset, selection)` pairs the
-//!   consumer wants from that producer for one file (a lone read is a
-//!   batch of one). Each entry is answered with the intersection of the
-//!   producer's local regions with the selection as contiguous segments,
-//!   each tagged with its element offset in the **consumer's** packed
-//!   buffer, so the consumer applies a reply with straight `memcpy`s,
+//! * `M_DATA_BATCH` — the query of Algorithm 3: one frame per producer
+//!   carrying **all** `(dataset, selection)` pairs the consumer wants
+//!   from that producer for one file (a lone read is a batch of one).
+//!   Each entry is answered twice over: with the *redirect* (the
+//!   producer ranks its index lists as holding data inside the
+//!   selection's bounding box) and with the intersection of the
+//!   producer's local regions with the selection, as contiguous
+//!   segments each tagged with its element offset in the **consumer's**
+//!   packed buffer, so the consumer applies a reply with straight
+//!   `memcpy`s,
 //! * `M_DONE` — consumer `file_close` notification; producers exit their
 //!   serve loop when every consumer has reported done.
 //!
@@ -52,7 +53,7 @@
 //!
 //! ## Generation tags
 //!
-//! Every reply a producer serves — metadata, redirect, data — and every
+//! Every reply a producer serves — metadata, each data entry — and every
 //! index-bundle entry carries the file's *generation*: a counter the
 //! producer bumps on each write to (or truncation of) the file. Consumers
 //! key their caches on it; a reply carrying a newer generation than the
@@ -84,10 +85,9 @@ use simmpi::Payload;
 
 /// Fetch the serialized [`FileMeta`] tree of a file.
 pub const M_METADATA: u32 = 1;
-/// Redirect query: which producer ranks hold data intersecting a bbox.
-pub const M_INTERSECT: u32 = 2;
-// Method id 3 was the single-entry data query; it is retired, not
-// renumbered, and draws the unknown-method error.
+// Method id 2 was the separate redirect query (its answer now rides on
+// every `M_DATA_BATCH` reply) and id 3 the single-entry data query. Both
+// are retired, not renumbered, and draw the unknown-method error.
 /// Consumer `file_close` notification (no reply expected).
 pub const M_DONE: u32 = 4;
 /// Producer-internal: ask the overlap-mode serve thread to drain and exit.
@@ -401,32 +401,6 @@ pub fn dec_codec_offer(b: &[u8]) -> H5Result<(String, u64)> {
     dec_metadata_req(b)
 }
 
-/// Encode a redirect query (`M_INTERSECT`): which producer ranks hold
-/// data of `file:dset` intersecting bounding box `bb`.
-///
-/// ```
-/// use lowfive::protocol::{enc_intersect_req, dec_intersect_req};
-/// use minih5::BBox;
-/// let bb = BBox::new(vec![1, 2], vec![3, 4]);
-/// let frame = enc_intersect_req("f.h5", "g/d", &bb);
-/// assert_eq!(dec_intersect_req(&frame).unwrap(), ("f.h5".into(), "g/d".into(), bb));
-/// ```
-pub fn enc_intersect_req(file: &str, dset: &str, bb: &BBox) -> Bytes {
-    let mut w = Writer::new();
-    w.put_str(file);
-    w.put_str(dset);
-    w.put(bb);
-    w.finish()
-}
-
-/// Decode a redirect query into `(file, dataset path, bbox)`.
-pub fn dec_intersect_req(b: &[u8]) -> H5Result<(String, String, BBox)> {
-    let mut r = Reader::new(b);
-    let out = (r.get_str()?, r.get_str()?, r.get()?);
-    expect_eof(&r)?;
-    Ok(out)
-}
-
 /// Encode a data query (`M_DATA_BATCH`): every `(dataset, selection)`
 /// pair the consumer wants from one producer for `file`.
 ///
@@ -464,7 +438,7 @@ pub fn enc_data_req_batch(file: &str, entries: &[(String, Selection)]) -> Bytes 
 pub fn dec_data_req_batch(b: &[u8]) -> H5Result<(String, Vec<(String, Selection)>)> {
     let mut r = Reader::new(b);
     let file = r.get_str()?;
-    let n = checked_count(r.get_u64()?, 9, &r)?;
+    let n = r.get_count(9)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         entries.push((r.get_str()?, r.get()?));
@@ -486,19 +460,6 @@ pub fn dec_done_req(b: &[u8]) -> H5Result<String> {
     let file = r.get_str()?;
     expect_eof(&r)?;
     Ok(file)
-}
-
-/// Guard a wire-declared element count against the bytes actually left
-/// in the frame: `n` elements of at least `unit` bytes each must fit in
-/// `r.remaining()`. Returns the count as `usize` or a [`H5Error::Format`].
-fn checked_count(n: u64, unit: usize, r: &Reader) -> H5Result<usize> {
-    if (n as u128) * (unit as u128) > r.remaining() as u128 {
-        return Err(H5Error::Format(format!(
-            "declared count {n} exceeds frame ({} bytes left)",
-            r.remaining()
-        )));
-    }
-    Ok(n as usize)
 }
 
 /// Assert a decoder consumed its whole frame: leftover bytes mean a
@@ -629,35 +590,16 @@ pub fn dec_metadata_reply(b: &[u8]) -> H5Result<(u64, u64, FileMeta)> {
     Ok((gen, mask, meta))
 }
 
-/// Encode a redirect reply: the file's generation, then the world ranks
-/// owning intersecting data.
-///
-/// ```
-/// use lowfive::protocol::{enc_intersect_reply, dec_intersect_reply};
-/// assert_eq!(dec_intersect_reply(&enc_intersect_reply(3, &[0, 2])).unwrap(), (3, vec![0, 2]));
-/// ```
-pub fn enc_intersect_reply(gen: u64, ranks: &[u64]) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u64(gen);
-    w.put_u64s(ranks);
-    w.finish()
-}
-
-/// Decode a redirect reply into `(generation, owner world ranks)`.
-pub fn dec_intersect_reply(b: &[u8]) -> H5Result<(u64, Vec<u64>)> {
-    let mut r = Reader::new(b);
-    let out = (r.get_u64()?, r.get_u64s()?);
-    expect_eof(&r)?;
-    Ok(out)
-}
-
-/// One entry of a data reply: `segs` are `(element offset in the
-/// consumer's packed buffer, element length)`, and `blob` is the
-/// concatenated payload in segment order.
+/// One entry of a data reply: `owners` answer the redirect, `segs` are
+/// `(element offset in the consumer's packed buffer, element length)`,
+/// and `blob` is the concatenated payload in segment order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataReply {
     /// Generation of the served file at reply time.
     pub gen: u64,
+    /// Producer-local ranks the answering producer's index lists as
+    /// holding data of the dataset inside the selection's bounding box.
+    pub owners: Vec<usize>,
     /// `(element offset, element length)` pairs addressing the
     /// consumer's packed destination buffer.
     pub segs: Vec<(u64, u64)>,
@@ -665,65 +607,53 @@ pub struct DataReply {
     pub blob: Bytes,
 }
 
-fn put_data_reply(w: &mut Writer, gen: u64, segs: &[(u64, u64)], blob: &[u8]) {
-    w.put_u64(gen);
-    w.put_u64(segs.len() as u64);
-    for &(off, len) in segs {
-        w.put_u64(off);
-        w.put_u64(len);
-    }
-    w.put_bytes(blob);
-}
-
-fn get_data_reply(r: &mut Reader) -> H5Result<DataReply> {
-    let gen = r.get_u64()?;
-    let n = checked_count(r.get_u64()?, 16, r)?;
-    let mut segs = Vec::with_capacity(n);
-    for _ in 0..n {
-        segs.push((r.get_u64()?, r.get_u64()?));
-    }
-    let blob = Bytes::copy_from_slice(r.get_bytes()?);
-    Ok(DataReply { gen, segs, blob })
-}
-
-/// Encode a data reply (`M_DATA_BATCH`): one `(segs, blob)` body per
-/// request entry, concatenated in entry order. Every entry
-/// carries the serving file's generation.
+/// Encode a data reply (`M_DATA_BATCH`): the entry count, every entry's
+/// owner list, then one `(gen, segs, blob)` body per entry, all in entry
+/// order. The owner lists lead, so each body keeps the layout
+/// [`get_data_reply_header`] walks.
 ///
 /// ```
 /// use bytes::Bytes;
-/// use lowfive::protocol::{enc_data_reply_batch, dec_data_reply_batch};
-/// let parts = vec![
-///     (vec![(0u64, 2u64)], Bytes::from_static(&[7, 8])),
-///     (vec![], Bytes::new()), // an entry may intersect nothing
+/// use lowfive::protocol::{enc_data_reply_batch, dec_data_reply_batch, DataReply};
+/// let replies = vec![
+///     DataReply { gen: 2, owners: vec![0, 1], segs: vec![(0, 2)], blob: Bytes::from_static(&[7, 8]) },
+///     // An entry may intersect nothing.
+///     DataReply { gen: 2, owners: vec![], segs: vec![], blob: Bytes::new() },
 /// ];
-/// let replies = dec_data_reply_batch(&enc_data_reply_batch(2, &parts)).unwrap();
-/// assert_eq!(replies.len(), 2);
-/// assert_eq!(replies[0].gen, 2);
-/// assert_eq!(replies[0].segs, parts[0].0);
-/// assert_eq!(replies[0].blob, parts[0].1);
-/// assert!(replies[1].segs.is_empty());
+/// assert_eq!(dec_data_reply_batch(&enc_data_reply_batch(&replies), 2).unwrap(), replies);
 /// ```
-pub fn enc_data_reply_batch(gen: u64, parts: &[(Vec<(u64, u64)>, Bytes)]) -> Bytes {
+pub fn enc_data_reply_batch(replies: &[DataReply]) -> Bytes {
     let mut w = Writer::new();
-    w.put_u64(parts.len() as u64);
-    for (segs, blob) in parts {
-        put_data_reply(&mut w, gen, segs, blob);
+    w.put_u64(replies.len() as u64);
+    for r in replies {
+        w.put_u64s(&r.owners.iter().map(|&o| o as u64).collect::<Vec<u64>>());
+    }
+    for r in replies {
+        w.put_u64(r.gen);
+        w.put_u64(r.segs.len() as u64);
+        for &(off, len) in &r.segs {
+            w.put_u64(off);
+            w.put_u64(len);
+        }
+        w.put_bytes(&r.blob);
     }
     w.finish()
 }
 
-/// Decode a data reply into one [`DataReply`] per entry.
-/// Both the entry count and each entry's segment count are validated
-/// against the bytes actually present.
-pub fn dec_data_reply_batch(b: &[u8]) -> H5Result<Vec<DataReply>> {
-    let mut r = Reader::new(b);
-    let n = checked_count(r.get_u64()?, 24, &r)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_data_reply(&mut r)?);
+/// Decode a data reply from a task of `producers` ranks into one
+/// [`DataReply`] per entry. Every count is validated against the bytes
+/// actually present, and every owner against the task size.
+pub fn dec_data_reply_batch(b: &[u8], producers: usize) -> H5Result<Vec<DataReply>> {
+    let mut pr = PayloadReader::new(Payload::from(Bytes::copy_from_slice(b)));
+    let owners = get_batch_owners(&mut pr, producers)?;
+    let mut out = Vec::with_capacity(owners.len());
+    for owners in owners {
+        let (gen, segs, blob_len) = get_data_reply_header(&mut pr)?;
+        let mut blob = vec![0u8; blob_len];
+        pr.copy_into(&mut blob)?;
+        out.push(DataReply { gen, owners, segs, blob: Bytes::from(blob) });
     }
-    expect_eof(&r)?;
+    pr.expect_end()?;
     Ok(out)
 }
 
@@ -740,10 +670,12 @@ pub fn dec_data_reply_batch(b: &[u8]) -> H5Result<Vec<DataReply>> {
 ///
 /// ```
 /// use bytes::Bytes;
-/// use lowfive::protocol::{dec_data_reply_batch, enc_data_reply_batch, ReplyFrame};
+/// use lowfive::protocol::{dec_data_reply_batch, enc_data_reply_batch, DataReply, ReplyFrame};
 /// let region = Bytes::from(vec![1u8, 2, 3, 4, 5]);
 /// let mut f = ReplyFrame::new();
 /// f.put_u64(1); // one entry
+/// f.put_u64(1); // its owner list: one rank...
+/// f.put_u64(0); // ...rank 0
 /// f.put_u64(1); // gen
 /// f.put_u64(1); // one segment
 /// f.put_u64(0); // off
@@ -751,9 +683,9 @@ pub fn dec_data_reply_batch(b: &[u8]) -> H5Result<Vec<DataReply>> {
 /// f.put_u64(3); // blob length prefix
 /// f.lend(region.slice(1..4)); // borrowed, not copied
 /// let flat = f.finish().into_bytes();
-/// let entry = (vec![(0, 3)], Bytes::from_static(&[2, 3, 4]));
-/// assert_eq!(&flat[..], &enc_data_reply_batch(1, &[entry])[..]);
-/// assert_eq!(&dec_data_reply_batch(&flat).unwrap()[0].blob[..], &[2, 3, 4]);
+/// let entry = DataReply { gen: 1, owners: vec![0], segs: vec![(0, 3)], blob: region.slice(1..4) };
+/// assert_eq!(&flat[..], &enc_data_reply_batch(&[entry])[..]);
+/// assert_eq!(&dec_data_reply_batch(&flat, 1).unwrap()[0].blob[..], &[2, 3, 4]);
 /// ```
 #[derive(Default)]
 pub struct ReplyFrame {
@@ -884,6 +816,28 @@ impl PayloadReader {
         self.p.len()
     }
 
+    /// Read a `u64` element count, checking that that many elements of
+    /// at least `unit` bytes each fit in what is left — a corrupt count
+    /// fails here instead of sizing an allocation.
+    fn get_count(&mut self, unit: usize) -> H5Result<usize> {
+        let n = self.get_u64()?;
+        if (n as u128) * (unit as u128) > self.remaining() as u128 {
+            return Err(H5Error::Format(format!(
+                "declared count {n} exceeds frame ({} bytes left)",
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// Fail unless the whole payload has been read.
+    pub(crate) fn expect_end(&self) -> H5Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(H5Error::Format(format!("{n} trailing bytes after reply"))),
+        }
+    }
+
     fn read_exact(&mut self, dst: &mut [u8]) -> H5Result<()> {
         if !self.p.copy_prefix(dst) {
             return Err(self.truncated(dst.len()));
@@ -900,6 +854,28 @@ impl PayloadReader {
     }
 }
 
+/// Read the head of a data reply off a [`PayloadReader`] — the entry
+/// count and every entry's owner list — leaving the cursor at the first
+/// entry body. The reply comes from a task of `producers` ranks: an owner
+/// outside `0..producers`, like a count the frame cannot hold, is a
+/// [`H5Error::Format`] here rather than an out-of-bounds index later.
+pub fn get_batch_owners(pr: &mut PayloadReader, producers: usize) -> H5Result<Vec<Vec<usize>>> {
+    let n = pr.get_count(8)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let k = pr.get_count(8)?;
+        let mut owners = Vec::with_capacity(k);
+        for _ in 0..k {
+            let o = pr.get_u64()?;
+            owners.push(usize::try_from(o).ok().filter(|&o| o < producers).ok_or_else(|| {
+                H5Error::Format(format!("owner rank {o} outside a task of {producers}"))
+            })?);
+        }
+        out.push(owners);
+    }
+    Ok(out)
+}
+
 /// A decoded data-reply header: `(generation, segments, blob length in
 /// bytes)`.
 pub type DataReplyHeader = (u64, Vec<(u64, u64)>, usize);
@@ -911,14 +887,8 @@ pub type DataReplyHeader = (u64, Vec<(u64, u64)>, usize);
 /// present, exactly like the contiguous decoders.
 pub fn get_data_reply_header(pr: &mut PayloadReader) -> H5Result<DataReplyHeader> {
     let gen = pr.get_u64()?;
-    let n = pr.get_u64()?;
-    if (n as u128) * 16 > pr.remaining() as u128 {
-        return Err(H5Error::Format(format!(
-            "declared count {n} exceeds frame ({} bytes left)",
-            pr.remaining()
-        )));
-    }
-    let mut segs = Vec::with_capacity(n as usize);
+    let n = pr.get_count(16)?;
+    let mut segs = Vec::with_capacity(n);
     for _ in 0..n {
         segs.push((pr.get_u64()?, pr.get_u64()?));
     }
@@ -963,7 +933,7 @@ pub fn enc_index_bundle(entries: &[(String, String, u64, BBox)]) -> Bytes {
 /// Decode an index bundle.
 pub fn dec_index_bundle(b: &[u8]) -> H5Result<Vec<(String, String, u64, BBox)>> {
     let mut r = Reader::new(b);
-    let n = checked_count(r.get_u64()?, 25, &r)?;
+    let n = r.get_count(25)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push((r.get_str()?, r.get_str()?, r.get_u64()?, r.get()?));
@@ -1179,10 +1149,6 @@ mod tests {
         let frame = enc_metadata_req("a.h5", CAP_ALL);
         assert_eq!(dec_metadata_req(&frame).unwrap(), ("a.h5".into(), CAP_ALL));
         assert_eq!(dec_done_req(&enc_done_req("a.h5")).unwrap(), "a.h5");
-        let bb = BBox::new(vec![1, 2], vec![3, 4]);
-        let (f, d, b2) = dec_intersect_req(&enc_intersect_req("f", "g/d", &bb)).unwrap();
-        assert_eq!((f.as_str(), d.as_str()), ("f", "g/d"));
-        assert_eq!(b2, bb);
     }
 
     #[test]
@@ -1216,26 +1182,34 @@ mod tests {
         assert_eq!(back, entries);
     }
 
+    fn reply(gen: u64, owners: &[usize], segs: &[(u64, u64)], blob: &[u8]) -> DataReply {
+        DataReply {
+            gen,
+            owners: owners.to_vec(),
+            segs: segs.to_vec(),
+            blob: Bytes::copy_from_slice(blob),
+        }
+    }
+
     #[test]
     fn reply_frame_flattens_to_contiguous_encoding() {
         // A two-entry batch built from borrowed slices must flatten to
         // exactly what the contiguous encoder produces for the same data.
         let region = Bytes::from((0u8..32).collect::<Vec<u8>>());
-        let entries: Vec<(Vec<(u64, u64)>, Bytes)> = vec![
-            (vec![(0, 4), (8, 4)], {
-                let mut v = region.slice(0..4).to_vec();
-                v.extend_from_slice(&region.slice(16..20));
-                Bytes::from(v)
-            }),
-            (vec![], Bytes::new()),
-        ];
-        let contiguous = enc_data_reply_batch(7, &entries);
+        let mut blob = region.slice(0..4).to_vec();
+        blob.extend_from_slice(&region.slice(16..20));
+        let entries = [reply(7, &[1, 0], &[(0, 4), (8, 4)], &blob), reply(7, &[], &[], &[])];
+        let contiguous = enc_data_reply_batch(&entries);
 
         let mut f = ReplyFrame::new();
         f.put_u64(2); // entries
+        for owners in [&[1u64, 0][..], &[]] {
+            f.put_u64(owners.len() as u64);
+            owners.iter().for_each(|&o| f.put_u64(o));
+        }
         f.put_u64(7); // gen
         f.put_u64(2); // segs
-        for &(off, len) in &entries[0].0 {
+        for &(off, len) in &entries[0].segs {
             f.put_u64(off);
             f.put_u64(len);
         }
@@ -1333,19 +1307,14 @@ mod tests {
 
     #[test]
     fn data_reply_batch_roundtrip() {
-        let parts = vec![
-            (vec![(0u64, 3u64), (10, 2)], Bytes::from_static(&[1, 2, 3, 4, 5])),
-            (vec![], Bytes::new()),
-            (vec![(7, 1)], Bytes::from_static(&[9])),
+        let replies = [
+            reply(5, &[0, 2], &[(0, 3), (10, 2)], &[1, 2, 3, 4, 5]),
+            reply(5, &[], &[], &[]),
+            reply(6, &[1], &[(7, 1)], &[9]),
         ];
-        let replies = dec_data_reply_batch(&enc_data_reply_batch(5, &parts)).unwrap();
-        assert_eq!(replies.len(), 3);
-        for (reply, (segs, blob)) in replies.iter().zip(&parts) {
-            assert_eq!(reply.gen, 5);
-            assert_eq!(&reply.segs, segs);
-            assert_eq!(&reply.blob, blob);
-        }
-        assert!(dec_data_reply_batch(&enc_data_reply_batch(5, &[])).unwrap().is_empty());
+        let back = dec_data_reply_batch(&enc_data_reply_batch(&replies), 3).unwrap();
+        assert_eq!(back, replies);
+        assert!(dec_data_reply_batch(&enc_data_reply_batch(&[]), 3).unwrap().is_empty());
     }
 
     #[test]
@@ -1369,26 +1338,28 @@ mod tests {
         // Same for the reply's outer count and an inner segment count.
         let mut w = Writer::new();
         w.put_u64(u64::MAX / 16);
-        let e = dec_data_reply_batch(&w.finish()).unwrap_err();
+        let e = dec_data_reply_batch(&w.finish(), 1).unwrap_err();
         assert!(matches!(e, H5Error::Format(_)), "{e}");
 
         let mut w = Writer::new();
         w.put_u64(1); // one entry...
+        w.put_u64(0); // ...no owners...
         w.put_u64(0); // ...at generation 0...
         w.put_u64(u64::MAX / 16); // ...claiming absurdly many segments
-        let e = dec_data_reply_batch(&w.finish()).unwrap_err();
+        let e = dec_data_reply_batch(&w.finish(), 1).unwrap_err();
         assert!(matches!(e, H5Error::Format(_)), "{e}");
 
         // Truncated reply blob: entry declares 4 payload bytes, frame has 1.
         let mut w = Writer::new();
         w.put_u64(1);
+        w.put_u64(0); // no owners
         w.put_u64(0); // gen
         w.put_u64(1);
         w.put_u64(0);
         w.put_u64(4); // seg (off=0, len=4)
         w.put_u64(4); // blob length prefix
         w.put_raw(&[0xAB]); // but only one byte present
-        assert!(dec_data_reply_batch(&w.finish()).is_err());
+        assert!(dec_data_reply_batch(&w.finish(), 1).is_err());
     }
 
     #[test]
@@ -1402,10 +1373,9 @@ mod tests {
         padded.extend_from_slice(&[1, 2, 3]);
         assert!(dec_step_next_reply(&padded).is_err());
 
-        let mut padded =
-            enc_data_reply_batch(1, &[(vec![(0, 1)], Bytes::from_static(&[9]))]).to_vec();
+        let mut padded = enc_data_reply_batch(&[reply(1, &[0], &[(0, 1)], &[9])]).to_vec();
         padded.push(0);
-        assert!(dec_data_reply_batch(&padded).is_err());
+        assert!(dec_data_reply_batch(&padded, 1).is_err());
     }
 
     #[test]

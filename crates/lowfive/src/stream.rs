@@ -112,6 +112,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use diyblk::rpc::Call;
 use minih5::{H5Error, H5Result};
 use parking_lot::Condvar;
 
@@ -560,33 +561,22 @@ impl StepSubscription {
         self.vol.noted_gen(&step.file, self.home).is_some_and(|g| g != step.gen)
     }
 
-    fn ack(&self, producer: usize, cursor: u64) -> H5Result<()> {
-        let reply = self.vol.call_producer(
-            &self.series,
-            producer,
-            M_STEP_ACK,
-            &enc_step_ack_req(&self.series, cursor),
-        )?;
-        dec_result(&reply)?;
-        Ok(())
+    /// Ack `cursor` to every producer rank in `to` at once: one
+    /// `M_STEP_ACK` each, every reply awaited, the first error returned.
+    fn ack(&self, to: impl Iterator<Item = usize>, cursor: u64) -> H5Result<()> {
+        let args = enc_step_ack_req(&self.series, cursor);
+        let calls: Vec<Call> = to.map(|p| Call::new(p, M_STEP_ACK, args.clone())).collect();
+        self.vol.call_producers(&self.series, &calls)
     }
 
     fn ack_all(&self, cursor: u64) -> H5Result<()> {
-        for &p in &self.producers {
-            self.ack(p, cursor)?;
-        }
-        Ok(())
+        self.ack(self.producers.iter().copied(), cursor)
     }
 
     /// Ack every producer rank except home (which learns the cursor from
     /// the `M_STEP_NEXT` polls themselves).
     fn ack_others(&self, cursor: u64) -> H5Result<()> {
-        for &p in &self.producers {
-            if p != self.home {
-                self.ack(p, cursor)?;
-            }
-        }
-        Ok(())
+        self.ack(self.producers.iter().copied().filter(|&p| p != self.home), cursor)
     }
 }
 

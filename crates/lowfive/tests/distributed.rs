@@ -850,3 +850,47 @@ fn producer_reopen_without_keep_is_not_found() {
         out[0]
     );
 }
+
+/// A two-rank producer task streaming to one subscriber: the home rank
+/// learns the subscriber's cursor from its polls, the other rank from the
+/// acks fanned out beside them. Both cursors must reach the head of the
+/// series, or that rank's `finish` reports undrained.
+#[test]
+fn two_producer_series_advances_both_cursors() {
+    use lowfive::{StepPolicy, StepPublisher, StepSubscription};
+    use std::time::Duration;
+    const STEPS: u64 = 4;
+    let specs = [TaskSpec::new("producer", 2), TaskSpec::new("consumer", 1)];
+    let drained = TaskWorld::run(&specs, |tc| {
+        let b = DistVolBuilder::new(tc.world.clone(), tc.local.clone());
+        if tc.task_id == 0 {
+            let vol = b.produce("sim.h5@s*", world_ranks(&tc, 1)).async_serve(true).build();
+            let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
+            let publisher = StepPublisher::new(vol.clone(), "sim.h5").unwrap();
+            let p = tc.local.rank() as u64;
+            for seq in 0..STEPS {
+                let f = h5.create_file(&publisher.step_file()).unwrap();
+                let d = f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&[4])).unwrap();
+                d.write_selection(&Selection::block(&[2 * p], &[2]), &[seq, seq]).unwrap();
+                f.close().unwrap();
+                publisher.publish().unwrap();
+            }
+            let done = publisher.finish(Some(Duration::from_secs(10)));
+            vol.drain();
+            done
+        } else {
+            let vol = b.consume("sim.h5@s*", world_ranks(&tc, 0)).build();
+            let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
+            let mut sub = StepSubscription::new(vol, "sim.h5", StepPolicy::EveryStep).unwrap();
+            let mut seen = 0;
+            while let Some(step) = sub.next_step().unwrap() {
+                let f = h5.open_file(&step.file).unwrap();
+                assert_eq!(f.open_dataset("x").unwrap().read_all::<u64>().unwrap(), [step.seq; 4]);
+                f.close().unwrap();
+                seen += 1;
+            }
+            seen == STEPS
+        }
+    });
+    assert_eq!(drained, [true, true, true], "[producer 0, producer 1, all steps seen]");
+}

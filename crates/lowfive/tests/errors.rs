@@ -156,6 +156,34 @@ fn open_of_unproduced_file_fails_fast() {
     });
 }
 
+/// Retired method ids are not reused: the separate redirect query (2) and
+/// the single-entry data query (3) draw the unknown-method error, and the
+/// producer keeps serving.
+#[test]
+fn retired_methods_draw_the_unknown_method_error() {
+    let specs = [TaskSpec::new("p", 1), TaskSpec::new("c", 1)];
+    TaskWorld::run(&specs, |tc| {
+        let h5 = H5::with_vol(pair_vols(&tc));
+        if tc.task_id == 0 {
+            let f = h5.create_file("retired.h5").unwrap();
+            let d = f.create_dataset("x", Datatype::UInt8, Dataspace::simple(&[2])).unwrap();
+            d.write_all(&[5u8, 6]).unwrap();
+            f.close().unwrap();
+        } else {
+            let rpc = diyblk::RpcClient::new(&tc.world);
+            for method in [2, 3] {
+                let reply = rpc.call(world_ranks(&tc, 0)[0], method, b"retired.h5");
+                let err = lowfive::protocol::dec_result(&reply).unwrap_err();
+                let want = format!("unknown RPC method {method}");
+                assert!(matches!(&err, H5Error::Vol(m) if m.contains(&want)), "{err}");
+            }
+            let f = h5.open_file("retired.h5").unwrap();
+            assert_eq!(f.open_dataset("x").unwrap().read_all::<u8>().unwrap(), vec![5, 6]);
+            f.close().unwrap();
+        }
+    });
+}
+
 /// Step streaming needs overlap mode, and both ends are told so with a
 /// typed error instead of a wait: `StepPublisher::new` refuses a sync-mode
 /// VOL up front, and a subscriber that reaches a sync-mode producer's

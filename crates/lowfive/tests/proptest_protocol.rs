@@ -30,13 +30,11 @@ type Frame = (&'static str, Bytes, fn(&[u8]) -> bool);
 /// are deliberately absent — their bodies are opaque by design, so
 /// "leftover bytes" is not a concept they can check.
 fn frames() -> Vec<Frame> {
-    let bb = BBox::new(vec![1, 2], vec![3, 4]);
     let sel = Selection::block(&[0, 0], &[2, 2]);
     let step = StepNextReply::Step { seq: 9, file: "s@s1".into(), gen: 2, pub_ns: 77 };
     vec![
         ("metadata_req", enc_metadata_req("a.h5", CAP_ALL), |b| dec_metadata_req(b).is_ok()),
         ("codec_offer", enc_codec_offer("a.h5", CAP_RLE | CAP_RAW), |b| dec_codec_offer(b).is_ok()),
-        ("intersect_req", enc_intersect_req("f.h5", "g/d", &bb), |b| dec_intersect_req(b).is_ok()),
         (
             "data_req_batch",
             enc_data_req_batch("f.h5", &[("d".into(), sel.clone()), ("e".into(), sel.clone())]),
@@ -46,11 +44,20 @@ fn frames() -> Vec<Frame> {
         ("metadata_reply", enc_metadata_reply(7, CAP_ALL, &FileMeta::default()), |b| {
             dec_metadata_reply(b).is_ok()
         }),
-        ("intersect_reply", enc_intersect_reply(3, &[1, 2, 5]), |b| dec_intersect_reply(b).is_ok()),
+        // The owner lists lead the bodies, so a cut or a flip may land in
+        // either half; owners are checked against a three-rank task.
         (
             "data_reply_batch",
-            enc_data_reply_batch(4, &[(vec![(0, 2)], Bytes::from_static(&[9, 9]))]),
-            |b| dec_data_reply_batch(b).is_ok(),
+            enc_data_reply_batch(&[
+                DataReply {
+                    gen: 4,
+                    owners: vec![0, 2],
+                    segs: vec![(0, 2)],
+                    blob: Bytes::from_static(&[9, 9]),
+                },
+                DataReply { gen: 4, owners: vec![1], segs: vec![], blob: Bytes::new() },
+            ]),
+            |b| dec_data_reply_batch(b, 3).is_ok(),
         ),
         (
             "index_bundle",
@@ -98,6 +105,68 @@ fn trailing_garbage_is_rejected() {
             assert!(!dec(&b), "{name}: {} trailing bytes accepted", pad.len());
         }
     }
+}
+
+/// Owner lists are checked against the producer task: an owner outside
+/// it, or an owner count the frame cannot hold, is a format error.
+#[test]
+fn owners_outside_the_producer_task_are_rejected() {
+    let reply = DataReply { gen: 1, owners: vec![0, 3], segs: vec![], blob: Bytes::new() };
+    let frame = enc_data_reply_batch(&[reply]);
+    assert!(dec_data_reply_batch(&frame, 4).is_ok());
+    let e = dec_data_reply_batch(&frame, 3).unwrap_err();
+    assert!(matches!(&e, minih5::H5Error::Format(m) if m.contains("owner rank 3")), "{e}");
+    let huge: Vec<u8> = [1, u64::MAX / 8].into_iter().flat_map(u64::to_le_bytes).collect();
+    let e = dec_data_reply_batch(&huge, 3).unwrap_err();
+    assert!(matches!(e, minih5::H5Error::Format(_)), "{e}");
+}
+
+/// An owner rank from the wire is checked before it indexes anything: a
+/// producer whose batch reply names a rank outside its task fails the
+/// consumer's read with `H5Error::Format`, never a panic.
+#[test]
+fn out_of_range_owner_fails_the_read_cleanly() {
+    use diyblk::rpc::{RpcServer, ServeOutcome};
+    use lowfive::{DistVolBuilder, LowFiveProps, MetadataVol};
+    use minih5::{Dataspace, Datatype, H5Error, Vol, H5};
+    use simmpi::{TaskSpec, TaskWorld};
+
+    let specs = [TaskSpec::new("p", 1), TaskSpec::new("c", 1)];
+    TaskWorld::run(&specs, |tc| {
+        if tc.task_id == 0 {
+            // A hand-rolled producer: a real metadata tree, a forged reply
+            // naming owner 7 of a one-rank task.
+            let tree = MetadataVol::over_native(LowFiveProps::new());
+            let f = tree.file_create("forged.h5").unwrap();
+            tree.dataset_create(f, "x", &Datatype::UInt64, &Dataspace::simple(&[4])).unwrap();
+            let meta = tree.file_meta("forged.h5").unwrap();
+            let forged = enc_data_reply_batch(&[DataReply {
+                gen: 0,
+                owners: vec![7],
+                segs: vec![],
+                blob: Bytes::new(),
+            }]);
+            RpcServer::new(&tc.world).serve(|_, method, _| match method {
+                M_METADATA => {
+                    ServeOutcome::Reply(enc_result(Ok(enc_metadata_reply(0, CAP_RAW, &meta))))
+                }
+                M_DATA_BATCH => ServeOutcome::Reply(enc_result(Ok(encode_coded(
+                    Payload::from(forged.clone()),
+                    CODEC_RAW,
+                )
+                .to_bytes()))),
+                _ => ServeOutcome::Stop(Some(enc_result(Ok(Bytes::new())))),
+            });
+        } else {
+            let vol = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
+                .consume("*", vec![0])
+                .build();
+            let f = H5::with_vol(vol as std::sync::Arc<dyn Vol>).open_file("forged.h5").unwrap();
+            let err = f.open_dataset("x").unwrap().read_all::<u64>().unwrap_err();
+            assert!(matches!(&err, H5Error::Format(m) if m.contains("owner rank 7")), "{err}");
+            f.close().unwrap();
+        }
+    });
 }
 
 proptest! {

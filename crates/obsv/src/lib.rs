@@ -99,9 +99,9 @@ pub enum Phase {
     Open,
     /// Consumer-side dataset read against remote producers (Algorithm 3).
     Query,
-    /// Query step 1: ask the index owner which ranks hold the data.
+    /// Query routing: cached owners or common-decomposition block owners.
     Redirect,
-    /// Query step 2: fetch intersecting blocks from data owners.
+    /// Query fetch: the data rounds (block owners also report the owners).
     Fetch,
     /// One RPC from the client side, tagged with its call id.
     RpcCall,
@@ -187,7 +187,7 @@ pub enum Ctr {
     /// Batched data requests sent on the pipelined consumer fetch path.
     FetchBatches,
     /// Consumer fetch-cache lookups answered locally (metadata or
-    /// intersect results reused without a round trip).
+    /// owner lists reused without a round trip).
     FetchCacheHits,
     /// Consumer fetch-cache lookups that had to go to the wire.
     FetchCacheMisses,
@@ -388,15 +388,13 @@ pub enum Hist {
     /// Wall time spent inside wire-codec encode and decode passes,
     /// nanoseconds (one sample per pass, both directions).
     CodecLatencyNs,
-    /// Wall time executing one `M_INTERSECT` request, nanoseconds.
-    ServeIntersectNs,
     /// Wall time executing one `M_DATA_BATCH` request, nanoseconds
-    /// (gather + codec encode of all entries of the batch).
+    /// (owner lookup, gather and codec encode of all entries of the batch).
     ServeBatchNs,
 }
 
 /// Number of [`Hist`] variants (the fixed width of every histogram array).
-pub const NUM_HISTS: usize = 14;
+pub const NUM_HISTS: usize = 13;
 
 impl Hist {
     /// Every histogram, in declaration order.
@@ -413,7 +411,6 @@ impl Hist {
         Hist::CollLatencyNs,
         Hist::StepLatencyNs,
         Hist::CodecLatencyNs,
-        Hist::ServeIntersectNs,
         Hist::ServeBatchNs,
     ];
 
@@ -432,7 +429,6 @@ impl Hist {
             Hist::CollLatencyNs => "coll_latency_ns",
             Hist::StepLatencyNs => "step_latency_ns",
             Hist::CodecLatencyNs => "codec_latency_ns",
-            Hist::ServeIntersectNs => "serve_intersect_ns",
             Hist::ServeBatchNs => "serve_batch_ns",
         }
     }

@@ -124,7 +124,7 @@ fn main() {
                 println!("[sensors 0] profile over {STEPS} steps:");
                 println!("  index : {:>8.4} s  ({} boxes indexed)", p.index_seconds, p.index_boxes);
                 println!(
-                "  serve : {:>8.4} s  ({} sessions, {} metadata / {} redirect / {} data requests, {:.2} MiB served)",
+                "  serve : {:>8.4} s  ({} sessions, {} metadata / {} owner lookups / {} data requests, {:.2} MiB served)",
                 p.serve_seconds,
                 p.serve_sessions,
                 p.metadata_requests,
@@ -139,9 +139,12 @@ fn main() {
                     "  open      : {:>8.4} s (blocked until producers closed)",
                     p.open_seconds
                 );
-                println!("  redirect  : {:>8.4} s (Algorithm 3 step 1)", p.redirect_seconds);
                 println!(
-                    "  fetch     : {:>8.4} s (Algorithm 3 step 2, {:.2} MiB)",
+                    "  redirect  : {:>8.4} s (routing: owner cache, block owners)",
+                    p.redirect_seconds
+                );
+                println!(
+                    "  fetch     : {:>8.4} s (data rounds, {:.2} MiB)",
                     p.fetch_seconds,
                     p.bytes_fetched as f64 / (1 << 20) as f64
                 );

@@ -5,12 +5,18 @@
 //! samples the (geometry × fault seed) product: under any benign
 //! delay/reorder plan the redistributed bytes are identical to the
 //! fault-free run.
+//!
+//! Producers write in one of two layouts: each its block of the common
+//! decomposition (aligned — a read is one round) or an x-range between
+//! random cuts (misaligned in general — a read may need a second round
+//! to the owners the block owners name).
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use diyblk::RegularDecomposer;
 use lowfive::{DistVolBuilder, LowFiveProps};
-use minih5::{Dataspace, Datatype, Selection, Vol, H5};
+use minih5::{BBox, Dataspace, Datatype, Selection, Vol, H5};
 use proptest::prelude::*;
 use simmpi::{FaultPlan, TaskSpec, TaskWorld};
 
@@ -21,6 +27,8 @@ struct Scenario {
     dims: Vec<u64>,
     /// Per-producer x-ranges (contiguous partition of dims[0]).
     cuts: Vec<u64>,
+    /// Producers write their common-decomposition blocks instead of `cuts`.
+    aligned: bool,
     /// Consumer queries: one box per consumer, inside the dims.
     queries: Vec<(Vec<u64>, Vec<u64>)>, // (start, size)
 }
@@ -58,15 +66,40 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     .collect::<Vec<_>>()
             });
             let dims3 = dims.clone();
-            (cuts, queries).prop_map(move |(cuts, queries)| Scenario {
+            (cuts, queries, any::<bool>()).prop_map(move |(cuts, queries, aligned)| Scenario {
                 producers,
                 consumers,
                 dims: dims3.clone(),
                 cuts,
+                aligned,
                 queries,
             })
         })
     })
+}
+
+impl Scenario {
+    /// What producer `p` writes, `None` when that is nothing.
+    fn producer_sel(&self, p: usize) -> Option<Selection> {
+        let bb = if self.aligned {
+            RegularDecomposer::new(&self.dims, self.producers).block_bounds(p)
+        } else {
+            let mut lo = vec![0u64; self.dims.len()];
+            let mut hi = self.dims.clone();
+            lo[0] = if p == 0 { 0 } else { self.cuts[p - 1] };
+            hi[0] = if p + 1 == self.producers { self.dims[0] } else { self.cuts[p] };
+            BBox::new(lo, hi)
+        };
+        (!bb.is_empty()).then(|| bb.to_selection())
+    }
+
+    /// The position-encoded values of `sel`: each cell's linear index.
+    fn values(&self, sel: &Selection) -> Vec<u64> {
+        sel.runs(&Dataspace::simple(&self.dims))
+            .iter()
+            .flat_map(|r| r.offset..r.offset + r.len)
+            .collect()
+    }
 }
 
 /// Run one redistribution; returns each consumer's values (indexed by
@@ -85,23 +118,11 @@ fn run_scenario(s: &Scenario, plan: Option<FaultPlan>) -> Vec<Vec<u64>> {
             DistVolBuilder::new(tc.world.clone(), tc.local.clone()).consume("*", producers).build()
         };
         let h5 = H5::with_vol(vol);
-        let space = Dataspace::simple(&s.dims);
         if tc.task_id == 0 {
-            let p = tc.local.rank();
-            let x0 = if p == 0 { 0 } else { s.cuts[p - 1] };
-            let x1 = if p + 1 == s.producers { s.dims[0] } else { s.cuts[p] };
             let f = h5.create_file("prop.h5").unwrap();
             let d = f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&s.dims)).unwrap();
-            if x1 > x0 {
-                // Write this x-range (possibly empty for some producers).
-                let mut start = vec![0u64; s.dims.len()];
-                start[0] = x0;
-                let mut size = s.dims.clone();
-                size[0] = x1 - x0;
-                let sel = Selection::block(&start, &size);
-                let vals: Vec<u64> =
-                    sel.runs(&space).iter().flat_map(|r| r.offset..r.offset + r.len).collect();
-                d.write_selection(&sel, &vals).unwrap();
+            if let Some(sel) = s.producer_sel(tc.local.rank()) {
+                d.write_selection(&sel, &s.values(&sel)).unwrap();
             }
             f.close().unwrap();
             Vec::new()
@@ -112,12 +133,7 @@ fn run_scenario(s: &Scenario, plan: Option<FaultPlan>) -> Vec<Vec<u64>> {
             let d = f.open_dataset("x").unwrap();
             let sel = Selection::block(start, size);
             let got: Vec<u64> = d.read_selection(&sel).unwrap();
-            let expect: Vec<u64> = sel
-                .runs(&Dataspace::simple(&s.dims))
-                .iter()
-                .flat_map(|r| r.offset..r.offset + r.len)
-                .collect();
-            assert_eq!(got, expect, "query {start:?}+{size:?} over dims {:?}", s.dims);
+            assert_eq!(got, s.values(&sel), "query {start:?}+{size:?} over dims {:?}", s.dims);
             f.close().unwrap();
             got
         }
@@ -177,22 +193,11 @@ fn run_scenario_multi(s: &Scenario, plan: FaultPlan) -> Vec<Vec<u8>> {
             DistVolBuilder::new(tc.world.clone(), tc.local.clone()).consume("*", producers).build()
         };
         let h5 = H5::with_vol(vol);
-        let space = Dataspace::simple(&s.dims);
         if tc.task_id == 0 {
-            let p = tc.local.rank();
-            let x0 = if p == 0 { 0 } else { s.cuts[p - 1] };
-            let x1 = if p + 1 == s.producers { s.dims[0] } else { s.cuts[p] };
             let f = h5.create_file("prop-multi.h5").unwrap();
             let d = f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&s.dims)).unwrap();
-            if x1 > x0 {
-                let mut start = vec![0u64; s.dims.len()];
-                start[0] = x0;
-                let mut size = s.dims.clone();
-                size[0] = x1 - x0;
-                let sel = Selection::block(&start, &size);
-                let vals: Vec<u64> =
-                    sel.runs(&space).iter().flat_map(|r| r.offset..r.offset + r.len).collect();
-                d.write_selection(&sel, &vals).unwrap();
+            if let Some(sel) = s.producer_sel(tc.local.rank()) {
+                d.write_selection(&sel, &s.values(&sel)).unwrap();
             }
             f.close().unwrap();
             Vec::new()
@@ -217,17 +222,16 @@ proptest! {
     /// One batched multi-selection read must return, for every
     /// selection, the position-encoded values of exactly the cells it
     /// names — computed here from the selection's runs — across the
-    /// (geometry × fault seed) product: batching and overlap are pure
-    /// transport optimizations.
+    /// (geometry × aligned-or-misaligned layout × fault seed) product:
+    /// batching, overlap and the round count are pure transport
+    /// optimizations.
     #[test]
     fn batched_read_matches_ground_truth(s in scenario(), seed in any::<u64>()) {
         let plan = FaultPlan::new(seed).delay(0.3, Duration::from_micros(300)).reorder(0.4);
-        let space = Dataspace::simple(&s.dims);
         let want: Vec<u8> = s
             .queries
             .iter()
-            .flat_map(|(start, size)| Selection::block(start, size).runs(&space))
-            .flat_map(|r| r.offset..r.offset + r.len)
+            .flat_map(|(start, size)| s.values(&Selection::block(start, size)))
             .flat_map(u64::to_le_bytes)
             .collect();
         for (c, got) in run_scenario_multi(&s, plan).iter().enumerate() {
@@ -269,25 +273,11 @@ fn run_scenario_zc(s: &Scenario, plan: Option<FaultPlan>, shallow: bool) -> Vec<
                 .build()
         };
         let h5 = H5::with_vol(vol);
-        let space = Dataspace::simple(&s.dims);
         if tc.task_id == 0 {
-            let p = tc.local.rank();
-            let x0 = if p == 0 { 0 } else { s.cuts[p - 1] };
-            let x1 = if p + 1 == s.producers { s.dims[0] } else { s.cuts[p] };
             let f = h5.create_file("prop-zc.h5").unwrap();
             let d = f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&s.dims)).unwrap();
-            if x1 > x0 {
-                let mut start = vec![0u64; s.dims.len()];
-                start[0] = x0;
-                let mut size = s.dims.clone();
-                size[0] = x1 - x0;
-                let sel = Selection::block(&start, &size);
-                let raw: Vec<u8> = sel
-                    .runs(&space)
-                    .iter()
-                    .flat_map(|r| r.offset..r.offset + r.len)
-                    .flat_map(|v| v.to_le_bytes())
-                    .collect();
+            if let Some(sel) = s.producer_sel(tc.local.rank()) {
+                let raw: Vec<u8> = s.values(&sel).into_iter().flat_map(u64::to_le_bytes).collect();
                 d.write_bytes(&sel, bytes::Bytes::from(raw), minih5::Ownership::Shallow).unwrap();
             }
             f.close().unwrap();
