@@ -83,6 +83,18 @@ pub struct Link {
     pub remote_ranks: Vec<usize>,
 }
 
+impl Link {
+    /// The remote rank that local rank `local_rank` sends its requests
+    /// to, spreading the local task across the remote one. A link that
+    /// lists no remote ranks has none: an error naming its pattern.
+    pub(crate) fn home(&self, local_rank: usize) -> H5Result<usize> {
+        local_rank
+            .checked_rem(self.remote_ranks.len())
+            .map(|i| self.remote_ranks[i])
+            .ok_or_else(|| H5Error::Vol(format!("link {:?} lists no remote ranks", self.pattern)))
+    }
+}
+
 /// Ids of objects opened over a Consume link carry this bit; all other ids
 /// belong to the local metadata layer.
 const REMOTE_BIT: ObjId = 1 << 63;
@@ -312,8 +324,10 @@ pub struct DistMetadataVol {
     /// windows (see [`crate::stream`]). Slot files of a series bypass
     /// the DONE-counted session map entirely.
     stream: Mutex<crate::stream::StreamState>,
-    /// Signalled (under `stream`) whenever a consumer's cursor advances:
-    /// what a `publish` blocked on a full window waits for.
+    /// Signalled whenever a series' slowest consumer cursor advances (the
+    /// cursor moves under `stream`, the signal follows its release): what
+    /// a `publish` blocked on a full window and a `finish` draining the
+    /// series wait for.
     stream_acked: Condvar,
 }
 
@@ -457,6 +471,11 @@ impl DistMetadataVol {
         &self.local
     }
 
+    /// The world communicator every RPC travels on.
+    pub(crate) fn world(&self) -> &Comm {
+        &self.world
+    }
+
     /// Is overlap mode (background serve thread) enabled?
     pub(crate) fn is_async_serve(&self) -> bool {
         self.async_serve
@@ -467,7 +486,8 @@ impl DistMetadataVol {
         &self.stream
     }
 
-    /// Paired with [`Self::stream_state`]: notified when a cursor moves.
+    /// Paired with [`Self::stream_state`]: notified when a series' slowest
+    /// cursor moves.
     pub(crate) fn stream_acked(&self) -> &Condvar {
         &self.stream_acked
     }
@@ -820,8 +840,8 @@ impl DistMetadataVol {
                 // resends the same DONE under its retry policy, and each
                 // retransmit is a fresh RPC — so a session counts distinct
                 // caller ranks, not messages. A DONE for a file with no
-                // open session (a step slot, a kept file being re-read, a
-                // retransmit after the session closed) is only acked.
+                // open session (a kept file being re-read, a retransmit
+                // after the session closed) is only acked.
                 let finished = {
                     let mut s = self.sessions.lock();
                     let last = s.open.get_mut(&file).is_some_and(|sess| {
@@ -864,12 +884,12 @@ impl DistMetadataVol {
                     "step streaming requires overlap mode (DistVolBuilder::async_serve)".into(),
                 ))))
             }
-            M_STEP_SUB => {
-                ServeOutcome::Reply(crate::stream::serve_step_sub(self, caller.rank, &args))
-            }
-            M_STEP_NEXT => {
-                ServeOutcome::Reply(crate::stream::serve_step_next(self, caller.rank, &args))
-            }
+            // `None`: parked, answered later by `StepPublisher::new` /
+            // `publish` / `finish`, or failed when this thread exits.
+            M_STEP_SUB => crate::stream::serve_step_sub(self, caller, &args)
+                .map_or(ServeOutcome::Continue, ServeOutcome::Reply),
+            M_STEP_NEXT => crate::stream::serve_step_next(self, caller, &args)
+                .map_or(ServeOutcome::Continue, ServeOutcome::Reply),
             M_STEP_ACK => {
                 ServeOutcome::Reply(crate::stream::serve_step_ack(self, caller.rank, &args))
             }
@@ -1026,8 +1046,8 @@ impl DistMetadataVol {
         // Step slot files never enter the session map: their lifetime is
         // governed by the series' announce window (publish → retire), not
         // by counted consumer DONEs — a `LatestStep` subscriber may never
-        // open a given slot at all. Consumer closes of slot files hit the
-        // loop's absent-file DONE branch and are simply acked. Only an
+        // open a given slot at all — and subscribers send no DONE when
+        // they close one (`consumer_close`). Only an
         // overlap-mode VOL can publish a series; a sync-mode task that
         // re-produces slot-named files of a series it subscribes to
         // serves them as ordinary sessions.
@@ -1066,6 +1086,7 @@ impl DistMetadataVol {
                         let _obs = parent.and_then(|r| r.fork()).map(obsv::install);
                         me.serve_loop();
                         me.fail_parked_meta();
+                        crate::stream::fail_parked(&me);
                     })
                     .expect("spawn serve thread"),
             );
@@ -1223,7 +1244,7 @@ impl DistMetadataVol {
             // remote failure — the producer returning an error *or* the
             // producer being gone — propagates to every rank instead of
             // leaving peers stuck in the collective.
-            let home = link.remote_ranks[0];
+            let home = link.home(0)?;
             let reply = if self.local.rank() == 0 {
                 let reply = self
                     .call_producer(name, home, M_METADATA, &enc_metadata_req(name, caps))
@@ -1236,7 +1257,7 @@ impl DistMetadataVol {
         } else {
             // Each consumer rank has a "home" producer for metadata
             // requests, spreading the load across the producer task.
-            let home = link.remote_ranks[self.local.rank() % link.remote_ranks.len()];
+            let home = link.home(self.local.rank())?;
             (home, self.call_producer(name, home, M_METADATA, &enc_metadata_req(name, caps))?)
         };
         let (gen, mask, meta) = dec_metadata_reply(&dec_result(&reply)?)?;
@@ -1506,6 +1527,12 @@ impl DistMetadataVol {
             if !is_step {
                 cache.gens.remove(filename.as_ref());
             }
+        }
+        // A slot file has no serve session to count a DONE toward (the
+        // series' window governs its life), so none is sent: it would only
+        // be acked, and the wait for that ack would sit on every step.
+        if is_step {
+            return Ok(());
         }
         // DONE is a *call*, not a notification: the producer's serve loop
         // counts it toward session completion, so a dropped message would

@@ -1038,7 +1038,9 @@ pub fn dec_step_next_req(b: &[u8]) -> H5Result<(String, u64, u8, u64)> {
 /// One `M_STEP_NEXT` reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StepNextReply {
-    /// Nothing at or past the cursor is retained yet; poll again.
+    /// Nothing at or past the cursor is retained yet, and the consumer
+    /// asked again while its earlier poll was parked; poll again (that
+    /// poll parks).
     Pending,
     /// A step *announce*: the chosen step and where to read it.
     Step {

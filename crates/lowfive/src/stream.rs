@@ -21,8 +21,11 @@
 //!   [`StepPolicy`] — every step in order, always the latest, or in-order
 //!   with a bounded skip — and acknowledges consumption cumulatively to
 //!   *all* producer ranks (piggybacked on the poll for the home rank). A
-//!   late joiner starts from the oldest step the window still retains
-//!   (`M_STEP_SUB` returns the window bounds).
+//!   poll with nothing to deliver is *parked* at the producer and answered
+//!   by the `publish` that makes a step selectable (or by `finish`), so a
+//!   consumer never sleeps between polls. A late joiner starts from the
+//!   oldest step the window still retains (`M_STEP_SUB` returns the window
+//!   bounds).
 //!
 //! The control plane is three RPC methods of the serve loop
 //! (`M_STEP_SUB`, `M_STEP_NEXT`, `M_STEP_ACK` — byte formats in
@@ -112,9 +115,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use diyblk::rpc::Call;
+use diyblk::rpc::{Call, Caller};
 use minih5::{H5Error, H5Result};
-use parking_lot::Condvar;
 
 use crate::dist::DistMetadataVol;
 use crate::props::BackPressure;
@@ -175,8 +177,29 @@ pub(crate) struct StepRecord {
     file: String,
 }
 
-/// Per-series producer-side state: the bounded announce window and the
-/// per-consumer cumulative cursors.
+impl StepRecord {
+    fn announce(&self) -> StepNextReply {
+        StepNextReply::Step {
+            seq: self.seq,
+            file: self.file.clone(),
+            gen: self.gen,
+            pub_ns: self.pub_ns,
+        }
+    }
+}
+
+/// An `M_STEP_NEXT` that found nothing to deliver, held unanswered until
+/// a `publish` makes a step selectable for it, `finish` ends the series,
+/// or the serve thread exits.
+struct ParkedPoll {
+    caller: Caller,
+    cursor: u64,
+    policy: u8,
+    skip: u64,
+}
+
+/// Per-series producer-side state: the bounded announce window, the
+/// per-consumer cumulative cursors and the parked polls.
 pub(crate) struct SeriesState {
     capacity: usize,
     mode: BackPressure,
@@ -188,9 +211,23 @@ pub(crate) struct SeriesState {
     /// consumer, max-merged by idempotent `M_STEP_ACK`s.
     cursors: HashMap<usize, u64>,
     ended: bool,
+    /// Polls waiting for the next publish, at most one per consumer rank.
+    parked: Vec<ParkedPoll>,
 }
 
 impl SeriesState {
+    fn new(capacity: usize, mode: BackPressure, consumers: &[usize]) -> Self {
+        SeriesState {
+            capacity,
+            mode,
+            next_seq: 0,
+            window: VecDeque::new(),
+            cursors: consumers.iter().map(|&r| (r, 0)).collect(),
+            ended: false,
+            parked: Vec::new(),
+        }
+    }
+
     fn min_cursor(&self) -> u64 {
         self.cursors.values().copied().min().unwrap_or(u64::MAX)
     }
@@ -199,16 +236,15 @@ impl SeriesState {
         self.window.front().map(|r| r.seq).unwrap_or(self.next_seq)
     }
 
-    /// Max-merge consumer `rank`'s cumulative cursor (acks are idempotent)
-    /// and, when it moved, wake a `publish` blocked on a full window.
-    /// Called with the stream state locked, so the wake-up cannot slip
-    /// between the publisher's check and its wait.
-    fn advance_cursor(&mut self, acked: &Condvar, rank: usize, cursor: u64) {
+    /// Max-merge consumer `rank`'s cumulative cursor (acks are idempotent).
+    /// Returns whether the *slowest* cursor moved — the only move a
+    /// blocked `publish` or a draining `finish` can act on; the caller
+    /// then wakes them once it has released the stream lock.
+    fn advance_cursor(&mut self, rank: usize, cursor: u64) -> bool {
+        let slowest = self.min_cursor();
         let c = self.cursors.entry(rank).or_insert(0);
-        if cursor > *c {
-            *c = cursor;
-            acked.notify_all();
-        }
+        *c = (*c).max(cursor);
+        self.min_cursor() > slowest
     }
 
     /// Drop fully-consumed steps off the front of the window.
@@ -217,6 +253,28 @@ impl SeriesState {
         while self.window.front().is_some_and(|r| r.seq < min) {
             self.window.pop_front();
         }
+    }
+
+    /// Drop consumer `rank`'s parked poll, if any; returns whether there
+    /// was one.
+    fn unpark(&mut self, rank: usize) -> bool {
+        let before = self.parked.len();
+        self.parked.retain(|p| p.caller.rank != rank);
+        self.parked.len() != before
+    }
+
+    /// Take every parked poll that now selects a step, paired with the
+    /// step its policy picks.
+    fn wake(&mut self) -> Vec<(Caller, StepNextReply)> {
+        let mut woken = Vec::new();
+        self.parked.retain(|p| match select_step(&self.window, p.cursor, p.policy, p.skip) {
+            Some(r) => {
+                woken.push((p.caller, r.announce()));
+                false
+            }
+            None => true,
+        });
+        woken
     }
 }
 
@@ -230,6 +288,10 @@ pub(crate) struct StreamState {
     pub(crate) serveable: HashSet<String>,
     /// Consumer side: series this rank has subscribed to.
     subscribed: HashSet<String>,
+    /// `M_STEP_SUB`s for series not registered yet, as `(caller, series)`,
+    /// at most one per consumer rank and series: answered by the
+    /// [`StepPublisher::new`] that registers the series.
+    parked_subs: Vec<(Caller, String)>,
 }
 
 impl StreamState {
@@ -288,22 +350,24 @@ impl StepPublisher {
                  (declare e.g. .produce(\"{series}@s*\", …))"
             )));
         }
-        {
+        let subscribers = {
             let mut st = vol.stream_state().lock();
             if st.series.contains_key(series) {
                 return Err(H5Error::Vol(format!("series {series:?} already has a publisher")));
             }
-            st.series.insert(
-                series.to_string(),
-                SeriesState {
-                    capacity,
-                    mode,
-                    next_seq: 0,
-                    window: VecDeque::new(),
-                    cursors: consumers.iter().map(|&r| (r, 0)).collect(),
-                    ended: false,
-                },
-            );
+            let s = SeriesState::new(capacity, mode, &consumers);
+            let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut st.parked_subs)
+                .into_iter()
+                .partition(|(_, name)| name == series);
+            st.parked_subs = later;
+            let subscribers: Vec<(Caller, Bytes)> =
+                now.into_iter().map(|(c, _)| (c, sub_reply(&vol, series, &s, c.rank))).collect();
+            st.series.insert(series.to_string(), s);
+            subscribers
+        };
+        // Subscribes that arrived before the series was registered.
+        for (caller, reply) in subscribers {
+            diyblk::rpc::send_reply(vol.world(), caller, enc_result(Ok(reply)));
         }
         // Subscribes may arrive before the first slot file closes; the
         // serve thread must be up to answer them.
@@ -333,6 +397,9 @@ impl StepPublisher {
     /// and returns immediately. `steps_published` / `steps_dropped` are
     /// bumped on producer-local rank 0 only, so summed metrics stay exact
     /// for multi-rank producer tasks.
+    ///
+    /// Every parked poll the new step answers is answered from here,
+    /// on this thread, after the stream lock is released.
     pub fn publish(&self) -> H5Result<u64> {
         let file = self.step_file();
         // The slot must hold a closed snapshot; its generation is what
@@ -349,11 +416,11 @@ impl StepPublisher {
                 break;
             }
             match s.mode {
-                // Woken by the serve thread the moment a consumer's cursor
-                // moves (`advance_cursor`). Not a sleep-and-poll: that
-                // makes the time spent here a whole number of sleeps,
-                // which jumps between counts as the consumers' step
-                // period drifts.
+                // Woken by the serve thread the moment the slowest
+                // consumer's cursor moves (`advance_cursor`). Not a
+                // sleep-and-poll: that makes the time spent here a whole
+                // number of sleeps, which jumps between counts as the
+                // consumers' step period drifts.
                 BackPressure::Block => self.vol.stream_acked().wait(&mut st),
                 BackPressure::DropOldest => {
                     s.window.pop_front();
@@ -368,7 +435,13 @@ impl StepPublisher {
         let seq = s.next_seq;
         s.next_seq += 1;
         s.window.push_back(StepRecord { seq, gen, pub_ns, file: file.clone() });
+        let woken = s.wake();
+        // Serveable before any announce leaves: a woken consumer's
+        // `M_METADATA` for the slot would otherwise park in
+        // `pending_meta`, which only a close flushes.
         st.serveable.insert(file);
+        drop(st);
+        answer_polls(&self.vol, &self.series, woken);
         if count_here {
             obsv::counter_add(obsv::Ctr::StepsPublished, 1);
         }
@@ -380,29 +453,32 @@ impl StepPublisher {
     /// published step. Returns whether the drain was clean — `false`
     /// means a consumer never caught up (it died, or never subscribed).
     ///
-    /// Subscribers polling past the end receive `Ended` and stop, so
-    /// marking the end *first* cannot deadlock against a consumer still
-    /// waiting for more steps.
+    /// Parked polls are answered `Ended` here, and subscribers polling
+    /// past the end receive `Ended` and stop, so marking the end *first*
+    /// cannot deadlock against a consumer still waiting for more steps.
     pub fn finish(&self, grace: Option<Duration>) -> bool {
         let deadline = grace.map(|g| std::time::Instant::now() + g);
-        let head = {
+        let (head, ended) = {
             let mut st = self.vol.stream_state().lock();
             let s = st.series.get_mut(&self.series).expect("registered in new()");
             s.ended = true;
-            s.next_seq
+            let head = s.next_seq;
+            let parked = std::mem::take(&mut s.parked);
+            (head, parked.into_iter().map(|p| (p.caller, StepNextReply::Ended { head })).collect())
         };
-        loop {
-            {
-                let st = self.vol.stream_state().lock();
-                if st.series[&self.series].min_cursor() >= head {
-                    return true;
+        answer_polls(&self.vol, &self.series, ended);
+        let mut st = self.vol.stream_state().lock();
+        // Woken whenever the slowest cursor moves (`advance_cursor`).
+        while st.series[&self.series].min_cursor() < head {
+            match deadline {
+                None => self.vol.stream_acked().wait(&mut st),
+                Some(d) if std::time::Instant::now() >= d => return false,
+                Some(d) => {
+                    self.vol.stream_acked().wait_until(&mut st, d);
                 }
             }
-            if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
         }
+        true
     }
 }
 
@@ -425,22 +501,22 @@ pub struct StepSubscription {
 }
 
 impl StepSubscription {
-    /// Subscribe to `series` under `policy`, blocking (in 1 ms polls)
-    /// until the producer registers the series. The RPC policy configured
-    /// for the series still bounds each poll, so a dead producer surfaces
-    /// as [`H5Error::PeerUnavailable`] instead of hanging forever.
+    /// Subscribe to `series` under `policy`, blocking until the producer
+    /// registers the series: the producer holds the subscribe and
+    /// answers it from [`StepPublisher::new`]. The RPC policy configured
+    /// for the series still bounds each attempt, so a dead producer
+    /// surfaces as [`H5Error::PeerUnavailable`] instead of hanging
+    /// forever, while a live one that is merely slow to start answers a
+    /// re-sent subscribe at once.
     pub fn new(vol: Arc<DistMetadataVol>, series: &str, policy: StepPolicy) -> H5Result<Self> {
-        let producers = vol
-            .consume_link_for(&slot_name(series, 0))
-            .ok_or_else(|| {
-                H5Error::Vol(format!(
-                    "no consume link matches the step files of series {series:?} \
-                     (declare e.g. .consume(\"{series}@s*\", …))"
-                ))
-            })?
-            .remote_ranks
-            .clone();
-        let home = producers[vol.local_comm().rank() % producers.len()];
+        let link = vol.consume_link_for(&slot_name(series, 0)).ok_or_else(|| {
+            H5Error::Vol(format!(
+                "no consume link matches the step files of series {series:?} \
+                 (declare e.g. .consume(\"{series}@s*\", …))"
+            ))
+        })?;
+        let home = link.home(vol.local_comm().rank())?;
+        let producers = link.remote_ranks.clone();
         // The subscribe doubles as the codec handshake for this series:
         // announce replies from `home` arrive codec-prefixed under the
         // returned mask. Only `home` ever sends us announces, so no
@@ -460,8 +536,10 @@ impl StepSubscription {
                     }
                     break window_start;
                 }
-                // Not registered yet: the producer task is still starting.
-                Err(H5Error::NotFound(_)) => std::thread::sleep(Duration::from_millis(1)),
+                // The producer's answer to a re-sent subscribe (our retry
+                // policy gave up on the one it holds): the series is not
+                // registered yet. Ask again at once; that request is held.
+                Err(H5Error::NotFound(_)) => {}
                 Err(e) => return Err(e),
             }
         };
@@ -490,8 +568,12 @@ impl StepSubscription {
     /// step (cumulatively and idempotently, so a retried ack is
     /// harmless): the home producer learns the new cursor from the
     /// `M_STEP_NEXT` poll itself, the other producer ranks from an
-    /// explicit `M_STEP_ACK`. The poll repeats in 1 ms intervals until a
-    /// step, or the end of the series, is announced.
+    /// explicit `M_STEP_ACK`. A poll with nothing to deliver is held by
+    /// the producer until a step, or the end of the series, is announced;
+    /// without an RPC policy this call blocks until then. With one, the
+    /// producer answers a re-sent poll `Pending` at once, and the poll
+    /// repeats without a pause, so only a dead or stopped producer
+    /// exhausts the attempts.
     ///
     /// The ack-before-poll ordering matters for shutdown: a producer may
     /// exit the moment its last owed ack arrives, so the consumer must
@@ -518,7 +600,8 @@ impl StepSubscription {
             )?;
             let body = self.vol.decode_reply_body(&self.series, &dec_result(&reply)?)?;
             match dec_step_next_reply(&body)? {
-                StepNextReply::Pending => std::thread::sleep(Duration::from_millis(1)),
+                // We asked again while parked; the next poll parks.
+                StepNextReply::Pending => {}
                 StepNextReply::Step { seq, file, gen, pub_ns } => {
                     obsv::counter_add(obsv::Ctr::StepsLagged, seq.saturating_sub(self.cursor));
                     obsv::hist_record(
@@ -585,58 +668,140 @@ impl StepSubscription {
 // loop's guard keeps a sync-mode producer from reaching them)
 // ---------------------------------------------------------------------
 
-/// Answer `M_STEP_SUB`: the series' retained window bounds, or
-/// `NotFound` while the series is not registered yet (the consumer
-/// retries).
-pub(crate) fn serve_step_sub(vol: &DistMetadataVol, rank: usize, args: &Bytes) -> Bytes {
-    let reply = dec_step_sub_req(args).and_then(|(series, caps)| {
-        // Record the negotiation even while the series is still
-        // unregistered: the consumer's retries re-send the same caps, but
-        // an early record costs nothing and keeps the paths uniform.
-        vol.record_consumer_caps(&series, rank, caps);
-        let st = vol.stream_state().lock();
-        match st.series.get(&series) {
-            Some(s) => Ok(enc_step_sub_reply(
-                s.window_start(),
-                s.next_seq,
-                s.ended,
-                vol.negotiated_mask(&series, rank),
-            )),
-            None => Err(H5Error::NotFound(series)),
-        }
-    });
-    enc_result(reply)
+/// The `M_STEP_SUB` reply body for consumer world rank `rank`: the
+/// series' retained window bounds and the negotiated codec mask.
+fn sub_reply(vol: &DistMetadataVol, series: &str, s: &SeriesState, rank: usize) -> Bytes {
+    enc_step_sub_reply(s.window_start(), s.next_seq, s.ended, vol.negotiated_mask(series, rank))
 }
 
-/// Answer `M_STEP_NEXT` from consumer world rank `rank`: select a
-/// retained step under the requested policy, report the end of the
-/// series, or ask the consumer to poll again. The request's cursor
-/// doubles as a piggybacked ack (max-merged like `M_STEP_ACK`), so a
-/// consumer never owes its home producer a separate ack message.
-pub(crate) fn serve_step_next(vol: &DistMetadataVol, rank: usize, args: &Bytes) -> Bytes {
+/// Answer `M_STEP_SUB`: the series' retained window bounds. A subscribe
+/// for a series not registered yet is parked (`None`: no reply now) and
+/// answered by the [`StepPublisher::new`] that registers it. A re-sent
+/// subscribe that finds one parked replaces it and is answered
+/// `NotFound` at once, so a consumer under a retry policy hears from a
+/// live producer once per timeout; it asks again, and that one parks.
+pub(crate) fn serve_step_sub(vol: &DistMetadataVol, caller: Caller, args: &Bytes) -> Option<Bytes> {
+    let reply = dec_step_sub_req(args).and_then(|(series, caps)| {
+        // Record the negotiation even while the series is still
+        // unregistered: the reply is built when the series appears.
+        vol.record_consumer_caps(&series, caller.rank, caps);
+        let mut st = vol.stream_state().lock();
+        let before = st.parked_subs.len();
+        st.parked_subs.retain(|(c, name)| !(c.rank == caller.rank && *name == series));
+        let resent = st.parked_subs.len() != before;
+        match st.series.get(&series) {
+            Some(s) => Ok(Some(sub_reply(vol, &series, s, caller.rank))),
+            None if resent => Err(H5Error::NotFound(series)),
+            None => {
+                st.parked_subs.push((caller, series));
+                Ok(None)
+            }
+        }
+    });
+    reply.transpose().map(enc_result)
+}
+
+/// Answer `M_STEP_NEXT` from consumer `caller`: select a retained step
+/// under the requested policy, or report the end of the series. With
+/// neither to report the poll is parked (`None`: no reply now) until
+/// `publish` or `finish` answers it. The request's cursor doubles as a
+/// piggybacked ack (max-merged like `M_STEP_ACK`), so a consumer never
+/// owes its home producer a separate ack message.
+///
+/// A poll that finds one of the same consumer's parked replaces it and,
+/// with nothing to deliver, is answered `Pending` at once: the consumer
+/// re-sent because its retry policy gave up on the parked one, and
+/// hearing back is what tells it the producer is alive. Its next poll
+/// parks.
+pub(crate) fn serve_step_next(
+    vol: &DistMetadataVol,
+    caller: Caller,
+    args: &Bytes,
+) -> Option<Bytes> {
+    let mut moved = false;
     let reply = dec_step_next_req(args).and_then(|(series, cursor, policy, skip)| {
         if policy > STEP_POLICY_SKIP_OK {
             return Err(H5Error::Format(format!("unknown step policy code {policy}")));
         }
         let mut st = vol.stream_state().lock();
         let s = st.series.get_mut(&series).ok_or_else(|| H5Error::NotFound(series.clone()))?;
-        s.advance_cursor(vol.stream_acked(), rank, cursor);
+        // The ack goes in before the poll can park: it may be what wakes a
+        // `publish` blocked on a full window, and that publish is what
+        // answers the parked poll.
+        moved = s.advance_cursor(caller.rank, cursor);
+        let repoll = s.unpark(caller.rank);
         let chosen = match select_step(&s.window, cursor, policy, skip) {
-            Some(r) => StepNextReply::Step {
-                seq: r.seq,
-                file: r.file.clone(),
-                gen: r.gen,
-                pub_ns: r.pub_ns,
-            },
+            Some(r) => r.announce(),
             None if s.ended => StepNextReply::Ended { head: s.next_seq },
-            None => StepNextReply::Pending,
+            None if repoll => StepNextReply::Pending,
+            None => {
+                s.parked.push(ParkedPoll { caller, cursor, policy, skip });
+                return Ok(None);
+            }
         };
-        Ok((series.clone(), enc_step_next_reply(&chosen)))
+        Ok(Some((series, chosen)))
     });
-    // Announce bodies ride the negotiated codec like data replies do —
-    // they are small, so `Auto` virtually always ships them raw, but a
-    // forced policy compresses them too and the framing stays uniform.
-    enc_result(reply.map(|(series, body)| vol.encode_reply_bytes(&series, rank, body)))
+    wake_acked(vol, moved);
+    reply.transpose().map(|r| match r {
+        Ok((series, chosen)) => step_next_result(vol, &series, caller.rank, &chosen),
+        Err(e) => enc_result(Err(e)),
+    })
+}
+
+/// After the slowest cursor of a series `moved`, wake the `publish`
+/// blocked on a full window and the `finish` waiting for acks. Called
+/// with the stream lock released — the cursor moved under it, so no
+/// waiter can miss the wake-up: a waiter woken under the lock would only
+/// preempt the serve thread to block on the lock again.
+fn wake_acked(vol: &DistMetadataVol, moved: bool) {
+    if moved {
+        vol.stream_acked().notify_all();
+    }
+}
+
+/// One `M_STEP_NEXT` result frame toward consumer world rank `rank`.
+/// Announce bodies ride the negotiated codec like data replies do —
+/// they are small, so `Auto` virtually always ships them raw, but a
+/// forced policy compresses them too and the framing stays uniform.
+fn step_next_result(
+    vol: &DistMetadataVol,
+    series: &str,
+    rank: usize,
+    reply: &StepNextReply,
+) -> Bytes {
+    enc_result(Ok(vol.encode_reply_bytes(series, rank, enc_step_next_reply(reply))))
+}
+
+/// Answer parked polls of `series` from the calling thread. Called with
+/// the stream lock released: a socket send can block on a full link
+/// while the serve thread waits for that lock.
+fn answer_polls(vol: &DistMetadataVol, series: &str, polls: Vec<(Caller, StepNextReply)>) {
+    for (caller, reply) in polls {
+        let frame = step_next_result(vol, series, caller.rank, &reply);
+        diyblk::rpc::send_reply(vol.world(), caller, frame);
+    }
+}
+
+/// The overlap serve thread has exited: fail every parked subscribe and
+/// poll with [`H5Error::PeerUnavailable`]. Never `Ended`: a consumer that
+/// saw `Ended` behind the head would ack producers whose serve loops are
+/// gone (the shutdown-ordering rule in `docs/PROTOCOL.md`).
+pub(crate) fn fail_parked(vol: &DistMetadataVol) {
+    let orphaned: Vec<(Caller, String)> = {
+        let mut st = vol.stream_state().lock();
+        let mut orphaned = std::mem::take(&mut st.parked_subs);
+        for (series, s) in &mut st.series {
+            orphaned.extend(s.parked.drain(..).map(|p| (p.caller, series.clone())));
+        }
+        orphaned
+    };
+    let me = vol.world().rank();
+    for (caller, series) in orphaned {
+        let e = H5Error::PeerUnavailable(format!(
+            "producer world rank {me} stopped serving series {series:?} before it ended"
+        ));
+        diyblk::rpc::send_reply(vol.world(), caller, enc_result(Err(e)));
+    }
 }
 
 /// Apply `M_STEP_ACK` from consumer world rank `rank`: max-merge its
@@ -645,9 +810,9 @@ pub(crate) fn serve_step_next(vol: &DistMetadataVol, rank: usize, args: &Bytes) 
 pub(crate) fn serve_step_ack(vol: &DistMetadataVol, rank: usize, args: &Bytes) -> Bytes {
     let reply = dec_step_ack_req(args).map(|(series, cursor)| {
         let mut st = vol.stream_state().lock();
-        if let Some(s) = st.series.get_mut(&series) {
-            s.advance_cursor(vol.stream_acked(), rank, cursor);
-        }
+        let moved = st.series.get_mut(&series).is_some_and(|s| s.advance_cursor(rank, cursor));
+        drop(st);
+        wake_acked(vol, moved);
         Bytes::new()
     });
     enc_result(reply)
@@ -726,17 +891,7 @@ mod tests {
     #[test]
     fn step_file_names_are_recognized() {
         let mut st = StreamState::default();
-        st.series.insert(
-            "sim.h5".to_string(),
-            SeriesState {
-                capacity: 2,
-                mode: BackPressure::Block,
-                next_seq: 0,
-                window: VecDeque::new(),
-                cursors: HashMap::new(),
-                ended: false,
-            },
-        );
+        st.series.insert("sim.h5".to_string(), SeriesState::new(2, BackPressure::Block, &[]));
         assert!(st.is_step_file("sim.h5@s0"));
         assert!(st.is_step_file("sim.h5@s12"));
         assert!(!st.is_step_file("sim.h5"), "series name itself is not a slot");
@@ -750,29 +905,169 @@ mod tests {
 
     #[test]
     fn retire_honors_the_slowest_cursor() {
-        let mut s = SeriesState {
-            capacity: 4,
-            mode: BackPressure::Block,
-            next_seq: 7,
-            window: window(&[3, 4, 5, 6]),
-            cursors: [(8, 5u64), (9, 4u64)].into_iter().collect(),
-            ended: false,
-        };
+        let mut s = SeriesState::new(4, BackPressure::Block, &[8, 9]);
+        s.next_seq = 7;
+        s.window = window(&[3, 4, 5, 6]);
+        s.cursors.extend([(8, 5u64), (9, 4u64)]);
         s.retire();
         let left: Vec<u64> = s.window.iter().map(|r| r.seq).collect();
         assert_eq!(left, vec![4, 5, 6], "rank 9 still needs step 4");
         assert_eq!(s.window_start(), 4);
         // Acks are cumulative and idempotent: a late duplicate of an older
         // cursor moves nothing back, a newer one retires what it covers.
-        let acked = Condvar::new();
-        s.advance_cursor(&acked, 9, 2);
+        assert!(!s.advance_cursor(9, 2), "a stale ack moves nothing");
         assert_eq!(s.min_cursor(), 4);
-        s.advance_cursor(&acked, 9, 6);
+        assert!(s.advance_cursor(9, 6), "the slowest consumer moved");
+        assert!(!s.advance_cursor(9, 7), "the slowest is now rank 8, still at 5");
         s.retire();
         assert_eq!(s.window_start(), 5, "rank 8 still needs step 5");
         // No consumers at all: nothing ever blocks retirement.
         s.cursors.clear();
         s.retire();
         assert_eq!(s.window_start(), s.next_seq);
+    }
+
+    #[test]
+    fn parked_polls_wake_with_their_policy_pick() {
+        let mut s = SeriesState::new(4, BackPressure::Block, &[1, 2, 3, 4]);
+        let park = |rank, cursor, policy, skip| ParkedPoll {
+            caller: Caller { rank, call_id: 100 + rank as u64 },
+            cursor,
+            policy,
+            skip,
+        };
+        s.parked.push(park(1, 3, STEP_POLICY_EVERY, 0));
+        s.parked.push(park(2, 3, STEP_POLICY_LATEST, 0));
+        s.parked.push(park(3, 3, STEP_POLICY_SKIP_OK, 1));
+        s.parked.push(park(4, 6, STEP_POLICY_EVERY, 0));
+        assert!(s.wake().is_empty(), "nothing retained yet");
+        s.window = window(&[3, 4, 5]);
+        let seqs: Vec<(usize, u64)> = s
+            .wake()
+            .into_iter()
+            .map(|(c, r)| match r {
+                StepNextReply::Step { seq, .. } => (c.rank, seq),
+                other => panic!("rank {} woken with {other:?}", c.rank),
+            })
+            .collect();
+        assert_eq!(seqs, vec![(1, 3), (2, 5), (3, 4)], "each poll gets its policy's pick");
+        // The poll ahead of the window stays parked until a step reaches it.
+        assert!(s.wake().is_empty());
+        assert!(s.unpark(4));
+        assert!(!s.unpark(4), "one parked poll per consumer rank");
+    }
+
+    // -----------------------------------------------------------------
+    // One producer rank streaming to two consumer ranks, with the
+    // producer acting only once it sees the requests it expects parked.
+    // -----------------------------------------------------------------
+
+    use minih5::{Dataspace, Datatype, Selection, Vol, H5};
+    use simmpi::{TaskComm, TaskSpec, TaskWorld};
+
+    use crate::DistVolBuilder;
+
+    /// Run `f` on world rank 0 (producer) and ranks 1, 2 (consumers),
+    /// failing if the world does not finish within 30 s.
+    fn one_to_two<R: Send + 'static>(f: fn(TaskComm) -> R) -> Vec<R> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 2)];
+            let _ = tx.send(TaskWorld::run(&specs, f));
+        });
+        rx.recv_timeout(Duration::from_secs(30)).expect("the world hung (or a rank panicked)")
+    }
+
+    fn vol_for(tc: &TaskComm) -> Arc<DistMetadataVol> {
+        let b = DistVolBuilder::new(tc.world.clone(), tc.local.clone());
+        match tc.task_id {
+            0 => b.produce("*@s*", vec![1, 2]).async_serve(true).build(),
+            _ => b.consume("*@s*", vec![0]).build(),
+        }
+    }
+
+    fn publish_step(vol: &Arc<DistMetadataVol>, publisher: &StepPublisher) -> u64 {
+        let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
+        let f = h5.create_file(&publisher.step_file()).expect("create slot");
+        f.create_dataset("x", Datatype::UInt8, Dataspace::simple(&[1]))
+            .expect("dataset")
+            .write_selection(&Selection::all(), &[7u8])
+            .expect("write");
+        f.close().expect("close slot");
+        publisher.publish().expect("publish")
+    }
+
+    /// Wait until the producer holds `polls` parked polls of `series` and
+    /// `subs` parked subscribes.
+    fn await_parked(vol: &DistMetadataVol, series: &str, polls: usize, subs: usize) {
+        loop {
+            {
+                let st = vol.stream_state().lock();
+                if st.series[series].parked.len() == polls && st.parked_subs.len() == subs {
+                    return;
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// `LatestStep` and `SkipOk(n)` polls, each parked before every
+    /// publish, are answered with what their policy selects at publish
+    /// time: the step just published.
+    #[test]
+    fn parked_latest_and_skip_ok_polls_get_the_published_step() {
+        let seen = one_to_two(|tc| {
+            let vol = vol_for(&tc);
+            if tc.task_id == 0 {
+                let publisher = StepPublisher::new(vol.clone(), "sim.h5").expect("publisher");
+                for n in 0..4 {
+                    await_parked(&vol, "sim.h5", 2, 0);
+                    assert_eq!(publish_step(&vol, &publisher), n);
+                }
+                assert!(publisher.finish(None));
+                vol.drain();
+                return Vec::new();
+            }
+            let policy = [StepPolicy::LatestStep, StepPolicy::SkipOk(2)][tc.local.rank()];
+            let mut sub = StepSubscription::new(vol, "sim.h5", policy).expect("subscribe");
+            std::iter::from_fn(|| sub.next_step().expect("next step")).map(|s| s.seq).collect()
+        });
+        assert_eq!(seen[1], vec![0, 1, 2, 3], "LatestStep");
+        assert_eq!(seen[2], vec![0, 1, 2, 3], "SkipOk(2)");
+    }
+
+    /// A producer that drains without `finish` fails the poll and the
+    /// subscribe it holds with `PeerUnavailable`: never `Ended` (which
+    /// would send the consumer acking a serve loop that is gone), never
+    /// silence.
+    #[test]
+    fn drain_without_finish_fails_parked_requests() {
+        let errors = one_to_two(|tc| {
+            let vol = vol_for(&tc);
+            match tc.world.rank() {
+                0 => {
+                    let publisher = StepPublisher::new(vol.clone(), "sim.h5").expect("publisher");
+                    publish_step(&vol, &publisher);
+                    await_parked(&vol, "sim.h5", 1, 1);
+                    vol.drain();
+                    None
+                }
+                1 => {
+                    let mut sub = StepSubscription::new(vol, "sim.h5", StepPolicy::EveryStep)
+                        .expect("subscribe");
+                    assert_eq!(sub.next_step().expect("step 0").map(|s| s.seq), Some(0));
+                    sub.next_step().err()
+                }
+                // A series the producer never registers.
+                _ => StepSubscription::new(vol, "never.h5", StepPolicy::EveryStep).err(),
+            }
+        });
+        for (who, err) in [("poll", &errors[1]), ("subscribe", &errors[2])] {
+            let err = err.as_ref().expect("the parked request must fail");
+            assert!(
+                matches!(err, H5Error::PeerUnavailable(m) if m.contains("stopped serving")),
+                "parked {who}: {err}"
+            );
+        }
     }
 }

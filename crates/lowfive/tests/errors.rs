@@ -187,9 +187,9 @@ fn retired_methods_draw_the_unknown_method_error() {
 /// Step streaming needs overlap mode, and both ends are told so with a
 /// typed error instead of a wait: `StepPublisher::new` refuses a sync-mode
 /// VOL up front, and a subscriber that reaches a sync-mode producer's
-/// serve loop gets `H5Error::Vol` from the first reply. (`NotFound` would
-/// mean "series not registered yet" to the subscriber, which polls on it
-/// — so a missing guard shows here as a hang, caught by the watchdog.)
+/// serve loop gets `H5Error::Vol` from the first reply. (Without the
+/// guard the subscribe would be held as one for a series not registered
+/// yet — so a missing guard shows here as a hang, caught by the watchdog.)
 #[test]
 fn streaming_against_a_sync_mode_producer_fails_promptly() {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -220,6 +220,32 @@ fn streaming_against_a_sync_mode_producer_fails_promptly() {
     });
     rx.recv_timeout(std::time::Duration::from_secs(10))
         .expect("subscribe against a sync-mode producer hung (or a rank panicked)");
+}
+
+/// A consume link that lists no producer ranks has no home producer to
+/// ask: a per-rank open, a broadcast open and a step subscription through
+/// it each fail with `H5Error::Vol` naming the link's pattern (they used
+/// to divide by zero or index an empty list).
+#[test]
+fn a_link_without_remote_ranks_is_an_error_not_a_panic() {
+    TaskWorld::run(&[TaskSpec::new("c", 1)], |tc| {
+        let mut props = LowFiveProps::new();
+        props.set_metadata_broadcast("bcast-*", true);
+        let vol = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
+            .props(props)
+            .consume("data-*", vec![])
+            .consume("bcast-*", vec![])
+            .consume("sim.h5@s*", vec![])
+            .build();
+        let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
+        for (file, pattern) in [("data-1", "data-*"), ("bcast-1", "bcast-*")] {
+            let err = h5.open_file(file).map(|_| ()).unwrap_err();
+            assert!(matches!(&err, H5Error::Vol(m) if m.contains(pattern)), "{file}: {err}");
+        }
+        let err =
+            StepSubscription::new(vol, "sim.h5", StepPolicy::EveryStep).map(|_| ()).unwrap_err();
+        assert!(matches!(&err, H5Error::Vol(m) if m.contains("sim.h5@s*")), "{err}");
+    });
 }
 
 /// Oversized and undersized write buffers are rejected with

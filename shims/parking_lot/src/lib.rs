@@ -3,8 +3,9 @@
 //! Mirrors the parking_lot API shape the workspace relies on: `lock()`
 //! returns a guard directly (poisoning is swallowed — a panicking rank
 //! must not poison unrelated ranks' mailboxes), and `Condvar::wait` takes
-//! `&mut MutexGuard`. `Condvar::wait_for` is included because the
-//! transport's timeout paths need bounded waits.
+//! `&mut MutexGuard`. `Condvar::wait_for` and `Condvar::wait_until` are
+//! included because the transport's timeout paths and the stream drain
+//! need bounded waits.
 
 // These crates mirror upstream APIs verbatim, so API-shape lints
 // (method names, arg conventions) do not apply to them.
@@ -12,7 +13,7 @@
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Mutual exclusion lock; `lock()` never returns a poisoned error.
 #[derive(Default, Debug)]
@@ -111,6 +112,15 @@ impl Condvar {
         WaitTimeoutResult { timed_out: res.timed_out() }
     }
 
+    /// Wait until `deadline`; returns whether the wait timed out.
+    pub fn wait_until<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        deadline: Instant,
+    ) -> WaitTimeoutResult {
+        self.wait_for(guard, deadline.saturating_duration_since(Instant::now()))
+    }
+
     pub fn notify_one(&self) {
         self.inner.notify_one();
     }
@@ -156,5 +166,17 @@ mod tests {
         let mut g = m.lock();
         let r = cv.wait_for(&mut g, Duration::from_millis(5));
         assert!(r.timed_out());
+    }
+
+    #[test]
+    fn wait_until_times_out_at_the_deadline() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let mut g = m.lock();
+        let deadline = Instant::now() + Duration::from_millis(5);
+        while !cv.wait_until(&mut g, deadline).timed_out() {}
+        assert!(Instant::now() >= deadline);
+        // A deadline already past returns at once.
+        assert!(cv.wait_until(&mut g, deadline).timed_out());
     }
 }
