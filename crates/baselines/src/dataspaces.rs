@@ -22,10 +22,9 @@ use simmpi::Comm;
 
 use diyblk::rpc::{Caller, RpcClient, RpcServer, ServeOutcome};
 use minih5::codec::{Reader, Writer};
-use minih5::{BBox, H5Result};
+use minih5::{BBox, H5Error, H5Result};
 
 use crate::boxes::{local_offset, BoxCoords};
-use crate::staging::{HashRing, RingError};
 
 const DS_PUT: u32 = 0x10;
 const DS_QUERY: u32 = 0x11;
@@ -44,24 +43,29 @@ pub struct DsConfig {
 }
 
 impl DsConfig {
-    /// Vnodes per server on the key-routing ring. Plenty to spread keys
-    /// at this baseline's server counts; the replicated tier
-    /// (`crate::staging`) makes this a config knob instead.
-    const VNODES: usize = 8;
-
-    /// Home server for a named, versioned array, resolved on the same
-    /// consistent-hash ring the replicated staging tier uses (k = 1).
-    /// One server degenerates cleanly (every key maps to it); an empty
-    /// server list is a typed [`RingError`] — previously this was a
-    /// modulo-by-zero panic deep in an FNV hash.
-    fn home_server(&self, name: &str, version: u64) -> Result<usize, RingError> {
-        let ring = HashRing::new(&self.servers, Self::VNODES)?;
-        Ok(ring.primary(&key(name, version)))
+    /// Home server for a named, versioned array: the FNV-1a hash of its
+    /// key modulo the server count, so every client picks the same one.
+    /// An empty server list is a typed error, not a modulo-by-zero panic.
+    fn home_server(&self, name: &str, version: u64) -> H5Result<usize> {
+        if self.servers.is_empty() {
+            return Err(H5Error::Vol("DataSpaces deployment has no staging servers".into()));
+        }
+        let h = fnv1a(key(name, version).as_bytes());
+        Ok(self.servers[(h % self.servers.len() as u64) as usize])
     }
 }
 
 fn key(name: &str, version: u64) -> String {
     format!("{name}@{version}")
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 /// Run a staging server rank: index puts, answer queries, exit when every
@@ -195,9 +199,9 @@ impl DsClient {
     /// local (`dspaces_put_local`). Fails (typed) on an empty server
     /// list.
     pub fn put_local(&self, name: &str, version: u64, bbox: BBox, data: Bytes) -> H5Result<()> {
+        let server = self.cfg.home_server(name, version)?;
         let k = key(name, version);
         self.puts.lock().entry(k.clone()).or_default().push((bbox.clone(), data));
-        let server = self.cfg.home_server(name, version)?;
         let mut w = Writer::new();
         w.put_str(&k);
         w.put_u64(self.world.rank() as u64);
@@ -319,9 +323,8 @@ impl DsClient {
 }
 
 /// Invoke `f(row_start_coord, row_len)` for every contiguous row of `bb`
-/// (contiguity along the last dimension). Shared with the replicated
-/// staging tier (`crate::staging`), whose pieces pack the same way.
-pub(crate) fn for_each_row(bb: &BBox, mut f: impl FnMut(&[u64], usize)) {
+/// (contiguity along the last dimension).
+fn for_each_row(bb: &BBox, mut f: impl FnMut(&[u64], usize)) {
     if bb.is_empty() {
         return;
     }
@@ -451,6 +454,23 @@ mod tests {
                     client.done();
                 }
             }
+        });
+    }
+
+    /// No staging servers: every operation that needs a home server is a
+    /// typed error, never a modulo-by-zero panic.
+    #[test]
+    fn empty_server_list_is_a_typed_error() {
+        simmpi::World::run(1, |c| {
+            let cfg = DsConfig { servers: vec![], producers: vec![0], consumers: vec![0] };
+            let client = DsClient::new(c, cfg);
+            let bb = BBox::new(vec![0], vec![2]);
+            let put = client.put_local("x", 0, bb.clone(), vec![1u8, 2].into());
+            assert!(matches!(put, Err(H5Error::Vol(_))), "put_local: {put:?}");
+            let staged = client.put_staged("x", 0, bb.clone(), vec![1u8, 2].into());
+            assert!(matches!(staged, Err(H5Error::Vol(_))), "put_staged: {staged:?}");
+            let got = client.get("x", 0, &bb, 1);
+            assert!(matches!(got, Err(H5Error::Vol(_))), "get: {got:?}");
         });
     }
 

@@ -22,16 +22,8 @@
 //!   answer queries; consumers then pull directly from producers. Fewer
 //!   round trips than index–serve–query, at the cost of extra resources
 //!   and an n-d-array-only data model.
-//!
-//! On top of the DataSpaces comparator, [`staging`] grows the toy single-
-//! home-server layout into a deployable service shape: a consistent-hash
-//! ring of shards with k-way replication, heartbeat failure detection,
-//! read repair, and re-replication — the "millions of concurrent
-//! consumers" direction of the roadmap, validated by a chaos-test suite
-//! that kills shards mid-query.
 
 pub mod boxes;
 pub mod bredala;
 pub mod dataspaces;
 pub mod puempi;
-pub mod staging;

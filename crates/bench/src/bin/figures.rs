@@ -8,8 +8,8 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig11`, `table2`, `collectives`, `staging`, `streaming`,
-//! `compression`, or `all`.
+//! `fig11`, `table2`, `collectives`, `streaming`, `compression`, or
+//! `all`.
 //! Results print as aligned tables and are also appended as CSV under
 //! `bench-results/`.
 //!
@@ -109,7 +109,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 collectives \
-                     staging streaming compression | all] \
+                     streaming compression | all] \
                      [--scale small|medium|large] [--trials N] \
                      [--transport inproc|socket|tcp]"
                 );
@@ -129,7 +129,6 @@ fn parse_args() -> Args {
             "fig11",
             "table2",
             "collectives",
-            "staging",
             "streaming",
             "compression",
         ]
@@ -526,101 +525,6 @@ fn collectives_fig(s: &Scale, trials: usize) {
     write_obsv_artifacts(&reg_tree.report(), "collectives_tree");
 }
 
-/// Sharded staging tier: a fault-free weak-scaling sweep over shard
-/// counts, then three seeded chaos runs that kill the primary of
-/// `grid@0` mid-run and require the consumers' reads to stay
-/// byte-identical. The kill point is computed, not guessed: the victim's
-/// first `at_send - 1` sends are exactly its replicated-put acks, so it
-/// dies attempting its first query reply — after the tier is fully
-/// replicated, before serving finishes. Per-seed metrics JSON lands in
-/// `bench-results/staging_kill_seed<N>.metrics.json`; the CI chaos job
-/// greps it for nonzero `failovers_detected` and `read_repairs`.
-fn staging_fig(s: &Scale, scale: &str) {
-    use baselines::staging::{staging_key, HashRing, StagingConfig};
-    use bench::runners::run_staging;
-    use simmpi::FaultPlan;
-    use std::time::Duration;
-
-    let w = Workload {
-        producers: 2,
-        consumers: 2,
-        grid_per_prod: s.grid_per_prod,
-        particles_per_prod: s.particles_per_prod,
-    };
-    let rounds = 4usize;
-    let k = 2usize;
-    let out = results_dir().join("staging_scale.csv");
-    let header = "scale,mode,shards,k,rounds,seconds,messages,bytes,deaths";
-
-    println!("\n== Staging tier: replicated shards, with and without a mid-run kill ==");
-    println!(
-        "{:>10} {:>7} {:>3} {:>7} {:>10} {:>9} {:>12} {:>7}",
-        "mode", "shards", "k", "rounds", "seconds", "msgs", "bytes", "deaths"
-    );
-    for &shards in &[2usize, 4, 8] {
-        let m = run_staging(&w, shards, k, rounds, 0, None, None);
-        println!(
-            "{:>10} {:>7} {:>3} {:>7} {:>10.4} {:>9} {:>12} {:>7}",
-            "healthy", shards, k, rounds, m.seconds, m.messages, m.bytes, m.deaths
-        );
-        csv(
-            &out,
-            header,
-            &format!(
-                "{scale},healthy,{shards},{k},{rounds},{},{},{},{}",
-                m.seconds, m.messages, m.bytes, m.deaths
-            ),
-        );
-    }
-
-    // Chaos runs: 4 shards, k = 2 tolerates the single kill. The victim
-    // and kill point are pure functions of the ring, so every seed kills
-    // the same rank at the same send; the seed varies message delays and
-    // with them the interleaving the recovery path must absorb.
-    let shards = 4usize;
-    let shard_ranks: Vec<usize> = (w.producers..w.producers + shards).collect();
-    let cfg = StagingConfig::new(shard_ranks.clone(), Vec::new(), Vec::new());
-    let ring = HashRing::new(&shard_ranks, cfg.vnodes).expect("non-empty tier");
-    let victim = ring.replicas(&staging_key("grid", 0), k)[0];
-    let acked_puts: usize = (0..rounds as u64)
-        .filter(|&v| ring.replicas(&staging_key("grid", v), k).contains(&victim))
-        .count()
-        * w.producers;
-    // The gate sentinel must live off the victim, or polling it would
-    // elicit victim sends before the data puts are all acked and shift
-    // the kill point (see `run_staging`).
-    let gate = (0u64..)
-        .find(|&g| !ring.replicas(&staging_key("go", g), k).contains(&victim))
-        .expect("some gate version avoids the victim");
-    for &seed in &[11u64, 23, 47] {
-        let plan = FaultPlan::new(seed)
-            .delay(0.2, Duration::from_micros(200))
-            .kill_rank(victim, acked_puts as u64 + 1);
-        let reg = obsv::Registry::new();
-        let m = run_staging(&w, shards, k, rounds, gate, Some(plan), Some(&reg));
-        assert_eq!(m.deaths, 1, "the fault plan kills exactly one shard");
-        let mode = format!("kill-seed{seed}");
-        println!(
-            "{:>10} {:>7} {:>3} {:>7} {:>10.4} {:>9} {:>12} {:>7}",
-            mode, shards, k, rounds, m.seconds, m.messages, m.bytes, m.deaths
-        );
-        csv(
-            &out,
-            header,
-            &format!(
-                "{scale},{mode},{shards},{k},{rounds},{},{},{},{}",
-                m.seconds, m.messages, m.bytes, m.deaths
-            ),
-        );
-        write_obsv_artifacts(&reg.report(), &format!("staging_kill_seed{seed}"));
-    }
-    println!(
-        "  (victim = shard rank {victim}, killed at send {} — its last put ack is send {})",
-        acked_puts + 1,
-        acked_puts
-    );
-}
-
 /// Sustained step-streaming traffic: one fast producer versus slow
 /// consumers, under each back-pressure mode (see
 /// `bench::runners::run_streaming` and docs/STREAMING.md). Three runs,
@@ -751,7 +655,6 @@ fn main() {
             "fig11" => fig11(&args.scale, args.trials),
             "table2" => table2(&args.scale, args.trials),
             "collectives" => collectives_fig(&args.scale, args.trials),
-            "staging" => staging_fig(&args.scale, &args.scale_name),
             "streaming" => streaming_fig(&args.scale_name),
             "compression" => compression_fig(&args.scale, args.trials),
             other => eprintln!("unknown experiment {other:?} (see --help)"),

@@ -9,11 +9,9 @@ use std::time::Instant;
 use baselines::bredala::{self, Field};
 use baselines::dataspaces::{run_server, DsClient, DsConfig};
 use baselines::puempi;
-use baselines::staging::{run_shard, HeartbeatConfig, StagingClient, StagingConfig};
-use bytes::Bytes;
 use lowfive::{DistVolBuilder, LowFiveProps, WireCodec};
 use minih5::{BBox, Dataspace, Datatype, Ownership, Selection, Vol, H5};
-use simmpi::{CostModel, FaultPlan, TaskComm, TaskSpec, TaskWorld};
+use simmpi::{CostModel, TaskComm, TaskSpec, TaskWorld};
 
 use crate::workload::Workload;
 
@@ -525,125 +523,6 @@ pub fn run_dataspaces(w: &Workload, staging: usize) -> Measurement {
         })
     });
     Measurement { seconds: out.results[0], messages: out.stats.messages, bytes: out.stats.bytes }
-}
-
-/// Outcome of one sharded-staging run (see [`run_staging`]).
-#[derive(Debug, Clone, Copy)]
-pub struct StagingOutcome {
-    /// Max elapsed seconds over the *surviving* ranks.
-    pub seconds: f64,
-    /// Messages delivered during the whole run.
-    pub messages: u64,
-    /// Payload bytes delivered during the whole run.
-    pub bytes: u64,
-    /// Ranks the fault plan killed (0 for a fault-free run).
-    pub deaths: usize,
-}
-
-/// Sharded, replicated staging tier (`staging` experiment): producers
-/// replicate `rounds` versions of the grid onto `shards` shard ranks at
-/// replication factor `k`; consumers read every version back **twice**
-/// and assert byte identity against the expected slab. Pass a fault
-/// `plan` to kill a shard mid-run: heartbeats and shard-side recovery
-/// are then disabled so the run stays deterministic — failover happens
-/// through the clients' dead-peer detection and repair through
-/// client-triggered read repair, which are exactly the counters the CI
-/// chaos job asserts on. No collectives anywhere in the body (a killed
-/// rank would hang a barrier); timing is the per-rank max of survivors.
-///
-/// `gate` picks the version of the `go` sentinel each producer puts
-/// after its last data put and every consumer polls before its first
-/// read. The sentinel is the run's producer→consumer barrier (a real
-/// barrier would hang on a killed rank): once it reads complete, every
-/// data put has been acked by its full replica set. A chaos caller
-/// chooses `gate` so the sentinel's replica set avoids the victim —
-/// then no query reaches the victim before the sentinel completes, so
-/// the victim's first sends are exactly its data-put acks and
-/// `FaultPlan::kill_rank(victim, acks + 1)` lands on its first query
-/// reply: after the tier is fully replicated, before serving is done.
-pub fn run_staging(
-    w: &Workload,
-    shards: usize,
-    k: usize,
-    rounds: usize,
-    gate: u64,
-    plan: Option<FaultPlan>,
-    observe: Option<&obsv::Registry>,
-) -> StagingOutcome {
-    assert!(shards > 0 && rounds > 0);
-    let specs = [
-        TaskSpec::new("producer", w.producers),
-        TaskSpec::new("staging", shards),
-        TaskSpec::new("consumer", w.consumers),
-    ];
-    let chaos = plan.is_some();
-    let w = *w;
-    let body = move |tc: TaskComm| -> f64 {
-        let mut cfg =
-            StagingConfig::new(world_ranks(&tc, 1), world_ranks(&tc, 0), world_ranks(&tc, 2));
-        cfg.replication = k;
-        if chaos {
-            cfg.hb = HeartbeatConfig::disabled();
-            cfg.recovery = false;
-        }
-        let t0 = Instant::now();
-        match tc.task_id {
-            0 => {
-                let client = StagingClient::new(tc.world.clone(), cfg).expect("non-empty tier");
-                let bb = w.producer_grid_box(tc.local.rank());
-                let data: Bytes = grid_bytes(&w, &bb).into();
-                for v in 0..rounds as u64 {
-                    client.put("grid", v, bb.clone(), data.clone()).expect("replicated put");
-                }
-                let sentinel = Bytes::from_static(&[0u8; 8]);
-                client.put("go", gate, BBox::new(vec![0], vec![1]), sentinel).expect("gate put");
-                // Producers barrier among themselves before releasing
-                // the shards: a done-reply must not consume one of the
-                // victim's user-send slots while a peer producer is
-                // still collecting put acks, or the kill point drifts.
-                tc.local.barrier();
-                client.done();
-            }
-            1 => run_shard(&tc.world, &cfg),
-            _ => {
-                let client = StagingClient::new(tc.world.clone(), cfg).expect("non-empty tier");
-                let bb = w.consumer_grid_box(tc.local.rank());
-                let expect = grid_bytes(&w, &bb);
-                client.get("go", gate, &BBox::new(vec![0], vec![1]), 8).expect("gate get");
-                // Two passes: a shard killed during pass 0 forces a
-                // failover, and its replacements get read-repaired by
-                // the time pass 1 re-reads the same versions.
-                for pass in 0..2 {
-                    for v in 0..rounds as u64 {
-                        let got = client.get("grid", v, &bb, 8).expect("replicated get");
-                        assert_eq!(got, expect, "pass {pass} version {v}: bytes differ");
-                    }
-                }
-                client.done();
-            }
-        }
-        t0.elapsed().as_secs_f64()
-    };
-    match plan {
-        Some(p) => {
-            let out = TaskWorld::run_chaos_observed(&specs, None, p, observe, body);
-            StagingOutcome {
-                seconds: out.results.iter().flatten().copied().fold(0.0, f64::max),
-                messages: out.stats.messages,
-                bytes: out.stats.bytes,
-                deaths: out.deaths.len(),
-            }
-        }
-        None => {
-            let out = TaskWorld::run_observed(&specs, None, observe, body);
-            StagingOutcome {
-                seconds: out.results.iter().copied().fold(0.0, f64::max),
-                messages: out.stats.messages,
-                bytes: out.stats.bytes,
-                deaths: 0,
-            }
-        }
-    }
 }
 
 /// Outcome of one step-streaming run (see [`run_streaming`]).

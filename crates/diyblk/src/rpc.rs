@@ -33,10 +33,15 @@
 //!
 //! [`RpcClient::call`] blocks forever, matching MPI's default behaviour.
 //! [`RpcClient::call_timeout`] bounds the wait; [`RpcClient::call_retry`]
-//! layers bounded resends with backoff on top, for *idempotent* methods
+//! layers bounded, immediate resends on top, for *idempotent* methods
 //! (queries, fetches). A dead server (detected by the fault layer) fails
 //! fast with [`RpcError::PeerDead`] — retrying cannot help, the rank is
 //! gone for the rest of the run.
+//!
+//! A frame too short to carry its header (under 12 bytes on the request
+//! tag, under 8 on the reply tag) is dropped and counted under
+//! `rpc_malformed`; the serve loop keeps serving and a waiting client
+//! keeps waiting. No peer's bytes can panic either side.
 //!
 //! Deadlines are measured on `obsv::clock` — the observability layer's
 //! virtual clock — not on raw `Instant::now()`. The clock normally tracks
@@ -69,11 +74,6 @@ use simmpi::{Comm, Payload, RecvError, SrcSel, ANY_SOURCE};
 /// range; chosen high to stay clear of application traffic).
 const TAG_REQUEST: u32 = 0x7F00_0001;
 const TAG_REPLY: u32 = 0x7F00_0002;
-/// Gossip lane: unacknowledged control datagrams (heartbeats, membership
-/// rumors) on their own tag, so liveness traffic is never queued behind —
-/// and never competes with — request/reply data frames on `TAG_REQUEST`.
-/// See `gossip_send` / `gossip_poll`.
-const TAG_GOSSIP: u32 = 0x7F00_0003;
 
 /// Call id of a notification: no reply is ever sent for it.
 const NOTIFY_ID: u64 = 0;
@@ -100,10 +100,17 @@ fn encode_request(method: u32, call_id: u64, args: &[u8]) -> Bytes {
     b.freeze()
 }
 
-fn decode_request(payload: &Bytes) -> (u32, u64, Bytes) {
-    let method = u32::from_le_bytes(payload[..4].try_into().expect("4-byte method id"));
-    let call_id = u64::from_le_bytes(payload[4..12].try_into().expect("8-byte call id"));
-    (method, call_id, payload.slice(12..))
+/// Split a request frame into `(method, call_id, args)`, or `None` (and a
+/// `rpc_malformed` count) if it is too short for its 12-byte header.
+fn decode_request(payload: &Bytes) -> Option<(u32, u64, Bytes)> {
+    let Some(head) = payload.get(..12) else {
+        obsv::counter_add(obsv::Ctr::RpcMalformed, 1);
+        return None;
+    };
+    let (method, call_id) = head.split_at(4);
+    let method = u32::from_le_bytes(method.try_into().ok()?);
+    let call_id = u64::from_le_bytes(call_id.try_into().ok()?);
+    Some((method, call_id, payload.slice(12..)))
 }
 
 /// Prefix a reply body with its call id *without touching the body*: the
@@ -118,12 +125,16 @@ fn encode_reply_parts(call_id: u64, body: Payload) -> Payload {
 }
 
 /// Split a reply frame into `(call_id, body)` in place: an 8-byte prefix
-/// peek plus a part-slicing `advance` — no body byte is copied.
-fn decode_reply_parts(mut payload: Payload) -> (u64, Payload) {
+/// peek plus a part-slicing `advance` — no body byte is copied. `None`
+/// (and a `rpc_malformed` count) if the frame is shorter than its call id.
+fn decode_reply_parts(mut payload: Payload) -> Option<(u64, Payload)> {
     let mut id = [0u8; 8];
-    assert!(payload.copy_prefix(&mut id), "reply frame carries an 8-byte call id");
+    if !payload.copy_prefix(&mut id) {
+        obsv::counter_add(obsv::Ctr::RpcMalformed, 1);
+        return None;
+    }
     payload.advance(8);
-    (u64::from_le_bytes(id), payload)
+    Some((u64::from_le_bytes(id), payload))
 }
 
 /// Identity of one incoming request: who called, and which call it was.
@@ -163,23 +174,14 @@ impl std::error::Error for RpcError {}
 pub struct RetryPolicy {
     /// Total attempts (first try included). Must be at least 1.
     pub attempts: u32,
-    /// Per-attempt reply timeout.
+    /// Per-attempt reply timeout. A timed-out attempt is resent at once.
     pub timeout: Duration,
-    /// Sleep between attempts, doubled each retry (simple exponential
-    /// backoff: `backoff`, `2*backoff`, `4*backoff`, …).
-    pub backoff: Duration,
 }
 
 impl RetryPolicy {
-    /// `attempts` tries of `timeout` each, with no backoff sleep.
+    /// `attempts` tries of `timeout` each.
     pub fn new(attempts: u32, timeout: Duration) -> Self {
-        RetryPolicy { attempts, timeout, backoff: Duration::ZERO }
-    }
-
-    /// Set the initial backoff sleep.
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
+        RetryPolicy { attempts, timeout }
     }
 }
 
@@ -226,7 +228,9 @@ impl<'a> RpcServer<'a> {
     {
         loop {
             let env = self.comm.recv(ANY_SOURCE, TAG_REQUEST.into());
-            let (method, call_id, args) = decode_request(&env.payload);
+            let Some((method, call_id, args)) = decode_request(&env.payload) else {
+                continue;
+            };
             let caller = Caller { rank: env.src, call_id };
             // The serve-side span carries the same call id as the client's
             // call span, so a trace viewer can correlate the two tracks.
@@ -246,44 +250,12 @@ impl<'a> RpcServer<'a> {
             }
         }
     }
-
-    /// Handle at most one pending request without blocking; returns whether
-    /// the handler asked to stop. Useful for servers that interleave
-    /// serving with other work.
-    pub fn poll<F>(&self, mut handler: F) -> Option<bool>
-    where
-        F: FnMut(Caller, u32, Bytes) -> ServeOutcome,
-    {
-        let env = self.comm.try_recv(ANY_SOURCE, TAG_REQUEST.into())?;
-        let (method, call_id, args) = decode_request(&env.payload);
-        let caller = Caller { rank: env.src, call_id };
-        let sp = obsv::span_tagged(obsv::Phase::RpcServe, call_id);
-        let outcome = handler(caller, method, args);
-        drop(sp);
-        Some(match outcome {
-            ServeOutcome::Reply(reply) => {
-                self.reply_to(caller, reply.into());
-                false
-            }
-            ServeOutcome::ReplyParts(reply) => {
-                self.reply_to(caller, reply);
-                false
-            }
-            ServeOutcome::Continue => false,
-            ServeOutcome::Stop(reply) => {
-                if let Some(r) = reply {
-                    self.reply_to(caller, r.into());
-                }
-                true
-            }
-        })
-    }
 }
 
 /// Send a reply outside the normal handler return path. Servers that
 /// defer a request (returning [`ServeOutcome::Continue`] and remembering
-/// the [`Caller`]) use this to answer later — e.g. a staging server
-/// holding a query until the data version is complete.
+/// the [`Caller`]) use this to answer later — e.g. a DataSpaces server
+/// holding a query until every producer has registered the version.
 pub fn send_reply(comm: &Comm, caller: Caller, reply: Bytes) {
     send_reply_parts(comm, caller, reply.into());
 }
@@ -294,31 +266,6 @@ pub fn send_reply_parts(comm: &Comm, caller: Caller, reply: Payload) {
     if caller.call_id != NOTIFY_ID {
         comm.send_parts(caller.rank, TAG_REPLY, encode_reply_parts(caller.call_id, reply));
     }
-}
-
-/// Send a control datagram on the **gossip lane**: `[method u32][args]`,
-/// no call id, no reply, no retry. Gossip frames ride `TAG_GOSSIP` — a
-/// flow of their own — so a fault plan's once-per-flow drop can eat one
-/// heartbeat without touching the request/reply lane, and a serve loop
-/// busy with data frames never delays liveness traffic behind them.
-/// Exactly the semantics a heartbeat protocol wants: best-effort, lossy,
-/// cheap.
-pub fn gossip_send(comm: &Comm, dest: usize, method: u32, args: &[u8]) {
-    obsv::counter_add(obsv::Ctr::HeartbeatsSent, 1);
-    let mut b = BytesMut::with_capacity(4 + args.len());
-    b.put_u32_le(method);
-    b.put_slice(args);
-    comm.send(dest, TAG_GOSSIP, b.freeze());
-}
-
-/// Drain one pending gossip datagram without blocking, returning
-/// `(sender rank, method, args)`. Poll-loop servers call this each
-/// iteration, ahead of the request lane, so membership observations stay
-/// fresh even while the shard is saturated with data traffic.
-pub fn gossip_poll(comm: &Comm) -> Option<(usize, u32, Bytes)> {
-    let env = comm.try_recv(ANY_SOURCE, TAG_GOSSIP.into())?;
-    let method = u32::from_le_bytes(env.payload[..4].try_into().expect("4-byte gossip method"));
-    Some((env.src, method, env.payload.slice(4..)))
 }
 
 /// Client side: blocking calls and notifications to server ranks.
@@ -347,13 +294,16 @@ impl<'a> RpcClient<'a> {
         self.comm.send(server, TAG_REQUEST, encode_request(method, call_id, args));
         loop {
             let env = self.comm.recv_parts(SrcSel::Rank(server), TAG_REPLY.into());
-            let (id, body) = decode_reply_parts(env.payload);
-            if id == call_id {
-                obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
-                obsv::hist_record(obsv::Hist::RpcLatencyNs, sp.finish_ns());
-                return body;
+            match decode_reply_parts(env.payload) {
+                Some((id, body)) if id == call_id => {
+                    obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
+                    obsv::hist_record(obsv::Hist::RpcLatencyNs, sp.finish_ns());
+                    return body;
+                }
+                // A stale reply to an earlier timed-out call from this
+                // rank, or a malformed frame.
+                _ => {}
             }
-            // Stale reply to an earlier timed-out call from this rank.
         }
     }
 
@@ -399,14 +349,15 @@ impl<'a> RpcClient<'a> {
             // virtual-clock jump, so never park longer than one poll.
             let wait = Duration::from_nanos(deadline_ns - now_ns).min(LIVENESS_POLL);
             match self.comm.recv_timeout_parts(SrcSel::Rank(server), TAG_REPLY.into(), wait) {
-                Ok(env) => {
-                    let (id, body) = decode_reply_parts(env.payload);
-                    if id == call_id {
+                Ok(env) => match decode_reply_parts(env.payload) {
+                    Some((id, body)) if id == call_id => {
                         obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
                         obsv::hist_record(obsv::Hist::RpcLatencyNs, sp.finish_ns());
                         return Ok(body);
                     }
-                }
+                    // Stale or malformed: keep waiting.
+                    _ => {}
+                },
                 // Re-check the virtual deadline at the top of the loop.
                 Err(RecvError::TimedOut) => {}
                 Err(RecvError::PeerDead) => {
@@ -418,10 +369,10 @@ impl<'a> RpcClient<'a> {
     }
 
     /// Bounded-retry call for *idempotent* methods: up to
-    /// `policy.attempts` sends, each waiting `policy.timeout`, sleeping an
-    /// exponentially growing `policy.backoff` between attempts. A dead
-    /// server short-circuits to [`RpcError::PeerDead`] — resending to a
-    /// corpse cannot succeed.
+    /// `policy.attempts` sends, each waiting `policy.timeout`, each resent
+    /// as soon as the previous one times out. A dead server
+    /// short-circuits to [`RpcError::PeerDead`] — resending to a corpse
+    /// cannot succeed.
     pub fn call_retry(
         &self,
         server: usize,
@@ -441,26 +392,16 @@ impl<'a> RpcClient<'a> {
         policy: RetryPolicy,
     ) -> Result<Payload, RpcError> {
         assert!(policy.attempts >= 1, "retry policy needs at least one attempt");
-        let mut backoff = policy.backoff;
-        for attempt in 0..policy.attempts {
-            if attempt > 0 {
-                obsv::counter_add(obsv::Ctr::RpcRetries, 1);
-            }
+        let mut attempt = 1;
+        loop {
             match self.call_timeout_payload(server, method, args, policy.timeout) {
-                Ok(body) => return Ok(body),
-                Err(RpcError::PeerDead) => return Err(RpcError::PeerDead),
-                Err(RpcError::TimedOut) => {
-                    if attempt + 1 == policy.attempts {
-                        return Err(RpcError::TimedOut);
-                    }
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                        backoff *= 2;
-                    }
+                Err(RpcError::TimedOut) if attempt < policy.attempts => {
+                    attempt += 1;
+                    obsv::counter_add(obsv::Ctr::RpcRetries, 1);
                 }
+                result => return result,
             }
         }
-        unreachable!("loop returns on the final attempt")
     }
 
     /// Send a request without waiting for (or expecting) a reply.
@@ -477,11 +418,11 @@ impl<'a> RpcClient<'a> {
     /// [`RpcClient::call`] — except that a server known dead fails that
     /// call fast with [`RpcError::PeerDead`] instead of hanging the whole
     /// fan-out. With a [`RetryPolicy`], every call independently gets
-    /// `policy.attempts` tries of `policy.timeout` each with exponential
-    /// backoff between them, exactly like [`RpcClient::call_retry`] — but
-    /// a retry of one call proceeds concurrently with the still-pending
-    /// others instead of serializing behind them. Only use a policy with
-    /// *idempotent* methods: a retry re-executes the request.
+    /// `policy.attempts` tries of `policy.timeout` each, exactly like
+    /// [`RpcClient::call_retry`] — but a retry of one call proceeds
+    /// concurrently with the still-pending others instead of serializing
+    /// behind them. Only use a policy with *idempotent* methods: a retry
+    /// re-executes the request.
     ///
     /// Stale replies (to earlier timed-out attempts, from this or any
     /// previous call on this rank) are recognized by call id and
@@ -504,13 +445,10 @@ impl<'a> RpcClient<'a> {
 
         /// Where one fan-out entry currently is. Times are `obsv::clock`
         /// virtual nanoseconds, so a clock advance moves every pending
-        /// deadline and resend at once.
+        /// deadline at once.
         enum SlotState {
             /// Request is on the wire; waiting for the reply to `call_id`.
             Waiting { call_id: u64, deadline_ns: Option<u64> },
-            /// Timed out; resend once `resend_at_ns` passes (backoff sleep
-            /// without blocking the other in-flight calls).
-            Backoff { resend_at_ns: u64 },
             /// Completed (reply delivered or error reported).
             Done,
         }
@@ -520,7 +458,6 @@ impl<'a> RpcClient<'a> {
             args: Bytes,
             /// Resends still allowed after the current attempt.
             attempts_left: u32,
-            backoff: Duration,
             sent_ns: u64,
             state: SlotState,
         }
@@ -532,7 +469,6 @@ impl<'a> RpcClient<'a> {
                 method: c.method,
                 args: c.args.clone(),
                 attempts_left: policy.map(|p| p.attempts - 1).unwrap_or(0),
-                backoff: policy.map(|p| p.backoff).unwrap_or(Duration::ZERO),
                 sent_ns: 0,
                 state: SlotState::Done, // placeholder until the first send
             })
@@ -562,9 +498,9 @@ impl<'a> RpcClient<'a> {
 
         while remaining > 0 {
             let now_ns = obsv::clock::now_ns();
-            // Housekeeping pass: dead peers, expired deadlines, due
-            // resends. Completion never touches other slots, so one pass
-            // per wake suffices.
+            // Housekeeping pass: dead peers and expired deadlines.
+            // Completion never touches other slots, so one pass per wake
+            // suffices.
             for (i, slot) in slots.iter_mut().enumerate() {
                 if matches!(slot.state, SlotState::Done) {
                     continue;
@@ -590,18 +526,8 @@ impl<'a> RpcClient<'a> {
                         } else {
                             slot.attempts_left -= 1;
                             obsv::counter_add(obsv::Ctr::RpcRetries, 1);
-                            if slot.backoff.is_zero() {
-                                send_attempt(slot, &mut by_id, i);
-                            } else {
-                                let resend_at_ns =
-                                    now_ns.saturating_add(slot.backoff.as_nanos() as u64);
-                                slot.backoff *= 2;
-                                slot.state = SlotState::Backoff { resend_at_ns };
-                            }
+                            send_attempt(slot, &mut by_id, i);
                         }
-                    }
-                    SlotState::Backoff { resend_at_ns } if resend_at_ns <= now_ns => {
-                        send_attempt(slot, &mut by_id, i);
                     }
                     _ => {}
                 }
@@ -609,15 +535,13 @@ impl<'a> RpcClient<'a> {
             if remaining == 0 {
                 break;
             }
-            // Sleep until the nearest deadline/resend (capped by the
-            // liveness poll — the real-time receive cannot observe a
-            // virtual-clock jump), or until any reply lands.
+            // Sleep until the nearest deadline (capped by the liveness
+            // poll — the real-time receive cannot observe a virtual-clock
+            // jump), or until any reply lands.
             let mut wake_ns = now_ns.saturating_add(LIVENESS_POLL.as_nanos() as u64);
             for slot in &slots {
-                match slot.state {
-                    SlotState::Waiting { deadline_ns: Some(d), .. } => wake_ns = wake_ns.min(d),
-                    SlotState::Backoff { resend_at_ns } => wake_ns = wake_ns.min(resend_at_ns),
-                    _ => {}
+                if let SlotState::Waiting { deadline_ns: Some(d), .. } = slot.state {
+                    wake_ns = wake_ns.min(d);
                 }
             }
             match self.comm.recv_timeout_parts(
@@ -626,7 +550,9 @@ impl<'a> RpcClient<'a> {
                 Duration::from_nanos(wake_ns.saturating_sub(now_ns)),
             ) {
                 Ok(env) => {
-                    let (id, body) = decode_reply_parts(env.payload);
+                    // Unknown id: stale reply to an earlier timed-out
+                    // attempt — discard, like a malformed frame.
+                    let Some((id, body)) = decode_reply_parts(env.payload) else { continue };
                     if let Some(i) = by_id.remove(&id) {
                         obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
                         obsv::hist_record(
@@ -637,8 +563,6 @@ impl<'a> RpcClient<'a> {
                         remaining -= 1;
                         on_reply(i, Ok(body));
                     }
-                    // Unknown id: stale reply to an earlier timed-out
-                    // attempt — discard.
                 }
                 // Deadlines are handled at the top of the loop; a
                 // wildcard receive never reports PeerDead.
@@ -759,37 +683,50 @@ mod tests {
     }
 
     #[test]
-    fn poll_serves_when_ready() {
-        World::run(2, |c| {
+    fn short_request_is_dropped_and_serving_continues() {
+        let reg = obsv::Registry::new();
+        World::builder(2).observe(reg.clone()).run(|c| {
             if c.rank() == 0 {
-                let server = RpcServer::new(&c);
-                // The client only sends after the barrier, so nothing can
-                // be queued yet.
-                assert!(server.poll(|_, _, _| unreachable!()).is_none());
-                c.barrier();
-                // Poll until the client's request lands.
-                loop {
-                    if let Some(stopped) = server.poll(|caller, m, args| {
-                        assert_eq!(m, M_ECHO);
-                        assert_ne!(caller.call_id, NOTIFY_ID);
-                        ServeOutcome::Stop(Some(args))
-                    }) {
-                        assert!(stopped);
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
+                RpcServer::new(&c).serve(|_caller, _method, args| ServeOutcome::Stop(Some(args)));
             } else {
-                let rpc = RpcClient::new(&c);
-                c.barrier();
-                // A bounded call against a poll-driven server: the reply
-                // arrives once the server gets around to polling.
-                let reply = rpc
-                    .call_timeout(0, M_ECHO, b"x", Duration::from_secs(10))
-                    .expect("server polls after the barrier");
-                assert_eq!(&reply[..], b"x");
+                // Three bytes on the request tag: no room for the 12-byte
+                // header. The serve loop must drop it, not die on it.
+                c.send(0, TAG_REQUEST, Bytes::from_static(&[1, 2, 3]));
+                let reply = RpcClient::new(&c)
+                    .call_timeout(0, M_ECHO, b"after", Duration::from_secs(10))
+                    .expect("the server outlives the short frame");
+                assert_eq!(&reply[..], b"after");
             }
         });
+        assert_eq!(reg.report().counter(obsv::Ctr::RpcMalformed), 1);
+    }
+
+    #[test]
+    fn short_reply_is_dropped_and_the_call_waits_on() {
+        // One world per call flavour. The server sends 5 bytes on the
+        // reply tag, too short for a call id, then the real reply.
+        for flavour in 0..3 {
+            let reg = obsv::Registry::new();
+            World::builder(2).observe(reg.clone()).run(|c| {
+                if c.rank() == 0 {
+                    RpcServer::new(&c).serve(|caller, _method, args| {
+                        c.send(caller.rank, TAG_REPLY, Bytes::from_static(&[9; 5]));
+                        ServeOutcome::Stop(Some(args))
+                    });
+                } else {
+                    let rpc = RpcClient::new(&c);
+                    let timeout = Duration::from_secs(10);
+                    let calls = [Call::new(0, M_ECHO, Bytes::from_static(b"real"))];
+                    let reply = match flavour {
+                        0 => rpc.call(0, M_ECHO, b"real"),
+                        1 => rpc.call_timeout(0, M_ECHO, b"real", timeout).expect("real reply"),
+                        _ => rpc.call_many_collect(&calls, None).remove(0).expect("real reply"),
+                    };
+                    assert_eq!(&reply[..], b"real", "flavour {flavour}");
+                }
+            });
+            assert_eq!(reg.report().counter(obsv::Ctr::RpcMalformed), 1, "flavour {flavour}");
+        }
     }
 
     #[test]

@@ -198,26 +198,6 @@ pub enum Ctr {
     /// shallow (zero-copy) serve path must keep this at **zero** — the
     /// fig5 deep-vs-shallow A/B asserts it.
     BytesCopied,
-    /// Replica registrations accepted by staging shards (one per put
-    /// landed on one replica, re-replicated entries excluded).
-    ReplicaPuts,
-    /// Read-repair pushes executed by staging shards: a client observed a
-    /// live replica answering incomplete next to a complete one and asked
-    /// the complete replica to sync it.
-    ReadRepairs,
-    /// Staging-server failures detected and routed around — by a client
-    /// (a fan-out slot failed `PeerDead` and the replica set was
-    /// recomputed) or by a peer shard (missed-heartbeat `Failed`
-    /// transition).
-    FailoversDetected,
-    /// Dataset bytes pushed by survivors re-replicating entries that lost
-    /// a replica to a failed shard.
-    ReRepBytes,
-    /// Heartbeat datagrams sent on the gossip lane.
-    HeartbeatsSent,
-    /// Healthy→Suspected membership transitions (a peer's heartbeats went
-    /// quiet past the suspect threshold; benign if it recovers).
-    StagingSuspects,
     /// Frames handed to the simmpi socket transport's wire (zero on the
     /// in-proc backend, which delivers envelopes without framing).
     WireFramesSent,
@@ -257,10 +237,14 @@ pub enum Ctr {
     /// unwritten region). Zero on any read whose selection the producers'
     /// regions cover; nonzero means someone read data nobody wrote.
     BytesZeroFilled,
+    /// RPC frames dropped because they were too short for their header
+    /// (a request under 12 bytes, a reply under 8). Zero unless a peer
+    /// sent garbage on an RPC tag.
+    RpcMalformed,
 }
 
 /// Number of [`Ctr`] variants (the fixed width of every counter array).
-pub const NUM_CTRS: usize = 40;
+pub const NUM_CTRS: usize = 35;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -288,12 +272,6 @@ impl Ctr {
         Ctr::FetchCacheHits,
         Ctr::FetchCacheMisses,
         Ctr::BytesCopied,
-        Ctr::ReplicaPuts,
-        Ctr::ReadRepairs,
-        Ctr::FailoversDetected,
-        Ctr::ReRepBytes,
-        Ctr::HeartbeatsSent,
-        Ctr::StagingSuspects,
         Ctr::WireFramesSent,
         Ctr::WireBytesSent,
         Ctr::StepsPublished,
@@ -305,6 +283,7 @@ impl Ctr {
         Ctr::FilesKept,
         Ctr::BytesRetired,
         Ctr::BytesZeroFilled,
+        Ctr::RpcMalformed,
     ];
 
     /// Stable metrics-JSON key for this counter.
@@ -333,12 +312,6 @@ impl Ctr {
             Ctr::FetchCacheHits => "fetch_cache_hits",
             Ctr::FetchCacheMisses => "fetch_cache_misses",
             Ctr::BytesCopied => "bytes_copied",
-            Ctr::ReplicaPuts => "replica_puts",
-            Ctr::ReadRepairs => "read_repairs",
-            Ctr::FailoversDetected => "failovers_detected",
-            Ctr::ReRepBytes => "rerep_bytes",
-            Ctr::HeartbeatsSent => "heartbeats_sent",
-            Ctr::StagingSuspects => "staging_suspects",
             Ctr::WireFramesSent => "wire_frames_sent",
             Ctr::WireBytesSent => "wire_bytes_sent",
             Ctr::StepsPublished => "steps_published",
@@ -350,6 +323,7 @@ impl Ctr {
             Ctr::FilesKept => "files_kept",
             Ctr::BytesRetired => "bytes_retired",
             Ctr::BytesZeroFilled => "bytes_zero_filled",
+            Ctr::RpcMalformed => "rpc_malformed",
         }
     }
 }
