@@ -8,8 +8,7 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig11`, `table2`, `collectives`, `streaming`, `compression`, or
-//! `all`.
+//! `fig11`, `table2`, `streaming`, `compression`, or `all`.
 //! Results print as aligned tables and are also appended as CSV under
 //! `bench-results/`.
 //!
@@ -23,7 +22,6 @@ use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use bench::collectives::{run_collectives, STRAGGLER_SKEW};
 use bench::runners::{
     run_bredala, run_dataspaces, run_lowfive_codec, run_lowfive_file, run_lowfive_file_traced,
     run_lowfive_memory, run_lowfive_memory_traced, run_lowfive_serve, run_pure_hdf5, run_pure_mpi,
@@ -108,8 +106,8 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 collectives \
-                     streaming compression | all] \
+                    "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 streaming \
+                     compression | all] \
                      [--scale small|medium|large] [--trials N] \
                      [--transport inproc|socket|tcp]"
                 );
@@ -128,7 +126,6 @@ fn parse_args() -> Args {
             "fig9",
             "fig11",
             "table2",
-            "collectives",
             "streaming",
             "compression",
         ]
@@ -471,60 +468,6 @@ fn table2(s: &Scale, trials: usize) {
     }
 }
 
-fn collectives_fig(s: &Scale, trials: usize) {
-    println!("\n== Collective schedules: linear reference vs log-time (scaling) ==");
-    println!(
-        "{:>10} {:>8} {:>6} {:>8} {:>9} {:>14} {:>12}",
-        "op", "algo", "n", "msgs", "crit.path", "modeled (ms)", "measured (s)"
-    );
-    // 4 KiB blocks sit well below the interconnect crossover (10 KB), so
-    // the sweep exercises the small-payload tree schedules — the ring /
-    // segmented variants are covered by the simmpi tests and the model.
-    let block = 4096;
-    let reg_linear = obsv::Registry::new();
-    let reg_tree = obsv::Registry::new();
-    let ns: Vec<usize> = s.sweep.iter().copied().filter(|&n| n <= 64).collect();
-    let points = run_collectives(&ns, block, trials, Some(&reg_linear), Some(&reg_tree));
-    let out = results_dir().join("collectives_scaling.csv");
-    for p in &points {
-        let algo = match p.algo {
-            simmpi::CollectiveAlgo::Linear => "linear",
-            _ => "tree",
-        };
-        println!(
-            "{:>10} {:>8} {:>6} {:>8} {:>9} {:>14.3} {:>12.4}",
-            p.op,
-            algo,
-            p.n,
-            p.messages,
-            p.critical_path_recvs,
-            p.modeled_ns / 1e6,
-            p.measured_s
-        );
-        csv(
-            &out,
-            "op,algo,n,block_bytes,messages,critical_path_recvs,modeled_ns,measured_s",
-            &format!(
-                "{},{algo},{},{},{},{},{},{}",
-                p.op,
-                p.n,
-                p.block_bytes,
-                p.messages,
-                p.critical_path_recvs,
-                p.modeled_ns,
-                p.measured_s
-            ),
-        );
-    }
-    println!(
-        "  (alltoall measured with a {} ms rank-0 straggler; modeled under \
-         the interconnect cost model)",
-        STRAGGLER_SKEW.as_millis()
-    );
-    write_obsv_artifacts(&reg_linear.report(), "collectives_linear");
-    write_obsv_artifacts(&reg_tree.report(), "collectives_tree");
-}
-
 /// Sustained step-streaming traffic: one fast producer versus slow
 /// consumers, under each back-pressure mode (see
 /// `bench::runners::run_streaming` and docs/STREAMING.md). Three runs,
@@ -654,7 +597,6 @@ fn main() {
             "fig9" => fig9(&args.scale, args.trials),
             "fig11" => fig11(&args.scale, args.trials),
             "table2" => table2(&args.scale, args.trials),
-            "collectives" => collectives_fig(&args.scale, args.trials),
             "streaming" => streaming_fig(&args.scale_name),
             "compression" => compression_fig(&args.scale, args.trials),
             other => eprintln!("unknown experiment {other:?} (see --help)"),

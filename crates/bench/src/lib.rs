@@ -6,7 +6,6 @@
 //! `benches/` cover the same comparisons in micro form plus the ablations
 //! called out in DESIGN.md.
 
-pub mod collectives;
 pub mod runners;
 pub mod table2;
 pub mod workload;

@@ -1224,10 +1224,7 @@ impl DistMetadataVol {
         let sp = obsv::span(obsv::Phase::Open);
         let link = &self.links[link_idx];
         // The metadata tree is cached per file, so a reopen between
-        // closes costs no round-trip. (`file_close` invalidates, and opens
-        // are issued in the same program order on every consumer rank, so
-        // the broadcast variant stays collective: all ranks hit or all
-        // ranks miss together.)
+        // closes costs no round-trip (`file_close` invalidates).
         if let Some(meta) = self.fetch_cache.lock().meta.get(name).cloned() {
             obsv::counter_add(obsv::Ctr::FetchCacheHits, 1);
             return self.install_remote_meta(name, link_idx, &meta, sp);
@@ -1237,29 +1234,10 @@ impl DistMetadataVol {
         // answers with the negotiated mask. The other producers learn the
         // caps from the fire-and-forget offers below.
         let caps = self.props.wire_codec_for(name).caps();
-        let (home, reply) = if self.props.metadata_broadcast_for(name) {
-            // Collective variant (paper §V-C): one rank fetches, the task
-            // broadcasts — m−1 fewer round trips to the producers.
-            // Broadcast the raw reply (including any error) so that a
-            // remote failure — the producer returning an error *or* the
-            // producer being gone — propagates to every rank instead of
-            // leaving peers stuck in the collective.
-            let home = link.home(0)?;
-            let reply = if self.local.rank() == 0 {
-                let reply = self
-                    .call_producer(name, home, M_METADATA, &enc_metadata_req(name, caps))
-                    .unwrap_or_else(|e| enc_result(Err(e)));
-                self.local.bcast_bytes(0, Some(reply))
-            } else {
-                self.local.bcast_bytes(0, None)
-            };
-            (home, reply)
-        } else {
-            // Each consumer rank has a "home" producer for metadata
-            // requests, spreading the load across the producer task.
-            let home = link.home(self.local.rank())?;
-            (home, self.call_producer(name, home, M_METADATA, &enc_metadata_req(name, caps))?)
-        };
+        // Each consumer rank has a "home" producer for metadata requests,
+        // spreading the load across the producer task.
+        let home = link.home(self.local.rank())?;
+        let reply = self.call_producer(name, home, M_METADATA, &enc_metadata_req(name, caps))?;
         let (gen, mask, meta) = dec_metadata_reply(&dec_result(&reply)?)?;
         if mask & !caps != 0 {
             return Err(H5Error::Format(format!(
@@ -1272,15 +1250,10 @@ impl DistMetadataVol {
         // offer lands before any data query we send that producer afterwards;
         // a dropped offer just leaves that pair on raw.
         if caps != CAP_RAW {
-            // In broadcast mode only local rank 0 performed the handshake;
-            // everyone else must offer to the home producer as well.
-            let handshook = !self.props.metadata_broadcast_for(name) || self.local.rank() == 0;
             let rpc = RpcClient::new(&self.world);
             let offer = enc_codec_offer(name, caps);
-            for &p in &link.remote_ranks {
-                if !(handshook && p == home) {
-                    rpc.notify(p, M_CODEC_OFFER, &offer);
-                }
+            for &p in link.remote_ranks.iter().filter(|&&p| p != home) {
+                rpc.notify(p, M_CODEC_OFFER, &offer);
             }
         }
         // Record the generation *before* caching: a bump clears stale

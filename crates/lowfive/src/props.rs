@@ -32,7 +32,6 @@ enum Action {
     Memory(bool),
     Passthrough(bool),
     Zerocopy(bool),
-    MetadataBroadcast(bool),
     RpcTimeout(Option<Duration>),
     RpcRetries(u32),
     StreamQueueDepth(usize),
@@ -91,22 +90,6 @@ impl LowFiveProps {
             file_pat: file_pat.to_string(),
             dset_pat: dset_pat.to_string(),
             action: Action::Zerocopy(on),
-        });
-        self
-    }
-
-    /// Fetch file metadata once per consumer *task* (local rank 0 queries
-    /// a producer, then broadcasts) instead of once per consumer *rank*.
-    ///
-    /// This implements the paper's future-work direction of replacing
-    /// point-to-point exchanges with collectives where profitable
-    /// (§V-C). When enabled, `file_open` on a consume link becomes a
-    /// collective call over the consumer task.
-    pub fn set_metadata_broadcast(&mut self, file_pat: &str, on: bool) -> &mut Self {
-        self.rules.push(Rule {
-            file_pat: file_pat.to_string(),
-            dset_pat: "*".to_string(),
-            action: Action::MetadataBroadcast(on),
         });
         self
     }
@@ -276,20 +259,6 @@ impl LowFiveProps {
             }
         }
         timeout.map(|t| RetryPolicy::new(retries + 1, t))
-    }
-
-    /// Should consumers of `file` broadcast metadata instead of each rank
-    /// fetching it?
-    pub fn metadata_broadcast_for(&self, file: &str) -> bool {
-        let mut on = false;
-        for r in &self.rules {
-            if let Action::MetadataBroadcast(v) = r.action {
-                if glob_match(&r.file_pat, file) {
-                    on = v;
-                }
-            }
-        }
-        on
     }
 
     /// Should `file` use in-memory transport?

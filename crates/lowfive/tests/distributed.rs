@@ -502,52 +502,6 @@ fn grid_3d_redistribution() {
     });
 }
 
-/// Metadata-broadcast open (§V-C extension): a collective file_open on
-/// the consumer task yields the same data with fewer metadata round
-/// trips.
-#[test]
-fn metadata_broadcast_open() {
-    const N: u64 = 48;
-    let specs = [TaskSpec::new("producer", 3), TaskSpec::new("consumer", 4)];
-    let out = simmpi::TaskWorld::run_with(&specs, None, |tc| {
-        let producers = world_ranks(&tc, 0);
-        let consumers = world_ranks(&tc, 1);
-        let mut props = LowFiveProps::new();
-        props.set_metadata_broadcast("*", true);
-        let vol: Arc<dyn Vol> = if tc.task_id == 0 {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .produce("*", consumers.clone())
-                .build()
-        } else {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .consume("*", producers.clone())
-                .build()
-        };
-        let h5 = H5::with_vol(vol);
-        if tc.task_id == 0 {
-            let f = h5.create_file("bm.h5").unwrap();
-            let d = f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&[N])).unwrap();
-            let chunk = N / 3;
-            let start = tc.local.rank() as u64 * chunk;
-            let vals: Vec<u64> = (start..start + chunk).collect();
-            d.write_selection(&Selection::block(&[start], &[chunk]), &vals).unwrap();
-            f.close().unwrap();
-        } else {
-            // Collective open across the consumer task.
-            let f = h5.open_file("bm.h5").unwrap();
-            let d = f.open_dataset("x").unwrap();
-            assert_eq!(d.read_all::<u64>().unwrap(), (0..N).collect::<Vec<u64>>());
-            f.close().unwrap();
-        }
-    });
-    // With broadcast, exactly one M_METADATA request reaches the
-    // producers regardless of the consumer count (plus the task-local
-    // broadcast messages, which are cheaper intra-task traffic).
-    assert!(out.stats.messages > 0);
-}
-
 /// Chunked + extensible datasets through the in-memory metadata layer:
 /// producers append timesteps; chunk shape is metadata.
 #[test]

@@ -2,31 +2,25 @@
 //!
 //! All collectives are built from point-to-point messages on reserved tags
 //! (top bit set), so they share the pairwise-FIFO guarantees of the
-//! transport. Every operation exists in two schedule families, selected by
-//! the world's [`CollectiveAlgo`] knob (see [`crate::WorldBuilder::
-//! collective_algo`]):
+//! transport. Each operation has one schedule: binomial-tree gather /
+//! scatter / reduce, Bruck-dissemination allgather, recursive-doubling
+//! allreduce and exclusive scan, and a pairwise-exchange all-to-all that
+//! completes receives in *arrival order* (any-source) instead of rank
+//! order, so a straggling sender does not head-of-line-block every
+//! receiver.
 //!
-//! * **Linear** — the O(n) rank-order reference schedules: the root loops
-//!   over ranks with blocking in-order receives. Kept as the A/B baseline
-//!   and the byte-identity oracle for the proptests.
-//! * **Log-time** (`Auto` / `LogTime`) — binomial-tree gather / scatter /
-//!   reduce, Bruck-dissemination allgather, recursive-doubling allreduce
-//!   and exclusive scan, and a pairwise-exchange all-to-all that completes
-//!   receives in *arrival order* (any-source) instead of rank order, so a
-//!   straggling sender no longer head-of-line-blocks every receiver.
+//! With a [`crate::CostModel`] attached, payloads at or past the model's
+//! latency/bandwidth crossover switch to the bandwidth-optimal variants: a
+//! ring allgather and a segmented, pipelined broadcast (segments stream
+//! down the tree with transfer overlapping forwarding). Selection mirrors
+//! what production MPI implementations do by message size, and is the only
+//! choice a collective makes.
 //!
-//! Under `Auto` with a [`crate::CostModel`] attached, payloads past the
-//! model's latency/bandwidth crossover additionally switch to the
-//! bandwidth-optimal variants: a ring allgather and a segmented, pipelined
-//! broadcast (segments stream down the tree with transfer overlapping
-//! forwarding). Selection mirrors what production MPI implementations do
-//! by message size.
-//!
-//! Results are byte-identical across schedule families (for reductions:
-//! whenever the operator is commutative and associative in the
-//! mathematical sense, e.g. integer sum/min/max — the usual MPI
-//! requirement); `tests/proptest_collectives.rs` pins this across world
-//! geometry, payload shapes, and fault seeds.
+//! Reductions assume an operator that is commutative and associative in
+//! the mathematical sense (e.g. integer sum/min/max — the usual MPI
+//! requirement); `tests/proptest_collectives.rs` checks every result
+//! against values computed directly from the inputs, across world
+//! geometry, payload shapes, the size switch and fault seeds.
 //!
 //! Tree interior nodes aggregate subtree payloads as multi-part
 //! [`Payload`] frames (a small length header plus the original refcounted
@@ -35,7 +29,6 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::comm::Comm;
-use crate::cost::CollectiveAlgo;
 use crate::envelope::Tag;
 use crate::payload::Payload;
 use crate::pod::{self, Pod};
@@ -47,7 +40,6 @@ const TAG_BARRIER: Tag = COLLECTIVE_TAG_BASE; // + round number (≤ 64)
 const TAG_BCAST: Tag = COLLECTIVE_TAG_BASE + 0x100;
 const TAG_GATHER: Tag = COLLECTIVE_TAG_BASE + 0x101;
 const TAG_SCATTER: Tag = COLLECTIVE_TAG_BASE + 0x102;
-const TAG_ALLTOALL_LINEAR: Tag = COLLECTIVE_TAG_BASE + 0x103;
 const TAG_RING: Tag = COLLECTIVE_TAG_BASE + 0x104;
 const TAG_REDUCE: Tag = COLLECTIVE_TAG_BASE + 0x105;
 const TAG_ALLREDUCE_FOLD: Tag = COLLECTIVE_TAG_BASE + 0x106;
@@ -88,19 +80,11 @@ impl Drop for CollTimer {
 }
 
 impl Comm {
-    /// True when this world pins the linear reference schedules.
-    fn linear(&self) -> bool {
-        self.coll_algo() == CollectiveAlgo::Linear
-    }
-
-    /// Payload size at which `Auto` switches to the bandwidth-optimal
-    /// variants (ring allgather, segmented broadcast). `usize::MAX` — no
-    /// switch — without a cost model or outside `Auto`.
+    /// Payload size at which the collectives switch to the
+    /// bandwidth-optimal variants (ring allgather, segmented broadcast).
+    /// `usize::MAX` — no switch — without a cost model.
     fn large_threshold(&self) -> usize {
-        match (self.coll_algo(), self.cost_model()) {
-            (CollectiveAlgo::Auto, Some(cm)) => cm.large_payload_threshold(),
-            _ => usize::MAX,
-        }
+        self.cost_model().map_or(usize::MAX, |cm| cm.large_payload_threshold())
     }
 
     /// Dissemination barrier: every rank blocks until all ranks arrive.
@@ -123,25 +107,15 @@ impl Comm {
     }
 
     /// Binomial-tree broadcast. `root` passes `Some(data)`; everyone
-    /// receives the broadcast value. Large payloads (under `Auto` with a
-    /// cost model) are cut into fixed-size segments pipelined down the
-    /// tree: an interior node forwards segment `s` to all children while
-    /// segment `s+1` is still in flight from its parent.
+    /// receives the broadcast value. Large payloads (with a cost model)
+    /// are cut into fixed-size segments pipelined down the tree: an
+    /// interior node forwards segment `s` to all children while segment
+    /// `s+1` is still in flight from its parent. Without a cost model the
+    /// payload is never segmented (the wire still carries the 16-byte
+    /// header, with `nsegs = 1`).
     pub fn bcast_bytes(&self, root: usize, data: Option<Bytes>) -> Bytes {
         let _t = coll_timer(obsv::Ctr::CollBcast, data.as_ref().map_or(0, Bytes::len));
-        let seg = match (self.coll_algo(), self.cost_model()) {
-            (CollectiveAlgo::Auto, Some(cm)) => cm.segment_bytes(),
-            _ => usize::MAX,
-        };
-        self.bcast_inner(root, data, seg)
-    }
-
-    /// The broadcast engine. `seg` is the segment size; `usize::MAX`
-    /// means "never segment" (the wire still carries the 16-byte header,
-    /// with `nsegs = 1`). The same binomial tree routes both shapes, so
-    /// the linear/log A/B and the segmented path share one code path for
-    /// parent/child bookkeeping.
-    fn bcast_inner(&self, root: usize, data: Option<Bytes>, seg: usize) -> Bytes {
+        let seg = self.cost_model().map_or(usize::MAX, |cm| cm.segment_bytes());
         let n = self.size();
         let vrank = (self.rank() + n - root) % n;
         if n == 1 {
@@ -246,35 +220,11 @@ impl Comm {
     /// Gather every rank's payload at `root` (variable lengths allowed).
     /// Returns `Some(vec indexed by rank)` at root, `None` elsewhere.
     ///
-    /// Log-time schedule: a binomial tree. Interior nodes aggregate their
-    /// subtree's blocks into one framed message, so the root completes in
-    /// `⌈lg n⌉` receives instead of `n-1`.
+    /// Schedule: a binomial tree. Interior nodes aggregate their subtree's
+    /// blocks into one framed message, so the root completes in `⌈lg n⌉`
+    /// receives instead of `n-1`.
     pub fn gather_bytes(&self, root: usize, data: Bytes) -> Option<Vec<Bytes>> {
         let _t = coll_timer(obsv::Ctr::CollGather, data.len());
-        if self.linear() {
-            self.gather_linear(root, data)
-        } else {
-            self.gather_tree(root, data)
-        }
-    }
-
-    fn gather_linear(&self, root: usize, data: Bytes) -> Option<Vec<Bytes>> {
-        if self.rank() != root {
-            self.send_internal(root, TAG_GATHER, data.into());
-            return None;
-        }
-        let mut out: Vec<Bytes> = vec![Bytes::new(); self.size()];
-        out[root] = data;
-        for (r, slot) in out.iter_mut().enumerate() {
-            if r == root {
-                continue;
-            }
-            *slot = self.recv(r.into(), TAG_GATHER.into()).payload;
-        }
-        Some(out)
-    }
-
-    fn gather_tree(&self, root: usize, data: Bytes) -> Option<Vec<Bytes>> {
         let n = self.size();
         let vrank = (self.rank() + n - root) % n;
         // Invariant: `blocks[i]` is the payload of vrank `vrank + i`; a
@@ -306,39 +256,13 @@ impl Comm {
     /// Scatter one payload to each rank from `root`; returns this rank's
     /// piece. `parts` must be `Some` (length = size) at root.
     ///
-    /// Log-time schedule: the gather tree run in reverse — the root ships
-    /// each child its whole framed subtree, halving at every level.
+    /// Schedule: the gather tree run in reverse — the root ships each
+    /// child its whole framed subtree, halving at every level.
     pub fn scatter_bytes(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
         let _t = coll_timer(
             obsv::Ctr::CollScatter,
             parts.as_ref().map_or(0, |p| p.iter().map(Bytes::len).sum()),
         );
-        if self.linear() {
-            self.scatter_linear(root, parts)
-        } else {
-            self.scatter_tree(root, parts)
-        }
-    }
-
-    fn scatter_linear(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
-        if self.rank() == root {
-            let parts = parts.expect("scatter root must supply parts");
-            assert_eq!(parts.len(), self.size(), "scatter needs one part per rank");
-            let mut mine = Bytes::new();
-            for (r, p) in parts.into_iter().enumerate() {
-                if r == root {
-                    mine = p;
-                } else {
-                    self.send_internal(r, TAG_SCATTER, p.into());
-                }
-            }
-            mine
-        } else {
-            self.recv(root.into(), TAG_SCATTER.into()).payload
-        }
-    }
-
-    fn scatter_tree(&self, root: usize, parts: Option<Vec<Bytes>>) -> Bytes {
         let n = self.size();
         let vrank = (self.rank() + n - root) % n;
         // `blocks[i]` is the payload destined for vrank `vrank + i`.
@@ -376,41 +300,15 @@ impl Comm {
     /// payload from every rank (variable lengths — `MPI_Alltoallv`).
     /// Returns payloads indexed by source rank.
     ///
-    /// Log-time schedule: a pairwise-exchange send order (round `r`
-    /// targets rank `me + r`), with receives completed in **arrival
-    /// order** via any-source matching — a straggling sender delays only
-    /// its own payload, not the whole receive loop. Each call is tagged
-    /// with a per-communicator epoch so a fast rank's next exchange can
-    /// never satisfy a slow rank's current one.
-    pub fn alltoall_bytes(&self, parts: Vec<Bytes>) -> Vec<Bytes> {
+    /// Schedule: a pairwise-exchange send order (round `r` targets rank
+    /// `me + r`), with receives completed in **arrival order** via
+    /// any-source matching — a straggling sender delays only its own
+    /// payload, not the whole receive loop. Each call is tagged with a
+    /// per-communicator epoch so a fast rank's next exchange can never
+    /// satisfy a slow rank's current one.
+    pub fn alltoall_bytes(&self, mut parts: Vec<Bytes>) -> Vec<Bytes> {
         let _t = coll_timer(obsv::Ctr::CollAlltoall, parts.iter().map(Bytes::len).sum());
         assert_eq!(parts.len(), self.size(), "one part per rank");
-        if self.linear() {
-            self.alltoall_linear(parts)
-        } else {
-            self.alltoall_pairwise(parts)
-        }
-    }
-
-    fn alltoall_linear(&self, parts: Vec<Bytes>) -> Vec<Bytes> {
-        let mut out: Vec<Bytes> = vec![Bytes::new(); self.size()];
-        for (dest, p) in parts.into_iter().enumerate() {
-            if dest == self.rank() {
-                out[dest] = p;
-            } else {
-                self.send_internal(dest, TAG_ALLTOALL_LINEAR, p.into());
-            }
-        }
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src == self.rank() {
-                continue;
-            }
-            *slot = self.recv(src.into(), TAG_ALLTOALL_LINEAR.into()).payload;
-        }
-        out
-    }
-
-    fn alltoall_pairwise(&self, mut parts: Vec<Bytes>) -> Vec<Bytes> {
         let n = self.size();
         let me = self.rank();
         let tag = TAG_ALLTOALL_BASE + (self.next_coll_epoch() & 0xFF);
@@ -431,24 +329,15 @@ impl Comm {
 
     /// All ranks obtain every rank's payload, indexed by rank.
     ///
-    /// Log-time schedule: Bruck dissemination — `⌈lg n⌉` rounds, doubling
-    /// the shipped block set each round. Large payloads (under `Auto`
-    /// with a cost model) switch to the bandwidth-optimal ring: `n-1`
-    /// rounds of exactly one block, nothing ever sent twice.
+    /// Schedule: Bruck dissemination — `⌈lg n⌉` rounds, doubling the
+    /// shipped block set each round. Large payloads (with a cost model)
+    /// switch to the bandwidth-optimal ring: `n-1` rounds of exactly one
+    /// block, nothing ever sent twice.
     pub fn allgather_bytes(&self, data: Bytes) -> Vec<Bytes> {
         let _t = coll_timer(obsv::Ctr::CollAllgather, data.len());
         let n = self.size();
         if n == 1 {
             return vec![data];
-        }
-        if self.linear() {
-            let gathered = self.gather_linear(0, data);
-            let framed = if self.rank() == 0 {
-                Some(frame(gathered.expect("rank 0 gathered")))
-            } else {
-                None
-            };
-            return unframe(&self.bcast_inner(0, framed, usize::MAX));
         }
         // Algorithm selection must be symmetric across ranks, but payload
         // lengths may be ragged — agree on the maximum first (a handful
@@ -516,25 +405,9 @@ impl Comm {
     /// Reduce one typed value per rank with `op`; result at `root`.
     ///
     /// `op` must be commutative and associative (the MPI reduction
-    /// contract): the log-time binomial tree combines subtrees in a
-    /// different order than the linear rank-order fold.
+    /// contract): the binomial tree combines subtrees out of rank order.
     pub fn reduce_one<T: Pod, F: Fn(T, T) -> T>(&self, root: usize, value: T, op: F) -> Option<T> {
         let _t = coll_timer(obsv::Ctr::CollReduce, std::mem::size_of::<T>());
-        if self.linear() {
-            self.reduce_linear(root, value, op)
-        } else {
-            self.reduce_tree(root, value, op)
-        }
-    }
-
-    fn reduce_linear<T: Pod, F: Fn(T, T) -> T>(&self, root: usize, value: T, op: F) -> Option<T> {
-        let gathered = self.gather_linear(root, pod::to_bytes(&[value]))?;
-        let mut it = gathered.iter().map(|b| pod::from_bytes::<T>(b)[0]);
-        let first = it.next().expect("at least one rank");
-        Some(it.fold(first, op))
-    }
-
-    fn reduce_tree<T: Pod, F: Fn(T, T) -> T>(&self, root: usize, value: T, op: F) -> Option<T> {
         let n = self.size();
         let vrank = (self.rank() + n - root) % n;
         let mut acc = value;
@@ -558,21 +431,17 @@ impl Comm {
     /// All-reduce one typed value per rank with `op` (same commutative +
     /// associative contract as [`Comm::reduce_one`]).
     ///
-    /// Log-time schedule: recursive doubling — `⌈lg n⌉` exchange rounds,
-    /// every rank finishing with the result, no broadcast needed. Ranks
-    /// past the largest power of two fold into a partner first and get
-    /// the result shipped back.
+    /// Schedule: recursive doubling — `⌈lg n⌉` exchange rounds, every
+    /// rank finishing with the result, no broadcast needed. Ranks past the
+    /// largest power of two fold into a partner first and get the result
+    /// shipped back.
     pub fn allreduce_one<T: Pod, F: Fn(T, T) -> T>(&self, value: T, op: F) -> T {
         let _t = coll_timer(obsv::Ctr::CollReduce, std::mem::size_of::<T>());
-        if self.linear() {
-            let reduced = self.reduce_linear(0, value, op);
-            let payload = reduced.map(|v| pod::to_bytes(&[v]));
-            pod::from_bytes::<T>(&self.bcast_inner(0, payload, usize::MAX))[0]
-        } else {
-            self.allreduce_rd(value, op)
-        }
+        self.allreduce_rd(value, op)
     }
 
+    /// The recursive-doubling engine of [`Comm::allreduce_one`], without
+    /// the collective counter: the allgather size switch calls it too.
     fn allreduce_rd<T: Pod, F: Fn(T, T) -> T>(&self, value: T, op: F) -> T {
         let n = self.size();
         if n == 1 {
@@ -611,49 +480,32 @@ impl Comm {
 
     /// Exclusive prefix sum of `value` over ranks (rank 0 gets 0).
     ///
-    /// Log-time schedule: recursive-doubling scan — in round `k` rank `r`
+    /// Schedule: recursive-doubling scan — in round `k` rank `r`
     /// ships its running total to `r + 2^k` and folds the total arriving
     /// from `r - 2^k`, finishing in `⌈lg n⌉` rounds instead of
     /// allgathering every value.
     pub fn exscan_u64(&self, value: u64) -> u64 {
         let _t = coll_timer(obsv::Ctr::CollExscan, std::mem::size_of::<u64>());
-        if self.linear() {
-            let all = self.allgather_linear_u64(value);
-            all[..self.rank()].iter().sum()
-        } else {
-            let n = self.size();
-            let me = self.rank();
-            let mut have = value; // inclusive running total of (me-2^k, me]
-            let mut result = 0u64; // exclusive prefix accumulated so far
-            let mut dist = 1usize;
-            let mut k: Tag = 0;
-            while dist < n {
-                if me + dist < n {
-                    self.send_internal(me + dist, TAG_EXSCAN + k, pod::to_bytes(&[have]).into());
-                }
-                if me >= dist {
-                    let env = self.recv((me - dist).into(), (TAG_EXSCAN + k).into());
-                    let v = pod::from_bytes::<u64>(&env.payload)[0];
-                    result += v;
-                    have += v;
-                }
-                dist <<= 1;
-                k += 1;
+        let n = self.size();
+        let me = self.rank();
+        let mut have = value; // inclusive running total of (me-2^k, me]
+        let mut result = 0u64; // exclusive prefix accumulated so far
+        let mut dist = 1usize;
+        let mut k: Tag = 0;
+        while dist < n {
+            if me + dist < n {
+                self.send_internal(me + dist, TAG_EXSCAN + k, pod::to_bytes(&[have]).into());
             }
-            result
+            if me >= dist {
+                let env = self.recv((me - dist).into(), (TAG_EXSCAN + k).into());
+                let v = pod::from_bytes::<u64>(&env.payload)[0];
+                result += v;
+                have += v;
+            }
+            dist <<= 1;
+            k += 1;
         }
-    }
-
-    /// Linear-reference allgather of one u64 (used by the linear exscan
-    /// so its counter accounting matches the old composition).
-    fn allgather_linear_u64(&self, value: u64) -> Vec<u64> {
-        let gathered = self.gather_linear(0, pod::to_bytes(&[value]));
-        let framed =
-            if self.rank() == 0 { Some(frame(gathered.expect("rank 0 gathered"))) } else { None };
-        unframe(&self.bcast_inner(0, framed, usize::MAX))
-            .iter()
-            .map(|b| pod::from_bytes::<u64>(b)[0])
-            .collect()
+        result
     }
 
     /// Element-wise all-reduce of equal-length typed vectors
@@ -681,41 +533,10 @@ impl Comm {
     }
 }
 
-/// Flatten a block list into one contiguous buffer:
-/// `[count u64][len u64, bytes]...` — the legacy frame used by the linear
-/// allgather's broadcast leg, where the concatenation is sent as a whole.
-fn frame(parts: Vec<Bytes>) -> Bytes {
-    let total: usize = 8 + parts.iter().map(|p| 8 + p.len()).sum::<usize>();
-    let mut buf = BytesMut::with_capacity(total);
-    buf.put_u64_le(parts.len() as u64);
-    for p in &parts {
-        buf.put_u64_le(p.len() as u64);
-        buf.put_slice(p);
-    }
-    buf.freeze()
-}
-
-fn unframe(data: &Bytes) -> Vec<Bytes> {
-    let mut off = 0usize;
-    let read_u64 = |off: &mut usize| {
-        let v = u64::from_le_bytes(data[*off..*off + 8].try_into().expect("8 bytes"));
-        *off += 8;
-        v
-    };
-    let count = read_u64(&mut off) as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = read_u64(&mut off) as usize;
-        out.push(data.slice(off..off + len));
-        off += len;
-    }
-    out
-}
-
 /// Frame a block list as a multi-part [`Payload`]: one header part
 /// (`[count u64][len u64]...`) followed by every non-empty block as its
-/// own refcounted part — no payload byte is copied. The tree collectives
-/// aggregate subtrees with this frame.
+/// own refcounted part — no payload byte is copied. The tree and
+/// dissemination collectives aggregate block sets with this frame.
 fn frame_blocks(blocks: &[Bytes]) -> Payload {
     let mut hdr = BytesMut::with_capacity(8 + 8 * blocks.len());
     hdr.put_u64_le(blocks.len() as u64);
@@ -781,19 +602,6 @@ mod tests {
     use crate::world::World;
     use std::time::Duration;
 
-    /// Every algorithm knob a correctness test should pass under.
-    const ALGOS: [CollectiveAlgo; 3] =
-        [CollectiveAlgo::Auto, CollectiveAlgo::Linear, CollectiveAlgo::LogTime];
-
-    fn run_all_algos<F>(n: usize, f: F)
-    where
-        F: Fn(crate::comm::Comm) + Send + Sync + Copy,
-    {
-        for algo in ALGOS {
-            World::builder(n).collective_algo(algo).run(f);
-        }
-    }
-
     #[test]
     fn barrier_all_sizes() {
         for n in [1usize, 2, 3, 5, 8, 13] {
@@ -809,7 +617,7 @@ mod tests {
     fn bcast_from_every_root() {
         for n in [1usize, 2, 5, 9] {
             for root in 0..n {
-                run_all_algos(n, move |c| {
+                World::run(n, move |c| {
                     let data = if c.rank() == root {
                         Some(Bytes::from(format!("hello-{root}")))
                     } else {
@@ -824,7 +632,7 @@ mod tests {
 
     #[test]
     fn gather_preserves_rank_order_and_lengths() {
-        run_all_algos(5, |c| {
+        World::run(5, |c| {
             let mine = Bytes::from(vec![c.rank() as u8; c.rank() + 1]);
             if let Some(all) = c.gather_bytes(2, mine) {
                 assert_eq!(c.rank(), 2);
@@ -840,7 +648,7 @@ mod tests {
     fn gather_from_every_root_every_size() {
         for n in [1usize, 2, 3, 4, 6, 7, 8, 9] {
             for root in 0..n {
-                run_all_algos(n, move |c| {
+                World::run(n, move |c| {
                     let mine = Bytes::from(vec![c.rank() as u8; (c.rank() * 3) % 5]);
                     let got = c.gather_bytes(root, mine);
                     if c.rank() == root {
@@ -859,7 +667,7 @@ mod tests {
 
     #[test]
     fn scatter_delivers_each_part() {
-        run_all_algos(4, |c| {
+        World::run(4, |c| {
             let parts =
                 (c.rank() == 1).then(|| (0..4).map(|r| Bytes::from(vec![r as u8; 3])).collect());
             let mine = c.scatter_bytes(1, parts);
@@ -871,7 +679,7 @@ mod tests {
     fn scatter_from_every_root_every_size() {
         for n in [1usize, 2, 3, 5, 8, 9] {
             for root in 0..n {
-                run_all_algos(n, move |c| {
+                World::run(n, move |c| {
                     let parts = (c.rank() == root)
                         .then(|| (0..n).map(|r| Bytes::from(vec![r as u8; r % 4])).collect());
                     let mine = c.scatter_bytes(root, parts);
@@ -883,7 +691,7 @@ mod tests {
 
     #[test]
     fn allgather_matches_ranks() {
-        run_all_algos(6, |c| {
+        World::run(6, |c| {
             let all = c.allgather_one::<u64>(c.rank() as u64 * 7);
             assert_eq!(all, (0..6).map(|r| r * 7).collect::<Vec<u64>>());
         });
@@ -891,8 +699,8 @@ mod tests {
 
     #[test]
     fn allgather_ring_large_payloads() {
-        // A cost model with a tiny crossover forces the ring variant
-        // under Auto; results must be identical to the other schedules.
+        // A cost model with a tiny crossover forces the ring variant;
+        // results must be identical to the Bruck schedule's.
         let cm = CostModel { latency: Duration::from_nanos(100), per_byte_ns: 1.0 };
         assert!(cm.large_payload_threshold() < 512);
         World::builder(5).cost_model(cm).run(|c| {
@@ -907,7 +715,7 @@ mod tests {
 
     #[test]
     fn reductions() {
-        run_all_algos(7, |c| {
+        World::run(7, |c| {
             let sum = c.allreduce_one::<u64, _>(c.rank() as u64, |a, b| a + b);
             assert_eq!(sum, 21);
             let max = c.allreduce_one::<u64, _>(c.rank() as u64, std::cmp::max);
@@ -924,7 +732,7 @@ mod tests {
     #[test]
     fn allreduce_every_size() {
         for n in 1usize..10 {
-            run_all_algos(n, move |c| {
+            World::run(n, move |c| {
                 let sum = c.allreduce_one::<u64, _>(c.rank() as u64 + 1, |a, b| a + b);
                 assert_eq!(sum, (n * (n + 1) / 2) as u64);
             });
@@ -934,7 +742,7 @@ mod tests {
     #[test]
     fn exscan_is_exclusive_prefix_sum() {
         for n in [1usize, 2, 3, 5, 7, 8] {
-            run_all_algos(n, |c| {
+            World::run(n, |c| {
                 let v = (c.rank() as u64 + 1) * 2; // 2,4,6,8,…
                 let pre = c.exscan_u64(v);
                 let expect: u64 = (0..c.rank()).map(|r| (r as u64 + 1) * 2).sum();
@@ -945,7 +753,7 @@ mod tests {
 
     #[test]
     fn collectives_on_split_comms() {
-        run_all_algos(8, |c| {
+        World::run(8, |c| {
             let sub = c.split(c.rank() % 2, c.rank());
             let sum = sub.allreduce_one::<u64, _>(c.rank() as u64, |a, b| a + b);
             let expect: u64 = (0..8).filter(|r| r % 2 == c.rank() % 2).sum::<usize>() as u64;
@@ -955,7 +763,7 @@ mod tests {
 
     #[test]
     fn alltoall_exchanges_personalized_payloads() {
-        run_all_algos(5, |c| {
+        World::run(5, |c| {
             // parts[d] = [my_rank, d] as bytes.
             let parts: Vec<Bytes> =
                 (0..5).map(|d| Bytes::from(vec![c.rank() as u8, d as u8])).collect();
@@ -968,7 +776,7 @@ mod tests {
 
     #[test]
     fn alltoall_with_empty_parts() {
-        run_all_algos(3, |c| {
+        World::run(3, |c| {
             let parts: Vec<Bytes> = (0..3)
                 .map(|d| if d == 0 { Bytes::new() } else { Bytes::from(vec![d as u8; d]) })
                 .collect();
@@ -987,7 +795,7 @@ mod tests {
 
     #[test]
     fn repeated_alltoalls_do_not_cross() {
-        run_all_algos(4, |c| {
+        World::run(4, |c| {
             for round in 0..10u8 {
                 let parts: Vec<Bytes> =
                     (0..4).map(|_| Bytes::from(vec![round, c.rank() as u8])).collect();
@@ -1001,7 +809,7 @@ mod tests {
 
     #[test]
     fn allreduce_vec_elementwise() {
-        run_all_algos(4, |c| {
+        World::run(4, |c| {
             let mine: Vec<u64> = (0..6).map(|i| (c.rank() as u64 + 1) * (i + 1)).collect();
             let sums = c.allreduce_vec(&mine, |a: u64, b| a + b);
             // Σ_r (r+1)(i+1) = 10(i+1) for 4 ranks.
@@ -1023,9 +831,11 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
+        // The wire form: a socket transport delivers the frame flattened
+        // into one contiguous part, and each block is a slice of it.
         let parts = vec![Bytes::from_static(b"a"), Bytes::new(), Bytes::from_static(b"xyz")];
-        let framed = frame(parts.clone());
-        assert_eq!(unframe(&framed), parts);
+        let flat = Payload::from(frame_blocks(&parts).into_bytes());
+        assert_eq!(unframe_blocks(flat), parts);
     }
 
     #[test]
@@ -1041,7 +851,7 @@ mod tests {
 
     #[test]
     fn bcast_large_payload() {
-        run_all_algos(4, |c| {
+        World::run(4, |c| {
             let data = (c.rank() == 0).then(|| Bytes::from(vec![0xAB; 1 << 20]));
             let got = c.bcast_bytes(0, data);
             assert_eq!(got.len(), 1 << 20);
@@ -1068,34 +878,10 @@ mod tests {
     }
 
     #[test]
-    fn tree_gather_root_critical_path_is_logarithmic() {
-        // With a latency-only cost model, wall time is dominated by the
-        // longest serialized receive chain: 15 × L linear vs 4 × L-ish
-        // tree. Compare the two schedules end to end.
-        let lat = Duration::from_millis(2);
-        let time = |algo: CollectiveAlgo| {
-            let t0 = std::time::Instant::now();
-            World::builder(16)
-                .cost_model(CostModel { latency: lat, per_byte_ns: 0.0 })
-                .collective_algo(algo)
-                .run(|c| {
-                    c.gather_bytes(0, Bytes::from(vec![c.rank() as u8; 64]));
-                });
-            t0.elapsed()
-        };
-        let linear = time(CollectiveAlgo::Linear);
-        let tree = time(CollectiveAlgo::LogTime);
-        assert!(
-            tree < linear,
-            "binomial gather ({tree:?}) must beat the linear root drain ({linear:?})"
-        );
-    }
-
-    #[test]
     fn pairwise_alltoall_tolerates_a_straggler() {
         // Rank 0 sleeps before sending; arrival-order receives let every
         // other rank drain its peers meanwhile. All payloads still land.
-        run_all_algos(5, |c| {
+        World::run(5, |c| {
             if c.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -1106,35 +892,5 @@ mod tests {
                 assert_eq!(&b[..], &[src as u8, c.rank() as u8]);
             }
         });
-    }
-
-    #[test]
-    fn tree_equals_linear_byte_identical_smoke() {
-        // The proptest suite sweeps this exhaustively; keep one explicit
-        // pin here so `cargo test -p simmpi --lib` already checks A/B.
-        let run = |algo: CollectiveAlgo| {
-            World::builder(6)
-                .collective_algo(algo)
-                .run(|c| {
-                    let me = c.rank();
-                    let mine = Bytes::from(vec![me as u8; me + 2]);
-                    let g = c.gather_bytes(1, mine.clone());
-                    let ag = c.allgather_bytes(mine.clone());
-                    let a2a = c.alltoall_bytes(vec![mine; 6]);
-                    let ex = c.exscan_u64(me as u64 + 1);
-                    let red = c.allreduce_one::<u64, _>(me as u64, |a, b| a + b);
-                    (g, ag, a2a, ex, red)
-                })
-                .results
-        };
-        let a = run(CollectiveAlgo::Linear);
-        let b = run(CollectiveAlgo::LogTime);
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.0, rb.0, "gather");
-            assert_eq!(ra.1, rb.1, "allgather");
-            assert_eq!(ra.2, rb.2, "alltoall");
-            assert_eq!(ra.3, rb.3, "exscan");
-            assert_eq!(ra.4, rb.4, "allreduce");
-        }
     }
 }

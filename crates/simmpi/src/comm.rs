@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::cost::{CollectiveAlgo, CostModel};
+use crate::cost::CostModel;
 use crate::envelope::{make_wire_tag, Envelope, PartsEnvelope, SrcSel, Tag, TagSel, WireEnvelope};
 use crate::mailbox::Matcher;
 use crate::payload::Payload;
@@ -79,11 +79,6 @@ impl Comm {
             local_of_world: Arc::new(local_of_world),
             coll_seq: Arc::new(AtomicU32::new(0)),
         }
-    }
-
-    /// The collective schedule family this world was built with.
-    pub(crate) fn coll_algo(&self) -> CollectiveAlgo {
-        self.inner.coll_algo
     }
 
     /// The attached cost model, if any. Drives size-aware collective

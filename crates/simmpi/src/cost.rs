@@ -1,4 +1,4 @@
-//! Optional interconnect cost model and collective algorithm selection.
+//! Optional interconnect cost model.
 //!
 //! Shared-memory thread channels are faster and flatter than a Dragonfly
 //! network. Experiments that want to emulate network behavior (e.g. to make
@@ -7,38 +7,15 @@
 //! latency plus a per-byte cost, slept on the receiving side after the
 //! match. The default (no cost model) charges nothing.
 //!
-//! The cost model also drives *algorithm selection* for the collectives
-//! (see `simmpi::collectives`), mirroring how real MPI implementations
-//! switch schedules by message size: payloads below
+//! The cost model also drives the one size switch in the collectives
+//! (see `simmpi::collectives`), as real MPI implementations switch
+//! schedules by message size: payloads below
 //! [`CostModel::large_payload_threshold`] are latency-bound and take the
-//! log-time tree / recursive-doubling schedules; payloads above it are
-//! bandwidth-bound and take the ring / segmented-pipeline variants. The
-//! closed-form `modeled_*_ns` functions predict the critical-path latency
-//! of each schedule under the model — the scaling figure plots them next
-//! to measured wall time, and CI asserts the log-time schedules beat the
-//! linear ones at n = 64.
+//! log-time tree / recursive-doubling schedules; payloads at or above it
+//! are bandwidth-bound and take the ring allgather and the segmented
+//! broadcast. Without a cost model nothing switches.
 
 use std::time::Duration;
-
-/// Which collective schedule family a world uses. The default, `Auto`,
-/// selects per call: log-time schedules always, plus the size-aware
-/// large-payload variants (ring allgather, segmented pipelined broadcast)
-/// when a [`CostModel`] is attached and the payload crosses its
-/// [`CostModel::large_payload_threshold`]. `Linear` pins the O(n)
-/// rank-order reference implementations (the A/B baseline), and `LogTime`
-/// pins the small-payload tree / recursive-doubling schedules regardless
-/// of payload size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollectiveAlgo {
-    /// Cost-model-driven selection (log-time, size-aware). The default.
-    #[default]
-    Auto,
-    /// Linear rank-order reference schedules (A/B baseline).
-    Linear,
-    /// Force the log-time small-payload schedules, never the ring or
-    /// segmented variants — isolates tree-vs-ring in benchmarks.
-    LogTime,
-}
 
 /// Segment size floor/ceiling for the pipelined broadcast: segments far
 /// below a KiB drown in framing, far above a MiB stop pipelining.
@@ -134,106 +111,6 @@ impl CostModel {
         bytes >= self.large_payload_threshold()
             && self.per_byte_ns * (1.0 - ratio) * bytes as f64 > self.codec_ns(bytes)
     }
-
-    /// Modeled cost of one delivered message of `bytes` payload, in ns.
-    fn msg_ns(&self, bytes: f64) -> f64 {
-        self.latency.as_nanos() as f64 + self.per_byte_ns * bytes
-    }
-
-    /// Modeled critical-path latency of a gather of `block` bytes per rank
-    /// over `n` ranks. Linear: the root performs `n-1` serialized
-    /// receives. Tree (binomial): `⌈lg n⌉` rounds; the subtree payload
-    /// received in round `k` covers up to `2^k` blocks, so the total is
-    /// `⌈lg n⌉·L + (n-1)·m·B` — latency drops from linear to logarithmic
-    /// while the byte term stays put.
-    pub fn modeled_gather_ns(&self, algo: CollectiveAlgo, n: usize, block: usize) -> f64 {
-        let m = block as f64;
-        match algo {
-            CollectiveAlgo::Linear => (n.saturating_sub(1)) as f64 * self.msg_ns(m),
-            _ => {
-                let mut total = 0.0;
-                let mut mask = 1usize;
-                while mask < n {
-                    total += self.msg_ns((mask.min(n - mask)) as f64 * m);
-                    mask <<= 1;
-                }
-                total
-            }
-        }
-    }
-
-    /// Modeled critical-path latency of an allgather of `block` bytes per
-    /// rank. Linear reference: gather at rank 0 plus a tree broadcast of
-    /// the `n·m` concatenation. Log-time: the Bruck dissemination
-    /// exchange, `⌈lg n⌉` rounds shipping `min(2^k, n-2^k)` blocks each.
-    /// Ring (large payloads): `n-1` rounds of one block each —
-    /// bandwidth-optimal, latency-linear.
-    pub fn modeled_allgather_ns(&self, algo: CollectiveAlgo, n: usize, block: usize) -> f64 {
-        let m = block as f64;
-        match algo {
-            CollectiveAlgo::Linear => {
-                let gather = self.modeled_gather_ns(CollectiveAlgo::Linear, n, block);
-                let depth = ceil_log2(n) as f64;
-                gather + depth * self.msg_ns(n as f64 * m)
-            }
-            CollectiveAlgo::LogTime => {
-                let mut total = 0.0;
-                let mut dist = 1usize;
-                while dist < n {
-                    total += self.msg_ns(dist.min(n - dist) as f64 * m);
-                    dist <<= 1;
-                }
-                total
-            }
-            CollectiveAlgo::Auto => {
-                if block >= self.large_payload_threshold() {
-                    // Ring variant.
-                    (n.saturating_sub(1)) as f64 * self.msg_ns(m)
-                } else {
-                    self.modeled_allgather_ns(CollectiveAlgo::LogTime, n, block)
-                }
-            }
-        }
-    }
-
-    /// Modeled completion latency of a personalized all-to-all of `block`
-    /// bytes per pair when one sender straggles by `skew_ns` before
-    /// sending anything. The linear schedule receives in rank order, so
-    /// every rank's whole receive loop queues *behind* the straggler
-    /// (head-of-line wait): `skew + (n-1)·msg`. The pairwise any-source
-    /// schedule consumes whatever has arrived, overlapping the straggle
-    /// with the other `n-2` receives: `max(skew + msg, (n-1)·msg)`.
-    pub fn modeled_alltoall_ns(
-        &self,
-        algo: CollectiveAlgo,
-        n: usize,
-        block: usize,
-        skew_ns: f64,
-    ) -> f64 {
-        let per = self.msg_ns(block as f64);
-        let others = (n.saturating_sub(1)) as f64 * per;
-        match algo {
-            CollectiveAlgo::Linear => skew_ns + others,
-            _ => (skew_ns + per).max(others),
-        }
-    }
-
-    /// Modeled latency of broadcasting `bytes` from the root. Unsegmented
-    /// binomial: depth × one full-payload message. Segmented pipeline
-    /// (`Auto` with a large payload): the first segment walks the depth of
-    /// the tree, the remaining `k-1` segments stream behind it —
-    /// `(depth + k - 1)` segment messages on the critical path.
-    pub fn modeled_bcast_ns(&self, algo: CollectiveAlgo, n: usize, bytes: usize) -> f64 {
-        let depth = ceil_log2(n) as f64;
-        match algo {
-            CollectiveAlgo::Auto if bytes >= self.large_payload_threshold() => {
-                let seg = self.segment_bytes();
-                let nsegs = bytes.div_ceil(seg).max(1) as f64;
-                (depth + nsegs - 1.0) * self.msg_ns(seg as f64)
-            }
-            _ => depth * self.msg_ns(bytes as f64),
-        }
-    }
 }
 
 /// Smoothing factor for [`RatioEwma`]: heavy enough that a handful of
@@ -286,61 +163,6 @@ impl RatioEwma {
     }
 }
 
-/// `⌈log₂ n⌉` (0 for n ≤ 1): tree depth / dissemination round count.
-pub fn ceil_log2(n: usize) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros()
-    }
-}
-
-/// Total point-to-point messages a gather of `n` ranks sends. Both the
-/// linear and the binomial schedule ship exactly `n-1` messages — the tree
-/// win is the *critical path* (see [`critical_path_recvs`]), not the
-/// total.
-pub fn gather_messages(_algo: CollectiveAlgo, n: usize) -> u64 {
-    n.saturating_sub(1) as u64
-}
-
-/// Total messages of an allgather. Linear reference: a gather plus a tree
-/// broadcast, `2(n-1)`. Bruck dissemination: every rank sends one message
-/// per round, `n·⌈lg n⌉` — more wire messages, logarithmic completion.
-/// CI bounds the dissemination count at `2·n·⌈lg n⌉`.
-pub fn allgather_messages(algo: CollectiveAlgo, n: usize) -> u64 {
-    match algo {
-        CollectiveAlgo::Linear => 2 * n.saturating_sub(1) as u64,
-        _ => n as u64 * u64::from(ceil_log2(n)),
-    }
-}
-
-/// Total messages of a personalized all-to-all: `n(n-1)` under every
-/// schedule — the pairwise win is eliminating the rank-order head-of-line
-/// wait, not the message count.
-pub fn alltoall_messages(_algo: CollectiveAlgo, n: usize) -> u64 {
-    (n * n.saturating_sub(1)) as u64
-}
-
-/// The longest chain of receives any single rank must complete in
-/// sequence — the serialization the log-time schedules exist to break.
-/// Gather: the linear root drains `n-1` messages one after another, the
-/// binomial root only `⌈lg n⌉`. Allgather: linear funnels through the
-/// rank-0 gather then the broadcast (`(n-1) + ⌈lg n⌉`); dissemination is
-/// `⌈lg n⌉` rounds flat. All-to-all: every rank receives `n-1` either
-/// way (arrival order just removes the head-of-line wait).
-pub fn critical_path_recvs(algo: CollectiveAlgo, op: &str, n: usize) -> u64 {
-    let lg = u64::from(ceil_log2(n));
-    let linear = n.saturating_sub(1) as u64;
-    match (op, algo) {
-        ("gather", CollectiveAlgo::Linear) => linear,
-        ("gather", _) => lg,
-        ("allgather", CollectiveAlgo::Linear) => linear + lg,
-        ("allgather", _) => lg,
-        ("alltoall", _) => linear,
-        _ => panic!("unknown collective op {op:?}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,54 +190,6 @@ mod tests {
         let pure_latency = CostModel { latency: Duration::from_micros(5), per_byte_ns: 0.0 };
         assert_eq!(pure_latency.large_payload_threshold(), usize::MAX);
         assert_eq!(pure_latency.segment_bytes(), SEGMENT_CEIL);
-    }
-
-    #[test]
-    fn ceil_log2_edges() {
-        assert_eq!(ceil_log2(1), 0);
-        assert_eq!(ceil_log2(2), 1);
-        assert_eq!(ceil_log2(3), 2);
-        assert_eq!(ceil_log2(64), 6);
-        assert_eq!(ceil_log2(65), 7);
-    }
-
-    #[test]
-    fn log_time_schedules_beat_linear_at_64_ranks() {
-        // The acceptance bar: under the interconnect model at n = 64,
-        // every log-time schedule wins on modeled latency, and the
-        // critical-path receive chain collapses from O(n) to O(lg n).
-        let cm = CostModel::interconnect();
-        let n = 64;
-        let m = 512;
-        assert!(
-            cm.modeled_gather_ns(CollectiveAlgo::LogTime, n, m)
-                < cm.modeled_gather_ns(CollectiveAlgo::Linear, n, m)
-        );
-        assert!(
-            cm.modeled_allgather_ns(CollectiveAlgo::LogTime, n, m)
-                < cm.modeled_allgather_ns(CollectiveAlgo::Linear, n, m)
-        );
-        let skew = 1e6; // a 1 ms straggler
-        assert!(
-            cm.modeled_alltoall_ns(CollectiveAlgo::LogTime, n, m, skew)
-                < cm.modeled_alltoall_ns(CollectiveAlgo::Linear, n, m, skew)
-        );
-        assert!(
-            critical_path_recvs(CollectiveAlgo::LogTime, "gather", n)
-                < critical_path_recvs(CollectiveAlgo::Linear, "gather", n)
-        );
-        assert!(
-            critical_path_recvs(CollectiveAlgo::LogTime, "allgather", n)
-                < critical_path_recvs(CollectiveAlgo::Linear, "allgather", n)
-        );
-    }
-
-    #[test]
-    fn dissemination_messages_fit_the_ci_bound() {
-        for n in [4usize, 16, 64] {
-            let tree = allgather_messages(CollectiveAlgo::LogTime, n);
-            assert!(tree <= 2 * n as u64 * u64::from(ceil_log2(n)));
-        }
     }
 
     #[test]
@@ -488,14 +262,5 @@ mod tests {
             learned.observe(0.1);
         }
         assert!(mid.compression_worthwhile_with_ratio(bytes, learned.ratio()));
-    }
-
-    #[test]
-    fn segmented_bcast_beats_unsegmented_when_deep_and_large() {
-        let cm = CostModel::interconnect();
-        // 1 MiB payload, 16 ranks: pipeline wins over depth × full-payload.
-        let seg = cm.modeled_bcast_ns(CollectiveAlgo::Auto, 16, 1 << 20);
-        let whole = cm.modeled_bcast_ns(CollectiveAlgo::LogTime, 16, 1 << 20);
-        assert!(seg < whole, "segmented {seg} vs unsegmented {whole}");
     }
 }

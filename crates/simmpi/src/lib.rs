@@ -62,10 +62,7 @@ mod transport;
 mod world;
 
 pub use comm::{Comm, RecvError, RecvRequest, SendError};
-pub use cost::{
-    allgather_messages, alltoall_messages, ceil_log2, critical_path_recvs, gather_messages,
-    CollectiveAlgo, CostModel, RatioEwma, CODEC_ASSUMED_RATIO,
-};
+pub use cost::{CostModel, RatioEwma, CODEC_ASSUMED_RATIO};
 pub use envelope::{Envelope, PartsEnvelope, SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, KillSpec, PeerDied, RankKilled};
 pub use payload::Payload;

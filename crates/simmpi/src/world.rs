@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32};
 use std::sync::Arc;
 
 use crate::comm::Comm;
-use crate::cost::{CollectiveAlgo, CostModel};
+use crate::cost::CostModel;
 use crate::fault::{FaultEvent, FaultPlan, FaultState, PeerDied, RankKilled};
 use crate::stats::{StatsSnapshot, TransportStats};
 use crate::transport::{make_transport, SocketConfig, Transport, TransportKind};
@@ -20,8 +20,6 @@ pub(crate) struct WorldInner {
     pub next_ctx: AtomicU32,
     pub stats: TransportStats,
     pub cost: Option<CostModel>,
-    /// Collective schedule family every [`Comm`] of this run uses.
-    pub coll_algo: CollectiveAlgo,
     /// Active fault injector, if any.
     pub fault: Option<FaultState>,
     /// Per-world-rank death flags (only ever set by the chaos runner).
@@ -33,7 +31,6 @@ impl WorldInner {
         size: usize,
         transport: Box<dyn Transport>,
         cost: Option<CostModel>,
-        coll_algo: CollectiveAlgo,
         fault: Option<FaultState>,
     ) -> Self {
         WorldInner {
@@ -42,7 +39,6 @@ impl WorldInner {
             next_ctx: AtomicU32::new(1),
             stats: TransportStats::default(),
             cost,
-            coll_algo,
             fault,
             dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -68,7 +64,6 @@ pub struct World;
 pub struct WorldBuilder {
     size: usize,
     cost: Option<CostModel>,
-    coll_algo: CollectiveAlgo,
     fault: Option<FaultPlan>,
     observe: Option<obsv::Registry>,
     transport: TransportKind,
@@ -130,7 +125,6 @@ impl World {
         WorldBuilder {
             size,
             cost: None,
-            coll_algo: CollectiveAlgo::default(),
             fault: None,
             observe: None,
             // `SIMMPI_TRANSPORT=socket` flips every world in the process
@@ -145,15 +139,6 @@ impl WorldBuilder {
     /// Attach a message cost model charged on every delivery.
     pub fn cost_model(mut self, cm: CostModel) -> Self {
         self.cost = Some(cm);
-        self
-    }
-
-    /// Pin the collective schedule family (A/B knob). The default,
-    /// [`CollectiveAlgo::Auto`], picks log-time schedules with
-    /// cost-model-driven size switching; [`CollectiveAlgo::Linear`] pins
-    /// the O(n) rank-order reference implementations for benchmarking.
-    pub fn collective_algo(mut self, algo: CollectiveAlgo) -> Self {
-        self.coll_algo = algo;
         self
     }
 
@@ -193,7 +178,7 @@ impl WorldBuilder {
         assert!(self.size > 0, "world size must be at least 1");
         let fault = self.fault.take().map(|p| FaultState::new(p, self.size));
         let transport = make_transport(self.transport, self.size, self.socket);
-        Arc::new(WorldInner::new(self.size, transport, self.cost.take(), self.coll_algo, fault))
+        Arc::new(WorldInner::new(self.size, transport, self.cost.take(), fault))
     }
 
     /// Spawn the ranks and block until they all return.
