@@ -257,9 +257,8 @@ fn fig5(s: &Scale, trials: usize) {
     write_obsv_artifacts(&reg.report(), "fig5");
 
     // Deep vs shallow serve A/B under the interconnect cost model: the
-    // zero-copy serve path answers from borrowed region slices, so the
-    // shallow column pays only wire time while the deep column adds one
-    // staging copy per served byte.
+    // serve path lends region slices for either ownership, so the deep
+    // column isolates the write-time copy of each written byte.
     println!("\n-- serve ownership A/B (interconnect cost model) --");
     println!("{:>8} {:>16} {:>16} {:>10}", "procs", "deep serve (s)", "shallow (s)", "deep/shal");
     let out = results_dir().join("fig5_serve.csv");
@@ -274,9 +273,9 @@ fn fig5(s: &Scale, trials: usize) {
         println!("{n:>8} {td:>16.4} {ts:>16.4} {:>9.2}x", td / ts);
         csv(&out, "procs,deep_s,shallow_s", &format!("{n},{td},{ts}"));
     }
-    // Traced A/B passes: `fig5_shallow.metrics.json` must report
-    // bytes_copied == 0 (CI asserts this), `fig5_deep` counts the
-    // staging copies it was forced to make.
+    // Traced A/B passes: both `fig5_shallow.metrics.json` and
+    // `fig5_deep.metrics.json` must report bytes_copied == 0 (CI asserts
+    // this); the deep write copy is not a transport copy.
     let w = Workload::paper_split(s.sweep[0], s.grid_per_prod, s.particles_per_prod);
     let reg = obsv::Registry::new();
     run_lowfive_serve(&w, true, Some(CostModel::interconnect()), Some(&reg));

@@ -231,13 +231,13 @@ pub fn run_lowfive_fetch(w: &Workload, cost: Option<CostModel>) -> Measurement {
 }
 
 /// Fig. 5 serve-ownership variant: the same memory-mode grid exchange
-/// with the zero-copy rule toggled. With `shallow` the producers' serve
-/// loops answer data queries by *lending* refcounted sub-slices of the
-/// written regions straight into the reply frames — no dataset byte is
-/// copied between the producer's buffer and the wire. With `!shallow`
-/// every region is deep and the serve path pays the historical staging
-/// gather-copy, counted under `obsv::Ctr::BytesCopied` (the shallow run
-/// must report exactly zero — CI asserts it on the exported metrics).
+/// with the zero-copy rule toggled. The producers' serve loops answer
+/// data queries by *lending* refcounted sub-slices of the written regions
+/// straight into the reply frames — no dataset byte is copied between
+/// the region and the wire, so both runs must report exactly zero
+/// `obsv::Ctr::BytesCopied` (CI asserts it on the exported metrics).
+/// With `!shallow` every region is deep, so the deep run isolates the
+/// write-time copy of each written byte into the VOL.
 /// `cost` charges interconnect latency/bandwidth per delivered message
 /// so the A/B compares realistic wire times, not just memcpy time.
 pub fn run_lowfive_serve(

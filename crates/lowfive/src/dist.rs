@@ -29,13 +29,13 @@
 //! Fan-in and fan-out are expressed as [`Link`]s: a task may produce some
 //! file patterns and consume others, with any number of peer tasks.
 //!
-//! Data replies are served **zero-copy** for shallow regions: the serve
-//! loop lends refcounted sub-slices of the producer's regions into a
-//! multi-part [`ReplyFrame`] instead of gathering them into an
-//! intermediate blob, and consumers scatter the reply parts straight into
-//! the destination buffer with a [`PayloadReader`]. Deep regions
-//! (`set_zero_copy(…, false)`) keep the historical gather-copy, counted
-//! under `obsv::Ctr::BytesCopied`. Every reply also carries the file's
+//! Data replies are served **zero-copy**: the serve loop lends refcounted
+//! sub-slices of the producer's regions into a multi-part [`ReplyFrame`]
+//! instead of gathering them into an intermediate blob, and consumers
+//! scatter the reply parts straight into the destination buffer with a
+//! [`PayloadReader`]. Shallow and deep regions are lent alike: ownership
+//! (`set_zerocopy`) only decides whether a write copies its buffer into
+//! the VOL. Every reply also carries the file's
 //! write *generation*, which consumers use to invalidate their fetch
 //! caches when a producer rewrites a file in place.
 
@@ -906,11 +906,11 @@ impl DistMetadataVol {
     /// type and space; a rank that does not hold the dataset answers an
     /// empty body.
     ///
-    /// Zero-copy: shallow regions are *lent* into the frame as refcounted
-    /// sub-slices of the region allocation — no dataset byte is copied on
-    /// the producer. Deep regions (`set_zero_copy(…, false)`) keep the
-    /// historical gather-copy, counted under `obsv::Ctr::BytesCopied`, into
-    /// one buffer per answer.
+    /// Zero-copy: every overlapping slice is *lent* into the frame as a
+    /// refcounted sub-slice of its region's allocation, so no dataset byte
+    /// is copied on the producer. A deep region (`set_zerocopy(…, false)`)
+    /// already is the VOL's own immutable copy, made at write time, so it
+    /// is lent exactly like a shallow one.
     fn answer_data_query_into(
         &self,
         frame: &mut ReplyFrame,
@@ -923,7 +923,7 @@ impl DistMetadataVol {
         // The segment table precedes the blob on the wire, so the runs
         // are resolved first and the slices lent after the header.
         let mut segs: Vec<(u64, u64)> = Vec::new();
-        let mut slices: Vec<(Bytes, Ownership)> = Vec::new();
+        let mut slices: Vec<Bytes> = Vec::new();
         let mut blob_len = 0u64;
         if let Some((dtype, space)) = held {
             let es = dtype.size();
@@ -934,7 +934,7 @@ impl DistMetadataVol {
                     segs.push((ov.b_off, ov.len));
                     let s = (ov.a_off as usize) * es;
                     let nb = (ov.len as usize) * es;
-                    slices.push((region.data.slice(s..s + nb), region.ownership));
+                    slices.push(region.data.slice(s..s + nb));
                     blob_len += nb as u64;
                 }
             }
@@ -946,32 +946,8 @@ impl DistMetadataVol {
             frame.put_u64(len);
         }
         frame.put_blob_len(blob_len);
-        // Deep slices are gathered into one buffer per answer — sized
-        // once, copied once — and lent as windows of it, one per run of
-        // consecutive deep slices (a single part when every region is
-        // deep). Shallow slices are lent as they are.
-        let deep = || slices.iter().filter(|(_, own)| *own == Ownership::Deep).map(|(b, _)| b);
-        let deep_len: usize = deep().map(Bytes::len).sum();
-        let mut gathered = Vec::with_capacity(deep_len);
-        for b in deep() {
-            gathered.extend_from_slice(b);
-        }
-        let gathered = Bytes::from(gathered);
-        obsv::counter_add(obsv::Ctr::BytesCopied, deep_len as u64);
-        let mut run = 0..0;
-        for (b, own) in slices {
-            if own == Ownership::Deep {
-                run.end += b.len();
-                continue;
-            }
-            if !run.is_empty() {
-                frame.lend(gathered.slice(run.clone()));
-                run.start = run.end;
-            }
+        for b in slices {
             frame.lend(b);
-        }
-        if !run.is_empty() {
-            frame.lend(gathered.slice(run));
         }
         Ok(())
     }

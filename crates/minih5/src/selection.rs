@@ -8,7 +8,9 @@
 //!   selection then becomes a handful of `memcpy`s instead of a per-element
 //!   loop; the paper credits exactly this ("LowFive optimizes the
 //!   serialization of contiguous regions") for beating hand-written MPI at
-//!   small scale (§IV-B-c).
+//!   small scale (§IV-B-c). Whole trailing dimensions are folded into
+//!   their parent before enumeration, so the cost is proportional to the
+//!   runs produced, not to the rows of the selection.
 //! * [`overlap_runs`] — intersect two sorted run lists while tracking each
 //!   side's *packed* offsets. This single primitive implements producer-side
 //!   extraction ("which bytes of my packed write match your query") and
@@ -483,6 +485,11 @@ fn push_run(runs: &mut Vec<Run>, offset: u64, len: u64) {
 /// Enumerate the runs of a hyperslab: odometer over the selected indices of
 /// all outer dimensions; the innermost dimension contributes `count`
 /// segments of `block` consecutive elements; adjacent segments merge.
+///
+/// Whole trailing dimensions are folded into their parent first: a
+/// dimension that starts at 0 and selects its entire extent contiguously
+/// turns each selected index of its parent into one run `extent` times
+/// longer, so the odometer never walks its rows.
 fn hyperslab_runs(dims: &[SlabDim], space: &Dataspace) -> Vec<Run> {
     if dims.is_empty() {
         // Rank-0 hyperslab over a scalar space: one element.
@@ -491,9 +498,19 @@ fn hyperslab_runs(dims: &[SlabDim], space: &Dataspace) -> Vec<Run> {
     if dims.iter().any(|d| d.n() == 0) || space.npoints() == 0 {
         return vec![];
     }
+    let whole = |i: usize| {
+        let d = dims[i];
+        d.start == 0 && (d.count == 1 || d.stride == d.block) && space.dims().get(i) == Some(&d.n())
+    };
+    let mut kept = dims.len();
+    let mut scale = 1u64;
+    while kept > 1 && whole(kept - 1) {
+        kept -= 1;
+        scale *= dims[kept].n();
+    }
     let strides = space.strides();
-    let inner = dims[dims.len() - 1];
-    let outer = &dims[..dims.len() - 1];
+    let inner = dims[kept - 1];
+    let outer = &dims[..kept - 1];
 
     // Odometer over (k, b) pairs of each outer dimension.
     let mut counters: Vec<(u64, u64)> = vec![(0, 0); outer.len()];
@@ -507,9 +524,9 @@ fn hyperslab_runs(dims: &[SlabDim], space: &Dataspace) -> Vec<Run> {
             .map(|(((k, b), d), s)| (d.start + k * d.stride + b) * s)
             .sum();
         // Inner-dimension segments.
-        for k in 0..inner.count {
-            let off = base + inner.start + k * inner.stride;
-            push_run(&mut runs, off, inner.block);
+        for j in 0..inner.count {
+            let off = base + (inner.start + j * inner.stride) * scale;
+            push_run(&mut runs, off, inner.block * scale);
         }
         // Advance the odometer (rightmost outer dimension fastest).
         let mut i = outer.len();
@@ -629,6 +646,28 @@ mod tests {
         let sp = space(&[10, 4, 5]);
         let sel = Selection::block(&[2, 0, 0], &[3, 4, 5]);
         assert_eq!(sel.runs(&sp), vec![Run { offset: 40, len: 60 }]);
+    }
+
+    #[test]
+    fn whole_trailing_dims_fold_into_one_run() {
+        // An x-slab of a [192, 96, 96] grid: every plane is whole.
+        let sp = space(&[192, 96, 96]);
+        let plane = 96 * 96;
+        let sel = Selection::block(&[48, 0, 0], &[48, 96, 96]);
+        assert_eq!(sel.runs(&sp), vec![Run { offset: 48 * plane, len: 48 * plane }]);
+        // A y-slab: the rows fold, the planes do not.
+        let sel = Selection::block(&[0, 48, 0], &[192, 48, 96]);
+        let runs = sel.runs(&sp);
+        assert_eq!(runs.len(), 192);
+        for (x, r) in runs.iter().enumerate() {
+            assert_eq!(*r, Run { offset: x as u64 * plane + 48 * 96, len: 48 * 96 });
+        }
+        // A strided outer dimension over whole planes: one run per block.
+        let sel = Selection::strided(&[1, 0, 0], &[10, 1, 1], &[5, 1, 1], &[3, 96, 96]);
+        let runs = sel.runs(&sp);
+        let want: Vec<Run> =
+            (0..5).map(|c| Run { offset: (1 + 10 * c) * plane, len: 3 * plane }).collect();
+        assert_eq!(runs, want);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! whole transport stack leans on.
 
 use minih5::codec::{Decode, Encode};
-use minih5::selection::{overlap_runs, pack, unpack, Run};
+use minih5::selection::{overlap_runs, pack, unpack, Run, SlabDim};
 use minih5::{Dataspace, Selection};
 use proptest::prelude::*;
 
@@ -42,6 +42,81 @@ fn space_and_slab() -> impl Strategy<Value = (Dataspace, Selection)> {
     space_strategy().prop_flat_map(slab_strategy)
 }
 
+/// One dimension's `(start, stride, count, block)` over extent `d`, drawn
+/// half the time from the ways to select the whole extent, so that the
+/// whole-trailing-dimension fold of `Selection::runs` fires at every depth.
+fn slab_dim_strategy(d: u64) -> impl Strategy<Value = (u64, u64, u64, u64)> {
+    (0u64..8, 0..d, 1..=d, any::<u64>(), any::<u64>()).prop_map(
+        move |(kind, start, stride, r1, r2)| match kind {
+            0 => (0, d, 1, d),
+            1 => (0, 1, d, 1),
+            2 => (0, stride, 1, d),
+            3 => {
+                let b = (1..=stride).rev().find(|x| d.is_multiple_of(*x)).expect("1 divides d");
+                (0, b, d / b, b)
+            }
+            _ => {
+                let block = 1 + r1 % stride.min(d - start);
+                let count = 1 + r2 % (1 + (d - start - block) / stride);
+                (start, stride, count, block)
+            }
+        },
+    )
+}
+
+/// A hyperslab of `space` whose dimensions are often whole.
+fn foldable_slab(space: &Dataspace) -> impl Strategy<Value = Selection> {
+    let per_dim: Vec<_> = space.dims().iter().map(|&d| slab_dim_strategy(d)).collect();
+    per_dim.prop_map(|params| {
+        let dims = params
+            .into_iter()
+            .map(|(start, stride, count, block)| SlabDim { start, stride, count, block })
+            .collect();
+        Selection::Hyperslab(dims)
+    })
+}
+
+/// A rank 1–4 space and a [`foldable_slab`] of it.
+fn space_and_foldable_slab() -> impl Strategy<Value = (Dataspace, Selection)> {
+    proptest::collection::vec(1u64..=6, 1..=4).prop_flat_map(|dims| {
+        let space = Dataspace::simple(&dims);
+        (Just(space.clone()), foldable_slab(&space))
+    })
+}
+
+/// Membership from `SlabDim` arithmetic alone, without `runs`. A single
+/// block may be longer than its stride, so it is its own case.
+fn selects(sel: &Selection, coord: &[u64]) -> bool {
+    let in_dim = |d: &SlabDim, x: u64| {
+        if x < d.start {
+            return false;
+        }
+        let r = x - d.start;
+        if d.count == 1 {
+            r < d.block
+        } else {
+            r / d.stride < d.count && r % d.stride < d.block
+        }
+    };
+    match sel {
+        Selection::Hyperslab(dims) => dims.iter().zip(coord).all(|(d, &x)| in_dim(d, x)),
+        Selection::Union(members) => members.iter().any(|m| selects(m, coord)),
+        other => unreachable!("oracle covers hyperslabs and unions, got {other:?}"),
+    }
+}
+
+/// The maximal runs of the selected offsets, by visiting every element.
+fn oracle_runs(sel: &Selection, space: &Dataspace) -> Vec<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for off in (0..space.npoints()).filter(|&o| selects(sel, &space.delinearize(o))) {
+        match runs.last_mut() {
+            Some(last) if last.offset + last.len == off => last.len += 1,
+            _ => runs.push(Run { offset: off, len: 1 }),
+        }
+    }
+    runs
+}
+
 /// Brute-force membership: which linear offsets does a selection cover?
 fn element_set(sel: &Selection, space: &Dataspace) -> Vec<u64> {
     let mut out: Vec<u64> =
@@ -69,6 +144,26 @@ proptest! {
             prop_assert!(r.len > 0);
             prop_assert!(r.offset + r.len <= space.npoints());
         }
+    }
+
+    /// `runs` equals the runs of brute-force membership, for hyperslabs
+    /// whose trailing dimensions are often whole.
+    #[test]
+    fn runs_match_slab_arithmetic((space, sel) in space_and_foldable_slab()) {
+        prop_assert!(sel.validate(&space).is_ok());
+        prop_assert_eq!(sel.runs(&space), oracle_runs(&sel, &space));
+    }
+
+    /// The same for a union of two such hyperslabs over one space.
+    #[test]
+    fn union_runs_match_slab_arithmetic(
+        (space, a, b) in space_and_foldable_slab().prop_flat_map(|(space, a)| {
+            let b = foldable_slab(&space);
+            (Just(space), Just(a), b)
+        }),
+    ) {
+        let sel = Selection::union(vec![a, b]);
+        prop_assert_eq!(sel.runs(&space), oracle_runs(&sel, &space));
     }
 
     /// The bounding box contains every selected element.

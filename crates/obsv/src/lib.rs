@@ -191,12 +191,12 @@ pub enum Ctr {
     FetchCacheHits,
     /// Consumer fetch-cache lookups that had to go to the wire.
     FetchCacheMisses,
-    /// Dataset-payload bytes memcpy'd on the transport path: serve-side
-    /// gathers of deep regions, multi-part payload flattens, and
-    /// intermediate reply copies. Header/metadata encoding and the final
+    /// Dataset-payload bytes memcpy'd on the transport path: multi-part
+    /// payload flattens and intermediate reply copies. Header/metadata
+    /// encoding, the write-time copy of a deep region and the final
     /// scatter into the caller's destination buffer do not count. The
-    /// shallow (zero-copy) serve path must keep this at **zero** — the
-    /// fig5 deep-vs-shallow A/B asserts it.
+    /// serve path lends every region, so it must keep this at **zero**
+    /// for either ownership — the fig5 deep-vs-shallow A/B asserts it.
     BytesCopied,
     /// Frames handed to the simmpi socket transport's wire (zero on the
     /// in-proc backend, which delivers envelopes without framing).

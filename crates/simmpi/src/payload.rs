@@ -210,6 +210,23 @@ mod tests {
         assert_eq!(&p.into_bytes()[..], b"abcdef");
     }
 
+    /// `to_bytes` is the copy `BytesCopied` accounts: a multi-part
+    /// flatten adds exactly its length, a single part adds nothing.
+    #[test]
+    fn to_bytes_counts_exactly_its_gather() {
+        let copied = |p: &Payload| {
+            let reg = obsv::Registry::new();
+            {
+                let _g = obsv::install(reg.recorder(0));
+                p.to_bytes();
+            }
+            reg.report().counter(obsv::Ctr::BytesCopied)
+        };
+        let multi = rope(&[b"ab", b"cde", b"f"]);
+        assert_eq!(copied(&multi), multi.len() as u64);
+        assert_eq!(copied(&rope(&[b"abcdef"])), 0);
+    }
+
     #[test]
     fn advance_slices_across_parts_without_copying() {
         let first = Bytes::from(vec![9u8; 8]);
