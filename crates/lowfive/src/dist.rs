@@ -172,6 +172,10 @@ struct Session {
     /// Root of the snapshot being served, so that retiring it cannot hit
     /// a later incarnation of the same name.
     root: NodeId,
+    /// The file's index is published: its metadata may be handed out. A
+    /// session is registered before its index, so that no DONE can
+    /// arrive ahead of it, and answers metadata only from here on.
+    indexed: bool,
 }
 
 /// Book-keeping of the serve loop, the same table in both modes: sync
@@ -275,6 +279,40 @@ struct FetchCache {
     gens: HashMap<String, HashMap<usize, u64>>,
 }
 
+/// How long [`DistMetadataVol::drain`] waits for the serve thread's exit
+/// before it re-sends `M_SHUTDOWN` (the first one may have been dropped).
+const DRAIN_RESEND: std::time::Duration = std::time::Duration::from_millis(5);
+
+/// Raised once by the overlap-mode serve thread as it exits, so `drain`
+/// waits on a condvar instead of polling the join handle.
+#[derive(Default)]
+struct ExitFlag {
+    raised: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl ExitFlag {
+    /// Wait up to `timeout` for the flag; returns whether it is raised.
+    fn wait_for(&self, timeout: std::time::Duration) -> bool {
+        let mut raised = self.raised.lock();
+        if !*raised {
+            self.cv.wait_for(&mut raised, timeout);
+        }
+        *raised
+    }
+}
+
+/// Raises its [`ExitFlag`] when dropped, so a panicking serve thread
+/// raises it too.
+struct RaiseOnDrop(Arc<ExitFlag>);
+
+impl Drop for RaiseOnDrop {
+    fn drop(&mut self) {
+        *self.0.raised.lock() = true;
+        self.0.cv.notify_all();
+    }
+}
+
 /// The distributed metadata connector.
 pub struct DistMetadataVol {
     meta: MetadataVol,
@@ -299,7 +337,7 @@ pub struct DistMetadataVol {
     /// session it just opened.
     async_serve: bool,
     sessions: Mutex<Sessions>,
-    serve_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    serve_thread: Mutex<Option<(std::thread::JoinHandle<()>, Arc<ExitFlag>)>>,
     self_weak: std::sync::Weak<DistMetadataVol>,
     /// Metadata requests `(caller, file, caller's codec caps)` for files
     /// this task will produce but has not closed yet (a consumer may run
@@ -813,7 +851,8 @@ impl DistMetadataVol {
                     let s = self.sessions.lock();
                     s.completed.contains(&file)
                         || s.open.get(&file).is_some_and(|sess| {
-                            !sess.done.contains(&caller.rank) || self.props.keep_for(&file)
+                            sess.indexed
+                                && (!sess.done.contains(&caller.rank) || self.props.keep_for(&file))
                         })
                 } || self.stream.lock().serveable.contains(&file);
                 if known {
@@ -1009,15 +1048,14 @@ impl DistMetadataVol {
         if consumers.is_empty() {
             return Ok(());
         }
-        // Index is collective over the producer task, so it always runs on
-        // the caller (one index per close, in program order on every
-        // rank).
-        self.index(filename)?;
         let root =
             self.meta.file_root(filename).ok_or_else(|| H5Error::NotFound(filename.to_string()))?;
-        // Register the session and release any consumers that asked
-        // early. Then overlap mode makes sure the serve thread runs and
-        // returns; sync mode runs the loop here until the session is done.
+        // Register the session before indexing. In overlap mode a consumer
+        // can read this rank's data and send its DONE as soon as *another*
+        // producer leaves the post-index barrier, while this rank's thread
+        // has not yet returned from `index()`; the serve thread only acks
+        // a DONE for a session it does not know, so a session registered
+        // after that would wait for the DONE forever.
         //
         // Step slot files never enter the session map: their lifetime is
         // governed by the series' announce window (publish → retire), not
@@ -1031,8 +1069,22 @@ impl DistMetadataVol {
         if !is_step {
             self.sessions.lock().open.insert(
                 filename.to_string(),
-                Session { expected: consumers.len(), done: HashSet::new(), root },
+                Session { expected: consumers.len(), done: HashSet::new(), root, indexed: false },
             );
+        }
+        // Index is collective over the producer task, so it always runs on
+        // the caller (one index per close, in program order on every
+        // rank).
+        if let Err(e) = self.index(filename) {
+            self.sessions.lock().open.remove(filename);
+            return Err(e);
+        }
+        // Open the file to metadata requests and release any consumers
+        // that asked early. Then overlap mode makes sure the serve thread
+        // runs and returns; sync mode runs the loop here until the session
+        // is done.
+        if let Some(sess) = self.sessions.lock().open.get_mut(filename) {
+            sess.indexed = true;
         }
         self.flush_pending_meta(filename);
         if self.async_serve {
@@ -1051,21 +1103,23 @@ impl DistMetadataVol {
         let mut guard = self.serve_thread.lock();
         if guard.is_none() {
             let me = self.self_weak.upgrade().expect("self is alive during close");
+            let exited = Arc::new(ExitFlag::default());
+            let raise = RaiseOnDrop(Arc::clone(&exited));
             // The serve thread records into its own lane (same rank) so
             // its spans land in the trace next to the rank that spawned
             // it, without sharing the rank thread's ring.
             let parent = obsv::current();
-            *guard = Some(
-                std::thread::Builder::new()
-                    .name(format!("lowfive-serve-{}", self.world.rank()))
-                    .spawn(move || {
-                        let _obs = parent.and_then(|r| r.fork()).map(obsv::install);
-                        me.serve_loop();
-                        me.fail_parked_meta();
-                        crate::stream::fail_parked(&me);
-                    })
-                    .expect("spawn serve thread"),
-            );
+            let handle = std::thread::Builder::new()
+                .name(format!("lowfive-serve-{}", self.world.rank()))
+                .spawn(move || {
+                    let _raise = raise;
+                    let _obs = parent.and_then(|r| r.fork()).map(obsv::install);
+                    me.serve_loop();
+                    me.fail_parked_meta();
+                    crate::stream::fail_parked(&me);
+                })
+                .expect("spawn serve thread");
+            *guard = Some((handle, exited));
         }
     }
 
@@ -1074,24 +1128,24 @@ impl DistMetadataVol {
     /// this before leaving their task (the `orchestra` runner does it
     /// automatically).
     pub fn drain(&self) {
-        let handle = {
+        let (handle, exited) = {
             let mut guard = self.serve_thread.lock();
             match guard.take() {
                 Some(h) => h,
                 None => return,
             }
         };
-        // Wake the loop so it can observe the drain request. The notify
-        // is an ordinary message, so under fault injection it can be
-        // dropped like any other — re-send until the loop exits (extra
-        // M_SHUTDOWNs are idempotent: they just re-mark the drain).
+        // Wake the loop so it can observe the drain request, then wait for
+        // its exit. The notify is an ordinary message, so under fault
+        // injection it can be dropped like any other — re-send whenever a
+        // wait times out (extra M_SHUTDOWNs are idempotent: they just
+        // re-mark the drain).
         let rpc = RpcClient::new(&self.world);
         loop {
             rpc.notify(self.world.rank(), M_SHUTDOWN, &[]);
-            if handle.is_finished() {
+            if exited.wait_for(DRAIN_RESEND) {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         handle.join().expect("serve thread panicked");
     }

@@ -241,10 +241,17 @@ pub enum Ctr {
     /// (a request under 12 bytes, a reply under 8). Zero unless a peer
     /// sent garbage on an RPC tag.
     RpcMalformed,
+    /// Blocking receives that found nothing queued and were served while
+    /// spinning, without parking (`simmpi`'s spin-then-park wait).
+    MailboxSpinHits,
+    /// Blocking receives that parked on the mailbox condvar: their spin
+    /// budget ran out, or their selector's recent waits were too long to
+    /// spin at all.
+    MailboxParks,
 }
 
 /// Number of [`Ctr`] variants (the fixed width of every counter array).
-pub const NUM_CTRS: usize = 35;
+pub const NUM_CTRS: usize = 37;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -284,6 +291,8 @@ impl Ctr {
         Ctr::BytesRetired,
         Ctr::BytesZeroFilled,
         Ctr::RpcMalformed,
+        Ctr::MailboxSpinHits,
+        Ctr::MailboxParks,
     ];
 
     /// Stable metrics-JSON key for this counter.
@@ -324,6 +333,8 @@ impl Ctr {
             Ctr::BytesRetired => "bytes_retired",
             Ctr::BytesZeroFilled => "bytes_zero_filled",
             Ctr::RpcMalformed => "rpc_malformed",
+            Ctr::MailboxSpinHits => "mailbox_spin_hits",
+            Ctr::MailboxParks => "mailbox_parks",
         }
     }
 }

@@ -323,9 +323,9 @@ impl Comm {
     /// failure a real MPI job experiences — rather than hanging forever.
     pub fn recv(&self, src: SrcSel, tag: TagSel) -> Envelope {
         let m = self.matcher(src, tag);
-        match self.my_mailbox().pop_matching_abort(&m, &self.peer_dead(&m)) {
+        match self.my_mailbox().pop_matching_until(&m, None, &self.peer_dead(&m)) {
             Ok(wire) => self.localize(wire),
-            Err(()) => std::panic::panic_any(crate::fault::PeerDied {
+            Err(_) => std::panic::panic_any(crate::fault::PeerDied {
                 receiver: self.members[self.rank],
                 peer: match m.src {
                     SrcSel::Rank(w) => w,
@@ -348,7 +348,7 @@ impl Comm {
     ) -> Result<Envelope, RecvError> {
         let m = self.matcher(src, tag);
         let deadline = std::time::Instant::now() + timeout;
-        let wire = self.my_mailbox().pop_matching_deadline(&m, deadline, &self.peer_dead(&m))?;
+        let wire = self.my_mailbox().pop_matching_until(&m, Some(deadline), &self.peer_dead(&m))?;
         Ok(self.localize(wire))
     }
 
@@ -364,9 +364,9 @@ impl Comm {
     /// allocations. This is the receive the zero-copy RPC reply path uses.
     pub fn recv_parts(&self, src: SrcSel, tag: TagSel) -> PartsEnvelope {
         let m = self.matcher(src, tag);
-        match self.my_mailbox().pop_matching_abort(&m, &self.peer_dead(&m)) {
+        match self.my_mailbox().pop_matching_until(&m, None, &self.peer_dead(&m)) {
             Ok(wire) => self.localize_parts(wire),
-            Err(()) => std::panic::panic_any(crate::fault::PeerDied {
+            Err(_) => std::panic::panic_any(crate::fault::PeerDied {
                 receiver: self.members[self.rank],
                 peer: match m.src {
                     SrcSel::Rank(w) => w,
@@ -390,9 +390,9 @@ impl Comm {
                 self.inner.dead[w].load(Ordering::Relaxed) && !self.inner.transport.in_flight(w, me)
             })
         };
-        match self.my_mailbox().pop_matching_abort(&m, &any_member_dead) {
+        match self.my_mailbox().pop_matching_until(&m, None, &any_member_dead) {
             Ok(wire) => self.localize_parts(wire),
-            Err(()) => std::panic::panic_any(crate::fault::PeerDied {
+            Err(_) => std::panic::panic_any(crate::fault::PeerDied {
                 receiver: self.members[self.rank],
                 peer: self
                     .members
@@ -413,7 +413,7 @@ impl Comm {
     ) -> Result<PartsEnvelope, RecvError> {
         let m = self.matcher(src, tag);
         let deadline = std::time::Instant::now() + timeout;
-        let wire = self.my_mailbox().pop_matching_deadline(&m, deadline, &self.peer_dead(&m))?;
+        let wire = self.my_mailbox().pop_matching_until(&m, Some(deadline), &self.peer_dead(&m))?;
         Ok(self.localize_parts(wire))
     }
 

@@ -510,7 +510,7 @@ mod tests {
 
     fn pop(t: &SocketTransport, dest: usize, src: usize, tag: u32) -> Vec<u8> {
         let m = Matcher { ctx: 0, src: SrcSel::Rank(src), tag: TagSel::Tag(tag) };
-        let wire = t.mailbox(dest).pop_matching_abort(&m, &|| false).expect("delivered");
+        let wire = t.mailbox(dest).pop_matching(&m);
         wire.payload.to_bytes().as_ref().to_vec()
     }
 
@@ -542,7 +542,7 @@ mod tests {
         let env = WireEnvelope { world_src: 0, wire_tag: make_wire_tag(0, 9), payload, sent_ns: 0 };
         t.deliver(1, env, false);
         let m = Matcher { ctx: 0, src: SrcSel::Rank(0), tag: TagSel::Tag(9) };
-        let wire = t.mailbox(1).pop_matching_abort(&m, &|| false).expect("delivered");
+        let wire = t.mailbox(1).pop_matching(&m);
         assert_eq!(wire.payload.num_parts(), 1, "wire form is contiguous");
         assert_eq!(wire.payload.to_bytes().as_ref(), &[1, 2, 3, 4, 5]);
         t.shutdown();
@@ -753,9 +753,11 @@ mod tests {
         let m = Matcher { ctx: 0, src: SrcSel::Rank(0), tag: TagSel::Tag(3) };
         while t
             .mailbox(1)
-            .pop_matching_deadline(&m, std::time::Instant::now() + Duration::from_secs(5), &|| {
-                false
-            })
+            .pop_matching_until(
+                &m,
+                Some(std::time::Instant::now() + Duration::from_secs(5)),
+                &|| false,
+            )
             .is_ok()
         {
             drained += 1;
