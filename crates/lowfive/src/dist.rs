@@ -54,7 +54,7 @@ use minih5::{
     BBox, Dataspace, Datatype, H5Error, H5Result, Hierarchy, NodeId, ObjId, ObjKind, Ownership,
     Selection, Vol,
 };
-use simmpi::{Comm, Payload, RatioEwma};
+use simmpi::{BufPool, Comm, Payload, RatioEwma};
 
 use crate::metadata::{slot_for, MetadataVol};
 use crate::props::{glob_match, LowFiveProps};
@@ -347,6 +347,9 @@ pub struct DistMetadataVol {
     /// Consumer-side cache of metadata and owner lists (see
     /// [`FetchCache`]).
     fetch_cache: Mutex<FetchCache>,
+    /// Consumer-side read results, recycled once the application drops
+    /// them: a steady-state read allocates no payload bytes.
+    read_pool: BufPool,
     /// Producer-side negotiated codec masks, `file → consumer world
     /// rank →` consumer caps ∩ our caps. Populated from the metadata
     /// handshake and `M_CODEC_OFFER` notifications; a pair with no entry
@@ -460,6 +463,7 @@ impl DistVolBuilder {
             self_weak: weak.clone(),
             pending_meta: Mutex::default(),
             fetch_cache: Mutex::default(),
+            read_pool: BufPool::new(),
             codec_masks: Mutex::default(),
             codec_ratio: Mutex::default(),
             stream: Mutex::default(),
@@ -1359,8 +1363,9 @@ impl DistMetadataVol {
             outs = self.remote_read_once(dset, sels)?.0;
         }
         // Finished only once a pass is kept: a discarded pass neither
-        // fills nor counts its gaps.
-        Ok(outs.into_iter().map(|out| Bytes::from(out.finish())).collect())
+        // fills nor counts its gaps (and its buffers simply drop). A kept
+        // result goes back to the pool once the application drops it.
+        Ok(outs.into_iter().map(|out| self.read_pool.track(Bytes::from(out.finish()))).collect())
     }
 
     fn remote_read_once(&self, dset: ObjId, sels: &[Selection]) -> H5Result<(Vec<ReadBuf>, bool)> {
@@ -1370,7 +1375,8 @@ impl DistMetadataVol {
         let mut outs: Vec<ReadBuf> = Vec::with_capacity(sels.len());
         for sel in sels {
             sel.validate(&space)?;
-            outs.push(ReadBuf::new((sel.npoints(&space) as usize) * es));
+            let n = (sel.npoints(&space) as usize) * es;
+            outs.push(ReadBuf::new(self.read_pool.take(n), n));
         }
         let policy = self.props.rpc_policy_for(&filename);
         let rpc = RpcClient::new(&self.world);

@@ -8,6 +8,12 @@
 //! counts it ([`obsv::Ctr::BytesZeroFilled`]), so a read nobody owns is no
 //! longer silent. A fully covered read therefore writes each delivered
 //! byte exactly once.
+//!
+//! The allocation usually comes from the consumer's [`simmpi::BufPool`]:
+//! last step's result, recycled once the application dropped it. Its
+//! spare capacity then holds old bytes, but it is treated exactly as if it
+//! were uninitialised — nothing is read from it, and `finish` still
+//! zero-fills (and counts) every byte no segment wrote.
 
 use minih5::{H5Error, H5Result};
 
@@ -28,9 +34,12 @@ pub(crate) struct ReadBuf {
 }
 
 impl ReadBuf {
-    /// Reserve (without initialising) a destination of `n` bytes.
-    pub fn new(n: usize) -> Self {
-        ReadBuf { buf: Vec::with_capacity(n), n, written: Vec::new() }
+    /// A destination of `n` bytes in `buf`'s allocation: cleared, grown
+    /// only if its capacity is short, and not initialised.
+    pub fn new(mut buf: Vec<u8>, n: usize) -> Self {
+        buf.clear();
+        buf.reserve(n);
+        ReadBuf { buf, n, written: Vec::new() }
     }
 
     /// Is the finished buffer zero bytes long (an empty selection)?
@@ -134,7 +143,7 @@ mod tests {
     fn covered_buffer_is_the_scattered_bytes_with_no_fill() {
         let reg = obsv::Registry::new();
         let _g = obsv::install(reg.recorder(0));
-        let mut rb = ReadBuf::new(8);
+        let mut rb = ReadBuf::new(Vec::new(), 8);
         // Out of order, split across parts mid-segment, 2-byte elements.
         let mut pr = reader(&[&[5, 6, 7], &[8, 1], &[2, 3, 4]]);
         rb.scatter(&mut pr, &[(2, 2), (0, 2)], 8, 2).unwrap();
@@ -147,7 +156,7 @@ mod tests {
     fn gaps_are_zero_filled_and_counted() {
         let reg = obsv::Registry::new();
         let _g = obsv::install(reg.recorder(0));
-        let mut rb = ReadBuf::new(10);
+        let mut rb = ReadBuf::new(Vec::new(), 10);
         // Overlapping writes (the later one wins), a hole in front, one
         // in the middle, one at the tail.
         let mut pr = reader(&[&[1, 1, 1, 2, 2, 9]]);
@@ -155,14 +164,28 @@ mod tests {
         assert_eq!(rb.finish(), [0, 0, 1, 2, 2, 0, 0, 9, 0, 0]);
         assert_eq!(reg.report().counter(obsv::Ctr::BytesZeroFilled), 6);
 
-        assert_eq!(ReadBuf::new(5).finish(), [0; 5], "nothing written: all fill");
+        assert_eq!(ReadBuf::new(Vec::new(), 5).finish(), [0; 5], "nothing written: all fill");
         assert_eq!(reg.report().counter(obsv::Ctr::BytesZeroFilled), 6 + 5);
-        assert!(ReadBuf::new(0).finish().is_empty());
+        assert!(ReadBuf::new(Vec::new(), 0).finish().is_empty());
+    }
+
+    #[test]
+    fn old_bytes_in_a_recycled_buffer_never_show_through() {
+        let reg = obsv::Registry::new();
+        let _g = obsv::install(reg.recorder(0));
+        let old = vec![0xEEu8; 16];
+        let p = old.as_ptr();
+        let mut rb = ReadBuf::new(old, 6);
+        rb.scatter(&mut reader(&[&[4, 5]]), &[(2, 2)], 2, 1).unwrap();
+        let out = rb.finish();
+        assert_eq!(out, [0, 0, 4, 5, 0, 0], "every unwritten byte is fill, not 0xEE");
+        assert_eq!((out.as_ptr(), out.capacity()), (p, 16), "the allocation is reused");
+        assert_eq!(reg.report().counter(obsv::Ctr::BytesZeroFilled), 4);
     }
 
     #[test]
     fn blob_bytes_past_the_segments_are_skipped() {
-        let mut rb = ReadBuf::new(2);
+        let mut rb = ReadBuf::new(Vec::new(), 2);
         let mut pr = reader(&[&[7, 8, 0xEE, 0xEE], &[0x42]]);
         rb.scatter(&mut pr, &[(0, 2)], 4, 1).unwrap();
         assert_eq!(pr.remaining(), 1, "cursor sits at the next batch entry");
@@ -172,7 +195,7 @@ mod tests {
     #[test]
     fn corrupt_replies_are_format_errors() {
         let bad = |segs: &[(u64, u64)], blob: &[u8], blob_len: usize, es: usize| {
-            let mut rb = ReadBuf::new(8);
+            let mut rb = ReadBuf::new(Vec::new(), 8);
             let err = rb.scatter(&mut reader(&[blob]), segs, blob_len, es);
             assert!(matches!(err, Err(H5Error::Format(_))), "{segs:?}: {err:?}");
         };

@@ -50,6 +50,19 @@ const TAG_ALLGATHER: Tag = COLLECTIVE_TAG_BASE + 0x300; // + round (≤ 64)
 const TAG_ALLREDUCE: Tag = COLLECTIVE_TAG_BASE + 0x340; // + round (≤ 64)
 const TAG_EXSCAN: Tag = COLLECTIVE_TAG_BASE + 0x380; // + round (≤ 64)
 
+/// The class of `tag` that a receive's spin history is kept under
+/// ([`crate::mailbox::SpinPredictor`]): an all-to-all's per-call epoch is
+/// folded out, so every exchange shares one history instead of landing in
+/// a slot it never used. Every other tag is its own class. Matching still
+/// uses the exact tag.
+pub(crate) fn tag_class(tag: Tag) -> Tag {
+    if (TAG_ALLTOALL_BASE..TAG_ALLTOALL_BASE + 0x100).contains(&tag) {
+        TAG_ALLTOALL_BASE
+    } else {
+        tag
+    }
+}
+
 /// Length of the broadcast wire header: `[nsegs u64][total_len u64]`.
 const BCAST_HDR: usize = 16;
 

@@ -48,6 +48,7 @@
 // crate exists to avoid, so redundant clones are a hard error.
 #![deny(clippy::redundant_clone)]
 
+mod bufpool;
 mod collectives;
 mod comm;
 mod cost;
@@ -61,6 +62,7 @@ mod task;
 mod transport;
 mod world;
 
+pub use bufpool::BufPool;
 pub use comm::{Comm, RecvError, RecvRequest, SendError};
 pub use cost::{CostModel, RatioEwma, CODEC_ASSUMED_RATIO};
 pub use envelope::{Envelope, PartsEnvelope, SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};

@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::collectives;
 use crate::comm::RecvError;
 use crate::envelope::{split_wire_tag, SrcSel, TagSel, WireEnvelope};
 
@@ -86,7 +87,9 @@ impl Matcher {
 
 /// How long a blocked receive should spin, learned per receive selector:
 /// an exponentially weighted mean of its past blocked waits, in one of
-/// [`SpinPredictor::SLOTS`] slots picked by a hash of `(ctx, src, tag)`.
+/// [`SpinPredictor::SLOTS`] slots picked by a hash of `(ctx, src, tag
+/// class)` — the tag with a collective's per-call epoch folded out
+/// ([`collectives::tag_class`]), so each all-to-all learns from the last.
 /// Per selector, because one rank's receives differ: a serve loop's
 /// request wait, an RPC reply and a collective round each have their own
 /// rhythm, and one mean over all of them would spin on none.
@@ -109,7 +112,7 @@ impl SpinPredictor {
             SrcSel::Any => u64::MAX,
         };
         let tag = match m.tag {
-            TagSel::Tag(t) => u64::from(t),
+            TagSel::Tag(t) => u64::from(collectives::tag_class(t)),
             TagSel::Any => u64::MAX,
         };
         let h = (u64::from(m.ctx) ^ src.rotate_left(21) ^ tag.rotate_left(42))
@@ -432,6 +435,25 @@ mod tests {
         p.observe(&a, Duration::MAX);
         assert_eq!(p.budget(&a), Duration::ZERO);
         assert_eq!(p.budget(&b), SPIN_CAP, "b never waited long");
+    }
+
+    #[test]
+    fn alltoall_epochs_share_a_history_and_other_classes_stay_apart() {
+        use crate::collectives::COLLECTIVE_TAG_BASE as BASE;
+        let any = |tag: u32| Matcher { ctx: 3, src: SrcSel::Any, tag: tag.into() };
+        let alltoall = |epoch: u32| any(BASE + 0x200 + epoch);
+        for epoch in [1, 2, 0x7F, 0xFF] {
+            assert_eq!(SpinPredictor::slot(&alltoall(epoch)), SpinPredictor::slot(&alltoall(0)));
+        }
+        let mut p = SpinPredictor::default();
+        p.observe(&alltoall(5), Duration::MAX);
+        assert_eq!(p.budget(&alltoall(6)), Duration::ZERO, "the next exchange learned it");
+        // Its neighbours keep their own histories: the tags just below and
+        // past the all-to-all range, a barrier round, a broadcast, a user tag.
+        for tag in [BASE + 0x1FF, BASE + 0x300, BASE + 1, BASE + 0x100, 7] {
+            assert_eq!(collectives::tag_class(tag), tag);
+            assert_eq!(p.budget(&any(tag)), SPIN_CAP, "{tag:#x}");
+        }
     }
 
     /// `(spin hits, parks)` recorded so far.

@@ -1,5 +1,5 @@
-//! Pluggable channel layer: how a [`crate::WireEnvelope`] gets from the
-//! sending rank to the destination mailbox.
+//! Pluggable channel layer: how a [`crate::envelope::WireEnvelope`] gets
+//! from the sending rank to the destination mailbox.
 //!
 //! Everything *above* this trait is backend-independent: fault-injection
 //! decisions ([`crate::FaultPlan`]) are taken in `Comm::send_internal`

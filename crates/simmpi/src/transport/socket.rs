@@ -30,7 +30,11 @@
 //! The reader receives each body straight into a buffer it has only
 //! *reserved* ([`Conn::read_body`]) — the kernel's copy is the first and
 //! only write of those bytes — and hands the allocation itself to the
-//! mailbox.
+//! mailbox. A payload-sized body comes from the reader's own [`BufPool`]:
+//! once the receiving rank has dropped an earlier body, its allocation
+//! carries the next one, so a steady stream of frames allocates nothing.
+//! Its old bytes are never read; the kernel overwrites the `len` bytes a
+//! frame declares.
 //!
 //! The fault injector's reorder crosses the wire as the frame header's
 //! [`FRONT_FLAG`]; frames stay FIFO on the wire (sequence numbers remain
@@ -50,6 +54,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
+use crate::bufpool::BufPool;
 use crate::envelope::WireEnvelope;
 use crate::mailbox::Mailbox;
 use crate::payload::Payload;
@@ -450,6 +455,7 @@ fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::
 /// sequence numbers, honor the receive window, apply front-of-queue
 /// (reorder) insertion. Exits on EOF (writer gone).
 fn reader_loop(shared: &Shared, dest: usize, mut conn: Conn) {
+    let pool = BufPool::new();
     let mut expect = vec![0u32; shared.mailboxes.len()];
     let closed = || shared.closed.load(Ordering::Relaxed);
     loop {
@@ -460,7 +466,7 @@ fn reader_loop(shared: &Shared, dest: usize, mut conn: Conn) {
         let header = FrameHeader::decode(&hdr_buf);
         let src = header.src as usize;
         // Reserved, not zeroed: the kernel's copy is the only write.
-        let mut body = Vec::with_capacity(header.len as usize);
+        let mut body = pool.take(header.len as usize);
         match conn.read_body(header.len, &mut body) {
             Ok(n) if n as u64 == header.len => {}
             // Error, or EOF mid-body (which `read_to_end` reports as a
@@ -479,7 +485,7 @@ fn reader_loop(shared: &Shared, dest: usize, mut conn: Conn) {
         let env = WireEnvelope {
             world_src: src,
             wire_tag: header.wire_tag,
-            payload: Bytes::from(body).into(),
+            payload: pool.track(Bytes::from(body)).into(),
             sent_ns: header.sent_ns,
         };
         if header.is_front() {
@@ -729,6 +735,34 @@ mod tests {
         assert_eq!(pop(&t, 1, 0, 1), b"urgent");
         assert_eq!(pop(&t, 1, 0, 1), b"first");
         assert_eq!(pop(&t, 1, 0, 1), b"second");
+        t.shutdown();
+    }
+
+    /// A payload-sized body lands in the reader's pool: its allocation
+    /// carries a later frame once the receiver has dropped it, and never
+    /// while the receiver still holds it. (A pointer match alone could be
+    /// the allocator reusing a freed block; the pool's own handle, which
+    /// keeps a body from being taken back as unique, shows it is tracked.)
+    #[test]
+    fn a_dropped_body_carries_the_next_frame_and_a_held_one_never_does() {
+        let t = SocketTransport::new(2, SocketConfig::default());
+        let m = Matcher { ctx: 0, src: SrcSel::Rank(0), tag: TagSel::Tag(9) };
+        let recv = |fill: u8| {
+            t.deliver(1, env(0, 9, &vec![fill; BufPool::MIN_LEN]), false);
+            let body = t.mailbox(1).pop_matching(&m).payload.into_bytes();
+            assert!(body.len() == BufPool::MIN_LEN && body.iter().all(|&b| b == fill));
+            body
+        };
+        let first = recv(1);
+        let second = recv(2);
+        assert_ne!(first.as_ptr(), second.as_ptr(), "the first body is still held");
+        let reused = first.as_ptr();
+        let first = first.try_into_mut().expect_err("the reader's pool tracks the body");
+        drop(first);
+        let third = recv(3);
+        assert_eq!(third.as_ptr(), reused, "the dropped body's allocation is reused");
+        third.try_into_mut().expect_err("tracked again");
+        assert!(second.iter().all(|&b| b == 2), "the held body is untouched");
         t.shutdown();
     }
 

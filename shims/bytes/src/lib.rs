@@ -25,8 +25,9 @@ enum Storage {
     /// A borrowed `'static` slice: nothing to count, nothing to free.
     Static(&'static [u8]),
     /// An adopted heap allocation, shared by refcount. The `Vec` is never
-    /// touched again, so its spare capacity (if any) simply rides along
-    /// until the last handle drops.
+    /// touched while shared, so its spare capacity (if any) rides along
+    /// until the last handle drops it or takes it back
+    /// ([`Bytes::try_into_mut`]).
     Shared(Arc<Vec<u8>>),
 }
 
@@ -93,6 +94,30 @@ impl Bytes {
         match &self.data {
             Storage::Static(_) => false,
             Storage::Shared(v) => Arc::strong_count(v) == 1,
+        }
+    }
+
+    /// Take the allocation back as a [`BytesMut`] holding this window's
+    /// bytes, if no other handle shares it ([`Bytes::is_unique`]);
+    /// otherwise give `self` back unchanged (as upstream).
+    ///
+    /// The allocation is adopted, never copied, and its whole capacity
+    /// survives. A window that is not the whole allocation first has its
+    /// bytes moved to the front (one `memmove`, as upstream's conversion to
+    /// `Vec` does) and the rest truncated, so the result starts at the
+    /// allocation's first byte.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let (start, end) = (self.start, self.end);
+        match self.data {
+            Storage::Shared(v) => match Arc::try_unwrap(v) {
+                Ok(mut buf) => {
+                    buf.truncate(end);
+                    buf.drain(..start);
+                    Ok(BytesMut { buf })
+                }
+                Err(v) => Err(Bytes { data: Storage::Shared(v), start, end }),
+            },
+            data => Err(Bytes { data, start, end }),
         }
     }
 }
@@ -255,8 +280,19 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
+    }
+}
+
+impl From<BytesMut> for Vec<u8> {
+    /// The buffer itself, capacity and all: no byte moves.
+    fn from(b: BytesMut) -> Self {
+        b.buf
     }
 }
 
@@ -363,6 +399,45 @@ mod tests {
         assert!(!b.is_unique(), "a slice pins the allocation like a clone");
         drop(b);
         assert!(s.is_unique(), "the last window owns the buffer alone");
+    }
+
+    #[test]
+    fn try_into_mut_round_trips_the_allocation_with_its_capacity() {
+        let mut v = Vec::with_capacity(100);
+        v.extend_from_slice(&[3u8; 40]);
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        let m = b.try_into_mut().expect("the only handle");
+        assert_eq!((m.as_ptr(), m.len(), m.capacity()), (p, 40, 100));
+        let back = Vec::from(m);
+        assert_eq!((back.as_ptr(), back.len(), back.capacity()), (p, 40, 100));
+        assert_eq!(back, [3u8; 40]);
+    }
+
+    #[test]
+    fn try_into_mut_fails_while_another_handle_lives() {
+        let b = Bytes::from(vec![1u8, 2, 3, 4]);
+        let c = b.clone();
+        let b = b.try_into_mut().expect_err("a clone shares the allocation");
+        assert_eq!(b, c, "the refused handle comes back unchanged");
+        let s = c.slice(1..3);
+        drop(c);
+        let b = b.try_into_mut().expect_err("a slice pins it too");
+        drop(s);
+        assert_eq!(&b.try_into_mut().expect("unique again")[..], &[1, 2, 3, 4]);
+        assert!(Bytes::from_static(b"ab").try_into_mut().is_err(), "static owns nothing");
+        assert!(Bytes::new().try_into_mut().is_err());
+    }
+
+    #[test]
+    fn try_into_mut_of_a_window_keeps_its_bytes_at_the_front() {
+        let mut v = Vec::with_capacity(16);
+        v.extend_from_slice(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        let p = v.as_ptr();
+        let window = Bytes::from(v).slice(2..5);
+        let m = window.try_into_mut().expect("the window is the last handle");
+        assert_eq!(&m[..], &[2, 3, 4]);
+        assert_eq!((m.as_ptr(), m.capacity()), (p, 16), "same allocation, whole capacity");
     }
 
     #[test]
