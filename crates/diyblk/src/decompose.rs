@@ -75,50 +75,40 @@ impl RegularDecomposer {
 
     /// Gids of all blocks whose bounds intersect `bb` — the lookup at the
     /// heart of index and query (Algorithms 1 and 3).
+    ///
+    /// The touched blocks' gids lie between the gid of the first touched
+    /// block of every dimension and the gid of the last; each gid in that
+    /// span is tested dimension by dimension against the box, so no block
+    /// bounds (and no other temporary) are built. When blocks outnumber
+    /// cells, the per-dimension test also skips the empty blocks.
     pub fn blocks_intersecting(&self, bb: &BBox) -> Vec<usize> {
         assert_eq!(bb.rank(), self.dims.len(), "bbox rank mismatch");
-        if bb.is_empty() {
-            return Vec::new();
-        }
-        // Per-dimension index ranges of blocks touched by the box.
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(self.dims.len());
-        for i in 0..self.dims.len() {
-            let n = self.counts[i];
-            let dim = self.dims[i];
-            let lo = bb.lo[i].min(dim);
-            let hi = bb.hi[i].min(dim);
-            if lo >= hi {
-                return Vec::new();
-            }
-            let first = block_index_of(dim, n, lo);
-            let last = block_index_of(dim, n, hi - 1);
-            ranges.push((first, last));
-        }
-        // Cartesian product of the ranges, in gid order. When blocks
-        // outnumber cells, some blocks inside the index range are empty;
-        // filter them by their actual bounds.
         let mut out = Vec::new();
-        let mut coords: Vec<usize> = ranges.iter().map(|r| r.0).collect();
-        loop {
-            let gid = self.gid_of_coords(&coords);
-            if self.block_bounds(gid).intersects(bb) {
+        let (mut first, mut last) = (0usize, 0usize);
+        for ((&dim, &n), (&lo, &hi)) in
+            self.dims.iter().zip(&self.counts).zip(bb.lo.iter().zip(&bb.hi))
+        {
+            let (lo, hi) = (lo.min(dim), hi.min(dim));
+            if lo >= hi {
+                return out;
+            }
+            first = first * n + block_index_of(dim, n, lo);
+            last = last * n + block_index_of(dim, n, hi - 1);
+        }
+        for gid in first..=last {
+            // Row-major coordinates, last dimension first.
+            let mut rem = gid;
+            let hit = (0..self.dims.len()).rev().all(|i| {
+                let (n, dim) = (self.counts[i], self.dims[i]);
+                let c = rem % n;
+                rem /= n;
+                dim_split(dim, n, c).max(bb.lo[i]) < dim_split(dim, n, c + 1).min(bb.hi[i])
+            });
+            if hit {
                 out.push(gid);
             }
-            let mut i = coords.len();
-            loop {
-                if i == 0 {
-                    return out;
-                }
-                i -= 1;
-                if coords[i] < ranges[i].1 {
-                    coords[i] += 1;
-                    for (j, r) in ranges.iter().enumerate().skip(i + 1) {
-                        coords[j] = r.0;
-                    }
-                    break;
-                }
-            }
         }
+        out
     }
 }
 

@@ -20,14 +20,20 @@
 //! the client recognises the stale id and discards that reply instead of
 //! mistaking it for the answer to the retry.
 //!
-//! Replies travel as multi-part [`Payload`]s: the 8-byte call id is its
-//! own small part, followed by the handler's body parts unchanged. A
-//! zero-copy server ([`ServeOutcome::ReplyParts`]) can therefore *lend*
-//! refcounted slices of buffers it already owns — dataset regions — and
-//! the client receives those very allocations; nothing between the handler
-//! and the consumer flattens or re-encodes the body. The flattened byte
-//! stream is identical to the historical contiguous frame, so the wire
-//! format is unchanged.
+//! Framing allocates nothing of its own. A request's header goes into the
+//! headroom every [`Writer`] reserves in front of the arguments it
+//! encodes ([`RpcClient::call_frame`], [`Call::frame`]), so the frame
+//! leaves in the buffer its arguments were written into; callers holding
+//! plain byte slices get them copied into such a buffer once. Replies
+//! travel as multi-part [`Payload`]s: the 8-byte call id is its own part —
+//! a slice of the request's own call-id bytes, so it costs no allocation
+//! either — followed by the handler's body parts unchanged. A zero-copy
+//! server ([`ServeOutcome::ReplyParts`]) can therefore *lend* refcounted
+//! slices of buffers it already owns — dataset regions — and the client
+//! receives those very allocations; nothing between the handler and the
+//! consumer flattens or re-encodes the body. The flattened byte stream is
+//! identical to the historical contiguous frame, so the wire format is
+//! unchanged.
 //!
 //! ## Timeouts and retries
 //!
@@ -63,11 +69,11 @@
 //! the rest. This is the primitive under LowFive's pipelined consumer
 //! fetch path (see `lowfive::dist`).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use minih5::codec::Writer;
 use simmpi::{Comm, Payload, RecvError, SrcSel, ANY_SOURCE};
 
 /// Tags used by the RPC layer (ordinary user tags, below the collective
@@ -92,36 +98,57 @@ fn fresh_call_id() -> u64 {
     NEXT_CALL_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-fn encode_request(method: u32, call_id: u64, args: &[u8]) -> Bytes {
-    let mut b = BytesMut::with_capacity(12 + args.len());
-    b.put_u32_le(method);
-    b.put_u64_le(call_id);
-    b.put_slice(args);
-    b.freeze()
+/// The request frame `[u32 method][u64 call_id][args]`, its header
+/// written into the headroom in front of `args`: one buffer, no copy.
+fn encode_request(method: u32, call_id: u64, mut args: Writer) -> Bytes {
+    args.prepend(&call_id.to_le_bytes());
+    args.prepend(&method.to_le_bytes());
+    args.finish()
 }
 
-/// Split a request frame into `(method, call_id, args)`, or `None` (and a
-/// `rpc_malformed` count) if it is too short for its 12-byte header.
-fn decode_request(payload: &Bytes) -> Option<(u32, u64, Bytes)> {
+/// A sent request frame again under a fresh call id, for a resend: the
+/// frame was handed to the transport, so this is a copy — paid only when
+/// an attempt timed out.
+fn reframe_request(req: &Bytes, call_id: u64) -> Bytes {
+    let mut v = req.to_vec();
+    v[4..12].copy_from_slice(&call_id.to_le_bytes());
+    Bytes::from(v)
+}
+
+/// One decoded request: method, call id, the call id's own bytes (a
+/// slice of the frame, which a reply reuses as its id part), and the
+/// argument bytes.
+struct Request {
+    method: u32,
+    call_id: u64,
+    id_part: Bytes,
+    args: Bytes,
+}
+
+/// Split a request frame in place, or `None` (and a `rpc_malformed`
+/// count) if it is too short for its 12-byte header.
+fn decode_request(payload: &Bytes) -> Option<Request> {
     let Some(head) = payload.get(..12) else {
         obsv::counter_add(obsv::Ctr::RpcMalformed, 1);
         return None;
     };
     let (method, call_id) = head.split_at(4);
-    let method = u32::from_le_bytes(method.try_into().ok()?);
-    let call_id = u64::from_le_bytes(call_id.try_into().ok()?);
-    Some((method, call_id, payload.slice(12..)))
+    Some(Request {
+        method: u32::from_le_bytes(method.try_into().ok()?),
+        call_id: u64::from_le_bytes(call_id.try_into().ok()?),
+        id_part: payload.slice(4..12),
+        args: payload.slice(12..),
+    })
 }
 
 /// Prefix a reply body with its call id *without touching the body*: the
-/// id becomes its own 8-byte part and the handler's parts follow as the
-/// same refcounted allocations. Flattened, the frame is byte-identical to
-/// the historical contiguous `[u64 call_id][body]` encoding.
-fn encode_reply_parts(call_id: u64, body: Payload) -> Payload {
-    let mut p = Payload::with_capacity(1 + body.parts().len());
-    p.push(Bytes::copy_from_slice(&call_id.to_le_bytes()));
-    p.extend(body);
-    p
+/// id becomes its own 8-byte part in front of the handler's parts, which
+/// travel as the same refcounted allocations. Flattened, the frame is
+/// byte-identical to the historical contiguous `[u64 call_id][body]`
+/// encoding.
+fn encode_reply_parts(id_part: Bytes, mut body: Payload) -> Payload {
+    body.prepend(id_part);
+    body
 }
 
 /// Split a reply frame into `(call_id, body)` in place: an 8-byte prefix
@@ -212,11 +239,11 @@ impl<'a> RpcServer<'a> {
         RpcServer { comm }
     }
 
-    fn reply_to(&self, caller: Caller, body: Payload) {
+    fn reply_to(&self, caller: Caller, id_part: Bytes, body: Payload) {
         // Notifications carry no reply channel; answering one would strand
         // a frame in the caller's mailbox forever.
         if caller.call_id != NOTIFY_ID {
-            self.comm.send_parts(caller.rank, TAG_REPLY, encode_reply_parts(caller.call_id, body));
+            self.comm.send_parts(caller.rank, TAG_REPLY, encode_reply_parts(id_part, body));
         }
     }
 
@@ -228,22 +255,22 @@ impl<'a> RpcServer<'a> {
     {
         loop {
             let env = self.comm.recv(ANY_SOURCE, TAG_REQUEST.into());
-            let Some((method, call_id, args)) = decode_request(&env.payload) else {
+            let Some(req) = decode_request(&env.payload) else {
                 continue;
             };
-            let caller = Caller { rank: env.src, call_id };
+            let caller = Caller { rank: env.src, call_id: req.call_id };
             // The serve-side span carries the same call id as the client's
             // call span, so a trace viewer can correlate the two tracks.
-            let sp = obsv::span_tagged(obsv::Phase::RpcServe, call_id);
-            let outcome = handler(caller, method, args);
+            let sp = obsv::span_tagged(obsv::Phase::RpcServe, req.call_id);
+            let outcome = handler(caller, req.method, req.args);
             drop(sp);
             match outcome {
-                ServeOutcome::Reply(reply) => self.reply_to(caller, reply.into()),
-                ServeOutcome::ReplyParts(reply) => self.reply_to(caller, reply),
+                ServeOutcome::Reply(reply) => self.reply_to(caller, req.id_part, reply.into()),
+                ServeOutcome::ReplyParts(reply) => self.reply_to(caller, req.id_part, reply),
                 ServeOutcome::Continue => {}
                 ServeOutcome::Stop(reply) => {
                     if let Some(r) = reply {
-                        self.reply_to(caller, r.into());
+                        self.reply_to(caller, req.id_part, r.into());
                     }
                     return;
                 }
@@ -261,10 +288,13 @@ pub fn send_reply(comm: &Comm, caller: Caller, reply: Bytes) {
 }
 
 /// As [`send_reply`], but the body is a multi-part [`Payload`] whose parts
-/// travel to the caller without being gathered into one buffer.
+/// travel to the caller without being gathered into one buffer. A
+/// deferred reply no longer has its request, so its call id part is a
+/// fresh copy.
 pub fn send_reply_parts(comm: &Comm, caller: Caller, reply: Payload) {
     if caller.call_id != NOTIFY_ID {
-        comm.send_parts(caller.rank, TAG_REPLY, encode_reply_parts(caller.call_id, reply));
+        let id_part = Bytes::copy_from_slice(&caller.call_id.to_le_bytes());
+        comm.send_parts(caller.rank, TAG_REPLY, encode_reply_parts(id_part, reply));
     }
 }
 
@@ -288,23 +318,7 @@ impl<'a> RpcClient<'a> {
     /// server's part structure intact — the zero-copy fetch path scatters
     /// straight out of these parts instead of flattening them first.
     pub fn call_payload(&self, server: usize, method: u32, args: &[u8]) -> Payload {
-        let call_id = fresh_call_id();
-        obsv::counter_add(obsv::Ctr::RpcCalls, 1);
-        let sp = obsv::span_tagged(obsv::Phase::RpcCall, call_id);
-        self.comm.send(server, TAG_REQUEST, encode_request(method, call_id, args));
-        loop {
-            let env = self.comm.recv_parts(SrcSel::Rank(server), TAG_REPLY.into());
-            match decode_reply_parts(env.payload) {
-                Some((id, body)) if id == call_id => {
-                    obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
-                    obsv::hist_record(obsv::Hist::RpcLatencyNs, sp.finish_ns());
-                    return body;
-                }
-                // A stale reply to an earlier timed-out call from this
-                // rank, or a malformed frame.
-                _ => {}
-            }
-        }
+        self.await_reply(server, method, args.into())
     }
 
     /// As [`RpcClient::call`], but give up if the reply does not arrive
@@ -334,10 +348,111 @@ impl<'a> RpcClient<'a> {
         args: &[u8],
         timeout: Duration,
     ) -> Result<Payload, RpcError> {
+        let policy = RetryPolicy::new(1, timeout);
+        self.call_frame(server, method, args.into(), Some(policy))
+    }
+
+    /// Bounded-retry call for *idempotent* methods: up to
+    /// `policy.attempts` sends, each waiting `policy.timeout`, each resent
+    /// as soon as the previous one times out. A dead server
+    /// short-circuits to [`RpcError::PeerDead`] — resending to a corpse
+    /// cannot succeed.
+    pub fn call_retry(
+        &self,
+        server: usize,
+        method: u32,
+        args: &[u8],
+        policy: RetryPolicy,
+    ) -> Result<Bytes, RpcError> {
+        self.call_retry_payload(server, method, args, policy).map(Payload::into_bytes)
+    }
+
+    /// Parts-preserving variant of [`RpcClient::call_retry`].
+    pub fn call_retry_payload(
+        &self,
+        server: usize,
+        method: u32,
+        args: &[u8],
+        policy: RetryPolicy,
+    ) -> Result<Payload, RpcError> {
+        self.call_frame(server, method, args.into(), Some(policy))
+    }
+
+    /// Call `method` on `server` with arguments encoded into `args`, whose
+    /// headroom takes the request header — the frame leaves in the
+    /// buffer the arguments were written into. With no policy the call
+    /// blocks for the reply, as [`RpcClient::call_payload`]; with one it is
+    /// [`RpcClient::call_retry_payload`] (a single-attempt policy is
+    /// [`RpcClient::call_timeout_payload`]). Returns the reply body with
+    /// the server's part structure intact.
+    pub fn call_frame(
+        &self,
+        server: usize,
+        method: u32,
+        args: Writer,
+        policy: Option<RetryPolicy>,
+    ) -> Result<Payload, RpcError> {
+        let Some(policy) = policy else {
+            return Ok(self.await_reply(server, method, args));
+        };
+        assert!(policy.attempts >= 1, "retry policy needs at least one attempt");
+        let mut call_id = fresh_call_id();
+        let mut req = encode_request(method, call_id, args);
+        let mut attempt = 1;
+        loop {
+            match self.attempt(server, call_id, req.clone(), policy.timeout) {
+                Err(RpcError::TimedOut) if attempt < policy.attempts => {
+                    attempt += 1;
+                    obsv::counter_add(obsv::Ctr::RpcRetries, 1);
+                    call_id = fresh_call_id();
+                    req = reframe_request(&req, call_id);
+                }
+                result => return result,
+            }
+        }
+    }
+
+    /// Send one request and block, without a deadline, for its reply.
+    fn await_reply(&self, server: usize, method: u32, args: Writer) -> Payload {
         let call_id = fresh_call_id();
         obsv::counter_add(obsv::Ctr::RpcCalls, 1);
         let sp = obsv::span_tagged(obsv::Phase::RpcCall, call_id);
         self.comm.send(server, TAG_REQUEST, encode_request(method, call_id, args));
+        loop {
+            let env = self.comm.recv_parts(SrcSel::Rank(server), TAG_REPLY.into());
+            match decode_reply_parts(env.payload) {
+                Some((id, body)) if id == call_id => {
+                    obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
+                    obsv::hist_record(obsv::Hist::RpcLatencyNs, sp.finish_ns());
+                    return body;
+                }
+                // A stale reply to an earlier timed-out call from this
+                // rank, or a malformed frame.
+                _ => {}
+            }
+        }
+    }
+
+    /// One attempt of a bounded call: send the framed request `req`
+    /// (carrying `call_id`) and wait up to `timeout` for its reply.
+    /// Stale replies (to earlier timed-out calls) are discarded without
+    /// consuming the deadline's meaning: the clock keeps running until
+    /// *this* call's reply shows up. Fails fast with
+    /// [`RpcError::PeerDead`] if the server rank is known dead.
+    ///
+    /// The deadline lives on the `obsv::clock` virtual clock; a
+    /// `clock::advance_ns` jump past it is honoured within one liveness
+    /// poll.
+    fn attempt(
+        &self,
+        server: usize,
+        call_id: u64,
+        req: Bytes,
+        timeout: Duration,
+    ) -> Result<Payload, RpcError> {
+        obsv::counter_add(obsv::Ctr::RpcCalls, 1);
+        let sp = obsv::span_tagged(obsv::Phase::RpcCall, call_id);
+        self.comm.send(server, TAG_REQUEST, req);
         let deadline_ns = obsv::clock::deadline_after(timeout);
         loop {
             let now_ns = obsv::clock::now_ns();
@@ -368,44 +483,14 @@ impl<'a> RpcClient<'a> {
         }
     }
 
-    /// Bounded-retry call for *idempotent* methods: up to
-    /// `policy.attempts` sends, each waiting `policy.timeout`, each resent
-    /// as soon as the previous one times out. A dead server
-    /// short-circuits to [`RpcError::PeerDead`] — resending to a corpse
-    /// cannot succeed.
-    pub fn call_retry(
-        &self,
-        server: usize,
-        method: u32,
-        args: &[u8],
-        policy: RetryPolicy,
-    ) -> Result<Bytes, RpcError> {
-        self.call_retry_payload(server, method, args, policy).map(Payload::into_bytes)
-    }
-
-    /// Parts-preserving variant of [`RpcClient::call_retry`].
-    pub fn call_retry_payload(
-        &self,
-        server: usize,
-        method: u32,
-        args: &[u8],
-        policy: RetryPolicy,
-    ) -> Result<Payload, RpcError> {
-        assert!(policy.attempts >= 1, "retry policy needs at least one attempt");
-        let mut attempt = 1;
-        loop {
-            match self.call_timeout_payload(server, method, args, policy.timeout) {
-                Err(RpcError::TimedOut) if attempt < policy.attempts => {
-                    attempt += 1;
-                    obsv::counter_add(obsv::Ctr::RpcRetries, 1);
-                }
-                result => return result,
-            }
-        }
-    }
-
     /// Send a request without waiting for (or expecting) a reply.
     pub fn notify(&self, server: usize, method: u32, args: &[u8]) {
+        self.notify_frame(server, method, args.into());
+    }
+
+    /// [`RpcClient::notify`] with arguments encoded into `args`, whose
+    /// headroom takes the request header.
+    pub fn notify_frame(&self, server: usize, method: u32, args: Writer) {
         obsv::counter_add(obsv::Ctr::RpcNotifies, 1);
         self.comm.send(server, TAG_REQUEST, encode_request(method, NOTIFY_ID, args));
     }
@@ -424,12 +509,14 @@ impl<'a> RpcClient<'a> {
     /// behind them. Only use a policy with *idempotent* methods: a retry
     /// re-executes the request.
     ///
-    /// Stale replies (to earlier timed-out attempts, from this or any
-    /// previous call on this rank) are recognized by call id and
-    /// discarded. Requests to the *same* server stay FIFO on its serve
-    /// loop, so batching per server and fanning out across servers is the
-    /// intended usage.
-    pub fn call_many<F>(&self, calls: &[Call], policy: Option<RetryPolicy>, mut on_reply: F)
+    /// The calls are consumed: each request is framed in its own
+    /// arguments' buffer. Stale replies (to earlier timed-out attempts,
+    /// from this or any previous call on this rank) are recognized by call
+    /// id and discarded; a reply is matched to its call by a scan of the
+    /// fan-out, which is as wide as the servers it asks. Requests to the
+    /// *same* server stay FIFO on its serve loop, so batching per server
+    /// and fanning out across servers is the intended usage.
+    pub fn call_many<F>(&self, calls: Vec<Call>, policy: Option<RetryPolicy>, mut on_reply: F)
     where
         F: FnMut(usize, Result<Payload, RpcError>),
     {
@@ -454,47 +541,39 @@ impl<'a> RpcClient<'a> {
         }
         struct Slot {
             server: usize,
-            method: u32,
-            args: Bytes,
+            /// The request as last sent, kept for a resend.
+            req: Bytes,
             /// Resends still allowed after the current attempt.
             attempts_left: u32,
             sent_ns: u64,
             state: SlotState,
         }
 
-        let mut slots: Vec<Slot> = calls
-            .iter()
-            .map(|c| Slot {
-                server: c.server,
-                method: c.method,
-                args: c.args.clone(),
-                attempts_left: policy.map(|p| p.attempts - 1).unwrap_or(0),
-                sent_ns: 0,
-                state: SlotState::Done, // placeholder until the first send
-            })
-            .collect();
-        let mut by_id: HashMap<u64, usize> = HashMap::with_capacity(slots.len());
-        let mut remaining = slots.len();
-
-        let send_attempt = |slot: &mut Slot, by_id: &mut HashMap<u64, usize>, idx: usize| {
-            let call_id = fresh_call_id();
+        let send = |slot: &mut Slot, call_id: u64| {
             obsv::counter_add(obsv::Ctr::RpcCalls, 1);
             slot.sent_ns = obsv::clock::now_ns();
-            self.comm.send(
-                slot.server,
-                TAG_REQUEST,
-                encode_request(slot.method, call_id, &slot.args),
-            );
+            self.comm.send(slot.server, TAG_REQUEST, slot.req.clone());
             slot.state = SlotState::Waiting {
                 call_id,
                 deadline_ns: policy.map(|p| obsv::clock::deadline_after(p.timeout)),
             };
-            by_id.insert(call_id, idx);
         };
-
-        for (i, slot) in slots.iter_mut().enumerate() {
-            send_attempt(slot, &mut by_id, i);
-        }
+        let mut slots: Vec<Slot> = calls
+            .into_iter()
+            .map(|c| {
+                let call_id = fresh_call_id();
+                let mut slot = Slot {
+                    server: c.server,
+                    req: encode_request(c.method, call_id, c.args),
+                    attempts_left: policy.map(|p| p.attempts - 1).unwrap_or(0),
+                    sent_ns: 0,
+                    state: SlotState::Done, // placeholder until the first send
+                };
+                send(&mut slot, call_id);
+                slot
+            })
+            .collect();
+        let mut remaining = slots.len();
 
         while remaining > 0 {
             let now_ns = obsv::clock::now_ns();
@@ -506,9 +585,6 @@ impl<'a> RpcClient<'a> {
                     continue;
                 }
                 if !self.comm.peer_alive(slot.server) {
-                    if let SlotState::Waiting { call_id, .. } = slot.state {
-                        by_id.remove(&call_id);
-                    }
                     slot.state = SlotState::Done;
                     remaining -= 1;
                     obsv::counter_add(obsv::Ctr::RpcPeersDead, 1);
@@ -516,8 +592,7 @@ impl<'a> RpcClient<'a> {
                     continue;
                 }
                 match slot.state {
-                    SlotState::Waiting { call_id, deadline_ns: Some(d) } if d <= now_ns => {
-                        by_id.remove(&call_id);
+                    SlotState::Waiting { deadline_ns: Some(d), .. } if d <= now_ns => {
                         obsv::counter_add(obsv::Ctr::RpcTimeouts, 1);
                         if slot.attempts_left == 0 {
                             slot.state = SlotState::Done;
@@ -526,7 +601,9 @@ impl<'a> RpcClient<'a> {
                         } else {
                             slot.attempts_left -= 1;
                             obsv::counter_add(obsv::Ctr::RpcRetries, 1);
-                            send_attempt(slot, &mut by_id, i);
+                            let call_id = fresh_call_id();
+                            slot.req = reframe_request(&slot.req, call_id);
+                            send(slot, call_id);
                         }
                     }
                     _ => {}
@@ -553,7 +630,8 @@ impl<'a> RpcClient<'a> {
                     // Unknown id: stale reply to an earlier timed-out
                     // attempt — discard, like a malformed frame.
                     let Some((id, body)) = decode_reply_parts(env.payload) else { continue };
-                    if let Some(i) = by_id.remove(&id) {
+                    let waiting_for = |s: &Slot| matches!(s.state, SlotState::Waiting { call_id, .. } if call_id == id);
+                    if let Some(i) = slots.iter().position(waiting_for) {
                         obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
                         obsv::hist_record(
                             obsv::Hist::RpcLatencyNs,
@@ -580,7 +658,7 @@ impl<'a> RpcClient<'a> {
         policy: Option<RetryPolicy>,
     ) -> Vec<Result<Bytes, RpcError>> {
         let mut out: Vec<Result<Bytes, RpcError>> = vec![Err(RpcError::TimedOut); calls.len()];
-        self.call_many(calls, policy, |i, r| out[i] = r.map(Payload::into_bytes));
+        self.call_many(calls.to_vec(), policy, |i, r| out[i] = r.map(Payload::into_bytes));
         out
     }
 }
@@ -592,14 +670,20 @@ pub struct Call {
     pub server: usize,
     /// Method id dispatched by the server's handler.
     pub method: u32,
-    /// Serialized argument bytes.
-    pub args: Bytes,
+    /// Serialized arguments, with headroom for the request header.
+    pub args: Writer,
 }
 
 impl Call {
-    /// Build one fan-out entry.
-    pub fn new(server: usize, method: u32, args: impl Into<Bytes>) -> Self {
-        Call { server, method, args: args.into() }
+    /// Build one fan-out entry from argument bytes (copied once, into a
+    /// buffer with room for the request header).
+    pub fn new(server: usize, method: u32, args: impl AsRef<[u8]>) -> Self {
+        Call::frame(server, method, args.as_ref().into())
+    }
+
+    /// Build one fan-out entry from arguments encoded into `args`.
+    pub fn frame(server: usize, method: u32, args: Writer) -> Self {
+        Call { server, method, args }
     }
 }
 
@@ -830,7 +914,7 @@ mod tests {
                 let calls: Vec<Call> =
                     (0..3).map(|s| Call::new(s, M_ECHO, Bytes::from(vec![s as u8]))).collect();
                 let mut order = Vec::new();
-                rpc.call_many(&calls, None, |i, r| {
+                rpc.call_many(calls, None, |i, r| {
                     assert_eq!(&r.expect("live servers reply").into_bytes()[..], &[i as u8]);
                     order.push(i);
                 });

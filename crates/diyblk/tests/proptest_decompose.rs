@@ -114,3 +114,37 @@ fn largest_prime_factor(mut n: usize) -> usize {
     }
     best.max(n)
 }
+
+/// A query box of rank `dims.len()` from `seed`: corners anywhere in
+/// `0..=dim + 2` per dimension, so some boxes are empty, inverted, or
+/// reach past the domain.
+fn seeded_box(dims: &[u64], seed: u64) -> BBox {
+    let corner = |i: usize, shift: usize| (seed >> (i * 10 + shift)) % (dims[i] + 3);
+    let lo = (0..dims.len()).map(|i| corner(i, 0)).collect();
+    let hi = (0..dims.len()).map(|i| corner(i, 5)).collect();
+    BBox::new(lo, hi)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
+
+    /// The allocation-free queries against the definitions they replace:
+    /// `intersects` is "the intersection is not empty", and
+    /// `blocks_intersecting` is "every block whose bounds intersect the
+    /// box, by that definition", for rank 1–4 and 1–24 blocks.
+    #[test]
+    fn in_place_queries_match_their_definitions(
+        dims in proptest::collection::vec(1u64..=12, 1..=4),
+        nblocks in 1usize..=24,
+        seed in any::<u64>(),
+    ) {
+        let d = RegularDecomposer::new(&dims, nblocks);
+        let q = seeded_box(&dims, seed);
+        let r = seeded_box(&dims, seed.rotate_left(23));
+        prop_assert_eq!(q.intersects(&r), !q.intersect(&r).is_empty());
+        let brute: Vec<usize> = (0..d.nblocks())
+            .filter(|&g| !d.block_bounds(g).intersect(&q).is_empty())
+            .collect();
+        prop_assert_eq!(d.blocks_intersecting(&q), brute, "dims={:?} n={} q={:?}", dims, nblocks, q);
+    }
+}

@@ -172,15 +172,21 @@ pub fn preferred_codec(mask: u64) -> u8 {
 }
 
 /// `body` behind a one-byte part holding `tag`, its parts untouched. The
-/// tag part is a slice of one shared 256-byte table, so framing a reply
-/// allocates only the new part list.
-fn prefixed(tag: u8, body: Payload) -> Payload {
-    static TAGS: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
-    let tags = TAGS.get_or_init(|| (0..=u8::MAX).collect());
-    let mut p = Payload::with_capacity(1 + body.parts().len());
-    p.push(tags.slice(usize::from(tag)..=usize::from(tag)));
-    p.extend(body);
-    p
+/// tag part is a slice of one static table and goes in front of the
+/// body's own part list, so framing a reply allocates nothing.
+fn prefixed(tag: u8, mut body: Payload) -> Payload {
+    static TAGS: [u8; 256] = {
+        let mut t = [0u8; 256];
+        let mut i = 0;
+        while i < 256 {
+            t[i] = i as u8;
+            i += 1;
+        }
+        t
+    };
+    let tag = usize::from(tag);
+    body.prepend(Bytes::from_static(&TAGS[tag..=tag]));
+    body
 }
 
 /// Wrap a reply body in the one-byte codec prefix, compressing with
@@ -370,19 +376,25 @@ fn rle_decode(parts: &[Bytes], delta: bool) -> H5Result<Bytes> {
 /// ```
 /// use lowfive::protocol::{enc_metadata_req, dec_metadata_req, CAP_ALL};
 /// let frame = enc_metadata_req("a.h5", CAP_ALL);
-/// assert_eq!(dec_metadata_req(&frame).unwrap(), ("a.h5".into(), CAP_ALL));
+/// assert_eq!(dec_metadata_req(&frame).unwrap(), ("a.h5", CAP_ALL));
 /// ```
 pub fn enc_metadata_req(file: &str, caps: u64) -> Bytes {
+    metadata_req(file, caps).finish()
+}
+
+/// [`enc_metadata_req`] left open, with headroom for the RPC header.
+pub(crate) fn metadata_req(file: &str, caps: u64) -> Writer {
     let mut w = Writer::new();
     w.put_str(file);
     w.put_u64(caps);
-    w.finish()
+    w
 }
 
-/// Decode a metadata request into `(file, consumer codec caps)`.
-pub fn dec_metadata_req(b: &[u8]) -> H5Result<(String, u64)> {
+/// Decode a metadata request into `(file, consumer codec caps)`, the name
+/// borrowed from the frame.
+pub fn dec_metadata_req(b: &[u8]) -> H5Result<(&str, u64)> {
     let mut r = Reader::new(b);
-    let file = r.get_str()?;
+    let file = r.get_str_ref()?;
     let caps = r.get_u64()?;
     expect_eof(&r)?;
     Ok((file, caps))
@@ -397,7 +409,7 @@ pub fn enc_codec_offer(file: &str, caps: u64) -> Bytes {
 }
 
 /// Decode a codec offer into `(file, consumer codec caps)`.
-pub fn dec_codec_offer(b: &[u8]) -> H5Result<(String, u64)> {
+pub fn dec_codec_offer(b: &[u8]) -> H5Result<(&str, u64)> {
     dec_metadata_req(b)
 }
 
@@ -419,29 +431,44 @@ pub fn dec_codec_offer(b: &[u8]) -> H5Result<(String, u64)> {
 /// let frame = enc_data_req_batch("step0.h5", &entries);
 /// let (file, back) = dec_data_req_batch(&frame).unwrap();
 /// assert_eq!(file, "step0.h5");
-/// assert_eq!(back, entries);
+/// assert!(back.iter().map(|(d, s)| (*d, s)).eq(entries.iter().map(|(d, s)| (d.as_str(), s))));
 /// ```
 pub fn enc_data_req_batch(file: &str, entries: &[(String, Selection)]) -> Bytes {
+    let borrowed = entries.iter().map(|(dset, sel)| (dset.as_str(), sel));
+    data_req_batch(file, entries.len(), borrowed).finish()
+}
+
+/// [`enc_data_req_batch`] encoded from `n` borrowed entries and left
+/// open, with headroom for the RPC header.
+pub(crate) fn data_req_batch<'a>(
+    file: &str,
+    n: usize,
+    entries: impl Iterator<Item = (&'a str, &'a Selection)>,
+) -> Writer {
     let mut w = Writer::new();
     w.put_str(file);
-    w.put_u64(entries.len() as u64);
+    w.put_u64(n as u64);
+    let mut written = 0;
     for (dset, sel) in entries {
         w.put_str(dset);
         w.put(sel);
+        written += 1;
     }
-    w.finish()
+    debug_assert_eq!(written, n, "declared entry count");
+    w
 }
 
-/// Decode a data query. Rejects frames whose declared entry
-/// count could not possibly fit in the remaining bytes, so a corrupt
-/// length prefix fails cleanly instead of ballooning an allocation.
-pub fn dec_data_req_batch(b: &[u8]) -> H5Result<(String, Vec<(String, Selection)>)> {
+/// Decode a data query, names borrowed from the frame. Rejects frames
+/// whose declared entry count could not possibly fit in the remaining
+/// bytes, so a corrupt length prefix fails cleanly instead of ballooning
+/// an allocation.
+pub fn dec_data_req_batch(b: &[u8]) -> H5Result<(&str, Vec<(&str, Selection)>)> {
     let mut r = Reader::new(b);
-    let file = r.get_str()?;
+    let file = r.get_str_ref()?;
     let n = r.get_count(9)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push((r.get_str()?, r.get()?));
+        entries.push((r.get_str_ref()?, r.get()?));
     }
     expect_eof(&r)?;
     Ok((file, entries))
@@ -449,15 +476,21 @@ pub fn dec_data_req_batch(b: &[u8]) -> H5Result<(String, Vec<(String, Selection)
 
 /// Encode an `M_DONE` notification: just the filename.
 pub fn enc_done_req(file: &str) -> Bytes {
-    let mut w = Writer::new();
-    w.put_str(file);
-    w.finish()
+    done_req(file).finish()
 }
 
-/// Decode an `M_DONE` notification into the filename.
-pub fn dec_done_req(b: &[u8]) -> H5Result<String> {
+/// [`enc_done_req`] left open, with headroom for the RPC header.
+pub(crate) fn done_req(file: &str) -> Writer {
+    let mut w = Writer::new();
+    w.put_str(file);
+    w
+}
+
+/// Decode an `M_DONE` notification into the filename, borrowed from the
+/// frame.
+pub fn dec_done_req(b: &[u8]) -> H5Result<&str> {
     let mut r = Reader::new(b);
-    let file = r.get_str()?;
+    let file = r.get_str_ref()?;
     expect_eof(&r)?;
     Ok(file)
 }
@@ -535,6 +568,17 @@ pub fn dec_result(b: &Bytes) -> H5Result<Bytes> {
     }
 }
 
+/// The ok reply whose body was encoded into `body`: the discriminant goes
+/// into the headroom in front of it, so the frame stays one buffer.
+/// Flattened, it is identical to `enc_result(Ok(body))`.
+pub(crate) fn ok_reply(mut body: Writer) -> Bytes {
+    body.prepend(&[1]);
+    body.finish()
+}
+
+/// The ok reply with an empty body (an ack): one static byte.
+pub(crate) const OK_EMPTY: Bytes = Bytes::from_static(&[1]);
+
 /// Parts-preserving [`enc_result`]: the ok discriminant becomes its own
 /// one-byte part and the body's parts follow untouched, so a zero-copy
 /// reply stays zero-copy through the result wrapper. Flattened, the frame
@@ -572,11 +616,17 @@ pub fn dec_result_payload(mut p: Payload) -> H5Result<Payload> {
 /// mask (consumer caps ∩ producer caps), then the serialized
 /// [`FileMeta`] tree.
 pub fn enc_metadata_reply(gen: u64, codec_mask: u64, meta: &FileMeta) -> Bytes {
+    metadata_reply(gen, codec_mask, meta).finish()
+}
+
+/// [`enc_metadata_reply`] left open, with headroom for the result
+/// discriminant.
+pub(crate) fn metadata_reply(gen: u64, codec_mask: u64, meta: &FileMeta) -> Writer {
     let mut w = Writer::new();
     w.put_u64(gen);
     w.put_u64(codec_mask);
     w.put(meta);
-    w.finish()
+    w
 }
 
 /// Decode a metadata reply into `(generation, negotiated codec mask,
@@ -701,6 +751,11 @@ impl ReplyFrame {
 
     /// Append a header field to the current contiguous run.
     pub fn put_u64(&mut self, v: u64) {
+        if self.hdr.is_empty() {
+            // A run after a lent part starts from an empty buffer: size
+            // it for a typical entry header in one allocation.
+            self.hdr.reserve(64);
+        }
         self.hdr.put_u64(v);
     }
 
@@ -709,7 +764,7 @@ impl ReplyFrame {
     ///
     /// [`lend`]: ReplyFrame::lend
     pub fn put_blob_len(&mut self, len: u64) {
-        self.hdr.put_u64(len);
+        self.put_u64(len);
     }
 
     /// Lend a borrowed slice into the frame: the pending header run is
@@ -749,14 +804,26 @@ impl ReplyFrame {
 /// [`PayloadReader::copy_into`] scatters blob bytes straight into the
 /// caller's destination buffer — the single unavoidable copy of the
 /// zero-copy fetch path.
+///
+/// The cursor is a (part, offset) position plus a running count of the
+/// bytes left: reading never re-slices or drops a part, so walking a reply
+/// costs the same per field however many parts it has, and the parts are
+/// released together when the reader drops.
 pub struct PayloadReader {
     p: Payload,
+    /// Index of the part the next byte is in.
+    part: usize,
+    /// Offset of the next byte within that part.
+    off: usize,
+    /// Bytes past the cursor.
+    left: usize,
 }
 
 impl PayloadReader {
     /// Start reading `p` from its first byte.
     pub fn new(p: Payload) -> Self {
-        PayloadReader { p }
+        let left = p.len();
+        PayloadReader { p, part: 0, off: 0, left }
     }
 
     /// Read one byte off the front of the payload.
@@ -786,34 +853,28 @@ impl PayloadReader {
         n: usize,
         mut sink: impl FnMut(&[u8]) -> H5Result<()>,
     ) -> H5Result<()> {
-        let mut left = n;
-        for part in self.p.parts() {
-            if left == 0 {
-                break;
-            }
-            let take = part.len().min(left);
-            sink(&part[..take])?;
-            left -= take;
-        }
-        if left != 0 {
+        if n > self.left {
             return Err(self.truncated(n));
         }
-        self.p.advance(n);
+        let mut want = n;
+        while want > 0 {
+            let part = &self.p.parts()[self.part];
+            let take = (part.len() - self.off).min(want);
+            sink(&part[self.off..self.off + take])?;
+            self.step(take);
+            want -= take;
+        }
         Ok(())
     }
 
-    /// Skip `n` bytes (part-slicing, no copy).
+    /// Skip `n` bytes (no copy).
     pub fn skip(&mut self, n: usize) -> H5Result<()> {
-        if n > self.p.len() {
-            return Err(self.truncated(n));
-        }
-        self.p.advance(n);
-        Ok(())
+        self.read_chunks(n, |_| Ok(()))
     }
 
     /// Bytes remaining past the cursor.
     pub fn remaining(&self) -> usize {
-        self.p.len()
+        self.left
     }
 
     /// Read a `u64` element count, checking that that many elements of
@@ -839,18 +900,27 @@ impl PayloadReader {
     }
 
     fn read_exact(&mut self, dst: &mut [u8]) -> H5Result<()> {
-        if !self.p.copy_prefix(dst) {
-            return Err(self.truncated(dst.len()));
+        let mut filled = 0;
+        self.read_chunks(dst.len(), |chunk| {
+            dst[filled..filled + chunk.len()].copy_from_slice(chunk);
+            filled += chunk.len();
+            Ok(())
+        })
+    }
+
+    /// Move the cursor `n` bytes on, within the current part (`n` never
+    /// exceeds what is left of it), onto the next part at its end.
+    fn step(&mut self, n: usize) {
+        self.off += n;
+        self.left -= n;
+        if self.off == self.p.parts()[self.part].len() {
+            self.part += 1;
+            self.off = 0;
         }
-        self.p.advance(dst.len());
-        Ok(())
     }
 
     fn truncated(&self, need: usize) -> H5Error {
-        H5Error::Format(format!(
-            "truncated reply payload: need {need} bytes, have {}",
-            self.p.len()
-        ))
+        H5Error::Format(format!("truncated reply payload: need {need} bytes, have {}", self.left))
     }
 }
 
@@ -860,20 +930,36 @@ impl PayloadReader {
 /// outside `0..producers`, like a count the frame cannot hold, is a
 /// [`H5Error::Format`] here rather than an out-of-bounds index later.
 pub fn get_batch_owners(pr: &mut PayloadReader, producers: usize) -> H5Result<Vec<Vec<usize>>> {
-    let n = pr.get_count(8)?;
+    let n = get_batch_len(pr)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let k = pr.get_count(8)?;
-        let mut owners = Vec::with_capacity(k);
-        for _ in 0..k {
-            let o = pr.get_u64()?;
-            owners.push(usize::try_from(o).ok().filter(|&o| o < producers).ok_or_else(|| {
-                H5Error::Format(format!("owner rank {o} outside a task of {producers}"))
-            })?);
-        }
+        let mut owners = Vec::new();
+        get_owner_list(pr, producers, |o| owners.push(o))?;
         out.push(owners);
     }
     Ok(out)
+}
+
+/// Read the entry count that leads a data reply.
+pub(crate) fn get_batch_len(pr: &mut PayloadReader) -> H5Result<usize> {
+    pr.get_count(8)
+}
+
+/// Read one entry's owner list, handing each owner to `f` in wire order;
+/// an owner outside `0..producers` is a [`H5Error::Format`].
+pub(crate) fn get_owner_list(
+    pr: &mut PayloadReader,
+    producers: usize,
+    mut f: impl FnMut(usize),
+) -> H5Result<()> {
+    let k = pr.get_count(8)?;
+    for _ in 0..k {
+        let o = pr.get_u64()?;
+        f(usize::try_from(o).ok().filter(|&o| o < producers).ok_or_else(|| {
+            H5Error::Format(format!("owner rank {o} outside a task of {producers}"))
+        })?);
+    }
+    Ok(())
 }
 
 /// A decoded data-reply header: `(generation, segments, blob length in
@@ -886,9 +972,22 @@ pub type DataReplyHeader = (u64, Vec<(u64, u64)>, usize);
 /// entry of a batch. Counts are validated against the bytes actually
 /// present, exactly like the contiguous decoders.
 pub fn get_data_reply_header(pr: &mut PayloadReader) -> H5Result<DataReplyHeader> {
+    let mut segs = Vec::new();
+    let (gen, blob_len) = get_data_reply_header_into(pr, &mut segs)?;
+    Ok((gen, segs, blob_len))
+}
+
+/// [`get_data_reply_header`] into a caller's segment list (cleared
+/// first), so that one list serves every entry of a read: returns
+/// `(generation, blob length in bytes)`.
+pub(crate) fn get_data_reply_header_into(
+    pr: &mut PayloadReader,
+    segs: &mut Vec<(u64, u64)>,
+) -> H5Result<(u64, usize)> {
     let gen = pr.get_u64()?;
     let n = pr.get_count(16)?;
-    let mut segs = Vec::with_capacity(n);
+    segs.clear();
+    segs.reserve(n);
     for _ in 0..n {
         segs.push((pr.get_u64()?, pr.get_u64()?));
     }
@@ -899,7 +998,7 @@ pub fn get_data_reply_header(pr: &mut PayloadReader) -> H5Result<DataReplyHeader
             pr.remaining()
         )));
     }
-    Ok((gen, segs, blob_len))
+    Ok((gen, blob_len))
 }
 
 // ---------------------------------------------------------------------
@@ -914,29 +1013,40 @@ pub fn get_data_reply_header(pr: &mut PayloadReader) -> H5Result<DataReplyHeader
 /// ```
 /// use lowfive::protocol::{enc_index_bundle, dec_index_bundle};
 /// use minih5::BBox;
-/// let entries =
-///     vec![("f.h5".to_string(), "grid".to_string(), 1, BBox::new(vec![0], vec![5]))];
-/// assert_eq!(dec_index_bundle(&enc_index_bundle(&entries)).unwrap(), entries);
+/// let bb = BBox::new(vec![0], vec![5]);
+/// let entries = vec![("f.h5".to_string(), "grid".to_string(), 1, bb.clone())];
+/// assert_eq!(dec_index_bundle(&enc_index_bundle(&entries)).unwrap(), vec![("f.h5", "grid", 1, bb)]);
 /// ```
 pub fn enc_index_bundle(entries: &[(String, String, u64, BBox)]) -> Bytes {
     let mut w = Writer::new();
-    w.put_u64(entries.len() as u64);
     for (file, dset, gen, bb) in entries {
-        w.put_str(file);
-        w.put_str(dset);
-        w.put_u64(*gen);
-        w.put(bb);
+        put_index_entry(&mut w, file, dset, *gen, bb);
     }
+    finish_index_bundle(w, entries.len() as u64)
+}
+
+/// Append one entry of an index bundle to `w`, from borrowed names.
+pub(crate) fn put_index_entry(w: &mut Writer, file: &str, dset: &str, gen: u64, bb: &BBox) {
+    w.put_str(file);
+    w.put_str(dset);
+    w.put_u64(gen);
+    w.put(bb);
+}
+
+/// Close a bundle of `n` entries written with [`put_index_entry`]: the
+/// count that leads it goes into the headroom in front of them.
+pub(crate) fn finish_index_bundle(mut w: Writer, n: u64) -> Bytes {
+    w.prepend(&n.to_le_bytes());
     w.finish()
 }
 
-/// Decode an index bundle.
-pub fn dec_index_bundle(b: &[u8]) -> H5Result<Vec<(String, String, u64, BBox)>> {
+/// Decode an index bundle, names borrowed from the frame.
+pub fn dec_index_bundle(b: &[u8]) -> H5Result<Vec<(&str, &str, u64, BBox)>> {
     let mut r = Reader::new(b);
     let n = r.get_count(25)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push((r.get_str()?, r.get_str()?, r.get_u64()?, r.get()?));
+        out.push((r.get_str_ref()?, r.get_str_ref()?, r.get_u64()?, r.get()?));
     }
     expect_eof(&r)?;
     Ok(out)
@@ -964,10 +1074,15 @@ pub const STEP_POLICY_SKIP_OK: u8 = 2;
 /// assert_eq!(dec_step_sub_req(&frame).unwrap(), ("sim.h5".into(), CAP_RAW));
 /// ```
 pub fn enc_step_sub_req(series: &str, caps: u64) -> Bytes {
+    step_sub_req(series, caps).finish()
+}
+
+/// [`enc_step_sub_req`] left open, with headroom for the RPC header.
+pub(crate) fn step_sub_req(series: &str, caps: u64) -> Writer {
     let mut w = Writer::new();
     w.put_str(series);
     w.put_u64(caps);
-    w.finish()
+    w
 }
 
 /// Decode a step-subscribe request into `(series, subscriber caps)`.
@@ -1019,12 +1134,17 @@ pub fn dec_step_sub_reply(b: &[u8]) -> H5Result<(u64, u64, bool, u64)> {
 /// assert_eq!(dec_step_next_req(&frame).unwrap(), ("sim.h5".into(), 4, STEP_POLICY_SKIP_OK, 2));
 /// ```
 pub fn enc_step_next_req(series: &str, cursor: u64, policy: u8, skip: u64) -> Bytes {
+    step_next_req(series, cursor, policy, skip).finish()
+}
+
+/// [`enc_step_next_req`] left open, with headroom for the RPC header.
+pub(crate) fn step_next_req(series: &str, cursor: u64, policy: u8, skip: u64) -> Writer {
     let mut w = Writer::new();
     w.put_str(series);
     w.put_u64(cursor);
     w.put_u8(policy);
     w.put_u64(skip);
-    w.finish()
+    w
 }
 
 /// Decode a step-next request into `(series, cursor, policy code, skip)`.
@@ -1128,10 +1248,15 @@ pub fn dec_step_next_reply(b: &[u8]) -> H5Result<StepNextReply> {
 /// assert_eq!(dec_step_ack_req(&enc_step_ack_req("sim.h5", 12)).unwrap(), ("sim.h5".into(), 12));
 /// ```
 pub fn enc_step_ack_req(series: &str, cursor: u64) -> Bytes {
+    step_ack_req(series, cursor).finish()
+}
+
+/// [`enc_step_ack_req`] left open, with headroom for the RPC header.
+pub(crate) fn step_ack_req(series: &str, cursor: u64) -> Writer {
     let mut w = Writer::new();
     w.put_str(series);
     w.put_u64(cursor);
-    w.finish()
+    w
 }
 
 /// Decode a step-ack request into `(series, cursor)`.
@@ -1149,7 +1274,7 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         let frame = enc_metadata_req("a.h5", CAP_ALL);
-        assert_eq!(dec_metadata_req(&frame).unwrap(), ("a.h5".into(), CAP_ALL));
+        assert_eq!(dec_metadata_req(&frame).unwrap(), ("a.h5", CAP_ALL));
         assert_eq!(dec_done_req(&enc_done_req("a.h5")).unwrap(), "a.h5");
     }
 
@@ -1180,8 +1305,11 @@ mod tests {
             ("f.h5".to_string(), "g/grid".to_string(), 1, BBox::new(vec![0], vec![5])),
             ("f.h5".to_string(), "g/p".to_string(), 2, BBox::new(vec![5], vec![9])),
         ];
-        let back = dec_index_bundle(&enc_index_bundle(&entries)).unwrap();
-        assert_eq!(back, entries);
+        let frame = enc_index_bundle(&entries);
+        let back = dec_index_bundle(&frame).unwrap();
+        let owned: Vec<_> =
+            back.into_iter().map(|(f, d, g, bb)| (f.to_string(), d.to_string(), g, bb)).collect();
+        assert_eq!(owned, entries);
     }
 
     fn reply(gen: u64, owners: &[usize], segs: &[(u64, u64)], blob: &[u8]) -> DataReply {
@@ -1248,6 +1376,50 @@ mod tests {
         assert!(pr.get_u64().is_err(), "reading past the end must fail cleanly");
     }
 
+    /// A reply cut into 200 parts — cuts inside header fields, owner
+    /// lists, segment tables and blobs — reads exactly as the contiguous
+    /// frame it flattens to, and a truncated one still fails cleanly.
+    #[test]
+    fn payload_reader_reads_a_finely_split_reply_identically() {
+        let replies: Vec<DataReply> = (0..12u64)
+            .map(|i| DataReply {
+                gen: 40 + i,
+                owners: (0..(i % 3) as usize).collect(),
+                segs: (0..i % 4).map(|k| (k * 7, k + 1)).collect(),
+                blob: Bytes::from(
+                    (0..(i % 4) * (i % 4 + 1) / 2 * 8).map(|b| b as u8).collect::<Vec<u8>>(),
+                ),
+            })
+            .collect();
+        let flat = enc_data_reply_batch(&replies);
+        let mut cuts: Vec<usize> = (1..200).map(|k| k * 7919 % flat.len()).collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut parts = Vec::new();
+        let mut at = 0;
+        for &c in cuts.iter().chain([&flat.len()]) {
+            parts.push(flat.slice(at..c));
+            at = c;
+        }
+        let split = Payload::from_parts(parts);
+        assert!(split.num_parts() > 150, "{} parts", split.num_parts());
+        let mut pr = PayloadReader::new(split.clone());
+        let owners = get_batch_owners(&mut pr, 3).unwrap();
+        for (r, owners) in replies.iter().zip(owners) {
+            let (gen, segs, blob_len) = get_data_reply_header(&mut pr).unwrap();
+            let mut blob = vec![0u8; blob_len];
+            pr.copy_into(&mut blob).unwrap();
+            assert_eq!(DataReply { gen, owners, segs, blob: Bytes::from(blob) }, *r);
+        }
+        pr.expect_end().unwrap();
+        let mut short = PayloadReader::new(split);
+        short.skip(flat.len() - 3).unwrap();
+        assert!(short.get_u64().is_err(), "a field past the end is a clean error");
+        assert!(short.skip(4).is_err());
+        short.skip(3).unwrap();
+        short.expect_end().unwrap();
+    }
+
     #[test]
     fn payload_reader_rejects_corrupt_counts() {
         // Absurd segment count.
@@ -1298,11 +1470,14 @@ mod tests {
             ("g/particles".to_string(), Selection::all()),
             ("g/grid".to_string(), Selection::points(2, &[&[1, 1], &[2, 3]])),
         ];
-        let (file, back) = dec_data_req_batch(&enc_data_req_batch("s.h5", &entries)).unwrap();
+        let frame = enc_data_req_batch("s.h5", &entries);
+        let (file, back) = dec_data_req_batch(&frame).unwrap();
         assert_eq!(file, "s.h5");
-        assert_eq!(back, entries);
+        let owned: Vec<_> = back.into_iter().map(|(d, sel)| (d.to_string(), sel)).collect();
+        assert_eq!(owned, entries);
 
-        let (file, back) = dec_data_req_batch(&enc_data_req_batch("empty.h5", &[])).unwrap();
+        let empty = enc_data_req_batch("empty.h5", &[]);
+        let (file, back) = dec_data_req_batch(&empty).unwrap();
         assert_eq!(file, "empty.h5");
         assert!(back.is_empty());
     }

@@ -7,42 +7,83 @@
 //! little-endian encoding with length-prefixed strings and vectors, plus
 //! `Encode`/`Decode` impls for the data-model types.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::error::{H5Error, H5Result};
 
 /// Serializer over a growable byte buffer.
-#[derive(Default)]
+///
+/// A writer made by [`Writer::new`] keeps [`Writer::HEADROOM`] free bytes
+/// in front of what it writes, so a framing layer further down can put
+/// its header there with [`Writer::prepend`] — an RPC request's method
+/// and call id, a reply's ok discriminant — and the whole frame still
+/// leaves in the one buffer it was encoded into.
+#[derive(Clone)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
+    /// Index of the first written byte; everything before it is free
+    /// headroom.
+    head: usize,
+}
+
+impl Default for Writer {
+    /// A writer with no headroom and no buffer yet: creating one never
+    /// allocates.
+    fn default() -> Self {
+        Writer { buf: Vec::new(), head: 0 }
+    }
 }
 
 impl Writer {
-    /// An empty writer with room for a typical control frame, so that
-    /// encoding one does not walk the buffer up through 8, 16, 32, … bytes.
+    /// Free bytes a [`Writer::new`] keeps in front of its contents: room
+    /// for the largest header any layer prepends (an RPC request's
+    /// 4-byte method and 8-byte call id).
+    pub const HEADROOM: usize = 16;
+
+    /// An empty writer with headroom and with room for a typical control
+    /// frame, so that encoding one takes a single allocation instead of
+    /// walking the buffer up through 8, 16, 32, … bytes.
     pub fn new() -> Self {
-        Writer { buf: BytesMut::with_capacity(128) }
+        Writer::with_room(240)
+    }
+
+    /// An empty writer with headroom and room for `n` bytes.
+    fn with_room(n: usize) -> Self {
+        let mut buf = Vec::with_capacity(Self::HEADROOM + n);
+        buf.resize(Self::HEADROOM, 0);
+        Writer { buf, head: Self::HEADROOM }
+    }
+
+    /// Put `v` in front of everything written so far: into the headroom
+    /// when it fits (no byte moves), else by shifting the contents.
+    pub fn prepend(&mut self, v: &[u8]) {
+        if v.len() <= self.head {
+            self.head -= v.len();
+            self.buf[self.head..self.head + v.len()].copy_from_slice(v);
+        } else {
+            self.buf.splice(self.head..self.head, v.iter().copied());
+        }
     }
 
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     pub fn put_str(&mut self, v: &str) {
@@ -58,23 +99,35 @@ impl Writer {
 
     /// Append raw bytes with no length prefix (caller knows the framing).
     pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     pub fn put<T: Encode>(&mut self, v: &T) {
         v.encode(self);
     }
 
+    /// Make room for at least `n` more bytes.
+    pub fn reserve(&mut self, n: usize) {
+        self.buf.reserve(n);
+    }
+
+    /// Bytes written (and prepended) so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
+    /// Freeze what was written into one refcounted buffer. The buffer is
+    /// adopted, not copied; unused headroom stays outside the window.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+        if self.is_empty() {
+            return Bytes::new();
+        }
+        let head = self.head;
+        Bytes::from(self.buf).slice(head..)
     }
 
     /// Freeze and hand out everything written so far, leaving the writer
@@ -82,7 +135,22 @@ impl Writer {
     /// header runs with borrowed payload parts flush the pending header
     /// through this before lending the next part.
     pub fn take(&mut self) -> Bytes {
-        std::mem::take(&mut self.buf).freeze()
+        std::mem::take(self).finish()
+    }
+}
+
+impl From<&[u8]> for Writer {
+    /// A writer holding a copy of `v`, with headroom in front.
+    fn from(v: &[u8]) -> Self {
+        let mut w = Writer::with_room(v.len());
+        w.put_raw(v);
+        w
+    }
+}
+
+impl std::fmt::Debug for Writer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Writer").field("len", &self.len()).field("headroom", &self.head).finish()
     }
 }
 
@@ -132,8 +200,14 @@ impl<'a> Reader<'a> {
     }
 
     pub fn get_str(&mut self) -> H5Result<String> {
+        self.get_str_ref().map(str::to_owned)
+    }
+
+    /// [`Reader::get_str`] borrowed from the input: for a caller that only
+    /// looks the name up, no allocation.
+    pub fn get_str_ref(&mut self) -> H5Result<&'a str> {
         let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| H5Error::Format("invalid UTF-8".into()))
+        std::str::from_utf8(b).map_err(|_| H5Error::Format("invalid UTF-8".into()))
     }
 
     pub fn get_u64s(&mut self) -> H5Result<Vec<u64>> {
@@ -218,6 +292,27 @@ mod tests {
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_u64s().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// Prepended bytes land in the headroom, or — past it — still in
+    /// front; either way the frame reads back in order.
+    #[test]
+    fn prepend_fills_headroom_then_shifts() {
+        let mut w = Writer::new();
+        w.put_u64(7);
+        w.prepend(&[1, 2, 3, 4]);
+        assert_eq!(w.len(), 12);
+        w.prepend(&[9; Writer::HEADROOM]);
+        assert_eq!(w.len(), 12 + Writer::HEADROOM);
+        let b = w.finish();
+        assert_eq!(&b[..Writer::HEADROOM], &[9; Writer::HEADROOM]);
+        assert_eq!(&b[Writer::HEADROOM..Writer::HEADROOM + 4], &[1, 2, 3, 4]);
+        assert_eq!(Reader::new(&b[Writer::HEADROOM + 4..]).get_u64().unwrap(), 7);
+        let mut bare = Writer::default();
+        bare.prepend(b"ab");
+        bare.put_raw(b"cd");
+        assert_eq!(&bare.finish()[..], b"abcd");
+        assert!(Writer::new().finish().is_empty());
     }
 
     #[test]

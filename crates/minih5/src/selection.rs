@@ -87,9 +87,12 @@ impl BBox {
         BBox { lo, hi }
     }
 
-    /// True if the intersection with `other` is non-empty.
+    /// True if the intersection with `other` is non-empty: every
+    /// dimension's larger lower corner lies below its smaller upper one.
+    /// Compared in place; no box is built.
     pub fn intersects(&self, other: &BBox) -> bool {
-        !self.intersect(other).is_empty()
+        assert_eq!(self.rank(), other.rank(), "box ranks differ");
+        (0..self.rank()).all(|i| self.lo[i].max(other.lo[i]) < self.hi[i].min(other.hi[i]))
     }
 
     /// True if `coord` lies inside the box.
@@ -352,6 +355,24 @@ impl Selection {
         }
     }
 
+    /// Whether the selection's bounding box within `space` intersects
+    /// `bb`: `self.bbox(space).intersects(bb)`, compared in place for `All`
+    /// and hyperslabs (a points or union selection builds its box).
+    pub fn bbox_intersects(&self, space: &Dataspace, bb: &BBox) -> bool {
+        let overlap = |i: usize, lo: u64, hi: u64| lo.max(bb.lo[i]) < hi.min(bb.hi[i]);
+        match self {
+            Selection::All => {
+                assert_eq!(space.rank(), bb.rank(), "box ranks differ");
+                space.dims().iter().enumerate().all(|(i, &d)| overlap(i, 0, d))
+            }
+            Selection::Hyperslab(dims) => {
+                assert_eq!(dims.len(), bb.rank(), "box ranks differ");
+                dims.iter().enumerate().all(|(i, d)| overlap(i, d.start, d.upper()))
+            }
+            _ => self.bbox(space).intersects(bb),
+        }
+    }
+
     /// Decompose into sorted, maximal contiguous runs of the row-major
     /// linearization of `space`.
     ///
@@ -508,9 +529,11 @@ fn hyperslab_runs(dims: &[SlabDim], space: &Dataspace) -> Vec<Run> {
         kept -= 1;
         scale *= dims[kept].n();
     }
-    let strides = space.strides();
     let inner = dims[kept - 1];
     let outer = &dims[..kept - 1];
+    // Elements per step of the last outer index: a row's base offset is
+    // its outer indices in mixed radix over `space.dims()`, times this.
+    let row: u64 = space.dims()[kept - 1..].iter().product();
 
     // Odometer over (k, b) pairs of each outer dimension.
     let mut counters: Vec<(u64, u64)> = vec![(0, 0); outer.len()];
@@ -520,9 +543,9 @@ fn hyperslab_runs(dims: &[SlabDim], space: &Dataspace) -> Vec<Run> {
         let base: u64 = counters
             .iter()
             .zip(outer)
-            .zip(&strides)
-            .map(|(((k, b), d), s)| (d.start + k * d.stride + b) * s)
-            .sum();
+            .zip(space.dims())
+            .fold(0, |acc, (((k, b), d), &ext)| acc * ext + d.start + k * d.stride + b)
+            * row;
         // Inner-dimension segments.
         for j in 0..inner.count {
             let off = base + (inner.start + j * inner.stride) * scale;
@@ -557,6 +580,13 @@ fn hyperslab_runs(dims: &[SlabDim], space: &Dataspace) -> Vec<Run> {
 /// overlapping piece within A's and B's packed buffers respectively.
 pub fn overlap_runs(a: &[Run], b: &[Run]) -> Vec<OverlapRun> {
     let mut out = Vec::new();
+    for_each_overlap(a, b, |o| out.push(o));
+    out
+}
+
+/// [`overlap_runs`] handed to `f` one piece at a time, in order, for a
+/// caller that consumes the pieces as they come instead of keeping them.
+pub fn for_each_overlap(a: &[Run], b: &[Run], mut f: impl FnMut(OverlapRun)) {
     let (mut i, mut j) = (0usize, 0usize);
     let (mut a_cum, mut b_cum) = (0u64, 0u64);
     while i < a.len() && j < b.len() {
@@ -564,7 +594,7 @@ pub fn overlap_runs(a: &[Run], b: &[Run]) -> Vec<OverlapRun> {
         let lo = ra.offset.max(rb.offset);
         let hi = (ra.offset + ra.len).min(rb.offset + rb.len);
         if lo < hi {
-            out.push(OverlapRun {
+            f(OverlapRun {
                 offset: lo,
                 len: hi - lo,
                 a_off: a_cum + (lo - ra.offset),
@@ -580,7 +610,6 @@ pub fn overlap_runs(a: &[Run], b: &[Run]) -> Vec<OverlapRun> {
             j += 1;
         }
     }
-    out
 }
 
 /// Pack the selected elements of a full row-major buffer into a contiguous

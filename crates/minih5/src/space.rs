@@ -112,7 +112,7 @@ impl Dataspace {
     /// Panics (debug) if `coord` has the wrong rank.
     pub fn linearize(&self, coord: &[u64]) -> u64 {
         debug_assert_eq!(coord.len(), self.dims.len());
-        self.strides().iter().zip(coord).map(|(s, c)| s * c).sum()
+        coord.iter().zip(&self.dims).fold(0, |acc, (c, d)| acc * d + c)
     }
 
     /// Inverse of [`Dataspace::linearize`].

@@ -281,3 +281,29 @@ fn overlap_of_identical_selection_is_identity() {
     assert_eq!(flat, runs);
     assert!(ov.iter().all(|o| o.a_off == o.b_off));
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, .. ProptestConfig::default() })]
+
+    /// `bbox_intersects` is the box test it replaces — build the
+    /// selection's bounding box, intersect — for hyperslabs, `All` and
+    /// point selections, against boxes that may be empty, inverted or
+    /// reach past the space.
+    #[test]
+    fn bbox_intersects_matches_the_built_box(
+        (space, slab) in space_and_slab(),
+        seed in any::<u64>(),
+    ) {
+        let corner = |i: usize, shift: usize| (seed >> (i * 10 + shift)) % (space.dims()[i] + 3);
+        let rank = space.rank();
+        let bb = minih5::BBox::new(
+            (0..rank).map(|i| corner(i, 0)).collect(),
+            (0..rank).map(|i| corner(i, 5)).collect(),
+        );
+        let point: Vec<u64> = space.dims().iter().map(|&d| seed % d).collect();
+        let points = Selection::points(rank, &[&point]);
+        for sel in [slab, Selection::all(), points] {
+            prop_assert_eq!(sel.bbox_intersects(&space, &bb), sel.bbox(&space).intersects(&bb));
+        }
+    }
+}

@@ -16,6 +16,12 @@
 
 use bytes::{Bytes, BytesMut};
 
+/// Parts a payload holds without a heap-allocated part list. A control
+/// frame is one part, or two (a reply body behind its borrowed call id),
+/// and anything longer is a lent data reply of at least four; two inline
+/// parts also keep an envelope small enough to hand back by value.
+const INLINE: usize = 2;
+
 /// An ordered, refcounted, possibly multi-part message payload.
 ///
 /// Equality and the wire format are defined on the *concatenated* byte
@@ -23,7 +29,67 @@ use bytes::{Bytes, BytesMut};
 /// flattened content are interchangeable on the wire.
 #[derive(Debug, Clone, Default)]
 pub struct Payload {
-    parts: Vec<Bytes>,
+    parts: Parts,
+}
+
+/// The part list: up to [`INLINE`] parts in place, more on the heap.
+/// Unused inline slots hold the empty static `Bytes`, which owns nothing.
+#[derive(Debug, Clone)]
+enum Parts {
+    Inline { len: usize, parts: [Bytes; INLINE] },
+    Heap(Vec<Bytes>),
+}
+
+impl Default for Parts {
+    fn default() -> Self {
+        Parts::Inline { len: 0, parts: [Bytes::new(), Bytes::new()] }
+    }
+}
+
+impl Parts {
+    fn as_slice(&self) -> &[Bytes] {
+        match self {
+            Parts::Inline { len, parts } => &parts[..*len],
+            Parts::Heap(v) => v,
+        }
+    }
+
+    /// Insert `part` at `at`, spilling to the heap once the inline slots
+    /// are full.
+    fn insert(&mut self, at: usize, part: Bytes) {
+        match self {
+            Parts::Inline { len, parts } if *len < INLINE => {
+                parts[*len] = part;
+                parts[at..=*len].rotate_right(1);
+                *len += 1;
+            }
+            Parts::Inline { parts, .. } => {
+                // Room for a small lent reply — a header run, a few
+                // slices, the tags and call id in front — in one go.
+                let mut v = Vec::with_capacity(8);
+                v.extend(parts.iter_mut().map(std::mem::take));
+                v.insert(at, part);
+                *self = Parts::Heap(v);
+            }
+            Parts::Heap(v) => v.insert(at, part),
+        }
+    }
+
+    /// Drop the first `k` parts.
+    fn drop_front(&mut self, k: usize) {
+        match self {
+            Parts::Inline { len, parts } => {
+                parts[..*len].rotate_left(k);
+                for p in &mut parts[*len - k..*len] {
+                    *p = Bytes::new();
+                }
+                *len -= k;
+            }
+            Parts::Heap(v) => {
+                v.drain(..k);
+            }
+        }
+    }
 }
 
 impl Payload {
@@ -32,15 +98,20 @@ impl Payload {
         Payload::default()
     }
 
-    /// The empty payload with room for `parts` parts.
+    /// The empty payload with room for `parts` parts (up to two need no
+    /// heap allocation at all).
     pub fn with_capacity(parts: usize) -> Self {
-        Payload { parts: Vec::with_capacity(parts) }
+        if parts <= INLINE {
+            Payload::new()
+        } else {
+            Payload { parts: Parts::Heap(Vec::with_capacity(parts)) }
+        }
     }
 
     /// Build from explicit parts. Empty parts are dropped (they carry no
     /// bytes and would only slow part-walking receivers down).
     pub fn from_parts(parts: Vec<Bytes>) -> Self {
-        let mut p = Payload::new();
+        let mut p = Payload::with_capacity(parts.len());
         for b in parts {
             p.push(b);
         }
@@ -50,33 +121,45 @@ impl Payload {
     /// Append one part (no copy; empty parts are dropped).
     pub fn push(&mut self, part: Bytes) {
         if !part.is_empty() {
-            self.parts.push(part);
+            self.parts.insert(self.num_parts(), part);
+        }
+    }
+
+    /// Put one part in front of the others (no copy; an empty part is
+    /// dropped). Framing layers prefix a header this way without building
+    /// a new part list.
+    pub fn prepend(&mut self, part: Bytes) {
+        if !part.is_empty() {
+            self.parts.insert(0, part);
         }
     }
 
     /// Append every part of `other` (no copy).
     pub fn extend(&mut self, other: Payload) {
-        self.parts.extend(other.parts);
+        match other.parts {
+            Parts::Inline { len, parts } => parts.into_iter().take(len).for_each(|p| self.push(p)),
+            Parts::Heap(v) => v.into_iter().for_each(|p| self.push(p)),
+        }
     }
 
     /// Total logical length in bytes (sum over parts).
     pub fn len(&self) -> usize {
-        self.parts.iter().map(Bytes::len).sum()
+        self.parts().iter().map(Bytes::len).sum()
     }
 
     /// True when the payload carries no bytes.
     pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
+        self.parts().is_empty()
     }
 
     /// The parts, in order. Never contains an empty part.
     pub fn parts(&self) -> &[Bytes] {
-        &self.parts
+        self.parts.as_slice()
     }
 
     /// Number of parts.
     pub fn num_parts(&self) -> usize {
-        self.parts.len()
+        self.parts().len()
     }
 
     /// Drop the first `n` logical bytes by slicing parts in place — no
@@ -84,25 +167,32 @@ impl Payload {
     ///
     /// # Panics
     /// Panics if `n > self.len()`.
-    pub fn advance(&mut self, mut n: usize) {
-        let mut keep_from = 0;
-        for (i, part) in self.parts.iter_mut().enumerate() {
-            if n == 0 {
-                keep_from = i;
-                break;
+    pub fn advance(&mut self, n: usize) {
+        let (whole, rest) = self.locate(n);
+        self.parts.drop_front(whole);
+        if rest > 0 {
+            let first = match &mut self.parts {
+                Parts::Inline { parts, .. } => &mut parts[0],
+                Parts::Heap(v) => &mut v[0],
+            };
+            *first = first.slice(rest..);
+        }
+    }
+
+    /// Where logical byte `n` sits: the number of whole parts before it
+    /// and its offset into the next part.
+    ///
+    /// # Panics
+    /// Panics if `n > self.len()`.
+    fn locate(&self, mut n: usize) -> (usize, usize) {
+        for (i, part) in self.parts().iter().enumerate() {
+            if n < part.len() {
+                return (i, n);
             }
-            if n >= part.len() {
-                n -= part.len();
-                keep_from = i + 1;
-            } else {
-                *part = part.slice(n..);
-                n = 0;
-                keep_from = i;
-                break;
-            }
+            n -= part.len();
         }
         assert!(n == 0, "advance past end of payload");
-        self.parts.drain(..keep_from);
+        (self.num_parts(), 0)
     }
 
     /// A contiguous view of the whole payload.
@@ -110,14 +200,14 @@ impl Payload {
     /// Zero or one part: free (empty / refcount bump). More: a
     /// gather-copy, accounted under [`obsv::Ctr::BytesCopied`].
     pub fn to_bytes(&self) -> Bytes {
-        match self.parts.len() {
-            0 => Bytes::new(),
-            1 => self.parts[0].clone(),
-            _ => {
+        match self.parts() {
+            [] => Bytes::new(),
+            [one] => one.clone(),
+            parts => {
                 let total = self.len();
                 obsv::counter_add(obsv::Ctr::BytesCopied, total as u64);
                 let mut buf = Vec::with_capacity(total);
-                for part in &self.parts {
+                for part in parts {
                     buf.extend_from_slice(part);
                 }
                 Bytes::from(buf)
@@ -127,10 +217,9 @@ impl Payload {
 
     /// Consuming variant of [`Payload::to_bytes`].
     pub fn into_bytes(mut self) -> Bytes {
-        if self.parts.len() <= 1 {
-            self.parts.pop().unwrap_or_default()
-        } else {
-            self.to_bytes()
+        match &mut self.parts {
+            Parts::Inline { len: 0 | 1, parts } => std::mem::take(&mut parts[0]),
+            _ => self.to_bytes(),
         }
     }
 
@@ -141,7 +230,7 @@ impl Payload {
     /// Returns false when the payload is shorter than `dst`.
     pub fn copy_prefix(&self, dst: &mut [u8]) -> bool {
         let mut filled = 0;
-        for part in &self.parts {
+        for part in self.parts() {
             if filled == dst.len() {
                 break;
             }
@@ -246,6 +335,35 @@ mod tests {
     #[should_panic(expected = "advance past end")]
     fn advance_past_end_panics() {
         rope(&[b"ab"]).advance(3);
+    }
+
+    /// Up to two parts live inline; a third spills to the heap, and
+    /// prepending and advancing keep the order either way.
+    #[test]
+    fn inline_and_spilled_parts_keep_their_order() {
+        let mut p = rope(&[b"ef"]);
+        p.prepend(Bytes::from_static(b"cd"));
+        assert!(matches!(p.parts, Parts::Inline { len: 2, .. }));
+        assert_eq!(&p.to_bytes()[..], b"cdef");
+        p.prepend(Bytes::from_static(b"ab"));
+        assert!(matches!(p.parts, Parts::Heap(_)));
+        assert_eq!(&p.to_bytes()[..], b"abcdef");
+        p.prepend(Bytes::from_static(b"__"));
+        p.push(Bytes::from_static(b"gh"));
+        assert!(matches!(p.parts, Parts::Heap(_)));
+        assert_eq!(p.num_parts(), 5);
+        assert_eq!(&p.to_bytes()[..], b"__abcdefgh");
+        p.advance(5);
+        assert_eq!(&p.to_bytes()[..], b"defgh");
+        let mut q = rope(&[b"ab", b"cd"]);
+        q.advance(3);
+        assert_eq!(q.num_parts(), 1);
+        assert_eq!(&q.to_bytes()[..], b"d");
+        q.prepend(Bytes::new());
+        assert_eq!(q.num_parts(), 1, "an empty part is dropped");
+        let mut joined = rope(&[b"x"]);
+        joined.extend(rope(&[b"y", b"z", b"w"]));
+        assert_eq!(&joined.into_bytes()[..], b"xyzw");
     }
 
     #[test]
