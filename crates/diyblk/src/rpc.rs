@@ -287,6 +287,16 @@ pub fn send_reply(comm: &Comm, caller: Caller, reply: Bytes) {
     send_reply_parts(comm, caller, reply.into());
 }
 
+/// As [`send_reply`], for a reply still open in the [`Writer`] it was
+/// encoded into: the call id goes into the writer's headroom, so a
+/// deferred reply leaves in one buffer, like an immediate one.
+pub fn send_reply_frame(comm: &Comm, caller: Caller, mut reply: Writer) {
+    if caller.call_id != NOTIFY_ID {
+        reply.prepend(&caller.call_id.to_le_bytes());
+        comm.send(caller.rank, TAG_REPLY, reply.finish());
+    }
+}
+
 /// As [`send_reply`], but the body is a multi-part [`Payload`] whose parts
 /// travel to the caller without being gathered into one buffer. A
 /// deferred reply no longer has its request, so its call id part is a

@@ -631,36 +631,24 @@ impl DistMetadataVol {
         coded
     }
 
-    /// [`Self::encode_reply_body`] flattened to contiguous bytes, for
-    /// the small single-part control replies (step announces).
-    pub(crate) fn encode_reply_bytes(&self, file: &str, caller: usize, body: Bytes) -> Bytes {
-        let coded = self.encode_reply_body(file, caller, Payload::from(body));
-        // Control frames are header-sized; flatten by hand so the gather
-        // stays outside the dataset-byte `BytesCopied` accounting.
-        let mut v = Vec::with_capacity(coded.len());
-        for part in coded.parts() {
-            v.extend_from_slice(part);
+    /// The ok frame of a small control body still open in its `Writer` (a
+    /// step announce), coded toward `caller`. Shipped raw, as `Auto` ships
+    /// a body this small, it stays the one buffer ([`ok_raw_coded`]).
+    pub(crate) fn coded_ok_reply(&self, file: &str, caller: usize, body: Writer) -> Writer {
+        let len = body.len();
+        if self.pick_codec(file, caller, self.negotiated_mask(file, caller), len) == CODEC_RAW {
+            obsv::counter_add(obsv::Ctr::BytesPreCodec, len as u64);
+            obsv::counter_add(obsv::Ctr::BytesOnWire, len as u64);
+            return ok_raw_coded(body);
         }
-        Bytes::from(v)
+        let coded = self.encode_reply_body(file, caller, Payload::from(body.finish()));
+        result_frame(Ok(Writer::from(&coded.into_bytes()[..])))
     }
 
-    /// Strip and expand the codec prefix of a contiguous reply body.
-    /// `allowed` is this consumer's own advertised cap set — a producer
-    /// may only use codecs we offered.
-    pub(crate) fn decode_reply_body(&self, file: &str, b: &Bytes) -> H5Result<Bytes> {
-        let allowed = self.props.wire_codec_for(file).caps();
-        if b.first() == Some(&CODEC_RAW) {
-            return dec_coded(b, allowed);
-        }
-        let t0 = obsv::clock::now_ns();
-        let out = dec_coded(b, allowed)?;
-        obsv::hist_record(obsv::Hist::CodecLatencyNs, obsv::clock::now_ns() - t0);
-        Ok(out)
-    }
-
-    /// Parts-preserving [`Self::decode_reply_body`] for the scatter path
-    /// of data replies: a raw body sheds its prefix in place.
-    fn decode_reply_payload(&self, file: &str, p: Payload) -> H5Result<Payload> {
+    /// Strip and expand the codec prefix of a reply body, parts preserved:
+    /// a raw body sheds its prefix in place. `allowed` is this consumer's
+    /// own advertised cap set — a producer may only use codecs we offered.
+    pub(crate) fn decode_reply_payload(&self, file: &str, p: Payload) -> H5Result<Payload> {
         let allowed = self.props.wire_codec_for(file).caps();
         let mut d = [0u8; 1];
         if p.copy_prefix(&mut d) && d[0] == CODEC_RAW {
@@ -727,8 +715,8 @@ impl DistMetadataVol {
         let n = self.local.size();
         let gen = self.meta.generation(filename);
         // Each peer's bundle is encoded as its entries are found, from the
-        // tree's own names; its entry count goes in front at the end.
-        let mut bundles: Vec<(Writer, u64)> = (0..n).map(|_| (Writer::new(), 0)).collect();
+        // tree's own names.
+        let mut bundles: Vec<IndexBundle> = (0..n).map(|_| IndexBundle::default()).collect();
         self.meta.for_each_dataset(filename, |dset, space, regions| {
             self.with_decomposer(decomp_dims(space), n, |decomp| {
                 for region in regions {
@@ -740,9 +728,7 @@ impl DistMetadataVol {
                     // producer whose common-decomposition block it
                     // intersects.
                     for gid in decomp.blocks_intersecting(&bb) {
-                        let (bundle, count) = &mut bundles[gid];
-                        put_index_entry(bundle, filename, dset, gen, &bb);
-                        *count += 1;
+                        bundles[gid].push(filename, dset, gen, &bb);
                     }
                 }
             })
@@ -751,7 +737,7 @@ impl DistMetadataVol {
         // deterministic receive count — the termination condition the
         // paper's nonblocking sends need anyway. The exchange is a
         // personalized all-to-all.
-        let parts = bundles.into_iter().map(|(w, count)| finish_index_bundle(w, count)).collect();
+        let parts = bundles.into_iter().map(IndexBundle::finish).collect();
         let received = self.local.alltoall_bytes(parts);
         // Build this file's index off to the side, then publish it as a
         // single insert that replaces any earlier snapshot of the name
@@ -766,13 +752,14 @@ impl DistMetadataVol {
             // sender's boxes describe; replies always report the *live*
             // generation, so a consumer that cached owners from this
             // index notices any later in-place rewrite.
-            for (f, d, _gen, bb) in dec_index_bundle(payload)? {
-                if f != filename {
+            for e in IndexBundle::decode(payload)? {
+                if e.file != filename {
                     return Err(H5Error::Format(format!(
-                        "index bundle for {f:?} arrived while indexing {filename:?}"
+                        "index bundle for {:?} arrived while indexing {filename:?}",
+                        e.file
                     )));
                 }
-                slot_for(&mut next.boxes, d).push((bb, src));
+                slot_for(&mut next.boxes, e.dset).push((e.bbox, src));
                 nboxes += 1;
             }
         }
@@ -838,35 +825,26 @@ impl DistMetadataVol {
     /// Answer the metadata requests parked for `filename` (consumers that
     /// ran ahead to this snapshot before it was closed).
     fn flush_pending_meta(&self, filename: &str) {
-        let now: Vec<(Caller, String, u64)> = {
-            let mut pending = self.pending_meta.lock();
-            let (now, later) = pending.drain(..).partition(|(_, f, _)| f == filename);
-            *pending = later;
-            now
-        };
+        let now: Vec<(Caller, String, u64)> =
+            self.pending_meta.lock().extract_if(.., |(_, f, _)| f == filename).collect();
         for (caller, file, caps) in now {
-            diyblk::rpc::send_reply(
-                &self.world,
-                caller,
-                self.metadata_reply(&file, caller.rank, caps),
-            );
+            let reply = self.metadata_reply(&file, caller.rank, caps);
+            diyblk::rpc::send_reply_frame(&self.world, caller, reply);
         }
     }
 
     /// Answer the `M_METADATA` handshake of consumer `rank` for `file`:
-    /// record the negotiation (its `caps` ∩ ours) and build the reply
-    /// body. Recording at answer time — not when a request is parked —
+    /// record the negotiation (its `caps` ∩ ours) and build the result
+    /// frame, headroom left for a deferred reply's call id. Recording at
+    /// answer time — not when a request is parked —
     /// ties the mask to the snapshot it was negotiated for, so retiring
     /// the previous snapshot of a re-used name cannot take it along.
-    fn metadata_reply(&self, file: &str, rank: usize, caps: u64) -> Bytes {
-        match self.meta.file_meta(file) {
-            Ok(meta) => {
-                self.record_consumer_caps(file, rank, caps);
-                let gen = self.meta.generation(file);
-                ok_reply(metadata_reply(gen, self.negotiated_mask(file, rank), &meta))
-            }
-            Err(e) => enc_result(Err(e)),
-        }
+    fn metadata_reply(&self, file: &str, rank: usize, caps: u64) -> Writer {
+        result_frame(self.meta.file_meta(file).map(|meta| {
+            self.record_consumer_caps(file, rank, caps);
+            let gen = self.meta.generation(file);
+            MetadataReply { gen, codec_mask: self.negotiated_mask(file, rank), meta }.encode()
+        }))
     }
 
     /// Does one of our Produce links cover `file`?
@@ -886,13 +864,27 @@ impl DistMetadataVol {
     /// background thread.
     fn serve_loop(&self) {
         let sp = obsv::span(obsv::Phase::Serve);
-        RpcServer::new(&self.world).serve(|caller, method, args| match method {
-            M_METADATA => {
+        RpcServer::new(&self.world).serve(|caller, method, args| {
+            match Request::decode(method, &args) {
+                Ok(req) => self.serve_request(caller, req),
+                // A request that does not decode (an unknown or retired
+                // method, a frame cut short or padded) counts like a frame
+                // too short for its RPC header; the error answers a call,
+                // and is dropped with a notification (no reply channel).
+                Err(e) => {
+                    obsv::counter_add(obsv::Ctr::RpcMalformed, 1);
+                    ServeOutcome::Reply(enc_result(Err(e)))
+                }
+            }
+        });
+        self.profile.lock().serve_seconds += sp.finish();
+    }
+
+    /// Answer one decoded request: the serve loop's dispatch.
+    fn serve_request(&self, caller: Caller, req: Request<'_>) -> ServeOutcome {
+        match req {
+            Request::Metadata { file, caps } => {
                 self.hot.metadata_requests.fetch_add(1, Ordering::Relaxed);
-                let (file, caps) = match dec_metadata_req(&args) {
-                    Ok(fc) => fc,
-                    Err(e) => return ServeOutcome::Reply(enc_result(Err(e))),
-                };
                 // Answerable now: a session that `caller` has not closed
                 // yet (once it has, and the file is not kept, it is asking
                 // for the name's next snapshot), a kept file, or a
@@ -907,7 +899,7 @@ impl DistMetadataVol {
                         })
                 } || self.stream.lock().serveable.contains(file);
                 if known {
-                    ServeOutcome::Reply(self.metadata_reply(file, caller.rank, caps))
+                    ServeOutcome::Reply(self.metadata_reply(file, caller.rank, caps).finish())
                 } else if self.produces(file) {
                     // A snapshot of ours that is not closed yet: hold the
                     // request until its serve session opens.
@@ -917,15 +909,14 @@ impl DistMetadataVol {
                     ServeOutcome::Reply(enc_result(Err(H5Error::NotFound(file.to_string()))))
                 }
             }
-            M_CODEC_OFFER => {
-                if let Ok((file, caps)) = dec_codec_offer(&args) {
-                    self.record_consumer_caps(file, caller.rank, caps);
-                }
+            Request::CodecOffer { file, caps } => {
+                self.record_consumer_caps(file, caller.rank, caps);
                 ServeOutcome::Continue
             }
-            M_DATA_BATCH => ServeOutcome::ReplyParts(self.serve_data_batch(&args, caller.rank)),
-            M_DONE => {
-                let file = dec_done_req(&args).unwrap_or_default();
+            Request::DataBatch { file, entries } => {
+                ServeOutcome::ReplyParts(self.serve_data_batch(file, &entries, caller.rank))
+            }
+            Request::Done { file } => {
                 // DONE must be idempotent: a consumer whose *ack* was lost
                 // resends the same DONE under its retry policy, and each
                 // retransmit is a fresh RPC — so a session counts distinct
@@ -956,7 +947,7 @@ impl DistMetadataVol {
                     ServeOutcome::Reply(OK_EMPTY)
                 }
             }
-            M_SHUTDOWN => {
+            Request::Shutdown => {
                 let mut s = self.sessions.lock();
                 s.draining = true;
                 if s.finished(self.async_serve) {
@@ -968,101 +959,98 @@ impl DistMetadataVol {
             // A producer blocked in this loop on its rank thread could
             // never publish another step, so streaming refuses to start.
             // The typed error matters: a subscriber retries `NotFound`.
-            M_STEP_SUB | M_STEP_NEXT | M_STEP_ACK if !self.async_serve => {
+            Request::StepSub { .. } | Request::StepNext { .. } | Request::StepAck { .. }
+                if !self.async_serve =>
+            {
                 ServeOutcome::Reply(enc_result(Err(H5Error::Vol(
                     "step streaming requires overlap mode (DistVolBuilder::async_serve)".into(),
                 ))))
             }
             // `None`: parked, answered later by `StepPublisher::new` /
             // `publish` / `finish`, or failed when this thread exits.
-            M_STEP_SUB => crate::stream::serve_step_sub(self, caller, &args)
-                .map_or(ServeOutcome::Continue, ServeOutcome::Reply),
-            M_STEP_NEXT => crate::stream::serve_step_next(self, caller, &args)
-                .map_or(ServeOutcome::Continue, ServeOutcome::Reply),
-            M_STEP_ACK => {
-                ServeOutcome::Reply(crate::stream::serve_step_ack(self, caller.rank, &args))
+            Request::StepSub { series, caps } => {
+                crate::stream::serve_step_sub(self, caller, series, caps)
+                    .map_or(ServeOutcome::Continue, ServeOutcome::Reply)
             }
-            m => ServeOutcome::Reply(enc_result(Err(H5Error::Vol(format!(
-                "unknown RPC method {m}"
-            ))))),
-        });
-        self.profile.lock().serve_seconds += sp.finish();
+            Request::StepNext { series, cursor, policy } => {
+                crate::stream::serve_step_next(self, caller, series, cursor, policy)
+                    .map_or(ServeOutcome::Continue, ServeOutcome::Reply)
+            }
+            Request::StepAck { series, cursor } => {
+                crate::stream::serve_step_ack(self, caller.rank, series, cursor);
+                ServeOutcome::Reply(OK_EMPTY)
+            }
+        }
     }
 
-    /// Answer an `M_DATA_BATCH` query: per `(dataset, selection)` entry,
-    /// in entry order, the owner list this rank's index gives for the
-    /// selection's bounding box (Algorithm 3's redirect), then one
-    /// [`DataReply`] body per entry, all in a single multi-part frame
-    /// lending shallow region bytes. Entries are answered independently,
-    /// so how a consumer groups selections into frames never changes the
-    /// bytes it sees.
-    ///
-    /// Each entry's dataset is copied out of the metadata layer under its
-    /// lock ([`HeldDataset`]) and answered without it, so the producer's
-    /// own writes never wait while a reply is built.
-    fn serve_data_batch(&self, args: &Bytes, caller: usize) -> Payload {
+    /// [`Self::batch_reply`], codec- and result-wrapped.
+    fn serve_data_batch(&self, file: &str, entries: &BatchEntries<'_>, caller: usize) -> Payload {
         let t0 = obsv::clock::now_ns();
-        let reply = dec_data_req_batch(args).and_then(|(file, entries)| {
-            let gen = self.meta.generation(file);
-            let idx = self.serve_index.lock().get(file).cloned();
-            let mut frame = ReplyFrame::new();
-            frame.put_u64(entries.len() as u64);
-            let mut held = Vec::with_capacity(entries.len());
-            let mut owners = Vec::new();
-            for (dset, sel) in &entries {
-                let copied = self.meta.with_dataset(file, dset, |dtype, space, regions| {
-                    (dtype.size(), space.clone(), Arc::clone(regions))
-                });
-                let meta = match copied {
-                    Ok(meta) => sel.validate(&meta.1).map(|()| Some(meta))?,
-                    // A block owner that never created the dataset (a
-                    // non-collective create) still answers the redirect
-                    // from its index, with every rank listed for the
-                    // dataset: the extra ones answer empty bodies.
-                    Err(H5Error::NotFound(_)) if idx.is_some() => None,
-                    Err(e) => return Err(e),
-                };
-                // The owners are the ranks whose boxes the selection's
-                // bounding box hits.
-                owners.clear();
-                match (&idx, &meta) {
-                    (Some(i), Some((_, space, _))) => {
-                        i.owners_into(dset, |bb| query_hits(sel, space, bb), &mut owners)
-                    }
-                    (Some(i), None) => i.owners_into(dset, |_| true, &mut owners),
-                    (None, _) => {}
-                }
-                frame.put_u64(owners.len() as u64);
-                owners.iter().for_each(|&o| frame.put_u64(o as u64));
-                held.push(meta);
-            }
-            let mut overlaps = Vec::new();
-            for ((_, sel), meta) in entries.iter().zip(&held) {
-                match meta {
-                    Some(meta) => answer_data_query_into(&mut frame, gen, sel, meta, &mut overlaps),
-                    None => {
-                        frame.put_u64(gen);
-                        frame.put_u64(0);
-                        frame.put_blob_len(0);
-                    }
-                }
-            }
-            let n = entries.len() as u64;
-            self.hot.intersect_requests.fetch_add(n, Ordering::Relaxed);
-            self.hot.data_requests.fetch_add(n, Ordering::Relaxed);
-            Ok((file, frame.finish()))
-        });
-        if let Ok((_, b)) = &reply {
+        let reply = self.batch_reply(file, entries);
+        if let Ok(b) = &reply {
             // Profiled at the pre-codec length: `bytes_served` counts what
             // the consumer receives after decode, not what crossed the wire.
             self.hot.bytes_served.fetch_add(b.len() as u64, Ordering::Relaxed);
             obsv::hist_record(obsv::Hist::BytesServed, b.len() as u64);
         }
-        let out = enc_result_payload(
-            reply.map(|(file, body)| self.encode_reply_body(file, caller, body)),
-        );
+        let out = enc_result_payload(reply.map(|body| self.encode_reply_body(file, caller, body)));
         obsv::hist_record(obsv::Hist::ServeBatchNs, obsv::clock::now_ns().saturating_sub(t0));
         out
+    }
+
+    /// The data reply to `entries` of `file`: per `(dataset, selection)`
+    /// entry, in entry order, the owner list this rank's index gives for
+    /// the selection's bounding box (Algorithm 3's redirect), then one
+    /// body per entry. Entries are answered independently, so how a
+    /// consumer groups selections into frames never changes the bytes it
+    /// sees.
+    ///
+    /// Each entry's dataset is copied out of the metadata layer under its
+    /// lock ([`HeldDataset`]) and answered without it, so the producer's
+    /// own writes never wait while a reply is built.
+    fn batch_reply(&self, file: &str, entries: &BatchEntries<'_>) -> H5Result<Payload> {
+        let gen = self.meta.generation(file);
+        let idx = self.serve_index.lock().get(file).cloned();
+        let mut reply = BatchReplyWriter::new(entries.len());
+        let mut held = Vec::with_capacity(entries.len());
+        let mut owners = Vec::new();
+        for (dset, sel) in entries.iter() {
+            let copied = self.meta.with_dataset(file, dset, |dtype, space, regions| {
+                (dtype.size(), space.clone(), Arc::clone(regions))
+            });
+            let meta = match copied {
+                Ok(meta) => sel.validate(&meta.1).map(|()| Some(meta))?,
+                // A block owner that never created the dataset (a
+                // non-collective create) still answers the redirect from
+                // its index, with every rank listed for the dataset: the
+                // extra ones answer empty bodies.
+                Err(H5Error::NotFound(_)) if idx.is_some() => None,
+                Err(e) => return Err(e),
+            };
+            // The owners are the ranks whose boxes the selection's
+            // bounding box hits.
+            owners.clear();
+            match (&idx, &meta) {
+                (Some(i), Some((_, space, _))) => {
+                    i.owners_into(dset, |bb| query_hits(sel, space, bb), &mut owners)
+                }
+                (Some(i), None) => i.owners_into(dset, |_| true, &mut owners),
+                (None, _) => {}
+            }
+            reply.owners(&owners);
+            held.push(meta);
+        }
+        let mut overlaps = Vec::new();
+        for ((_, sel), meta) in entries.iter().zip(&held) {
+            match meta {
+                Some(meta) => answer_data_query_into(&mut reply, gen, sel, meta, &mut overlaps),
+                None => reply.body(gen, std::iter::empty(), 0, []),
+            }
+        }
+        let n = entries.len() as u64;
+        self.hot.intersect_requests.fetch_add(n, Ordering::Relaxed);
+        self.hot.data_requests.fetch_add(n, Ordering::Relaxed);
+        Ok(reply.finish())
     }
 
     fn producer_close(&self, filename: &str) -> H5Result<()> {
@@ -1164,7 +1152,8 @@ impl DistMetadataVol {
         // re-mark the drain).
         let rpc = RpcClient::new(&self.world);
         loop {
-            rpc.notify(self.world.rank(), M_SHUTDOWN, &[]);
+            let shutdown = Request::Shutdown;
+            rpc.notify_frame(self.world.rank(), shutdown.method(), shutdown.encode());
             if exited.wait_for(DRAIN_RESEND) {
                 break;
             }
@@ -1201,29 +1190,27 @@ impl DistMetadataVol {
         &self,
         file: &str,
         server: usize,
-        method: u32,
-        args: Writer,
+        req: &Request<'_>,
     ) -> H5Result<Bytes> {
         let policy = self.props.rpc_policy_for(file);
         RpcClient::new(&self.world)
-            .call_frame(server, method, args, policy)
+            .call_frame(server, req.method(), req.encode(), policy)
             .map(Payload::into_bytes)
             .map_err(|e| Self::peer_error(server, policy, e))
     }
 
-    /// [`Self::call_producer`] for several calls at once: one call per
-    /// producer world rank of `servers`, its arguments from `args`, all
-    /// out together under `file`'s retry policy and every reply awaited.
-    /// The first failure to come back — transport or remote — is returned.
+    /// [`Self::call_producer`] for several calls at once: `req` to each
+    /// producer world rank of `servers`, all out together under `file`'s
+    /// retry policy and every reply awaited. The first failure to come
+    /// back — transport or remote — is returned.
     pub(crate) fn call_producers(
         &self,
         file: &str,
         servers: &[usize],
-        method: u32,
-        args: impl Fn() -> Writer,
+        req: &Request<'_>,
     ) -> H5Result<()> {
         let policy = self.props.rpc_policy_for(file);
-        let calls = servers.iter().map(|&p| Call::frame(p, method, args())).collect();
+        let calls = servers.iter().map(|&p| Call::frame(p, req.method(), req.encode())).collect();
         let mut first_err = None;
         RpcClient::new(&self.world).call_many(calls, policy, |k, r| {
             let replied = r
@@ -1296,8 +1283,9 @@ impl DistMetadataVol {
         // Each consumer rank has a "home" producer for metadata requests,
         // spreading the load across the producer task.
         let home = link.home(self.local.rank())?;
-        let reply = self.call_producer(name, home, M_METADATA, metadata_req(name, caps))?;
-        let (gen, mask, meta) = dec_metadata_reply(&dec_result(&reply)?)?;
+        let reply = self.call_producer(name, home, &Request::Metadata { file: name, caps })?;
+        let MetadataReply { gen, codec_mask: mask, meta } =
+            MetadataReply::decode(&dec_result(&reply)?)?;
         if mask & !caps != 0 {
             return Err(H5Error::Format(format!(
                 "producer negotiated codec mask {mask:#x} outside our advertised caps {caps:#x}"
@@ -1310,8 +1298,9 @@ impl DistMetadataVol {
         // a dropped offer just leaves that pair on raw.
         if caps != CAP_RAW {
             let rpc = RpcClient::new(&self.world);
+            let offer = Request::CodecOffer { file: name, caps };
             for &p in link.remote_ranks.iter().filter(|&&p| p != home) {
-                rpc.notify_frame(p, M_CODEC_OFFER, metadata_req(name, caps));
+                rpc.notify_frame(p, offer.method(), offer.encode());
             }
         }
         // Record the generation *before* caching: a bump clears stale
@@ -1408,25 +1397,31 @@ impl DistMetadataVol {
         // Routing: a selection whose owners are cached goes to them, any
         // other to the producers whose common-decomposition blocks its
         // bounding box touches (the redirect targets of Algorithm 3).
+        // A selection whose owners are not cached keeps its box in
+        // `unresolved`, to cache them under once round 1 names them.
         let sp_redirect = obsv::span(obsv::Phase::Redirect);
-        let mut bbs: Vec<BBox> = sels.iter().map(|s| effective_bbox(s, &space)).collect();
         let mut ask: Vec<Vec<usize>> = Vec::with_capacity(sels.len());
-        let mut resolve = vec![false; sels.len()];
+        let mut unresolved: Vec<Option<BBox>> = Vec::with_capacity(sels.len());
         {
             let cache = self.fetch_cache.lock();
             let cached = cache.owners.get(filename.as_ref()).and_then(|d| d.get(&path));
             self.with_decomposer(decomp_dims(&space), producers.len(), |decomp| {
-                for (i, bb) in bbs.iter().enumerate() {
-                    if outs[i].is_empty() {
+                for (sel, out) in sels.iter().zip(&outs) {
+                    if out.is_empty() {
                         // Empty selection: nothing to fetch, no query needed.
                         ask.push(Vec::new());
-                    } else if let Some(o) = cached.and_then(|c| c.get(bb)) {
+                        unresolved.push(None);
+                        continue;
+                    }
+                    let bb = effective_bbox(sel, &space);
+                    if let Some(o) = cached.and_then(|c| c.get(&bb)) {
                         obsv::counter_add(obsv::Ctr::FetchCacheHits, 1);
                         ask.push(o.clone());
+                        unresolved.push(None);
                     } else {
                         obsv::counter_add(obsv::Ctr::FetchCacheMisses, 1);
-                        ask.push(decomp.blocks_intersecting(bb));
-                        resolve[i] = true;
+                        ask.push(decomp.blocks_intersecting(&bb));
+                        unresolved.push(Some(bb));
                     }
                 }
             });
@@ -1435,10 +1430,12 @@ impl DistMetadataVol {
 
         // One round: a batched frame per producer asked, all in flight at
         // once, each encoded straight from the borrowed path and
-        // selections. Each reply scatters its bodies into the packed
-        // buffers and adds its owner lists to `found`. Returns the reply
-        // bytes and whether a producer reported a new generation.
+        // selections through one entry list. Each reply scatters its
+        // bodies into the packed buffers and adds its owner lists to
+        // `found`. Returns the reply bytes and whether a producer reported
+        // a new generation.
         let mut segs = Vec::new();
+        let mut entries = Vec::new();
         let mut round = |ask: &[Vec<usize>],
                          outs: &mut [ReadBuf],
                          found: &mut [Vec<usize>]|
@@ -1451,16 +1448,20 @@ impl DistMetadataVol {
             let calls = targets
                 .iter()
                 .map(|&p| {
-                    let n = asking(p).count();
-                    obsv::hist_record(obsv::Hist::FetchBatchEntries, n as u64);
-                    let entries = asking(p).map(|i| (path.as_str(), &sels[i]));
-                    Call::frame(producers[p], M_DATA_BATCH, data_req_batch(&filename, n, entries))
+                    entries.clear();
+                    entries.extend(asking(p).map(|i| (path.as_str(), &sels[i])));
+                    obsv::hist_record(obsv::Hist::FetchBatchEntries, entries.len() as u64);
+                    let req = Request::DataBatch {
+                        file: &filename,
+                        entries: BatchEntries::Lent(&entries),
+                    };
+                    Call::frame(producers[p], req.method(), req.encode())
                 })
                 .collect();
             obsv::counter_add(obsv::Ctr::FetchBatches, targets.len() as u64);
             let (mut fetched, mut stale, mut first_err) = (0u64, false, None);
             rpc.call_many(calls, policy, |k, r| {
-                // The reply is walked in place with a [`PayloadReader`]:
+                // The reply is walked in place with a [`BatchReplyReader`]:
                 // the header runs are peeked across part boundaries and
                 // each segment's bytes are copied straight from the
                 // (possibly borrowed-on-the-producer) reply parts into
@@ -1471,29 +1472,29 @@ impl DistMetadataVol {
                     r.map_err(|e| Self::peer_error(server, policy, e)).and_then(|reply| {
                         fetched += reply.len() as u64;
                         obsv::hist_record(obsv::Hist::BytesFetched, reply.len() as u64);
-                        let mut pr = PayloadReader::new(
+                        let mut reply = BatchReplyReader::new(
                             self.decode_reply_payload(&filename, dec_result_payload(reply)?)?,
-                        );
-                        let (entries, asked) =
-                            (get_batch_len(&mut pr)?, asking(targets[k]).count());
+                            producers.len(),
+                        )?;
+                        let (entries, asked) = (reply.entries(), asking(targets[k]).count());
                         if entries != asked {
                             return Err(H5Error::Format(format!(
                                 "batch reply carries {entries} entries for {asked}"
                             )));
                         }
                         for i in asking(targets[k]) {
-                            get_owner_list(&mut pr, producers.len(), |o| {
+                            reply.owners(|o| {
                                 if !found[i].contains(&o) {
                                     found[i].push(o);
                                 }
                             })?;
                         }
                         for i in asking(targets[k]) {
-                            let (gen, blob_len) = get_data_reply_header_into(&mut pr, &mut segs)?;
+                            let (gen, blob_len) = reply.body(&mut segs)?;
                             stale |= self.note_gen(&filename, server, gen);
-                            outs[i].scatter(&mut pr, &segs, blob_len, es)?;
+                            outs[i].scatter(reply.blob(), &segs, blob_len, es)?;
                         }
-                        pr.expect_end()
+                        reply.finish()
                     });
                 if let Err(e) = scattered {
                     first_err.get_or_insert(e);
@@ -1509,18 +1510,17 @@ impl DistMetadataVol {
         // owners' reports are the selections' owners: cache them, and ask
         // the ones round 1 did not ask for that selection (only where the
         // common decomposition is misaligned with the data's).
-        if !stale && resolve.contains(&true) {
+        if !stale && unresolved.iter().any(Option::is_some) {
             let mut again = vec![Vec::new(); sels.len()];
             {
                 let mut cache = self.fetch_cache.lock();
                 let of_file = cache.owners.entry(filename.clone()).or_default();
                 let of_dset = slot_for(of_file, &path);
-                for i in (0..sels.len()).filter(|&i| resolve[i]) {
+                for (i, bb) in unresolved.into_iter().enumerate() {
+                    let Some(bb) = bb else { continue };
                     let mut owners = std::mem::take(&mut found[i]);
                     owners.sort_unstable();
                     again[i] = owners.iter().copied().filter(|p| !ask[i].contains(p)).collect();
-                    // Routing is done with the box: it moves into the cache.
-                    let bb = std::mem::replace(&mut bbs[i], BBox::new(Vec::new(), Vec::new()));
                     of_dset.insert(bb, owners);
                 }
             }
@@ -1575,7 +1575,7 @@ impl DistMetadataVol {
         // leave the producer waiting forever. Every producer gets one at
         // once and every ack is awaited (resent under the file's retry
         // policy); a producer that already died is best-effort.
-        let _ = self.call_producers(&filename, producers, M_DONE, || done_req(&filename));
+        let _ = self.call_producers(&filename, producers, &Request::Done { file: &filename });
         Ok(())
     }
 }
@@ -1614,7 +1614,7 @@ type HeldDataset = (usize, Dataspace, Arc<Vec<DataRegion>>);
 /// already is the VOL's own immutable copy, made at write time, so it
 /// is lent exactly like a shallow one.
 fn answer_data_query_into(
-    frame: &mut ReplyFrame,
+    reply: &mut BatchReplyWriter,
     gen: u64,
     sel: &Selection,
     (es, space, regions): &HeldDataset,
@@ -1627,17 +1627,16 @@ fn answer_data_query_into(
     for (r, region) in regions.iter().enumerate() {
         for_each_overlap(&region.selection.runs(space), &sel_runs, |ov| overlaps.push((r, ov)));
     }
-    frame.put_u64(gen);
-    frame.put_u64(overlaps.len() as u64);
-    for (_, ov) in overlaps.iter() {
-        frame.put_u64(ov.b_off);
-        frame.put_u64(ov.len);
-    }
-    frame.put_blob_len(overlaps.iter().map(|(_, ov)| ov.len * *es as u64).sum());
-    for &(r, ov) in overlaps.iter() {
-        let at = ov.a_off as usize * es;
-        frame.lend(regions[r].data.slice(at..at + ov.len as usize * es));
-    }
+    let es = *es;
+    reply.body(
+        gen,
+        overlaps.iter().map(|(_, ov)| (ov.b_off, ov.len)),
+        overlaps.iter().map(|(_, ov)| ov.len * es as u64).sum(),
+        overlaps.iter().map(|&(r, ov)| {
+            let at = ov.a_off as usize * es;
+            regions[r].data.slice(at..at + ov.len as usize * es)
+        }),
+    );
 }
 
 /// Bounding box used for decomposition, lifted to 1-d for scalar spaces.

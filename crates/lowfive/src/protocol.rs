@@ -1,81 +1,41 @@
 //! Wire protocol of the index–serve–query redistribution.
 //!
-//! Three RPC methods run between consumer ranks (clients) and producer
-//! ranks (servers) over the world communicator:
+//! Every conversation between consumer ranks (clients) and producer ranks
+//! (servers) over the world communicator is one [`Request`] variant:
+//! `Metadata` (consumer `file_open`, answered with a [`MetadataReply`]),
+//! `DataBatch` (the query of Algorithm 3: all of a consumer's `(dataset,
+//! selection)` pairs for one producer and file in one frame, answered by
+//! a [`BatchReplyWriter`] and read by a [`BatchReplyReader`]), `Done`
+//! (consumer `file_close`), `Shutdown` (producer-internal), the step
+//! streaming control plane `StepSub` / `StepNext` / `StepAck` (see
+//! `crate::stream`, answered with a [`StepSubReply`], a [`StepNextReply`]
+//! and an empty ack), and `CodecOffer` (codec negotiation, below). The
+//! index exchange among producers (Algorithm 1) is a plain tagged message
+//! (`TAG_INDEX`) on the producer task's local communicator, one
+//! [`IndexBundle`] per peer.
 //!
-//! * `M_METADATA` — fetch the serialized metadata tree of a file
-//!   (consumer `file_open`),
-//! * `M_DATA_BATCH` — the query of Algorithm 3: one frame per producer
-//!   carrying **all** `(dataset, selection)` pairs the consumer wants
-//!   from that producer for one file (a lone read is a batch of one).
-//!   Each entry is answered twice over: with the *redirect* (the
-//!   producer ranks its index lists as holding data inside the
-//!   selection's bounding box) and with the intersection of the
-//!   producer's local regions with the selection, as contiguous
-//!   segments each tagged with its element offset in the **consumer's**
-//!   packed buffer, so the consumer applies a reply with straight
-//!   `memcpy`s,
-//! * `M_DONE` — consumer `file_close` notification; producers exit their
-//!   serve loop when every consumer has reported done.
-//!
-//! Three more methods carry the step-streaming control plane (see
-//! `crate::stream` and the repository's `docs/STREAMING.md`):
-//!
-//! * `M_STEP_SUB` — subscribe to a step series: returns the retained
-//!   window bounds so a late joiner can catch up from the step index,
-//! * `M_STEP_NEXT` — poll for the next step matching a subscribe policy;
-//!   the *announce* reply names the step's slot file and generation,
-//! * `M_STEP_ACK` — cumulative consumption acknowledgement (`cursor`
-//!   covers every step below it), multicast to all producer ranks so the
-//!   bounded step queues retire entries in lockstep.
-//!
-//! One more method carries codec negotiation (see `## Codec prefix`):
-//!
-//! * `M_CODEC_OFFER` — a consumer rank advertises its codec capability
-//!   bitmask for a file to a producer rank it did not handshake with
-//!   (fire-and-forget; a lost offer merely leaves that pair on `Raw`).
-//!
-//! The index exchange among producers (Algorithm 1) uses a plain tagged
-//! message (`TAG_INDEX`) on the producer task's local communicator.
-//!
-//! ## Codec prefix
+//! Each data entry is answered with its *redirect* (the owner ranks) and
+//! the segments of the producer's regions it selects, addressed in the
+//! consumer's packed buffer. Dataset bytes are *lent* into a
+//! [`ReplyFrame`] and walked in place with a [`PayloadReader`]: the only
+//! copy on the path is the final placement.
 //!
 //! The ok body of every data-bearing reply (`M_DATA_BATCH`,
-//! `M_STEP_NEXT`) is wrapped in a one-byte codec prefix: `[codec u8]`
-//! followed by the body, verbatim for [`CODEC_RAW`] or compressed for
-//! [`CODEC_RLE`] / [`CODEC_DELTA_RLE`]. Which codecs a sender may use
-//! toward a given consumer is negotiated at open/subscribe time as a
-//! capability bitmask (`CAP_*`) intersected across both sides; an
-//! unnegotiated pair falls through to `Raw`. Encoding walks a reply's
-//! borrowed parts in place and keeps the raw lent parts whenever
-//! compression would not shrink the body, so the zero-copy lend path
-//! survives incompressible payloads untouched.
+//! `M_STEP_NEXT`) leads with a one-byte codec prefix: the body follows
+//! verbatim for [`CODEC_RAW`], compressed for [`CODEC_RLE`] /
+//! [`CODEC_DELTA_RLE`], as negotiated per (file, consumer) from
+//! capability bitmasks (`CAP_*`); an unnegotiated pair ships raw. Every
+//! reply a producer serves carries the file's *generation*, which
+//! consumers key their caches on.
 //!
-//! ## Generation tags
+//! ## One layout per frame
 //!
-//! Every reply a producer serves — metadata, each data entry — and every
-//! index-bundle entry carries the file's *generation*: a counter the
-//! producer bumps on each write to (or truncation of) the file. Consumers
-//! key their caches on it; a reply carrying a newer generation than the
-//! cached one proves the cache stale and forces invalidation, so an
-//! in-place rewrite between consumer reads is observed instead of served
-//! from a stale cache.
-//!
-//! ## Borrowed-slice reply framing
-//!
-//! Data replies can be assembled as multi-part [`Payload`]s through
-//! [`ReplyFrame`]: contiguous header runs (counts, segment tables,
-//! length prefixes) accumulate in a [`Writer`] and are flushed as small
-//! parts, while dataset bytes are *lent* as refcounted sub-slices of the
-//! producer's shallow regions. The flattened byte stream of such a frame
-//! is byte-identical to the contiguous encoders below, so either side may
-//! use either representation. Consumers walk the parts in place with a
-//! [`PayloadReader`] and scatter straight into the destination buffer —
-//! the only copy on the whole path is that final placement.
-//!
-//! The byte-level layout of every frame is specified in the repository's
-//! `docs/PROTOCOL.md`; the encoder/decoder pairs in this module are the
-//! normative implementation, and each carries a round-trip doctest.
+//! Each frame's byte layout is written once in this module: a request's
+//! in [`Request::encode`] and [`Request::decode`], a reply's in its
+//! type's encoder and decoder. The serve loop matches [`Request`]
+//! exhaustively, and a retired or unknown method id is one decode error.
+//! The repository's `docs/PROTOCOL.md` maps the layouts; the golden-bytes
+//! test in `tests/proptest_protocol.rs` pins them.
 
 use bytes::Bytes;
 use minih5::codec::{Reader, Writer};
@@ -87,8 +47,8 @@ use simmpi::Payload;
 pub const M_METADATA: u32 = 1;
 // Method id 2 was the separate redirect query (its answer now rides on
 // every `M_DATA_BATCH` reply) and id 3 the single-entry data query. Both
-// are retired, not renumbered, and draw the unknown-method error.
-/// Consumer `file_close` notification (no reply expected).
+// are retired, not renumbered, and fail to decode like an unknown id.
+/// Consumer `file_close` notification (acked).
 pub const M_DONE: u32 = 4;
 /// Producer-internal: ask the overlap-mode serve thread to drain and exit.
 pub const M_SHUTDOWN: u32 = 5;
@@ -172,20 +132,10 @@ pub fn preferred_codec(mask: u64) -> u8 {
 }
 
 /// `body` behind a one-byte part holding `tag`, its parts untouched. The
-/// tag part is a slice of one static table and goes in front of the
-/// body's own part list, so framing a reply allocates nothing.
-fn prefixed(tag: u8, mut body: Payload) -> Payload {
-    static TAGS: [u8; 256] = {
-        let mut t = [0u8; 256];
-        let mut i = 0;
-        while i < 256 {
-            t[i] = i as u8;
-            i += 1;
-        }
-        t
-    };
-    let tag = usize::from(tag);
-    body.prepend(Bytes::from_static(&TAGS[tag..=tag]));
+/// tag part is a static slice in front of the body's own part list, so
+/// framing a reply allocates nothing.
+fn prefixed(tag: &'static [u8; 1], mut body: Payload) -> Payload {
+    body.prepend(Bytes::from_static(tag));
     body
 }
 
@@ -212,49 +162,39 @@ pub fn encode_coded(body: Payload, codec: u8) -> Payload {
     };
     match compressed {
         Some(out) => Payload::from(out),
-        None => prefixed(CODEC_RAW, body),
+        None => prefixed(&[CODEC_RAW], body),
     }
 }
 
-/// Strip the codec prefix off a contiguous coded body, expanding
-/// compressed frames. `allowed` is the receiver's own advertised
-/// capability mask — a codec outside it is a framing error, since the
-/// sender may only use what this receiver offered.
+/// [`decode_coded_payload`] of a contiguous frame. The benchmark's codec
+/// layer pass times this signature.
 pub fn dec_coded(b: &Bytes, allowed: u64) -> H5Result<Bytes> {
-    let Some(&codec) = b.first() else {
-        return Err(H5Error::Format("empty coded frame".into()));
-    };
-    check_codec_allowed(codec, allowed)?;
-    match codec {
-        CODEC_RAW => Ok(b.slice(1..)),
-        codec => rle_decode(&[b.slice(1..)], codec == CODEC_DELTA_RLE),
-    }
+    decode_coded_payload(Payload::from(b.clone()), allowed).map(Payload::into_bytes)
 }
 
-/// Parts-preserving [`dec_coded`]: a raw body just sheds its prefix byte
-/// (in-place `advance`, borrowed parts intact); a compressed body is
-/// expanded into a single fresh part.
+/// Strip the codec prefix off a coded body, parts preserved: a raw body
+/// sheds its prefix byte in place (borrowed parts intact), a compressed
+/// body is expanded into a single fresh part. `allowed` is the
+/// receiver's own advertised capability mask — a codec outside it is a
+/// framing error, since the sender may only use what this receiver
+/// offered.
 pub fn decode_coded_payload(mut p: Payload, allowed: u64) -> H5Result<Payload> {
     let mut d = [0u8; 1];
     if !p.copy_prefix(&mut d) {
         return Err(H5Error::Format("empty coded frame".into()));
     }
-    check_codec_allowed(d[0], allowed)?;
-    p.advance(1);
-    match d[0] {
-        CODEC_RAW => Ok(p),
-        codec => Ok(Payload::from(rle_decode(p.parts(), codec == CODEC_DELTA_RLE)?)),
-    }
-}
-
-fn check_codec_allowed(codec: u8, allowed: u64) -> H5Result<()> {
+    let codec = d[0];
     if codec > CODEC_DELTA_RLE {
         return Err(H5Error::Format(format!("unknown wire codec {codec}")));
     }
     if allowed & (1u64 << codec) == 0 {
         return Err(H5Error::Format(format!("codec {codec} was not negotiated")));
     }
-    Ok(())
+    p.advance(1);
+    match codec {
+        CODEC_RAW => Ok(p),
+        codec => Ok(Payload::from(rle_decode(p.parts(), codec == CODEC_DELTA_RLE)?)),
+    }
 }
 
 /// The delta transform's lag: each byte is differenced against the byte
@@ -369,134 +309,327 @@ fn rle_decode(parts: &[Bytes], delta: bool) -> H5Result<Bytes> {
 // Requests
 // ---------------------------------------------------------------------
 
-/// Encode a metadata request (`M_METADATA`): the file name plus the
-/// consumer's codec-capability bitmask (`CAP_*` bits) — the producer
-/// intersects it with its own and replies with the negotiated mask.
+/// How a step subscription walks a series; carried in every
+/// [`Request::StepNext`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepPolicy {
+    /// Deliver every retained step in sequence order. Combined with
+    /// [`crate::BackPressure::Block`] this is lossless: the consumer sees
+    /// the exact sequence the producer published.
+    EveryStep,
+    /// Always deliver the newest retained step at or past the cursor,
+    /// skipping anything older (a dashboard following a simulation).
+    LatestStep,
+    /// Deliver in order, but allow jumping up to `n` steps ahead of the
+    /// cursor when the consumer has fallen behind: the newest retained
+    /// step within `cursor + n` is chosen, or the oldest available one
+    /// if even that range has been outrun.
+    SkipOk(u64),
+}
+
+impl StepPolicy {
+    /// The wire's `(code, skip)`: codes 0, 1, 2 in declaration order; the
+    /// skip bound is always there, zero for the first two.
+    fn to_wire(self) -> (u8, u64) {
+        match self {
+            StepPolicy::EveryStep => (0, 0),
+            StepPolicy::LatestStep => (1, 0),
+            StepPolicy::SkipOk(n) => (2, n),
+        }
+    }
+
+    fn from_wire(code: u8, skip: u64) -> H5Result<Self> {
+        match code {
+            0 => Ok(StepPolicy::EveryStep),
+            1 => Ok(StepPolicy::LatestStep),
+            2 => Ok(StepPolicy::SkipOk(skip)),
+            c => Err(H5Error::Format(format!("unknown step policy code {c}"))),
+        }
+    }
+}
+
+/// The `(dataset, selection)` entries of a [`Request::DataBatch`], in
+/// entry order.
+#[derive(Debug, Clone)]
+pub enum BatchEntries<'a> {
+    /// Lent by the consumer that encodes a query: one list, refilled for
+    /// each frame of a read.
+    Lent(&'a [(&'a str, &'a Selection)]),
+    /// Read off a frame by the producer, names borrowed from it.
+    Read(Vec<(&'a str, Selection)>),
+}
+
+impl<'a> BatchEntries<'a> {
+    /// The number of entries.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            BatchEntries::Lent(e) => e.len(),
+            BatchEntries::Read(e) => e.len(),
+        }
+    }
+
+    /// The entries, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &Selection)> + '_ {
+        let (lent, read): (&[_], &[_]) = match self {
+            BatchEntries::Lent(e) => (e, &[]),
+            BatchEntries::Read(e) => (&[], e),
+        };
+        lent.iter().map(|&(d, s)| (d, s)).chain(read.iter().map(|(d, s)| (*d, s)))
+    }
+}
+
+impl PartialEq for BatchEntries<'_> {
+    /// The same entries, lent or read.
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+/// One request of the transport, its method id implied by the variant.
+/// Names are borrowed — from the caller that encodes a request, from the
+/// frame one was decoded from — so decoding allocates only a data query's
+/// entry list and selections.
 ///
 /// ```
-/// use lowfive::protocol::{enc_metadata_req, dec_metadata_req, CAP_ALL};
-/// let frame = enc_metadata_req("a.h5", CAP_ALL);
-/// assert_eq!(dec_metadata_req(&frame).unwrap(), ("a.h5", CAP_ALL));
+/// use lowfive::protocol::{Request, StepPolicy, CAP_ALL, CAP_RAW};
+/// for req in [
+///     Request::Metadata { file: "a.h5", caps: CAP_ALL },
+///     Request::CodecOffer { file: "a.h5", caps: CAP_RAW },
+///     Request::Done { file: "a.h5" },
+///     Request::StepSub { series: "sim.h5", caps: CAP_ALL },
+///     Request::StepNext { series: "sim.h5", cursor: 4, policy: StepPolicy::SkipOk(2) },
+///     Request::StepAck { series: "sim.h5", cursor: 12 },
+/// ] {
+///     let frame = req.encode().finish();
+///     assert_eq!(Request::decode(req.method(), &frame).unwrap(), req);
+/// }
+/// // A retired method id is a decode error like any unknown one.
+/// assert!(Request::decode(2, b"").is_err());
 /// ```
-pub fn enc_metadata_req(file: &str, caps: u64) -> Bytes {
-    metadata_req(file, caps).finish()
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request<'a> {
+    /// `M_METADATA`: a file's metadata tree, answered with a
+    /// [`MetadataReply`].
+    Metadata {
+        /// The file.
+        file: &'a str,
+        /// The consumer's codec capability bits (`CAP_*`).
+        caps: u64,
+    },
+    /// `M_CODEC_OFFER` (notification): a consumer's caps for a file, sent
+    /// to the producers it did not handshake with.
+    CodecOffer {
+        /// The file.
+        file: &'a str,
+        /// The consumer's codec capability bits.
+        caps: u64,
+    },
+    /// `M_DATA_BATCH`: every selection the consumer wants from one
+    /// producer for a file, answered with one entry each (see
+    /// [`BatchReplyWriter`]), so how selections are grouped into frames
+    /// never changes the bytes a consumer assembles.
+    DataBatch {
+        /// The file.
+        file: &'a str,
+        /// The `(dataset, selection)` pairs, in reply order.
+        entries: BatchEntries<'a>,
+    },
+    /// `M_DONE`: the consumer closed a file; acked with an empty body.
+    Done {
+        /// The file.
+        file: &'a str,
+    },
+    /// `M_SHUTDOWN` (notification, producer-internal): no arguments.
+    Shutdown,
+    /// `M_STEP_SUB`: subscribe to a series, answered with a
+    /// [`StepSubReply`].
+    StepSub {
+        /// The series.
+        series: &'a str,
+        /// The subscriber's codec capability bits.
+        caps: u64,
+    },
+    /// `M_STEP_NEXT`: poll a series, answered with a [`StepNextReply`].
+    StepNext {
+        /// The series.
+        series: &'a str,
+        /// Every step below it is consumed: the poll doubles as an ack.
+        cursor: u64,
+        /// Which retained step at or past the cursor to deliver.
+        policy: StepPolicy,
+    },
+    /// `M_STEP_ACK`: a cumulative, idempotent ack; acked with an empty
+    /// body.
+    StepAck {
+        /// The series.
+        series: &'a str,
+        /// Every step below it is consumed.
+        cursor: u64,
+    },
 }
 
-/// [`enc_metadata_req`] left open, with headroom for the RPC header.
-pub(crate) fn metadata_req(file: &str, caps: u64) -> Writer {
-    let mut w = Writer::new();
-    w.put_str(file);
-    w.put_u64(caps);
-    w
+impl<'a> Request<'a> {
+    /// The RPC method id this request travels under.
+    pub fn method(&self) -> u32 {
+        match self {
+            Request::Metadata { .. } => M_METADATA,
+            Request::CodecOffer { .. } => M_CODEC_OFFER,
+            Request::DataBatch { .. } => M_DATA_BATCH,
+            Request::Done { .. } => M_DONE,
+            Request::Shutdown => M_SHUTDOWN,
+            Request::StepSub { .. } => M_STEP_SUB,
+            Request::StepNext { .. } => M_STEP_NEXT,
+            Request::StepAck { .. } => M_STEP_ACK,
+        }
+    }
+
+    /// Encode the arguments, with headroom in front for the RPC header
+    /// (`RpcClient::call_frame` / `notify_frame` send the one buffer).
+    pub fn encode(&self) -> Writer {
+        let mut w = Writer::new();
+        match self {
+            // Four methods share the `[name str][u64]` layout.
+            Request::Metadata { file: name, caps: v }
+            | Request::CodecOffer { file: name, caps: v }
+            | Request::StepSub { series: name, caps: v }
+            | Request::StepAck { series: name, cursor: v } => {
+                w.put_str(name);
+                w.put_u64(*v);
+            }
+            Request::DataBatch { file, entries } => {
+                w.put_str(file);
+                w.put_u64(entries.len() as u64);
+                for (dset, sel) in entries.iter() {
+                    w.put_str(dset);
+                    w.put(sel);
+                }
+            }
+            Request::Done { file } => w.put_str(file),
+            Request::Shutdown => {}
+            Request::StepNext { series, cursor, policy } => {
+                let (code, skip) = policy.to_wire();
+                w.put_str(series);
+                w.put_u64(*cursor);
+                w.put_u8(code);
+                w.put_u64(skip);
+            }
+        }
+        w
+    }
+
+    /// Decode the arguments `b` of a request that arrived under `method`,
+    /// names borrowed from `b`. An unknown or retired method id, a frame
+    /// cut short, a count the frame cannot hold, a bad policy code and
+    /// trailing bytes are all [`H5Error::Format`].
+    pub fn decode(method: u32, b: &'a [u8]) -> H5Result<Self> {
+        let mut r = Reader::new(b);
+        let req = match method {
+            M_METADATA => Request::Metadata { file: r.get_str_ref()?, caps: r.get_u64()? },
+            M_CODEC_OFFER => Request::CodecOffer { file: r.get_str_ref()?, caps: r.get_u64()? },
+            M_DATA_BATCH => {
+                let file = r.get_str_ref()?;
+                // An entry is at least a name's length and a selection tag.
+                let n = r.get_count(9)?;
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    entries.push((r.get_str_ref()?, r.get()?));
+                }
+                Request::DataBatch { file, entries: BatchEntries::Read(entries) }
+            }
+            M_DONE => Request::Done { file: r.get_str_ref()? },
+            M_SHUTDOWN => Request::Shutdown,
+            M_STEP_SUB => Request::StepSub { series: r.get_str_ref()?, caps: r.get_u64()? },
+            M_STEP_NEXT => Request::StepNext {
+                series: r.get_str_ref()?,
+                cursor: r.get_u64()?,
+                policy: StepPolicy::from_wire(r.get_u8()?, r.get_u64()?)?,
+            },
+            M_STEP_ACK => Request::StepAck { series: r.get_str_ref()?, cursor: r.get_u64()? },
+            m => return Err(H5Error::Format(format!("unknown RPC method {m}"))),
+        };
+        expect_eof(&r)?;
+        Ok(req)
+    }
 }
 
-/// Decode a metadata request into `(file, consumer codec caps)`, the name
-/// borrowed from the frame.
-pub fn dec_metadata_req(b: &[u8]) -> H5Result<(&str, u64)> {
-    let mut r = Reader::new(b);
-    let file = r.get_str_ref()?;
-    let caps = r.get_u64()?;
-    expect_eof(&r)?;
-    Ok((file, caps))
-}
-
-/// Encode a codec offer (`M_CODEC_OFFER`): a consumer rank advertising
-/// its capability bitmask for `file` to a producer it did not handshake
-/// with directly. Same body as a metadata request; sent as a
-/// fire-and-forget notification.
-pub fn enc_codec_offer(file: &str, caps: u64) -> Bytes {
-    enc_metadata_req(file, caps)
-}
-
-/// Decode a codec offer into `(file, consumer codec caps)`.
-pub fn dec_codec_offer(b: &[u8]) -> H5Result<(&str, u64)> {
-    dec_metadata_req(b)
-}
-
-/// Encode a data query (`M_DATA_BATCH`): every `(dataset, selection)`
-/// pair the consumer wants from one producer for `file`.
-///
-/// Each entry is answered independently — the reply carries one
-/// [`DataReply`] per entry, in entry order, with segment offsets relative
-/// to *that entry's* packed buffer, so how selections are grouped into
-/// frames never changes the bytes a consumer assembles.
+/// Encode a data query from owned entries. The benchmark's protocol
+/// layer pass times this signature; it delegates to [`Request::encode`].
 ///
 /// ```
-/// use lowfive::protocol::{enc_data_req_batch, dec_data_req_batch};
+/// use lowfive::protocol::{dec_data_req_batch, enc_data_req_batch};
 /// use minih5::Selection;
-/// let entries = vec![
-///     ("grid".to_string(), Selection::block(&[0, 0], &[4, 4])),
-///     ("particles".to_string(), Selection::all()),
-/// ];
+/// let entries = vec![("grid".to_string(), Selection::block(&[0, 0], &[4, 4]))];
 /// let frame = enc_data_req_batch("step0.h5", &entries);
 /// let (file, back) = dec_data_req_batch(&frame).unwrap();
-/// assert_eq!(file, "step0.h5");
-/// assert!(back.iter().map(|(d, s)| (*d, s)).eq(entries.iter().map(|(d, s)| (d.as_str(), s))));
+/// assert_eq!((file, back[0].0, &back[0].1), ("step0.h5", "grid", &entries[0].1));
 /// ```
 pub fn enc_data_req_batch(file: &str, entries: &[(String, Selection)]) -> Bytes {
-    let borrowed = entries.iter().map(|(dset, sel)| (dset.as_str(), sel));
-    data_req_batch(file, entries.len(), borrowed).finish()
+    let lent: Vec<(&str, &Selection)> = entries.iter().map(|(d, s)| (d.as_str(), s)).collect();
+    Request::DataBatch { file, entries: BatchEntries::Lent(&lent) }.encode().finish()
 }
 
-/// [`enc_data_req_batch`] encoded from `n` borrowed entries and left
-/// open, with headroom for the RPC header.
-pub(crate) fn data_req_batch<'a>(
-    file: &str,
-    n: usize,
-    entries: impl Iterator<Item = (&'a str, &'a Selection)>,
-) -> Writer {
-    let mut w = Writer::new();
-    w.put_str(file);
-    w.put_u64(n as u64);
-    let mut written = 0;
-    for (dset, sel) in entries {
-        w.put_str(dset);
-        w.put(sel);
-        written += 1;
-    }
-    debug_assert_eq!(written, n, "declared entry count");
-    w
-}
-
-/// Decode a data query, names borrowed from the frame. Rejects frames
-/// whose declared entry count could not possibly fit in the remaining
-/// bytes, so a corrupt length prefix fails cleanly instead of ballooning
-/// an allocation.
+/// Decode a data query into owned selections. The benchmark's protocol
+/// layer pass times this signature; it delegates to [`Request::decode`].
 pub fn dec_data_req_batch(b: &[u8]) -> H5Result<(&str, Vec<(&str, Selection)>)> {
-    let mut r = Reader::new(b);
-    let file = r.get_str_ref()?;
-    let n = r.get_count(9)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push((r.get_str_ref()?, r.get()?));
+    match Request::decode(M_DATA_BATCH, b)? {
+        Request::DataBatch { file, entries: BatchEntries::Read(entries) } => Ok((file, entries)),
+        other => unreachable!("M_DATA_BATCH decoded as {other:?}"),
     }
-    expect_eof(&r)?;
-    Ok((file, entries))
 }
 
-/// Encode an `M_DONE` notification: just the filename.
-pub fn enc_done_req(file: &str) -> Bytes {
-    done_req(file).finish()
+/// The contiguous frame of a [`Request::Metadata`]: the file name plus
+/// the consumer's codec-capability bitmask (`CAP_*` bits). A delegate to
+/// [`Request::encode`] for callers that want one `Bytes`.
+///
+/// ```
+/// use lowfive::protocol::{enc_metadata_req, Request, CAP_ALL, M_METADATA};
+/// let frame = enc_metadata_req("a.h5", CAP_ALL);
+/// assert_eq!(Request::decode(M_METADATA, &frame).unwrap(), Request::Metadata { file: "a.h5", caps: CAP_ALL });
+/// ```
+pub fn enc_metadata_req(file: &str, caps: u64) -> Bytes {
+    Request::Metadata { file, caps }.encode().finish()
 }
 
-/// [`enc_done_req`] left open, with headroom for the RPC header.
-pub(crate) fn done_req(file: &str) -> Writer {
-    let mut w = Writer::new();
-    w.put_str(file);
-    w
+/// The contiguous frame of a [`Request::StepSub`]: the series name plus
+/// the subscriber's codec-capability bitmask. A delegate to
+/// [`Request::encode`].
+///
+/// ```
+/// use lowfive::protocol::{enc_step_sub_req, Request, CAP_RAW, M_STEP_SUB};
+/// let frame = enc_step_sub_req("sim.h5", CAP_RAW);
+/// assert_eq!(Request::decode(M_STEP_SUB, &frame).unwrap(), Request::StepSub { series: "sim.h5", caps: CAP_RAW });
+/// ```
+pub fn enc_step_sub_req(series: &str, caps: u64) -> Bytes {
+    Request::StepSub { series, caps }.encode().finish()
 }
 
-/// Decode an `M_DONE` notification into the filename, borrowed from the
-/// frame.
-pub fn dec_done_req(b: &[u8]) -> H5Result<&str> {
-    let mut r = Reader::new(b);
-    let file = r.get_str_ref()?;
-    expect_eof(&r)?;
-    Ok(file)
+/// The contiguous frame of a [`Request::StepNext`]: the series, the
+/// caller's cumulative cursor and the policy (its wire code and skip
+/// bound). A delegate to [`Request::encode`].
+///
+/// ```
+/// use lowfive::protocol::{enc_step_next_req, Request, StepPolicy, M_STEP_NEXT};
+/// let frame = enc_step_next_req("sim.h5", 4, StepPolicy::SkipOk(2));
+/// let req = Request::StepNext { series: "sim.h5", cursor: 4, policy: StepPolicy::SkipOk(2) };
+/// assert_eq!(Request::decode(M_STEP_NEXT, &frame).unwrap(), req);
+/// ```
+pub fn enc_step_next_req(series: &str, cursor: u64, policy: StepPolicy) -> Bytes {
+    Request::StepNext { series, cursor, policy }.encode().finish()
 }
 
-/// Assert a decoder consumed its whole frame: leftover bytes mean a
-/// mis-framed (or padded) message that must not decode silently.
+/// The contiguous frame of a [`Request::StepAck`]: the series and the
+/// caller's cumulative cursor. A delegate to [`Request::encode`].
+///
+/// ```
+/// use lowfive::protocol::{enc_step_ack_req, Request, M_STEP_ACK};
+/// let frame = enc_step_ack_req("sim.h5", 12);
+/// assert_eq!(Request::decode(M_STEP_ACK, &frame).unwrap(), Request::StepAck { series: "sim.h5", cursor: 12 });
+/// ```
+pub fn enc_step_ack_req(series: &str, cursor: u64) -> Bytes {
+    Request::StepAck { series, cursor }.encode().finish()
+}
+
+/// Leftover bytes mean a mis-framed (or padded) message: an error.
 fn expect_eof(r: &Reader) -> H5Result<()> {
     if r.remaining() != 0 {
         return Err(H5Error::Format(format!("{} trailing bytes", r.remaining())));
@@ -505,20 +638,25 @@ fn expect_eof(r: &Reader) -> H5Result<()> {
 }
 
 // ---------------------------------------------------------------------
-// Replies
+// The result wrapper
 // ---------------------------------------------------------------------
 
-/// Error-kind codes carried in the err branch of [`enc_result`], so the
-/// variants that change a consumer's control flow survive the wire (and
-/// the metadata-broadcast rebroadcast) instead of collapsing into a
-/// generic string.
+/// The result wrapper's discriminant: `[RESULT_OK][body]` or
+/// `[RESULT_ERR][kind u8][message str]`.
+const RESULT_OK: u8 = 1;
+const RESULT_ERR: u8 = 0;
+
+/// Error-kind codes of the result wrapper's err branch: the variants that
+/// change a consumer's control flow survive the wire instead of
+/// collapsing into a generic string.
 const EK_GENERIC: u8 = 0;
 const EK_NOT_FOUND: u8 = 1;
 const EK_PEER_UNAVAILABLE: u8 = 2;
 
 /// Replies carry an ok/err discriminant so protocol errors propagate to
-/// the consumer instead of deadlocking it. The err branch is
-/// `[kind u8][message str]`.
+/// the consumer instead of deadlocking it. The ok branch is `[1 u8]` and
+/// the body, the err branch `[0 u8][kind u8][message str]`. This is the
+/// contiguous form of [`result_frame`], copying the body once.
 ///
 /// ```
 /// use bytes::Bytes;
@@ -530,34 +668,45 @@ const EK_PEER_UNAVAILABLE: u8 = 2;
 /// assert!(matches!(dec_result(&err).unwrap_err(), H5Error::PeerUnavailable(_)));
 /// ```
 pub fn enc_result(r: H5Result<Bytes>) -> Bytes {
-    let mut w = Writer::new();
+    result_frame(r.map(|body| Writer::from(&body[..]))).finish()
+}
+
+/// The result wrapper around a reply body still open in the `Writer` it
+/// was encoded into: the ok discriminant goes into its headroom, an error
+/// is framed in a fresh writer. Either way the frame is one buffer with
+/// headroom left for a deferred reply's call id
+/// (`diyblk::rpc::send_reply_frame`).
+pub fn result_frame(r: H5Result<Writer>) -> Writer {
     match r {
-        Ok(body) => {
-            w.put_u8(1);
-            w.put_raw(&body);
+        Ok(mut body) => {
+            body.prepend(&[RESULT_OK]);
+            body
         }
         Err(e) => {
-            w.put_u8(0);
             let (kind, msg) = match &e {
                 H5Error::NotFound(n) => (EK_NOT_FOUND, n.clone()),
                 H5Error::PeerUnavailable(m) => (EK_PEER_UNAVAILABLE, m.clone()),
                 other => (EK_GENERIC, other.to_string()),
             };
+            let mut w = Writer::new();
+            w.put_u8(RESULT_ERR);
             w.put_u8(kind);
             w.put_str(&msg);
+            w
         }
     }
-    w.finish()
 }
 
-/// Unwrap a [`enc_result`]-framed reply body.
+/// Unwrap a [`enc_result`]-framed reply body. An err frame must end with
+/// its message.
 pub fn dec_result(b: &Bytes) -> H5Result<Bytes> {
     let mut r = Reader::new(b);
     match r.get_u8()? {
-        1 => Ok(b.slice(1..)),
-        0 => {
+        RESULT_OK => Ok(b.slice(1..)),
+        RESULT_ERR => {
             let kind = r.get_u8()?;
             let msg = r.get_str()?;
+            expect_eof(&r)?;
             Err(match kind {
                 EK_NOT_FOUND => H5Error::NotFound(msg),
                 EK_PEER_UNAVAILABLE => H5Error::PeerUnavailable(msg),
@@ -568,16 +717,16 @@ pub fn dec_result(b: &Bytes) -> H5Result<Bytes> {
     }
 }
 
-/// The ok reply whose body was encoded into `body`: the discriminant goes
-/// into the headroom in front of it, so the frame stays one buffer.
-/// Flattened, it is identical to `enc_result(Ok(body))`.
-pub(crate) fn ok_reply(mut body: Writer) -> Bytes {
-    body.prepend(&[1]);
-    body.finish()
+/// [`result_frame`]'s ok form of a coded body shipped raw: the ok byte
+/// and the [`CODEC_RAW`] prefix both go into the headroom, so a small
+/// control reply (a step announce) is one buffer from encoder to wire.
+pub fn ok_raw_coded(mut body: Writer) -> Writer {
+    body.prepend(&[RESULT_OK, CODEC_RAW]);
+    body
 }
 
 /// The ok reply with an empty body (an ack): one static byte.
-pub(crate) const OK_EMPTY: Bytes = Bytes::from_static(&[1]);
+pub const OK_EMPTY: Bytes = Bytes::from_static(&[RESULT_OK]);
 
 /// Parts-preserving [`enc_result`]: the ok discriminant becomes its own
 /// one-byte part and the body's parts follow untouched, so a zero-copy
@@ -585,157 +734,458 @@ pub(crate) const OK_EMPTY: Bytes = Bytes::from_static(&[1]);
 /// is identical to `enc_result`'s.
 pub fn enc_result_payload(r: H5Result<Payload>) -> Payload {
     match r {
-        Ok(body) => prefixed(1, body),
-        Err(e) => enc_result(Err(e)).into(),
+        Ok(body) => prefixed(&[RESULT_OK], body),
+        Err(e) => result_frame(Err(e)).finish().into(),
     }
 }
 
 /// Unwrap a result-framed reply delivered as a [`Payload`] without
-/// flattening the ok body: a one-byte prefix peek plus an in-place
-/// `advance`. Error frames are small and single-part; decoding them
-/// reuses [`dec_result`].
+/// flattening the ok body: a one-byte peek plus an in-place `advance`.
 pub fn dec_result_payload(mut p: Payload) -> H5Result<Payload> {
     let mut d = [0u8; 1];
-    if !p.copy_prefix(&mut d) {
-        return Err(H5Error::Format("empty reply frame".into()));
+    if p.copy_prefix(&mut d) && d[0] == RESULT_OK {
+        p.advance(1);
+        return Ok(p);
     }
-    match d[0] {
-        1 => {
-            p.advance(1);
-            Ok(p)
-        }
-        0 => match dec_result(&p.into_bytes()) {
-            Ok(_) => unreachable!("discriminant 0 is the err branch"),
-            Err(e) => Err(e),
-        },
-        t => Err(H5Error::Format(format!("bad reply discriminant {t}"))),
-    }
+    // Empty, an err frame or a bad discriminant: small, single-part.
+    dec_result(&p.into_bytes()).map(Payload::from)
 }
 
-/// Encode a metadata reply: the file's generation, the negotiated codec
-/// mask (consumer caps ∩ producer caps), then the serialized
-/// [`FileMeta`] tree.
-pub fn enc_metadata_reply(gen: u64, codec_mask: u64, meta: &FileMeta) -> Bytes {
-    metadata_reply(gen, codec_mask, meta).finish()
-}
+// ---------------------------------------------------------------------
+// Replies
+// ---------------------------------------------------------------------
 
-/// [`enc_metadata_reply`] left open, with headroom for the result
-/// discriminant.
-pub(crate) fn metadata_reply(gen: u64, codec_mask: u64, meta: &FileMeta) -> Writer {
-    let mut w = Writer::new();
-    w.put_u64(gen);
-    w.put_u64(codec_mask);
-    w.put(meta);
-    w
-}
-
-/// Decode a metadata reply into `(generation, negotiated codec mask,
-/// tree)`.
-pub fn dec_metadata_reply(b: &[u8]) -> H5Result<(u64, u64, FileMeta)> {
-    let mut r = Reader::new(b);
-    let gen = r.get_u64()?;
-    let mask = r.get_u64()?;
-    let meta = r.get()?;
-    expect_eof(&r)?;
-    Ok((gen, mask, meta))
-}
-
-/// One entry of a data reply: `owners` answer the redirect, `segs` are
-/// `(element offset in the consumer's packed buffer, element length)`,
-/// and `blob` is the concatenated payload in segment order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataReply {
-    /// Generation of the served file at reply time.
+/// The reply to [`Request::Metadata`]: the file's generation, the
+/// negotiated codec mask (consumer caps ∩ producer caps), then the
+/// serialized [`FileMeta`] tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetadataReply {
+    /// Generation of the file at reply time.
     pub gen: u64,
-    /// Producer-local ranks the answering producer's index lists as
-    /// holding data of the dataset inside the selection's bounding box.
-    pub owners: Vec<usize>,
-    /// `(element offset, element length)` pairs addressing the
-    /// consumer's packed destination buffer.
-    pub segs: Vec<(u64, u64)>,
-    /// Concatenated segment payloads, in `segs` order.
-    pub blob: Bytes,
+    /// The negotiated codec mask for this (file, consumer rank) pair.
+    pub codec_mask: u64,
+    /// The file's metadata tree.
+    pub meta: FileMeta,
 }
 
-/// Encode a data reply (`M_DATA_BATCH`): the entry count, every entry's
-/// owner list, then one `(gen, segs, blob)` body per entry, all in entry
-/// order. The owner lists lead, so each body keeps the layout
-/// [`get_data_reply_header`] walks.
+impl MetadataReply {
+    /// Encode, with headroom for the result discriminant ([`result_frame`]).
+    pub fn encode(&self) -> Writer {
+        let mut w = Writer::new();
+        w.put_u64(self.gen);
+        w.put_u64(self.codec_mask);
+        w.put(&self.meta);
+        w
+    }
+
+    /// Decode a whole metadata reply body.
+    pub fn decode(b: &[u8]) -> H5Result<Self> {
+        let mut r = Reader::new(b);
+        let reply = MetadataReply { gen: r.get_u64()?, codec_mask: r.get_u64()?, meta: r.get()? };
+        expect_eof(&r)?;
+        Ok(reply)
+    }
+}
+
+/// The reply to [`Request::StepSub`]: the retained window start (the
+/// oldest step a late joiner can still catch up from), the next sequence
+/// number the producer will publish, whether the series has ended, and
+/// the negotiated codec mask (subscriber caps ∩ producer caps) governing
+/// this pair's step-next reply bodies.
+///
+/// ```
+/// use lowfive::protocol::{StepSubReply, CAP_RAW};
+/// let reply = StepSubReply { window_start: 3, next_seq: 7, ended: false, codec_mask: CAP_RAW };
+/// assert_eq!(StepSubReply::decode(&reply.encode().finish()).unwrap(), reply);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepSubReply {
+    /// Oldest retained sequence number.
+    pub window_start: u64,
+    /// The sequence number the next publish takes.
+    pub next_seq: u64,
+    /// Has the series ended?
+    pub ended: bool,
+    /// The negotiated codec mask for this (series, subscriber) pair.
+    pub codec_mask: u64,
+}
+
+impl StepSubReply {
+    /// Encode, with headroom for the result discriminant ([`result_frame`]).
+    pub fn encode(&self) -> Writer {
+        let mut w = Writer::new();
+        w.put_u64(self.window_start);
+        w.put_u64(self.next_seq);
+        w.put_u8(self.ended as u8);
+        w.put_u64(self.codec_mask);
+        w
+    }
+
+    /// Decode a whole step-subscribe reply body.
+    pub fn decode(b: &[u8]) -> H5Result<Self> {
+        let mut r = Reader::new(b);
+        let reply = StepSubReply {
+            window_start: r.get_u64()?,
+            next_seq: r.get_u64()?,
+            ended: r.get_u8()? != 0,
+            codec_mask: r.get_u64()?,
+        };
+        expect_eof(&r)?;
+        Ok(reply)
+    }
+}
+
+/// The reply to [`Request::StepNext`].
+///
+/// ```
+/// use lowfive::protocol::StepNextReply;
+/// for reply in [
+///     StepNextReply::Pending,
+///     StepNextReply::Step { seq: 5, file: "sim.h5@s1".into(), gen: 2, pub_ns: 99 },
+///     StepNextReply::Ended { head: 6 },
+/// ] {
+///     assert_eq!(StepNextReply::decode(&reply.encode().finish()).unwrap(), reply);
+/// }
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StepNextReply {
+    /// Nothing at or past the cursor is retained yet, and the consumer
+    /// asked again while its earlier poll was parked; poll again (that
+    /// poll parks).
+    Pending,
+    /// A step *announce*: the chosen step and where to read it.
+    Step {
+        /// Sequence number of the announced step.
+        seq: u64,
+        /// Slot filename holding the step's datasets (open it like any
+        /// consumed file).
+        file: String,
+        /// The producer's generation of the slot file at publish time; a
+        /// later read observing a different generation proves the slot
+        /// was recycled underneath the announce (drop-oldest mode only).
+        gen: u64,
+        /// Publish timestamp, `obsv::clock::now_ns` domain (threads share
+        /// one process clock, so consumers can histogram step latency).
+        pub_ns: u64,
+    },
+    /// The series ended and nothing at or past the cursor remains; `head`
+    /// is the final next-sequence value to acknowledge.
+    Ended {
+        /// One past the last published sequence number.
+        head: u64,
+    },
+}
+
+impl StepNextReply {
+    /// Encode, with headroom for the result discriminant and the codec
+    /// prefix ([`ok_raw_coded`]).
+    pub fn encode(&self) -> Writer {
+        let mut w = Writer::new();
+        match self {
+            StepNextReply::Pending => w.put_u8(0),
+            StepNextReply::Step { seq, file, gen, pub_ns } => {
+                w.put_u8(1);
+                w.put_u64(*seq);
+                w.put_str(file);
+                w.put_u64(*gen);
+                w.put_u64(*pub_ns);
+            }
+            StepNextReply::Ended { head } => {
+                w.put_u8(2);
+                w.put_u64(*head);
+            }
+        }
+        w
+    }
+
+    /// Decode a whole step-next reply body (codec prefix already shed).
+    pub fn decode(b: &[u8]) -> H5Result<Self> {
+        let mut r = Reader::new(b);
+        let reply = match r.get_u8()? {
+            0 => StepNextReply::Pending,
+            1 => StepNextReply::Step {
+                seq: r.get_u64()?,
+                file: r.get_str()?,
+                gen: r.get_u64()?,
+                pub_ns: r.get_u64()?,
+            },
+            2 => StepNextReply::Ended { head: r.get_u64()? },
+            t => return Err(H5Error::Format(format!("bad step-next discriminant {t}"))),
+        };
+        expect_eof(&r)?;
+        Ok(reply)
+    }
+}
+
+/// One producer's contribution to another producer's index (Algorithm
+/// 1): per dataset, the bounding boxes of the regions the sender holds
+/// that fall in the receiver's block of the common decomposition, each
+/// tagged with the sender's generation of the file at index time.
+/// Entries are written as they are found; the count that leads the
+/// bundle goes into the headroom at [`IndexBundle::finish`]. A bundle
+/// with no entry — a peer none of the sender's regions reaches — is a
+/// static frame and allocates nothing.
+///
+/// ```
+/// use lowfive::protocol::{IndexBundle, IndexEntry};
+/// use minih5::BBox;
+/// let bbox = BBox::new(vec![0], vec![5]);
+/// let mut bundle = IndexBundle::default();
+/// bundle.push("f.h5", "grid", 1, &bbox);
+/// let frame = bundle.finish();
+/// let entries = IndexBundle::decode(&frame).unwrap();
+/// assert_eq!(entries, vec![IndexEntry { file: "f.h5", dset: "grid", gen: 1, bbox }]);
+/// ```
+#[derive(Default)]
+pub struct IndexBundle {
+    w: Writer,
+    n: u64,
+}
+
+/// One decoded [`IndexBundle`] entry, names borrowed from the bundle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexEntry<'a> {
+    /// The indexed file.
+    pub file: &'a str,
+    /// The dataset's path in it.
+    pub dset: &'a str,
+    /// The sender's generation of the file when it indexed.
+    pub gen: u64,
+    /// The bounding box of one of the sender's regions.
+    pub bbox: BBox,
+}
+
+impl IndexBundle {
+    /// Append one entry.
+    pub fn push(&mut self, file: &str, dset: &str, gen: u64, bbox: &BBox) {
+        if self.n == 0 {
+            self.w = Writer::new();
+        }
+        self.w.put_str(file);
+        self.w.put_str(dset);
+        self.w.put_u64(gen);
+        self.w.put(bbox);
+        self.n += 1;
+    }
+
+    /// The bundle's frame: the entry count, then the entries.
+    pub fn finish(mut self) -> Bytes {
+        static NO_ENTRIES: [u8; 8] = [0; 8];
+        if self.n == 0 {
+            return Bytes::from_static(&NO_ENTRIES);
+        }
+        self.w.prepend(&self.n.to_le_bytes());
+        self.w.finish()
+    }
+
+    /// Decode a whole bundle.
+    pub fn decode(b: &[u8]) -> H5Result<Vec<IndexEntry<'_>>> {
+        let mut r = Reader::new(b);
+        // An entry is at least two names' lengths, a generation and a tag.
+        let n = r.get_count(25)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(IndexEntry {
+                file: r.get_str_ref()?,
+                dset: r.get_str_ref()?,
+                gen: r.get_u64()?,
+                bbox: r.get()?,
+            });
+        }
+        expect_eof(&r)?;
+        Ok(out)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The data reply (`M_DATA_BATCH`)
+// ---------------------------------------------------------------------
+//
+//   reply = [n u64] { [owners u64s] } × n { body } × n
+//   body  = [gen u64][nsegs u64] { [off u64][len u64] } × nsegs
+//           [blob_len u64][blob bytes]
+
+/// The reply to [`Request::DataBatch`], written over a [`ReplyFrame`]:
+/// the entry count, every entry's owner list, then every entry's body,
+/// all in entry order. A body's blob is lent as the region slices it is
+/// made of; nothing is copied.
 ///
 /// ```
 /// use bytes::Bytes;
-/// use lowfive::protocol::{enc_data_reply_batch, dec_data_reply_batch, DataReply};
-/// let replies = vec![
-///     DataReply { gen: 2, owners: vec![0, 1], segs: vec![(0, 2)], blob: Bytes::from_static(&[7, 8]) },
-///     // An entry may intersect nothing.
-///     DataReply { gen: 2, owners: vec![], segs: vec![], blob: Bytes::new() },
-/// ];
-/// assert_eq!(dec_data_reply_batch(&enc_data_reply_batch(&replies), 2).unwrap(), replies);
+/// use lowfive::protocol::{BatchReplyReader, BatchReplyWriter};
+/// let region = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+/// let mut w = BatchReplyWriter::new(1);
+/// w.owners(&[0]);
+/// w.body(7, [(0, 3)].into_iter(), 3, [region.slice(1..4)]); // lent, not copied
+/// let mut r = BatchReplyReader::new(w.finish(), 1).unwrap();
+/// assert_eq!(r.entries(), 1);
+/// let mut owners = Vec::new();
+/// r.owners(|o| owners.push(o)).unwrap();
+/// let mut segs = Vec::new();
+/// assert_eq!(r.body(&mut segs).unwrap(), (7, 3));
+/// let mut blob = [0u8; 3];
+/// r.blob().copy_into(&mut blob).unwrap();
+/// r.finish().unwrap();
+/// assert_eq!((owners, segs, blob), (vec![0], vec![(0, 3)], [2, 3, 4]));
 /// ```
-pub fn enc_data_reply_batch(replies: &[DataReply]) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u64(replies.len() as u64);
-    for r in replies {
-        w.put_u64s(&r.owners.iter().map(|&o| o as u64).collect::<Vec<u64>>());
+pub struct BatchReplyWriter {
+    frame: ReplyFrame,
+}
+
+impl BatchReplyWriter {
+    /// A reply of `entries` entries.
+    pub fn new(entries: usize) -> Self {
+        let mut frame = ReplyFrame::new();
+        frame.put_u64(entries as u64);
+        BatchReplyWriter { frame }
     }
-    for r in replies {
-        w.put_u64(r.gen);
-        w.put_u64(r.segs.len() as u64);
-        for &(off, len) in &r.segs {
-            w.put_u64(off);
-            w.put_u64(len);
+
+    /// The next entry's owner list: the producer-local ranks whose index
+    /// boxes the entry's selection hits. Every owner list comes before
+    /// the first body.
+    pub fn owners(&mut self, owners: &[usize]) {
+        self.frame.put_u64(owners.len() as u64);
+        owners.iter().for_each(|&o| self.frame.put_u64(o as u64));
+    }
+
+    /// The next entry's body: the file's generation `gen`, its segments
+    /// `(element offset in the consumer's packed buffer, element count)`,
+    /// and its `blob_len`-byte blob lent as the parts of `blob`, in
+    /// segment order.
+    pub fn body(
+        &mut self,
+        gen: u64,
+        segs: impl ExactSizeIterator<Item = (u64, u64)>,
+        blob_len: u64,
+        blob: impl IntoIterator<Item = Bytes>,
+    ) {
+        self.frame.put_u64(gen);
+        self.frame.put_u64(segs.len() as u64);
+        for (off, len) in segs {
+            self.frame.put_u64(off);
+            self.frame.put_u64(len);
         }
-        w.put_bytes(&r.blob);
+        self.frame.put_blob_len(blob_len);
+        blob.into_iter().for_each(|part| self.frame.lend(part));
     }
-    w.finish()
+
+    /// The reply's parts.
+    pub fn finish(self) -> Payload {
+        self.frame.finish()
+    }
 }
 
-/// Decode a data reply from a task of `producers` ranks into one
-/// [`DataReply`] per entry. Every count is validated against the bytes
-/// actually present, and every owner against the task size.
-pub fn dec_data_reply_batch(b: &[u8], producers: usize) -> H5Result<Vec<DataReply>> {
-    let mut pr = PayloadReader::new(Payload::from(Bytes::copy_from_slice(b)));
-    let owners = get_batch_owners(&mut pr, producers)?;
-    let mut out = Vec::with_capacity(owners.len());
-    for owners in owners {
-        let (gen, segs, blob_len) = get_data_reply_header(&mut pr)?;
-        let mut blob = vec![0u8; blob_len];
-        pr.copy_into(&mut blob)?;
-        out.push(DataReply { gen, owners, segs, blob: Bytes::from(blob) });
-    }
-    pr.expect_end()?;
-    Ok(out)
+/// Reads a [`BatchReplyWriter`] reply in place, as the consumer's
+/// scatter does: the owner lists entry by entry, then each body's
+/// header, its blob left at [`BatchReplyReader::blob`] for the caller
+/// to copy or skip. Every count is checked against the bytes present and
+/// every owner against the producer task.
+pub struct BatchReplyReader {
+    pr: PayloadReader,
+    producers: usize,
+    entries: usize,
 }
 
-// ---------------------------------------------------------------------
-// Zero-copy reply framing
-// ---------------------------------------------------------------------
+impl BatchReplyReader {
+    /// Start reading `reply`, answered by a task of `producers` ranks.
+    pub fn new(reply: Payload, producers: usize) -> H5Result<Self> {
+        let mut pr = PayloadReader::new(reply);
+        let entries = pr.get_count(8)?;
+        Ok(BatchReplyReader { pr, producers, entries })
+    }
+
+    /// The number of entries the reply declares.
+    pub fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// Read the next entry's owner list, handing each owner to `f` in
+    /// wire order. An owner outside `0..producers` is an
+    /// [`H5Error::Format`] here rather than an out-of-bounds index later.
+    pub fn owners(&mut self, mut f: impl FnMut(usize)) -> H5Result<()> {
+        let k = self.pr.get_count(8)?;
+        for _ in 0..k {
+            let o = self.pr.get_u64()?;
+            f(usize::try_from(o).ok().filter(|&o| o < self.producers).ok_or_else(|| {
+                H5Error::Format(format!("owner rank {o} outside a task of {}", self.producers))
+            })?);
+        }
+        Ok(())
+    }
+
+    /// Read the next body's header: its segments into `segs` (cleared
+    /// first, so one list serves every entry), then `(generation, blob
+    /// length in bytes)`. The blob follows at [`Self::blob`] and must be
+    /// read or skipped before the next body.
+    pub fn body(&mut self, segs: &mut Vec<(u64, u64)>) -> H5Result<(u64, usize)> {
+        body_header(&mut self.pr, segs)
+    }
+
+    /// The cursor, at the blob of the body just read.
+    pub fn blob(&mut self) -> &mut PayloadReader {
+        &mut self.pr
+    }
+
+    /// Fail unless the whole reply has been read.
+    pub fn finish(&self) -> H5Result<()> {
+        match self.pr.remaining() {
+            0 => Ok(()),
+            n => Err(H5Error::Format(format!("{n} trailing bytes after reply"))),
+        }
+    }
+}
+
+/// The one reader of a body header (see [`BatchReplyReader::body`]).
+fn body_header(pr: &mut PayloadReader, segs: &mut Vec<(u64, u64)>) -> H5Result<(u64, usize)> {
+    let gen = pr.get_u64()?;
+    let n = pr.get_count(16)?;
+    segs.clear();
+    segs.reserve(n);
+    for _ in 0..n {
+        segs.push((pr.get_u64()?, pr.get_u64()?));
+    }
+    let blob_len = pr.get_u64()? as usize;
+    if blob_len > pr.remaining() {
+        return Err(H5Error::Format(format!(
+            "declared blob length {blob_len} exceeds frame ({} bytes left)",
+            pr.remaining()
+        )));
+    }
+    Ok((gen, blob_len))
+}
+
+/// A decoded body header: `(generation, segments, blob length in bytes)`.
+pub type DataReplyHeader = (u64, Vec<(u64, u64)>, usize);
+
+/// [`BatchReplyReader::body`] on a bare cursor, into a fresh segment
+/// list. The benchmark's reply-walk pass frames one body alone and reads
+/// it through this signature.
+pub fn get_data_reply_header(pr: &mut PayloadReader) -> H5Result<DataReplyHeader> {
+    let mut segs = Vec::new();
+    body_header(pr, &mut segs).map(|(gen, blob_len)| (gen, segs, blob_len))
+}
 
 /// Builder for multi-part reply frames: header fields accumulate in a
-/// contiguous run, dataset bytes are *lent* as refcounted parts. The
-/// flattened frame is byte-identical to what the contiguous encoders
-/// above produce, so a `ReplyFrame`-built reply decodes with the same
-/// decoders once flattened — or, without flattening, with a
-/// [`PayloadReader`].
+/// contiguous run, dataset bytes are *lent* as refcounted parts. Flattened,
+/// the frame is the bytes written and lent, in order; walk it in place
+/// with a [`PayloadReader`]. [`BatchReplyWriter`] is the data reply over
+/// it.
 ///
 /// ```
 /// use bytes::Bytes;
-/// use lowfive::protocol::{dec_data_reply_batch, enc_data_reply_batch, DataReply, ReplyFrame};
+/// use lowfive::protocol::{PayloadReader, ReplyFrame};
 /// let region = Bytes::from(vec![1u8, 2, 3, 4, 5]);
 /// let mut f = ReplyFrame::new();
-/// f.put_u64(1); // one entry
-/// f.put_u64(1); // its owner list: one rank...
-/// f.put_u64(0); // ...rank 0
-/// f.put_u64(1); // gen
-/// f.put_u64(1); // one segment
-/// f.put_u64(0); // off
-/// f.put_u64(3); // len
-/// f.put_u64(3); // blob length prefix
+/// f.put_u64(7);
+/// f.put_blob_len(3);
 /// f.lend(region.slice(1..4)); // borrowed, not copied
-/// let flat = f.finish().into_bytes();
-/// let entry = DataReply { gen: 1, owners: vec![0], segs: vec![(0, 3)], blob: region.slice(1..4) };
-/// assert_eq!(&flat[..], &enc_data_reply_batch(&[entry])[..]);
-/// assert_eq!(&dec_data_reply_batch(&flat, 1).unwrap()[0].blob[..], &[2, 3, 4]);
+/// let payload = f.finish();
+/// assert_eq!(payload.parts()[1].as_ptr(), region[1..].as_ptr());
+/// let mut pr = PayloadReader::new(payload);
+/// assert_eq!((pr.get_u64().unwrap(), pr.get_u64().unwrap()), (7, 3));
+/// let mut blob = [0u8; 3];
+/// pr.copy_into(&mut blob).unwrap();
+/// assert_eq!(blob, [2, 3, 4]);
 /// ```
 #[derive(Default)]
 pub struct ReplyFrame {
@@ -781,16 +1231,6 @@ impl ReplyFrame {
         }
     }
 
-    /// Total logical length framed so far.
-    pub fn len(&self) -> usize {
-        self.hdr.len() + self.parts.len()
-    }
-
-    /// Has nothing been framed yet?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Finish the frame as a multi-part payload.
     pub fn finish(mut self) -> Payload {
         self.flush_hdr();
@@ -798,17 +1238,12 @@ impl ReplyFrame {
     }
 }
 
-/// Decoding cursor over a multi-part reply [`Payload`], used by the
-/// consumer to walk a reply *in place*: scalar reads peek a few bytes
-/// across part boundaries (bounded, uncounted copies), and
+/// Decoding cursor over a multi-part reply [`Payload`], walking it *in
+/// place*: scalar reads peek a few bytes across part boundaries, and
 /// [`PayloadReader::copy_into`] scatters blob bytes straight into the
-/// caller's destination buffer — the single unavoidable copy of the
-/// zero-copy fetch path.
-///
-/// The cursor is a (part, offset) position plus a running count of the
-/// bytes left: reading never re-slices or drops a part, so walking a reply
-/// costs the same per field however many parts it has, and the parts are
-/// released together when the reader drops.
+/// caller's buffer — the one copy of the zero-copy fetch path. The cursor
+/// is a (part, offset) position and a count of the bytes left, so a field
+/// costs the same however many parts the reply has.
 pub struct PayloadReader {
     p: Payload,
     /// Index of the part the next byte is in.
@@ -826,24 +1261,22 @@ impl PayloadReader {
         PayloadReader { p, part: 0, off: 0, left }
     }
 
-    /// Read one byte off the front of the payload.
-    pub fn get_u8(&mut self) -> H5Result<u8> {
-        let mut b = [0u8; 1];
-        self.read_exact(&mut b)?;
-        Ok(b[0])
-    }
-
     /// Read a little-endian `u64` off the front of the payload.
     pub fn get_u64(&mut self) -> H5Result<u64> {
         let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
+        self.copy_into(&mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
     /// Copy exactly `dst.len()` bytes off the front of the payload into
     /// `dst` and advance past them.
     pub fn copy_into(&mut self, dst: &mut [u8]) -> H5Result<()> {
-        self.read_exact(dst)
+        let mut filled = 0;
+        self.read_chunks(dst.len(), |chunk| {
+            dst[filled..filled + chunk.len()].copy_from_slice(chunk);
+            filled += chunk.len();
+            Ok(())
+        })
     }
 
     /// Hand the next `n` bytes to `sink` in place — one call per part they
@@ -854,7 +1287,10 @@ impl PayloadReader {
         mut sink: impl FnMut(&[u8]) -> H5Result<()>,
     ) -> H5Result<()> {
         if n > self.left {
-            return Err(self.truncated(n));
+            let left = self.left;
+            return Err(H5Error::Format(format!(
+                "truncated reply payload: need {n} bytes, have {left}"
+            )));
         }
         let mut want = n;
         while want > 0 {
@@ -891,23 +1327,6 @@ impl PayloadReader {
         Ok(n as usize)
     }
 
-    /// Fail unless the whole payload has been read.
-    pub(crate) fn expect_end(&self) -> H5Result<()> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(H5Error::Format(format!("{n} trailing bytes after reply"))),
-        }
-    }
-
-    fn read_exact(&mut self, dst: &mut [u8]) -> H5Result<()> {
-        let mut filled = 0;
-        self.read_chunks(dst.len(), |chunk| {
-            dst[filled..filled + chunk.len()].copy_from_slice(chunk);
-            filled += chunk.len();
-            Ok(())
-        })
-    }
-
     /// Move the cursor `n` bytes on, within the current part (`n` never
     /// exceeds what is left of it), onto the next part at its end.
     fn step(&mut self, n: usize) {
@@ -918,353 +1337,6 @@ impl PayloadReader {
             self.off = 0;
         }
     }
-
-    fn truncated(&self, need: usize) -> H5Error {
-        H5Error::Format(format!("truncated reply payload: need {need} bytes, have {}", self.left))
-    }
-}
-
-/// Read the head of a data reply off a [`PayloadReader`] — the entry
-/// count and every entry's owner list — leaving the cursor at the first
-/// entry body. The reply comes from a task of `producers` ranks: an owner
-/// outside `0..producers`, like a count the frame cannot hold, is a
-/// [`H5Error::Format`] here rather than an out-of-bounds index later.
-pub fn get_batch_owners(pr: &mut PayloadReader, producers: usize) -> H5Result<Vec<Vec<usize>>> {
-    let n = get_batch_len(pr)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut owners = Vec::new();
-        get_owner_list(pr, producers, |o| owners.push(o))?;
-        out.push(owners);
-    }
-    Ok(out)
-}
-
-/// Read the entry count that leads a data reply.
-pub(crate) fn get_batch_len(pr: &mut PayloadReader) -> H5Result<usize> {
-    pr.get_count(8)
-}
-
-/// Read one entry's owner list, handing each owner to `f` in wire order;
-/// an owner outside `0..producers` is a [`H5Error::Format`].
-pub(crate) fn get_owner_list(
-    pr: &mut PayloadReader,
-    producers: usize,
-    mut f: impl FnMut(usize),
-) -> H5Result<()> {
-    let k = pr.get_count(8)?;
-    for _ in 0..k {
-        let o = pr.get_u64()?;
-        f(usize::try_from(o).ok().filter(|&o| o < producers).ok_or_else(|| {
-            H5Error::Format(format!("owner rank {o} outside a task of {producers}"))
-        })?);
-    }
-    Ok(())
-}
-
-/// A decoded data-reply header: `(generation, segments, blob length in
-/// bytes)`.
-pub type DataReplyHeader = (u64, Vec<(u64, u64)>, usize);
-
-/// Read one data-reply header off a [`PayloadReader`], leaving the cursor
-/// at the first blob byte. The caller scatters `blob_len` bytes via
-/// [`PayloadReader::copy_into`] (or skips them) before reading the next
-/// entry of a batch. Counts are validated against the bytes actually
-/// present, exactly like the contiguous decoders.
-pub fn get_data_reply_header(pr: &mut PayloadReader) -> H5Result<DataReplyHeader> {
-    let mut segs = Vec::new();
-    let (gen, blob_len) = get_data_reply_header_into(pr, &mut segs)?;
-    Ok((gen, segs, blob_len))
-}
-
-/// [`get_data_reply_header`] into a caller's segment list (cleared
-/// first), so that one list serves every entry of a read: returns
-/// `(generation, blob length in bytes)`.
-pub(crate) fn get_data_reply_header_into(
-    pr: &mut PayloadReader,
-    segs: &mut Vec<(u64, u64)>,
-) -> H5Result<(u64, usize)> {
-    let gen = pr.get_u64()?;
-    let n = pr.get_count(16)?;
-    segs.clear();
-    segs.reserve(n);
-    for _ in 0..n {
-        segs.push((pr.get_u64()?, pr.get_u64()?));
-    }
-    let blob_len = pr.get_u64()? as usize;
-    if blob_len > pr.remaining() {
-        return Err(H5Error::Format(format!(
-            "declared blob length {blob_len} exceeds frame ({} bytes left)",
-            pr.remaining()
-        )));
-    }
-    Ok((gen, blob_len))
-}
-
-// ---------------------------------------------------------------------
-// Index exchange payloads (producer-local)
-// ---------------------------------------------------------------------
-
-/// One producer's contribution to another producer's index: per dataset,
-/// the bounding boxes of the regions the sender holds that fall in the
-/// receiver's block of the common decomposition, each tagged with the
-/// sender's generation of the file at index time.
-///
-/// ```
-/// use lowfive::protocol::{enc_index_bundle, dec_index_bundle};
-/// use minih5::BBox;
-/// let bb = BBox::new(vec![0], vec![5]);
-/// let entries = vec![("f.h5".to_string(), "grid".to_string(), 1, bb.clone())];
-/// assert_eq!(dec_index_bundle(&enc_index_bundle(&entries)).unwrap(), vec![("f.h5", "grid", 1, bb)]);
-/// ```
-pub fn enc_index_bundle(entries: &[(String, String, u64, BBox)]) -> Bytes {
-    let mut w = Writer::new();
-    for (file, dset, gen, bb) in entries {
-        put_index_entry(&mut w, file, dset, *gen, bb);
-    }
-    finish_index_bundle(w, entries.len() as u64)
-}
-
-/// Append one entry of an index bundle to `w`, from borrowed names.
-pub(crate) fn put_index_entry(w: &mut Writer, file: &str, dset: &str, gen: u64, bb: &BBox) {
-    w.put_str(file);
-    w.put_str(dset);
-    w.put_u64(gen);
-    w.put(bb);
-}
-
-/// Close a bundle of `n` entries written with [`put_index_entry`]: the
-/// count that leads it goes into the headroom in front of them.
-pub(crate) fn finish_index_bundle(mut w: Writer, n: u64) -> Bytes {
-    w.prepend(&n.to_le_bytes());
-    w.finish()
-}
-
-/// Decode an index bundle, names borrowed from the frame.
-pub fn dec_index_bundle(b: &[u8]) -> H5Result<Vec<(&str, &str, u64, BBox)>> {
-    let mut r = Reader::new(b);
-    let n = r.get_count(25)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((r.get_str_ref()?, r.get_str_ref()?, r.get_u64()?, r.get()?));
-    }
-    expect_eof(&r)?;
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------
-// Step streaming (M_STEP_SUB / M_STEP_NEXT / M_STEP_ACK)
-// ---------------------------------------------------------------------
-
-/// Wire codes of the subscribe policies carried in `M_STEP_NEXT`
-/// requests. `crate::stream::StepPolicy` maps onto these; the skip
-/// bound rides next to the code so the frame shape is fixed.
-pub const STEP_POLICY_EVERY: u8 = 0;
-/// Wire code: deliver the newest retained step at or past the cursor.
-pub const STEP_POLICY_LATEST: u8 = 1;
-/// Wire code: deliver in order but allow skipping up to `n` steps ahead.
-pub const STEP_POLICY_SKIP_OK: u8 = 2;
-
-/// Encode a step-subscribe request (`M_STEP_SUB`): the series name plus
-/// the subscriber's codec-capability bitmask (`CAP_*` bits).
-///
-/// ```
-/// use lowfive::protocol::{enc_step_sub_req, dec_step_sub_req, CAP_RAW};
-/// let frame = enc_step_sub_req("sim.h5", CAP_RAW);
-/// assert_eq!(dec_step_sub_req(&frame).unwrap(), ("sim.h5".into(), CAP_RAW));
-/// ```
-pub fn enc_step_sub_req(series: &str, caps: u64) -> Bytes {
-    step_sub_req(series, caps).finish()
-}
-
-/// [`enc_step_sub_req`] left open, with headroom for the RPC header.
-pub(crate) fn step_sub_req(series: &str, caps: u64) -> Writer {
-    let mut w = Writer::new();
-    w.put_str(series);
-    w.put_u64(caps);
-    w
-}
-
-/// Decode a step-subscribe request into `(series, subscriber caps)`.
-pub fn dec_step_sub_req(b: &[u8]) -> H5Result<(String, u64)> {
-    let mut r = Reader::new(b);
-    let series = r.get_str()?;
-    let caps = r.get_u64()?;
-    expect_eof(&r)?;
-    Ok((series, caps))
-}
-
-/// Encode a step-subscribe reply: the retained window start (the oldest
-/// step a late joiner can still catch up from), the next sequence number
-/// the producer will publish, whether the series has ended, and the
-/// negotiated codec mask (subscriber caps ∩ producer caps) governing
-/// this pair's step-next reply bodies.
-///
-/// ```
-/// use lowfive::protocol::{enc_step_sub_reply, dec_step_sub_reply, CAP_RAW};
-/// let frame = enc_step_sub_reply(3, 7, false, CAP_RAW);
-/// assert_eq!(dec_step_sub_reply(&frame).unwrap(), (3, 7, false, CAP_RAW));
-/// ```
-pub fn enc_step_sub_reply(window_start: u64, next_seq: u64, ended: bool, codec_mask: u64) -> Bytes {
-    let mut w = Writer::new();
-    w.put_u64(window_start);
-    w.put_u64(next_seq);
-    w.put_u8(ended as u8);
-    w.put_u64(codec_mask);
-    w.finish()
-}
-
-/// Decode a step-subscribe reply into `(window_start, next_seq, ended,
-/// negotiated codec mask)`.
-pub fn dec_step_sub_reply(b: &[u8]) -> H5Result<(u64, u64, bool, u64)> {
-    let mut r = Reader::new(b);
-    let out = (r.get_u64()?, r.get_u64()?, r.get_u8()? != 0, r.get_u64()?);
-    expect_eof(&r)?;
-    Ok(out)
-}
-
-/// Encode a step-next request (`M_STEP_NEXT`): the series, the caller's
-/// cumulative cursor (every step below it is consumed), the policy wire
-/// code, and the skip bound (meaningful for [`STEP_POLICY_SKIP_OK`],
-/// zero otherwise).
-///
-/// ```
-/// use lowfive::protocol::{enc_step_next_req, dec_step_next_req, STEP_POLICY_SKIP_OK};
-/// let frame = enc_step_next_req("sim.h5", 4, STEP_POLICY_SKIP_OK, 2);
-/// assert_eq!(dec_step_next_req(&frame).unwrap(), ("sim.h5".into(), 4, STEP_POLICY_SKIP_OK, 2));
-/// ```
-pub fn enc_step_next_req(series: &str, cursor: u64, policy: u8, skip: u64) -> Bytes {
-    step_next_req(series, cursor, policy, skip).finish()
-}
-
-/// [`enc_step_next_req`] left open, with headroom for the RPC header.
-pub(crate) fn step_next_req(series: &str, cursor: u64, policy: u8, skip: u64) -> Writer {
-    let mut w = Writer::new();
-    w.put_str(series);
-    w.put_u64(cursor);
-    w.put_u8(policy);
-    w.put_u64(skip);
-    w
-}
-
-/// Decode a step-next request into `(series, cursor, policy code, skip)`.
-pub fn dec_step_next_req(b: &[u8]) -> H5Result<(String, u64, u8, u64)> {
-    let mut r = Reader::new(b);
-    let out = (r.get_str()?, r.get_u64()?, r.get_u8()?, r.get_u64()?);
-    expect_eof(&r)?;
-    Ok(out)
-}
-
-/// One `M_STEP_NEXT` reply.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StepNextReply {
-    /// Nothing at or past the cursor is retained yet, and the consumer
-    /// asked again while its earlier poll was parked; poll again (that
-    /// poll parks).
-    Pending,
-    /// A step *announce*: the chosen step and where to read it.
-    Step {
-        /// Sequence number of the announced step.
-        seq: u64,
-        /// Slot filename holding the step's datasets (open it like any
-        /// consumed file).
-        file: String,
-        /// The producer's generation of the slot file at publish time; a
-        /// later read observing a different generation proves the slot
-        /// was recycled underneath the announce (drop-oldest mode only).
-        gen: u64,
-        /// Publish timestamp, `obsv::clock::now_ns` domain (threads share
-        /// one process clock, so consumers can histogram step latency).
-        pub_ns: u64,
-    },
-    /// The series ended and nothing at or past the cursor remains; `head`
-    /// is the final next-sequence value to acknowledge.
-    Ended {
-        /// One past the last published sequence number.
-        head: u64,
-    },
-}
-
-const STEP_NEXT_PENDING: u8 = 0;
-const STEP_NEXT_STEP: u8 = 1;
-const STEP_NEXT_ENDED: u8 = 2;
-
-/// Encode a step-next reply.
-///
-/// ```
-/// use lowfive::protocol::{enc_step_next_reply, dec_step_next_reply, StepNextReply};
-/// for reply in [
-///     StepNextReply::Pending,
-///     StepNextReply::Step { seq: 5, file: "sim.h5@s1".into(), gen: 2, pub_ns: 99 },
-///     StepNextReply::Ended { head: 6 },
-/// ] {
-///     assert_eq!(dec_step_next_reply(&enc_step_next_reply(&reply)).unwrap(), reply);
-/// }
-/// ```
-pub fn enc_step_next_reply(reply: &StepNextReply) -> Bytes {
-    let mut w = Writer::new();
-    match reply {
-        StepNextReply::Pending => w.put_u8(STEP_NEXT_PENDING),
-        StepNextReply::Step { seq, file, gen, pub_ns } => {
-            w.put_u8(STEP_NEXT_STEP);
-            w.put_u64(*seq);
-            w.put_str(file);
-            w.put_u64(*gen);
-            w.put_u64(*pub_ns);
-        }
-        StepNextReply::Ended { head } => {
-            w.put_u8(STEP_NEXT_ENDED);
-            w.put_u64(*head);
-        }
-    }
-    w.finish()
-}
-
-/// Decode a step-next reply.
-pub fn dec_step_next_reply(b: &[u8]) -> H5Result<StepNextReply> {
-    let mut r = Reader::new(b);
-    let reply = match r.get_u8()? {
-        STEP_NEXT_PENDING => StepNextReply::Pending,
-        STEP_NEXT_STEP => {
-            let seq = r.get_u64()?;
-            let file = r.get_str()?;
-            let gen = r.get_u64()?;
-            let pub_ns = r.get_u64()?;
-            StepNextReply::Step { seq, file, gen, pub_ns }
-        }
-        STEP_NEXT_ENDED => StepNextReply::Ended { head: r.get_u64()? },
-        t => return Err(H5Error::Format(format!("bad step-next discriminant {t}"))),
-    };
-    expect_eof(&r)?;
-    Ok(reply)
-}
-
-/// Encode a step-ack request (`M_STEP_ACK`): the series and the caller's
-/// cumulative cursor. Acks are idempotent max-merges on the producer, so
-/// a retransmit (lost ack under a retry policy) is harmless.
-///
-/// ```
-/// use lowfive::protocol::{enc_step_ack_req, dec_step_ack_req};
-/// assert_eq!(dec_step_ack_req(&enc_step_ack_req("sim.h5", 12)).unwrap(), ("sim.h5".into(), 12));
-/// ```
-pub fn enc_step_ack_req(series: &str, cursor: u64) -> Bytes {
-    step_ack_req(series, cursor).finish()
-}
-
-/// [`enc_step_ack_req`] left open, with headroom for the RPC header.
-pub(crate) fn step_ack_req(series: &str, cursor: u64) -> Writer {
-    let mut w = Writer::new();
-    w.put_str(series);
-    w.put_u64(cursor);
-    w
-}
-
-/// Decode a step-ack request into `(series, cursor)`.
-pub fn dec_step_ack_req(b: &[u8]) -> H5Result<(String, u64)> {
-    let mut r = Reader::new(b);
-    let out = (r.get_str()?, r.get_u64()?);
-    expect_eof(&r)?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1273,9 +1345,34 @@ mod tests {
 
     #[test]
     fn request_roundtrips() {
-        let frame = enc_metadata_req("a.h5", CAP_ALL);
-        assert_eq!(dec_metadata_req(&frame).unwrap(), ("a.h5", CAP_ALL));
-        assert_eq!(dec_done_req(&enc_done_req("a.h5")).unwrap(), "a.h5");
+        let sel = Selection::block(&[0, 4], &[8, 4]);
+        for req in [
+            Request::Metadata { file: "a.h5", caps: CAP_ALL },
+            Request::CodecOffer { file: "a.h5", caps: CAP_RAW },
+            Request::DataBatch { file: "a.h5", entries: BatchEntries::Lent(&[("g", &sel)]) },
+            Request::Done { file: "a.h5" },
+            Request::Shutdown,
+            Request::StepSub { series: "s", caps: CAP_RAW | CAP_RLE },
+            Request::StepNext { series: "s", cursor: 3, policy: StepPolicy::EveryStep },
+            Request::StepNext { series: "s", cursor: 3, policy: StepPolicy::LatestStep },
+            Request::StepNext { series: "s", cursor: 3, policy: StepPolicy::SkipOk(9) },
+            Request::StepAck { series: "s", cursor: 5 },
+        ] {
+            let frame = req.encode().finish();
+            assert_eq!(Request::decode(req.method(), &frame).unwrap(), req);
+        }
+        // Retired and unknown ids, and a bad policy code, fail to decode.
+        for method in [2, 3, 0, 11, u32::MAX] {
+            let e = Request::decode(method, b"").unwrap_err();
+            assert!(matches!(&e, H5Error::Format(m) if m.contains("unknown RPC method")), "{e}");
+        }
+        let mut bad = Request::StepNext { series: "s", cursor: 0, policy: StepPolicy::EveryStep }
+            .encode()
+            .finish()
+            .to_vec();
+        let at = bad.len() - 9;
+        bad[at] = 3;
+        assert!(Request::decode(M_STEP_NEXT, &bad).is_err(), "policy code 3");
     }
 
     #[test]
@@ -1286,6 +1383,11 @@ mod tests {
         let e = dec_result(&err).unwrap_err();
         assert!(matches!(&e, H5Error::NotFound(n) if n == "x"), "kind survives: {e}");
         assert!(e.to_string().contains("object not found: x"));
+        // The headroom forms are the same frames.
+        let mut w = Writer::new();
+        w.put_raw(b"payload");
+        assert_eq!(result_frame(Ok(w)).finish(), ok);
+        assert_eq!(OK_EMPTY, enc_result(Ok(Bytes::new())));
     }
 
     #[test]
@@ -1301,57 +1403,83 @@ mod tests {
 
     #[test]
     fn index_bundle_roundtrip() {
-        let entries = vec![
-            ("f.h5".to_string(), "g/grid".to_string(), 1, BBox::new(vec![0], vec![5])),
-            ("f.h5".to_string(), "g/p".to_string(), 2, BBox::new(vec![5], vec![9])),
+        let entries = [
+            IndexEntry { file: "f.h5", dset: "g/grid", gen: 1, bbox: BBox::new(vec![0], vec![5]) },
+            IndexEntry { file: "f.h5", dset: "g/p", gen: 2, bbox: BBox::new(vec![5], vec![9]) },
         ];
-        let frame = enc_index_bundle(&entries);
-        let back = dec_index_bundle(&frame).unwrap();
-        let owned: Vec<_> =
-            back.into_iter().map(|(f, d, g, bb)| (f.to_string(), d.to_string(), g, bb)).collect();
-        assert_eq!(owned, entries);
+        let mut bundle = IndexBundle::default();
+        for e in &entries {
+            bundle.push(e.file, e.dset, e.gen, &e.bbox);
+        }
+        assert_eq!(IndexBundle::decode(&bundle.finish()).unwrap(), entries);
+        assert!(IndexBundle::decode(&IndexBundle::default().finish()).unwrap().is_empty());
     }
 
-    fn reply(gen: u64, owners: &[usize], segs: &[(u64, u64)], blob: &[u8]) -> DataReply {
-        DataReply {
-            gen,
-            owners: owners.to_vec(),
-            segs: segs.to_vec(),
-            blob: Bytes::copy_from_slice(blob),
+    /// One batch-reply entry as the tests spell it.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Entry {
+        gen: u64,
+        owners: Vec<usize>,
+        segs: Vec<(u64, u64)>,
+        blob: Vec<u8>,
+    }
+
+    fn entry(gen: u64, owners: &[usize], segs: &[(u64, u64)], blob: &[u8]) -> Entry {
+        Entry { gen, owners: owners.to_vec(), segs: segs.to_vec(), blob: blob.to_vec() }
+    }
+
+    /// Each entry's blob as one contiguous part.
+    fn write_batch(entries: &[Entry]) -> Payload {
+        let mut w = BatchReplyWriter::new(entries.len());
+        entries.iter().for_each(|e| w.owners(&e.owners));
+        for e in entries {
+            let blob = Some(Bytes::copy_from_slice(&e.blob)).filter(|b| !b.is_empty());
+            w.body(e.gen, e.segs.iter().copied(), e.blob.len() as u64, blob);
         }
+        w.finish()
+    }
+
+    fn read_batch(p: Payload, producers: usize) -> H5Result<Vec<Entry>> {
+        let mut r = BatchReplyReader::new(p, producers)?;
+        let mut out = Vec::new();
+        for _ in 0..r.entries() {
+            let mut e = entry(0, &[], &[], &[]);
+            r.owners(|o| e.owners.push(o))?;
+            out.push(e);
+        }
+        for e in &mut out {
+            let (gen, blob_len) = r.body(&mut e.segs)?;
+            e.gen = gen;
+            e.blob = vec![0; blob_len];
+            r.blob().copy_into(&mut e.blob)?;
+        }
+        r.finish()?;
+        Ok(out)
+    }
+
+    fn read_flat(b: &[u8], producers: usize) -> H5Result<Vec<Entry>> {
+        read_batch(Payload::from(Bytes::copy_from_slice(b)), producers)
     }
 
     #[test]
     fn reply_frame_flattens_to_contiguous_encoding() {
-        // A two-entry batch built from borrowed slices must flatten to
-        // exactly what the contiguous encoder produces for the same data.
+        // A two-entry batch whose first blob is lent as two slices of a
+        // region flattens to exactly the frame with that blob contiguous.
         let region = Bytes::from((0u8..32).collect::<Vec<u8>>());
         let mut blob = region.slice(0..4).to_vec();
         blob.extend_from_slice(&region.slice(16..20));
-        let entries = [reply(7, &[1, 0], &[(0, 4), (8, 4)], &blob), reply(7, &[], &[], &[])];
-        let contiguous = enc_data_reply_batch(&entries);
+        let entries = [entry(7, &[1, 0], &[(0, 4), (8, 4)], &blob), entry(7, &[], &[], &[])];
+        let contiguous = write_batch(&entries);
 
-        let mut f = ReplyFrame::new();
-        f.put_u64(2); // entries
-        for owners in [&[1u64, 0][..], &[]] {
-            f.put_u64(owners.len() as u64);
-            owners.iter().for_each(|&o| f.put_u64(o));
-        }
-        f.put_u64(7); // gen
-        f.put_u64(2); // segs
-        for &(off, len) in &entries[0].segs {
-            f.put_u64(off);
-            f.put_u64(len);
-        }
-        f.put_blob_len(8);
-        f.lend(region.slice(0..4));
-        f.lend(region.slice(16..20));
-        f.put_u64(7); // gen
-        f.put_u64(0); // segs
-        f.put_blob_len(0);
-        let payload = f.finish();
-        assert!(payload.num_parts() > 1, "borrowed slices stay separate parts");
-        assert_eq!(&payload.to_bytes()[..], &contiguous[..]);
+        let mut w = BatchReplyWriter::new(2);
+        w.owners(&[1, 0]);
+        w.owners(&[]);
+        w.body(7, [(0, 4), (8, 4)].into_iter(), 8, [region.slice(0..4), region.slice(16..20)]);
+        w.body(7, std::iter::empty(), 0, []);
+        let lent = w.finish();
+        assert!(lent.num_parts() > contiguous.num_parts(), "borrowed slices stay separate parts");
+        assert_eq!(lent.to_bytes(), contiguous.to_bytes());
+        assert_eq!(read_batch(lent, 2).unwrap(), entries);
     }
 
     #[test]
@@ -1381,17 +1509,15 @@ mod tests {
     /// frame it flattens to, and a truncated one still fails cleanly.
     #[test]
     fn payload_reader_reads_a_finely_split_reply_identically() {
-        let replies: Vec<DataReply> = (0..12u64)
-            .map(|i| DataReply {
+        let entries: Vec<Entry> = (0..12u64)
+            .map(|i| Entry {
                 gen: 40 + i,
                 owners: (0..(i % 3) as usize).collect(),
                 segs: (0..i % 4).map(|k| (k * 7, k + 1)).collect(),
-                blob: Bytes::from(
-                    (0..(i % 4) * (i % 4 + 1) / 2 * 8).map(|b| b as u8).collect::<Vec<u8>>(),
-                ),
+                blob: (0..(i % 4) * (i % 4 + 1) / 2 * 8).map(|b| b as u8).collect(),
             })
             .collect();
-        let flat = enc_data_reply_batch(&replies);
+        let flat = write_batch(&entries).to_bytes();
         let mut cuts: Vec<usize> = (1..200).map(|k| k * 7919 % flat.len()).collect();
         cuts.sort_unstable();
         cuts.dedup();
@@ -1403,21 +1529,13 @@ mod tests {
         }
         let split = Payload::from_parts(parts);
         assert!(split.num_parts() > 150, "{} parts", split.num_parts());
-        let mut pr = PayloadReader::new(split.clone());
-        let owners = get_batch_owners(&mut pr, 3).unwrap();
-        for (r, owners) in replies.iter().zip(owners) {
-            let (gen, segs, blob_len) = get_data_reply_header(&mut pr).unwrap();
-            let mut blob = vec![0u8; blob_len];
-            pr.copy_into(&mut blob).unwrap();
-            assert_eq!(DataReply { gen, owners, segs, blob: Bytes::from(blob) }, *r);
-        }
-        pr.expect_end().unwrap();
+        assert_eq!(read_batch(split.clone(), 3).unwrap(), entries);
         let mut short = PayloadReader::new(split);
         short.skip(flat.len() - 3).unwrap();
         assert!(short.get_u64().is_err(), "a field past the end is a clean error");
         assert!(short.skip(4).is_err());
         short.skip(3).unwrap();
-        short.expect_end().unwrap();
+        assert_eq!(short.remaining(), 0);
     }
 
     #[test]
@@ -1484,14 +1602,13 @@ mod tests {
 
     #[test]
     fn data_reply_batch_roundtrip() {
-        let replies = [
-            reply(5, &[0, 2], &[(0, 3), (10, 2)], &[1, 2, 3, 4, 5]),
-            reply(5, &[], &[], &[]),
-            reply(6, &[1], &[(7, 1)], &[9]),
+        let entries = [
+            entry(5, &[0, 2], &[(0, 3), (10, 2)], &[1, 2, 3, 4, 5]),
+            entry(5, &[], &[], &[]),
+            entry(6, &[1], &[(7, 1)], &[9]),
         ];
-        let back = dec_data_reply_batch(&enc_data_reply_batch(&replies), 3).unwrap();
-        assert_eq!(back, replies);
-        assert!(dec_data_reply_batch(&enc_data_reply_batch(&[]), 3).unwrap().is_empty());
+        assert_eq!(read_batch(write_batch(&entries), 3).unwrap(), entries);
+        assert!(read_batch(write_batch(&[]), 3).unwrap().is_empty());
     }
 
     #[test]
@@ -1515,7 +1632,7 @@ mod tests {
         // Same for the reply's outer count and an inner segment count.
         let mut w = Writer::new();
         w.put_u64(u64::MAX / 16);
-        let e = dec_data_reply_batch(&w.finish(), 1).unwrap_err();
+        let e = read_flat(&w.finish(), 1).unwrap_err();
         assert!(matches!(e, H5Error::Format(_)), "{e}");
 
         let mut w = Writer::new();
@@ -1523,7 +1640,7 @@ mod tests {
         w.put_u64(0); // ...no owners...
         w.put_u64(0); // ...at generation 0...
         w.put_u64(u64::MAX / 16); // ...claiming absurdly many segments
-        let e = dec_data_reply_batch(&w.finish(), 1).unwrap_err();
+        let e = read_flat(&w.finish(), 1).unwrap_err();
         assert!(matches!(e, H5Error::Format(_)), "{e}");
 
         // Truncated reply blob: entry declares 4 payload bytes, frame has 1.
@@ -1536,23 +1653,29 @@ mod tests {
         w.put_u64(4); // seg (off=0, len=4)
         w.put_u64(4); // blob length prefix
         w.put_raw(&[0xAB]); // but only one byte present
-        assert!(dec_data_reply_batch(&w.finish(), 1).is_err());
+        assert!(read_flat(&w.finish(), 1).is_err());
     }
 
     #[test]
     fn decoders_reject_trailing_garbage() {
-        let mut padded = enc_step_ack_req("s", 3).to_vec();
+        let ack = Request::StepAck { series: "s", cursor: 3 };
+        let mut padded = ack.encode().finish().to_vec();
         padded.push(0xFF);
-        let e = dec_step_ack_req(&padded).unwrap_err();
+        let e = Request::decode(ack.method(), &padded).unwrap_err();
         assert!(matches!(&e, H5Error::Format(m) if m.contains("trailing")), "{e}");
 
-        let mut padded = enc_step_next_reply(&StepNextReply::Pending).to_vec();
+        let mut padded = StepNextReply::Pending.encode().finish().to_vec();
         padded.extend_from_slice(&[1, 2, 3]);
-        assert!(dec_step_next_reply(&padded).is_err());
+        assert!(StepNextReply::decode(&padded).is_err());
 
-        let mut padded = enc_data_reply_batch(&[reply(1, &[0], &[(0, 1)], &[9])]).to_vec();
+        let mut padded = write_batch(&[entry(1, &[0], &[(0, 1)], &[9])]).to_bytes().to_vec();
         padded.push(0);
-        assert!(dec_data_reply_batch(&padded, 1).is_err());
+        assert!(read_flat(&padded, 1).is_err());
+
+        let mut padded = enc_result(Err(H5Error::NotFound("x".into()))).to_vec();
+        padded.push(0);
+        let e = dec_result(&Bytes::from(padded)).unwrap_err();
+        assert!(matches!(&e, H5Error::Format(m) if m.contains("trailing")), "{e}");
     }
 
     #[test]

@@ -116,39 +116,13 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use diyblk::rpc::Caller;
+use minih5::codec::Writer;
 use minih5::{H5Error, H5Result};
 
 use crate::dist::DistMetadataVol;
 use crate::props::BackPressure;
+pub use crate::protocol::StepPolicy;
 use crate::protocol::*;
-
-/// How a [`StepSubscription`] walks a series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepPolicy {
-    /// Deliver every retained step in sequence order. Combined with
-    /// [`BackPressure::Block`] this is lossless: the consumer sees the
-    /// exact sequence the producer published.
-    EveryStep,
-    /// Always deliver the newest retained step at or past the cursor,
-    /// skipping anything older (a dashboard following a simulation).
-    LatestStep,
-    /// Deliver in order, but allow jumping up to `n` steps ahead of the
-    /// cursor when the consumer has fallen behind: the newest retained
-    /// step within `cursor + n` is chosen, or the oldest available one
-    /// if even that range has been outrun.
-    SkipOk(u64),
-}
-
-impl StepPolicy {
-    /// The `(code, skip)` pair carried in `M_STEP_NEXT` requests.
-    fn wire(self) -> (u8, u64) {
-        match self {
-            StepPolicy::EveryStep => (STEP_POLICY_EVERY, 0),
-            StepPolicy::LatestStep => (STEP_POLICY_LATEST, 0),
-            StepPolicy::SkipOk(n) => (STEP_POLICY_SKIP_OK, n),
-        }
-    }
-}
 
 /// One delivered step, as returned by [`StepSubscription::next_step`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,8 +168,7 @@ impl StepRecord {
 struct ParkedPoll {
     caller: Caller,
     cursor: u64,
-    policy: u8,
-    skip: u64,
+    policy: StepPolicy,
 }
 
 /// Per-series producer-side state: the bounded announce window, the
@@ -267,7 +240,7 @@ impl SeriesState {
     /// step its policy picks.
     fn wake(&mut self) -> Vec<(Caller, StepNextReply)> {
         let mut woken = Vec::new();
-        self.parked.retain(|p| match select_step(&self.window, p.cursor, p.policy, p.skip) {
+        self.parked.retain(|p| match select_step(&self.window, p.cursor, p.policy) {
             Some(r) => {
                 woken.push((p.caller, r.announce()));
                 false
@@ -357,18 +330,17 @@ impl StepPublisher {
                 return Err(H5Error::Vol(format!("series {series:?} already has a publisher")));
             }
             let s = SeriesState::new(capacity, mode, &consumers);
-            let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut st.parked_subs)
-                .into_iter()
-                .partition(|(_, name)| name == series);
-            st.parked_subs = later;
-            let subscribers: Vec<(Caller, Bytes)> =
-                now.into_iter().map(|(c, _)| (c, sub_reply(&vol, series, &s, c.rank))).collect();
+            let subscribers: Vec<(Caller, Writer)> = st
+                .parked_subs
+                .extract_if(.., |(_, name)| name == series)
+                .map(|(c, _)| (c, result_frame(Ok(sub_reply(&vol, series, &s, c.rank)))))
+                .collect();
             st.series.insert(series.to_string(), s);
             subscribers
         };
         // Subscribes that arrived before the series was registered.
         for (caller, reply) in subscribers {
-            diyblk::rpc::send_reply(vol.world(), caller, enc_result(Ok(reply)));
+            diyblk::rpc::send_reply_frame(vol.world(), caller, reply);
         }
         // Subscribes may arrive before the first slot file closes; the
         // serve thread must be up to answer them.
@@ -524,10 +496,11 @@ impl StepSubscription {
         // offers fan out to the other producer ranks here.
         let caps = vol.props().wire_codec_for(series).caps();
         let window_start = loop {
-            let reply = vol.call_producer(series, home, M_STEP_SUB, step_sub_req(series, caps))?;
+            let reply = vol.call_producer(series, home, &Request::StepSub { series, caps })?;
             match dec_result(&reply) {
                 Ok(body) => {
-                    let (window_start, _, _, mask) = dec_step_sub_reply(&body)?;
+                    let StepSubReply { window_start, codec_mask: mask, .. } =
+                        StepSubReply::decode(&body)?;
                     if mask & !caps != 0 {
                         return Err(H5Error::Format(format!(
                             "producer negotiated codec mask {mask:#x} \
@@ -590,16 +563,16 @@ impl StepSubscription {
             self.cursor = self.cursor.max(s + 1);
             self.ack_others(self.cursor)?;
         }
-        let (code, skip) = self.policy.wire();
         loop {
-            let reply = self.vol.call_producer(
-                &self.series,
-                self.home,
-                M_STEP_NEXT,
-                step_next_req(&self.series, self.cursor, code, skip),
-            )?;
-            let body = self.vol.decode_reply_body(&self.series, &dec_result(&reply)?)?;
-            match dec_step_next_reply(&body)? {
+            let poll = Request::StepNext {
+                series: &self.series,
+                cursor: self.cursor,
+                policy: self.policy,
+            };
+            let reply = self.vol.call_producer(&self.series, self.home, &poll)?;
+            let body =
+                self.vol.decode_reply_payload(&self.series, dec_result_payload(reply.into())?)?;
+            match StepNextReply::decode(&body.into_bytes())? {
                 // We asked again while parked; the next poll parks.
                 StepNextReply::Pending => {}
                 StepNextReply::Step { seq, file, gen, pub_ns } => {
@@ -648,8 +621,8 @@ impl StepSubscription {
     /// `M_STEP_ACK` each, every reply awaited, the first error returned.
     fn ack(&self, to: impl Iterator<Item = usize>, cursor: u64) -> H5Result<()> {
         let to: Vec<usize> = to.collect();
-        self.vol
-            .call_producers(&self.series, &to, M_STEP_ACK, || step_ack_req(&self.series, cursor))
+        let ack = Request::StepAck { series: &self.series, cursor };
+        self.vol.call_producers(&self.series, &to, &ack)
     }
 
     fn ack_all(&self, cursor: u64) -> H5Result<()> {
@@ -670,8 +643,15 @@ impl StepSubscription {
 
 /// The `M_STEP_SUB` reply body for consumer world rank `rank`: the
 /// series' retained window bounds and the negotiated codec mask.
-fn sub_reply(vol: &DistMetadataVol, series: &str, s: &SeriesState, rank: usize) -> Bytes {
-    enc_step_sub_reply(s.window_start(), s.next_seq, s.ended, vol.negotiated_mask(series, rank))
+fn sub_reply(vol: &DistMetadataVol, series: &str, s: &SeriesState, rank: usize) -> Writer {
+    let codec_mask = vol.negotiated_mask(series, rank);
+    StepSubReply {
+        window_start: s.window_start(),
+        next_seq: s.next_seq,
+        ended: s.ended,
+        codec_mask,
+    }
+    .encode()
 }
 
 /// Answer `M_STEP_SUB`: the series' retained window bounds. A subscribe
@@ -680,25 +660,27 @@ fn sub_reply(vol: &DistMetadataVol, series: &str, s: &SeriesState, rank: usize) 
 /// subscribe that finds one parked replaces it and is answered
 /// `NotFound` at once, so a consumer under a retry policy hears from a
 /// live producer once per timeout; it asks again, and that one parks.
-pub(crate) fn serve_step_sub(vol: &DistMetadataVol, caller: Caller, args: &Bytes) -> Option<Bytes> {
-    let reply = dec_step_sub_req(args).and_then(|(series, caps)| {
-        // Record the negotiation even while the series is still
-        // unregistered: the reply is built when the series appears.
-        vol.record_consumer_caps(&series, caller.rank, caps);
-        let mut st = vol.stream_state().lock();
-        let before = st.parked_subs.len();
-        st.parked_subs.retain(|(c, name)| !(c.rank == caller.rank && *name == series));
-        let resent = st.parked_subs.len() != before;
-        match st.series.get(&series) {
-            Some(s) => Ok(Some(sub_reply(vol, &series, s, caller.rank))),
-            None if resent => Err(H5Error::NotFound(series)),
-            None => {
-                st.parked_subs.push((caller, series));
-                Ok(None)
-            }
+pub(crate) fn serve_step_sub(
+    vol: &DistMetadataVol,
+    caller: Caller,
+    series: &str,
+    caps: u64,
+) -> Option<Bytes> {
+    // Record the negotiation even while the series is still
+    // unregistered: the reply is built when the series appears.
+    vol.record_consumer_caps(series, caller.rank, caps);
+    let mut st = vol.stream_state().lock();
+    let before = st.parked_subs.len();
+    st.parked_subs.retain(|(c, name)| !(c.rank == caller.rank && name == series));
+    let resent = st.parked_subs.len() != before;
+    match st.series.get(series) {
+        Some(s) => Some(result_frame(Ok(sub_reply(vol, series, s, caller.rank))).finish()),
+        None if resent => Some(enc_result(Err(H5Error::NotFound(series.to_string())))),
+        None => {
+            st.parked_subs.push((caller, series.to_string()));
+            None
         }
-    });
-    reply.transpose().map(enc_result)
+    }
 }
 
 /// Answer `M_STEP_NEXT` from consumer `caller`: select a retained step
@@ -716,36 +698,33 @@ pub(crate) fn serve_step_sub(vol: &DistMetadataVol, caller: Caller, args: &Bytes
 pub(crate) fn serve_step_next(
     vol: &DistMetadataVol,
     caller: Caller,
-    args: &Bytes,
+    series: &str,
+    cursor: u64,
+    policy: StepPolicy,
 ) -> Option<Bytes> {
-    let mut moved = false;
-    let reply = dec_step_next_req(args).and_then(|(series, cursor, policy, skip)| {
-        if policy > STEP_POLICY_SKIP_OK {
-            return Err(H5Error::Format(format!("unknown step policy code {policy}")));
-        }
+    let (moved, chosen) = {
         let mut st = vol.stream_state().lock();
-        let s = st.series.get_mut(&series).ok_or_else(|| H5Error::NotFound(series.clone()))?;
+        let Some(s) = st.series.get_mut(series) else {
+            return Some(enc_result(Err(H5Error::NotFound(series.to_string()))));
+        };
         // The ack goes in before the poll can park: it may be what wakes a
         // `publish` blocked on a full window, and that publish is what
         // answers the parked poll.
-        moved = s.advance_cursor(caller.rank, cursor);
+        let moved = s.advance_cursor(caller.rank, cursor);
         let repoll = s.unpark(caller.rank);
-        let chosen = match select_step(&s.window, cursor, policy, skip) {
-            Some(r) => r.announce(),
-            None if s.ended => StepNextReply::Ended { head: s.next_seq },
-            None if repoll => StepNextReply::Pending,
+        let chosen = match select_step(&s.window, cursor, policy) {
+            Some(r) => Some(r.announce()),
+            None if s.ended => Some(StepNextReply::Ended { head: s.next_seq }),
+            None if repoll => Some(StepNextReply::Pending),
             None => {
-                s.parked.push(ParkedPoll { caller, cursor, policy, skip });
-                return Ok(None);
+                s.parked.push(ParkedPoll { caller, cursor, policy });
+                None
             }
         };
-        Ok(Some((series, chosen)))
-    });
+        (moved, chosen)
+    };
     wake_acked(vol, moved);
-    reply.transpose().map(|r| match r {
-        Ok((series, chosen)) => step_next_result(vol, &series, caller.rank, &chosen),
-        Err(e) => enc_result(Err(e)),
-    })
+    chosen.map(|reply| step_next_result(vol, series, caller.rank, &reply).finish())
 }
 
 /// After the slowest cursor of a series `moved`, wake the `publish`
@@ -759,17 +738,19 @@ fn wake_acked(vol: &DistMetadataVol, moved: bool) {
     }
 }
 
-/// One `M_STEP_NEXT` result frame toward consumer world rank `rank`.
-/// Announce bodies ride the negotiated codec like data replies do —
-/// they are small, so `Auto` virtually always ships them raw, but a
-/// forced policy compresses them too and the framing stays uniform.
+/// One `M_STEP_NEXT` result frame toward consumer world rank `rank`,
+/// encoded once into one buffer, headroom left for a deferred reply's
+/// call id. Announce bodies ride the negotiated
+/// codec like data replies do — they are small, so `Auto` virtually
+/// always ships them raw, but a forced policy compresses them too and
+/// the framing stays uniform.
 fn step_next_result(
     vol: &DistMetadataVol,
     series: &str,
     rank: usize,
     reply: &StepNextReply,
-) -> Bytes {
-    enc_result(Ok(vol.encode_reply_bytes(series, rank, enc_step_next_reply(reply))))
+) -> Writer {
+    vol.coded_ok_reply(series, rank, reply.encode())
 }
 
 /// Answer parked polls of `series` from the calling thread. Called with
@@ -778,7 +759,7 @@ fn step_next_result(
 fn answer_polls(vol: &DistMetadataVol, series: &str, polls: Vec<(Caller, StepNextReply)>) {
     for (caller, reply) in polls {
         let frame = step_next_result(vol, series, caller.rank, &reply);
-        diyblk::rpc::send_reply(vol.world(), caller, frame);
+        diyblk::rpc::send_reply_frame(vol.world(), caller, frame);
     }
 }
 
@@ -807,15 +788,11 @@ pub(crate) fn fail_parked(vol: &DistMetadataVol) {
 /// Apply `M_STEP_ACK` from consumer world rank `rank`: max-merge its
 /// cumulative cursor. Unknown series are acked anyway — a late duplicate
 /// after a restart carries no information worth erroring on.
-pub(crate) fn serve_step_ack(vol: &DistMetadataVol, rank: usize, args: &Bytes) -> Bytes {
-    let reply = dec_step_ack_req(args).map(|(series, cursor)| {
-        let mut st = vol.stream_state().lock();
-        let moved = st.series.get_mut(&series).is_some_and(|s| s.advance_cursor(rank, cursor));
-        drop(st);
-        wake_acked(vol, moved);
-        Bytes::new()
-    });
-    enc_result(reply)
+pub(crate) fn serve_step_ack(vol: &DistMetadataVol, rank: usize, series: &str, cursor: u64) {
+    let mut st = vol.stream_state().lock();
+    let moved = st.series.get_mut(series).is_some_and(|s| s.advance_cursor(rank, cursor));
+    drop(st);
+    wake_acked(vol, moved);
 }
 
 /// Pick the step a consumer at `cursor` should receive, or `None` when
@@ -823,17 +800,16 @@ pub(crate) fn serve_step_ack(vol: &DistMetadataVol, rank: usize, args: &Bytes) -
 fn select_step(
     window: &VecDeque<StepRecord>,
     cursor: u64,
-    policy: u8,
-    skip: u64,
+    policy: StepPolicy,
 ) -> Option<&StepRecord> {
     let mut avail = window.iter().filter(|r| r.seq >= cursor);
     match policy {
-        STEP_POLICY_EVERY => avail.next(),
-        STEP_POLICY_LATEST => avail.next_back(),
-        _ => {
-            // SkipOk(n): the newest step within `cursor + n`, else the
-            // oldest available (the consumer has been outrun; jump to the
-            // window start rather than past it).
+        StepPolicy::EveryStep => avail.next(),
+        StepPolicy::LatestStep => avail.next_back(),
+        StepPolicy::SkipOk(skip) => {
+            // The newest step within `cursor + skip`, else the oldest
+            // available (the consumer has been outrun; jump to the window
+            // start rather than past it).
             let limit = cursor.saturating_add(skip);
             let mut first = None;
             let mut best = None;
@@ -863,29 +839,29 @@ mod tests {
     #[test]
     fn select_every_is_in_order() {
         let w = window(&[3, 4, 5, 6]);
-        assert_eq!(select_step(&w, 0, STEP_POLICY_EVERY, 0).unwrap().seq, 3);
-        assert_eq!(select_step(&w, 5, STEP_POLICY_EVERY, 0).unwrap().seq, 5);
-        assert!(select_step(&w, 7, STEP_POLICY_EVERY, 0).is_none());
+        assert_eq!(select_step(&w, 0, StepPolicy::EveryStep).unwrap().seq, 3);
+        assert_eq!(select_step(&w, 5, StepPolicy::EveryStep).unwrap().seq, 5);
+        assert!(select_step(&w, 7, StepPolicy::EveryStep).is_none());
     }
 
     #[test]
     fn select_latest_takes_newest() {
         let w = window(&[3, 4, 5, 6]);
-        assert_eq!(select_step(&w, 0, STEP_POLICY_LATEST, 0).unwrap().seq, 6);
-        assert_eq!(select_step(&w, 6, STEP_POLICY_LATEST, 0).unwrap().seq, 6);
-        assert!(select_step(&w, 7, STEP_POLICY_LATEST, 0).is_none());
+        assert_eq!(select_step(&w, 0, StepPolicy::LatestStep).unwrap().seq, 6);
+        assert_eq!(select_step(&w, 6, StepPolicy::LatestStep).unwrap().seq, 6);
+        assert!(select_step(&w, 7, StepPolicy::LatestStep).is_none());
     }
 
     #[test]
     fn select_skip_ok_bounds_the_jump() {
         let w = window(&[3, 4, 5, 6]);
         // Within range: newest step not past cursor + skip.
-        assert_eq!(select_step(&w, 3, STEP_POLICY_SKIP_OK, 2).unwrap().seq, 5);
+        assert_eq!(select_step(&w, 3, StepPolicy::SkipOk(2)).unwrap().seq, 5);
         // Exactly in order when skip is 0.
-        assert_eq!(select_step(&w, 4, STEP_POLICY_SKIP_OK, 0).unwrap().seq, 4);
+        assert_eq!(select_step(&w, 4, StepPolicy::SkipOk(0)).unwrap().seq, 4);
         // Outrun: cursor + skip falls before the window — take its start.
-        assert_eq!(select_step(&w, 0, STEP_POLICY_SKIP_OK, 1).unwrap().seq, 3);
-        assert!(select_step(&w, 7, STEP_POLICY_SKIP_OK, 3).is_none());
+        assert_eq!(select_step(&w, 0, StepPolicy::SkipOk(1)).unwrap().seq, 3);
+        assert!(select_step(&w, 7, StepPolicy::SkipOk(3)).is_none());
     }
 
     #[test]
@@ -930,16 +906,15 @@ mod tests {
     #[test]
     fn parked_polls_wake_with_their_policy_pick() {
         let mut s = SeriesState::new(4, BackPressure::Block, &[1, 2, 3, 4]);
-        let park = |rank, cursor, policy, skip| ParkedPoll {
+        let park = |rank, cursor, policy| ParkedPoll {
             caller: Caller { rank, call_id: 100 + rank as u64 },
             cursor,
             policy,
-            skip,
         };
-        s.parked.push(park(1, 3, STEP_POLICY_EVERY, 0));
-        s.parked.push(park(2, 3, STEP_POLICY_LATEST, 0));
-        s.parked.push(park(3, 3, STEP_POLICY_SKIP_OK, 1));
-        s.parked.push(park(4, 6, STEP_POLICY_EVERY, 0));
+        s.parked.push(park(1, 3, StepPolicy::EveryStep));
+        s.parked.push(park(2, 3, StepPolicy::LatestStep));
+        s.parked.push(park(3, 3, StepPolicy::SkipOk(1)));
+        s.parked.push(park(4, 6, StepPolicy::EveryStep));
         assert!(s.wake().is_empty(), "nothing retained yet");
         s.window = window(&[3, 4, 5]);
         let seqs: Vec<(usize, u64)> = s

@@ -639,15 +639,26 @@ fn transport_profile_accounts_phases() {
 
 /// Overlap mode (paper §V-C: "consume data as soon as it is available,
 /// and overlap reading and writing"): with async serve, the producer's
-/// file_close returns before the consumer has finished reading, and the
-/// producer computes snapshot t+1 while snapshot t is being served.
+/// file_close returns before the consumer has read anything, and the
+/// producer computes snapshot t+1 while snapshot t waits to be served.
+///
+/// Checked as cause and effect, not against a clock: the consumer opens
+/// nothing until every producer rank says all its `STEPS` closes have
+/// returned. In sync mode the first close waits for the consumer's DONE,
+/// so the signal never comes; the consumer then gives up waiting after
+/// [`SIGNAL_WAIT`], reads anyway (which lets the sync producer finish),
+/// and the test fails on the missing signal instead of hanging.
 #[test]
 fn async_serve_overlaps_compute_with_reads() {
-    use std::time::{Duration, Instant};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
     const STEPS: usize = 3;
     const N: u64 = 1 << 14;
+    const SIGNAL_WAIT: Duration = Duration::from_secs(10);
+    // Producer ranks whose closes have all returned.
+    let closed = (Mutex::new(0usize), Condvar::new());
     let specs = [TaskSpec::new("producer", 2), TaskSpec::new("consumer", 1)];
-    let overlaps = TaskWorld::run(&specs, |tc| {
+    let signalled = TaskWorld::run(&specs, |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol = if tc.task_id == 0 {
@@ -661,10 +672,7 @@ fn async_serve_overlaps_compute_with_reads() {
                 .build()
         };
         let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);
-        let mut result = 0u64;
         if tc.task_id == 0 {
-            let t0 = Instant::now();
-            let mut close_times = Vec::new();
             for s in 0..STEPS {
                 let f = h5.create_file(&format!("snap{s}")).unwrap();
                 let d = f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&[N])).unwrap();
@@ -673,37 +681,30 @@ fn async_serve_overlaps_compute_with_reads() {
                 let vals: Vec<u64> = (lo..lo + half).map(|i| i + 1000 * s as u64).collect();
                 d.write_selection(&Selection::block(&[lo], &[half]), &vals).unwrap();
                 f.close().unwrap(); // returns without waiting for the consumer
-                close_times.push(t0.elapsed());
-                // "Compute" the next step while the serve thread works.
-                std::thread::sleep(Duration::from_millis(5));
             }
+            *closed.0.lock().unwrap() += 1;
+            closed.1.notify_all();
             vol.drain();
-            // All closes must have returned before the drain completed the
-            // last session; in synchronous mode close(s) would block ~as
-            // long as the consumer's slow reads.
-            result = close_times.iter().map(|d| d.as_millis() as u64).sum();
-        } else {
-            for s in 0..STEPS {
-                let f = h5.open_file(&format!("snap{s}")).unwrap();
-                let d = f.open_dataset("x").unwrap();
-                // Slow consumer: the producer should NOT be blocked by us.
-                std::thread::sleep(Duration::from_millis(30));
-                let got: Vec<u64> = d.read_all().unwrap();
-                assert_eq!(got[0], 1000 * s as u64);
-                assert_eq!(got[N as usize - 1], N - 1 + 1000 * s as u64);
-                f.close().unwrap();
-            }
+            return true;
         }
-        result
+        let (all_closed, _) = closed
+            .1
+            .wait_timeout_while(closed.0.lock().unwrap(), SIGNAL_WAIT, |n| *n < producers.len())
+            .unwrap();
+        let signalled = *all_closed == producers.len();
+        drop(all_closed);
+        for s in 0..STEPS {
+            let f = h5.open_file(&format!("snap{s}")).unwrap();
+            let got: Vec<u64> = f.open_dataset("x").unwrap().read_all().unwrap();
+            assert_eq!(got[0], 1000 * s as u64);
+            assert_eq!(got[N as usize - 1], N - 1 + 1000 * s as u64);
+            f.close().unwrap();
+        }
+        signalled
     });
-    // Producer rank 0's summed close-return times: with overlap, all
-    // STEPS closes return within ~STEPS*(write + 5ms compute), far less
-    // than the consumer's ~STEPS*30ms serialized reads would force in
-    // synchronous mode. Generous bound to avoid flakiness on slow CI.
     assert!(
-        overlaps[0] < 80,
-        "closes took {} ms total; async serve should not block on the slow consumer",
-        overlaps[0]
+        signalled[2],
+        "the producer's {STEPS} closes did not all return before the consumer read"
     );
 }
 
