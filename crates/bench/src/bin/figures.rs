@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig11`, `table2`, `streaming`, `compression`, or `all`.
+//! `fig11`, `table2`, `streaming`, or `all`.
 //! Results print as aligned tables and are also appended as CSV under
 //! `bench-results/`.
 //!
@@ -23,12 +23,11 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use bench::runners::{
-    run_bredala, run_dataspaces, run_lowfive_codec, run_lowfive_file, run_lowfive_file_traced,
-    run_lowfive_memory, run_lowfive_memory_traced, run_lowfive_serve, run_pure_hdf5, run_pure_mpi,
+    run_bredala, run_dataspaces, run_lowfive_file, run_lowfive_file_traced, run_lowfive_memory,
+    run_lowfive_memory_traced, run_lowfive_serve, run_pure_hdf5, run_pure_mpi,
 };
 use bench::table2::{run_case, Table2Case};
 use bench::workload::Workload;
-use lowfive::WireCodec;
 use simmpi::CostModel;
 
 #[derive(Clone, Copy)]
@@ -106,8 +105,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 streaming \
-                     compression | all] \
+                    "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 streaming | all] \
                      [--scale small|medium|large] [--trials N] \
                      [--transport inproc|socket|tcp]"
                 );
@@ -117,21 +115,11 @@ fn parse_args() -> Args {
         }
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "table1",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig11",
-            "table2",
-            "streaming",
-            "compression",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        experiments =
+            ["table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "table2", "streaming"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
     }
     let scale = match scale_name.as_str() {
         "small" => SMALL,
@@ -528,56 +516,6 @@ fn streaming_fig(scale: &str) {
     );
 }
 
-/// Wire-codec A/B over a slow modeled link (~1 GB/s staging-grade):
-/// the shallow zero-copy serve exchange once under `WireCodec::Auto`
-/// (the cost model elects the lag-8 delta-RLE codec for every
-/// bandwidth-bound grid reply) and once pinned to `WireCodec::Raw`
-/// (negotiation settles on raw-only; replies ship untouched). Each
-/// point reports the trial-averaged modeled time plus the pre-codec vs
-/// on-wire byte counters from one observed pass, so the `ratio` column
-/// is the *realized* compression, not the planner's assumed 0.5.
-///
-/// Artifacts from the smallest scale back the CI `compression` job:
-/// `compression_auto.metrics.json` must show
-/// `bytes_on_wire < bytes_pre_codec`, and `compression_raw.metrics.json`
-/// must show the two equal with `bytes_copied == 0` — opting out of
-/// compression costs the zero-copy lend path nothing.
-fn compression_fig(s: &Scale, trials: usize) {
-    use std::time::Duration;
-    let slow = || CostModel { latency: Duration::from_micros(2), per_byte_ns: 1.0 };
-    println!("\n== Compression: wire-codec A/B over a slow modeled link ==");
-    println!(
-        "{:>8} {:>10} {:>10} {:>14} {:>14} {:>7}",
-        "procs", "scenario", "seconds", "pre-codec B", "on-wire B", "ratio"
-    );
-    let out = results_dir().join("compression.csv");
-    let header = "procs,scenario,seconds,bytes_pre_codec,bytes_on_wire,ratio";
-    for &n in s.sweep {
-        let w = Workload::paper_split(n, s.grid_per_prod, s.particles_per_prod);
-        for (codec, name) in [(WireCodec::Auto, "auto"), (WireCodec::Raw, "raw")] {
-            let t = avg(trials, || run_lowfive_codec(&w, codec, Some(slow()), None).seconds);
-            let reg = obsv::Registry::new();
-            run_lowfive_codec(&w, codec, Some(slow()), Some(&reg));
-            let report = reg.report();
-            let pre = report.counter(obsv::Ctr::BytesPreCodec);
-            let wire = report.counter(obsv::Ctr::BytesOnWire);
-            let ratio = wire as f64 / pre as f64;
-            println!("{n:>8} {name:>10} {t:>10.4} {pre:>14} {wire:>14} {ratio:>7.3}");
-            csv(&out, header, &format!("{n},{name},{t},{pre},{wire},{ratio}"));
-            match codec {
-                WireCodec::Auto => assert!(
-                    wire < pre,
-                    "auto over a slow link must shrink wire bytes ({wire} vs {pre})"
-                ),
-                _ => assert_eq!(wire, pre, "raw-negotiated replies must ship unchanged"),
-            }
-            if n == s.sweep[0] {
-                write_obsv_artifacts(&report, &format!("compression_{name}"));
-            }
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
     println!(
@@ -597,7 +535,6 @@ fn main() {
             "fig11" => fig11(&args.scale, args.trials),
             "table2" => table2(&args.scale, args.trials),
             "streaming" => streaming_fig(&args.scale_name),
-            "compression" => compression_fig(&args.scale, args.trials),
             other => eprintln!("unknown experiment {other:?} (see --help)"),
         }
     }

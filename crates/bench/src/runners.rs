@@ -9,7 +9,7 @@ use std::time::Instant;
 use baselines::bredala::{self, Field};
 use baselines::dataspaces::{run_server, DsClient, DsConfig};
 use baselines::puempi;
-use lowfive::{DistVolBuilder, LowFiveProps, WireCodec};
+use lowfive::{DistVolBuilder, LowFiveProps};
 use minih5::{BBox, Dataspace, Datatype, Ownership, Selection, Vol, H5};
 use simmpi::{CostModel, TaskComm, TaskSpec, TaskWorld};
 
@@ -285,68 +285,6 @@ pub fn run_lowfive_serve(
                 f.close().expect("close (index + serve)");
             } else {
                 let f = h5.open_file("serve-mode.h5").expect("open");
-                let dg = f.open_dataset("grid").expect("grid");
-                let _slab = dg.read_bytes(csel.as_ref().expect("consumer sel")).expect("read");
-                f.close().expect("consumer close");
-            }
-        })
-    });
-    Measurement { seconds: out.results[0], messages: out.stats.messages, bytes: out.stats.bytes }
-}
-
-/// Wire-codec A/B variant: the shallow zero-copy serve exchange of
-/// [`run_lowfive_serve`] with an explicit per-frame codec policy. Under
-/// `WireCodec::Auto` plus a slow modeled link the producers' serve loops
-/// compress each data reply (the grid's position-encoded values collapse
-/// under the lag-8 delta-RLE codec); under `WireCodec::Raw` the same
-/// exchange negotiates raw-only and keeps the lend path byte-for-byte
-/// intact. Pass an `observe` registry to read back the
-/// `bytes_pre_codec` / `bytes_on_wire` counters the A/B CSV reports.
-pub fn run_lowfive_codec(
-    w: &Workload,
-    codec: WireCodec,
-    cost: Option<CostModel>,
-    observe: Option<&obsv::Registry>,
-) -> Measurement {
-    let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
-    let w = *w;
-    let out = TaskWorld::run_observed(&specs, cost, observe, move |tc| {
-        let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
-        let mut props = LowFiveProps::new();
-        props.set_zerocopy("*", "*", true).set_wire_codec("*", codec);
-        let producers = world_ranks(&tc, 0);
-        let consumers = world_ranks(&tc, 1);
-        let vol: Arc<dyn Vol> = if tc.task_id == 0 {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .produce("*", consumers)
-                .build()
-        } else {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                .props(props)
-                .consume("*", producers)
-                .build()
-        };
-        let h5 = H5::with_vol(vol);
-        let gdims = w.grid_dims();
-        let (gsel, gdata, csel) = if tc.task_id == 0 {
-            let bb = w.producer_grid_box(tc.local.rank());
-            let gdata = grid_bytes(&w, &bb);
-            (Some(bb.to_selection()), gdata, None)
-        } else {
-            (None, Vec::new(), Some(w.consumer_grid_sel(tc.local.rank())))
-        };
-        timed(&tc, || {
-            if tc.task_id == 0 {
-                let f = h5.create_file("codec-mode.h5").expect("create");
-                let dg = f
-                    .create_dataset("grid", Datatype::UInt64, Dataspace::simple(&gdims))
-                    .expect("grid dataset");
-                dg.write_bytes(&gsel.expect("producer sel"), gdata.into(), Ownership::Shallow)
-                    .expect("grid write");
-                f.close().expect("close (index + serve)");
-            } else {
-                let f = h5.open_file("codec-mode.h5").expect("open");
                 let dg = f.open_dataset("grid").expect("grid");
                 let _slab = dg.read_bytes(csel.as_ref().expect("consumer sel")).expect("read");
                 f.close().expect("consumer close");

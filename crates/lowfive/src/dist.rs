@@ -12,7 +12,7 @@
 //! exchange region bounding boxes according to the common decomposition)
 //! and then **serve** (Algorithm 2 — answer consumer queries until every
 //! consumer rank reports done). At that point the file is **retired**: its
-//! tree, index entry, codec masks and generation are dropped, unless
+//! tree, index entry and generation are dropped, unless
 //! [`LowFiveProps::set_keep`] opts it out (see `docs/ARCHITECTURE.md`,
 //! "File lifecycle").
 //!
@@ -55,7 +55,7 @@ use minih5::{
     BBox, DataRegion, Dataspace, Datatype, H5Error, H5Result, Hierarchy, NodeId, ObjId, ObjKind,
     Ownership, Selection, Vol,
 };
-use simmpi::{BufPool, Comm, Payload, RatioEwma};
+use simmpi::{BufPool, Comm, Payload};
 
 use crate::metadata::{slot_for, MetadataVol};
 use crate::props::{glob_match, LowFiveProps};
@@ -240,8 +240,6 @@ pub struct Retained {
     /// Files with a generation entry: produced files (their write
     /// generation) plus consumed files (what their producers reported).
     pub gens: usize,
-    /// Files with negotiated codec masks toward their consumers.
-    pub codec_masks: usize,
 }
 
 /// The serve path's hot counters: the request/byte tallies every
@@ -348,11 +346,12 @@ pub struct DistMetadataVol {
     sessions: Mutex<Sessions>,
     serve_thread: Mutex<Option<(std::thread::JoinHandle<()>, Arc<ExitFlag>)>>,
     self_weak: std::sync::Weak<DistMetadataVol>,
-    /// Metadata requests `(caller, file, caller's codec caps)` for files
-    /// this task will produce but has not closed yet (a consumer may run
-    /// ahead and open snapshot *t+1* while we still serve *t*). Answered
-    /// when the file's serve session opens.
-    pending_meta: Mutex<Vec<(Caller, String, u64)>>,
+    /// Metadata requests `(caller, request frame)` for files this task
+    /// will produce but has not closed yet (a consumer may run ahead and
+    /// open snapshot *t+1* while we still serve *t*). The frame is the
+    /// request's own, kept by a refcount; it is decoded again when the
+    /// file's serve session opens and answers it.
+    pending_meta: Mutex<Vec<(Caller, Bytes)>>,
     /// Consumer-side cache of metadata and owner lists (see
     /// [`FetchCache`]).
     fetch_cache: Mutex<FetchCache>,
@@ -364,17 +363,6 @@ pub struct DistMetadataVol {
     /// shape share one, instead of factoring the block count per call.
     /// At most [`DECOMPOSERS`] geometries, oldest dropped first.
     decomposers: Mutex<Vec<RegularDecomposer>>,
-    /// Producer-side negotiated codec masks, `file → consumer world
-    /// rank →` consumer caps ∩ our caps. Populated from the metadata
-    /// handshake and `M_CODEC_OFFER` notifications; a pair with no entry
-    /// falls through to raw.
-    codec_masks: Mutex<HashMap<String, HashMap<usize, u64>>>,
-    /// Producer-side EWMA of *realized* compression ratios per consumer
-    /// world rank (this producer task is the other half of the pair).
-    /// Observed on every reply we attempted to compress; consulted by
-    /// `Auto` codec planning in place of the static
-    /// [`simmpi::CODEC_ASSUMED_RATIO`] once real frames have flowed.
-    codec_ratio: Mutex<HashMap<usize, RatioEwma>>,
     /// Step-streaming state: registered series and their announce
     /// windows (see [`crate::stream`]). Slot files of a series bypass
     /// the DONE-counted session map entirely.
@@ -479,8 +467,6 @@ impl DistVolBuilder {
             fetch_cache: Mutex::default(),
             read_pool: BufPool::new(),
             decomposers: Mutex::default(),
-            codec_masks: Mutex::default(),
-            codec_ratio: Mutex::default(),
             stream: Mutex::default(),
             stream_acked: Condvar::new(),
         })
@@ -547,117 +533,6 @@ impl DistMetadataVol {
     /// cursor moves.
     pub(crate) fn stream_acked(&self) -> &Condvar {
         &self.stream_acked
-    }
-
-    // -----------------------------------------------------------------
-    // Wire codecs: negotiation, encode-on-serve, decode-on-scatter
-    // -----------------------------------------------------------------
-
-    /// Record a consumer rank's advertised codec caps for `file`,
-    /// intersected with our own policy's caps — the negotiated mask every
-    /// data reply toward that rank is encoded under. Called when a
-    /// metadata handshake is answered, from the step-subscribe arm, and
-    /// from `M_CODEC_OFFER` notifications.
-    pub(crate) fn record_consumer_caps(&self, file: &str, rank: usize, caps: u64) {
-        let mask = caps & self.props.wire_codec_for(file).caps();
-        slot_for(&mut self.codec_masks.lock(), file).insert(rank, mask);
-    }
-
-    /// The negotiated codec mask toward `rank` for `file`. No recorded
-    /// negotiation (e.g. the consumer's offer was dropped by fault
-    /// injection) falls through to raw — always correct, never faster.
-    pub(crate) fn negotiated_mask(&self, file: &str, rank: usize) -> u64 {
-        self.codec_masks.lock().get(file).and_then(|m| m.get(&rank)).copied().unwrap_or(CAP_RAW)
-    }
-
-    /// Pick the codec for one reply body of `len` bytes toward the
-    /// consumer `caller` negotiated at `mask`. `Auto` compresses only
-    /// when the attached cost model says the modeled wire saving beats
-    /// the modeled codec cost (no cost model — in-proc transport — means
-    /// raw); a forced `Rle`/`DeltaRle` policy skips the cost check.
-    ///
-    /// The saving term uses the *realized* compression ratio toward this
-    /// consumer — an EWMA over frames we actually encoded (see
-    /// [`RatioEwma`]) — falling back to the static planning assumption
-    /// until the first frame has flowed.
-    fn pick_codec(&self, file: &str, caller: usize, mask: u64, len: usize) -> u8 {
-        let preferred = preferred_codec(mask);
-        if preferred == CODEC_RAW {
-            return CODEC_RAW;
-        }
-        match self.props.wire_codec_for(file) {
-            WireCodec::Auto => match self.world.cost_model() {
-                Some(cm) => {
-                    let ratio =
-                        self.codec_ratio.lock().get(&caller).copied().unwrap_or_default().ratio();
-                    if cm.compression_worthwhile_with_ratio(len, ratio) {
-                        preferred
-                    } else {
-                        CODEC_RAW
-                    }
-                }
-                _ => CODEC_RAW,
-            },
-            WireCodec::Raw => CODEC_RAW,
-            _ => preferred,
-        }
-    }
-
-    /// Codec-wrap one reply body toward `caller`, maintaining the
-    /// pre/post byte counters and the codec-latency histogram. The raw
-    /// path (and the not-smaller fallback inside [`encode_coded`]) keeps
-    /// the body's lent parts untouched.
-    fn encode_reply_body(&self, file: &str, caller: usize, body: Payload) -> Payload {
-        let pre_len = body.len();
-        obsv::counter_add(obsv::Ctr::BytesPreCodec, pre_len as u64);
-        let codec = self.pick_codec(file, caller, self.negotiated_mask(file, caller), pre_len);
-        let coded = if codec == CODEC_RAW {
-            encode_coded(body, CODEC_RAW)
-        } else {
-            let t0 = obsv::clock::now_ns();
-            let coded = encode_coded(body, codec);
-            obsv::hist_record(obsv::Hist::CodecLatencyNs, obsv::clock::now_ns() - t0);
-            // Feed the realized on-wire ratio of this *attempted*
-            // compression back into planning for the next frame toward
-            // the same consumer (the not-smaller raw fallback inside
-            // `encode_coded` is observed too — as a ratio near 1 — which
-            // is exactly what teaches the EWMA to stop compressing
-            // incompressible streams).
-            let realized = (coded.len() - 1) as f64 / pre_len.max(1) as f64;
-            self.codec_ratio.lock().entry(caller).or_default().observe(realized);
-            coded
-        };
-        obsv::counter_add(obsv::Ctr::BytesOnWire, (coded.len() - 1) as u64);
-        coded
-    }
-
-    /// The ok frame of a small control body still open in its `Writer` (a
-    /// step announce), coded toward `caller`. Shipped raw, as `Auto` ships
-    /// a body this small, it stays the one buffer ([`ok_raw_coded`]).
-    pub(crate) fn coded_ok_reply(&self, file: &str, caller: usize, body: Writer) -> Writer {
-        let len = body.len();
-        if self.pick_codec(file, caller, self.negotiated_mask(file, caller), len) == CODEC_RAW {
-            obsv::counter_add(obsv::Ctr::BytesPreCodec, len as u64);
-            obsv::counter_add(obsv::Ctr::BytesOnWire, len as u64);
-            return ok_raw_coded(body);
-        }
-        let coded = self.encode_reply_body(file, caller, Payload::from(body.finish()));
-        result_frame(Ok(Writer::from(&coded.into_bytes()[..])))
-    }
-
-    /// Strip and expand the codec prefix of a reply body, parts preserved:
-    /// a raw body sheds its prefix in place. `allowed` is this consumer's
-    /// own advertised cap set — a producer may only use codecs we offered.
-    pub(crate) fn decode_reply_payload(&self, file: &str, p: Payload) -> H5Result<Payload> {
-        let allowed = self.props.wire_codec_for(file).caps();
-        let mut d = [0u8; 1];
-        if p.copy_prefix(&mut d) && d[0] == CODEC_RAW {
-            return decode_coded_payload(p, allowed);
-        }
-        let t0 = obsv::clock::now_ns();
-        let out = decode_coded_payload(p, allowed)?;
-        obsv::hist_record(obsv::Hist::CodecLatencyNs, obsv::clock::now_ns() - t0);
-        Ok(out)
     }
 
     /// Run `f` on the common decomposition of `dims` into `n` blocks,
@@ -788,7 +663,7 @@ impl DistMetadataVol {
 
     /// Every expected consumer is done with the snapshot of `file` rooted
     /// at `root`: drop its tree (and with it the region bytes), its
-    /// generation, its index entry and its codec masks — unless
+    /// generation and its index entry — unless
     /// [`LowFiveProps::set_keep`] keeps the file, in which case nothing
     /// is touched and `false` comes back. A name that was re-created in
     /// the meantime (overlap mode) has a different root and is left
@@ -801,7 +676,6 @@ impl DistMetadataVol {
         }
         if let Some(bytes) = self.meta.retire_file(file, root) {
             self.serve_index.lock().remove(file);
-            self.codec_masks.lock().remove(file);
             obsv::counter_add(obsv::Ctr::FilesRetired, 1);
             obsv::counter_add(obsv::Ctr::BytesRetired, bytes);
         }
@@ -818,33 +692,31 @@ impl DistMetadataVol {
             index_files: self.serve_index.lock().len(),
             arena_nodes: arena_nodes + rs.hier.slots(),
             gens: gens + self.fetch_cache.lock().gens.len(),
-            codec_masks: self.codec_masks.lock().len(),
         }
     }
 
     /// Answer the metadata requests parked for `filename` (consumers that
     /// ran ahead to this snapshot before it was closed).
     fn flush_pending_meta(&self, filename: &str) {
-        let now: Vec<(Caller, String, u64)> =
-            self.pending_meta.lock().extract_if(.., |(_, f, _)| f == filename).collect();
-        for (caller, file, caps) in now {
-            let reply = self.metadata_reply(&file, caller.rank, caps);
-            diyblk::rpc::send_reply_frame(&self.world, caller, reply);
+        let now: Vec<Caller> = self
+            .pending_meta
+            .lock()
+            .extract_if(.., |(_, frame)| parked_file(frame) == filename)
+            .map(|(caller, _)| caller)
+            .collect();
+        for caller in now {
+            diyblk::rpc::send_reply_frame(&self.world, caller, self.metadata_reply(filename));
         }
     }
 
-    /// Answer the `M_METADATA` handshake of consumer `rank` for `file`:
-    /// record the negotiation (its `caps` ∩ ours) and build the result
-    /// frame, headroom left for a deferred reply's call id. Recording at
-    /// answer time — not when a request is parked —
-    /// ties the mask to the snapshot it was negotiated for, so retiring
-    /// the previous snapshot of a re-used name cannot take it along.
-    fn metadata_reply(&self, file: &str, rank: usize, caps: u64) -> Writer {
-        result_frame(self.meta.file_meta(file).map(|meta| {
-            self.record_consumer_caps(file, rank, caps);
-            let gen = self.meta.generation(file);
-            MetadataReply { gen, codec_mask: self.negotiated_mask(file, rank), meta }.encode()
-        }))
+    /// Answer an `M_METADATA` request for `file`: the result frame,
+    /// headroom left for a deferred reply's call id.
+    fn metadata_reply(&self, file: &str) -> Writer {
+        result_frame(
+            self.meta
+                .file_meta(file)
+                .map(|meta| MetadataReply { gen: self.meta.generation(file), meta }.encode()),
+        )
     }
 
     /// Does one of our Produce links cover `file`?
@@ -866,7 +738,7 @@ impl DistMetadataVol {
         let sp = obsv::span(obsv::Phase::Serve);
         RpcServer::new(&self.world).serve(|caller, method, args| {
             match Request::decode(method, &args) {
-                Ok(req) => self.serve_request(caller, req),
+                Ok(req) => self.serve_request(caller, req, &args),
                 // A request that does not decode (an unknown or retired
                 // method, a frame cut short or padded) counts like a frame
                 // too short for its RPC header; the error answers a call,
@@ -880,10 +752,12 @@ impl DistMetadataVol {
         self.profile.lock().serve_seconds += sp.finish();
     }
 
-    /// Answer one decoded request: the serve loop's dispatch.
-    fn serve_request(&self, caller: Caller, req: Request<'_>) -> ServeOutcome {
+    /// Answer one decoded request: the serve loop's dispatch. `frame` is
+    /// the request's own frame, which a metadata request that has to wait
+    /// is parked as.
+    fn serve_request(&self, caller: Caller, req: Request<'_>, frame: &Bytes) -> ServeOutcome {
         match req {
-            Request::Metadata { file, caps } => {
+            Request::Metadata { file } => {
                 self.hot.metadata_requests.fetch_add(1, Ordering::Relaxed);
                 // Answerable now: a session that `caller` has not closed
                 // yet (once it has, and the file is not kept, it is asking
@@ -899,22 +773,18 @@ impl DistMetadataVol {
                         })
                 } || self.stream.lock().serveable.contains(file);
                 if known {
-                    ServeOutcome::Reply(self.metadata_reply(file, caller.rank, caps).finish())
+                    ServeOutcome::Reply(self.metadata_reply(file).finish())
                 } else if self.produces(file) {
                     // A snapshot of ours that is not closed yet: hold the
                     // request until its serve session opens.
-                    self.pending_meta.lock().push((caller, file.to_string(), caps));
+                    self.pending_meta.lock().push((caller, frame.clone()));
                     ServeOutcome::Continue
                 } else {
                     ServeOutcome::Reply(enc_result(Err(H5Error::NotFound(file.to_string()))))
                 }
             }
-            Request::CodecOffer { file, caps } => {
-                self.record_consumer_caps(file, caller.rank, caps);
-                ServeOutcome::Continue
-            }
             Request::DataBatch { file, entries } => {
-                ServeOutcome::ReplyParts(self.serve_data_batch(file, &entries, caller.rank))
+                ServeOutcome::ReplyParts(self.serve_data_batch(file, &entries))
             }
             Request::Done { file } => {
                 // DONE must be idempotent: a consumer whose *ack* was lost
@@ -968,10 +838,8 @@ impl DistMetadataVol {
             }
             // `None`: parked, answered later by `StepPublisher::new` /
             // `publish` / `finish`, or failed when this thread exits.
-            Request::StepSub { series, caps } => {
-                crate::stream::serve_step_sub(self, caller, series, caps)
-                    .map_or(ServeOutcome::Continue, ServeOutcome::Reply)
-            }
+            Request::StepSub { series } => crate::stream::serve_step_sub(self, caller, series)
+                .map_or(ServeOutcome::Continue, ServeOutcome::Reply),
             Request::StepNext { series, cursor, policy } => {
                 crate::stream::serve_step_next(self, caller, series, cursor, policy)
                     .map_or(ServeOutcome::Continue, ServeOutcome::Reply)
@@ -983,17 +851,15 @@ impl DistMetadataVol {
         }
     }
 
-    /// [`Self::batch_reply`], codec- and result-wrapped.
-    fn serve_data_batch(&self, file: &str, entries: &BatchEntries<'_>, caller: usize) -> Payload {
+    /// [`Self::batch_reply`], result-wrapped.
+    fn serve_data_batch(&self, file: &str, entries: &BatchEntries<'_>) -> Payload {
         let t0 = obsv::clock::now_ns();
         let reply = self.batch_reply(file, entries);
         if let Ok(b) = &reply {
-            // Profiled at the pre-codec length: `bytes_served` counts what
-            // the consumer receives after decode, not what crossed the wire.
             self.hot.bytes_served.fetch_add(b.len() as u64, Ordering::Relaxed);
             obsv::hist_record(obsv::Hist::BytesServed, b.len() as u64);
         }
-        let out = enc_result_payload(reply.map(|body| self.encode_reply_body(file, caller, body)));
+        let out = enc_result_payload(reply);
         obsv::hist_record(obsv::Hist::ServeBatchNs, obsv::clock::now_ns().saturating_sub(t0));
         out
     }
@@ -1169,9 +1035,10 @@ impl DistMetadataVol {
     /// running ahead to the name's next snapshot parks legitimately
     /// across closes.
     fn fail_parked_meta(&self) {
-        let orphaned: Vec<(Caller, String, u64)> = self.pending_meta.lock().drain(..).collect();
-        for (caller, file, _) in orphaned {
-            diyblk::rpc::send_reply(&self.world, caller, enc_result(Err(H5Error::NotFound(file))));
+        let orphaned: Vec<(Caller, Bytes)> = self.pending_meta.lock().drain(..).collect();
+        for (caller, frame) in orphaned {
+            let missing = H5Error::NotFound(parked_file(&frame).to_string());
+            diyblk::rpc::send_reply(&self.world, caller, enc_result(Err(missing)));
         }
     }
 
@@ -1276,33 +1143,11 @@ impl DistMetadataVol {
             return self.install_remote_meta(file, link_idx, &meta, sp);
         }
         obsv::counter_add(obsv::Ctr::FetchCacheMisses, 1);
-        // Advertise our codec caps in the handshake; the home producer
-        // answers with the negotiated mask. The other producers learn the
-        // caps from the fire-and-forget offers below.
-        let caps = self.props.wire_codec_for(name).caps();
         // Each consumer rank has a "home" producer for metadata requests,
         // spreading the load across the producer task.
         let home = link.home(self.local.rank())?;
-        let reply = self.call_producer(name, home, &Request::Metadata { file: name, caps })?;
-        let MetadataReply { gen, codec_mask: mask, meta } =
-            MetadataReply::decode(&dec_result(&reply)?)?;
-        if mask & !caps != 0 {
-            return Err(H5Error::Format(format!(
-                "producer negotiated codec mask {mask:#x} outside our advertised caps {caps:#x}"
-            )));
-        }
-        // Every producer rank may serve our data queries, not just the
-        // home rank that answered the handshake — fan our caps out to the
-        // rest as fire-and-forget offers. Per-flow FIFO ordering means an
-        // offer lands before any data query we send that producer afterwards;
-        // a dropped offer just leaves that pair on raw.
-        if caps != CAP_RAW {
-            let rpc = RpcClient::new(&self.world);
-            let offer = Request::CodecOffer { file: name, caps };
-            for &p in link.remote_ranks.iter().filter(|&&p| p != home) {
-                rpc.notify_frame(p, offer.method(), offer.encode());
-            }
-        }
+        let reply = self.call_producer(name, home, &Request::Metadata { file: name })?;
+        let MetadataReply { gen, meta } = MetadataReply::decode(&dec_result(&reply)?)?;
         // Record the generation *before* caching: a bump clears stale
         // entries first, so the fresh tree is what ends up cached.
         self.note_gen(name, home, gen);
@@ -1472,10 +1317,8 @@ impl DistMetadataVol {
                     r.map_err(|e| Self::peer_error(server, policy, e)).and_then(|reply| {
                         fetched += reply.len() as u64;
                         obsv::hist_record(obsv::Hist::BytesFetched, reply.len() as u64);
-                        let mut reply = BatchReplyReader::new(
-                            self.decode_reply_payload(&filename, dec_result_payload(reply)?)?,
-                            producers.len(),
-                        )?;
+                        let mut reply =
+                            BatchReplyReader::new(dec_result_payload(reply)?, producers.len())?;
                         let (entries, asked) = (reply.entries(), asking(targets[k]).count());
                         if entries != asked {
                             return Err(H5Error::Format(format!(
@@ -1577,6 +1420,15 @@ impl DistMetadataVol {
         // policy); a producer that already died is best-effort.
         let _ = self.call_producers(&filename, producers, &Request::Done { file: &filename });
         Ok(())
+    }
+}
+
+/// The file a parked `M_METADATA` frame asks for. The frame decoded
+/// once already, when it was parked.
+fn parked_file(frame: &[u8]) -> &str {
+    match Request::decode(M_METADATA, frame) {
+        Ok(Request::Metadata { file }) => file,
+        other => unreachable!("a parked metadata request decoded as {other:?}"),
     }
 }
 

@@ -85,5 +85,4 @@ pub use base::BaseVol;
 pub use dist::{DistMetadataVol, DistVolBuilder, Link, LinkDir, Retained, TransportProfile};
 pub use metadata::MetadataVol;
 pub use props::{glob_match, BackPressure, LowFiveProps};
-pub use protocol::WireCodec;
 pub use stream::{Step, StepPolicy, StepPublisher, StepSubscription};

@@ -12,8 +12,6 @@ use std::time::Duration;
 use diyblk::RetryPolicy;
 use minih5::Ownership;
 
-use crate::protocol::WireCodec;
-
 /// What a producer's `publish` does when a stream series' bounded step
 /// queue is full (see `crate::stream` and `docs/STREAMING.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,7 +34,6 @@ enum Action {
     RpcRetries(u32),
     StreamQueueDepth(usize),
     StreamBackpressure(BackPressure),
-    WireCodecPolicy(WireCodec),
     Keep(bool),
 }
 
@@ -145,31 +142,14 @@ impl LowFiveProps {
         self
     }
 
-    /// Override the wire-codec policy for data replies of files matching
-    /// `file_pat` (default [`WireCodec::Auto`]: the sender's cost model
-    /// decides per frame). Both sides consult it — as the capability
-    /// bitmask a consumer advertises at open/subscribe time, and as the
-    /// producer-side cap intersected into the negotiated mask. Forcing
-    /// [`WireCodec::Rle`] or [`WireCodec::DeltaRle`] skips the cost-model
-    /// check but still ships raw when compression fails to shrink a body.
-    pub fn set_wire_codec(&mut self, file_pat: &str, codec: WireCodec) -> &mut Self {
-        self.rules.push(Rule {
-            file_pat: file_pat.to_string(),
-            dset_pat: "*".to_string(),
-            action: Action::WireCodecPolicy(codec),
-        });
-        self
-    }
-
     /// Keep files matching `file_pat` resident after their consumers are
     /// done with them (default **off**, as in upstream LowFive).
     ///
     /// A served file has an end of life: when the last expected consumer
     /// rank has closed it, the producer *retires* it — the in-memory
-    /// tree and its region bytes, its index entry, its negotiated codec
-    /// masks and its generation tag are all dropped, so a long-running
-    /// producer holds O(files being served) state, not O(files ever
-    /// served). With `keep` on the file stays instead: the producer can
+    /// tree and its region bytes, its index entry and its generation tag
+    /// are all dropped, so a long-running producer holds O(files being
+    /// served) state, not O(files ever served). With `keep` on the file stays instead: the producer can
     /// re-open its own output, and a consumer that re-opens the name
     /// re-reads the same snapshot, exactly as before retirement existed.
     ///
@@ -205,19 +185,6 @@ impl LowFiveProps {
             }
         }
         on
-    }
-
-    /// Effective wire-codec policy for `file`.
-    pub fn wire_codec_for(&self, file: &str) -> WireCodec {
-        let mut codec = WireCodec::Auto;
-        for r in &self.rules {
-            if let Action::WireCodecPolicy(v) = r.action {
-                if glob_match(&r.file_pat, file) {
-                    codec = v;
-                }
-            }
-        }
-        codec
     }
 
     /// Effective step-queue depth for stream series `file`.
@@ -394,21 +361,6 @@ mod tests {
         // Last matching rule wins; depth is clamped to at least one slot.
         p.set_stream_queue_depth("*", 0);
         assert_eq!(p.stream_queue_depth_for("sim.h5"), 1);
-    }
-
-    #[test]
-    fn wire_codec_defaults_auto_and_is_pattern_scoped() {
-        let p = LowFiveProps::new();
-        assert_eq!(p.wire_codec_for("f.h5"), WireCodec::Auto);
-        let mut p = LowFiveProps::new();
-        p.set_wire_codec("grid/*", WireCodec::DeltaRle);
-        p.set_wire_codec("*.bin", WireCodec::Raw);
-        assert_eq!(p.wire_codec_for("grid/step1.h5"), WireCodec::DeltaRle);
-        assert_eq!(p.wire_codec_for("blob.bin"), WireCodec::Raw);
-        assert_eq!(p.wire_codec_for("other.h5"), WireCodec::Auto);
-        // Last matching rule wins.
-        p.set_wire_codec("*", WireCodec::Rle);
-        assert_eq!(p.wire_codec_for("grid/step1.h5"), WireCodec::Rle);
     }
 
     #[test]

@@ -333,7 +333,7 @@ impl StepPublisher {
             let subscribers: Vec<(Caller, Writer)> = st
                 .parked_subs
                 .extract_if(.., |(_, name)| name == series)
-                .map(|(c, _)| (c, result_frame(Ok(sub_reply(&vol, series, &s, c.rank)))))
+                .map(|(c, _)| (c, result_frame(Ok(sub_reply(&s)))))
                 .collect();
             st.series.insert(series.to_string(), s);
             subscribers
@@ -414,7 +414,7 @@ impl StepPublisher {
         // `pending_meta`, which only a close flushes.
         st.serveable.insert(file);
         drop(st);
-        answer_polls(&self.vol, &self.series, woken);
+        answer_polls(&self.vol, woken);
         if count_here {
             obsv::counter_add(obsv::Ctr::StepsPublished, 1);
         }
@@ -439,7 +439,7 @@ impl StepPublisher {
             let parked = std::mem::take(&mut s.parked);
             (head, parked.into_iter().map(|p| (p.caller, StepNextReply::Ended { head })).collect())
         };
-        answer_polls(&self.vol, &self.series, ended);
+        answer_polls(&self.vol, ended);
         let mut st = self.vol.stream_state().lock();
         // Woken whenever the slowest cursor moves (`advance_cursor`).
         while st.series[&self.series].min_cursor() < head {
@@ -490,25 +490,10 @@ impl StepSubscription {
         })?;
         let home = link.home(vol.local_comm().rank())?;
         let producers = link.remote_ranks.clone();
-        // The subscribe doubles as the codec handshake for this series:
-        // announce replies from `home` arrive codec-prefixed under the
-        // returned mask. Only `home` ever sends us announces, so no
-        // offers fan out to the other producer ranks here.
-        let caps = vol.props().wire_codec_for(series).caps();
         let window_start = loop {
-            let reply = vol.call_producer(series, home, &Request::StepSub { series, caps })?;
+            let reply = vol.call_producer(series, home, &Request::StepSub { series })?;
             match dec_result(&reply) {
-                Ok(body) => {
-                    let StepSubReply { window_start, codec_mask: mask, .. } =
-                        StepSubReply::decode(&body)?;
-                    if mask & !caps != 0 {
-                        return Err(H5Error::Format(format!(
-                            "producer negotiated codec mask {mask:#x} \
-                             outside our advertised caps {caps:#x}"
-                        )));
-                    }
-                    break window_start;
-                }
+                Ok(body) => break StepSubReply::decode(&body)?.window_start,
                 // The producer's answer to a re-sent subscribe (our retry
                 // policy gave up on the one it holds): the series is not
                 // registered yet. Ask again at once; that request is held.
@@ -570,9 +555,7 @@ impl StepSubscription {
                 policy: self.policy,
             };
             let reply = self.vol.call_producer(&self.series, self.home, &poll)?;
-            let body =
-                self.vol.decode_reply_payload(&self.series, dec_result_payload(reply.into())?)?;
-            match StepNextReply::decode(&body.into_bytes())? {
+            match StepNextReply::decode(&dec_result(&reply)?)? {
                 // We asked again while parked; the next poll parks.
                 StepNextReply::Pending => {}
                 StepNextReply::Step { seq, file, gen, pub_ns } => {
@@ -641,17 +624,9 @@ impl StepSubscription {
 // loop's guard keeps a sync-mode producer from reaching them)
 // ---------------------------------------------------------------------
 
-/// The `M_STEP_SUB` reply body for consumer world rank `rank`: the
-/// series' retained window bounds and the negotiated codec mask.
-fn sub_reply(vol: &DistMetadataVol, series: &str, s: &SeriesState, rank: usize) -> Writer {
-    let codec_mask = vol.negotiated_mask(series, rank);
-    StepSubReply {
-        window_start: s.window_start(),
-        next_seq: s.next_seq,
-        ended: s.ended,
-        codec_mask,
-    }
-    .encode()
+/// The `M_STEP_SUB` reply body: the series' retained window bounds.
+fn sub_reply(s: &SeriesState) -> Writer {
+    StepSubReply { window_start: s.window_start(), next_seq: s.next_seq, ended: s.ended }.encode()
 }
 
 /// Answer `M_STEP_SUB`: the series' retained window bounds. A subscribe
@@ -660,21 +635,13 @@ fn sub_reply(vol: &DistMetadataVol, series: &str, s: &SeriesState, rank: usize) 
 /// subscribe that finds one parked replaces it and is answered
 /// `NotFound` at once, so a consumer under a retry policy hears from a
 /// live producer once per timeout; it asks again, and that one parks.
-pub(crate) fn serve_step_sub(
-    vol: &DistMetadataVol,
-    caller: Caller,
-    series: &str,
-    caps: u64,
-) -> Option<Bytes> {
-    // Record the negotiation even while the series is still
-    // unregistered: the reply is built when the series appears.
-    vol.record_consumer_caps(series, caller.rank, caps);
+pub(crate) fn serve_step_sub(vol: &DistMetadataVol, caller: Caller, series: &str) -> Option<Bytes> {
     let mut st = vol.stream_state().lock();
     let before = st.parked_subs.len();
     st.parked_subs.retain(|(c, name)| !(c.rank == caller.rank && name == series));
     let resent = st.parked_subs.len() != before;
     match st.series.get(series) {
-        Some(s) => Some(result_frame(Ok(sub_reply(vol, series, s, caller.rank))).finish()),
+        Some(s) => Some(result_frame(Ok(sub_reply(s))).finish()),
         None if resent => Some(enc_result(Err(H5Error::NotFound(series.to_string())))),
         None => {
             st.parked_subs.push((caller, series.to_string()));
@@ -724,7 +691,7 @@ pub(crate) fn serve_step_next(
         (moved, chosen)
     };
     wake_acked(vol, moved);
-    chosen.map(|reply| step_next_result(vol, series, caller.rank, &reply).finish())
+    chosen.map(|reply| result_frame(Ok(reply.encode())).finish())
 }
 
 /// After the slowest cursor of a series `moved`, wake the `publish`
@@ -738,28 +705,12 @@ fn wake_acked(vol: &DistMetadataVol, moved: bool) {
     }
 }
 
-/// One `M_STEP_NEXT` result frame toward consumer world rank `rank`,
-/// encoded once into one buffer, headroom left for a deferred reply's
-/// call id. Announce bodies ride the negotiated
-/// codec like data replies do — they are small, so `Auto` virtually
-/// always ships them raw, but a forced policy compresses them too and
-/// the framing stays uniform.
-fn step_next_result(
-    vol: &DistMetadataVol,
-    series: &str,
-    rank: usize,
-    reply: &StepNextReply,
-) -> Writer {
-    vol.coded_ok_reply(series, rank, reply.encode())
-}
-
 /// Answer parked polls of `series` from the calling thread. Called with
 /// the stream lock released: a socket send can block on a full link
 /// while the serve thread waits for that lock.
-fn answer_polls(vol: &DistMetadataVol, series: &str, polls: Vec<(Caller, StepNextReply)>) {
+fn answer_polls(vol: &DistMetadataVol, polls: Vec<(Caller, StepNextReply)>) {
     for (caller, reply) in polls {
-        let frame = step_next_result(vol, series, caller.rank, &reply);
-        diyblk::rpc::send_reply_frame(vol.world(), caller, frame);
+        diyblk::rpc::send_reply_frame(vol.world(), caller, result_frame(Ok(reply.encode())));
     }
 }
 

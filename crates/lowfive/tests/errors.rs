@@ -156,9 +156,9 @@ fn open_of_unproduced_file_fails_fast() {
     });
 }
 
-/// Retired method ids are not reused: the separate redirect query (2) and
-/// the single-entry data query (3) draw the unknown-method error, and the
-/// producer keeps serving.
+/// Retired method ids are not reused: the separate redirect query (2),
+/// the single-entry data query (3) and the codec offer (10) draw the
+/// unknown-method error, and the producer keeps serving.
 #[test]
 fn retired_methods_draw_the_unknown_method_error() {
     let specs = [TaskSpec::new("p", 1), TaskSpec::new("c", 1)];
@@ -171,11 +171,11 @@ fn retired_methods_draw_the_unknown_method_error() {
             f.close().unwrap();
         } else {
             let rpc = diyblk::RpcClient::new(&tc.world);
-            for method in [2, 3] {
+            for method in [2, 3, 10] {
                 let reply = rpc.call(world_ranks(&tc, 0)[0], method, b"retired.h5");
                 let err = lowfive::protocol::dec_result(&reply).unwrap_err();
                 let want = format!("unknown RPC method {method}");
-                assert!(matches!(&err, H5Error::Vol(m) if m.contains(&want)), "{err}");
+                assert!(matches!(&err, H5Error::Format(m) if m == &want), "{err}");
             }
             let f = h5.open_file("retired.h5").unwrap();
             assert_eq!(f.open_dataset("x").unwrap().read_all::<u8>().unwrap(), vec![5, 6]);

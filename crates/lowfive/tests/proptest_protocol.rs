@@ -15,10 +15,11 @@
 //! * **random byte flips** — sampled by proptest; the decode may
 //!   succeed (most fields carry no checksum) but must never panic.
 //!
-//! The same list pins every frame's bytes ([`GOLDEN`]), and two
-//! properties pin the codec: `encode_coded` → `decode_coded_payload` is
-//! the identity on arbitrary bodies, under every codec and any
-//! multi-part split of the input.
+//! The same list pins every frame's bytes ([`GOLDEN`]). Two properties
+//! pin the off-wire delta-RLE codec the benchmark's layer pass times:
+//! `encode_coded` → `dec_coded` is the identity on arbitrary bodies
+//! under any two-part split of the input, and a corrupted compressed
+//! frame never expands to a length other than the one it declares.
 
 use bytes::Bytes;
 use lowfive::protocol::*;
@@ -33,15 +34,14 @@ type Frame = (String, Bytes, Box<dyn Fn(&[u8]) -> bool>);
 /// One row per [`Request`] variant, every field set off its default.
 fn requests(sel: &Selection) -> Vec<Request<'_>> {
     vec![
-        Request::Metadata { file: "a.h5", caps: CAP_ALL },
-        Request::CodecOffer { file: "a.h5", caps: CAP_RAW | CAP_RLE },
+        Request::Metadata { file: "a.h5" },
         Request::DataBatch {
             file: "f.h5",
             entries: BatchEntries::Read(vec![("d", sel.clone()), ("e", Selection::all())]),
         },
         Request::Done { file: "f.h5" },
         Request::Shutdown,
-        Request::StepSub { series: "sim.h5", caps: CAP_ALL },
+        Request::StepSub { series: "sim.h5" },
         Request::StepNext { series: "sim.h5", cursor: 4, policy: StepPolicy::SkipOk(2) },
         Request::StepAck { series: "sim.h5", cursor: 11 },
     ]
@@ -53,7 +53,6 @@ fn requests(sel: &Selection) -> Vec<Request<'_>> {
 fn request_name(req: &Request) -> &'static str {
     match req {
         Request::Metadata { .. } => "req_metadata",
-        Request::CodecOffer { .. } => "req_codec_offer",
         Request::DataBatch { .. } => "req_data_batch",
         Request::Done { .. } => "req_done",
         Request::Shutdown => "req_shutdown",
@@ -64,7 +63,7 @@ fn request_name(req: &Request) -> &'static str {
 }
 
 /// Every variant name [`request_name`] knows.
-const REQUEST_VARIANTS: usize = 8;
+const REQUEST_VARIANTS: usize = 7;
 
 /// The data reply of the fixtures: two entries, the first with a lent
 /// blob, the second empty; owners are checked against a three-rank task.
@@ -114,8 +113,8 @@ fn frames() -> Vec<Frame> {
             })
         })
         .collect();
-    let meta = MetadataReply { gen: 7, codec_mask: CAP_ALL, meta: Default::default() };
-    let sub = StepSubReply { window_start: 2, next_seq: 5, ended: false, codec_mask: CAP_RAW };
+    let meta = MetadataReply { gen: 7, meta: Default::default() };
+    let sub = StepSubReply { window_start: 2, next_seq: 5, ended: false };
     let step = StepNextReply::Step { seq: 9, file: "s@s1".into(), gen: 2, pub_ns: 77 };
     let mut bundle = IndexBundle::default();
     bundle.push("f.h5", "d", 7, &BBox::new(vec![0], vec![4]));
@@ -129,23 +128,15 @@ fn frames() -> Vec<Frame> {
         row("step_next_ended", StepNextReply::Ended { head: 6 }.encode().finish(), is_step_next),
         row("index_bundle", bundle.finish(), |b| IndexBundle::decode(b).is_ok()),
         row("batch_reply", batch_reply().to_bytes(), |b| read_batch(in_parts(b), 3).is_ok()),
-        // The data reply as served: result wrapper, codec prefix, reply;
-        // read as the consumer reads it, in place and in parts.
-        row(
-            "result_batch_reply",
-            enc_result_payload(Ok(encode_coded(batch_reply(), CODEC_RAW))).to_bytes(),
-            |b| {
-                dec_result_payload(in_parts(b))
-                    .and_then(|p| decode_coded_payload(p, CAP_ALL))
-                    .and_then(|p| read_batch(p, 3))
-                    .is_ok()
-            },
-        ),
-        // A step announce as served: one buffer, ok and codec bytes in
-        // its headroom.
-        row("result_step_next", ok_raw_coded(step.encode()).finish(), |b| {
+        // The data reply as served: result wrapper, then the reply; read
+        // as the consumer reads it, in place and in parts.
+        row("result_batch_reply", enc_result_payload(Ok(batch_reply())).to_bytes(), |b| {
+            dec_result_payload(in_parts(b)).and_then(|p| read_batch(p, 3)).is_ok()
+        }),
+        // A step announce as served: one buffer, the ok byte in its
+        // headroom.
+        row("result_step_next", result_frame(Ok(step.encode())).finish(), |b| {
             dec_result(&Bytes::copy_from_slice(b))
-                .and_then(|body| dec_coded(&body, CAP_ALL))
                 .and_then(|body| StepNextReply::decode(&body))
                 .is_ok()
         }),
@@ -166,43 +157,43 @@ fn frames() -> Vec<Frame> {
                     Err(H5Error::PeerUnavailable(m)) if m == "rank 1 dead")
             },
         ),
-        // A *compressed* coded frame is structured (length header + pair
-        // stream), so truncation and padding are detectable — unlike its
-        // raw sibling, whose body is opaque.
-        row("rle_coded", encode_coded(Payload::from(vec![7u8; 64]), CODEC_RLE).to_bytes(), |b| {
-            dec_coded(&Bytes::copy_from_slice(b), CAP_ALL).is_ok()
+        // A request the producer could not decode.
+        row("result_format", enc_result(Err(H5Error::Format("3 trailing bytes".into()))), |b| {
+            matches!(dec_result(&Bytes::copy_from_slice(b)),
+                Err(H5Error::Format(m)) if m == "3 trailing bytes")
         }),
     ]);
     out
 }
 
-/// Every frame of [`frames`], by name, as the encoders of commit
-/// `689b2ac` (the last with one `enc_*`/`dec_*` function pair per frame)
-/// wrote it. A refactor of the protocol's types must leave these bytes
-/// alone: they are the wire.
-const GOLDEN: [(&str, &str); 22] = [
-    ("req_metadata", "0400000000000000612e68350700000000000000"),
-    ("req_codec_offer", "0400000000000000612e68350300000000000000"),
+/// Every frame of [`frames`], by name, as it crosses the wire. A
+/// refactor of the protocol's types must leave these bytes alone: they
+/// are the wire. The rows the codec's removal changed (the two requests
+/// and two replies that carried codec fields, and the two served replies
+/// that carried a codec prefix) were regenerated then; every other row
+/// is as commit `689b2ac` wrote it.
+const GOLDEN: [(&str, &str); 21] = [
+    ("req_metadata", "0400000000000000612e6835"),
     ("req_data_batch", "0400000000000000662e683502000000000000000100000000000000640102000000000000000000000000000000020000000000000001000000000000000200000000000000000000000000000002000000000000000100000000000000020000000000000001000000000000006500"),
     ("req_done", "0400000000000000662e6835"),
     ("req_shutdown", ""),
-    ("req_step_sub", "060000000000000073696d2e68350700000000000000"),
+    ("req_step_sub", "060000000000000073696d2e6835"),
     ("req_step_next", "060000000000000073696d2e68350400000000000000020200000000000000"),
     ("req_step_ack", "060000000000000073696d2e68350b00000000000000"),
-    ("metadata_reply", "07000000000000000700000000000000000000000000000000000000000000000000000000000000"),
-    ("step_sub_reply", "02000000000000000500000000000000000100000000000000"),
+    ("metadata_reply", "0700000000000000000000000000000000000000000000000000000000000000"),
+    ("step_sub_reply", "0200000000000000050000000000000000"),
     ("step_next_pending", "00"),
     ("step_next_step", "01090000000000000004000000000000007340733102000000000000004d00000000000000"),
     ("step_next_ended", "020600000000000000"),
     ("index_bundle", "02000000000000000400000000000000662e6835010000000000000064070000000000000001000000000000000000000000000000010000000000000004000000000000000400000000000000662e68350100000000000000650800000000000000020000000000000001000000000000000200000000000000020000000000000003000000000000000400000000000000"),
     ("batch_reply", "020000000000000002000000000000000000000000000000020000000000000001000000000000000100000000000000040000000000000001000000000000000000000000000000020000000000000002000000000000000909040000000000000000000000000000000000000000000000"),
-    ("result_batch_reply", "0100020000000000000002000000000000000000000000000000020000000000000001000000000000000100000000000000040000000000000001000000000000000000000000000000020000000000000002000000000000000909040000000000000000000000000000000000000000000000"),
-    ("result_step_next", "010001090000000000000004000000000000007340733102000000000000004d00000000000000"),
-    ("result_metadata", "0107000000000000000700000000000000000000000000000000000000000000000000000000000000"),
+    ("result_batch_reply", "01020000000000000002000000000000000000000000000000020000000000000001000000000000000100000000000000040000000000000001000000000000000000000000000000020000000000000002000000000000000909040000000000000000000000000000000000000000000000"),
+    ("result_step_next", "0101090000000000000004000000000000007340733102000000000000004d00000000000000"),
+    ("result_metadata", "010700000000000000000000000000000000000000000000000000000000000000"),
     ("result_ack", "01"),
     ("result_not_found", "00010400000000000000782e6835"),
     ("result_peer_unavailable", "00020b0000000000000072616e6b20312064656164"),
-    ("rle_coded", "0140000000000000004007"),
+    ("result_format", "000310000000000000003320747261696c696e67206279746573"),
 ];
 
 fn hex(b: &[u8]) -> String {
@@ -298,18 +289,10 @@ fn out_of_range_owner_fails_the_read_cleanly() {
             };
             RpcServer::new(&tc.world).serve(|_, method, _| match method {
                 M_METADATA => ServeOutcome::Reply(
-                    result_frame(Ok(MetadataReply {
-                        gen: 0,
-                        codec_mask: CAP_RAW,
-                        meta: meta.clone(),
-                    }
-                    .encode()))
-                    .finish(),
+                    result_frame(Ok(MetadataReply { gen: 0, meta: meta.clone() }.encode()))
+                        .finish(),
                 ),
-                M_DATA_BATCH => ServeOutcome::ReplyParts(enc_result_payload(Ok(encode_coded(
-                    forged(),
-                    CODEC_RAW,
-                )))),
+                M_DATA_BATCH => ServeOutcome::ReplyParts(enc_result_payload(Ok(forged()))),
                 _ => ServeOutcome::Stop(Some(OK_EMPTY)),
             });
         } else {
@@ -353,8 +336,7 @@ fn truncated_done_is_counted_and_answered_with_the_error() {
             let whole = done.encode().finish();
             let reply = rpc.call(0, done.method(), &whole[..5]);
             let err = dec_result(&reply).unwrap_err();
-            assert!(matches!(&err, H5Error::Vol(m) if m.contains("remote error")), "{err}");
-            assert!(err.to_string().contains("format"), "{err}");
+            assert!(matches!(&err, H5Error::Format(_)), "{err}");
             let reply = rpc.call(0, done.method(), &whole);
             assert!(dec_result(&reply).is_ok(), "the whole DONE is acked");
         }
@@ -387,15 +369,19 @@ proptest! {
     /// Corrupting a *compressed* frame may shrink or grow the expansion,
     /// but the declared-length discipline catches every size mismatch:
     /// a flip in the RLE pair stream either errs or expands to exactly
-    /// the declared length — never to a differently-sized body.
+    /// the declared length — never to a differently-sized body. The body
+    /// is one 8-byte element repeated, which the delta lag turns into
+    /// zero runs, so it compresses.
     #[test]
     fn rle_expansion_length_is_pinned(
-        body in proptest::collection::vec(0u8..4, 16..200),
+        elem in any::<u64>(),
+        n in 2usize..25,
         pos in any::<u64>(),
         xor in 1u8..=255,
     ) {
-        let coded = encode_coded(Payload::from(body.clone()), CODEC_RLE).to_bytes();
-        if coded[0] != CODEC_RLE {
+        let body: Vec<u8> = std::iter::repeat_n(elem.to_le_bytes(), n).flatten().collect();
+        let coded = encode_coded(Payload::from(body.clone()), CODEC_DELTA_RLE).to_bytes();
+        if coded[0] != CODEC_DELTA_RLE {
             return; // fell back to raw: nothing structured to corrupt
         }
         let mut b = coded.to_vec();
@@ -409,22 +395,19 @@ proptest! {
         }
     }
 
-    /// encode → decode is the identity for every codec, on any body and
-    /// any two-part split (the encoder walks parts, the decoder fuses
-    /// them back).
+    /// encode → decode is the identity, raw or delta-RLE, on any body
+    /// and any two-part split (the encoder walks parts).
     #[test]
     fn codec_roundtrip_is_identity(
         body in proptest::collection::vec(any::<u8>(), 0..300),
         split in any::<u64>(),
-        codec in 0u8..3,
+        delta in any::<bool>(),
     ) {
         let cut = (split as usize) % (body.len() + 1);
         let mut p = Payload::new();
         p.push(Bytes::copy_from_slice(&body[..cut]));
         p.push(Bytes::copy_from_slice(&body[cut..]));
-        let coded = encode_coded(p, codec);
-        let back = decode_coded_payload(coded.clone(), CAP_ALL).unwrap();
-        prop_assert_eq!(&back.to_bytes()[..], &body[..]);
+        let coded = encode_coded(p, if delta { CODEC_DELTA_RLE } else { 0 });
         let back = dec_coded(&coded.to_bytes(), CAP_ALL).unwrap();
         prop_assert_eq!(&back[..], &body[..]);
     }

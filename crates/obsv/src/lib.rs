@@ -214,16 +214,8 @@ pub enum Ctr {
     /// delivered step, how many sequence numbers past the consumer's
     /// cursor it was (0 for an in-order `EveryStep` consumer).
     StepsLagged,
-    /// Data-reply body bytes actually shipped over the wire, after codec
-    /// encoding (the one-byte codec prefix excluded). Equal to
-    /// `bytes_pre_codec` when every frame goes raw; strictly smaller when
-    /// compression wins.
-    BytesOnWire,
-    /// Data-reply body bytes *before* codec encoding — the raw size the
-    /// wire would have carried without the codec layer.
-    BytesPreCodec,
     /// Served files a producer dropped once their last expected consumer
-    /// was done with them (tree, index entry, codec masks, generation).
+    /// was done with them (tree, index entry, generation).
     FilesRetired,
     /// Served files that stayed resident at that point because
     /// `LowFiveProps::set_keep` matched them.
@@ -251,7 +243,7 @@ pub enum Ctr {
 }
 
 /// Number of [`Ctr`] variants (the fixed width of every counter array).
-pub const NUM_CTRS: usize = 37;
+pub const NUM_CTRS: usize = 35;
 
 impl Ctr {
     /// Every counter, in declaration order.
@@ -284,8 +276,6 @@ impl Ctr {
         Ctr::StepsPublished,
         Ctr::StepsDropped,
         Ctr::StepsLagged,
-        Ctr::BytesOnWire,
-        Ctr::BytesPreCodec,
         Ctr::FilesRetired,
         Ctr::FilesKept,
         Ctr::BytesRetired,
@@ -326,8 +316,6 @@ impl Ctr {
             Ctr::StepsPublished => "steps_published",
             Ctr::StepsDropped => "steps_dropped",
             Ctr::StepsLagged => "steps_lagged",
-            Ctr::BytesOnWire => "bytes_on_wire",
-            Ctr::BytesPreCodec => "bytes_pre_codec",
             Ctr::FilesRetired => "files_retired",
             Ctr::FilesKept => "files_kept",
             Ctr::BytesRetired => "bytes_retired",
@@ -370,16 +358,13 @@ pub enum Hist {
     /// (consumer receipt of the announce minus the producer's publish
     /// stamp; both sides share the process clock).
     StepLatencyNs,
-    /// Wall time spent inside wire-codec encode and decode passes,
-    /// nanoseconds (one sample per pass, both directions).
-    CodecLatencyNs,
     /// Wall time executing one `M_DATA_BATCH` request, nanoseconds
-    /// (owner lookup, gather and codec encode of all entries of the batch).
+    /// (owner lookup and the reply frame of all entries of the batch).
     ServeBatchNs,
 }
 
 /// Number of [`Hist`] variants (the fixed width of every histogram array).
-pub const NUM_HISTS: usize = 13;
+pub const NUM_HISTS: usize = 12;
 
 impl Hist {
     /// Every histogram, in declaration order.
@@ -395,7 +380,6 @@ impl Hist {
         Hist::CollBytes,
         Hist::CollLatencyNs,
         Hist::StepLatencyNs,
-        Hist::CodecLatencyNs,
         Hist::ServeBatchNs,
     ];
 
@@ -413,7 +397,6 @@ impl Hist {
             Hist::CollBytes => "coll_bytes",
             Hist::CollLatencyNs => "coll_latency_ns",
             Hist::StepLatencyNs => "step_latency_ns",
-            Hist::CodecLatencyNs => "codec_latency_ns",
             Hist::ServeBatchNs => "serve_batch_ns",
         }
     }

@@ -82,8 +82,7 @@ impl Comm {
     }
 
     /// The attached cost model, if any. Drives size-aware collective
-    /// selection internally, and lets upper layers (the LowFive wire
-    /// codecs) weigh modeled link cost against codec cost.
+    /// selection.
     pub fn cost_model(&self) -> Option<CostModel> {
         self.inner.cost
     }

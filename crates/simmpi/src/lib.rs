@@ -64,7 +64,7 @@ mod world;
 
 pub use bufpool::BufPool;
 pub use comm::{Comm, RecvError, RecvRequest, SendError};
-pub use cost::{CostModel, RatioEwma, CODEC_ASSUMED_RATIO};
+pub use cost::CostModel;
 pub use envelope::{Envelope, PartsEnvelope, SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, KillSpec, PeerDied, RankKilled};
 pub use payload::Payload;

@@ -36,9 +36,9 @@ use crate::envelope::{split_wire_tag, SrcSel, TagSel, WireEnvelope};
 pub(crate) const SPIN_CAP: Duration = Duration::from_micros(50);
 
 /// What one blocked wait may add to a selector's estimate: a timeout, or
-/// any wait longer than this, is learned as this long. Twenty caps, so
-/// after one long wait a selector parks until about twenty short waits in
-/// a row bring its estimate back under the cap.
+/// any wait longer than this, is learned as this long. Twenty times
+/// `SPIN_CAP`, so after one long wait a selector parks until about twenty
+/// short waits in a row bring its estimate back under the cap.
 const LONG_WAIT: Duration = Duration::from_millis(1);
 
 #[derive(Default)]

@@ -1,7 +1,7 @@
 //! A served file has an end of life — on both sides of a link.
 //!
 //! A producer *retires* a file once its last expected consumer has closed
-//! it (tree and region bytes, index entry, codec masks, generation), and a
+//! it (tree and region bytes, index entry, generation), and a
 //! consumer drops everything it imported or cached for a file when it
 //! closes it. These tests pin the consequence that matters for long runs:
 //! after hundreds of steps, what a rank holds per file is a small
@@ -107,7 +107,6 @@ fn assert_bounded(task: usize, r: Retained) {
     assert!(r.files <= 2, "{side} still holds {} trees: {r:?}", r.files);
     assert!(r.index_files <= 2, "{side} index: {r:?}");
     assert!(r.gens <= 2, "{side} generations: {r:?}");
-    assert!(r.codec_masks <= 2, "{side} codec masks: {r:?}");
     assert!(r.arena_nodes <= 8, "{side} arena grew to {} slots: {r:?}", r.arena_nodes);
 }
 
@@ -133,8 +132,8 @@ fn retirement_bounds_state_1_to_3_deep() {
 fn async_serve_and_drain_retire_too() {
     for (task, r) in run_unique_names(2, 2, false, true) {
         if task == 0 {
-            let left = (r.files, r.index_files, r.gens, r.codec_masks);
-            assert_eq!(left, (0, 0, 0, 0), "drained producer: {r:?}");
+            let left = (r.files, r.index_files, r.gens);
+            assert_eq!(left, (0, 0, 0), "drained producer: {r:?}");
         } else {
             assert_bounded(task, r);
         }
