@@ -70,11 +70,12 @@
 //! fetch path (see `lowfive::dist`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use minih5::codec::Writer;
-use simmpi::{Comm, Payload, RecvError, SrcSel, ANY_SOURCE};
+use simmpi::{Comm, Payload, RecvError, RecvSink, SrcSel, ANY_SOURCE};
 
 /// Tags used by the RPC layer (ordinary user tags, below the collective
 /// range; chosen high to stay clear of application traffic).
@@ -526,6 +527,14 @@ impl<'a> RpcClient<'a> {
     /// fan-out, which is as wide as the servers it asks. Requests to the
     /// *same* server stay FIFO on its serve loop, so batching per server
     /// and fanning out across servers is the intended usage.
+    ///
+    /// A call with a sink ([`Call::sink`]) has it posted under each
+    /// attempt's call id before the request leaves, and withdrawn when
+    /// the attempt ends — answered, timed out and resent, or failed. On
+    /// the socket backend the reader thread then writes the reply body
+    /// wherever the sink puts it, and `on_reply` gets an *empty* body:
+    /// what was placed is the sink's to report. A reply that arrives
+    /// while no sink is posted for it comes as sent.
     pub fn call_many<F>(&self, calls: Vec<Call>, policy: Option<RetryPolicy>, mut on_reply: F)
     where
         F: FnMut(usize, Result<Payload, RpcError>),
@@ -553,6 +562,8 @@ impl<'a> RpcClient<'a> {
             server: usize,
             /// The request as last sent, kept for a resend.
             req: Bytes,
+            /// Where the reply goes, posted under each attempt's call id.
+            sink: Option<Arc<dyn RecvSink>>,
             /// Resends still allowed after the current attempt.
             attempts_left: u32,
             sent_ns: u64,
@@ -561,6 +572,9 @@ impl<'a> RpcClient<'a> {
 
         let send = |slot: &mut Slot, call_id: u64| {
             obsv::counter_add(obsv::Ctr::RpcCalls, 1);
+            if let Some(sink) = &slot.sink {
+                self.comm.post_sink(slot.server, TAG_REPLY, call_id, Arc::clone(sink));
+            }
             slot.sent_ns = obsv::clock::now_ns();
             self.comm.send(slot.server, TAG_REQUEST, slot.req.clone());
             slot.state = SlotState::Waiting {
@@ -575,6 +589,7 @@ impl<'a> RpcClient<'a> {
                 let mut slot = Slot {
                     server: c.server,
                     req: encode_request(c.method, call_id, c.args),
+                    sink: c.sink,
                     attempts_left: policy.map(|p| p.attempts - 1).unwrap_or(0),
                     sent_ns: 0,
                     state: SlotState::Done, // placeholder until the first send
@@ -584,6 +599,15 @@ impl<'a> RpcClient<'a> {
             })
             .collect();
         let mut remaining = slots.len();
+        // An attempt that is over — answered, timed out, or its server
+        // dead — takes its sink with it: a late reply to it is then
+        // delivered as sent, recognised as stale and dropped, and never
+        // written anywhere.
+        let unpost = |slot: &Slot| {
+            if let (Some(_), SlotState::Waiting { call_id, .. }) = (&slot.sink, &slot.state) {
+                self.comm.unpost_sink(slot.server, TAG_REPLY, *call_id);
+            }
+        };
 
         while remaining > 0 {
             let now_ns = obsv::clock::now_ns();
@@ -595,6 +619,7 @@ impl<'a> RpcClient<'a> {
                     continue;
                 }
                 if !self.comm.peer_alive(slot.server) {
+                    unpost(slot);
                     slot.state = SlotState::Done;
                     remaining -= 1;
                     obsv::counter_add(obsv::Ctr::RpcPeersDead, 1);
@@ -604,6 +629,7 @@ impl<'a> RpcClient<'a> {
                 match slot.state {
                     SlotState::Waiting { deadline_ns: Some(d), .. } if d <= now_ns => {
                         obsv::counter_add(obsv::Ctr::RpcTimeouts, 1);
+                        unpost(slot);
                         if slot.attempts_left == 0 {
                             slot.state = SlotState::Done;
                             remaining -= 1;
@@ -642,7 +668,11 @@ impl<'a> RpcClient<'a> {
                     let Some((id, body)) = decode_reply_parts(env.payload) else { continue };
                     let waiting_for = |s: &Slot| matches!(s.state, SlotState::Waiting { call_id, .. } if call_id == id);
                     if let Some(i) = slots.iter().position(waiting_for) {
-                        obsv::hist_record(obsv::Hist::RpcReplySize, body.len() as u64);
+                        unpost(&slots[i]);
+                        obsv::hist_record(
+                            obsv::Hist::RpcReplySize,
+                            (body.len() + env.placed) as u64,
+                        );
                         obsv::hist_record(
                             obsv::Hist::RpcLatencyNs,
                             obsv::clock::now_ns().saturating_sub(slots[i].sent_ns),
@@ -674,7 +704,7 @@ impl<'a> RpcClient<'a> {
 }
 
 /// One outgoing request of a [`RpcClient::call_many`] fan-out.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Call {
     /// Server rank in the client's communicator.
     pub server: usize,
@@ -682,6 +712,19 @@ pub struct Call {
     pub method: u32,
     /// Serialized arguments, with headroom for the request header.
     pub args: Writer,
+    /// Where the reply's body goes, if not to `on_reply`.
+    sink: Option<Arc<dyn RecvSink>>,
+}
+
+impl std::fmt::Debug for Call {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Call")
+            .field("server", &self.server)
+            .field("method", &self.method)
+            .field("args", &self.args)
+            .field("sink", &self.sink.is_some())
+            .finish()
+    }
 }
 
 impl Call {
@@ -693,7 +736,13 @@ impl Call {
 
     /// Build one fan-out entry from arguments encoded into `args`.
     pub fn frame(server: usize, method: u32, args: Writer) -> Self {
-        Call { server, method, args }
+        Call { server, method, args, sink: None }
+    }
+
+    /// Receive the reply into `sink` (see [`RpcClient::call_many`]).
+    pub fn sink(mut self, sink: Arc<dyn RecvSink>) -> Self {
+        self.sink = Some(sink);
+        self
     }
 }
 
@@ -1135,5 +1184,65 @@ mod tests {
         });
         assert_eq!(out.deaths.len(), 1);
         assert!(out.deaths[0].injected);
+    }
+
+    /// A sink that keeps every body it is handed.
+    #[derive(Default)]
+    struct Keep {
+        bodies: std::sync::Mutex<Vec<Vec<u8>>>,
+    }
+
+    impl RecvSink for Keep {
+        fn place(&self, body: &mut simmpi::FrameBody<'_>) {
+            let mut b = vec![0u8; body.remaining()];
+            body.read_exact(&mut b).expect("a whole frame");
+            self.bodies.lock().unwrap().push(b);
+        }
+    }
+
+    /// The server answers the first attempt only once the retry has
+    /// arrived, so its reply reaches the client after that attempt's sink
+    /// was withdrawn: it is dropped as stale, and only the retry's reply
+    /// goes through the sink — which the client's callback sees as an
+    /// empty body, with the bytes at the sink.
+    #[test]
+    fn a_stale_reply_never_reaches_the_sink() {
+        World::builder(2).transport(simmpi::TransportKind::Socket).run(|c| {
+            if c.rank() == 0 {
+                let mut first = None;
+                RpcServer::new(&c).serve(|caller, _, _| match first.take() {
+                    None => {
+                        first = Some(caller);
+                        ServeOutcome::Continue
+                    }
+                    Some(stale) => {
+                        send_reply(&c, stale, Bytes::from_static(b"stale!"));
+                        ServeOutcome::Stop(Some(Bytes::from_static(b"fresh")))
+                    }
+                });
+            } else {
+                let sink = Arc::new(Keep::default());
+                let reg = obsv::Registry::new();
+                let _rec = obsv::install(reg.recorder(1));
+                let call = Call::new(0, M_ECHO, b"q").sink(sink.clone());
+                let mut replies = Vec::new();
+                let policy = RetryPolicy::new(2, Duration::from_millis(50));
+                RpcClient::new(&c).call_many(vec![call], Some(policy), |i, r| {
+                    replies.push((i, r.expect("the retry is answered").len()))
+                });
+                assert_eq!(replies, [(0, 0)], "placed: the callback gets an empty body");
+                assert_eq!(
+                    *sink.bodies.lock().unwrap(),
+                    [b"fresh".to_vec()],
+                    "only the live reply"
+                );
+                let report = reg.report();
+                assert_eq!(report.counter(obsv::Ctr::RpcRetries), 1);
+                // The reply size is the frame's, sink or not.
+                assert_eq!(report.hist(obsv::Hist::RpcReplySize).sum, 5);
+                // The stale reply was delivered as sent, then dropped.
+                assert!(c.try_recv(0.into(), TAG_REPLY.into()).is_none());
+            }
+        });
     }
 }

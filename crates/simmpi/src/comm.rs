@@ -178,7 +178,7 @@ impl Comm {
             }
         }
         let sent_ns = if obsv::active() { obsv::clock::now_ns() } else { 0 };
-        Some((world_dest, WireEnvelope { world_src, wire_tag, payload, sent_ns }, front))
+        Some((world_dest, WireEnvelope { world_src, wire_tag, payload, sent_ns, placed: 0 }, front))
     }
 
     /// Accounting for a payload the transport accepted. Fires only after
@@ -271,7 +271,7 @@ impl Comm {
 
     fn localize_parts(&self, wire: WireEnvelope) -> PartsEnvelope {
         if let Some(cm) = &self.inner.cost {
-            std::thread::sleep(cm.delay(wire.payload.len()));
+            std::thread::sleep(cm.delay(wire.payload.len() + wire.placed));
         }
         if wire.sent_ns != 0 {
             obsv::hist_record(
@@ -282,7 +282,7 @@ impl Comm {
         let (_, tag) = crate::envelope::split_wire_tag(wire.wire_tag);
         let src = self.local_of_world[wire.world_src]
             .expect("message arrived from a non-member world rank on this context");
-        PartsEnvelope { src, tag, payload: wire.payload }
+        PartsEnvelope { src, tag, payload: wire.payload, placed: wire.placed }
     }
 
     fn localize(&self, wire: WireEnvelope) -> Envelope {
@@ -447,6 +447,24 @@ impl Comm {
         let m = self.matcher(src, tag);
         let (world_src, tag, len) = self.my_mailbox().peek_matching(&m)?;
         Some((self.local_of_world[world_src].expect("non-member source"), tag, len))
+    }
+
+    /// Post `sink` as the destination of the next message from local rank
+    /// `src` under `tag` whose body starts with the 8 bytes of `key` (an
+    /// RPC reply's call id): on the socket backend the reader thread has
+    /// the kernel write that message's body into the sink's memory and
+    /// delivers a completion in its place ([`PartsEnvelope::placed`]). The
+    /// in-proc backend delivers the message as sent, sink or not. Post
+    /// before the message can be sent.
+    pub fn post_sink(&self, src: usize, tag: Tag, key: u64, sink: Arc<dyn crate::RecvSink>) {
+        self.my_mailbox().sinks().post(self.members[src], make_wire_tag(self.ctx, tag), key, sink);
+    }
+
+    /// Withdraw a sink [`Comm::post_sink`] posted, waiting for a
+    /// placement through it to end: once this returns, nothing is written
+    /// through it again. A sink that already took its message is gone.
+    pub fn unpost_sink(&self, src: usize, tag: Tag, key: u64) {
+        self.my_mailbox().sinks().unpost(self.members[src], make_wire_tag(self.ctx, tag), key);
     }
 
     fn my_mailbox(&self) -> &crate::mailbox::Mailbox {

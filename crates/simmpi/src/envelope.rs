@@ -102,8 +102,13 @@ pub struct PartsEnvelope {
     pub src: usize,
     /// User tag the message was sent with.
     pub tag: Tag,
-    /// Message body as the sender's parts.
+    /// Message body as the sender's parts — for a frame a posted
+    /// [`crate::RecvSink`] took, only its 8-byte key.
     pub payload: Payload,
+    /// Body bytes after the key that a posted sink took in place of
+    /// `payload` (0 for every other message): `payload.len() + placed` is
+    /// the length the sender sent.
+    pub placed: usize,
 }
 
 /// Internal representation stored in mailboxes: sources are world ranks and
@@ -118,6 +123,8 @@ pub(crate) struct WireEnvelope {
     /// thread had no recorder — lets the receive side attribute
     /// send-to-delivery latency without a second clock.
     pub sent_ns: u64,
+    /// See [`PartsEnvelope::placed`].
+    pub placed: usize,
 }
 
 pub(crate) fn make_wire_tag(ctx: u32, tag: Tag) -> WireTag {

@@ -57,6 +57,7 @@ mod fault;
 mod mailbox;
 mod payload;
 pub mod pod;
+mod sink;
 mod stats;
 mod task;
 mod transport;
@@ -69,6 +70,7 @@ pub use envelope::{Envelope, PartsEnvelope, SrcSel, Tag, TagSel, ANY_SOURCE, ANY
 pub use fault::{FaultEvent, FaultKind, FaultPlan, KillSpec, PeerDied, RankKilled};
 pub use payload::Payload;
 pub use pod::Pod;
+pub use sink::{FrameBody, RecvSink};
 pub use stats::TransportStats;
 pub use task::{TaskComm, TaskSpec, TaskWorld};
 pub use transport::{SocketConfig, SocketMode, TransportKind};

@@ -31,6 +31,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::collectives;
 use crate::comm::RecvError;
 use crate::envelope::{split_wire_tag, SrcSel, TagSel, WireEnvelope};
+use crate::sink::SinkTable;
 
 /// Longest a blocked receive spins before it parks.
 pub(crate) const SPIN_CAP: Duration = Duration::from_micros(50);
@@ -53,6 +54,10 @@ pub(crate) struct Mailbox {
     /// receiver watches, so an arrival, a death or a shutdown ends its
     /// spin at once.
     pushes: AtomicU64,
+    /// Receives posted on this rank with a destination of their own: the
+    /// socket reader places a matching frame's body there and pushes a
+    /// completion instead (`crate::sink`).
+    sinks: SinkTable,
 }
 
 #[derive(Default)]
@@ -145,6 +150,11 @@ impl SpinPredictor {
 }
 
 impl Mailbox {
+    /// The sinks posted on this mailbox.
+    pub fn sinks(&self) -> &SinkTable {
+        &self.sinks
+    }
+
     /// Deliver an envelope (never blocks; queues are unbounded, matching
     /// MPI buffered-send semantics).
     pub fn push(&self, env: WireEnvelope) {
@@ -320,6 +330,12 @@ impl Mailbox {
         }
     }
 
+    /// Pushes and wake-ups so far: what a spinning receiver watches.
+    #[cfg(test)]
+    pub fn wakeups(&self) -> u64 {
+        self.pushes.load(Ordering::Acquire)
+    }
+
     /// Number of queued (undelivered) envelopes, for diagnostics.
     /// (The socket reader's window check reads the queue length under its
     /// own lock in [`Mailbox::wait_below`] rather than through this.)
@@ -343,6 +359,7 @@ mod tests {
             wire_tag: make_wire_tag(ctx, tag),
             payload: Bytes::copy_from_slice(body).into(),
             sent_ns: 0,
+            placed: 0,
         }
     }
 

@@ -16,8 +16,11 @@
 //!   ([`frame::FrameHeader`]) and cross a real Unix-domain or TCP
 //!   loopback socket: one bounded writer queue + writer thread per
 //!   destination, one reader thread per destination demuxing frames into
-//!   that rank's mailbox. Multi-part payloads flatten to their contiguous
-//!   wire form (one serialize; the receiver sees a single part).
+//!   that rank's mailbox. Multi-part payloads flatten on the wire, in the
+//!   kernel's copy out of the sender's parts (one `writev`). The receiver
+//!   sees a single part — or, for a frame it posted a sink for
+//!   (`crate::sink`), no body at all: the reader has the kernel write the
+//!   bytes straight into the receiver's memory and delivers a completion.
 //!
 //! ## What the trait guarantees (and what it does not)
 //!
