@@ -19,7 +19,9 @@ fn run(overlap: bool) {
 
 fn run_observed(overlap: bool, observe: Option<&obsv::Registry>) {
     let specs = [TaskSpec::new("p", 2), TaskSpec::new("c", 1)];
-    TaskWorld::run_observed(&specs, None, observe, move |tc| {
+    let world = TaskWorld::builder(&specs);
+    let world = if let Some(reg) = observe { world.observe(reg.clone()) } else { world };
+    world.run(move |tc| {
         let producers: Vec<usize> = (0..2).collect();
         let consumers = vec![2];
         let vol = if tc.task_id == 0 {

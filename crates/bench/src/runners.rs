@@ -89,7 +89,9 @@ fn run_lowfive(
     };
     let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
     let w = *w;
-    let out = TaskWorld::run_observed(&specs, None, observe, move |tc| {
+    let world = TaskWorld::builder(&specs);
+    let world = if let Some(reg) = observe { world.observe(reg.clone()) } else { world };
+    let out = world.run(move |tc| {
         let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
         let mut props = LowFiveProps::new();
         if !memory {
@@ -180,7 +182,9 @@ fn run_lowfive(
 pub fn run_lowfive_fetch(w: &Workload, cost: Option<CostModel>) -> Measurement {
     let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
     let w = *w;
-    let out = TaskWorld::run_with(&specs, cost, move |tc| {
+    let world = TaskWorld::builder(&specs);
+    let world = if let Some(cm) = cost { world.cost_model(cm) } else { world };
+    let out = world.run(move |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
@@ -248,7 +252,10 @@ pub fn run_lowfive_serve(
 ) -> Measurement {
     let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
     let w = *w;
-    let out = TaskWorld::run_observed(&specs, cost, observe, move |tc| {
+    let world = TaskWorld::builder(&specs);
+    let world = if let Some(cm) = cost { world.cost_model(cm) } else { world };
+    let world = if let Some(reg) = observe { world.observe(reg.clone()) } else { world };
+    let out = world.run(move |tc| {
         let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
         let mut props = LowFiveProps::new();
         props.set_zerocopy("*", "*", shallow);
@@ -301,7 +308,7 @@ pub fn run_pure_hdf5(w: &Workload, dir: &Path) -> Measurement {
     let filename = dir.join("pure-hdf5.nh5").to_str().expect("utf-8 path").to_string();
     let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
     let w = *w;
-    let out = TaskWorld::run_with(&specs, None, move |tc| {
+    let out = TaskWorld::builder(&specs).run(move |tc| {
         let gdims = w.grid_dims();
         let local = tc.local.clone();
         let vol: Arc<dyn Vol> =
@@ -373,7 +380,7 @@ pub fn run_pure_hdf5(w: &Workload, dir: &Path) -> Measurement {
 pub fn run_pure_mpi(w: &Workload) -> Measurement {
     let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
     let w = *w;
-    let out = TaskWorld::run_with(&specs, None, move |tc| {
+    let out = TaskWorld::builder(&specs).run(move |tc| {
         let prod_grid: Vec<(usize, BBox)> =
             (0..w.producers).map(|p| (tc.world_rank_of(0, p), w.producer_grid_box(p))).collect();
         let cons_grid: Vec<(usize, BBox)> =
@@ -425,7 +432,7 @@ pub fn run_dataspaces(w: &Workload, staging: usize) -> Measurement {
         TaskSpec::new("consumer", w.consumers),
     ];
     let w = *w;
-    let out = TaskWorld::run_with(&specs, None, move |tc| {
+    let out = TaskWorld::builder(&specs).run(move |tc| {
         let cfg = DsConfig {
             producers: world_ranks(&tc, 0),
             servers: world_ranks(&tc, 1),
@@ -517,7 +524,7 @@ pub fn run_streaming(
         }
     };
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", consumers)];
-    let out = TaskWorld::run_observed(&specs, None, Some(reg), move |tc| {
+    let out = TaskWorld::builder(&specs).observe(reg.clone()).run(move |tc| {
         let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
         let mut props = LowFiveProps::new();
         props.set_stream_queue_depth("sim.h5", 4).set_stream_backpressure("sim.h5", mode);
@@ -707,7 +714,7 @@ mod tests {
         let lf = run_lowfive_memory(&w);
         let specs =
             [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
-        let out = TaskWorld::run_with(&specs, None, move |tc| {
+        let out = TaskWorld::builder(&specs).run(move |tc| {
             let cons: Vec<(usize, BBox)> = (0..w.consumers)
                 .map(|c| (tc.world_rank_of(1, c), w.consumer_grid_box(c)))
                 .collect();

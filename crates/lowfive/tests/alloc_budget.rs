@@ -86,7 +86,7 @@ fn world_ranks(tc: &TaskComm, task_id: usize) -> Vec<usize> {
 fn exchange(steps: usize) -> u64 {
     let specs = [TaskSpec::new("producer", 2), TaskSpec::new("consumer", 2)];
     let before = CALLS.load(Ordering::Relaxed);
-    TaskWorld::run_observed_on(&specs, None, None, TransportKind::InProc, |tc| {
+    TaskWorld::builder(&specs).transport(TransportKind::InProc).run(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let rank = tc.local.rank() as u64;

@@ -363,7 +363,7 @@ fn multiple_timesteps_sequentially() {
 fn partial_read_moves_less_data() {
     const N: u64 = 4096;
     let specs = [TaskSpec::new("producer", 4), TaskSpec::new("consumer", 1)];
-    let results = TaskWorld::run_with(&specs, None, |tc| {
+    let results = TaskWorld::builder(&specs).run(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {

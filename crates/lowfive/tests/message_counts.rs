@@ -46,7 +46,8 @@ fn exchange(n: usize, m: usize, files: usize) -> Counts {
     let reg = obsv::Registry::new();
     let specs = [TaskSpec::new("producer", n), TaskSpec::new("consumer", m)];
     let total = (n * m) as u64 * K;
-    let out = TaskWorld::run_observed_on(&specs, None, Some(&reg), TransportKind::InProc, |tc| {
+    let world = TaskWorld::builder(&specs).observe(reg.clone()).transport(TransportKind::InProc);
+    let out = world.run(|tc| {
         let rank = tc.local.rank() as u64;
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
             DistVolBuilder::new(tc.world.clone(), tc.local.clone())

@@ -320,7 +320,7 @@ fn truncated_done_is_counted_and_answered_with_the_error() {
 
     let reg = obsv::Registry::new();
     let specs = [TaskSpec::new("p", 1), TaskSpec::new("c", 1)];
-    TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         if tc.task_id == 0 {
             let vol = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
                 .produce("*", vec![1])

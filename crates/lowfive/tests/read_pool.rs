@@ -42,7 +42,7 @@ fn exchange<R: Send>(file: &str, written: u64, read: impl Fn(&Dataset) -> R + Sy
     assert!(HALF as usize * 8 >= BufPool::MIN_LEN, "reads must be large enough to pool");
     let reg = Registry::new();
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
-    let out = TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    let out = TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {

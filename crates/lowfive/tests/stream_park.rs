@@ -84,7 +84,7 @@ fn a_waiting_consumer_makes_no_extra_calls() {
     let observe = reg.clone();
     let seen = under_watchdog(30, move || {
         let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
-        let out = TaskWorld::run_observed(&specs, None, Some(&observe), |tc| {
+        let out = TaskWorld::builder(&specs).observe(observe.clone()).run(|tc| {
             let pause = Duration::from_millis(100);
             if tc.task_id == 0 {
                 let vol = producer_vol(&tc, LowFiveProps::new());
@@ -125,7 +125,7 @@ fn a_slow_producer_is_not_a_dead_one() {
     let observe = reg.clone();
     let seen = under_watchdog(30, move || {
         let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
-        let out = TaskWorld::run_observed(&specs, None, Some(&observe), |tc| {
+        let out = TaskWorld::builder(&specs).observe(observe.clone()).run(|tc| {
             let pause = Duration::from_millis(200);
             if tc.task_id == 0 {
                 let vol = producer_vol(&tc, LowFiveProps::new());

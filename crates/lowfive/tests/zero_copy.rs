@@ -111,7 +111,7 @@ fn disjoint_query_returns_fill() {
     let reg = Registry::new();
     let zero_filled = || reg.report().counter(Ctr::BytesZeroFilled);
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
-    TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
@@ -158,7 +158,7 @@ fn copied_and_filled_for(shallow: bool) -> (u64, u64) {
     const M: u64 = 1 << 12;
     let reg = Registry::new();
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
-    TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let mut props = LowFiveProps::new();
@@ -223,7 +223,7 @@ fn dropped_reply_retry_keeps_lent_buffer_intact() {
     let lent_ref = &lent;
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
     let plan = FaultPlan::new(0x5EED).drop_once(1.0);
-    let out = TaskWorld::run_chaos(&specs, None, plan, |tc| {
+    let out = TaskWorld::builder(&specs).fault_plan(plan).run_chaos(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let mut props = LowFiveProps::new();
@@ -353,7 +353,7 @@ fn oracle(l: &Layout) -> Vec<u8> {
 fn read_through_transport(l: &Layout) -> (Vec<u8>, u64) {
     let reg = Registry::new();
     let specs = [TaskSpec::new("producer", l.producers), TaskSpec::new("consumer", 1)];
-    let out = TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    let out = TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let builder = DistVolBuilder::new(tc.world.clone(), tc.local.clone());

@@ -18,7 +18,7 @@ fn only_the_consumed_variable_moves() {
         SimConfig { grid: G, nranks: PRODUCERS, particles_per_rank: 10_000, centers: 3, seed: 13 };
     let specs = [TaskSpec::new("sim", PRODUCERS), TaskSpec::new("analysis", 1)];
     let cfg2 = cfg.clone();
-    let out = TaskWorld::run_with(&specs, None, move |tc| {
+    let out = TaskWorld::builder(&specs).run(move |tc| {
         let producers: Vec<usize> = (0..PRODUCERS).collect();
         let consumers = vec![PRODUCERS];
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {

@@ -264,7 +264,9 @@ impl Workflow {
         }
         let specs: Vec<TaskSpec> =
             self.tasks.iter().map(|t| TaskSpec::new(t.name.clone(), t.procs)).collect();
-        TaskWorld::run_observed(&specs, None, self.observe.as_ref(), |tc| {
+        let world = TaskWorld::builder(&specs);
+        let world = if let Some(reg) = &self.observe { world.observe(reg.clone()) } else { world };
+        world.run(|tc| {
             // Build this rank's plugin from the link topology.
             let mut builder = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
                 .props(self.props.clone())

@@ -72,6 +72,6 @@ pub use payload::Payload;
 pub use pod::Pod;
 pub use sink::{FrameBody, RecvSink};
 pub use stats::TransportStats;
-pub use task::{TaskComm, TaskSpec, TaskWorld};
+pub use task::{TaskComm, TaskSpec, TaskWorld, TaskWorldBuilder};
 pub use transport::{SocketConfig, SocketMode, TransportKind};
 pub use world::{ChaosOutput, RankDeath, World, WorldBuilder};

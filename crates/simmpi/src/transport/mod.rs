@@ -123,9 +123,10 @@ impl Default for SocketConfig {
 }
 
 impl SocketConfig {
-    /// Config from the environment: `SIMMPI_TRANSPORT=tcp` selects
-    /// [`SocketMode::Tcp`]; `SIMMPI_SOCKET_QUEUE_CAP` and
-    /// `SIMMPI_SOCKET_RECV_WINDOW` override the bounds.
+    /// The default config, except that `SIMMPI_TRANSPORT=tcp` selects
+    /// [`SocketMode::Tcp`]. That mode pick is the only socket setting the
+    /// environment holds; the bounds are set through
+    /// [`crate::WorldBuilder::socket_config`].
     pub fn from_env() -> SocketConfig {
         let mut cfg = SocketConfig::default();
         if let Ok(v) = std::env::var("SIMMPI_TRANSPORT") {
@@ -133,18 +134,8 @@ impl SocketConfig {
                 cfg.mode = SocketMode::Tcp;
             }
         }
-        if let Some(cap) = env_usize("SIMMPI_SOCKET_QUEUE_CAP") {
-            cfg.queue_cap = cap.max(1);
-        }
-        if let Some(win) = env_usize("SIMMPI_SOCKET_RECV_WINDOW") {
-            cfg.recv_window = win.max(1);
-        }
         cfg
     }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// A delivery backend. See the module docs for the contract.

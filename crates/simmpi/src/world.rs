@@ -22,7 +22,7 @@ pub(crate) struct WorldInner {
     pub cost: Option<CostModel>,
     /// Active fault injector, if any.
     pub fault: Option<FaultState>,
-    /// Per-world-rank death flags (only ever set by the chaos runner).
+    /// Per-world-rank death flags, set when a rank's body panics.
     pub dead: Vec<AtomicBool>,
 }
 
@@ -108,9 +108,8 @@ pub struct ChaosOutput<R> {
 impl World {
     /// Run `size` ranks, each executing `f` with its own [`Comm`].
     ///
-    /// Panics in any rank propagate after all threads have been joined
-    /// (a rank panic generally deadlocks peers blocked on receives from it,
-    /// so tests should keep communication patterns total).
+    /// A panic in any rank propagates after all threads have been joined
+    /// (see [`WorldBuilder::run`]).
     pub fn run<R, F>(size: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -169,47 +168,32 @@ impl WorldBuilder {
 
     /// Tune the socket backend (queue bound, receive window, UDS vs TCP).
     /// Only consulted when the transport is [`TransportKind::Socket`].
+    /// This is the only way to set the bounds; the environment picks
+    /// nothing but the mode (`SIMMPI_TRANSPORT=tcp`, see
+    /// [`SocketConfig::from_env`]).
     pub fn socket_config(mut self, cfg: SocketConfig) -> Self {
         self.socket = cfg;
         self
     }
 
-    fn build_inner(&mut self) -> Arc<WorldInner> {
-        assert!(self.size > 0, "world size must be at least 1");
-        let fault = self.fault.take().map(|p| FaultState::new(p, self.size));
-        let transport = make_transport(self.transport, self.size, self.socket);
-        Arc::new(WorldInner::new(self.size, transport, self.cost.take(), fault))
-    }
-
     /// Spawn the ranks and block until they all return.
-    pub fn run<R, F>(mut self, f: F) -> RunOutput<R>
+    ///
+    /// A rank that panics is marked dead, so a peer blocked on it
+    /// cascades instead of waiting forever (as under
+    /// [`WorldBuilder::run_chaos`]). Once every rank has returned or
+    /// died, the run panics with "rank thread panicked", naming the first
+    /// death that is not such a cascade.
+    pub fn run<R, F>(self, f: F) -> RunOutput<R>
     where
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
-        let inner = self.build_inner();
-        let observe = self.observe.take();
-        let f = &f;
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.size)
-                .map(|rank| {
-                    let comm = Comm::world(Arc::clone(&inner), rank, self.size);
-                    let recorder = observe.as_ref().map(|reg| reg.recorder(rank));
-                    let mut builder = std::thread::Builder::new();
-                    // Keep stacks modest: sweeps spawn hundreds of ranks.
-                    builder = builder.stack_size(2 << 20).name(format!("rank-{rank}"));
-                    builder
-                        .spawn_scoped(scope, move || {
-                            let _obs = recorder.map(obsv::install);
-                            f(comm)
-                        })
-                        .expect("spawn rank thread")
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect::<Vec<R>>()
-        });
-        inner.transport.shutdown();
-        RunOutput { results, stats: inner.stats.snapshot() }
+        let out = self.run_chaos(f);
+        let cause = out.deaths.iter().find(|d| !d.message.starts_with(CASCADE));
+        if let Some(d) = cause.or(out.deaths.first()) {
+            panic!("rank thread panicked: rank {}: {}", d.rank, d.message);
+        }
+        RunOutput { results: out.results.into_iter().flatten().collect(), stats: out.stats }
     }
 
     /// Spawn the ranks and survive rank deaths: a rank that panics —
@@ -221,24 +205,28 @@ impl WorldBuilder {
     /// The run only returns once every rank has returned or died, so the
     /// workload must be written to terminate under the injected faults
     /// (survivors use timeouts; see [`Comm::recv_timeout`]).
-    pub fn run_chaos<R, F>(mut self, f: F) -> ChaosOutput<R>
+    pub fn run_chaos<R, F>(self, f: F) -> ChaosOutput<R>
     where
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
         silence_injected_panics();
-        let inner = self.build_inner();
-        let observe = self.observe.take();
+        let WorldBuilder { size, cost, fault, observe, transport, socket } = self;
+        assert!(size > 0, "world size must be at least 1");
+        let fault = fault.map(|p| FaultState::new(p, size));
+        let transport = make_transport(transport, size, socket);
+        let inner = Arc::new(WorldInner::new(size, transport, cost, fault));
         let f = &f;
         let outcomes: Vec<Result<R, RankDeath>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.size)
+            let handles: Vec<_> = (0..size)
                 .map(|rank| {
-                    let comm = Comm::world(Arc::clone(&inner), rank, self.size);
+                    let comm = Comm::world(Arc::clone(&inner), rank, size);
                     let recorder = observe.as_ref().map(|reg| reg.recorder(rank));
                     let inner = Arc::clone(&inner);
-                    let mut builder = std::thread::Builder::new();
-                    builder = builder.stack_size(2 << 20).name(format!("rank-{rank}"));
-                    builder
+                    // Keep stacks modest: sweeps spawn hundreds of ranks.
+                    std::thread::Builder::new()
+                        .stack_size(2 << 20)
+                        .name(format!("rank-{rank}"))
                         .spawn_scoped(scope, move || {
                             let _obs = recorder.map(obsv::install);
                             let res =
@@ -257,20 +245,9 @@ impl WorldBuilder {
                 .collect()
         });
         inner.transport.shutdown();
-        let mut results = Vec::with_capacity(self.size);
-        let mut deaths = Vec::new();
-        for outcome in outcomes {
-            match outcome {
-                Ok(r) => results.push(Some(r)),
-                Err(d) => {
-                    results.push(None);
-                    deaths.push(d);
-                }
-            }
-        }
         ChaosOutput {
-            results,
-            deaths,
+            deaths: outcomes.iter().filter_map(|o| o.as_ref().err().cloned()).collect(),
+            results: outcomes.into_iter().map(Result::ok).collect(),
             stats: inner.stats.snapshot(),
             trace: inner.fault.as_ref().map(|fs| fs.trace()).unwrap_or_default(),
         }
@@ -278,7 +255,7 @@ impl WorldBuilder {
 }
 
 /// Keep injected deaths ([`RankKilled`]) and their cascades ([`PeerDied`])
-/// off stderr: they are expected, contained by `run_chaos`, and reported
+/// off stderr: they are expected, contained by the spawn loop, and reported
 /// through [`ChaosOutput::deaths`] — a "thread panicked" backtrace for
 /// each one is pure noise. Installed once, process-wide; every other
 /// panic payload still goes to the previous hook.
@@ -295,6 +272,9 @@ fn silence_injected_panics() {
     });
 }
 
+/// Message prefix of a [`PeerDied`] death.
+const CASCADE: &str = "cascading death";
+
 /// Classify a rank's panic payload into a [`RankDeath`].
 fn describe_death(rank: usize, payload: &(dyn std::any::Any + Send)) -> RankDeath {
     if let Some(k) = payload.downcast_ref::<RankKilled>() {
@@ -308,7 +288,7 @@ fn describe_death(rank: usize, payload: &(dyn std::any::Any + Send)) -> RankDeat
         return RankDeath {
             rank,
             injected: false,
-            message: format!("cascading death: blocking receive from dead rank {}", p.peer),
+            message: format!("{CASCADE}: blocking receive from dead rank {}", p.peer),
         };
     }
     let message = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -358,6 +338,45 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_size_world_rejected() {
         let _ = World::run(0, |_c| ());
+    }
+
+    /// Run `body` on a helper thread and return its panic message; fail
+    /// instead of hanging the test if it has not finished within `secs`.
+    fn panic_message_within(secs: u64, body: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)));
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("the run wedged: a peer stayed blocked on the panicked rank");
+        let payload = outcome.expect_err("a rank's panic must propagate out of the run");
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn panicking_rank_does_not_wedge_a_plain_run() {
+        use crate::task::{TaskSpec, TaskWorld};
+        let plain = panic_message_within(10, || {
+            World::run(2, |c| {
+                if c.rank() == 0 {
+                    panic!("gives up");
+                }
+                let _ = c.recv(0.into(), 1.into());
+            });
+        });
+        let tasks = panic_message_within(10, || {
+            let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 1)];
+            TaskWorld::builder(&specs).run(|tc| {
+                if tc.task_id == 0 {
+                    panic!("gives up");
+                }
+                let _ = tc.world.recv(0.into(), 1.into());
+            });
+        });
+        for msg in [plain, tasks] {
+            assert!(msg.starts_with("rank thread panicked: rank 0: gives up"), "{msg}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ const CELLS: u64 = 64;
 
 fn exchange(plan: FaultPlan, props: LowFiveProps) -> ChaosOutput<Result<u64, String>> {
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 2)];
-    TaskWorld::run_chaos(&specs, None, plan, move |tc: TaskComm| {
+    TaskWorld::builder(&specs).fault_plan(plan).run_chaos(move |tc: TaskComm| {
         if tc.task_id == 0 {
             produce(&tc).map_err(|e| e.to_string())
         } else {

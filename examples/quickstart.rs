@@ -19,7 +19,7 @@ const PARTICLES: u64 = 600;
 
 fn main() {
     let specs = [TaskSpec::new("producer", 6), TaskSpec::new("consumer", 4)];
-    let out = TaskWorld::run_with(&specs, None, |tc| {
+    let out = TaskWorld::builder(&specs).run(|tc| {
         let producers: Vec<usize> = (0..6).collect();
         let consumers: Vec<usize> = (6..10).collect();
 

@@ -28,7 +28,7 @@ const PRODUCERS: usize = 2;
 fn main() {
     let reg = obsv::Registry::new();
     let specs = [TaskSpec::new("sim", PRODUCERS), TaskSpec::new("analysis", 2)];
-    TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         // Streaming knobs are ordinary file properties, matched on the
         // *series* name: a queue of up to 3 unconsumed steps, and Block
         // back-pressure (the publisher waits for the slowest consumer

@@ -40,11 +40,10 @@ const CONSUMERS: usize = 2;
 fn main() {
     let specs = [TaskSpec::new("sensors", PRODUCERS), TaskSpec::new("monitor", CONSUMERS)];
     let registry = obsv::Registry::new();
-    let out = TaskWorld::run_observed(
-        &specs,
-        Some(CostModel::interconnect()),
-        Some(&registry),
-        |tc| {
+    let out = TaskWorld::builder(&specs)
+        .cost_model(CostModel::interconnect())
+        .observe(registry.clone())
+        .run(|tc| {
             let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
             let producers: Vec<usize> = (0..PRODUCERS).collect();
             let consumers: Vec<usize> = (PRODUCERS..PRODUCERS + CONSUMERS).collect();
@@ -150,8 +149,7 @@ fn main() {
                 );
             }
             p.bytes_fetched + p.bytes_served
-        },
-    );
+        });
     let moved: u64 = out.results.iter().sum();
     println!(
         "workflow done under emulated interconnect (1 µs latency, 10 GB/s): {} payload bytes \

@@ -56,7 +56,7 @@ fn run_exchange_on(
     kind: TransportKind,
 ) -> ChaosOutput<Vec<u8>> {
     let specs = [TaskSpec::new("p", w.producers), TaskSpec::new("c", w.consumers)];
-    TaskWorld::run_chaos_observed_on(&specs, None, plan, None, kind, move |tc| {
+    TaskWorld::builder(&specs).fault_plan(plan).transport(kind).run_chaos(move |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
@@ -156,7 +156,7 @@ fn dropped_batch_reply_recovers_via_retry() {
     props.set_rpc_timeout("*", Some(Duration::from_millis(200)));
     props.set_rpc_retries("*", 4);
     let specs = [TaskSpec::new("p", w.producers), TaskSpec::new("c", w.consumers)];
-    let out = TaskWorld::run_chaos(&specs, None, plan, move |tc| {
+    let out = TaskWorld::builder(&specs).fault_plan(plan).run_chaos(move |tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
@@ -237,7 +237,8 @@ fn killed_producer_does_not_wedge_inflight_batches() {
     // setup and the index exchange, inside the reply stream).
     let plan = FaultPlan::new(seed).kill_rank(1, 25);
     let t0 = std::time::Instant::now();
-    let out = TaskWorld::run_chaos(&specs, None, plan, move |tc| -> Result<String, String> {
+    let world = TaskWorld::builder(&specs).fault_plan(plan);
+    let out = world.run_chaos(move |tc| -> Result<String, String> {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let dims = [64u64];
@@ -332,63 +333,53 @@ fn run_doomed(kind: TransportKind) -> ChaosOutput<Result<(), String>> {
     // replies, and far before the ~160 replies the consumers' read
     // loops demand: the producer dies with both consumers mid-read.
     let plan = FaultPlan::new(0xFEED_BEEF).kill_rank(0, 30);
-    TaskWorld::run_chaos_observed_on(
-        &specs,
-        None,
-        plan,
-        None,
-        kind,
-        move |tc| -> Result<(), String> {
-            let producers = world_ranks(&tc, 0);
-            let consumers = world_ranks(&tc, 1);
-            if tc.task_id == 0 {
-                let vol: Arc<dyn Vol> = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                    .produce("*", consumers)
-                    .build();
-                let h5 = H5::with_vol(vol);
-                let f = h5.create_file("doomed.h5").map_err(|e| e.to_string())?;
-                let d = f
-                    .create_dataset(
-                        "grid",
-                        minih5::Datatype::UInt64,
-                        minih5::Dataspace::simple(&[64]),
-                    )
-                    .map_err(|e| e.to_string())?;
-                let data: Vec<u8> = (0..64u64).flat_map(|v| v.to_le_bytes()).collect();
-                d.write_bytes(
-                    &minih5::Selection::block(&[0], &[64]),
-                    data.into(),
-                    minih5::Ownership::Shallow,
-                )
+    let world = TaskWorld::builder(&specs).fault_plan(plan).transport(kind);
+    world.run_chaos(move |tc| -> Result<(), String> {
+        let producers = world_ranks(&tc, 0);
+        let consumers = world_ranks(&tc, 1);
+        if tc.task_id == 0 {
+            let vol: Arc<dyn Vol> = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
+                .produce("*", consumers)
+                .build();
+            let h5 = H5::with_vol(vol);
+            let f = h5.create_file("doomed.h5").map_err(|e| e.to_string())?;
+            let d = f
+                .create_dataset("grid", minih5::Datatype::UInt64, minih5::Dataspace::simple(&[64]))
                 .map_err(|e| e.to_string())?;
-                // Dies somewhere inside the serve loop triggered here.
-                f.close().map_err(|e| e.to_string())?;
-                Ok(())
-            } else {
-                let mut props = LowFiveProps::new();
-                props.set_rpc_timeout("*", Some(Duration::from_millis(250)));
-                props.set_rpc_retries("*", 1);
-                let vol: Arc<dyn Vol> = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
-                    .props(props)
-                    .consume("*", producers)
-                    .build();
-                let h5 = H5::with_vol(vol);
-                let work = || -> Result<(), H5Error> {
-                    let f = h5.open_file("doomed.h5")?;
-                    let d = f.open_dataset("grid")?;
-                    for _ in 0..40 {
-                        d.read_bytes(&minih5::Selection::block(&[0], &[64]))?;
-                    }
-                    f.close()
-                };
-                match work() {
-                    Ok(()) => Err("consumer finished although the producer died".into()),
-                    Err(H5Error::PeerUnavailable(m)) => Err(format!("peer unavailable: {m}")),
-                    Err(e) => Err(format!("wrong error kind: {e}")),
+            let data: Vec<u8> = (0..64u64).flat_map(|v| v.to_le_bytes()).collect();
+            d.write_bytes(
+                &minih5::Selection::block(&[0], &[64]),
+                data.into(),
+                minih5::Ownership::Shallow,
+            )
+            .map_err(|e| e.to_string())?;
+            // Dies somewhere inside the serve loop triggered here.
+            f.close().map_err(|e| e.to_string())?;
+            Ok(())
+        } else {
+            let mut props = LowFiveProps::new();
+            props.set_rpc_timeout("*", Some(Duration::from_millis(250)));
+            props.set_rpc_retries("*", 1);
+            let vol: Arc<dyn Vol> = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
+                .props(props)
+                .consume("*", producers)
+                .build();
+            let h5 = H5::with_vol(vol);
+            let work = || -> Result<(), H5Error> {
+                let f = h5.open_file("doomed.h5")?;
+                let d = f.open_dataset("grid")?;
+                for _ in 0..40 {
+                    d.read_bytes(&minih5::Selection::block(&[0], &[64]))?;
                 }
+                f.close()
+            };
+            match work() {
+                Ok(()) => Err("consumer finished although the producer died".into()),
+                Err(H5Error::PeerUnavailable(m)) => Err(format!("peer unavailable: {m}")),
+                Err(e) => Err(format!("wrong error kind: {e}")),
             }
-        },
-    )
+        }
+    })
 }
 
 #[test]

@@ -291,7 +291,7 @@ fn two_files_open(overlap: bool) -> (Vec<(usize, Vec<u64>, u64)>, u64) {
     let reg = obsv::Registry::new();
     let specs = [TaskSpec::new("producer", 1), TaskSpec::new("consumer", 2)];
     let vols = SharedVols::default();
-    let out = TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    let out = TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         let vol = build_vol(&tc, LowFiveProps::new(), overlap);
         let producer = vols.publish_and_get(&tc, &vol, tc.world_rank_of(0, 0));
         let h5 = H5::with_vol(vol.clone() as Arc<dyn Vol>);

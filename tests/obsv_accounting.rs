@@ -30,7 +30,7 @@ fn lowfive_exchange_bytes_match_stats_snapshot() {
     let w = Workload { producers: 2, consumers: 2, grid_per_prod: 64, particles_per_prod: 16 };
     let reg = obsv::Registry::new();
     let specs = [TaskSpec::new("p", w.producers), TaskSpec::new("c", w.consumers)];
-    let out = TaskWorld::run_observed(&specs, None, Some(&reg), |tc| {
+    let out = TaskWorld::builder(&specs).observe(reg.clone()).run(|tc| {
         let producers = world_ranks(&tc, 0);
         let consumers = world_ranks(&tc, 1);
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {

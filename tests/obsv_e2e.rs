@@ -33,7 +33,7 @@ fn run_observed_exchange(memory: bool, file: &str) -> obsv::Report {
     let reg = obsv::Registry::new();
     let specs = [TaskSpec::new("p", w.producers), TaskSpec::new("c", w.consumers)];
     let file = file.to_string();
-    TaskWorld::run_observed(&specs, None, Some(&reg), move |tc| {
+    TaskWorld::builder(&specs).observe(reg.clone()).run(move |tc| {
         // Same wrapping `orchestra::Workflow` applies: the whole body is
         // one Task span, so even a rank whose transport work is pure
         // storage I/O (file mode) owns a track in the trace.

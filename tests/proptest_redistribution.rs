@@ -141,7 +141,7 @@ fn run_scenario(s: &Scenario, plan: Option<FaultPlan>) -> Vec<Vec<u64>> {
     let results: Vec<Option<Vec<u64>>> = match plan {
         None => TaskWorld::run(&specs, body).into_iter().map(Some).collect(),
         Some(plan) => {
-            let out = TaskWorld::run_chaos(&specs, None, plan, body);
+            let out = TaskWorld::builder(&specs).fault_plan(plan).run_chaos(body);
             assert!(out.deaths.is_empty(), "benign plan killed ranks: {:?}", out.deaths);
             out.results
         }
@@ -211,7 +211,7 @@ fn run_scenario_multi(s: &Scenario, plan: FaultPlan) -> Vec<Vec<u8>> {
             bufs.iter().flat_map(|b| b.iter().copied()).collect::<Vec<u8>>()
         }
     };
-    let out = TaskWorld::run_chaos(&specs, None, plan, body);
+    let out = TaskWorld::builder(&specs).fault_plan(plan).run_chaos(body);
     assert!(out.deaths.is_empty(), "benign plan killed ranks: {:?}", out.deaths);
     out.results.into_iter().skip(producers).map(|r| r.expect("every rank finishes")).collect()
 }
@@ -295,7 +295,7 @@ fn run_scenario_zc(s: &Scenario, plan: Option<FaultPlan>, shallow: bool) -> Vec<
     let results: Vec<Option<Vec<u8>>> = match plan {
         None => TaskWorld::run(&specs, body).into_iter().map(Some).collect(),
         Some(plan) => {
-            let out = TaskWorld::run_chaos(&specs, None, plan, body);
+            let out = TaskWorld::builder(&specs).fault_plan(plan).run_chaos(body);
             assert!(out.deaths.is_empty(), "benign plan killed ranks: {:?}", out.deaths);
             out.results
         }

@@ -56,7 +56,7 @@ fn run_streamed(
 ) -> Vec<Option<Delivered>> {
     let specs = [TaskSpec::new("producer", producers), TaskSpec::new("consumer", consumers)];
     let np = producers as u64;
-    let out = TaskWorld::run_chaos(&specs, None, plan, move |tc| {
+    let out = TaskWorld::builder(&specs).fault_plan(plan).run_chaos(move |tc| {
         let mut props = LowFiveProps::new();
         props
             .set_stream_queue_depth("sim.h5", 2)

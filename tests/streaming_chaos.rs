@@ -61,7 +61,8 @@ fn killed_consumer_does_not_wedge_the_producer() {
     let plan = FaultPlan::new(0x00DE_AD5B).kill_rank(1, 1);
     let reg = obsv::Registry::new();
     let t0 = std::time::Instant::now();
-    let out = TaskWorld::run_chaos_observed(&specs, None, plan, Some(&reg), move |tc| {
+    let world = TaskWorld::builder(&specs).fault_plan(plan).observe(reg.clone());
+    let out = world.run_chaos(move |tc| {
         if tc.task_id == 0 {
             let vol = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
                 .props(stream_props(BackPressure::DropOldest))
@@ -114,7 +115,8 @@ fn consumer_killed_mid_stream_leaves_the_survivor_in_order() {
     // subscribe and first slot reads.
     let plan = FaultPlan::new(0xC0_FFEE).kill_rank(2, 8);
     let t0 = std::time::Instant::now();
-    let out = TaskWorld::run_chaos(&specs, None, plan, move |tc| -> (Vec<u64>, bool) {
+    let world = TaskWorld::builder(&specs).fault_plan(plan);
+    let out = world.run_chaos(move |tc| -> (Vec<u64>, bool) {
         let mut props = stream_props(BackPressure::DropOldest);
         props.set_zerocopy("*", "*", false);
         if tc.task_id == 0 {
@@ -175,7 +177,7 @@ fn dropped_step_announce_recovers_via_retry() {
     // request, the first announce reply, the first ack, all of them. The
     // armed retry policy must resend each one.
     let plan = FaultPlan::new(0x57E9).drop_once(1.0);
-    let out = TaskWorld::run_chaos(&specs, None, plan, move |tc| -> Vec<u64> {
+    let out = TaskWorld::builder(&specs).fault_plan(plan).run_chaos(move |tc| -> Vec<u64> {
         if tc.task_id == 0 {
             let vol = DistVolBuilder::new(tc.world.clone(), tc.local.clone())
                 .props(stream_props(BackPressure::Block))

@@ -465,7 +465,7 @@ fn run_ab(s: &Scenario, seed: u64, kind: TransportKind) -> (Vec<Vec<u8>>, Vec<(u
             got.to_vec()
         }
     };
-    let out = TaskWorld::run_chaos_observed_on(&specs, None, plan, None, kind, body);
+    let out = TaskWorld::builder(&specs).fault_plan(plan).transport(kind).run_chaos(body);
     assert_eq!(out.deaths.len(), 1, "[{kind}] only the bystander dies");
     assert_eq!(out.deaths[0].rank, bystander_world, "[{kind}]");
     assert!(out.deaths[0].injected, "[{kind}]");
@@ -548,7 +548,8 @@ fn placed_run(
 ) -> Placed {
     let specs = [TaskSpec::new("p", 2), TaskSpec::new("c", 2)];
     let reg = obsv::Registry::new();
-    let out = TaskWorld::run_chaos_observed_on(&specs, None, plan, Some(&reg), kind, |tc| {
+    let world = TaskWorld::builder(&specs).fault_plan(plan).observe(reg.clone()).transport(kind);
+    let out = world.run_chaos(|tc| {
         let b = DistVolBuilder::new(tc.world.clone(), tc.local.clone());
         let peers = |task| (0..2).map(|r| tc.world_rank_of(task, r)).collect::<Vec<_>>();
         let vol: Arc<dyn Vol> = if tc.task_id == 0 {
@@ -705,7 +706,7 @@ fn an_error_reply_through_a_sink_fails_the_read_alike() {
         // a.h5 lists both, so Q owns a block of a file it never had.
         let specs = [TaskSpec::new("p", 1), TaskSpec::new("q", 1), TaskSpec::new("c", 1)];
         let reg = obsv::Registry::new();
-        let out = TaskWorld::run_observed_on(&specs, None, Some(&reg), kind, |tc| {
+        let out = TaskWorld::builder(&specs).observe(reg.clone()).transport(kind).run(|tc| {
             let (p, q, c) =
                 (tc.world_rank_of(0, 0), tc.world_rank_of(1, 0), tc.world_rank_of(2, 0));
             let b = DistVolBuilder::new(tc.world.clone(), tc.local.clone());
