@@ -42,7 +42,7 @@ impl Iterator for BoxCoords {
 }
 
 /// Element offset of `coord` within the row-major packing of `bb`.
-pub fn local_offset(bb: &BBox, coord: &[u64]) -> usize {
+pub(crate) fn local_offset(bb: &BBox, coord: &[u64]) -> usize {
     let mut off = 0usize;
     for (i, &c) in coord.iter().enumerate() {
         let extent = (bb.hi[i] - bb.lo[i]) as usize;

@@ -25,21 +25,13 @@ use minih5::BBox;
 use crate::boxes::{local_offset, BoxCoords};
 
 /// How a field is redistributed. Bredala "supports several redistribution
-/// policies: round-robin, contiguous, and bounding box intersections".
+/// policies: round-robin, contiguous, and bounding box intersections";
+/// the two that Fig. 9 measures are reproduced here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Policy {
     /// Linear list of items; global order preserved.
     Contiguous {
         /// Bytes per item (e.g. 12 for a 3-float particle).
-        item_size: usize,
-        /// Global item range held locally `[start, end)`.
-        range: (u64, u64),
-    },
-    /// Linear list of items dealt cyclically: global item `i` lands on
-    /// consumer `i mod m`. Ordering within a consumer follows global
-    /// order; no spatial meaning.
-    RoundRobin {
-        /// Bytes per item.
         item_size: usize,
         /// Global item range held locally `[start, end)`.
         range: (u64, u64),
@@ -66,11 +58,6 @@ impl Field {
     pub fn contiguous(name: &str, item_size: usize, range: (u64, u64), data: Bytes) -> Field {
         assert_eq!(data.len() as u64, (range.1 - range.0) * item_size as u64);
         Field { name: name.to_string(), policy: Policy::Contiguous { item_size, range }, data }
-    }
-
-    pub fn round_robin(name: &str, item_size: usize, range: (u64, u64), data: Bytes) -> Field {
-        assert_eq!(data.len() as u64, (range.1 - range.0) * item_size as u64);
-        Field { name: name.to_string(), policy: Policy::RoundRobin { item_size, range }, data }
     }
 
     pub fn bounding_box(name: &str, item_size: usize, bbox: BBox, data: Bytes) -> Field {
@@ -147,71 +134,6 @@ pub fn recv_contiguous(
         let chunk = r.get_bytes().expect("chunk body");
         let off = ((gs - my_range.0) as usize) * item_size;
         out[off..off + chunk.len()].copy_from_slice(chunk);
-    }
-    out
-}
-
-/// Producer side of the round-robin policy: deal each local item to
-/// consumer `global_index mod m`, batched per consumer. Per-item header
-/// carries the global index so receivers can place out-of-order arrivals.
-pub fn send_round_robin(world: &Comm, tag: Tag, field: &Field, consumers: &[usize]) {
-    let (item_size, range) = match &field.policy {
-        Policy::RoundRobin { item_size, range } => (*item_size, *range),
-        _ => panic!("send_round_robin needs a RoundRobin field"),
-    };
-    let m = consumers.len() as u64;
-    let mut batches: Vec<Writer> = consumers.iter().map(|_| Writer::new()).collect();
-    let mut counts = vec![0u64; consumers.len()];
-    for i in range.0..range.1 {
-        let c = (i % m) as usize;
-        batches[c].put_u64(i);
-        let off = ((i - range.0) as usize) * item_size;
-        batches[c].put_raw(&field.data[off..off + item_size]);
-        counts[c] += 1;
-    }
-    for ((&rank, batch), count) in consumers.iter().zip(batches).zip(counts) {
-        if count == 0 {
-            continue;
-        }
-        let mut w = Writer::new();
-        w.put_u64(count);
-        w.put_raw(&batch.finish());
-        world.send(rank, tag, w.finish());
-    }
-}
-
-/// Consumer side of the round-robin policy: consumer `c` of `m` owns
-/// global items `{i : i mod m == c}`, packed in increasing global order.
-pub fn recv_round_robin(
-    world: &Comm,
-    tag: Tag,
-    item_size: usize,
-    my_index: usize,
-    num_consumers: usize,
-    total_items: u64,
-    producers: &[(usize, (u64, u64))],
-) -> Vec<u8> {
-    let m = num_consumers as u64;
-    let c = my_index as u64;
-    let my_count = if total_items > c { (total_items - c).div_ceil(m) } else { 0 };
-    let mut out = vec![0u8; (my_count as usize) * item_size];
-    for &(rank, (ps, pe)) in producers {
-        // Does this producer hold any item congruent to c mod m?
-        let first = if ps % m <= c { ps - ps % m + c } else { ps + (m - ps % m) + c };
-        if first >= pe {
-            continue;
-        }
-        let env = world.recv(rank.into(), tag.into());
-        let mut r = Reader::new(&env.payload);
-        let count = r.get_u64().expect("count");
-        for _ in 0..count {
-            let g = r.get_u64().expect("global index");
-            debug_assert_eq!(g % m, c);
-            let slot = ((g - c) / m) as usize * item_size;
-            for b in 0..item_size {
-                out[slot + b] = r.get_u8().expect("item byte");
-            }
-        }
     }
     out
 }
@@ -377,66 +299,5 @@ mod tests {
     #[should_panic]
     fn field_size_validated() {
         let _ = Field::contiguous("x", 4, (0, 3), vec![0u8; 8].into());
-    }
-}
-
-#[cfg(test)]
-mod round_robin_tests {
-    use super::*;
-    use simmpi::{TaskSpec, TaskWorld};
-
-    /// 3 producers → 2 consumers, items dealt cyclically; each consumer
-    /// holds its residue class in global order.
-    #[test]
-    fn round_robin_deals_by_residue() {
-        const TOTAL: u64 = 23; // odd count exercises uneven tails
-        const ITEM: usize = 4;
-        let specs = [TaskSpec::new("p", 3), TaskSpec::new("c", 2)];
-        TaskWorld::run(&specs, |tc| {
-            let pranges: Vec<(usize, (u64, u64))> = (0..3)
-                .map(|r| {
-                    let s = TOTAL * r as u64 / 3;
-                    let e = TOTAL * (r as u64 + 1) / 3;
-                    (tc.world_rank_of(0, r), (s, e))
-                })
-                .collect();
-            let consumers: Vec<usize> = (0..2).map(|r| tc.world_rank_of(1, r)).collect();
-            if tc.task_id == 0 {
-                let range = pranges[tc.local.rank()].1;
-                let data: Vec<u8> =
-                    (range.0..range.1).flat_map(|i| (i as u32).to_le_bytes()).collect();
-                let f = Field::round_robin("x", ITEM, range, data.into());
-                send_round_robin(&tc.world, 15, &f, &consumers);
-            } else {
-                let me = tc.local.rank();
-                let got = recv_round_robin(&tc.world, 15, ITEM, me, 2, TOTAL, &pranges);
-                let expect: Vec<u32> =
-                    (0..TOTAL).filter(|i| i % 2 == me as u64).map(|i| i as u32).collect();
-                let vals: Vec<u32> =
-                    got.chunks(ITEM).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
-                assert_eq!(vals, expect);
-            }
-        });
-    }
-
-    #[test]
-    fn round_robin_more_consumers_than_items() {
-        let specs = [TaskSpec::new("p", 1), TaskSpec::new("c", 4)];
-        TaskWorld::run(&specs, |tc| {
-            let pranges = vec![(tc.world_rank_of(0, 0), (0u64, 2u64))];
-            let consumers: Vec<usize> = (0..4).map(|r| tc.world_rank_of(1, r)).collect();
-            if tc.task_id == 0 {
-                let f = Field::round_robin("x", 1, (0, 2), vec![10u8, 11].into());
-                send_round_robin(&tc.world, 16, &f, &consumers);
-            } else {
-                let me = tc.local.rank();
-                let got = recv_round_robin(&tc.world, 16, 1, me, 4, 2, &pranges);
-                match me {
-                    0 => assert_eq!(got, vec![10]),
-                    1 => assert_eq!(got, vec![11]),
-                    _ => assert!(got.is_empty()),
-                }
-            }
-        });
     }
 }

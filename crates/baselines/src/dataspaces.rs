@@ -30,8 +30,6 @@ const DS_PUT: u32 = 0x10;
 const DS_QUERY: u32 = 0x11;
 const DS_FETCH: u32 = 0x12;
 const DS_DONE: u32 = 0x13;
-const DS_PUT_STAGED: u32 = 0x14;
-const DS_FETCH_STAGED: u32 = 0x15;
 
 /// Static layout of a DataSpaces deployment: which world ranks are
 /// staging servers, producers, and consumers.
@@ -77,8 +75,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Every producer is expected to contribute exactly one put per key.
 pub fn run_server(world: &Comm, cfg: &DsConfig) {
     let mut index: HashMap<String, Vec<(BBox, u64)>> = HashMap::new();
-    // Staged data (`dspaces_put`): full copies held on the server.
-    let mut staged: HashMap<String, Vec<(BBox, Bytes)>> = HashMap::new();
     let mut pending: HashMap<String, Vec<(Caller, BBox)>> = HashMap::new();
     let mut dones = 0usize;
     let expected_puts = cfg.producers.len();
@@ -123,32 +119,6 @@ pub fn run_server(world: &Comm, cfg: &DsConfig) {
                 ServeOutcome::Continue
             }
         }
-        DS_PUT_STAGED => {
-            // `dspaces_put`: the data themselves land on the server. The
-            // owner recorded in the index is the SERVER, so gets resolve
-            // here without touching the producer again.
-            let mut r = Reader::new(&args);
-            let k = r.get_str().expect("key");
-            let bb: BBox = r.get().expect("bbox");
-            let body = Bytes::copy_from_slice(r.get_bytes().expect("body"));
-            staged.entry(k.clone()).or_default().push((bb.clone(), body));
-            let entry = index.entry(k.clone()).or_default();
-            entry.push((bb, world.rank() as u64));
-            if entry.len() == expected_puts {
-                for (waiter, qbb) in pending.remove(&k).unwrap_or_default() {
-                    diyblk::rpc::send_reply(world, waiter, answer(&index, &k, &qbb));
-                }
-            }
-            ServeOutcome::Reply(Bytes::new())
-        }
-        DS_FETCH_STAGED => {
-            let mut r = Reader::new(&args);
-            let k = r.get_str().expect("key");
-            let qbb: BBox = r.get().expect("query box");
-            let es = r.get_u64().expect("element size") as usize;
-            let entries = staged.get(&k).map(|v| v.as_slice()).unwrap_or(&[]);
-            ServeOutcome::Reply(answer_pieces(entries, &qbb, es))
-        }
         DS_DONE => {
             dones += 1;
             if dones == expected_dones {
@@ -161,8 +131,7 @@ pub fn run_server(world: &Comm, cfg: &DsConfig) {
     });
 }
 
-/// Encode the pieces of `entries` intersecting `qbb` (shared by the
-/// producer-local and server-staged fetch paths).
+/// Encode the pieces of `entries` intersecting `qbb`.
 fn answer_pieces(entries: &[(BBox, Bytes)], qbb: &BBox, es: usize) -> Bytes {
     let mut w = Writer::new();
     let hits: Vec<&(BBox, Bytes)> = entries.iter().filter(|(bb, _)| bb.intersects(qbb)).collect();
@@ -241,21 +210,6 @@ impl DsClient {
         answer_pieces(entries, qbb, es)
     }
 
-    /// `dspaces_put`: ship a full copy of the region to the staging
-    /// server. The producer's buffer is immediately reusable and the
-    /// producer does not need to serve — the tradeoff the paper weighs
-    /// against `put_local` ("a staging a full data copy").
-    pub fn put_staged(&self, name: &str, version: u64, bbox: BBox, data: Bytes) -> H5Result<()> {
-        let k = key(name, version);
-        let server = self.cfg.home_server(name, version)?;
-        let mut w = Writer::new();
-        w.put_str(&k);
-        w.put(&bbox);
-        w.put_bytes(&data);
-        let _ = RpcClient::new(&self.world).call(server, DS_PUT_STAGED, &w.finish());
-        Ok(())
-    }
-
     /// Consumer: fetch the elements of `qbox` (row-major packed). `es` is
     /// the element size in bytes.
     pub fn get(&self, name: &str, version: u64, qbox: &BBox, es: usize) -> H5Result<Vec<u8>> {
@@ -287,13 +241,7 @@ impl DsClient {
             w.put_str(&k);
             w.put(qbox);
             w.put_u64(es as u64);
-            // Staged regions are owned by (and fetched from) the server.
-            let method = if self.cfg.servers.contains(&(owner as usize)) {
-                DS_FETCH_STAGED
-            } else {
-                DS_FETCH
-            };
-            let reply = rpc.call(owner as usize, method, &w.finish());
+            let reply = rpc.call(owner as usize, DS_FETCH, &w.finish());
             let mut r = Reader::new(&reply);
             let pieces = r.get_u64()? as usize;
             for _ in 0..pieces {
@@ -467,8 +415,6 @@ mod tests {
             let bb = BBox::new(vec![0], vec![2]);
             let put = client.put_local("x", 0, bb.clone(), vec![1u8, 2].into());
             assert!(matches!(put, Err(H5Error::Vol(_))), "put_local: {put:?}");
-            let staged = client.put_staged("x", 0, bb.clone(), vec![1u8, 2].into());
-            assert!(matches!(staged, Err(H5Error::Vol(_))), "put_staged: {staged:?}");
             let got = client.get("x", 0, &bb, 1);
             assert!(matches!(got, Err(H5Error::Vol(_))), "get: {got:?}");
         });
@@ -483,49 +429,5 @@ mod tests {
         assert!(rows.iter().all(|(_, len)| *len == 3));
         assert_eq!(rows[0].0, vec![1, 0, 2]);
         assert_eq!(rows[3].0, vec![2, 1, 2]);
-    }
-}
-
-#[cfg(test)]
-mod staged_tests {
-    use super::*;
-    use simmpi::{TaskSpec, TaskWorld};
-
-    /// `dspaces_put`: data staged on the server; producers never serve.
-    #[test]
-    fn staged_put_get_without_producer_serving() {
-        const N: u64 = 8;
-        let specs =
-            [TaskSpec::new("prod", 2), TaskSpec::new("staging", 1), TaskSpec::new("cons", 2)];
-        TaskWorld::run(&specs, |tc| {
-            let cfg = DsConfig {
-                producers: (0..2).map(|r| tc.world_rank_of(0, r)).collect(),
-                servers: vec![tc.world_rank_of(1, 0)],
-                consumers: (0..2).map(|r| tc.world_rank_of(2, r)).collect(),
-            };
-            match tc.task_id {
-                0 => {
-                    let client = DsClient::new(tc.world.clone(), cfg);
-                    let r = tc.local.rank() as u64;
-                    let bb = BBox::new(vec![r * 4, 0], vec![r * 4 + 4, N]);
-                    let data: Vec<u8> =
-                        BoxCoords::new(&bb).flat_map(|c| (c[0] * N + c[1]).to_le_bytes()).collect();
-                    client.put_staged("grid", 0, bb, data.into()).unwrap();
-                    // NO serve_local(): the producer is free immediately.
-                }
-                1 => run_server(&tc.world, &cfg),
-                _ => {
-                    let client = DsClient::new(tc.world.clone(), cfg);
-                    let r = tc.local.rank() as u64;
-                    let qbox = BBox::new(vec![0, r * 4], vec![N, r * 4 + 4]);
-                    let got = client.get("grid", 0, &qbox, 8).unwrap();
-                    for (i, c) in BoxCoords::new(&qbox).enumerate() {
-                        let v = u64::from_le_bytes(got[i * 8..i * 8 + 8].try_into().unwrap());
-                        assert_eq!(v, c[0] * N + c[1]);
-                    }
-                    client.done();
-                }
-            }
-        });
     }
 }

@@ -71,13 +71,6 @@ pub fn recv_grid(
     out
 }
 
-/// Split `[0, total)` into `n` near-equal contiguous ranges; range `i` is
-/// `[split(i), split(i+1))`. The standard hand-rolled decomposition for
-/// 1-d particle lists.
-pub fn contiguous_range(total: u64, n: usize, i: usize) -> (u64, u64) {
-    ((total * i as u64) / n as u64, (total * (i + 1) as u64) / n as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,23 +137,5 @@ mod tests {
                 assert_eq!(vals, (base..base + 4).collect::<Vec<u64>>());
             }
         });
-    }
-
-    #[test]
-    fn contiguous_range_covers_everything() {
-        for total in [10u64, 17, 1000] {
-            for n in [1usize, 3, 7] {
-                let mut covered = 0;
-                for i in 0..n {
-                    let (s, e) = contiguous_range(total, n, i);
-                    assert!(s <= e);
-                    covered += e - s;
-                    if i > 0 {
-                        assert_eq!(contiguous_range(total, n, i - 1).1, s);
-                    }
-                }
-                assert_eq!(covered, total);
-            }
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `fig11`, `table2`, `streaming`, or `all`.
+//! `fig11`, `table2`, `streaming`, `ablations`, or `all`.
 //! Results print as aligned tables and are also appended as CSV under
 //! `bench-results/`.
 //!
@@ -28,7 +28,7 @@ use bench::runners::{
 };
 use bench::table2::{run_case, Table2Case};
 use bench::workload::Workload;
-use simmpi::CostModel;
+use simmpi::{CostModel, TransportKind};
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -96,18 +96,16 @@ fn parse_args() -> Args {
                 // Every run in this process inherits the chosen backend:
                 // the runners build worlds via `TransportKind::from_env`,
                 // so the flag just pins the environment variable up front.
-                let v = it.next().expect("--transport needs inproc|socket|tcp");
-                match v.as_str() {
-                    "inproc" => std::env::set_var("SIMMPI_TRANSPORT", ""),
-                    "socket" | "uds" | "unix" | "tcp" => std::env::set_var("SIMMPI_TRANSPORT", v),
-                    other => panic!("unknown transport {other:?} (inproc|socket|tcp)"),
-                }
+                let v = it.next().expect("--transport needs inproc|socket");
+                let kind = TransportKind::parse(&v)
+                    .unwrap_or_else(|| panic!("unknown transport {v:?} (inproc|socket)"));
+                std::env::set_var("SIMMPI_TRANSPORT", kind.to_string());
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 streaming | all] \
-                     [--scale small|medium|large] [--trials N] \
-                     [--transport inproc|socket|tcp]"
+                    "usage: figures [table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 streaming \
+                     ablations | all] [--scale small|medium|large] [--trials N] \
+                     [--transport inproc|socket]"
                 );
                 std::process::exit(0);
             }
@@ -115,11 +113,10 @@ fn parse_args() -> Args {
         }
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments =
-            ["table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "table2", "streaming"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
+        experiments = "table1 fig5 fig6 fig7 fig8 fig9 fig11 table2 streaming ablations"
+            .split(' ')
+            .map(String::from)
+            .collect();
     }
     let scale = match scale_name.as_str() {
         "small" => SMALL,
@@ -516,13 +513,61 @@ fn streaming_fig(scale: &str) {
     );
 }
 
+/// The design choices the paper credits, each as a pair of variants on
+/// one input (`bench::ablations`): contiguous-run serialization versus
+/// point by point (§IV-B-c), a deep versus a shallow (zero-copy) 8 MiB
+/// write (§III-A), and synchronous versus overlapped serve (§V-C). Each
+/// row is the mean wall time of one call over `trials` batches; rows land
+/// in `bench-results/ablations.csv`.
+fn ablations(trials: usize) {
+    use bench::ablations::{serve_snapshots, write_once, Serialization};
+    use minih5::Ownership;
+    use std::hint::black_box;
+
+    println!("\n== Ablations: the design choices the paper credits ==");
+    println!("{:>14} {:>20} {:>12}", "ablation", "variant", "ms/call");
+    let out = results_dir().join("ablations.csv");
+    let row = |ablation: &str, variant: &str, calls: usize, f: &dyn Fn()| {
+        let ms = 1e3
+            * avg(trials, || {
+                let t0 = std::time::Instant::now();
+                for _ in 0..calls {
+                    f();
+                }
+                t0.elapsed().as_secs_f64() / calls as f64
+            });
+        println!("{ablation:>14} {variant:>20} {ms:>12.4}");
+        csv(&out, "ablation,variant,ms_per_call", &format!("{ablation},{variant},{ms}"));
+        ms
+    };
+    let ser = Serialization::new();
+    let runs = row("serialization", "contiguous_runs", 10, &|| {
+        black_box(ser.contiguous_runs());
+    });
+    let points = row("serialization", "point_by_point", 10, &|| {
+        black_box(ser.point_by_point());
+    });
+    let data = bytes::Bytes::from(vec![0xABu8; 8 << 20]);
+    let deep = row("ownership", "deep_copy", 20, &|| write_once(&data, Ownership::Deep));
+    let shallow =
+        row("ownership", "shallow_zero_copy", 20, &|| write_once(&data, Ownership::Shallow));
+    let sync = row("overlap", "synchronous_serve", 5, &|| serve_snapshots(false));
+    let overlap = row("overlap", "async_overlap_serve", 5, &|| serve_snapshots(true));
+    println!(
+        "  (point by point {:.1}x contiguous runs; deep {:.0}x shallow; overlap {:.2}x synchronous)",
+        points / runs,
+        deep / shallow,
+        overlap / sync
+    );
+}
+
 fn main() {
     let args = parse_args();
     println!(
         "LowFive reproduction figures — scale {} ({} trials per point, {} transport)",
         args.scale_name,
         args.trials,
-        simmpi::TransportKind::from_env()
+        TransportKind::from_env()
     );
     for exp in &args.experiments {
         match exp.as_str() {
@@ -535,6 +580,7 @@ fn main() {
             "fig11" => fig11(&args.scale, args.trials),
             "table2" => table2(&args.scale, args.trials),
             "streaming" => streaming_fig(&args.scale_name),
+            "ablations" => ablations(args.trials),
             other => eprintln!("unknown experiment {other:?} (see --help)"),
         }
     }

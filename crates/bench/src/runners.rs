@@ -175,65 +175,6 @@ fn run_lowfive(
     Measurement { seconds: out.results[0], messages: out.stats.messages, bytes: out.stats.bytes }
 }
 
-/// Fig. 5 multi-read variant: the same memory-mode grid exchange, with
-/// each consumer's slab read as two x-chunks per producer in one
-/// `read_bytes_multi` (one `M_DATA_BATCH` frame per producer, all
-/// round-trips overlapped). `cost` adds per-message interconnect latency.
-pub fn run_lowfive_fetch(w: &Workload, cost: Option<CostModel>) -> Measurement {
-    let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
-    let w = *w;
-    let world = TaskWorld::builder(&specs);
-    let world = if let Some(cm) = cost { world.cost_model(cm) } else { world };
-    let out = world.run(move |tc| {
-        let producers = world_ranks(&tc, 0);
-        let consumers = world_ranks(&tc, 1);
-        let vol: Arc<dyn Vol> = if tc.task_id == 0 {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).produce("*", consumers).build()
-        } else {
-            DistVolBuilder::new(tc.world.clone(), tc.local.clone()).consume("*", producers).build()
-        };
-        let h5 = H5::with_vol(vol);
-        let gdims = w.grid_dims();
-        let (gsel, gdata, chunks) = if tc.task_id == 0 {
-            let bb = w.producer_grid_box(tc.local.rank());
-            let gdata = grid_bytes(&w, &bb);
-            (Some(bb.to_selection()), gdata, Vec::new())
-        } else {
-            // Two x-chunks per producer: each chunk is owned by exactly
-            // one producer, and the batched fan-out coalesces the two
-            // chunks per producer into a single frame.
-            let bb = w.consumer_grid_box(tc.local.rank());
-            let n = 2 * w.producers as u64;
-            let chunks: Vec<Selection> = (0..n)
-                .map(|i| {
-                    let mut chunk = bb.clone();
-                    chunk.lo[0] = bb.hi[0] * i / n;
-                    chunk.hi[0] = bb.hi[0] * (i + 1) / n;
-                    chunk.to_selection()
-                })
-                .collect();
-            (None, Vec::new(), chunks)
-        };
-        timed(&tc, || {
-            if tc.task_id == 0 {
-                let f = h5.create_file("fetch-mode.h5").expect("create");
-                let dg = f
-                    .create_dataset("grid", Datatype::UInt64, Dataspace::simple(&gdims))
-                    .expect("grid dataset");
-                dg.write_bytes(&gsel.expect("producer sel"), gdata.into(), Ownership::Shallow)
-                    .expect("grid write");
-                f.close().expect("close (index + serve)");
-            } else {
-                let f = h5.open_file("fetch-mode.h5").expect("open");
-                let dg = f.open_dataset("grid").expect("grid");
-                let _bufs = dg.read_bytes_multi(&chunks).expect("multi read");
-                f.close().expect("consumer close");
-            }
-        })
-    });
-    Measurement { seconds: out.results[0], messages: out.stats.messages, bytes: out.stats.bytes }
-}
-
 /// Fig. 5 serve-ownership variant: the same memory-mode grid exchange
 /// with the zero-copy rule toggled. The producers' serve loops answer
 /// data queries by *lending* refcounted sub-slices of the written regions

@@ -105,7 +105,7 @@ fn consumer_slab(grid: u64, consumers: usize, rank: usize) -> (u64, u64) {
 }
 
 /// LowFive in situ scenario.
-pub fn scenario_lowfive(case: &Table2Case) -> (f64, f64, usize) {
+pub(crate) fn scenario_lowfive(case: &Table2Case) -> (f64, f64, usize) {
     let specs = [TaskSpec::new("nyx", case.producers), TaskSpec::new("reeber", case.consumers)];
     let case = case.clone();
     let out: Vec<RankOutcome> = TaskWorld::run(&specs, move |tc| {
@@ -161,7 +161,7 @@ pub fn scenario_lowfive(case: &Table2Case) -> (f64, f64, usize) {
 }
 
 /// Baseline HDF5 scenario: write to a shared file, read after.
-pub fn scenario_hdf5(case: &Table2Case, dir: &Path) -> (f64, f64, usize) {
+pub(crate) fn scenario_hdf5(case: &Table2Case, dir: &Path) -> (f64, f64, usize) {
     let specs = [TaskSpec::new("nyx", case.producers), TaskSpec::new("reeber", case.consumers)];
     let case = case.clone();
     let dir = dir.to_path_buf();
@@ -217,7 +217,7 @@ pub fn scenario_hdf5(case: &Table2Case, dir: &Path) -> (f64, f64, usize) {
 
 /// Plotfiles scenario: write only (read excluded per the paper); the
 /// final plotfile is read back serially afterwards to validate.
-pub fn scenario_plotfiles(case: &Table2Case, dir: &Path) -> f64 {
+pub(crate) fn scenario_plotfiles(case: &Table2Case, dir: &Path) -> f64 {
     let specs = [TaskSpec::new("nyx", case.producers)];
     let case2 = case.clone();
     let dirb = dir.to_path_buf();

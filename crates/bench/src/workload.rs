@@ -41,7 +41,7 @@ impl Workload {
 
     /// Per-producer subgrid side: the largest `s` with `s³ ≤ grid_per_prod`
     /// (the actual per-producer grid count is `s³`).
-    pub fn subgrid_side(&self) -> u64 {
+    pub(crate) fn subgrid_side(&self) -> u64 {
         let mut s = (self.grid_per_prod as f64).cbrt().round() as u64;
         while s.pow(3) > self.grid_per_prod {
             s -= 1;

@@ -43,7 +43,7 @@ impl RegularDecomposer {
     }
 
     /// Grid coordinates of block `gid` (row-major).
-    pub fn block_coords(&self, gid: usize) -> Vec<usize> {
+    pub(crate) fn block_coords(&self, gid: usize) -> Vec<usize> {
         assert!(gid < self.nblocks(), "gid {gid} out of range");
         let mut rem = gid;
         let mut coords = vec![0usize; self.counts.len()];
@@ -52,12 +52,6 @@ impl RegularDecomposer {
             rem /= self.counts[i];
         }
         coords
-    }
-
-    /// Gid of the block at grid coordinates `coords`.
-    pub fn gid_of_coords(&self, coords: &[usize]) -> usize {
-        debug_assert_eq!(coords.len(), self.counts.len());
-        coords.iter().zip(&self.counts).fold(0usize, |acc, (&c, &n)| acc * n + c)
     }
 
     /// Bounds of block `gid`: dimension `i` is split into `counts[i]`
@@ -169,7 +163,10 @@ mod tests {
     fn coords_roundtrip() {
         let d = RegularDecomposer::new(&[10, 10, 10], 12);
         for gid in 0..d.nblocks() {
-            assert_eq!(d.gid_of_coords(&d.block_coords(gid)), gid);
+            // Row-major: folding the coordinates back gives the gid.
+            let coords = d.block_coords(gid);
+            let back = coords.iter().zip(d.counts()).fold(0, |acc, (&c, &n)| acc * n + c);
+            assert_eq!(back, gid);
         }
     }
 

@@ -38,11 +38,11 @@
 //! ## Timeouts and retries
 //!
 //! [`RpcClient::call`] blocks forever, matching MPI's default behaviour.
-//! [`RpcClient::call_timeout`] bounds the wait; [`RpcClient::call_retry`]
-//! layers bounded, immediate resends on top, for *idempotent* methods
-//! (queries, fetches). A dead server (detected by the fault layer) fails
-//! fast with [`RpcError::PeerDead`] — retrying cannot help, the rank is
-//! gone for the rest of the run.
+//! [`RpcClient::call_retry`] bounds the wait (a one-attempt
+//! [`RetryPolicy`]) and layers bounded, immediate resends on top, for
+//! *idempotent* methods (queries, fetches). A dead server (detected by
+//! the fault layer) fails fast with [`RpcError::PeerDead`] — retrying
+//! cannot help, the rank is gone for the rest of the run.
 //!
 //! A frame too short to carry its header (under 12 bytes on the request
 //! tag, under 8 on the reply tag) is dropped and counted under
@@ -302,7 +302,7 @@ pub fn send_reply_frame(comm: &Comm, caller: Caller, mut reply: Writer) {
 /// travel to the caller without being gathered into one buffer. A
 /// deferred reply no longer has its request, so its call id part is a
 /// fresh copy.
-pub fn send_reply_parts(comm: &Comm, caller: Caller, reply: Payload) {
+pub(crate) fn send_reply_parts(comm: &Comm, caller: Caller, reply: Payload) {
     if caller.call_id != NOTIFY_ID {
         let id_part = Bytes::copy_from_slice(&caller.call_id.to_le_bytes());
         comm.send_parts(caller.rank, TAG_REPLY, encode_reply_parts(id_part, reply));
@@ -332,42 +332,16 @@ impl<'a> RpcClient<'a> {
         self.await_reply(server, method, args.into())
     }
 
-    /// As [`RpcClient::call`], but give up if the reply does not arrive
-    /// within `timeout`. Fails fast with [`RpcError::PeerDead`] if the
-    /// server rank is known dead. Stale replies (to earlier timed-out
-    /// calls) are discarded without consuming the deadline's meaning: the
-    /// clock keeps running until *this* call's reply shows up.
-    ///
-    /// The deadline lives on the `obsv::clock` virtual clock; a
-    /// `clock::advance_ns` jump past it is honoured within one liveness
-    /// poll.
-    pub fn call_timeout(
-        &self,
-        server: usize,
-        method: u32,
-        args: &[u8],
-        timeout: Duration,
-    ) -> Result<Bytes, RpcError> {
-        self.call_timeout_payload(server, method, args, timeout).map(Payload::into_bytes)
-    }
-
-    /// Parts-preserving variant of [`RpcClient::call_timeout`].
-    pub fn call_timeout_payload(
-        &self,
-        server: usize,
-        method: u32,
-        args: &[u8],
-        timeout: Duration,
-    ) -> Result<Payload, RpcError> {
-        let policy = RetryPolicy::new(1, timeout);
-        self.call_frame(server, method, args.into(), Some(policy))
-    }
-
     /// Bounded-retry call for *idempotent* methods: up to
     /// `policy.attempts` sends, each waiting `policy.timeout`, each resent
     /// as soon as the previous one times out. A dead server
     /// short-circuits to [`RpcError::PeerDead`] — resending to a corpse
-    /// cannot succeed.
+    /// cannot succeed. Stale replies (to earlier timed-out attempts) are
+    /// discarded; the clock keeps running until a current reply shows up.
+    ///
+    /// Deadlines live on the `obsv::clock` virtual clock; a
+    /// `clock::advance_ns` jump past one is honoured within one liveness
+    /// poll.
     pub fn call_retry(
         &self,
         server: usize,
@@ -375,27 +349,15 @@ impl<'a> RpcClient<'a> {
         args: &[u8],
         policy: RetryPolicy,
     ) -> Result<Bytes, RpcError> {
-        self.call_retry_payload(server, method, args, policy).map(Payload::into_bytes)
-    }
-
-    /// Parts-preserving variant of [`RpcClient::call_retry`].
-    pub fn call_retry_payload(
-        &self,
-        server: usize,
-        method: u32,
-        args: &[u8],
-        policy: RetryPolicy,
-    ) -> Result<Payload, RpcError> {
-        self.call_frame(server, method, args.into(), Some(policy))
+        self.call_frame(server, method, args.into(), Some(policy)).map(Payload::into_bytes)
     }
 
     /// Call `method` on `server` with arguments encoded into `args`, whose
     /// headroom takes the request header — the frame leaves in the
     /// buffer the arguments were written into. With no policy the call
     /// blocks for the reply, as [`RpcClient::call_payload`]; with one it is
-    /// [`RpcClient::call_retry_payload`] (a single-attempt policy is
-    /// [`RpcClient::call_timeout_payload`]). Returns the reply body with
-    /// the server's part structure intact.
+    /// [`RpcClient::call_retry`] without flattening the reply. Returns the
+    /// reply body with the server's part structure intact.
     pub fn call_frame(
         &self,
         server: usize,
@@ -836,7 +798,7 @@ mod tests {
                 // header. The serve loop must drop it, not die on it.
                 c.send(0, TAG_REQUEST, Bytes::from_static(&[1, 2, 3]));
                 let reply = RpcClient::new(&c)
-                    .call_timeout(0, M_ECHO, b"after", Duration::from_secs(10))
+                    .call_retry(0, M_ECHO, b"after", RetryPolicy::new(1, Duration::from_secs(10)))
                     .expect("the server outlives the short frame");
                 assert_eq!(&reply[..], b"after");
             }
@@ -862,7 +824,9 @@ mod tests {
                     let calls = [Call::new(0, M_ECHO, Bytes::from_static(b"real"))];
                     let reply = match flavour {
                         0 => rpc.call(0, M_ECHO, b"real"),
-                        1 => rpc.call_timeout(0, M_ECHO, b"real", timeout).expect("real reply"),
+                        1 => rpc
+                            .call_retry(0, M_ECHO, b"real", RetryPolicy::new(1, timeout))
+                            .expect("real reply"),
                         _ => rpc.call_many_collect(&calls, None).remove(0).expect("real reply"),
                     };
                     assert_eq!(&reply[..], b"real", "flavour {flavour}");
@@ -909,7 +873,7 @@ mod tests {
             } else {
                 let rpc = RpcClient::new(&c);
                 let err = rpc
-                    .call_timeout(0, M_ECHO, &[], Duration::from_millis(50))
+                    .call_retry(0, M_ECHO, &[], RetryPolicy::new(1, Duration::from_millis(50)))
                     .expect_err("nobody is serving");
                 assert_eq!(err, RpcError::TimedOut);
                 c.barrier();
@@ -1011,7 +975,7 @@ mod tests {
                     obsv::clock::advance_ns(5_000_000_000);
                 });
                 let err = rpc
-                    .call_timeout(0, M_ECHO, &[], Duration::from_secs(4))
+                    .call_retry(0, M_ECHO, &[], RetryPolicy::new(1, Duration::from_secs(4)))
                     .expect_err("the virtual deadline has passed");
                 assert_eq!(err, RpcError::TimedOut);
                 assert!(

@@ -1128,7 +1128,7 @@ impl DistMetadataVol {
     /// subscribers compare this against an announce's generation to
     /// detect a slot recycled mid-read
     /// ([`crate::stream::StepSubscription::is_torn`]).
-    pub fn noted_gen(&self, file: &str, server: usize) -> Option<u64> {
+    pub(crate) fn noted_gen(&self, file: &str, server: usize) -> Option<u64> {
         self.fetch_cache.lock().gens.get(file).and_then(|m| m.get(&server)).copied()
     }
 

@@ -84,5 +84,5 @@ pub mod stream;
 pub use base::BaseVol;
 pub use dist::{DistMetadataVol, DistVolBuilder, Link, LinkDir, Retained, TransportProfile};
 pub use metadata::MetadataVol;
-pub use props::{glob_match, BackPressure, LowFiveProps};
+pub use props::{BackPressure, LowFiveProps};
 pub use stream::{Step, StepPolicy, StepPublisher, StepSubscription};

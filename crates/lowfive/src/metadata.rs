@@ -110,18 +110,13 @@ impl MetadataVol {
         &self.props
     }
 
-    /// Run `f` with read access to the in-memory hierarchy.
-    pub fn with_hier<R>(&self, f: impl FnOnce(&Hierarchy) -> R) -> R {
-        f(&self.state.lock().hier)
-    }
-
     /// Filename owning a handle.
-    pub fn filename_of(&self, id: ObjId) -> H5Result<Arc<str>> {
+    pub(crate) fn filename_of(&self, id: ObjId) -> H5Result<Arc<str>> {
         Ok(self.state.lock().entry(id)?.filename.clone())
     }
 
     /// Whether the handle belongs to a `file_create` (write) session.
-    pub fn was_created(&self, id: ObjId) -> H5Result<bool> {
+    pub(crate) fn was_created(&self, id: ObjId) -> H5Result<bool> {
         Ok(self.state.lock().entry(id)?.created)
     }
 
@@ -137,7 +132,7 @@ impl MetadataVol {
     /// incarnation of the name: truncating or retiring the file makes it
     /// stale, which is how [`MetadataVol::retire_file`] tells the
     /// snapshot it was asked to drop from a later one of the same name.
-    pub fn file_root(&self, name: &str) -> Option<NodeId> {
+    pub(crate) fn file_root(&self, name: &str) -> Option<NodeId> {
         self.state.lock().hier.file(name)
     }
 
@@ -145,7 +140,7 @@ impl MetadataVol {
     /// `root` is still the file's root. Returns the payload bytes the
     /// tree held, or `None` when the name has since been re-created (or
     /// was already gone) and nothing was touched.
-    pub fn retire_file(&self, name: &str, root: NodeId) -> Option<u64> {
+    pub(crate) fn retire_file(&self, name: &str, root: NodeId) -> Option<u64> {
         let mut st = self.state.lock();
         if st.hier.file(name) != Some(root) {
             return None;
@@ -156,7 +151,7 @@ impl MetadataVol {
 
     /// `(resident files, arena slots, generation entries)` — what this
     /// layer holds per file (diagnostic).
-    pub fn footprint(&self) -> (usize, usize, usize) {
+    pub(crate) fn footprint(&self) -> (usize, usize, usize) {
         let st = self.state.lock();
         (st.hier.file_count(), st.hier.slots(), st.gens.len())
     }
@@ -171,7 +166,7 @@ impl MetadataVol {
 
     /// Visit every dataset of an in-memory file in creation order — its
     /// path, space and recorded regions — in one walk of the tree.
-    pub fn for_each_dataset(
+    pub(crate) fn for_each_dataset(
         &self,
         name: &str,
         mut f: impl FnMut(&str, &Dataspace, &[DataRegion]),
@@ -185,18 +180,11 @@ impl MetadataVol {
         })
     }
 
-    /// Paths of all datasets in an in-memory file, in creation order.
-    pub fn datasets_of_file(&self, name: &str) -> H5Result<Vec<String>> {
-        let mut paths = Vec::new();
-        self.for_each_dataset(name, |path, _, _| paths.push(path.to_string()))?;
-        Ok(paths)
-    }
-
     /// Run `f` on a dataset's type, space and recorded regions, by
     /// `(file, path)`, under this layer's lock. `f` should only copy out
     /// what it needs (the regions' `Arc` is one refcount bump): a
     /// producer's writes wait while it runs.
-    pub fn with_dataset<R>(
+    pub(crate) fn with_dataset<R>(
         &self,
         file: &str,
         path: &str,
@@ -206,14 +194,6 @@ impl MetadataVol {
         let root = st.hier.file(file).ok_or_else(|| H5Error::NotFound(file.to_string()))?;
         let (dtype, space, regions) = st.hier.dataset_parts(st.hier.resolve(root, path)?)?;
         Ok(f(dtype, space, regions))
-    }
-
-    /// The regions recorded for a dataset (clones share the region bytes).
-    pub fn dataset_regions(&self, file: &str, path: &str) -> H5Result<Vec<DataRegion>> {
-        let st = self.state.lock();
-        let root = st.hier.file(file).ok_or_else(|| H5Error::NotFound(file.to_string()))?;
-        let node = st.hier.resolve(root, path)?;
-        Ok(st.hier.regions(node)?.to_vec())
     }
 
     fn child_path(parent: &str, name: &str) -> String {
@@ -590,6 +570,11 @@ mod tests {
         (H5::with_vol(vol.clone() as Arc<dyn Vol>), vol)
     }
 
+    /// The regions recorded for a dataset (clones share the region bytes).
+    fn regions(vol: &MetadataVol, file: &str, path: &str) -> Vec<DataRegion> {
+        vol.with_dataset(file, path, |_, _, regions| regions.to_vec()).unwrap()
+    }
+
     #[test]
     fn memory_mode_never_touches_disk() {
         let (h5, _vol) = memory_h5(LowFiveProps::new());
@@ -614,7 +599,7 @@ mod tests {
         assert_eq!(meta.groups, vec!["group1".to_string()]);
         assert_eq!(meta.datasets.len(), 1);
         assert_eq!(meta.datasets[0].path, "group1/grid");
-        let regions = vol.dataset_regions("mem.h5", "group1/grid").unwrap();
+        let regions = regions(&vol, "mem.h5", "group1/grid");
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].data.len(), 64);
     }
@@ -635,7 +620,7 @@ mod tests {
         assert_eq!(f2.open_dataset("d").unwrap().read_all::<u32>().unwrap(), vec![7, 8, 9]);
         f2.close().unwrap();
         // And in memory.
-        assert_eq!(vol.dataset_regions(&path, "d").unwrap().len(), 1);
+        assert_eq!(regions(&vol, &path, "d").len(), 1);
     }
 
     #[test]
@@ -672,7 +657,7 @@ mod tests {
         let d = f.create_dataset("grid", Datatype::UInt8, Dataspace::simple(&[4])).unwrap();
         let buf = Bytes::from(vec![1u8, 2, 3, 4]);
         d.write_bytes(&Selection::all(), buf.clone(), Ownership::Deep).unwrap();
-        let regions = vol.dataset_regions("z.h5", "grid").unwrap();
+        let regions = regions(&vol, "z.h5", "grid");
         assert_eq!(regions[0].ownership, Ownership::Shallow);
         assert_eq!(regions[0].data.as_ptr(), buf.as_ptr());
         f.close().unwrap();
@@ -687,7 +672,8 @@ mod tests {
         let f = h5.create_file("t.h5").unwrap();
         f.create_dataset("new", Datatype::UInt8, Dataspace::simple(&[1])).unwrap();
         f.close().unwrap();
-        let names = vol.datasets_of_file("t.h5").unwrap();
+        let mut names = Vec::new();
+        vol.for_each_dataset("t.h5", |path, _, _| names.push(path.to_string())).unwrap();
         assert_eq!(names, vec!["new".to_string()]);
     }
 
@@ -709,7 +695,7 @@ mod tests {
         let gen2 = vol.generation("r.h5");
         assert!(gen2 > gen1);
         assert_eq!(vol.retire_file("r.h5", first), None);
-        assert_eq!(vol.dataset_regions("r.h5", "d").unwrap()[0].data[..], [2, 2]);
+        assert_eq!(regions(&vol, "r.h5", "d")[0].data[..], [2, 2]);
         // The current root does: tree, bytes and generation all go.
         let second = vol.file_root("r.h5").unwrap();
         assert_eq!(vol.retire_file("r.h5", second), Some(2));

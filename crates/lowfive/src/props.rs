@@ -175,7 +175,7 @@ impl LowFiveProps {
     }
 
     /// Should `file` stay resident after its last consumer is done?
-    pub fn keep_for(&self, file: &str) -> bool {
+    pub(crate) fn keep_for(&self, file: &str) -> bool {
         let mut on = false;
         for r in &self.rules {
             if let Action::Keep(v) = r.action {
@@ -188,7 +188,7 @@ impl LowFiveProps {
     }
 
     /// Effective step-queue depth for stream series `file`.
-    pub fn stream_queue_depth_for(&self, file: &str) -> usize {
+    pub(crate) fn stream_queue_depth_for(&self, file: &str) -> usize {
         let mut depth = 4;
         for r in &self.rules {
             if let Action::StreamQueueDepth(v) = r.action {
@@ -201,7 +201,7 @@ impl LowFiveProps {
     }
 
     /// Effective back-pressure mode for stream series `file`.
-    pub fn stream_backpressure_for(&self, file: &str) -> BackPressure {
+    pub(crate) fn stream_backpressure_for(&self, file: &str) -> BackPressure {
         let mut mode = BackPressure::Block;
         for r in &self.rules {
             if let Action::StreamBackpressure(v) = r.action {
@@ -215,7 +215,7 @@ impl LowFiveProps {
 
     /// Effective retry policy for consumer RPCs on `file`: `None` means
     /// no timeout configured — block forever (the default).
-    pub fn rpc_policy_for(&self, file: &str) -> Option<RetryPolicy> {
+    pub(crate) fn rpc_policy_for(&self, file: &str) -> Option<RetryPolicy> {
         let mut timeout = None;
         let mut retries = 0u32;
         for r in &self.rules {
@@ -229,7 +229,7 @@ impl LowFiveProps {
     }
 
     /// Should `file` use in-memory transport?
-    pub fn memory_for(&self, file: &str) -> bool {
+    pub(crate) fn memory_for(&self, file: &str) -> bool {
         let mut on = true;
         for r in &self.rules {
             if let Action::Memory(v) = r.action {
@@ -242,7 +242,7 @@ impl LowFiveProps {
     }
 
     /// Should `file` also (or instead) go to physical storage?
-    pub fn passthrough_for(&self, file: &str) -> bool {
+    pub(crate) fn passthrough_for(&self, file: &str) -> bool {
         let mut on = false;
         for r in &self.rules {
             if let Action::Passthrough(v) = r.action {
@@ -256,7 +256,7 @@ impl LowFiveProps {
 
     /// Ownership for a write into `(file, dset)`; `requested` is what the
     /// caller passed through the API and is used when no rule matches.
-    pub fn ownership_for(&self, file: &str, dset: &str, requested: Ownership) -> Ownership {
+    pub(crate) fn ownership_for(&self, file: &str, dset: &str, requested: Ownership) -> Ownership {
         let mut own = requested;
         for r in &self.rules {
             if let Action::Zerocopy(v) = r.action {
@@ -270,7 +270,7 @@ impl LowFiveProps {
 }
 
 /// Glob match supporting `*` (any sequence) and `?` (any one char).
-pub fn glob_match(pattern: &str, s: &str) -> bool {
+pub(crate) fn glob_match(pattern: &str, s: &str) -> bool {
     fn inner(p: &[u8], s: &[u8]) -> bool {
         match (p.first(), s.first()) {
             (None, None) => true,

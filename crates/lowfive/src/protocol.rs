@@ -318,56 +318,6 @@ pub fn dec_data_req_batch(b: &[u8]) -> H5Result<(&str, Vec<(&str, Selection)>)> 
     }
 }
 
-/// The contiguous frame of a [`Request::Metadata`]: the file name. A
-/// delegate to [`Request::encode`] for callers that want one `Bytes`.
-///
-/// ```
-/// use lowfive::protocol::{enc_metadata_req, Request, M_METADATA};
-/// let frame = enc_metadata_req("a.h5");
-/// assert_eq!(Request::decode(M_METADATA, &frame).unwrap(), Request::Metadata { file: "a.h5" });
-/// ```
-pub fn enc_metadata_req(file: &str) -> Bytes {
-    Request::Metadata { file }.encode().finish()
-}
-
-/// The contiguous frame of a [`Request::StepSub`]: the series name. A
-/// delegate to [`Request::encode`].
-///
-/// ```
-/// use lowfive::protocol::{enc_step_sub_req, Request, M_STEP_SUB};
-/// let frame = enc_step_sub_req("sim.h5");
-/// assert_eq!(Request::decode(M_STEP_SUB, &frame).unwrap(), Request::StepSub { series: "sim.h5" });
-/// ```
-pub fn enc_step_sub_req(series: &str) -> Bytes {
-    Request::StepSub { series }.encode().finish()
-}
-
-/// The contiguous frame of a [`Request::StepNext`]: the series, the
-/// caller's cumulative cursor and the policy (its wire code and skip
-/// bound). A delegate to [`Request::encode`].
-///
-/// ```
-/// use lowfive::protocol::{enc_step_next_req, Request, StepPolicy, M_STEP_NEXT};
-/// let frame = enc_step_next_req("sim.h5", 4, StepPolicy::SkipOk(2));
-/// let req = Request::StepNext { series: "sim.h5", cursor: 4, policy: StepPolicy::SkipOk(2) };
-/// assert_eq!(Request::decode(M_STEP_NEXT, &frame).unwrap(), req);
-/// ```
-pub fn enc_step_next_req(series: &str, cursor: u64, policy: StepPolicy) -> Bytes {
-    Request::StepNext { series, cursor, policy }.encode().finish()
-}
-
-/// The contiguous frame of a [`Request::StepAck`]: the series and the
-/// caller's cumulative cursor. A delegate to [`Request::encode`].
-///
-/// ```
-/// use lowfive::protocol::{enc_step_ack_req, Request, M_STEP_ACK};
-/// let frame = enc_step_ack_req("sim.h5", 12);
-/// assert_eq!(Request::decode(M_STEP_ACK, &frame).unwrap(), Request::StepAck { series: "sim.h5", cursor: 12 });
-/// ```
-pub fn enc_step_ack_req(series: &str, cursor: u64) -> Bytes {
-    Request::StepAck { series, cursor }.encode().finish()
-}
-
 /// Leftover bytes mean a mis-framed (or padded) message: an error.
 fn expect_eof(r: &Reader) -> H5Result<()> {
     if r.remaining() != 0 {

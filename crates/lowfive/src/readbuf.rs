@@ -154,7 +154,7 @@ impl Fetch {
     /// `gen`. The fetch path's one parse-and-place: the rank thread runs
     /// it over a reply it holds, the socket reader over one it is
     /// receiving. Returns the bytes placed.
-    pub fn place_reply(
+    pub(crate) fn place_reply(
         &mut self,
         src: &mut impl ReplySource,
         asked: impl Iterator<Item = usize> + Clone,
@@ -252,7 +252,7 @@ impl<'a> Round<'a> {
     /// every in-proc one — placed here, by the same code. `asked` are the
     /// selections it answers and `gen` takes each entry's generation.
     /// Returns the reply's length and the bytes placed.
-    pub fn settle(
+    pub(crate) fn settle(
         &mut self,
         k: usize,
         reply: Payload,

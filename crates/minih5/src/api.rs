@@ -145,53 +145,6 @@ macro_rules! container_ops {
                 }
                 Ok(elems_from_bytes::<T>(&data)[0])
             }
-
-            /// Write a typed vector attribute (stored as a fixed array).
-            pub fn set_attr_vec<T: H5Type>(&self, name: &str, values: &[T]) -> H5Result<()> {
-                let dtype = Datatype::vector(T::DTYPE, values.len() as u64);
-                self.vol.attr_write(
-                    self.id,
-                    name,
-                    &dtype,
-                    Bytes::copy_from_slice(elems_as_bytes(values)),
-                )
-            }
-
-            /// Read a typed vector attribute.
-            pub fn attr_vec<T: H5Type>(&self, name: &str) -> H5Result<Vec<T>> {
-                let (dtype, data) = self.vol.attr_read(self.id, name)?;
-                match dtype {
-                    Datatype::Array(inner, _) if *inner == T::DTYPE => {
-                        Ok(elems_from_bytes::<T>(&data))
-                    }
-                    other => Err(H5Error::ShapeMismatch(format!(
-                        "attribute {name} has type {other:?}, expected array of {:?}",
-                        T::DTYPE
-                    ))),
-                }
-            }
-
-            /// Write a string attribute (stored as a fixed-length string).
-            pub fn set_attr_str(&self, name: &str, value: &str) -> H5Result<()> {
-                self.vol.attr_write(
-                    self.id,
-                    name,
-                    &Datatype::FixedString(value.len()),
-                    Bytes::copy_from_slice(value.as_bytes()),
-                )
-            }
-
-            /// Read a string attribute.
-            pub fn attr_str(&self, name: &str) -> H5Result<String> {
-                let (dtype, data) = self.vol.attr_read(self.id, name)?;
-                match dtype {
-                    Datatype::FixedString(_) => String::from_utf8(data.to_vec())
-                        .map_err(|_| H5Error::Format(format!("attribute {name} is not UTF-8"))),
-                    other => Err(H5Error::ShapeMismatch(format!(
-                        "attribute {name} has type {other:?}, expected string"
-                    ))),
-                }
-            }
         }
     };
 }
@@ -209,11 +162,6 @@ impl H5File {
     /// that data are ready for consumers.
     pub fn close(self) -> H5Result<()> {
         self.vol.file_close(self.id)
-    }
-
-    /// The raw VOL handle (for plugin-level tests).
-    pub fn raw_id(&self) -> ObjId {
-        self.id
     }
 }
 
@@ -307,54 +255,6 @@ impl Dataset {
     /// byte-identical to calling [`Dataset::read_bytes`] per selection.
     pub fn read_bytes_multi(&self, sels: &[Selection]) -> H5Result<Vec<Bytes>> {
         self.vol.dataset_read_multi(self.id, sels)
-    }
-
-    /// Typed variant of [`Dataset::read_bytes_multi`].
-    pub fn read_selection_multi<T: H5Type>(&self, sels: &[Selection]) -> H5Result<Vec<Vec<T>>> {
-        self.check_dtype::<T>()?;
-        let bufs = self.vol.dataset_read_multi(self.id, sels)?;
-        Ok(bufs.iter().map(|b| elems_from_bytes(b)).collect())
-    }
-
-    /// Read one field of a compound dataset (HDF5 partial datatype I/O):
-    /// extracts `field` from every selected element. The field's type must
-    /// match `T` exactly.
-    pub fn read_field<T: H5Type>(&self, field: &str, sel: &Selection) -> H5Result<Vec<T>> {
-        let (dtype, _space) = self.meta()?;
-        let fields = match &dtype {
-            Datatype::Compound(fields) => fields,
-            other => {
-                return Err(H5Error::WrongKind {
-                    expected: "compound dataset",
-                    found: match other {
-                        Datatype::Array(..) => "array",
-                        _ => "scalar",
-                    },
-                })
-            }
-        };
-        let fdef = fields
-            .iter()
-            .find(|f| f.name == field)
-            .ok_or_else(|| H5Error::NotFound(format!("compound field {field}")))?;
-        if fdef.dtype != T::DTYPE {
-            return Err(H5Error::ShapeMismatch(format!(
-                "field {field} has type {:?}, expected {:?}",
-                fdef.dtype,
-                T::DTYPE
-            )));
-        }
-        let off = dtype.field_offset(field).expect("field exists");
-        let es = dtype.size();
-        let fsize = fdef.dtype.size();
-        let raw = self.vol.dataset_read(self.id, sel)?;
-        let n = raw.len() / es;
-        let mut packed = Vec::with_capacity(n * fsize);
-        for i in 0..n {
-            let s = i * es + off;
-            packed.extend_from_slice(&raw[s..s + fsize]);
-        }
-        Ok(elems_from_bytes(&packed))
     }
 
     /// Write a typed scalar attribute on the dataset.
@@ -476,63 +376,31 @@ mod tests {
 #[cfg(test)]
 mod rich_attr_tests {
     use super::*;
-    use crate::datatype::CompoundField;
 
-    fn tmp(name: &str) -> String {
-        let dir = std::env::temp_dir().join("minih5-api-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_str().unwrap().to_string()
-    }
-
+    /// Array and fixed-string attributes persist through the native file
+    /// with their datatypes, and the typed scalar accessor rejects them.
     #[test]
     fn vector_and_string_attributes() {
+        let dir = std::env::temp_dir().join("minih5-api-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("richattrs.nh5").to_str().unwrap().to_string();
         let h5 = H5::native();
-        let path = tmp("richattrs.nh5");
-        let f = h5.create_file(&path).unwrap();
-        f.set_attr_vec("origin", &[0.5f64, 1.5, 2.5]).unwrap();
-        f.set_attr_str("code", "nyx-sim v1").unwrap();
-        let d = f.create_dataset("d", Datatype::UInt8, Dataspace::simple(&[1])).unwrap();
-        d.write_all(&[0u8]).unwrap();
-        f.close().unwrap();
+        let vol = h5.vol();
+        let origin = Datatype::vector(Datatype::Float64, 3);
+        let origin_bytes = Bytes::copy_from_slice(elems_as_bytes(&[0.5f64, 1.5, 2.5]));
+        let code = Datatype::FixedString(10);
+        let f = vol.file_create(&path).unwrap();
+        vol.attr_write(f, "origin", &origin, origin_bytes.clone()).unwrap();
+        vol.attr_write(f, "code", &code, Bytes::from_static(b"nyx-sim v1")).unwrap();
+        vol.file_close(f).unwrap();
 
+        let f = vol.file_open(&path).unwrap();
+        assert_eq!(vol.attr_read(f, "origin").unwrap(), (origin, origin_bytes));
+        assert_eq!(vol.attr_read(f, "code").unwrap(), (code, Bytes::from_static(b"nyx-sim v1")));
+        vol.file_close(f).unwrap();
         let f = h5.open_file(&path).unwrap();
-        assert_eq!(f.attr_vec::<f64>("origin").unwrap(), vec![0.5, 1.5, 2.5]);
-        assert_eq!(f.attr_str("code").unwrap(), "nyx-sim v1");
-        // Type mismatches are rejected.
-        assert!(f.attr_vec::<u32>("origin").is_err());
-        assert!(f.attr_str("origin").is_err());
+        assert!(f.attr::<f64>("origin").is_err());
         assert!(f.attr::<f64>("code").is_err());
-        f.close().unwrap();
-    }
-
-    #[test]
-    fn compound_field_partial_read() {
-        let h5 = H5::native();
-        let path = tmp("compound.nh5");
-        let ptype = Datatype::Compound(vec![
-            CompoundField { name: "id".into(), dtype: Datatype::UInt32 },
-            CompoundField { name: "mass".into(), dtype: Datatype::Float64 },
-        ]);
-        let f = h5.create_file(&path).unwrap();
-        let d = f.create_dataset("parts", ptype, Dataspace::simple(&[4])).unwrap();
-        let mut raw = Vec::new();
-        for i in 0..4u32 {
-            raw.extend_from_slice(&i.to_le_bytes());
-            raw.extend_from_slice(&(i as f64 * 1.5).to_le_bytes());
-        }
-        d.write_bytes(&Selection::all(), raw.into(), Ownership::Deep).unwrap();
-        f.close().unwrap();
-
-        let f = h5.open_file(&path).unwrap();
-        let d = f.open_dataset("parts").unwrap();
-        // Only the masses cross the read path's extraction.
-        let masses: Vec<f64> = d.read_field("mass", &Selection::all()).unwrap();
-        assert_eq!(masses, vec![0.0, 1.5, 3.0, 4.5]);
-        let ids: Vec<u32> = d.read_field("id", &Selection::block(&[1], &[2])).unwrap();
-        assert_eq!(ids, vec![1, 2]);
-        // Errors: missing field, wrong type, non-compound dataset.
-        assert!(d.read_field::<u64>("mass", &Selection::all()).is_err());
-        assert!(d.read_field::<f64>("ghost", &Selection::all()).is_err());
         f.close().unwrap();
     }
 }

@@ -77,10 +77,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
         self.buf.extend_from_slice(v);
@@ -90,7 +86,7 @@ impl Writer {
         self.put_bytes(v.as_bytes());
     }
 
-    pub fn put_u64s(&mut self, v: &[u64]) {
+    pub(crate) fn put_u64s(&mut self, v: &[u64]) {
         self.put_u64(v.len() as u64);
         for &x in v {
             self.put_u64(x);
@@ -182,16 +178,8 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn get_u32(&mut self) -> H5Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
     pub fn get_u64(&mut self) -> H5Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn get_f64(&mut self) -> H5Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
     pub fn get_bytes(&mut self) -> H5Result<&'a [u8]> {
@@ -210,7 +198,7 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(b).map_err(|_| H5Error::Format("invalid UTF-8".into()))
     }
 
-    pub fn get_u64s(&mut self) -> H5Result<Vec<u64>> {
+    pub(crate) fn get_u64s(&mut self) -> H5Result<Vec<u64>> {
         let n = self.get_count(8)?;
         (0..n).map(|_| self.get_u64()).collect()
     }
@@ -280,15 +268,13 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xDEAD);
         w.put_u64(u64::MAX);
-        w.put_f64(-1.5);
         w.put_str("héllo");
         w.put_u64s(&[1, 2, 3]);
         let b = w.finish();
         let mut r = Reader::new(&b);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD);
+        assert_eq!(r.take(4).unwrap(), 0xDEADu32.to_le_bytes());
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
-        assert_eq!(r.get_f64().unwrap(), -1.5);
         assert_eq!(r.get_str().unwrap(), "héllo");
         assert_eq!(r.get_u64s().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.remaining(), 0);

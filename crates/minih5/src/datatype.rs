@@ -58,32 +58,6 @@ impl Datatype {
             Datatype::Array(inner, dims) => inner.size() * dims.iter().product::<u64>() as usize,
         }
     }
-
-    /// Byte offset of a compound field, if this is a compound containing it.
-    pub fn field_offset(&self, name: &str) -> Option<usize> {
-        if let Datatype::Compound(fields) = self {
-            let mut off = 0;
-            for f in fields {
-                if f.name == name {
-                    return Some(off);
-                }
-                off += f.dtype.size();
-            }
-        }
-        None
-    }
-
-    /// Short class name for diagnostics.
-    pub fn class_name(&self) -> &'static str {
-        match self {
-            Datatype::Int8 | Datatype::Int16 | Datatype::Int32 | Datatype::Int64 => "int",
-            Datatype::UInt8 | Datatype::UInt16 | Datatype::UInt32 | Datatype::UInt64 => "uint",
-            Datatype::Float32 | Datatype::Float64 => "float",
-            Datatype::FixedString(_) => "string",
-            Datatype::Compound(_) => "compound",
-            Datatype::Array(..) => "array",
-        }
-    }
 }
 
 mod sealed {
@@ -124,7 +98,7 @@ pub fn elems_as_bytes<T: H5Type>(slice: &[T]) -> &[u8] {
 ///
 /// # Panics
 /// Panics if `bytes.len()` is not a multiple of the element size.
-pub fn elems_from_bytes<T: H5Type>(bytes: &[u8]) -> Vec<T> {
+pub(crate) fn elems_from_bytes<T: H5Type>(bytes: &[u8]) -> Vec<T> {
     let es = std::mem::size_of::<T>();
     assert!(
         bytes.len().is_multiple_of(es),
@@ -250,10 +224,6 @@ mod tests {
             CompoundField { name: "mass".into(), dtype: Datatype::Float64 },
         ]);
         assert_eq!(c.size(), 8 + 12 + 8);
-        assert_eq!(c.field_offset("id"), Some(0));
-        assert_eq!(c.field_offset("pos"), Some(8));
-        assert_eq!(c.field_offset("mass"), Some(20));
-        assert_eq!(c.field_offset("missing"), None);
     }
 
     #[test]
@@ -279,11 +249,5 @@ mod tests {
             let b = t.to_bytes();
             assert_eq!(Datatype::from_bytes(&b).unwrap(), t);
         }
-    }
-
-    #[test]
-    fn class_names() {
-        assert_eq!(Datatype::UInt8.class_name(), "uint");
-        assert_eq!(Datatype::vector(Datatype::Float32, 3).class_name(), "array");
     }
 }

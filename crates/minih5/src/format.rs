@@ -167,7 +167,7 @@ pub fn export_meta(
 }
 
 /// As [`export_meta`], additionally recording chunked storage maps.
-pub fn export_meta_with_chunks(
+pub(crate) fn export_meta_with_chunks(
     hier: &crate::tree::Hierarchy,
     root: crate::tree::NodeId,
     offsets: Option<&std::collections::HashMap<crate::tree::NodeId, u64>>,
@@ -245,7 +245,7 @@ pub fn import_meta(
 }
 
 /// Split `a/b/c` into (`a/b`, `c`); a bare name has an empty parent.
-pub fn split_meta_path(path: &str) -> (&str, &str) {
+pub(crate) fn split_meta_path(path: &str) -> (&str, &str) {
     match path.rfind('/') {
         Some(i) => (&path[..i], &path[i + 1..]),
         None => ("", path),
@@ -253,7 +253,7 @@ pub fn split_meta_path(path: &str) -> (&str, &str) {
 }
 
 /// Write the fixed header at offset 0.
-pub fn write_header(f: &File) -> H5Result<()> {
+pub(crate) fn write_header(f: &File) -> H5Result<()> {
     let mut w = Writer::new();
     w.put_raw(MAGIC);
     w.put_u32(VERSION);
@@ -263,7 +263,7 @@ pub fn write_header(f: &File) -> H5Result<()> {
 }
 
 /// Append the metadata blob at `at` and the trailer after it.
-pub fn write_metadata(f: &File, at: u64, meta: &FileMeta) -> H5Result<()> {
+pub(crate) fn write_metadata(f: &File, at: u64, meta: &FileMeta) -> H5Result<()> {
     let blob = meta.to_bytes();
     f.write_all_at(&blob, at)?;
     let mut w = Writer::new();
@@ -276,7 +276,7 @@ pub fn write_metadata(f: &File, at: u64, meta: &FileMeta) -> H5Result<()> {
 }
 
 /// Verify the header and read the metadata blob via the trailer.
-pub fn read_metadata(f: &mut File) -> H5Result<FileMeta> {
+pub(crate) fn read_metadata(f: &mut File) -> H5Result<FileMeta> {
     let len = f.metadata()?.len();
     if len < HEADER_LEN + TRAILER_LEN {
         return Err(H5Error::Format("file too short to be a minih5 file".into()));

@@ -42,16 +42,11 @@ impl Dataspace {
         self.maxdims.as_deref()
     }
 
-    /// Whether the space can grow at all.
-    pub fn is_extensible(&self) -> bool {
-        self.maxdims.is_some()
-    }
-
     /// Validate a proposed new shape: monotone growth within maxdims;
     /// only the first (slowest-varying) dimension may grow, matching the
     /// HDF5 time-series append pattern and keeping the row-major offsets
     /// of previously written elements stable.
-    pub fn can_extend_to(&self, new_dims: &[u64]) -> crate::error::H5Result<()> {
+    pub(crate) fn can_extend_to(&self, new_dims: &[u64]) -> crate::error::H5Result<()> {
         use crate::error::H5Error;
         let max = self
             .maxdims
@@ -75,7 +70,7 @@ impl Dataspace {
     }
 
     /// Grow the extent (validated by [`Dataspace::can_extend_to`]).
-    pub fn extend_to(&mut self, new_dims: &[u64]) -> crate::error::H5Result<()> {
+    pub(crate) fn extend_to(&mut self, new_dims: &[u64]) -> crate::error::H5Result<()> {
         self.can_extend_to(new_dims)?;
         self.dims = new_dims.to_vec();
         Ok(())
@@ -110,12 +105,12 @@ impl Dataspace {
     ///
     /// # Panics
     /// Panics (debug) if `coord` has the wrong rank.
-    pub fn linearize(&self, coord: &[u64]) -> u64 {
+    pub(crate) fn linearize(&self, coord: &[u64]) -> u64 {
         debug_assert_eq!(coord.len(), self.dims.len());
         coord.iter().zip(&self.dims).fold(0, |acc, (c, d)| acc * d + c)
     }
 
-    /// Inverse of [`Dataspace::linearize`].
+    /// Inverse of `Dataspace::linearize`.
     pub fn delinearize(&self, mut linear: u64) -> Vec<u64> {
         let strides = self.strides();
         let mut coord = vec![0u64; self.dims.len()];
@@ -213,7 +208,7 @@ mod extensible_tests {
     #[test]
     fn extensible_grows_first_dim() {
         let mut s = Dataspace::extensible(&[4, 8], &[UNLIMITED, 8]);
-        assert!(s.is_extensible());
+        assert!(s.maxdims().is_some());
         assert!(s.can_extend_to(&[10, 8]).is_ok());
         s.extend_to(&[10, 8]).unwrap();
         assert_eq!(s.dims(), &[10, 8]);

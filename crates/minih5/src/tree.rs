@@ -177,7 +177,7 @@ impl Hierarchy {
     }
 
     /// Mutable counterpart of [`Hierarchy::node`].
-    pub fn node_mut(&mut self, id: NodeId) -> H5Result<&mut Node> {
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> H5Result<&mut Node> {
         self.slots
             .get_mut(id.slot as usize)
             .filter(|s| s.gen == id.gen)
@@ -204,11 +204,6 @@ impl Hierarchy {
     /// Look up an open file by name.
     pub fn file(&self, filename: &str) -> Option<NodeId> {
         self.files.get(filename).copied()
-    }
-
-    /// Names of all files in the arena.
-    pub fn file_names(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
     }
 
     /// Number of files in the arena.
@@ -296,7 +291,7 @@ impl Hierarchy {
     }
 
     /// Grow an extensible dataset's extent (first dimension only; see
-    /// [`Dataspace::can_extend_to`]). Previously written regions keep
+    /// `Dataspace::can_extend_to`). Previously written regions keep
     /// their meaning because row-major offsets are stable under
     /// leading-dimension growth.
     pub fn extend_dataset(&mut self, id: NodeId, new_dims: &[u64]) -> H5Result<()> {
@@ -337,21 +332,6 @@ impl Hierarchy {
                 .ok_or_else(|| H5Error::NotFound(path.to_string()))?;
         }
         Ok(cur)
-    }
-
-    /// Full path of a node from its file root (diagnostic).
-    pub fn path_of(&self, id: NodeId) -> H5Result<String> {
-        let mut parts = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let n = self.node(c)?;
-            if n.parent.is_some() {
-                parts.push(n.name.as_str());
-            }
-            cur = n.parent;
-        }
-        parts.reverse();
-        Ok(format!("/{}", parts.join("/")))
     }
 
     /// Visit the tree under `root` in pre-order (parents before children,
@@ -563,7 +543,6 @@ mod tests {
         let kids = h.children_of(f).unwrap();
         assert_eq!(kids.len(), 2);
         assert!(kids.iter().all(|(_, k)| *k == ObjKind::Group));
-        assert_eq!(h.path_of(grid).unwrap(), "/group1/grid");
         let resolved = h.resolve(f, "group1/grid").unwrap();
         assert_eq!(resolved, grid);
         let (dt, sp) = h.dataset_meta(grid).unwrap();

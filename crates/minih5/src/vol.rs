@@ -132,7 +132,7 @@ pub fn set_thread_vol(vol: Arc<dyn Vol>) -> VolGuard {
 }
 
 /// This thread's registered connector, if any.
-pub fn thread_vol() -> Option<Arc<dyn Vol>> {
+pub(crate) fn thread_vol() -> Option<Arc<dyn Vol>> {
     THREAD_VOL.with(|tv| tv.borrow().clone())
 }
 

@@ -64,11 +64,6 @@ impl AmrHierarchy {
         AmrHierarchy { dims, slab, level0, patches }
     }
 
-    /// Total fine cells across patches.
-    pub fn fine_cells(&self) -> u64 {
-        self.patches.iter().map(|p| p.bounds.npoints()).sum()
-    }
-
     /// Write the full hierarchy through the H5 API:
     ///
     /// ```text
@@ -129,7 +124,7 @@ mod tests {
         let (dims, slab, rho) = slab_field();
         let amr = AmrHierarchy::build(dims, slab, rho, 5.0);
         assert_eq!(amr.patches.len(), 2);
-        assert_eq!(amr.fine_cells(), 16);
+        assert_eq!(amr.patches.iter().map(|p| p.bounds.npoints()).sum::<u64>(), 16);
         assert_eq!(amr.patches[0].bounds, BBox::new(vec![0, 0, 0], vec![2, 2, 2]));
         assert_eq!(amr.patches[1].bounds, BBox::new(vec![0, 0, 14], vec![2, 2, 16]));
         assert!(amr.patches.iter().all(|p| p.data.len() == 8));

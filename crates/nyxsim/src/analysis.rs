@@ -1,10 +1,9 @@
 //! Field analysis kernels beyond halo finding: the kinds of statistics a
 //! cosmology "spectra" consumer computes from a density snapshot.
 //!
-//! Both kernels are rank-local with a cheap reduction, so a consumer task
-//! can run them on its slab and combine with
-//! [`simmpi::Comm::allreduce_vec`] — the analysis workload used by the
-//! fan-out example and benches.
+//! The kernel is rank-local with a cheap reduction, so a consumer task can
+//! run it on its slab and combine with [`simmpi::Comm::allreduce_vec`] —
+//! the analysis workload used by the fan-out example.
 
 /// Histogram of density values over `bins` logarithmically-ish spaced
 /// buckets: bucket 0 holds zeros, bucket `k ≥ 1` holds
@@ -27,45 +26,6 @@ pub fn density_histogram(rho: &[f64], mean: f64, bins: usize) -> Vec<u64> {
     hist
 }
 
-/// Spherically averaged radial density profile around `center`: returns
-/// `nbins` mean densities for shells of thickness `max_radius / nbins`,
-/// computed over the cells of this slab only (combine sums and counts
-/// across ranks for the global profile).
-///
-/// Returns `(sum, count)` pairs so partial profiles are reducible.
-pub fn radial_profile(
-    dims: [u64; 3],
-    slab: (u64, u64),
-    rho: &[f64],
-    center: [f64; 3],
-    max_radius: f64,
-    nbins: usize,
-) -> Vec<(f64, u64)> {
-    assert!(nbins >= 1 && max_radius > 0.0);
-    let (ny, nz) = (dims[1] as usize, dims[2] as usize);
-    let mut out = vec![(0.0f64, 0u64); nbins];
-    let width = max_radius / nbins as f64;
-    for (i, &v) in rho.iter().enumerate() {
-        let x = slab.0 as f64 + (i / (ny * nz)) as f64 + 0.5;
-        let y = ((i / nz) % ny) as f64 + 0.5;
-        let z = (i % nz) as f64 + 0.5;
-        let r =
-            ((x - center[0]).powi(2) + (y - center[1]).powi(2) + (z - center[2]).powi(2)).sqrt();
-        if r >= max_radius {
-            continue;
-        }
-        let b = (r / width) as usize;
-        out[b.min(nbins - 1)].0 += v;
-        out[b.min(nbins - 1)].1 += 1;
-    }
-    out
-}
-
-/// Finalize a (possibly reduced) profile into mean densities per shell.
-pub fn profile_means(partial: &[(f64, u64)]) -> Vec<f64> {
-    partial.iter().map(|&(s, c)| if c == 0 { 0.0 } else { s / c as f64 }).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,42 +41,6 @@ mod tests {
         assert_eq!(hist[2], 2); // 1.5, 2.0
         assert_eq!(hist[3], 1); // 3.0
         assert_eq!(hist[4], 1); // 100 clamped to the open bucket
-    }
-
-    #[test]
-    fn radial_profile_of_point_mass() {
-        let dims = [8u64, 8, 8];
-        let mut rho = vec![0.0f64; 512];
-        // Mass at cell (4,4,4); center at its cell center.
-        rho[(4 * 64 + 4 * 8 + 4) as usize] = 8.0;
-        let prof = radial_profile(dims, (0, 8), &rho, [4.5, 4.5, 4.5], 4.0, 4);
-        let means = profile_means(&prof);
-        // All mass in the innermost shell; outer shells average ~0.
-        assert!(means[0] > 0.0);
-        assert_eq!(means[1], 0.0);
-        assert_eq!(means[2], 0.0);
-        // Every nearby cell is counted exactly once.
-        let total: u64 = prof.iter().map(|&(_, c)| c).sum();
-        assert!(total > 0 && total <= 512);
-    }
-
-    #[test]
-    fn radial_profile_reduces_across_slabs() {
-        let dims = [8u64, 4, 4];
-        let rho_full = vec![2.0f64; 128];
-        let center = [4.0, 2.0, 2.0];
-        let whole = radial_profile(dims, (0, 8), &rho_full, center, 4.0, 4);
-        // Split into two slabs and sum the partials.
-        let a = radial_profile(dims, (0, 4), &rho_full[..64], center, 4.0, 4);
-        let b = radial_profile(dims, (4, 8), &rho_full[64..], center, 4.0, 4);
-        for k in 0..4 {
-            assert!((a[k].0 + b[k].0 - whole[k].0).abs() < 1e-12);
-            assert_eq!(a[k].1 + b[k].1, whole[k].1);
-        }
-        // Uniform field → every populated shell has mean 2.
-        for m in profile_means(&whole) {
-            assert!(m == 0.0 || (m - 2.0).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct SpanRec {
 /// damage, both handled conservatively: an `Exit` with no surviving
 /// `Enter` is discarded, and a span still open at snapshot time is closed
 /// at the lane's last event timestamp.
-pub fn pair_spans(events: &[Event]) -> Vec<SpanRec> {
+pub(crate) fn pair_spans(events: &[Event]) -> Vec<SpanRec> {
     let mut out = Vec::new();
     let mut stack: Vec<(Phase, u64, u64)> = Vec::new();
     let last_t = events.last().map(|e| e.t_ns).unwrap_or(0);

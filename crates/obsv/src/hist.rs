@@ -124,17 +124,6 @@ impl HistData {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Upper bound of the highest non-empty bucket (0 when empty).
-    pub fn max_bound(&self) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, c)| **c > 0)
-            .map(|(i, _)| bucket_hi(i))
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -178,6 +167,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count, 3);
         assert_eq!(a.sum, 303);
-        assert_eq!(a.max_bound(), 511);
+        for v in [0, 3, 300] {
+            assert_eq!(a.buckets[bucket_index(v)], 1, "{v}");
+        }
     }
 }

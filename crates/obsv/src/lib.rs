@@ -511,16 +511,6 @@ impl SpanGuard {
         self.start_ns
     }
 
-    /// Nanoseconds elapsed since the span opened (span stays open).
-    pub fn elapsed_ns(&self) -> u64 {
-        clock::now_ns().saturating_sub(self.start_ns)
-    }
-
-    /// Seconds elapsed since the span opened (span stays open).
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.elapsed_ns() as f64 * 1e-9
-    }
-
     /// Close the span now; returns elapsed seconds.
     pub fn finish(mut self) -> f64 {
         self.close();

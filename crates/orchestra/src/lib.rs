@@ -53,8 +53,8 @@ use minih5::vol::set_thread_vol;
 use minih5::Vol;
 use simmpi::{TaskComm, TaskSpec, TaskWorld};
 
-/// A boxed task body, as bound to config-declared tasks.
-pub type TaskBody = Arc<dyn Fn(&TaskComm) + Send + Sync>;
+/// A boxed task body.
+type TaskBody = Arc<dyn Fn(&TaskComm) + Send + Sync>;
 
 struct TaskDef {
     name: String,
@@ -133,119 +133,6 @@ impl Workflow {
     pub fn observe(&mut self, registry: obsv::Registry) -> &mut Self {
         self.observe = Some(registry);
         self
-    }
-
-    /// Build the workflow wiring from a config file, binding task bodies
-    /// by name — the external-wiring style ADIOS uses for its data model.
-    ///
-    /// Format (order-insensitive, `#` comments):
-    ///
-    /// ```text
-    /// [task sim]
-    /// procs = 4
-    ///
-    /// [task viz]
-    /// procs = 1
-    ///
-    /// [link]
-    /// from = sim
-    /// to = viz
-    /// pattern = *.h5
-    /// ```
-    ///
-    /// # Panics
-    /// Panics on malformed config or a task without a bound body.
-    pub fn from_config(
-        config: &str,
-        mut bodies: std::collections::HashMap<String, TaskBody>,
-    ) -> Workflow {
-        enum Section {
-            None,
-            Task,
-            Link,
-        }
-        let mut wf = Workflow::new();
-        let mut section = Section::None;
-        let mut pending_task: Option<(String, Option<usize>)> = None;
-        let mut pending_link: Option<(Option<String>, Option<String>, Option<String>)> = None;
-        let mut flush_task = |wf: &mut Workflow, t: &mut Option<(String, Option<usize>)>| {
-            if let Some((name, procs)) = t.take() {
-                let procs = procs.unwrap_or_else(|| panic!("task {name:?} missing `procs`"));
-                let body = bodies
-                    .remove(&name)
-                    .unwrap_or_else(|| panic!("no body bound for task {name:?}"));
-                wf.tasks.push(TaskDef { name, procs, body });
-            }
-        };
-        fn flush_link(
-            wf: &mut Workflow,
-            l: &mut Option<(Option<String>, Option<String>, Option<String>)>,
-        ) {
-            if let Some((from, to, pattern)) = l.take() {
-                wf.links.push(LinkDef {
-                    producer: from.expect("link missing `from`"),
-                    consumer: to.expect("link missing `to`"),
-                    pattern: pattern.expect("link missing `pattern`"),
-                });
-            }
-        }
-        for raw in config.lines() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(head) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                flush_task(&mut wf, &mut pending_task);
-                flush_link(&mut wf, &mut pending_link);
-                if let Some(name) = head.strip_prefix("task ") {
-                    section = Section::Task;
-                    pending_task = Some((name.trim().to_string(), None));
-                } else if head.trim() == "link" {
-                    section = Section::Link;
-                    pending_link = Some((None, None, None));
-                } else {
-                    panic!("unknown section {head:?}");
-                }
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .map(|(k, v)| (k.trim(), v.trim()))
-                .unwrap_or_else(|| panic!("malformed line {line:?}"));
-            match (&section, key) {
-                (Section::Task, "procs") => {
-                    let t = pending_task.as_mut().expect("inside a task section");
-                    t.1 = Some(
-                        value
-                            .parse()
-                            .unwrap_or_else(|_| panic!("task {}: bad procs {value:?}", t.0)),
-                    );
-                }
-                (Section::Link, "from") => {
-                    pending_link.as_mut().expect("inside link").0 = Some(value.to_string())
-                }
-                (Section::Link, "to") => {
-                    pending_link.as_mut().expect("inside link").1 = Some(value.to_string())
-                }
-                (Section::Link, "pattern") => {
-                    pending_link.as_mut().expect("inside link").2 = Some(value.to_string())
-                }
-                _ => panic!("unexpected key {key:?} in this section"),
-            }
-        }
-        flush_task(&mut wf, &mut pending_task);
-        flush_link(&mut wf, &mut pending_link);
-        assert!(
-            bodies.is_empty(),
-            "bodies bound for unknown tasks: {:?}",
-            bodies.keys().collect::<Vec<_>>()
-        );
-        wf
-    }
-
-    /// Helper to box a task body for [`Workflow::from_config`].
-    pub fn body(f: impl Fn(&TaskComm) + Send + Sync + 'static) -> TaskBody {
-        Arc::new(f)
     }
 
     fn task_index(&self, name: &str) -> usize {
@@ -399,63 +286,6 @@ mod tests {
 mod config_tests {
     use super::*;
     use minih5::{Dataspace, Datatype, H5};
-    use std::collections::HashMap;
-
-    const CONFIG: &str = r#"
-# A two-stage workflow declared externally, ADIOS-style.
-[task sim]
-procs = 2
-
-[task viz]
-procs = 1
-
-[link]
-from = sim
-to = viz
-pattern = cfg-*.h5
-"#;
-
-    #[test]
-    fn config_declared_workflow_runs() {
-        let mut bodies: HashMap<String, TaskBody> = HashMap::new();
-        bodies.insert(
-            "sim".into(),
-            Workflow::body(|tc| {
-                let h5 = H5::open_default();
-                let f = h5.create_file("cfg-1.h5").unwrap();
-                let d = f.create_dataset("x", Datatype::UInt64, Dataspace::simple(&[4])).unwrap();
-                let lo = tc.local.rank() as u64 * 2;
-                d.write_selection(&minih5::Selection::block(&[lo], &[2]), &[lo, lo + 1]).unwrap();
-                f.close().unwrap();
-            }),
-        );
-        bodies.insert(
-            "viz".into(),
-            Workflow::body(|_tc| {
-                let h5 = H5::open_default();
-                let f = h5.open_file("cfg-1.h5").unwrap();
-                let got = f.open_dataset("x").unwrap().read_all::<u64>().unwrap();
-                assert_eq!(got, vec![0, 1, 2, 3]);
-                f.close().unwrap();
-            }),
-        );
-        let wf = Workflow::from_config(CONFIG, bodies);
-        wf.run();
-    }
-
-    #[test]
-    #[should_panic(expected = "no body bound")]
-    fn config_with_unbound_task_panics() {
-        let _ = Workflow::from_config(CONFIG, HashMap::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "missing `procs`")]
-    fn config_task_without_procs_panics() {
-        let mut bodies: HashMap<String, TaskBody> = HashMap::new();
-        bodies.insert("t".into(), Workflow::body(|_| {}));
-        let _ = Workflow::from_config("[task t]\n", bodies);
-    }
 
     #[test]
     fn overlap_mode_through_workflow() {

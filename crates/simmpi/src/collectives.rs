@@ -536,14 +536,6 @@ impl Comm {
         }
         acc
     }
-
-    /// Combined send and receive (`MPI_Sendrecv`): ship `payload` to
-    /// `dest` and return the message received from `src`, deadlock-free
-    /// under any pairing because sends are buffered.
-    pub fn sendrecv<B: Into<Bytes>>(&self, dest: usize, src: usize, tag: Tag, payload: B) -> Bytes {
-        self.send(dest, tag, payload);
-        self.recv(src.into(), tag.into()).payload
-    }
 }
 
 /// Frame a block list as a multi-part [`Payload`]: one header part
@@ -829,16 +821,6 @@ mod tests {
             assert_eq!(sums, (0..6).map(|i| 10 * (i + 1)).collect::<Vec<u64>>());
             let maxs = c.allreduce_vec(&mine, std::cmp::max::<u64>);
             assert_eq!(maxs, (0..6).map(|i| 4 * (i + 1)).collect::<Vec<u64>>());
-        });
-    }
-
-    #[test]
-    fn sendrecv_ring_shift() {
-        World::run(5, |c| {
-            let next = (c.rank() + 1) % c.size();
-            let prev = (c.rank() + c.size() - 1) % c.size();
-            let got = c.sendrecv(next, prev, 3, Bytes::from(vec![c.rank() as u8]));
-            assert_eq!(&got[..], &[prev as u8]);
         });
     }
 

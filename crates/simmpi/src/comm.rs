@@ -16,7 +16,8 @@ use crate::world::WorldInner;
 /// A communicator: a rank's handle onto a group of ranks.
 ///
 /// Cloning a `Comm` is cheap (Arc bumps) but note a clone still refers to
-/// the *same* rank; to talk on an independent channel use [`Comm::dup`].
+/// the *same* rank; to talk on an independent channel, split it
+/// ([`Comm::split`]) onto a fresh context.
 #[derive(Clone)]
 pub struct Comm {
     inner: Arc<WorldInner>,
@@ -105,16 +106,6 @@ impl Comm {
     /// This rank's index in the underlying world.
     pub fn world_rank(&self) -> usize {
         self.members[self.rank]
-    }
-
-    /// Translate a communicator-local rank to its world rank.
-    pub fn to_world_rank(&self, local: usize) -> usize {
-        self.members[local]
-    }
-
-    /// Translate a world rank to a local rank, if it is a member.
-    pub fn to_local_rank(&self, world: usize) -> Option<usize> {
-        self.local_of_world.get(world).copied().flatten()
     }
 
     /// Snapshot run-wide transport statistics.
@@ -239,20 +230,8 @@ impl Comm {
         self.try_send_internal(dest, tag, payload.into().into())
     }
 
-    /// Nonblocking [`Comm::send_parts`]; see [`Comm::try_send`].
-    pub fn try_send_parts(&self, dest: usize, tag: Tag, payload: Payload) -> Result<(), SendError> {
-        assert!(tag < crate::collectives::COLLECTIVE_TAG_BASE, "tag {tag:#x} is reserved");
-        self.try_send_internal(dest, tag, payload)
-    }
-
-    /// Nonblocking send. Identical to [`Comm::send`] because sends are
-    /// always buffered; provided so ported MPI code reads naturally.
-    pub fn isend<B: Into<Bytes>>(&self, dest: usize, tag: Tag, payload: B) {
-        self.send(dest, tag, payload);
-    }
-
     /// Send a typed slice (copied into the message).
-    pub fn send_slice<T: Pod>(&self, dest: usize, tag: Tag, data: &[T]) {
+    pub(crate) fn send_slice<T: Pod>(&self, dest: usize, tag: Tag, data: &[T]) {
         self.send(dest, tag, pod::to_bytes(data));
     }
 
@@ -416,15 +395,8 @@ impl Comm {
         Ok(self.localize_parts(wire))
     }
 
-    /// Post a receive to complete later (`MPI_Irecv` analogue). Matching
-    /// happens when the request is waited/tested, which is equivalent under
-    /// buffered sends.
-    pub fn irecv(&self, src: SrcSel, tag: TagSel) -> RecvRequest {
-        RecvRequest { comm: self.clone(), src, tag }
-    }
-
     /// Receive a typed vector; returns `(source local rank, data)`.
-    pub fn recv_vec<T: Pod>(&self, src: SrcSel, tag: TagSel) -> (usize, Vec<T>) {
+    pub(crate) fn recv_vec<T: Pod>(&self, src: SrcSel, tag: TagSel) -> (usize, Vec<T>) {
         let env = self.recv(src, tag);
         (env.src, pod::from_bytes(&env.payload))
     }
@@ -524,12 +496,6 @@ impl Comm {
 
         Comm::derived(Arc::clone(&self.inner), ctx, my_local, members)
     }
-
-    /// Duplicate the communicator onto a fresh context (same members, same
-    /// ranks, isolated message namespace). Collective.
-    pub fn dup(&self) -> Comm {
-        self.split(0, self.rank)
-    }
 }
 
 /// Why a nonblocking send did not go out.
@@ -571,26 +537,6 @@ impl std::fmt::Display for RecvError {
 }
 
 impl std::error::Error for RecvError {}
-
-/// Handle for a posted receive; complete it with [`RecvRequest::wait`] or
-/// poll it with [`RecvRequest::test`].
-pub struct RecvRequest {
-    comm: Comm,
-    src: SrcSel,
-    tag: TagSel,
-}
-
-impl RecvRequest {
-    /// Block until the receive completes.
-    pub fn wait(self) -> Envelope {
-        self.comm.recv(self.src, self.tag)
-    }
-
-    /// Complete the receive if a matching message has arrived.
-    pub fn test(&self) -> Option<Envelope> {
-        self.comm.try_recv(self.src, self.tag)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -655,17 +601,16 @@ mod tests {
     }
 
     #[test]
-    fn irecv_and_iprobe() {
+    fn try_recv_and_iprobe() {
         World::run(2, |c| {
             if c.rank() == 0 {
                 c.barrier();
                 c.send_u64s(1, 5, &[99]);
             } else {
                 assert!(c.iprobe(ANY_SOURCE, ANY_TAG).is_none());
-                let req = c.irecv(0.into(), 5.into());
-                assert!(req.test().is_none());
+                assert!(c.try_recv(0.into(), 5.into()).is_none());
                 c.barrier();
-                let env = req.wait();
+                let env = c.recv(0.into(), 5.into());
                 assert_eq!(env.src, 0);
                 assert_eq!(env.tag, 5);
             }
@@ -723,7 +668,7 @@ mod tests {
             let sub = c.split(c.rank() % 2, c.rank());
             assert_eq!(sub.size(), 3);
             assert_eq!(sub.rank(), c.rank() / 2);
-            assert_eq!(sub.to_world_rank(sub.rank()), c.rank());
+            assert_eq!(sub.world_rank(), c.rank());
             // Messages on sub do not leak: exchange within the subgroup.
             let next = (sub.rank() + 1) % sub.size();
             sub.send_u64s(next, 0, &[c.rank() as u64]);
@@ -745,7 +690,9 @@ mod tests {
     #[test]
     fn dup_isolates_messages() {
         World::run(2, |c| {
-            let d = c.dup();
+            // A split with one color and the same keys duplicates the
+            // communicator onto a fresh context.
+            let d = c.split(0, c.rank());
             if c.rank() == 0 {
                 c.send_u64s(1, 1, &[111]);
                 d.send_u64s(1, 1, &[222]);

@@ -49,7 +49,7 @@ impl CostModel {
     /// latency-bound and the bandwidth-optimal schedules (ring allgather,
     /// segmented broadcast) start paying off. A pure-latency model
     /// (`per_byte_ns == 0`) never crosses over.
-    pub fn large_payload_threshold(&self) -> usize {
+    pub(crate) fn large_payload_threshold(&self) -> usize {
         if self.per_byte_ns <= 0.0 {
             return usize::MAX;
         }
@@ -64,7 +64,7 @@ impl CostModel {
     /// Segment size for the pipelined broadcast: one threshold's worth of
     /// bytes per segment (so segment transfer time ≈ per-hop latency,
     /// the classic pipelining sweet spot), clamped to a sane range.
-    pub fn segment_bytes(&self) -> usize {
+    pub(crate) fn segment_bytes(&self) -> usize {
         self.large_payload_threshold().clamp(SEGMENT_FLOOR, SEGMENT_CEIL)
     }
 }

@@ -113,11 +113,6 @@ impl FaultPlan {
         self.kills.push(KillSpec { rank, at_send });
         self
     }
-
-    /// Does the plan kill any rank?
-    pub fn has_kills(&self) -> bool {
-        !self.kills.is_empty()
-    }
 }
 
 /// What was done to one message.
@@ -211,7 +206,7 @@ impl FaultState {
     }
 
     /// Decide the fate of one send. Sleeps the injected delay in place.
-    pub fn pre_send(&self, src: usize, dest: usize, wire_tag: WireTag) -> SendFate {
+    pub(crate) fn pre_send(&self, src: usize, dest: usize, wire_tag: WireTag) -> SendFate {
         let seq = self.send_seq[src].fetch_add(1, Ordering::Relaxed) + 1;
         let (ctx, tag) = split_wire_tag(wire_tag);
         let user_tag = tag < crate::collectives::COLLECTIVE_TAG_BASE;

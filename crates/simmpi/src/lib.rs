@@ -9,13 +9,12 @@
 //! baselines in the paper actually exercise:
 //!
 //! * tagged point-to-point messaging: [`Comm::send`], [`Comm::recv`],
-//!   [`Comm::isend`], [`Comm::irecv`], [`Comm::probe`] / [`Comm::iprobe`],
-//!   with `ANY_SOURCE` / `ANY_TAG` wildcards,
+//!   [`Comm::try_recv`], [`Comm::probe`] / [`Comm::iprobe`], with
+//!   `ANY_SOURCE` / `ANY_TAG` wildcards,
 //! * collectives: barrier, broadcast, gather(v), allgather, reduce,
 //!   allreduce, exclusive scan,
 //! * communicator management: [`Comm::split`] with color/key (used to carve
-//!   producer and consumer task communicators out of the world), plus rank
-//!   translation between a sub-communicator and its world,
+//!   producer and consumer task communicators out of the world),
 //! * transparent transport statistics ([`TransportStats`]) so benchmarks can
 //!   report message and byte counts,
 //! * an optional [`CostModel`] that charges a per-message latency and a
@@ -64,7 +63,7 @@ mod transport;
 mod world;
 
 pub use bufpool::BufPool;
-pub use comm::{Comm, RecvError, RecvRequest, SendError};
+pub use comm::{Comm, RecvError, SendError};
 pub use cost::CostModel;
 pub use envelope::{Envelope, PartsEnvelope, SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, KillSpec, PeerDied, RankKilled};
@@ -73,5 +72,5 @@ pub use pod::Pod;
 pub use sink::{FrameBody, RecvSink};
 pub use stats::TransportStats;
 pub use task::{TaskComm, TaskSpec, TaskWorld, TaskWorldBuilder};
-pub use transport::{SocketConfig, SocketMode, TransportKind};
+pub use transport::{SocketConfig, TransportKind};
 pub use world::{ChaosOutput, RankDeath, World, WorldBuilder};

@@ -166,7 +166,7 @@ impl Mailbox {
     /// Deliver an envelope *ahead of* everything already queued — the
     /// fault injector's reorder: a later message overtakes earlier ones,
     /// including same-`(src, tag)` traffic.
-    pub fn push_front(&self, env: WireEnvelope) {
+    pub(crate) fn push_front(&self, env: WireEnvelope) {
         let mut q = self.queue.lock();
         q.envs.push_front(env);
         self.delivered(q);
@@ -208,7 +208,7 @@ impl Mailbox {
 
     /// Block until an envelope matching `m` is available and remove it.
     #[cfg(test)]
-    pub fn pop_matching(&self, m: &Matcher) -> WireEnvelope {
+    pub(crate) fn pop_matching(&self, m: &Matcher) -> WireEnvelope {
         self.pop_matching_until(m, None, &|| false).expect("abort predicate is constant false")
     }
 
@@ -222,7 +222,7 @@ impl Mailbox {
     /// the bounded condvar wait. Records `mailbox_spin_hits` for a
     /// receive that blocked and was served without parking, and
     /// `mailbox_parks` for one that parked.
-    pub fn pop_matching_until(
+    pub(crate) fn pop_matching_until(
         &self,
         m: &Matcher,
         deadline: Option<Instant>,
@@ -281,7 +281,7 @@ impl Mailbox {
     }
 
     /// Remove a matching envelope if one is queued (nonblocking).
-    pub fn try_pop_matching(&self, m: &Matcher) -> Option<WireEnvelope> {
+    pub(crate) fn try_pop_matching(&self, m: &Matcher) -> Option<WireEnvelope> {
         let mut q = self.queue.lock();
         let i = q.envs.iter().position(|e| m.matches(e))?;
         let env = q.envs.remove(i);
@@ -294,7 +294,7 @@ impl Mailbox {
     /// the socket backend's reader to stop draining the wire once the
     /// destination rank falls behind — what turns a full mailbox into
     /// sender-visible backpressure.
-    pub fn wait_below(&self, limit: usize, closed: &dyn Fn() -> bool) {
+    pub(crate) fn wait_below(&self, limit: usize, closed: &dyn Fn() -> bool) {
         let mut q = self.queue.lock();
         while q.envs.len() >= limit && !closed() {
             // Bounded wait: `closed` can flip without a queue operation
@@ -307,7 +307,7 @@ impl Mailbox {
 
     /// Nonblocking probe: report `(world_src, tag, len)` of the first
     /// matching queued envelope without removing it.
-    pub fn peek_matching(&self, m: &Matcher) -> Option<(usize, u32, usize)> {
+    pub(crate) fn peek_matching(&self, m: &Matcher) -> Option<(usize, u32, usize)> {
         let q = self.queue.lock();
         q.envs.iter().find(|e| m.matches(e)).map(|e| {
             let (_, tag) = split_wire_tag(e.wire_tag);
@@ -317,7 +317,7 @@ impl Mailbox {
 
     /// Blocking probe: wait until a matching envelope is queued and report
     /// its `(world_src, tag, len)` without removing it.
-    pub fn wait_matching(&self, m: &Matcher) -> (usize, u32, usize) {
+    pub(crate) fn wait_matching(&self, m: &Matcher) -> (usize, u32, usize) {
         let mut q = self.queue.lock();
         loop {
             if let Some(e) = q.envs.iter().find(|e| m.matches(e)) {

@@ -33,7 +33,7 @@ macro_rules! impl_pod {
 impl_pod!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64, usize, isize);
 
 /// View a typed slice as its underlying bytes (zero-copy).
-pub fn bytes_of<T: Pod>(slice: &[T]) -> &[u8] {
+pub(crate) fn bytes_of<T: Pod>(slice: &[T]) -> &[u8] {
     // SAFETY: T is Pod (no padding, no invalid representations), and the
     // resulting slice covers exactly the same memory region.
     unsafe { std::slice::from_raw_parts(slice.as_ptr().cast::<u8>(), std::mem::size_of_val(slice)) }
@@ -69,20 +69,6 @@ pub fn from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
     out
 }
 
-/// Reinterpret a byte slice as a typed slice without copying, when aligned.
-///
-/// Returns `None` if the pointer is misaligned for `T` or the length is not
-/// a multiple of `T::SIZE`; callers fall back to [`from_bytes`].
-pub fn try_cast_slice<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
-    if !bytes.len().is_multiple_of(T::SIZE)
-        || bytes.as_ptr().align_offset(std::mem::align_of::<T>()) != 0
-    {
-        return None;
-    }
-    // SAFETY: alignment and length were just checked; T is Pod.
-    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / T::SIZE) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,15 +100,6 @@ mod tests {
     #[should_panic(expected = "not a multiple")]
     fn from_bytes_rejects_ragged_length() {
         let _ = from_bytes::<u32>(&[1, 2, 3]);
-    }
-
-    #[test]
-    fn try_cast_respects_alignment() {
-        let v = vec![7u64; 4];
-        let b = bytes_of(&v);
-        assert_eq!(try_cast_slice::<u64>(b).unwrap(), &v[..]);
-        // offset by one byte: guaranteed misaligned for u64
-        assert!(try_cast_slice::<u64>(&b[1..]).is_none());
     }
 
     #[test]

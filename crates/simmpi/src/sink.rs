@@ -265,7 +265,7 @@ impl SinkTable {
 
     /// Could a frame from `src` under `wire_tag` have a sink? (Cheap
     /// enough to ask of every frame.)
-    pub fn may_take(&self, src: usize, wire_tag: u64) -> bool {
+    pub(crate) fn may_take(&self, src: usize, wire_tag: u64) -> bool {
         self.count.load(Ordering::Acquire) > 0
             && self.posted.lock().iter().any(|p| (p.src, p.wire_tag) == (src, wire_tag))
     }

@@ -67,16 +67,6 @@ impl TaskComm {
     pub fn task_size(&self, task_id: usize) -> usize {
         self.task_offsets[task_id + 1] - self.task_offsets[task_id]
     }
-
-    /// Which task owns `world_rank`.
-    pub fn task_of_world_rank(&self, world_rank: usize) -> usize {
-        task_of(&self.task_offsets, world_rank)
-    }
-
-    /// Number of tasks in the world.
-    pub fn num_tasks(&self) -> usize {
-        self.task_offsets.len() - 1
-    }
 }
 
 /// Runner that lays tasks out over a single world.
@@ -227,7 +217,6 @@ mod tests {
     fn layout_and_translation() {
         TaskWorld::run(&specs(), |tc| {
             assert_eq!(tc.task_offsets, vec![0, 3, 5]);
-            assert_eq!(tc.num_tasks(), 2);
             assert_eq!(tc.task_size(0), 3);
             assert_eq!(tc.task_size(1), 2);
             if tc.world.rank() < 3 {
@@ -241,10 +230,10 @@ mod tests {
                 assert_eq!(tc.local.rank(), tc.world.rank() - 3);
             }
             assert_eq!(tc.world_rank_of(1, 0), 3);
-            assert_eq!(tc.task_of_world_rank(0), 0);
-            assert_eq!(tc.task_of_world_rank(2), 0);
-            assert_eq!(tc.task_of_world_rank(3), 1);
-            assert_eq!(tc.task_of_world_rank(4), 1);
+            assert_eq!(task_of(&tc.task_offsets, 0), 0);
+            assert_eq!(task_of(&tc.task_offsets, 2), 0);
+            assert_eq!(task_of(&tc.task_offsets, 3), 1);
+            assert_eq!(task_of(&tc.task_offsets, 4), 1);
         });
     }
 

@@ -64,12 +64,12 @@ impl FrameHeader {
     }
 
     /// The 31-bit per-`(src, dest)` frame counter.
-    pub fn seq_counter(&self) -> u32 {
+    pub(crate) fn seq_counter(&self) -> u32 {
         self.seq & SEQ_MASK
     }
 
     /// Was the frame sent with front-of-queue (reorder) delivery?
-    pub fn is_front(&self) -> bool {
+    pub(crate) fn is_front(&self) -> bool {
         self.seq & FRONT_FLAG != 0
     }
 }

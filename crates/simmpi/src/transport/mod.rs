@@ -13,8 +13,8 @@
 //!   copies (multi-part payloads travel as the sender's refcounted
 //!   allocations).
 //! * [`TransportKind::Socket`] — envelopes are framed
-//!   ([`frame::FrameHeader`]) and cross a real Unix-domain or TCP
-//!   loopback socket: one bounded writer queue + writer thread per
+//!   ([`frame::FrameHeader`]) and cross a real Unix-domain socket: one
+//!   bounded writer queue + writer thread per
 //!   destination, one reader thread per destination demuxing frames into
 //!   that rank's mailbox. Multi-part payloads flatten on the wire, in the
 //!   kernel's copy out of the sender's parts (one `writev`). The receiver
@@ -57,25 +57,36 @@ pub enum TransportKind {
     /// unbounded, zero-copy, no extra threads.
     #[default]
     InProc,
-    /// Length-prefixed frames over per-rank Unix-domain (or TCP loopback)
-    /// sockets; bounded writer queues give sends real backpressure.
+    /// Length-prefixed frames over per-rank Unix-domain sockets; bounded
+    /// writer queues give sends real backpressure.
     Socket,
 }
 
 impl TransportKind {
-    /// Backend selected by the `SIMMPI_TRANSPORT` environment variable:
-    /// `socket`, `uds`, `unix`, or `tcp` pick [`TransportKind::Socket`];
-    /// anything else (or unset) is [`TransportKind::InProc`]. This is how
-    /// the CI transport matrix flips whole test binaries onto the wire
-    /// without touching call sites.
-    pub fn from_env() -> TransportKind {
-        match std::env::var("SIMMPI_TRANSPORT") {
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "socket" | "uds" | "unix" | "tcp" => TransportKind::Socket,
-                _ => TransportKind::InProc,
-            },
-            Err(_) => TransportKind::InProc,
+    /// Parse a backend name: empty or `inproc` is [`TransportKind::InProc`];
+    /// `socket`, `uds` or `unix` is [`TransportKind::Socket`] (any case).
+    /// Anything else is `None`.
+    pub fn parse(name: &str) -> Option<TransportKind> {
+        match name.to_ascii_lowercase().as_str() {
+            "" | "inproc" => Some(TransportKind::InProc),
+            "socket" | "uds" | "unix" => Some(TransportKind::Socket),
+            _ => None,
         }
+    }
+
+    /// Backend selected by the `SIMMPI_TRANSPORT` environment variable
+    /// ([`TransportKind::parse`]; unset is [`TransportKind::InProc`]). This
+    /// is how the CI transport matrix flips whole test binaries onto the
+    /// wire without touching call sites.
+    ///
+    /// # Panics
+    /// On a value [`TransportKind::parse`] rejects: a typo must not
+    /// quietly run in-proc.
+    pub fn from_env() -> TransportKind {
+        let name = std::env::var("SIMMPI_TRANSPORT").unwrap_or_default();
+        TransportKind::parse(&name).unwrap_or_else(|| {
+            panic!("SIMMPI_TRANSPORT={name:?} names no transport (inproc|socket|uds|unix)")
+        })
     }
 }
 
@@ -88,20 +99,9 @@ impl std::fmt::Display for TransportKind {
     }
 }
 
-/// Socket flavor for [`TransportKind::Socket`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SocketMode {
-    /// Unix-domain sockets under a per-world temp directory (primary).
-    #[default]
-    Unix,
-    /// TCP over 127.0.0.1 ephemeral ports (the portable alternative).
-    Tcp,
-}
-
 /// Tuning for the socket backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SocketConfig {
-    pub mode: SocketMode,
     /// Frames a destination's writer queue holds before [`Comm::send`]
     /// blocks (and [`Comm::try_send`] reports
     /// [`crate::SendError::WouldBlock`]).
@@ -118,23 +118,7 @@ pub struct SocketConfig {
 
 impl Default for SocketConfig {
     fn default() -> Self {
-        SocketConfig { mode: SocketMode::Unix, queue_cap: 4096, recv_window: usize::MAX }
-    }
-}
-
-impl SocketConfig {
-    /// The default config, except that `SIMMPI_TRANSPORT=tcp` selects
-    /// [`SocketMode::Tcp`]. That mode pick is the only socket setting the
-    /// environment holds; the bounds are set through
-    /// [`crate::WorldBuilder::socket_config`].
-    pub fn from_env() -> SocketConfig {
-        let mut cfg = SocketConfig::default();
-        if let Ok(v) = std::env::var("SIMMPI_TRANSPORT") {
-            if v.eq_ignore_ascii_case("tcp") {
-                cfg.mode = SocketMode::Tcp;
-            }
-        }
-        cfg
+        SocketConfig { queue_cap: 4096, recv_window: usize::MAX }
     }
 }
 
@@ -196,17 +180,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_from_env_defaults_to_inproc() {
-        // Never set the variable here (tests run in parallel; the env is
-        // process-global) — only check the parse of what is present.
-        match std::env::var("SIMMPI_TRANSPORT") {
-            Err(_) => assert_eq!(TransportKind::from_env(), TransportKind::InProc),
-            Ok(v) => {
-                let k = TransportKind::from_env();
-                let is_socket =
-                    ["socket", "uds", "unix", "tcp"].contains(&v.to_ascii_lowercase().as_str());
-                assert_eq!(k == TransportKind::Socket, is_socket);
-            }
+    fn parse_accepts_each_name_and_rejects_the_rest() {
+        let cases = [
+            ("", Some(TransportKind::InProc)),
+            ("inproc", Some(TransportKind::InProc)),
+            ("InProc", Some(TransportKind::InProc)),
+            ("socket", Some(TransportKind::Socket)),
+            ("SOCKET", Some(TransportKind::Socket)),
+            ("uds", Some(TransportKind::Socket)),
+            ("Unix", Some(TransportKind::Socket)),
+            ("tcp", None),
+            ("sockets", None),
+            (" socket", None),
+            ("in-proc", None),
+        ];
+        for (name, want) in cases {
+            assert_eq!(TransportKind::parse(name), want, "{name:?}");
         }
     }
 

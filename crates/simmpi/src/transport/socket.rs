@@ -9,9 +9,8 @@
 //! mailbox[d] ◀─ reader thread (seq check, window, push/push_front) ◀┘
 //! ```
 //!
-//! * One listener per rank (Unix-domain socket in a per-world temp
-//!   directory, or TCP on a 127.0.0.1 ephemeral port), connected at world
-//!   construction.
+//! * One listener per rank (a Unix-domain socket in a per-world temp
+//!   directory), connected at world construction.
 //! * One **writer thread** per destination consuming that destination's
 //!   bounded [`Link`] queue — the bound is what gives [`crate::Comm`] a
 //!   real backpressure signal ([`crate::SendError::WouldBlock`]).
@@ -40,13 +39,13 @@
 //!   the body. The kernel's copy is the only write of those bytes in
 //!   user space. What the sink leaves unread is drained.
 //! * **Into a body of its own** otherwise: a buffer it has only
-//!   *reserved* ([`Conn::read_body`]), so the kernel's copy is the first
-//!   write of those bytes, handed to the mailbox as the allocation
-//!   itself. A payload-sized body comes from the reader's own
-//!   [`BufPool`]: once the receiving rank has dropped an earlier body,
-//!   its allocation carries the next one, so a steady stream of frames
-//!   allocates nothing. Its old bytes are never read; the kernel
-//!   overwrites the `len` bytes a frame declares.
+//!   *reserved* (the stream reads into its spare capacity without zeroing
+//!   it), so the kernel's copy is the first write of those bytes, handed
+//!   to the mailbox as the allocation itself. A payload-sized body comes
+//!   from the reader's own [`BufPool`]: once the receiving rank has
+//!   dropped an earlier body, its allocation carries the next one, so a
+//!   steady stream of frames allocates nothing. Its old bytes are never
+//!   read; the kernel overwrites the `len` bytes a frame declares.
 //!
 //! The fault injector's reorder crosses the wire as the frame header's
 //! [`FRONT_FLAG`]; frames stay FIFO on the wire (sequence numbers remain
@@ -54,10 +53,7 @@
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
 use std::os::fd::AsRawFd;
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -75,102 +71,24 @@ use crate::payload::Payload;
 use crate::sink::{FrameBody, IoVec, WireRead, IOV_MAX};
 
 use super::frame::{next_seq, FrameHeader, FRONT_FLAG, HDR_LEN};
-use super::{SocketConfig, SocketMode, Transport, TransportKind};
+use super::{SocketConfig, Transport, TransportKind};
 
-/// Either socket flavor, unified for the reader/writer loops.
-enum Conn {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Conn {
-    /// Append up to `len` bytes of the stream to `body`, stopping early
-    /// only at EOF; returns how many arrived.
-    ///
-    /// Dispatches to the concrete stream *before* `take().read_to_end()`:
-    /// the std streams receive into `body`'s spare capacity as it is,
-    /// whereas a reader that only implements `read` (this enum) gets std's
-    /// fallback, which zero-fills the spare capacity first.
-    fn read_body(&mut self, len: u64, body: &mut Vec<u8>) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.take(len).read_to_end(body),
-            Conn::Tcp(s) => s.take(len).read_to_end(body),
-        }
-    }
-}
-
-#[cfg(unix)]
 extern "C" {
     fn readv(fd: i32, iov: *const IoVec, iovcnt: i32) -> isize;
 }
 
-impl WireRead for Conn {
-    #[cfg(unix)]
+impl WireRead for UnixStream {
     unsafe fn read_uninit(&mut self, iov: &[IoVec]) -> std::io::Result<usize> {
-        let fd = match self {
-            Conn::Unix(s) => s.as_raw_fd(),
-            Conn::Tcp(s) => s.as_raw_fd(),
-        };
         let count = iov.len().min(IOV_MAX) as i32;
         // SAFETY: `IoVec` is laid out as the C `iovec`, `count` entries
         // of it are valid to read, and every entry points into memory the
         // caller lends exclusively for this call (this function's own
         // contract); the kernel writes at most `len` bytes through each.
-        let n = unsafe { readv(fd, iov.as_ptr(), count) };
+        let n = unsafe { readv(self.as_raw_fd(), iov.as_ptr(), count) };
         if n < 0 {
             return Err(std::io::Error::last_os_error());
         }
         Ok(n as usize)
-    }
-
-    /// Without `readv`: through a bounce buffer, one slice at a time.
-    #[cfg(not(unix))]
-    unsafe fn read_uninit(&mut self, iov: &[IoVec]) -> std::io::Result<usize> {
-        let Some(v) = iov.first() else { return Ok(0) };
-        let mut bounce = vec![0u8; v.len];
-        let n = self.read(&mut bounce)?;
-        // SAFETY: `v` describes `v.len >= n` writable bytes (this
-        // function's contract), and `bounce` is a separate allocation.
-        unsafe { std::ptr::copy_nonoverlapping(bounce.as_ptr(), v.base, n) };
-        Ok(n)
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write_vectored(bufs),
-            Conn::Tcp(s) => s.write_vectored(bufs),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
     }
 }
 
@@ -241,7 +159,7 @@ struct Shared {
 pub(crate) struct SocketTransport {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    uds_dir: Option<PathBuf>,
+    uds_dir: PathBuf,
     done: AtomicBool,
 }
 
@@ -254,14 +172,10 @@ impl SocketTransport {
             closed: AtomicBool::new(false),
             links_cut: AtomicU64::new(0),
         });
-        let uds_dir = match cfg.mode {
-            #[cfg(unix)]
-            SocketMode::Unix => Some(fresh_uds_dir()),
-            _ => None,
-        };
+        let uds_dir = fresh_uds_dir();
         let mut handles = Vec::with_capacity(2 * size);
         for dest in 0..size {
-            let (write_half, read_half) = connect_pair(cfg.mode, uds_dir.as_deref(), dest);
+            let (write_half, read_half) = connect_pair(&uds_dir, dest);
             let sh = Arc::clone(&shared);
             handles.push(
                 std::thread::Builder::new()
@@ -388,9 +302,7 @@ impl Transport for SocketTransport {
         for h in handles {
             let _ = h.join();
         }
-        if let Some(dir) = &self.uds_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        let _ = std::fs::remove_dir_all(&self.uds_dir);
     }
 
     fn kind(&self) -> TransportKind {
@@ -405,7 +317,6 @@ impl Drop for SocketTransport {
 }
 
 /// A unique, writable directory for this world's Unix socket files.
-#[cfg(unix)]
 fn fresh_uds_dir() -> PathBuf {
     static WORLD_NO: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
@@ -420,33 +331,18 @@ fn fresh_uds_dir() -> PathBuf {
 /// Bind rank `dest`'s listener, connect the sender side, and accept the
 /// receiver side. Listeners have a backlog, so connect-then-accept on one
 /// thread cannot deadlock.
-fn connect_pair(mode: SocketMode, uds_dir: Option<&std::path::Path>, dest: usize) -> (Conn, Conn) {
-    match mode {
-        #[cfg(unix)]
-        SocketMode::Unix => {
-            let path = uds_dir.expect("UDS mode has a socket dir").join(format!("rank-{dest}"));
-            let listener = UnixListener::bind(&path).expect("bind rank UDS listener");
-            let write_half = UnixStream::connect(&path).expect("connect rank UDS");
-            let (read_half, _) = listener.accept().expect("accept rank UDS");
-            (Conn::Unix(write_half), Conn::Unix(read_half))
-        }
-        _ => {
-            let _ = uds_dir;
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind rank TCP listener");
-            let addr = listener.local_addr().expect("listener addr");
-            let write_half = TcpStream::connect(addr).expect("connect rank TCP");
-            let (read_half, _) = listener.accept().expect("accept rank TCP");
-            write_half.set_nodelay(true).expect("nodelay");
-            read_half.set_nodelay(true).expect("nodelay");
-            (Conn::Tcp(write_half), Conn::Tcp(read_half))
-        }
-    }
+fn connect_pair(uds_dir: &std::path::Path, dest: usize) -> (UnixStream, UnixStream) {
+    let path = uds_dir.join(format!("rank-{dest}"));
+    let listener = UnixListener::bind(&path).expect("bind rank UDS listener");
+    let write_half = UnixStream::connect(&path).expect("connect rank UDS");
+    let (read_half, _) = listener.accept().expect("accept rank UDS");
+    (write_half, read_half)
 }
 
 /// Drain `dest`'s link queue onto the socket. Exits once the queue is
 /// closed *and* drained (or the peer vanished); dropping the connection
 /// EOFs the matching reader.
-fn writer_loop(shared: &Shared, dest: usize, mut conn: Conn) {
+fn writer_loop(shared: &Shared, dest: usize, mut conn: UnixStream) {
     let link = &shared.links[dest];
     loop {
         let next = {
@@ -524,7 +420,7 @@ const MAX_RESERVE: usize = 64 << 20;
 /// (writer gone) and on a header it cannot accept, which ends the link
 /// the same way ([`cut_link`]): nothing a peer's bytes say can panic
 /// this thread or size an allocation.
-fn reader_loop(shared: &Shared, dest: usize, mut conn: Conn) {
+fn reader_loop(shared: &Shared, dest: usize, mut conn: UnixStream) {
     let pool = BufPool::new();
     let mailbox = &shared.mailboxes[dest];
     let mut expect = vec![0u32; shared.mailboxes.len()];
@@ -575,7 +471,9 @@ fn reader_loop(shared: &Shared, dest: usize, mut conn: Conn) {
                 let mut body = pool.take(len.min(MAX_RESERVE));
                 body.extend_from_slice(key.as_ref().map_or(&[][..], |k| &k[..]));
                 let rest = (len - body.len()) as u64;
-                match conn.read_body(rest, &mut body) {
+                // `take().read_to_end()` on the stream itself receives into
+                // `body`'s spare capacity as it is, without zero-filling it.
+                match Read::take(&mut conn, rest).read_to_end(&mut body) {
                     Ok(n) if n as u64 == rest => {}
                     // Error, or EOF mid-body (which `read_to_end` reports
                     // as a short `Ok`): the writer is gone; a partial frame
@@ -640,24 +538,14 @@ mod tests {
         wire.payload.to_bytes().as_ref().to_vec()
     }
 
-    fn roundtrip_over(mode: SocketMode) {
-        let t = SocketTransport::new(2, SocketConfig { mode, ..SocketConfig::default() });
+    #[test]
+    fn unix_roundtrip_preserves_order() {
+        let t = SocketTransport::new(2, SocketConfig::default());
         t.deliver(1, env(0, 7, b"hello"), false);
         t.deliver(1, env(0, 7, b"world"), false);
         assert_eq!(pop(&t, 1, 0, 7), b"hello");
         assert_eq!(pop(&t, 1, 0, 7), b"world");
         t.shutdown();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn unix_roundtrip_preserves_order() {
-        roundtrip_over(SocketMode::Unix);
-    }
-
-    #[test]
-    fn tcp_roundtrip_preserves_order() {
-        roundtrip_over(SocketMode::Tcp);
     }
 
     #[test]
@@ -754,8 +642,9 @@ mod tests {
     /// arrive byte-identical and in sequence: more parts than `IOV_MAX`
     /// (empty ones interleaved), parts each larger than a socket buffer
     /// (so partial writes land mid-slice), and a 0-byte body.
-    fn awkward_frames_over(mode: SocketMode) {
-        let t = SocketTransport::new(2, SocketConfig { mode, ..SocketConfig::default() });
+    #[test]
+    fn unix_awkward_frames_arrive_intact() {
+        let t = SocketTransport::new(2, SocketConfig::default());
         let many: Vec<Bytes> = (0..3000usize)
             .map(|i| if i % 3 == 0 { Bytes::new() } else { Bytes::from(vec![i as u8; 1 + i % 5]) })
             .collect();
@@ -773,22 +662,12 @@ mod tests {
         t.shutdown();
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn unix_awkward_frames_arrive_intact() {
-        awkward_frames_over(SocketMode::Unix);
-    }
-
-    #[test]
-    fn tcp_awkward_frames_arrive_intact() {
-        awkward_frames_over(SocketMode::Tcp);
-    }
-
     /// A connection that closes mid-body ends the reader; the partial
     /// frame is dropped, never pushed as a short envelope.
     /// (`take().read_to_end()` reports that EOF as a short `Ok`, where
     /// `read_exact` returned `Err`.)
-    fn truncated_body_over(mode: SocketMode) {
+    #[test]
+    fn unix_eof_mid_body_drops_the_partial_frame() {
         let shared = Shared {
             mailboxes: (0..2).map(|_| Mailbox::default()).collect(),
             links: (0..2).map(|_| Link::new(1, 2)).collect(),
@@ -796,12 +675,8 @@ mod tests {
             closed: AtomicBool::new(false),
             links_cut: AtomicU64::new(0),
         };
-        let uds_dir = match mode {
-            #[cfg(unix)]
-            SocketMode::Unix => Some(fresh_uds_dir()),
-            _ => None,
-        };
-        let (mut write_half, read_half) = connect_pair(mode, uds_dir.as_deref(), 1);
+        let uds_dir = fresh_uds_dir();
+        let (mut write_half, read_half) = connect_pair(&uds_dir, 1);
         let header = |len: u64, seq: u32| FrameHeader {
             len,
             wire_tag: make_wire_tag(0, 3),
@@ -824,20 +699,7 @@ mod tests {
         let got = shared.mailboxes[1].try_pop_matching(&m).expect("the whole frame");
         assert_eq!(got.payload.to_bytes().as_ref(), b"whole");
         assert_eq!(shared.links[1].delivered[0].load(Ordering::Acquire), 1);
-        if let Some(dir) = uds_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn unix_eof_mid_body_drops_the_partial_frame() {
-        truncated_body_over(SocketMode::Unix);
-    }
-
-    #[test]
-    fn tcp_eof_mid_body_drops_the_partial_frame() {
-        truncated_body_over(SocketMode::Tcp);
+        let _ = std::fs::remove_dir_all(uds_dir);
     }
 
     /// Wait until every frame from rank 0 to rank 1 has been pushed into
@@ -899,7 +761,7 @@ mod tests {
         // recv_window = 1 parks the reader after one delivery; queue_cap =
         // 1 plus ~1 MiB frames (far beyond any kernel socket buffer) then
         // saturate the whole path within a handful of sends.
-        let cfg = SocketConfig { queue_cap: 1, recv_window: 1, ..SocketConfig::default() };
+        let cfg = SocketConfig { queue_cap: 1, recv_window: 1 };
         let t = SocketTransport::new(2, cfg);
         let big = vec![0xABu8; 1 << 20];
         let mut refused = false;
@@ -955,11 +817,10 @@ mod tests {
 
     /// Run rank 1's reader over `bytes` written into a Unix socket pair,
     /// then closed; return every envelope it delivered, in mailbox order.
-    #[cfg(unix)]
     fn read_stream(shared: &Shared, bytes: &[u8]) -> Vec<WireEnvelope> {
         let (mut tx, rx) = UnixStream::pair().expect("socket pair");
         std::thread::scope(|s| {
-            let reader = s.spawn(|| reader_loop(shared, 1, Conn::Unix(rx)));
+            let reader = s.spawn(|| reader_loop(shared, 1, rx));
             // The reader may end the link before it has read everything.
             let _ = tx.write_all(bytes);
             drop(tx);
@@ -980,7 +841,6 @@ mod tests {
         [&h.encode()[..], body].concat()
     }
 
-    #[cfg(unix)]
     #[test]
     fn a_bad_header_ends_the_link_without_a_panic_or_an_allocation() {
         let cases: [(&str, Vec<u8>); 4] = [
@@ -1061,7 +921,6 @@ mod tests {
     /// (under the cap) while the peer sends a few: the sink sees the
     /// declared length, sizes nothing by it, and the reader ends at EOF
     /// mid-body without a panic.
-    #[cfg(unix)]
     #[test]
     fn a_posted_sink_survives_a_length_the_peer_never_sends() {
         let shared = bare_shared(2);
@@ -1086,7 +945,6 @@ mod tests {
         body: Vec<u8>,
     }
 
-    #[cfg(unix)]
     fn fuzz_frames() -> impl proptest::Strategy<Value = Vec<Fuzzed>> {
         use proptest::prelude::*;
         proptest::collection::vec(
@@ -1124,7 +982,6 @@ mod tests {
         FlipAnywhere(usize, u8),
     }
 
-    #[cfg(unix)]
     fn damage() -> impl proptest::Strategy<Value = Damage> {
         use proptest::prelude::*;
         (0u8..4, any::<usize>(), 1u8..=255, proptest::collection::vec(any::<u8>(), 1..80)).prop_map(
@@ -1137,7 +994,6 @@ mod tests {
         )
     }
 
-    #[cfg(unix)]
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 96, ..Default::default() })]
 

@@ -129,7 +129,7 @@ impl World {
             // `SIMMPI_TRANSPORT=socket` flips every world in the process
             // onto the wire; explicit [`WorldBuilder::transport`] wins.
             transport: TransportKind::from_env(),
-            socket: SocketConfig::from_env(),
+            socket: SocketConfig::default(),
         }
     }
 }
@@ -166,11 +166,9 @@ impl WorldBuilder {
         self
     }
 
-    /// Tune the socket backend (queue bound, receive window, UDS vs TCP).
-    /// Only consulted when the transport is [`TransportKind::Socket`].
-    /// This is the only way to set the bounds; the environment picks
-    /// nothing but the mode (`SIMMPI_TRANSPORT=tcp`, see
-    /// [`SocketConfig::from_env`]).
+    /// Tune the socket backend (queue bound, receive window). Only
+    /// consulted when the transport is [`TransportKind::Socket`]; this is
+    /// the only way to set the bounds.
     pub fn socket_config(mut self, cfg: SocketConfig) -> Self {
         self.socket = cfg;
         self

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use obsv::Ctr;
-use simmpi::World;
+use simmpi::{TransportKind, World};
 
 /// `(spin hits, parks)` on `rank`'s lanes.
 fn on_rank(rep: &obsv::Report, rank: usize) -> (u64, u64) {
@@ -22,13 +22,16 @@ fn total(rep: &obsv::Report) -> (u64, u64) {
 }
 
 /// One 2-rank ping-pong world: `(spin hits, parks)` recorded after the
-/// warm-up round trips.
+/// warm-up round trips. The world is in-proc whatever the environment
+/// selects: the test's premise is a round trip well inside the spin cap,
+/// and a socket round trip sits at the cap itself.
 fn ping_pong_after_warmup() -> (u64, u64) {
     const WARMUP: usize = 50;
     const ROUNDS: usize = 500;
     let reg = obsv::Registry::new();
     let reg2 = reg.clone();
-    let out = World::builder(2).observe(reg.clone()).run(move |c| {
+    let world = World::builder(2).transport(TransportKind::InProc);
+    let out = world.observe(reg.clone()).run(move |c| {
         let peer = 1 - c.rank();
         let mut after_warmup = (0, 0);
         for i in 0..WARMUP + ROUNDS {

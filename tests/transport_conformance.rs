@@ -30,8 +30,8 @@ use lowfive::{DistVolBuilder, LowFiveProps};
 use minih5::{Dataspace, Datatype, H5File, Selection, Vol, H5};
 use proptest::prelude::*;
 use simmpi::{
-    FaultKind, FaultPlan, RecvError, SendError, SocketConfig, SocketMode, TaskSpec, TaskWorld,
-    TransportKind, World, ANY_SOURCE, ANY_TAG,
+    FaultKind, FaultPlan, RecvError, SendError, SocketConfig, TaskSpec, TaskWorld, TransportKind,
+    World, ANY_SOURCE, ANY_TAG,
 };
 
 /// Every backend the suite must hold for.
@@ -213,7 +213,7 @@ fn parts_and_contiguous_forms_are_byte_identical() {
 /// receiver — more parts than `IOV_MAX` with empty ones interleaved, parts
 /// each larger than a socket buffer (partial writes land mid-part), and a
 /// 0-byte body — arrive byte-identical and in send order on every
-/// backend, over both socket flavors.
+/// backend.
 #[test]
 fn awkward_part_shapes_arrive_intact_and_in_sequence() {
     let many = || -> Vec<bytes::Bytes> {
@@ -228,28 +228,22 @@ fn awkward_part_shapes_arrive_intact_and_in_sequence() {
         (0..3u8).map(|i| bytes::Bytes::from(vec![0xC0 | i; 1 << 20])).collect()
     };
     let flat = |parts: Vec<bytes::Bytes>| -> Vec<u8> { parts.concat() };
-    let configs = [
-        (TransportKind::InProc, SocketMode::Unix),
-        (TransportKind::Socket, SocketMode::Unix),
-        (TransportKind::Socket, SocketMode::Tcp),
-    ];
-    for (kind, mode) in configs {
-        let cfg = SocketConfig { mode, ..SocketConfig::default() };
-        World::builder(2).transport(kind).socket_config(cfg).run(|c| {
+    on_each_backend(|kind| {
+        World::builder(2).transport(kind).run(|c| {
             if c.rank() == 0 {
                 c.send_parts(1, 8, simmpi::Payload::from_parts(many()));
                 c.send_parts(1, 8, simmpi::Payload::new());
                 c.send_parts(1, 8, simmpi::Payload::from_parts(big()));
                 c.send(1, 8, bytes::Bytes::from_static(b"tail"));
             } else {
-                let what = format!("[{kind}/{mode:?}]");
+                let what = format!("[{kind}]");
                 assert_eq!(&c.recv(0.into(), 8.into()).payload[..], flat(many()), "{what} many");
                 assert!(c.recv(0.into(), 8.into()).payload.is_empty(), "{what} empty body");
                 assert_eq!(&c.recv(0.into(), 8.into()).payload[..], flat(big()), "{what} big");
                 assert_eq!(&c.recv(0.into(), 8.into()).payload[..], b"tail", "{what} tail");
             }
         });
-    }
+    });
 }
 
 #[test]
@@ -296,7 +290,7 @@ fn socket_try_send_surfaces_would_block_and_recovers() {
     // With a 1-envelope receive window the wire drains strictly in order,
     // so everything stays on one tag: big frames, then a tiny in-band
     // sentinel marking the end of the burst.
-    let cfg = SocketConfig { queue_cap: 1, recv_window: 1, ..SocketConfig::default() };
+    let cfg = SocketConfig { queue_cap: 1, recv_window: 1 };
     World::builder(2).transport(TransportKind::Socket).socket_config(cfg).run(|c| {
         if c.rank() == 0 {
             let big = bytes::Bytes::from(vec![0x5Au8; 1 << 20]);
