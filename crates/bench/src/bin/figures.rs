@@ -28,7 +28,7 @@ use bench::runners::{
 };
 use bench::table2::{run_case, Table2Case};
 use bench::workload::Workload;
-use simmpi::{CostModel, TransportKind};
+use simmpi::TransportKind;
 
 #[derive(Clone, Copy)]
 struct Scale {
@@ -241,32 +241,15 @@ fn fig5(s: &Scale, trials: usize) {
     run_lowfive_memory_traced(&w, &reg);
     write_obsv_artifacts(&reg.report(), "fig5");
 
-    // Deep vs shallow serve A/B under the interconnect cost model: the
-    // serve path lends region slices for either ownership, so the deep
-    // column isolates the write-time copy of each written byte.
-    println!("\n-- serve ownership A/B (interconnect cost model) --");
-    println!("{:>8} {:>16} {:>16} {:>10}", "procs", "deep serve (s)", "shallow (s)", "deep/shal");
-    let out = results_dir().join("fig5_serve.csv");
-    for &n in s.sweep {
-        let w = Workload::paper_split(n, s.grid_per_prod, s.particles_per_prod);
-        let td = avg(trials, || {
-            run_lowfive_serve(&w, false, Some(CostModel::interconnect()), None).seconds
-        });
-        let ts = avg(trials, || {
-            run_lowfive_serve(&w, true, Some(CostModel::interconnect()), None).seconds
-        });
-        println!("{n:>8} {td:>16.4} {ts:>16.4} {:>9.2}x", td / ts);
-        csv(&out, "procs,deep_s,shallow_s", &format!("{n},{td},{ts}"));
-    }
-    // Traced A/B passes: both `fig5_shallow.metrics.json` and
-    // `fig5_deep.metrics.json` must report bytes_copied == 0 (CI asserts
-    // this); the deep write copy is not a transport copy.
-    let w = Workload::paper_split(s.sweep[0], s.grid_per_prod, s.particles_per_prod);
+    // One traced serve pass per ownership at the same scale: both
+    // `fig5_shallow.metrics.json` and `fig5_deep.metrics.json` must report
+    // bytes_copied == 0 (CI asserts this); the deep write copy is not a
+    // transport copy. `figures -- ablations` times the two ownerships.
     let reg = obsv::Registry::new();
-    run_lowfive_serve(&w, true, Some(CostModel::interconnect()), Some(&reg));
+    run_lowfive_serve(&w, true, &reg);
     write_obsv_artifacts(&reg.report(), "fig5_shallow");
     let reg = obsv::Registry::new();
-    run_lowfive_serve(&w, false, Some(CostModel::interconnect()), Some(&reg));
+    run_lowfive_serve(&w, false, &reg);
     write_obsv_artifacts(&reg.report(), "fig5_deep");
 }
 

@@ -11,7 +11,7 @@ use baselines::dataspaces::{run_server, DsClient, DsConfig};
 use baselines::puempi;
 use lowfive::{DistVolBuilder, LowFiveProps};
 use minih5::{BBox, Dataspace, Datatype, Ownership, Selection, Vol, H5};
-use simmpi::{CostModel, TaskComm, TaskSpec, TaskWorld};
+use simmpi::{TaskComm, TaskSpec, TaskWorld};
 
 use crate::workload::Workload;
 
@@ -182,21 +182,12 @@ fn run_lowfive(
 /// the region and the wire, so both runs must report exactly zero
 /// `obsv::Ctr::BytesCopied` (CI asserts it on the exported metrics).
 /// With `!shallow` every region is deep, so the deep run isolates the
-/// write-time copy of each written byte into the VOL.
-/// `cost` charges interconnect latency/bandwidth per delivered message
-/// so the A/B compares realistic wire times, not just memcpy time.
-pub fn run_lowfive_serve(
-    w: &Workload,
-    shallow: bool,
-    cost: Option<CostModel>,
-    observe: Option<&obsv::Registry>,
-) -> Measurement {
+/// write-time copy of each written byte into the VOL. Recorded into
+/// `observe`, since those counters are what the run is for.
+pub fn run_lowfive_serve(w: &Workload, shallow: bool, observe: &obsv::Registry) -> Measurement {
     let specs = [TaskSpec::new("producer", w.producers), TaskSpec::new("consumer", w.consumers)];
     let w = *w;
-    let world = TaskWorld::builder(&specs);
-    let world = if let Some(cm) = cost { world.cost_model(cm) } else { world };
-    let world = if let Some(reg) = observe { world.observe(reg.clone()) } else { world };
-    let out = world.run(move |tc| {
+    let out = TaskWorld::builder(&specs).observe(observe.clone()).run(move |tc| {
         let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
         let mut props = LowFiveProps::new();
         props.set_zerocopy("*", "*", shallow);

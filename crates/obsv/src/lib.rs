@@ -49,11 +49,10 @@ pub use ring::{Event, EventKind, EventRing};
 ///
 /// The clock is *virtualizable*: [`advance_ns`](clock::advance_ns)
 /// injects simulated time on top of the wall-clock origin.
-/// Simulated-interconnect runs and deterministic timeout tests advance it
-/// explicitly; everything that derives deadlines from
-/// [`now_ns`](clock::now_ns) (notably `diyblk`'s RPC retry
-/// machinery) then observes the injected delay without real waiting. The
-/// offset only ever grows, so the clock stays monotonic.
+/// Deterministic timeout tests advance it explicitly; everything that
+/// derives deadlines from [`now_ns`](clock::now_ns) (notably `diyblk`'s
+/// RPC retry machinery) then observes the injected delay without real
+/// waiting. The offset only ever grows, so the clock stays monotonic.
 pub mod clock {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::OnceLock;

@@ -7,20 +7,13 @@
 //! allreduce and exclusive scan, and a pairwise-exchange all-to-all that
 //! completes receives in *arrival order* (any-source) instead of rank
 //! order, so a straggling sender does not head-of-line-block every
-//! receiver.
-//!
-//! With a [`crate::CostModel`] attached, payloads at or past the model's
-//! latency/bandwidth crossover switch to the bandwidth-optimal variants: a
-//! ring allgather and a segmented, pipelined broadcast (segments stream
-//! down the tree with transfer overlapping forwarding). Selection mirrors
-//! what production MPI implementations do by message size, and is the only
-//! choice a collective makes.
+//! receiver. No schedule depends on the payload size.
 //!
 //! Reductions assume an operator that is commutative and associative in
 //! the mathematical sense (e.g. integer sum/min/max — the usual MPI
 //! requirement); `tests/proptest_collectives.rs` checks every result
 //! against values computed directly from the inputs, across world
-//! geometry, payload shapes, the size switch and fault seeds.
+//! geometry, payload shapes and fault seeds.
 //!
 //! Tree interior nodes aggregate subtree payloads as multi-part
 //! [`Payload`] frames (a small length header plus the original refcounted
@@ -40,7 +33,6 @@ const TAG_BARRIER: Tag = COLLECTIVE_TAG_BASE; // + round number (≤ 64)
 const TAG_BCAST: Tag = COLLECTIVE_TAG_BASE + 0x100;
 const TAG_GATHER: Tag = COLLECTIVE_TAG_BASE + 0x101;
 const TAG_SCATTER: Tag = COLLECTIVE_TAG_BASE + 0x102;
-const TAG_RING: Tag = COLLECTIVE_TAG_BASE + 0x104;
 const TAG_REDUCE: Tag = COLLECTIVE_TAG_BASE + 0x105;
 const TAG_ALLREDUCE_FOLD: Tag = COLLECTIVE_TAG_BASE + 0x106;
 const TAG_ALLREDUCE_OUT: Tag = COLLECTIVE_TAG_BASE + 0x107;
@@ -62,9 +54,6 @@ pub(crate) fn tag_class(tag: Tag) -> Tag {
         tag
     }
 }
-
-/// Length of the broadcast wire header: `[nsegs u64][total_len u64]`.
-const BCAST_HDR: usize = 16;
 
 /// Counter bump + payload/latency histograms around one collective call.
 struct CollTimer {
@@ -93,13 +82,6 @@ impl Drop for CollTimer {
 }
 
 impl Comm {
-    /// Payload size at which the collectives switch to the
-    /// bandwidth-optimal variants (ring allgather, segmented broadcast).
-    /// `usize::MAX` — no switch — without a cost model.
-    fn large_threshold(&self) -> usize {
-        self.cost_model().map_or(usize::MAX, |cm| cm.large_payload_threshold())
-    }
-
     /// Dissemination barrier: every rank blocks until all ranks arrive.
     pub fn barrier(&self) {
         let _t = coll_timer(obsv::Ctr::CollBarrier, 0);
@@ -120,108 +102,34 @@ impl Comm {
     }
 
     /// Binomial-tree broadcast. `root` passes `Some(data)`; everyone
-    /// receives the broadcast value. Large payloads (with a cost model)
-    /// are cut into fixed-size segments pipelined down the tree: an
-    /// interior node forwards segment `s` to all children while segment
-    /// `s+1` is still in flight from its parent. Without a cost model the
-    /// payload is never segmented (the wire still carries the 16-byte
-    /// header, with `nsegs = 1`).
+    /// receives the broadcast value. The payload travels as it is: an
+    /// interior node forwards the payload it received to each child, a
+    /// refcount bump rather than a copy.
     pub fn bcast_bytes(&self, root: usize, data: Option<Bytes>) -> Bytes {
         let _t = coll_timer(obsv::Ctr::CollBcast, data.as_ref().map_or(0, Bytes::len));
-        let seg = self.cost_model().map_or(usize::MAX, |cm| cm.segment_bytes());
         let n = self.size();
         let vrank = (self.rank() + n - root) % n;
-        if n == 1 {
-            return data.expect("broadcast root must supply data");
-        }
         // Forwarding masks: the root covers every bit below the tree top;
         // an interior node covers the bits below its lowest set bit.
-        let top = if vrank == 0 {
-            let mut m = 1usize;
-            while m < n {
-                m <<= 1;
+        let (payload, mut mask) = if vrank == 0 {
+            let mut top = 1usize;
+            while top < n {
+                top <<= 1;
             }
-            m >> 1
+            (Payload::from(data.expect("broadcast root must supply data")), top >> 1)
         } else {
-            (vrank & vrank.wrapping_neg()) >> 1
+            let lowbit = vrank & vrank.wrapping_neg();
+            let parent = (vrank - lowbit + root) % n;
+            (self.recv_parts(parent.into(), TAG_BCAST.into()).payload, lowbit >> 1)
         };
-
-        if vrank == 0 {
-            let buf = data.expect("broadcast root must supply data");
-            let nsegs = if buf.len() > seg { buf.len().div_ceil(seg) } else { 1 };
-            let seg_len = buf.len().div_ceil(nsegs).max(1);
-            let mut hdr = BytesMut::with_capacity(BCAST_HDR);
-            hdr.put_u64_le(nsegs as u64);
-            hdr.put_u64_le(buf.len() as u64);
-            let hdr = hdr.freeze();
-            for s in 0..nsegs {
-                let lo = s * seg_len;
-                let hi = buf.len().min(lo + seg_len);
-                // Every child gets the same refcounted slice — a clone is
-                // a refcount bump, never a copy of the payload bytes.
-                let chunk = buf.slice(lo..hi);
-                let mut mask = top;
-                while mask > 0 {
-                    if mask < n {
-                        let child = (mask + root) % n;
-                        let payload = if s == 0 {
-                            let mut p = Payload::from(hdr.clone());
-                            p.push(chunk.clone());
-                            p
-                        } else {
-                            chunk.clone().into()
-                        };
-                        self.send_internal(child, TAG_BCAST, payload);
-                    }
-                    mask >>= 1;
-                }
+        while mask > 0 {
+            if vrank + mask < n {
+                let child = (vrank + mask + root) % n;
+                self.send_internal(child, TAG_BCAST, payload.clone());
             }
-            buf
-        } else {
-            let parent = ((vrank - (vrank & vrank.wrapping_neg())) + root) % n;
-            let mut first = self.recv_parts(parent.into(), TAG_BCAST.into()).payload;
-            let mut hdrb = [0u8; BCAST_HDR];
-            assert!(first.copy_prefix(&mut hdrb), "broadcast wire header");
-            let nsegs = u64::from_le_bytes(hdrb[..8].try_into().expect("8 bytes")) as usize;
-            let total = u64::from_le_bytes(hdrb[8..].try_into().expect("8 bytes")) as usize;
-            first.advance(BCAST_HDR);
-            let hdr = Bytes::copy_from_slice(&hdrb);
-            let mut assembled = (nsegs > 1).then(|| BytesMut::with_capacity(total));
-            let mut whole = Bytes::new();
-            for s in 0..nsegs {
-                let chunk = if s == 0 {
-                    std::mem::take(&mut first)
-                } else {
-                    self.recv_parts(parent.into(), TAG_BCAST.into()).payload
-                };
-                // Forward this segment before touching the next one:
-                // children stream concurrently with our own receives.
-                let mut mask = top;
-                while mask > 0 {
-                    if vrank + mask < n {
-                        let child = (vrank + mask + root) % n;
-                        let payload = if s == 0 {
-                            let mut p = Payload::from(hdr.clone());
-                            p.extend(chunk.clone());
-                            p
-                        } else {
-                            chunk.clone()
-                        };
-                        self.send_internal(child, TAG_BCAST, payload);
-                    }
-                    mask >>= 1;
-                }
-                match &mut assembled {
-                    Some(buf) => {
-                        for part in chunk.parts() {
-                            buf.put_slice(part);
-                        }
-                    }
-                    None => whole = chunk.into_bytes(),
-                }
-            }
-            assembled.map(BytesMut::freeze).unwrap_or(whole)
+            mask >>= 1;
         }
+        payload.into_bytes()
     }
 
     /// Broadcast a typed value from `root`.
@@ -343,29 +251,9 @@ impl Comm {
     /// All ranks obtain every rank's payload, indexed by rank.
     ///
     /// Schedule: Bruck dissemination — `⌈lg n⌉` rounds, doubling the
-    /// shipped block set each round. Large payloads (with a cost model)
-    /// switch to the bandwidth-optimal ring: `n-1` rounds of exactly one
-    /// block, nothing ever sent twice.
+    /// shipped block set each round.
     pub fn allgather_bytes(&self, data: Bytes) -> Vec<Bytes> {
         let _t = coll_timer(obsv::Ctr::CollAllgather, data.len());
-        let n = self.size();
-        if n == 1 {
-            return vec![data];
-        }
-        // Algorithm selection must be symmetric across ranks, but payload
-        // lengths may be ragged — agree on the maximum first (a handful
-        // of 8-byte exchanges, negligible against a large-payload ring).
-        let thr = self.large_threshold();
-        let use_ring =
-            thr != usize::MAX && self.allreduce_rd(data.len() as u64, std::cmp::max) >= thr as u64;
-        if use_ring {
-            self.allgather_ring(data)
-        } else {
-            self.allgather_bruck(data)
-        }
-    }
-
-    fn allgather_bruck(&self, data: Bytes) -> Vec<Bytes> {
         let n = self.size();
         let me = self.rank();
         // `blocks[j]` is the payload of rank `me + j` (mod n).
@@ -386,23 +274,6 @@ impl Comm {
         let mut out = vec![Bytes::new(); n];
         for (j, b) in blocks.into_iter().enumerate() {
             out[(me + j) % n] = b;
-        }
-        out
-    }
-
-    fn allgather_ring(&self, data: Bytes) -> Vec<Bytes> {
-        let n = self.size();
-        let me = self.rank();
-        let next = (me + 1) % n;
-        let prev = (me + n - 1) % n;
-        let mut out = vec![Bytes::new(); n];
-        out[me] = data;
-        let mut cur = me;
-        for _ in 1..n {
-            self.send_internal(next, TAG_RING, out[cur].clone().into());
-            let env = self.recv(prev.into(), TAG_RING.into());
-            cur = (cur + n - 1) % n;
-            out[cur] = env.payload;
         }
         out
     }
@@ -450,12 +321,6 @@ impl Comm {
     /// shipped back.
     pub fn allreduce_one<T: Pod, F: Fn(T, T) -> T>(&self, value: T, op: F) -> T {
         let _t = coll_timer(obsv::Ctr::CollReduce, std::mem::size_of::<T>());
-        self.allreduce_rd(value, op)
-    }
-
-    /// The recursive-doubling engine of [`Comm::allreduce_one`], without
-    /// the collective counter: the allgather size switch calls it too.
-    fn allreduce_rd<T: Pod, F: Fn(T, T) -> T>(&self, value: T, op: F) -> T {
         let n = self.size();
         if n == 1 {
             return value;
@@ -603,7 +468,6 @@ fn unframe_blocks(mut p: Payload) -> Vec<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
     use crate::world::World;
     use std::time::Duration;
 
@@ -699,22 +563,6 @@ mod tests {
         World::run(6, |c| {
             let all = c.allgather_one::<u64>(c.rank() as u64 * 7);
             assert_eq!(all, (0..6).map(|r| r * 7).collect::<Vec<u64>>());
-        });
-    }
-
-    #[test]
-    fn allgather_ring_large_payloads() {
-        // A cost model with a tiny crossover forces the ring variant;
-        // results must be identical to the Bruck schedule's.
-        let cm = CostModel { latency: Duration::from_nanos(100), per_byte_ns: 1.0 };
-        assert!(cm.large_payload_threshold() < 512);
-        World::builder(5).cost_model(cm).run(|c| {
-            let mine = Bytes::from(vec![c.rank() as u8; 512 + c.rank()]);
-            let all = c.allgather_bytes(mine);
-            for (r, b) in all.iter().enumerate() {
-                assert_eq!(b.len(), 512 + r);
-                assert!(b.iter().all(|&x| x == r as u8));
-            }
         });
     }
 
@@ -852,24 +700,6 @@ mod tests {
             assert_eq!(got.len(), 1 << 20);
             assert!(got.iter().all(|&b| b == 0xAB));
         });
-    }
-
-    #[test]
-    fn bcast_pipelines_large_payloads_into_segments() {
-        // 100-byte crossover → a 1000-byte payload travels as several
-        // segment messages, and every rank still reassembles it exactly.
-        let cm = CostModel { latency: Duration::from_nanos(1000), per_byte_ns: 10.0 };
-        assert_eq!(cm.large_payload_threshold(), 100);
-        let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let expect = payload.clone();
-        let out = World::builder(6).cost_model(cm).run(move |c| {
-            let data = (c.rank() == 2).then(|| Bytes::from(payload.clone()));
-            let got = c.bcast_bytes(2, data);
-            assert_eq!(&got[..], &expect[..]);
-        });
-        // More messages than an unsegmented bcast (5 edges) proves the
-        // payload was actually segmented.
-        assert!(out.stats.messages > 5, "expected segment traffic, saw {}", out.stats.messages);
     }
 
     #[test]

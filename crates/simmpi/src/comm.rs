@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::cost::CostModel;
 use crate::envelope::{make_wire_tag, Envelope, PartsEnvelope, SrcSel, Tag, TagSel, WireEnvelope};
 use crate::mailbox::Matcher;
 use crate::payload::Payload;
@@ -80,12 +79,6 @@ impl Comm {
             local_of_world: Arc::new(local_of_world),
             coll_seq: Arc::new(AtomicU32::new(0)),
         }
-    }
-
-    /// The attached cost model, if any. Drives size-aware collective
-    /// selection.
-    pub fn cost_model(&self) -> Option<CostModel> {
-        self.inner.cost
     }
 
     /// Next collective epoch on this communicator (per-rank program order).
@@ -249,9 +242,6 @@ impl Comm {
     }
 
     fn localize_parts(&self, wire: WireEnvelope) -> PartsEnvelope {
-        if let Some(cm) = &self.inner.cost {
-            std::thread::sleep(cm.delay(wire.payload.len() + wire.placed));
-        }
         if wire.sent_ns != 0 {
             obsv::hist_record(
                 obsv::Hist::MsgLatencyNs,

@@ -16,10 +16,7 @@
 //! * communicator management: [`Comm::split`] with color/key (used to carve
 //!   producer and consumer task communicators out of the world),
 //! * transparent transport statistics ([`TransportStats`]) so benchmarks can
-//!   report message and byte counts,
-//! * an optional [`CostModel`] that charges a per-message latency and a
-//!   per-byte cost on delivery, for experiments that want to emulate an
-//!   interconnect slower than shared memory.
+//!   report message and byte counts.
 //!
 //! Message payloads are [`bytes::Bytes`]: cloning a payload is a refcount
 //! bump, so a producer that keeps its buffer immutable shares memory with
@@ -50,7 +47,6 @@
 mod bufpool;
 mod collectives;
 mod comm;
-mod cost;
 mod envelope;
 mod fault;
 mod mailbox;
@@ -64,7 +60,6 @@ mod world;
 
 pub use bufpool::BufPool;
 pub use comm::{Comm, RecvError, SendError};
-pub use cost::CostModel;
 pub use envelope::{Envelope, PartsEnvelope, SrcSel, Tag, TagSel, ANY_SOURCE, ANY_TAG};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, KillSpec, PeerDied, RankKilled};
 pub use payload::Payload;

@@ -12,8 +12,8 @@
 //! payload byte into its destination ([`FrameBody::read_ranges`]). In
 //! place of the body the mailbox receives a *completion*: the 8 key bytes
 //! and the count of body bytes the sink took
-//! ([`crate::PartsEnvelope::placed`]), so message sizes, latencies and
-//! any [`crate::CostModel`] delay see the frame as sent.
+//! ([`crate::PartsEnvelope::placed`]), so message sizes and latencies
+//! see the frame as sent.
 //!
 //! A sink is one-shot: once it has taken a frame it is no longer posted.
 //! [`crate::Comm::unpost_sink`] waits out a placement in progress, so

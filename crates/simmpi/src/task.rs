@@ -17,7 +17,6 @@
 //! `run_chaos` returns a [`ChaosOutput`] that records deaths instead.
 
 use crate::comm::Comm;
-use crate::cost::CostModel;
 use crate::fault::FaultPlan;
 use crate::transport::TransportKind;
 use crate::world::{ChaosOutput, RunOutput, World, WorldBuilder};
@@ -83,8 +82,8 @@ impl TaskWorld {
         Self::builder(specs).run(f).results
     }
 
-    /// Start configuring a task world over `specs` (cost model,
-    /// observability, transport, fault plan).
+    /// Start configuring a task world over `specs` (observability,
+    /// transport, fault plan).
     pub fn builder(specs: &[TaskSpec]) -> TaskWorldBuilder<'_> {
         let offsets = layout(specs);
         let world = World::builder(offsets[specs.len()]);
@@ -95,10 +94,11 @@ impl TaskWorld {
     /// because the `lfbench` harness calls it (`benchmark/src/workloads.rs`),
     /// which changes only together with its contract (`BENCHMARK.json`);
     /// it goes once such a change moves that call onto the builder.
-    /// Nothing else may call it.
+    /// Nothing else may call it. `_none` can only be `None`; it keeps that
+    /// call's arity until ROADMAP item 1(f) moves it onto the builder.
     pub fn run_observed_on<R, F>(
         specs: &[TaskSpec],
-        cost: Option<CostModel>,
+        _none: Option<std::convert::Infallible>,
         observe: Option<&obsv::Registry>,
         transport: TransportKind,
         f: F,
@@ -108,7 +108,6 @@ impl TaskWorld {
         F: Fn(TaskComm) -> R + Send + Sync,
     {
         let b = Self::builder(specs).transport(transport);
-        let b = if let Some(cm) = cost { b.cost_model(cm) } else { b };
         if let Some(reg) = observe { b.observe(reg.clone()) } else { b }.run(f)
     }
 }
@@ -122,11 +121,6 @@ pub struct TaskWorldBuilder<'a> {
 }
 
 impl TaskWorldBuilder<'_> {
-    /// See [`WorldBuilder::cost_model`].
-    pub fn cost_model(self, cm: CostModel) -> Self {
-        Self { world: self.world.cost_model(cm), ..self }
-    }
-
     /// See [`WorldBuilder::observe`] (one recorder lane per world rank).
     pub fn observe(self, registry: obsv::Registry) -> Self {
         Self { world: self.world.observe(registry), ..self }

@@ -4,7 +4,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32};
 use std::sync::Arc;
 
 use crate::comm::Comm;
-use crate::cost::CostModel;
 use crate::fault::{FaultEvent, FaultPlan, FaultState, PeerDied, RankKilled};
 use crate::stats::{StatsSnapshot, TransportStats};
 use crate::transport::{make_transport, SocketConfig, Transport, TransportKind};
@@ -19,7 +18,6 @@ pub(crate) struct WorldInner {
     /// Next communicator context id (0 is the world communicator).
     pub next_ctx: AtomicU32,
     pub stats: TransportStats,
-    pub cost: Option<CostModel>,
     /// Active fault injector, if any.
     pub fault: Option<FaultState>,
     /// Per-world-rank death flags, set when a rank's body panics.
@@ -27,18 +25,12 @@ pub(crate) struct WorldInner {
 }
 
 impl WorldInner {
-    fn new(
-        size: usize,
-        transport: Box<dyn Transport>,
-        cost: Option<CostModel>,
-        fault: Option<FaultState>,
-    ) -> Self {
+    fn new(size: usize, transport: Box<dyn Transport>, fault: Option<FaultState>) -> Self {
         WorldInner {
             size,
             transport,
             next_ctx: AtomicU32::new(1),
             stats: TransportStats::default(),
-            cost,
             fault,
             dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
         }
@@ -60,10 +52,10 @@ impl WorldInner {
 /// in rank order.
 pub struct World;
 
-/// Configures a world before running it (cost model, fault plan, etc.).
+/// Configures a world before running it (fault plan, observability,
+/// transport).
 pub struct WorldBuilder {
     size: usize,
-    cost: Option<CostModel>,
     fault: Option<FaultPlan>,
     observe: Option<obsv::Registry>,
     transport: TransportKind,
@@ -118,12 +110,10 @@ impl World {
         Self::builder(size).run(f).results
     }
 
-    /// Start configuring a run (e.g. to attach a [`CostModel`] or a
-    /// [`FaultPlan`]).
+    /// Start configuring a run (e.g. to attach a [`FaultPlan`]).
     pub fn builder(size: usize) -> WorldBuilder {
         WorldBuilder {
             size,
-            cost: None,
             fault: None,
             observe: None,
             // `SIMMPI_TRANSPORT=socket` flips every world in the process
@@ -135,12 +125,6 @@ impl World {
 }
 
 impl WorldBuilder {
-    /// Attach a message cost model charged on every delivery.
-    pub fn cost_model(mut self, cm: CostModel) -> Self {
-        self.cost = Some(cm);
-        self
-    }
-
     /// Attach a seeded fault plan perturbing every send. Plans with kill
     /// directives should be run with [`WorldBuilder::run_chaos`]; under
     /// plain [`WorldBuilder::run`] a killed rank propagates its panic.
@@ -209,11 +193,11 @@ impl WorldBuilder {
         F: Fn(Comm) -> R + Send + Sync,
     {
         silence_injected_panics();
-        let WorldBuilder { size, cost, fault, observe, transport, socket } = self;
+        let WorldBuilder { size, fault, observe, transport, socket } = self;
         assert!(size > 0, "world size must be at least 1");
         let fault = fault.map(|p| FaultState::new(p, size));
         let transport = make_transport(transport, size, socket);
-        let inner = Arc::new(WorldInner::new(size, transport, cost, fault));
+        let inner = Arc::new(WorldInner::new(size, transport, fault));
         let f = &f;
         let outcomes: Vec<Result<R, RankDeath>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..size)

@@ -1,25 +1,16 @@
 //! Property-based tests of the collective operations: arbitrary world
 //! sizes, roots, and payload shapes — and the spec contract that every
 //! rank's results equal values computed directly from the inputs, with
-//! and without a cost model (which switches to the ring allgather and the
-//! segmented broadcast past its crossover) and under seeded fault-plan
-//! delays.
+//! and without seeded fault-plan delays.
 
 use std::time::Duration;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use simmpi::{CostModel, FaultPlan, World};
-
-/// A cost model whose latency/bandwidth crossover sits at 100 bytes, so
-/// modest proptest payloads already exercise the ring allgather and the
-/// multi-segment broadcast.
-fn tiny_crossover() -> CostModel {
-    CostModel { latency: Duration::from_nanos(1000), per_byte_ns: 10.0 }
-}
+use simmpi::{FaultPlan, World};
 
 /// Deterministic per-(rank, dest, seed) payload with length variety,
-/// including empty and multi-segment (>100 B) blocks.
+/// from empty up to 399 bytes.
 fn blob(rank: usize, salt: usize, seed: u64) -> Bytes {
     let len = ((seed as usize).wrapping_mul(2654435761) ^ (rank * 37 + salt * 101)) % 400;
     Bytes::from((0..len).map(|i| (i ^ rank ^ salt ^ seed as usize) as u8).collect::<Vec<u8>>())
@@ -66,13 +57,10 @@ fn spec(n: usize, root: usize, seed: u64, me: usize) -> Workout {
     )
 }
 
-/// Run the workout under one (cost-model, fault-seed) configuration and
-/// check every rank against [`spec`].
-fn check_config(n: usize, root: usize, seed: u64, cost: bool, fault_seed: Option<u64>) {
-    let mut b = World::builder(n);
-    if cost {
-        b = b.cost_model(tiny_crossover());
-    }
+/// Run the workout with or without a seeded fault plan and check every
+/// rank against [`spec`].
+fn check_config(n: usize, root: usize, seed: u64, fault_seed: Option<u64>) {
+    let b = World::builder(n);
     let got: Vec<Workout> = if let Some(fs) = fault_seed {
         let out = b
             .fault_plan(FaultPlan::new(fs).delay(0.5, Duration::from_micros(300)).reorder(0.5))
@@ -86,7 +74,7 @@ fn check_config(n: usize, root: usize, seed: u64, cost: bool, fault_seed: Option
         assert_eq!(
             w,
             spec(n, root, seed, me),
-            "rank {me} of {n}, root {root}, cost={cost}, fault seed {fault_seed:?}"
+            "rank {me} of {n}, root {root}, fault seed {fault_seed:?}"
         );
     }
 }
@@ -172,11 +160,9 @@ proptest! {
         });
     }
 
-    /// The spec contract: every collective, with and without a cost
-    /// model (which switches to the ring allgather and the segmented
-    /// bcast past the 100-byte crossover), returns on every rank exactly
+    /// The spec contract: every collective returns on every rank exactly
     /// what the inputs determine, for any geometry, root, and payload
-    /// shape (empty through multi-segment).
+    /// shape (empty included).
     #[test]
     fn collectives_match_the_spec(
         n in 1usize..8,
@@ -184,9 +170,7 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let root = root_seed % n;
-        for cost in [false, true] {
-            check_config(n, root, seed, cost, None);
-        }
+        check_config(n, root, seed, None);
     }
 
     /// The same contract under seeded fault-plan delays and reorders: the
@@ -199,8 +183,6 @@ proptest! {
         fault_seed in 0u64..10_000,
     ) {
         let root = root_seed % n;
-        for cost in [false, true] {
-            check_config(n, root, seed, cost, Some(fault_seed));
-        }
+        check_config(n, root, seed, Some(fault_seed));
     }
 }

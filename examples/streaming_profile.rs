@@ -1,13 +1,9 @@
-//! Streaming time-series with an emulated interconnect and fine-grained
-//! transport profiling.
+//! Streaming time-series with fine-grained transport profiling.
 //!
-//! Exercises three extension features of this reproduction together:
+//! Exercises two extension features of this reproduction together:
 //!
 //! * **extensible datasets** — each snapshot's sample table grows
 //!   (`Dataset::extend`) before the file closes, as adaptive codes do,
-//! * **interconnect emulation** — the whole workflow runs under a
-//!   [`simmpi::CostModel`] charging latency + bandwidth per message, so
-//!   shared-memory runs exhibit network-like timing,
 //! * **transport profiling** — the paper's future-work item
 //!   ("profiling our communication at finer grain"): per-phase
 //!   index/serve/redirect/fetch breakdowns from
@@ -29,7 +25,7 @@ use std::sync::Arc;
 use lowfive::DistVolBuilder;
 use minih5::space::UNLIMITED;
 use minih5::{Dataspace, Datatype, Selection, Vol, H5};
-use simmpi::{CostModel, TaskSpec, TaskWorld};
+use simmpi::{TaskSpec, TaskWorld};
 
 const COLS: u64 = 64;
 const BASE_ROWS: u64 = 32;
@@ -41,7 +37,6 @@ fn main() {
     let specs = [TaskSpec::new("sensors", PRODUCERS), TaskSpec::new("monitor", CONSUMERS)];
     let registry = obsv::Registry::new();
     let out = TaskWorld::builder(&specs)
-        .cost_model(CostModel::interconnect())
         .observe(registry.clone())
         .run(|tc| {
             let _task = obsv::span_tagged(obsv::Phase::Task, tc.task_id as u64);
@@ -152,8 +147,7 @@ fn main() {
         });
     let moved: u64 = out.results.iter().sum();
     println!(
-        "workflow done under emulated interconnect (1 µs latency, 10 GB/s): {} payload bytes \
-         through the transport, {} messages total",
+        "workflow done: {} payload bytes through the transport, {} messages total",
         moved, out.stats.messages
     );
 
